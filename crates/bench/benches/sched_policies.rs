@@ -2,9 +2,10 @@
 //! as the cluster grows.
 //!
 //! Each sample snapshots nothing: the [`ClusterSnapshot`] is frozen once
-//! per cluster size and every iteration runs one `place()` through the
-//! pipeline's filter chain and score stages, mirroring what a scheduler
-//! pass pays per pending pod.
+//! per cluster size, one [`SchedulingCycle`] is opened on it, and every
+//! iteration runs one `place()` through the pipeline's filter chain and
+//! score stages — what a scheduler pass pays per pending pod that still
+//! fits somewhere (nothing is reserved, so every iteration scans).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,7 +15,7 @@ use cluster::machine::MachineSpec;
 use cluster::node::NodeRole;
 use cluster::topology::{Cluster, ClusterSpec};
 use des::{SimDuration, SimTime};
-use orchestrator::{ClusterSnapshot, PolicyRegistry};
+use orchestrator::{ClusterSnapshot, PolicyRegistry, SchedulingCycle};
 use sgx_sim::units::ByteSize;
 use tsdb::Database;
 
@@ -51,16 +52,14 @@ fn bench_placement(c: &mut Criterion) {
         let snap = snapshot(nodes);
         for name in registry.names() {
             let pipeline = registry.by_name(&name).expect("listed names resolve");
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}/sgx_pod"), nodes),
-                snap.nodes(),
-                |b, nodes| b.iter(|| black_box(pipeline.place(black_box(&sgx_pod), nodes))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}/std_pod"), nodes),
-                snap.nodes(),
-                |b, nodes| b.iter(|| black_box(pipeline.place(black_box(&std_pod), nodes))),
-            );
+            for (label, pod) in [("sgx_pod", &sgx_pod), ("std_pod", &std_pod)] {
+                let mut cycle = SchedulingCycle::new(snap.clone());
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{name}/{label}"), nodes),
+                    pod,
+                    |b, pod| b.iter(|| black_box(cycle.place(&pipeline, black_box(pod)))),
+                );
+            }
         }
     }
     group.finish();

@@ -44,9 +44,6 @@ COMMON OPTIONS:
                        instead of materialising a workload; --quick selects the
                        smoke-scale calibration (see --list-frontends)
     --list-frontends   List the registered trace frontends and exit
-    --percentage-of-nodes-to-score <P>
-                       Score only P% of feasible nodes per placement, 1-100
-                       (default 100: score every node, the paper's behaviour)
     --epc-total <MIB>  Simulate a single SGX node with this much usable EPC
     --no-limits        Disable driver-side EPC limit enforcement (Fig. 11)
     --malicious <F>    Add one squatter per SGX node mapping F of its EPC
@@ -84,10 +81,12 @@ fn main() -> ExitCode {
     }
 }
 
+/// Reports a malformed command line: the message, the help text, and
+/// exit code 2 (1 is left for runs that fail).
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("error: {message}\n");
     eprint!("{HELP}");
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 // ------------------------------------------------------------- commands
@@ -135,7 +134,7 @@ fn prepared_trace(args: &mut Args) -> Result<borg_trace::Trace, String> {
 }
 
 fn cmd_trace_generate(args: &mut Args) -> ExitCode {
-    match prepared_trace(args) {
+    match prepared_trace(args).and_then(|trace| args.finish().map(|()| trace)) {
         Ok(trace) => {
             print!("{}", borg_trace::csv::to_csv(&trace));
             eprintln!("generated {} jobs", trace.len());
@@ -146,7 +145,7 @@ fn cmd_trace_generate(args: &mut Args) -> ExitCode {
 }
 
 fn cmd_trace_stats(args: &mut Args) -> ExitCode {
-    let trace = match load_or_generate_trace(args) {
+    let trace = match load_or_generate_trace(args).and_then(|t| args.finish().map(|()| t)) {
         Ok(t) => t,
         Err(e) => return usage_error(&e),
     };
@@ -234,18 +233,6 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
     }
 
     let mut config = ReplayConfig::paper(seed).with_scheduler(&scheduler);
-    match args.flag_u64("--percentage-of-nodes-to-score") {
-        Ok(Some(percentage)) => {
-            if !(1..=100).contains(&percentage) {
-                return usage_error("--percentage-of-nodes-to-score must lie in [1, 100]");
-            }
-            config.orchestrator = config
-                .orchestrator
-                .with_percentage_of_nodes_to_score(percentage as u8);
-        }
-        Ok(None) => {}
-        Err(e) => return usage_error(&e),
-    }
     match args.flag_u64("--epc-total") {
         Ok(Some(mib)) => {
             config = config.with_cluster(ClusterSpec::sim_cluster_with_total_epc(
@@ -271,9 +258,16 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
         Err(e) => return usage_error(&e),
     }
 
+    // `--quick` was consumed with the trace on the materialised path.
+    let quick = args.has_flag("--quick");
+    let bill = args.has_flag("--bill");
+    if let Err(e) = args.finish() {
+        return usage_error(&e);
+    }
+
     let result = match &frontend_name {
         Some(name) => {
-            let params = if args.has_flag("--quick") {
+            let params = if quick {
                 FrontendParams::new(seed, ratio).smoke()
             } else {
                 FrontendParams::new(seed, ratio)
@@ -336,7 +330,7 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
             metrics.wasted_capacity_node_secs,
         );
     }
-    if args.has_flag("--bill") {
+    if bill {
         let records: std::collections::BTreeMap<_, _> = result
             .runs()
             .iter()
@@ -434,6 +428,15 @@ impl Args {
         }
         self.tokens.remove(idx);
         Some(self.tokens.remove(idx))
+    }
+
+    /// Every recognised flag has been removed by now: whatever is left
+    /// is a usage error, not something to ignore.
+    fn finish(&self) -> Result<(), String> {
+        match self.tokens.first() {
+            None => Ok(()),
+            Some(token) => Err(format!("unrecognised argument `{token}`")),
+        }
     }
 
     fn flag_u64(&mut self, name: &str) -> Result<Option<u64>, String> {

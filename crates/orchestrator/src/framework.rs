@@ -20,9 +20,10 @@
 //!   large high-priority term absorb low bits of a small one and
 //!   silently change which node wins.
 //! * All float comparisons go through [`f64::total_cmp`], and the final
-//!   tie-break — lowest node name — is centralized in
-//!   [`PolicyPipeline::place`], the only place that ever picks between
-//!   candidates.
+//!   tie-break — lowest node name, which in the snapshot's name-ranked
+//!   layout is the lowest slot — is centralized in
+//!   [`SchedulingCycle::place`], the only routine that ever picks
+//!   between candidates.
 //!
 //! A [`PolicyPipeline`] names one composition of filters and score
 //! stages; the [`PolicyRegistry`](crate::PolicyRegistry) maps scheduler
@@ -30,95 +31,30 @@
 //! working state to one immutable [`ClusterSnapshot`] so a scheduling
 //! pass can account for its own in-pass reservations while every
 //! decision still reads from the same frozen world.
+//!
+//! # What a cycle never re-decides
+//!
+//! Within one cycle the working state only ever gets *fuller*:
+//! [`reserve`](SchedulingCycle::reserve) adds requests,
+//! [`mark_infeasible`](SchedulingCycle::mark_infeasible) excludes nodes,
+//! nothing frees capacity. So once a pipeline found no feasible node for
+//! requests *r*, every later pod of the cycle placed through the same
+//! pipeline with requests ≥ *r* (component-wise) is infeasible too, and
+//! is answered `None` without a scan. The cycle keeps that
+//! **infeasibility frontier** as the Pareto-minimal failed requests per
+//! pipeline. It is only sound for filters that declare
+//! [`FilterPlugin::monotone_in_requests`]; a pipeline with any filter
+//! that does not simply never consults it. The frontier dies with the
+//! cycle, so it can never go stale.
 
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cluster::api::{NodeName, PodSpec};
+use cluster::api::{NodeName, PodSpec, Resources};
 
 use crate::metrics::NodeView;
 use crate::snapshot::ClusterSnapshot;
-
-/// Clusters at or below this size always score every node, whatever the
-/// configured percentage — sampling a 5-node cluster saves nothing and
-/// would only make small deployments behave differently (the same
-/// `minFeasibleNodesToFind` guard kube-scheduler applies).
-pub const MIN_NODES_TO_SAMPLE: usize = 100;
-
-/// Minimum number of feasible candidates a sampled placement collects
-/// before it stops scanning, however small the percentage.
-const MIN_FEASIBLE_CANDIDATES: usize = 100;
-
-/// Candidate sets smaller than this are scored inline even when score
-/// threads are configured — thread spawn overhead dwarfs the work.
-const MIN_CANDIDATES_TO_PARALLELISE: usize = 64;
-
-/// How one placement bounds and parallelises its candidate search.
-///
-/// The default — score 100 % of nodes on one thread — reproduces the
-/// exhaustive scan bit for bit; tightening the percentage (or opting
-/// into the adaptive formula) trades full scoring coverage for
-/// per-placement cost that no longer grows with the whole cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlacementOptions {
-    /// Percentage of nodes kept as feasible candidates per placement,
-    /// clamped to 1–100. 100 scores every feasible node.
-    pub percentage_of_nodes_to_score: u8,
-    /// Use kube-scheduler's cluster-size-adaptive percentage
-    /// (`max(5, 50 - nodes/125)`) instead of the fixed one.
-    pub adaptive_percentage: bool,
-    /// Threads used to score the candidate set; 1 scores inline. Scores
-    /// are pure functions, so the result is identical for any count.
-    pub score_threads: usize,
-}
-
-impl Default for PlacementOptions {
-    fn default() -> Self {
-        PlacementOptions {
-            percentage_of_nodes_to_score: 100,
-            adaptive_percentage: false,
-            score_threads: 1,
-        }
-    }
-}
-
-impl PlacementOptions {
-    /// The kube-scheduler adaptive percentage for a cluster of `nodes`:
-    /// `50 - nodes/125`, floored at 5 %.
-    pub fn adaptive_percentage_for(nodes: usize) -> u8 {
-        50_usize.saturating_sub(nodes / 125).max(5) as u8
-    }
-
-    /// How many feasible candidates a placement over `nodes` nodes
-    /// collects before it stops scanning.
-    pub fn target_candidates(&self, nodes: usize) -> usize {
-        if nodes <= MIN_NODES_TO_SAMPLE {
-            return nodes;
-        }
-        let pct = if self.adaptive_percentage {
-            Self::adaptive_percentage_for(nodes)
-        } else {
-            self.percentage_of_nodes_to_score.clamp(1, 100)
-        } as usize;
-        if pct >= 100 {
-            return nodes;
-        }
-        (nodes * pct / 100).clamp(MIN_FEASIBLE_CANDIDATES, nodes)
-    }
-}
-
-/// Outcome of one bounded placement: the chosen node (if any) and how
-/// many nodes the rotated scan examined, so callers can advance their
-/// rotation cursor fairly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Placement {
-    /// The winning node, `None` when nothing feasible was found.
-    pub chosen: Option<NodeName>,
-    /// Nodes the scan visited (feasible or not) before stopping.
-    pub visited: usize,
-}
 
 /// A feasibility predicate: one concern of "can this node host this pod".
 ///
@@ -130,19 +66,34 @@ pub trait FilterPlugin: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
     /// `true` when `node` can feasibly host `spec`.
     fn feasible(&self, spec: &PodSpec, name: &NodeName, node: &NodeView) -> bool;
+    /// Declares the filter **monotone**: it reads the pod only through
+    /// `spec.resources.requests`, and a rejection survives both larger
+    /// requests and a fuller node — if it rejects requests *r* on a node,
+    /// it rejects every *r′ ≥ r* (component-wise) on that node with any
+    /// further requests reserved on it. This is what lets a
+    /// [`SchedulingCycle`] skip scans its infeasibility frontier already
+    /// answers. The default `false` is always safe; it only costs the
+    /// pipeline that shortcut.
+    fn monotone_in_requests(&self) -> bool {
+        false
+    }
 }
 
-/// Everything a score plugin may look at besides the candidate node:
-/// the pod being placed and the whole working node map (needed by
-/// relational scorers like spread, which rates a candidate by the load
-/// distribution across its peer group).
+/// Everything a score plugin may look at: the pod being placed and the
+/// whole working node state (needed by relational scorers like spread,
+/// which rates a candidate by the load distribution across its peer
+/// group). Candidates are identified by **slot** — an index into both
+/// arrays.
 #[derive(Debug)]
 pub struct ScoreContext<'a> {
     /// The pod being placed.
     pub spec: &'a PodSpec,
+    /// Every node name of the cycle, ascending; `names[slot]` names
+    /// `nodes[slot]`.
+    pub names: &'a [NodeName],
     /// Every node of the cycle's working state, in name order, with
     /// in-pass reservations applied.
-    pub nodes: &'a BTreeMap<NodeName, NodeView>,
+    pub nodes: &'a [NodeView],
 }
 
 /// A scoring dimension over feasible nodes; **higher is better**.
@@ -153,8 +104,16 @@ pub struct ScoreContext<'a> {
 pub trait ScorePlugin: fmt::Debug + Send + Sync {
     /// Registered name of the scorer (stable; used in docs and tables).
     fn name(&self) -> &'static str;
-    /// Scores the candidate; higher wins its stage.
-    fn score(&self, cx: &ScoreContext<'_>, name: &NodeName, node: &NodeView) -> f64;
+    /// Scores the candidate in `slot`; higher wins its stage.
+    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64;
+    /// Scores every candidate of one placement, appending exactly one
+    /// score per entry of `candidates` (ascending slots) to `out`, each
+    /// bit-identical to [`score`](Self::score) of that slot. Relational
+    /// scorers override this to share per-placement work across
+    /// candidates.
+    fn score_batch(&self, cx: &ScoreContext<'_>, candidates: &[usize], out: &mut Vec<f64>) {
+        out.extend(candidates.iter().map(|&slot| self.score(cx, slot)));
+    }
 }
 
 /// One ordered scoring stage of a pipeline: a plugin and the weight its
@@ -182,18 +141,29 @@ impl ScoreStage {
 /// [`PolicyRegistry`](crate::PolicyRegistry).
 #[derive(Debug, Clone)]
 pub struct PolicyPipeline {
+    /// Identity of the composition (clones share it): what a cycle's
+    /// infeasibility frontier is keyed by. Two pipelines may share a
+    /// name, never an id.
+    id: u64,
     name: String,
     filters: Vec<Arc<dyn FilterPlugin>>,
+    /// Every filter declares [`FilterPlugin::monotone_in_requests`].
+    monotone: bool,
     scorers: Vec<ScoreStage>,
 }
 
 impl PolicyPipeline {
     /// Starts building a pipeline with the given registered name.
     pub fn builder(name: impl Into<String>) -> PipelineBuilder {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         PipelineBuilder {
             pipeline: PolicyPipeline {
+                // Only ever compared for equality, so the allocation
+                // order cannot leak into a decision.
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 name: name.into(),
                 filters: Vec::new(),
+                monotone: true,
                 scorers: Vec::new(),
             },
         }
@@ -219,138 +189,19 @@ impl PolicyPipeline {
         self.filters.iter().all(|f| f.feasible(spec, name, node))
     }
 
-    /// The centralized selection step: picks the best feasible node, or
-    /// `None` when nothing fits right now.
-    ///
-    /// Candidates are compared stage by stage on their weight-scaled
-    /// scores via [`f64::total_cmp`]; full ties resolve to the lowest
-    /// node name. Equivalent to
-    /// [`place_bounded`](Self::place_bounded) with default
-    /// [`PlacementOptions`]: every feasible node scored, in name order,
-    /// on one thread.
-    pub fn place(&self, spec: &PodSpec, nodes: &BTreeMap<NodeName, NodeView>) -> Option<NodeName> {
-        self.place_bounded(spec, nodes, &PlacementOptions::default(), 0, None)
-            .chosen
+    /// `true` when every filter of the chain declares
+    /// [`FilterPlugin::monotone_in_requests`] — the condition under
+    /// which a cycle's infeasibility frontier may answer for this
+    /// pipeline.
+    pub fn monotone_in_requests(&self) -> bool {
+        self.monotone
     }
 
-    /// The bounded form of [`place`](Self::place): a rotated scan that
-    /// stops collecting feasible candidates once the options' target is
-    /// met, then scores just those candidates (optionally across
-    /// threads) and picks the winner.
-    ///
-    /// The scan starts at position `start % nodes.len()` in name order
-    /// and wraps, so successive placements with an advancing cursor
-    /// spread sampling bias across the cluster instead of starving
-    /// late-alphabet nodes. Nodes in `skip` are passed over without
-    /// filtering (a scheduling pass uses this for nodes whose kubelet
-    /// refused a bind mid-pass).
-    ///
-    /// With default options the scan visits every node from position 0
-    /// and the selection — lexicographic stage scores, then lowest
-    /// name — is bit-identical to the exhaustive `place`.
-    pub fn place_bounded(
-        &self,
-        spec: &PodSpec,
-        nodes: &BTreeMap<NodeName, NodeView>,
-        options: &PlacementOptions,
-        start: usize,
-        skip: Option<&BTreeSet<NodeName>>,
-    ) -> Placement {
-        let total = nodes.len();
-        if total == 0 {
-            return Placement {
-                chosen: None,
-                visited: 0,
-            };
-        }
-        let target = options.target_candidates(total).max(1);
-        let offset = start % total;
-        let mut candidates: Vec<(&NodeName, &NodeView)> = Vec::new();
-        let mut visited = 0;
-        let rotated = nodes.iter().skip(offset).chain(nodes.iter().take(offset));
-        for (name, node) in rotated {
-            visited += 1;
-            if skip.is_some_and(|s| s.contains(name)) {
-                continue;
-            }
-            if !self.feasible(spec, name, node) {
-                continue;
-            }
-            candidates.push((name, node));
-            if candidates.len() >= target {
-                break;
-            }
-        }
-        let cx = ScoreContext { spec, nodes };
-        let scores = self.score_candidates(&cx, &candidates, options.score_threads);
-        let mut best: Option<usize> = None;
-        for (i, (name, _)) in candidates.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some(b) => match lex_cmp(&scores[i], &scores[b]) {
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Equal => *name < candidates[b].0,
-                },
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        Placement {
-            chosen: best.map(|i| candidates[i].0.clone()),
-            visited,
-        }
+    /// Picks the best feasible node of a frozen snapshot, or `None` when
+    /// nothing fits: a one-placement [`SchedulingCycle`].
+    pub fn place(&self, spec: &PodSpec, snapshot: &ClusterSnapshot) -> Option<NodeName> {
+        SchedulingCycle::new(snapshot.clone()).place(self, spec)
     }
-
-    /// Scores every candidate, splitting the set across scoped threads
-    /// when `threads > 1` and the set is large enough to amortize the
-    /// spawns. Scores are pure functions of `(cx, name, node)`, so the
-    /// output vector is identical for any thread count.
-    fn score_candidates(
-        &self,
-        cx: &ScoreContext<'_>,
-        candidates: &[(&NodeName, &NodeView)],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        let score_one = |name: &NodeName, node: &NodeView| -> Vec<f64> {
-            self.scorers
-                .iter()
-                .map(|stage| stage.weight * stage.plugin.score(cx, name, node))
-                .collect()
-        };
-        if threads <= 1 || candidates.len() < MIN_CANDIDATES_TO_PARALLELISE {
-            return candidates
-                .iter()
-                .map(|(name, node)| score_one(name, node))
-                .collect();
-        }
-        let mut scores: Vec<Vec<f64>> = vec![Vec::new(); candidates.len()];
-        let chunk = candidates.len().div_ceil(threads);
-        let score_one = &score_one;
-        crossbeam::thread::scope(|scope| {
-            for (cands, out) in candidates.chunks(chunk).zip(scores.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (slot, (name, node)) in out.iter_mut().zip(cands) {
-                        *slot = score_one(name, node);
-                    }
-                });
-            }
-        });
-        scores
-    }
-}
-
-/// Lexicographic comparison of stage-score vectors under `total_cmp`.
-fn lex_cmp(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
-    debug_assert_eq!(a.len(), b.len(), "stage count is fixed per pipeline");
-    for (x, y) in a.iter().zip(b) {
-        match x.total_cmp(y) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
 }
 
 /// Builder for [`PolicyPipeline`].
@@ -363,6 +214,7 @@ impl PipelineBuilder {
     /// Appends a filter to the chain.
     #[must_use]
     pub fn filter(mut self, filter: impl FilterPlugin + 'static) -> Self {
+        self.pipeline.monotone &= filter.monotone_in_requests();
         self.pipeline.filters.push(Arc::new(filter));
         self
     }
@@ -389,6 +241,11 @@ impl PipelineBuilder {
     }
 }
 
+/// `true` when `a` requests no more than `b` of every resource.
+fn within(a: Resources, b: Resources) -> bool {
+    a.memory <= b.memory && a.epc_pages <= b.epc_pages
+}
+
 /// One scheduling cycle: an immutable [`ClusterSnapshot`] plus the
 /// working node state that accumulates in-pass reservations, so pods
 /// placed earlier in the same pass occupy capacity for later ones.
@@ -399,40 +256,34 @@ impl PipelineBuilder {
 #[derive(Debug, Clone)]
 pub struct SchedulingCycle {
     snapshot: ClusterSnapshot,
-    working: BTreeMap<NodeName, NodeView>,
-    options: PlacementOptions,
-    infeasible: BTreeSet<NodeName>,
-    cursor: Cell<usize>,
+    /// The snapshot's views plus in-pass reservations; same slots.
+    working: Vec<NodeView>,
+    /// One bit per slot, set by [`mark_infeasible`](Self::mark_infeasible);
+    /// empty until the first mark.
+    excluded: Vec<u64>,
+    /// The infeasibility frontier: per pipeline id, the Pareto-minimal
+    /// requests a full scan of this cycle found no feasible node for.
+    frontier: Vec<(u64, Resources)>,
+    /// Scratch of [`place`](Self::place), kept to spare the allocations.
+    candidates: Vec<usize>,
+    scores: Vec<f64>,
+    nodes_scanned: u64,
 }
 
 impl SchedulingCycle {
-    /// Opens a cycle over a snapshot with default [`PlacementOptions`]
-    /// (exhaustive scoring). The working state starts as an exact copy
-    /// of the snapshot's nodes.
+    /// Opens a cycle over a snapshot. The working state starts as an
+    /// exact copy of the snapshot's views.
     pub fn new(snapshot: ClusterSnapshot) -> Self {
-        let working = snapshot.nodes().clone();
+        let working = snapshot.views().to_vec();
         SchedulingCycle {
             snapshot,
             working,
-            options: PlacementOptions::default(),
-            infeasible: BTreeSet::new(),
-            cursor: Cell::new(0),
+            excluded: Vec::new(),
+            frontier: Vec::new(),
+            candidates: Vec::new(),
+            scores: Vec::new(),
+            nodes_scanned: 0,
         }
-    }
-
-    /// Sets the cycle's placement options and the rotation cursor's
-    /// starting position (advanced by each placement's visit count).
-    ///
-    /// At 100 % sampling the target equals the node count, every scan
-    /// visits all nodes, and the cursor therefore advances by a full
-    /// revolution per placement — starting it at a multiple of the node
-    /// count keeps even a seeded cycle bit-identical to the exhaustive
-    /// scan.
-    #[must_use]
-    pub fn with_options(mut self, options: PlacementOptions, start: usize) -> Self {
-        self.options = options;
-        self.cursor = Cell::new(start);
-        self
     }
 
     /// The frozen snapshot this cycle was opened on.
@@ -442,39 +293,115 @@ impl SchedulingCycle {
 
     /// The working view of one node (in-pass reservations applied).
     pub fn node(&self, name: &NodeName) -> Option<&NodeView> {
-        self.working.get(name)
+        self.snapshot.slot_of(name).map(|slot| &self.working[slot])
     }
 
-    /// Places `spec` through `pipeline` against the working state,
-    /// honoring the cycle's placement options and skipping nodes marked
-    /// [infeasible](Self::mark_infeasible). Advances the rotation
-    /// cursor by the number of nodes the scan visited.
-    pub fn place(&self, pipeline: &PolicyPipeline, spec: &PodSpec) -> Option<NodeName> {
-        let placement = pipeline.place_bounded(
+    /// Nodes the filter chains of this cycle have walked so far: every
+    /// placement that actually scans adds the node count, one the
+    /// frontier answers adds nothing. A pure function of the cycle's
+    /// inputs — the deterministic stand-in for placement wall time.
+    pub fn nodes_scanned(&self) -> u64 {
+        self.nodes_scanned
+    }
+
+    /// The centralized selection step: places `spec` through `pipeline`
+    /// against the working state and returns the best feasible node, or
+    /// `None` when nothing fits right now.
+    ///
+    /// Feasible slots (nodes marked [infeasible](Self::mark_infeasible)
+    /// are passed over unfiltered) are collected in slot order, then
+    /// eliminated stage by stage: each stage scores the survivors, keeps
+    /// the [`f64::total_cmp`]-maximal set of weight-scaled scores, and
+    /// the lowest surviving slot — the lowest node name — wins. That is
+    /// exactly the lexicographic comparison of whole score vectors with
+    /// a name tie-break, without materialising a vector per candidate
+    /// or scoring a later stage on nodes an earlier one already beat.
+    pub fn place(&mut self, pipeline: &PolicyPipeline, spec: &PodSpec) -> Option<NodeName> {
+        let requests = spec.resources.requests;
+        let monotone = pipeline.monotone;
+        if monotone
+            && self
+                .frontier
+                .iter()
+                .any(|&(id, failed)| id == pipeline.id && within(failed, requests))
+        {
+            return None;
+        }
+
+        let names: &[NodeName] = self.snapshot.names();
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        self.nodes_scanned += self.working.len() as u64;
+        for (slot, (name, node)) in names.iter().zip(&self.working).enumerate() {
+            let excluded = self
+                .excluded
+                .get(slot / 64)
+                .is_some_and(|word| word >> (slot % 64) & 1 == 1);
+            if !excluded && pipeline.feasible(spec, name, node) {
+                candidates.push(slot);
+            }
+        }
+        if candidates.is_empty() {
+            if monotone {
+                self.frontier
+                    .retain(|&(id, failed)| !(id == pipeline.id && within(requests, failed)));
+                self.frontier.push((pipeline.id, requests));
+            }
+            return None;
+        }
+
+        let cx = ScoreContext {
             spec,
-            &self.working,
-            &self.options,
-            self.cursor.get(),
-            Some(&self.infeasible),
-        );
-        self.cursor
-            .set(self.cursor.get().wrapping_add(placement.visited));
-        placement.chosen
+            names,
+            nodes: &self.working,
+        };
+        let scores = &mut self.scores;
+        for stage in &pipeline.scorers {
+            if candidates.len() == 1 {
+                break;
+            }
+            scores.clear();
+            stage.plugin.score_batch(&cx, candidates, scores);
+            debug_assert_eq!(scores.len(), candidates.len(), "one score per candidate");
+            for score in scores.iter_mut() {
+                *score *= stage.weight;
+            }
+            let best = scores
+                .iter()
+                .copied()
+                .max_by(f64::total_cmp)
+                .expect("candidates are non-empty");
+            let mut kept = 0;
+            for i in 0..candidates.len() {
+                if scores[i].total_cmp(&best).is_eq() {
+                    candidates[kept] = candidates[i];
+                    kept += 1;
+                }
+            }
+            candidates.truncate(kept);
+        }
+        Some(names[candidates[0]].clone())
     }
 
     /// Registers an in-pass reservation so later placements of this
     /// cycle see the node as fuller. Unknown names are ignored.
     pub fn reserve(&mut self, name: &NodeName, spec: &PodSpec) {
-        if let Some(view) = self.working.get_mut(name) {
-            view.reserve(spec);
+        if let Some(slot) = self.snapshot.slot_of(name) {
+            self.working[slot].reserve(spec);
         }
     }
 
     /// Excludes a node from every later placement of this cycle without
     /// charging it phantom reservations — used when its kubelet refused
-    /// a bind, so retrying it this pass would just fail again.
+    /// a bind, so retrying it this pass would just fail again. Unknown
+    /// names are ignored.
     pub fn mark_infeasible(&mut self, name: &NodeName) {
-        self.infeasible.insert(name.clone());
+        if let Some(slot) = self.snapshot.slot_of(name) {
+            if self.excluded.is_empty() {
+                self.excluded.resize(self.working.len().div_ceil(64), 0);
+            }
+            self.excluded[slot / 64] |= 1 << (slot % 64);
+        }
     }
 }
 
@@ -484,7 +411,8 @@ mod tests {
     use crate::policy::{CordonFilter, EpcFitFilter, MemoryFitFilter, SgxCapableFilter};
     use cluster::topology::{Cluster, ClusterSpec};
     use des::{SimDuration, SimTime};
-    use sgx_sim::units::ByteSize;
+    use sgx_sim::units::{ByteSize, EpcPages};
+    use std::collections::BTreeMap;
     use tsdb::Database;
 
     #[derive(Debug)]
@@ -493,8 +421,28 @@ mod tests {
         fn name(&self) -> &'static str {
             "const"
         }
-        fn score(&self, _: &ScoreContext<'_>, _: &NodeName, _: &NodeView) -> f64 {
+        fn score(&self, _: &ScoreContext<'_>, _: usize) -> f64 {
             self.0
+        }
+    }
+
+    /// Scores `hit` for the node called `node`, `miss` for every other.
+    #[derive(Debug)]
+    struct NameScore {
+        node: &'static str,
+        hit: f64,
+        miss: f64,
+    }
+    impl ScorePlugin for NameScore {
+        fn name(&self) -> &'static str {
+            "name-score"
+        }
+        fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
+            if cx.names[slot].as_str() == self.node {
+                self.hit
+            } else {
+                self.miss
+            }
         }
     }
 
@@ -518,103 +466,73 @@ mod tests {
             .build()
     }
 
+    fn sgx_pod(mib: u64) -> PodSpec {
+        PodSpec::builder("p")
+            .sgx_resources(ByteSize::from_mib(mib))
+            .build()
+    }
+
     #[test]
     fn ties_resolve_to_lowest_node_name() {
-        let pipeline = fit_pipeline();
-        let pod = PodSpec::builder("p")
-            .sgx_resources(ByteSize::from_mib(10))
-            .build();
         // Constant scores everywhere: the first feasible node by name wins.
-        let chosen = pipeline.place(&pod, snapshot().nodes()).unwrap();
+        let chosen = fit_pipeline().place(&sgx_pod(10), &snapshot()).unwrap();
         assert_eq!(chosen.as_str(), "sgx-1");
     }
 
     #[test]
     fn stage_order_dominates_later_stages() {
-        let mut nodes = snapshot().nodes().clone();
-        // Give sgx-2 a worse first-stage score but a huge second-stage one.
-        #[derive(Debug)]
-        struct NamePenalty;
-        impl ScorePlugin for NamePenalty {
-            fn name(&self) -> &'static str {
-                "name-penalty"
-            }
-            fn score(&self, _: &ScoreContext<'_>, name: &NodeName, _: &NodeView) -> f64 {
-                if name.as_str() == "sgx-2" {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-        }
-        #[derive(Debug)]
-        struct BigBonus;
-        impl ScorePlugin for BigBonus {
-            fn name(&self) -> &'static str {
-                "big-bonus"
-            }
-            fn score(&self, _: &ScoreContext<'_>, name: &NodeName, _: &NodeView) -> f64 {
-                if name.as_str() == "sgx-2" {
-                    1e9
-                } else {
-                    0.0
-                }
-            }
-        }
+        // sgx-2 gets a worse first-stage score but a huge second-stage
+        // one. The first stage already separates the candidates, so the
+        // bonus never gets a say.
         let pipeline = PolicyPipeline::builder("lex")
             .filter(SgxCapableFilter)
             .filter(EpcFitFilter::effective())
-            .score(NamePenalty)
-            .score(BigBonus)
+            .score(NameScore {
+                node: "sgx-2",
+                hit: 0.0,
+                miss: 1.0,
+            })
+            .score(NameScore {
+                node: "sgx-2",
+                hit: 1e9,
+                miss: 0.0,
+            })
             .build();
-        let pod = PodSpec::builder("p")
-            .sgx_resources(ByteSize::from_mib(10))
-            .build();
-        nodes.retain(|_, v| v.has_sgx());
-        // The first stage already separates the candidates, so the huge
-        // second-stage bonus never gets a say.
-        assert_eq!(pipeline.place(&pod, &nodes).unwrap().as_str(), "sgx-1");
+        let chosen = pipeline.place(&sgx_pod(10), &snapshot()).unwrap();
+        assert_eq!(chosen.as_str(), "sgx-1");
     }
 
     #[test]
     fn negative_weight_inverts_a_stage() {
-        #[derive(Debug)]
-        struct NameRank;
-        impl ScorePlugin for NameRank {
-            fn name(&self) -> &'static str {
-                "name-rank"
-            }
-            fn score(&self, _: &ScoreContext<'_>, name: &NodeName, _: &NodeView) -> f64 {
-                if name.as_str() == "sgx-2" {
-                    2.0
-                } else {
-                    1.0
-                }
-            }
-        }
-        let pod = PodSpec::builder("p")
-            .sgx_resources(ByteSize::from_mib(10))
-            .build();
+        let rank = NameScore {
+            node: "sgx-2",
+            hit: 2.0,
+            miss: 1.0,
+        };
         let prefer_high = PolicyPipeline::builder("hi")
             .filter(SgxCapableFilter)
-            .score(NameRank)
+            .score(NameScore { ..rank })
             .build();
         let prefer_low = PolicyPipeline::builder("lo")
             .filter(SgxCapableFilter)
-            .weighted_score(NameRank, -1.0)
+            .weighted_score(rank, -1.0)
             .build();
-        let nodes = snapshot().nodes().clone();
-        assert_eq!(prefer_high.place(&pod, &nodes).unwrap().as_str(), "sgx-2");
-        assert_eq!(prefer_low.place(&pod, &nodes).unwrap().as_str(), "sgx-1");
+        let pod = sgx_pod(10);
+        assert_eq!(
+            prefer_high.place(&pod, &snapshot()).unwrap().as_str(),
+            "sgx-2"
+        );
+        assert_eq!(
+            prefer_low.place(&pod, &snapshot()).unwrap().as_str(),
+            "sgx-1"
+        );
     }
 
     #[test]
     fn cycle_reservations_affect_later_placements() {
         let pipeline = fit_pipeline();
         let mut cycle = SchedulingCycle::new(snapshot());
-        let pod = PodSpec::builder("p")
-            .sgx_resources(ByteSize::from_mib(60))
-            .build();
+        let pod = sgx_pod(60);
         let first = cycle.place(&pipeline, &pod).unwrap();
         assert_eq!(first.as_str(), "sgx-1");
         cycle.reserve(&first, &pod);
@@ -629,121 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_percentage_follows_the_kube_formula() {
-        assert_eq!(PlacementOptions::adaptive_percentage_for(0), 50);
-        assert_eq!(PlacementOptions::adaptive_percentage_for(1000), 42);
-        assert_eq!(PlacementOptions::adaptive_percentage_for(5000), 10);
-        assert_eq!(PlacementOptions::adaptive_percentage_for(5625), 5);
-        assert_eq!(PlacementOptions::adaptive_percentage_for(12_500), 5);
-        assert_eq!(PlacementOptions::adaptive_percentage_for(1_000_000), 5);
-    }
-
-    #[test]
-    fn target_candidates_honors_guards_and_floors() {
-        let tight = PlacementOptions {
-            percentage_of_nodes_to_score: 1,
-            ..PlacementOptions::default()
-        };
-        // Small clusters always score everything, whatever the knob.
-        assert_eq!(tight.target_candidates(5), 5);
-        assert_eq!(tight.target_candidates(100), 100);
-        // Above the guard, the feasible floor kicks in...
-        assert_eq!(tight.target_candidates(101), 100);
-        assert_eq!(tight.target_candidates(5000), 100);
-        // ...until the percentage itself exceeds it.
-        assert_eq!(tight.target_candidates(20_000), 200);
-        let adaptive = PlacementOptions {
-            adaptive_percentage: true,
-            ..PlacementOptions::default()
-        };
-        assert_eq!(adaptive.target_candidates(5000), 500); // 10 %
-        assert_eq!(adaptive.target_candidates(12_500), 625); // 5 %
-        let full = PlacementOptions::default();
-        assert_eq!(full.target_candidates(12_500), 12_500);
-    }
-
-    fn uniform_sgx_nodes(n: usize) -> BTreeMap<NodeName, NodeView> {
-        use sgx_sim::units::EpcPages;
-        (0..n)
-            .map(|i| {
-                let view = NodeView {
-                    memory_capacity: ByteSize::from_gib(8),
-                    epc_capacity: EpcPages::new(23_936),
-                    ..NodeView::default()
-                };
-                (NodeName::new(format!("node-{i:05}")), view)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn bounded_scan_stops_at_the_candidate_target_and_rotates() {
-        let pipeline = fit_pipeline();
-        let pod = PodSpec::builder("p")
-            .sgx_resources(ByteSize::from_mib(10))
-            .build();
-        let nodes = uniform_sgx_nodes(500);
-        let opts = PlacementOptions {
-            percentage_of_nodes_to_score: 20,
-            ..PlacementOptions::default()
-        };
-        // 20 % of 500 = 100 feasible candidates; all nodes feasible, so
-        // the scan stops after exactly 100 visits.
-        let placement = pipeline.place_bounded(&pod, &nodes, &opts, 0, None);
-        assert_eq!(placement.visited, 100);
-        assert_eq!(placement.chosen.unwrap().as_str(), "node-00000");
-        // A rotated start samples a different window of the name order.
-        let rotated = pipeline.place_bounded(&pod, &nodes, &opts, 200, None);
-        assert_eq!(rotated.visited, 100);
-        assert_eq!(rotated.chosen.unwrap().as_str(), "node-00200");
-        // Wrap-around: starting near the end folds back to the front.
-        let wrapped = pipeline.place_bounded(&pod, &nodes, &opts, 450, None);
-        assert_eq!(wrapped.chosen.unwrap().as_str(), "node-00000");
-    }
-
-    #[test]
-    fn parallel_scoring_matches_sequential_bit_for_bit() {
-        // A scorer whose value varies per node, derived purely from the
-        // name so any thread partitioning computes the same numbers.
-        #[derive(Debug)]
-        struct DigitScore;
-        impl ScorePlugin for DigitScore {
-            fn name(&self) -> &'static str {
-                "digit"
-            }
-            fn score(&self, _: &ScoreContext<'_>, name: &NodeName, _: &NodeView) -> f64 {
-                let i: u64 = name.as_str()[5..].parse().expect("node-NNNNN");
-                ((i * 7919) % 101) as f64
-            }
-        }
-        let pod = PodSpec::builder("p")
-            .sgx_resources(ByteSize::from_mib(10))
-            .build();
-        let nodes = uniform_sgx_nodes(300);
-        let build = |threads: usize| {
-            let pipeline = PolicyPipeline::builder("par")
-                .filter(SgxCapableFilter)
-                .score(DigitScore)
-                .build();
-            let opts = PlacementOptions {
-                score_threads: threads,
-                ..PlacementOptions::default()
-            };
-            pipeline.place_bounded(&pod, &nodes, &opts, 0, None)
-        };
-        let sequential = build(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(build(threads), sequential);
-        }
-    }
-
-    #[test]
     fn infeasible_marks_exclude_without_phantom_reservations() {
         let pipeline = fit_pipeline();
         let mut cycle = SchedulingCycle::new(snapshot());
-        let pod = PodSpec::builder("p")
-            .sgx_resources(ByteSize::from_mib(10))
-            .build();
+        let pod = sgx_pod(10);
         let first = cycle.place(&pipeline, &pod).unwrap();
         assert_eq!(first.as_str(), "sgx-1");
         cycle.mark_infeasible(&first);
@@ -762,9 +569,63 @@ mod tests {
         let pod = PodSpec::builder("p")
             .memory_resources(ByteSize::from_gib(1))
             .build();
-        assert_eq!(
-            pipeline.place(&pod, snapshot().nodes()).unwrap().as_str(),
-            "sgx-1"
-        );
+        assert_eq!(pipeline.place(&pod, &snapshot()).unwrap().as_str(), "sgx-1");
+    }
+
+    /// The work-counter gate: a backlog of identical unplaceable pods
+    /// costs one scan per cycle, not one per pod, and the frontier never
+    /// swallows a smaller pod that still fits.
+    #[test]
+    fn identical_unplaceable_pods_cost_one_scan() {
+        const NODES: usize = 1_000;
+        let full = NodeView {
+            memory_capacity: ByteSize::from_gib(8),
+            epc_capacity: EpcPages::new(23_936),
+            epc_requested: EpcPages::new(23_936 - 100),
+            ..NodeView::default()
+        };
+        let nodes: BTreeMap<NodeName, NodeView> = (0..NODES)
+            .map(|i| (NodeName::new(format!("node-{i:04}")), full))
+            .collect();
+        let pipeline = fit_pipeline();
+        let mut cycle = SchedulingCycle::new(ClusterSnapshot::from_nodes(SimTime::ZERO, nodes));
+        let big = sgx_pod(10); // 2,560 pages; 100 are free per node
+        for _ in 0..10_000 {
+            assert_eq!(cycle.place(&pipeline, &big), None);
+        }
+        assert_eq!(cycle.nodes_scanned(), NODES as u64);
+        // Larger requests are covered by the same frontier entry.
+        assert_eq!(cycle.place(&pipeline, &sgx_pod(20)), None);
+        assert_eq!(cycle.nodes_scanned(), NODES as u64);
+        // A pod smaller than anything that failed is still tried, placed...
+        let small = PodSpec::builder("small")
+            .sgx_resources(EpcPages::new(100).to_bytes())
+            .build();
+        let chosen = cycle.place(&pipeline, &small).unwrap();
+        assert_eq!(chosen.as_str(), "node-0000");
+        assert_eq!(cycle.nodes_scanned(), 2 * NODES as u64);
+        // ...and a standard pod is incomparable with the failed SGX
+        // requests, so it scans too.
+        let std_pod = PodSpec::builder("std")
+            .memory_resources(ByteSize::from_gib(1))
+            .build();
+        assert!(cycle.place(&pipeline, &std_pod).is_some());
+        assert_eq!(cycle.nodes_scanned(), 3 * NODES as u64);
+    }
+
+    #[test]
+    fn frontier_is_kept_per_pipeline() {
+        // `strict` cannot place the pod; `lenient` (no EPC fit) can. A
+        // failure under one pipeline must not answer for the other.
+        let strict = fit_pipeline();
+        let lenient = PolicyPipeline::builder("lenient")
+            .filter(SgxCapableFilter)
+            .build();
+        let mut cycle = SchedulingCycle::new(snapshot());
+        let oversized = sgx_pod(94); // sgx nodes hold 93.5 MiB
+        assert_eq!(cycle.place(&strict, &oversized), None);
+        assert_eq!(cycle.place(&lenient, &oversized).unwrap().as_str(), "sgx-1");
+        assert_eq!(cycle.place(&strict, &oversized), None);
+        assert_eq!(cycle.nodes_scanned(), 2 * 4);
     }
 }

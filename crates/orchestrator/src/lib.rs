@@ -61,8 +61,8 @@ pub use autoscale::{
     PodGroupSpec, TierPolicy,
 };
 pub use framework::{
-    FilterPlugin, PipelineBuilder, Placement, PlacementOptions, PolicyPipeline, SchedulingCycle,
-    ScoreContext, ScorePlugin, ScoreStage,
+    FilterPlugin, PipelineBuilder, PolicyPipeline, SchedulingCycle, ScoreContext, ScorePlugin,
+    ScoreStage,
 };
 pub use queue::{PendingPod, PendingQueue};
 pub use registry::{PolicyRegistry, DEFAULT_SCHEDULER, SGX_BINPACK, SGX_SPREAD};

@@ -340,12 +340,6 @@ impl ClusterView {
         self.nodes.get_mut(name)
     }
 
-    /// The whole node map, mutably — the orchestrator's shared staleness
-    /// stamping walks it in place.
-    pub(crate) fn nodes_mut(&mut self) -> &mut BTreeMap<NodeName, NodeView> {
-        &mut self.nodes
-    }
-
     /// Number of nodes in the view.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -54,6 +54,9 @@ impl FilterPlugin for CordonFilter {
     fn feasible(&self, _spec: &PodSpec, _name: &NodeName, node: &NodeView) -> bool {
         !node.cordoned
     }
+    fn monotone_in_requests(&self) -> bool {
+        true
+    }
 }
 
 /// Rejects nodes without SGX for pods that request EPC pages.
@@ -66,6 +69,9 @@ impl FilterPlugin for SgxCapableFilter {
     }
     fn feasible(&self, spec: &PodSpec, _name: &NodeName, node: &NodeView) -> bool {
         !spec.resources.requests.needs_sgx() || node.has_sgx()
+    }
+    fn monotone_in_requests(&self) -> bool {
+        true
     }
 }
 
@@ -107,6 +113,9 @@ impl FilterPlugin for EpcFitFilter {
             }
         }
     }
+    fn monotone_in_requests(&self) -> bool {
+        true
+    }
 }
 
 /// Standard-resource (memory) feasibility under the configured
@@ -147,6 +156,9 @@ impl FilterPlugin for MemoryFitFilter {
             }
         }
     }
+    fn monotone_in_requests(&self) -> bool {
+        true
+    }
 }
 
 /// SGX preservation (§IV): standard jobs go to non-SGX nodes whenever
@@ -160,8 +172,8 @@ impl ScorePlugin for SgxPreserveScore {
     fn name(&self) -> &'static str {
         "sgx-preserve"
     }
-    fn score(&self, _cx: &ScoreContext<'_>, _name: &NodeName, node: &NodeView) -> f64 {
-        if node.has_sgx() {
+    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
+        if cx.nodes[slot].has_sgx() {
             0.0
         } else {
             1.0
@@ -179,8 +191,8 @@ impl ScorePlugin for FreshBeforeDegradedScore {
     fn name(&self) -> &'static str {
         "fresh-first"
     }
-    fn score(&self, _cx: &ScoreContext<'_>, _name: &NodeName, node: &NodeView) -> f64 {
-        if node.degraded {
+    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
+        if cx.nodes[slot].degraded {
             0.0
         } else {
             1.0
@@ -195,22 +207,69 @@ impl ScorePlugin for FreshBeforeDegradedScore {
 ///
 /// The group deliberately includes infeasible peers: a nearly-full node
 /// still shapes the distribution the paper's spread policy balances.
+///
+/// One placement scores all its candidates through
+/// [`score_batch`](ScorePlugin::score_batch), which builds each peer
+/// group and its load vector once and then, per candidate, patches one
+/// element and re-runs the two folds. The folds themselves stay: a left
+/// fold over floats cannot be updated in O(1) bit-identically, and nodes
+/// with equal load are told apart only by that rounding.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpreadScore;
+
+/// One `(has_sgx, degraded)` peer group of a placement: its member
+/// slots (ascending) and their load fractions before the pod lands.
+struct PeerGroup {
+    slots: Vec<usize>,
+    loads: Vec<f64>,
+}
+
+impl PeerGroup {
+    fn of(cx: &ScoreContext<'_>, peer: &NodeView) -> Self {
+        let slots: Vec<usize> = (0..cx.nodes.len())
+            .filter(|&slot| {
+                let v = &cx.nodes[slot];
+                !v.cordoned && v.has_sgx() == peer.has_sgx() && v.degraded == peer.degraded
+            })
+            .collect();
+        let loads = slots
+            .iter()
+            .map(|&slot| cx.nodes[slot].load_fraction_after(cx.spec, false))
+            .collect();
+        PeerGroup { slots, loads }
+    }
+}
 
 impl ScorePlugin for SpreadScore {
     fn name(&self) -> &'static str {
         "spread"
     }
-    fn score(&self, cx: &ScoreContext<'_>, name: &NodeName, node: &NodeView) -> f64 {
-        let tier: Vec<(&NodeName, &NodeView)> = cx
-            .nodes
-            .iter()
-            .filter(|(_, v)| {
-                !v.cordoned && v.has_sgx() == node.has_sgx() && v.degraded == node.degraded
-            })
-            .collect();
-        -load_stddev_with_placement(&tier, name, cx.spec)
+
+    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
+        let mut out = Vec::with_capacity(1);
+        self.score_batch(cx, &[slot], &mut out);
+        out[0]
+    }
+
+    fn score_batch(&self, cx: &ScoreContext<'_>, candidates: &[usize], out: &mut Vec<f64>) {
+        // At most four groups exist; under the built-in pipelines the
+        // earlier stages leave candidates of exactly one.
+        let mut groups: [Option<PeerGroup>; 4] = [None, None, None, None];
+        for &slot in candidates {
+            let node = &cx.nodes[slot];
+            let key = usize::from(node.has_sgx()) * 2 + usize::from(node.degraded);
+            let group = groups[key].get_or_insert_with(|| PeerGroup::of(cx, node));
+            // A cordoned candidate (only under a pipeline without the
+            // cordon filter) is no member of its own group: nothing lands.
+            let Ok(member) = group.slots.binary_search(&slot) else {
+                out.push(-load_stddev(&group.loads));
+                continue;
+            };
+            let before = group.loads[member];
+            group.loads[member] = node.load_fraction_after(cx.spec, true);
+            out.push(-load_stddev(&group.loads));
+            group.loads[member] = before;
+        }
     }
 }
 
@@ -225,8 +284,8 @@ impl ScorePlugin for LeastRequestedScore {
     fn name(&self) -> &'static str {
         "least-requested"
     }
-    fn score(&self, cx: &ScoreContext<'_>, _name: &NodeName, node: &NodeView) -> f64 {
-        -requested_fraction(node, cx.spec)
+    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
+        -requested_fraction(&cx.nodes[slot], cx.spec)
     }
 }
 
@@ -248,19 +307,10 @@ fn requested_fraction(view: &NodeView, spec: &PodSpec) -> f64 {
     }
 }
 
-/// Population standard deviation of the group's load fractions with the
-/// pod hypothetically placed on `chosen`. `tier` must iterate in name
-/// order (it always does — it is drawn from a `BTreeMap`), so the float
-/// summation order is deterministic.
-fn load_stddev_with_placement(
-    tier: &[(&NodeName, &NodeView)],
-    chosen: &NodeName,
-    spec: &PodSpec,
-) -> f64 {
-    let loads: Vec<f64> = tier
-        .iter()
-        .map(|(name, v)| v.load_fraction_after(spec, *name == chosen))
-        .collect();
+/// Population standard deviation of a peer group's load fractions. The
+/// loads arrive in slot (= name) order, so the float summation order is
+/// deterministic; an empty group yields NaN, as it always has.
+fn load_stddev(loads: &[f64]) -> f64 {
     let mean = loads.iter().sum::<f64>() / loads.len() as f64;
     (loads.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / loads.len() as f64).sqrt()
 }
@@ -285,8 +335,9 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_secs(25),
         )
-        .nodes()
-        .clone()
+        .iter()
+        .map(|(name, view)| (name.clone(), *view))
+        .collect()
     }
 
     fn annotate(
@@ -318,10 +369,10 @@ mod tests {
         spec: &PodSpec,
         nodes: &BTreeMap<NodeName, NodeView>,
     ) -> Option<NodeName> {
-        PolicyRegistry::builtin()
-            .by_name(policy)
-            .unwrap()
-            .place(spec, nodes)
+        PolicyRegistry::builtin().by_name(policy).unwrap().place(
+            spec,
+            &ClusterSnapshot::from_nodes(SimTime::ZERO, nodes.clone()),
+        )
     }
 
     #[test]
@@ -485,8 +536,7 @@ mod tests {
         nodes.get_mut(&NodeName::new("sgx-1")).unwrap().cordoned = true;
         let registry = PolicyRegistry::builtin();
         for name in registry.names() {
-            let pipeline = registry.by_name(&name).unwrap();
-            let chosen = pipeline.place(&sgx_pod(10), &nodes).unwrap();
+            let chosen = place(&name, &sgx_pod(10), &nodes).unwrap();
             assert_eq!(chosen.as_str(), "sgx-2", "{name} placed on a cordoned node");
         }
     }
@@ -501,7 +551,7 @@ mod tests {
             SimDuration::from_secs(25),
         );
         let registry = PolicyRegistry::builtin();
-        let cycle = SchedulingCycle::new(snapshot);
+        let mut cycle = SchedulingCycle::new(snapshot);
         let binpack = registry.by_name(SGX_BINPACK).unwrap();
         let spread = registry.by_name(SGX_SPREAD).unwrap();
         assert_eq!(

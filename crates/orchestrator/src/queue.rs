@@ -44,12 +44,28 @@ pub struct PendingPod {
 #[derive(Debug, Clone, Default)]
 pub struct PendingQueue {
     pods: VecDeque<PendingPod>,
+    /// Running totals of the queued pods' requests, kept by exact
+    /// integer adds and subtracts wherever a pod enters or leaves, so
+    /// the per-tick Fig. 7 series read them in O(1).
+    epc_requested: EpcPages,
+    memory_requested: ByteSize,
+    /// Debug builds only: the queued uids, to catch a double enqueue
+    /// without walking the queue on every submission.
+    #[cfg(debug_assertions)]
+    uids: std::collections::BTreeSet<PodUid>,
 }
 
 impl PendingQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         PendingQueue::default()
+    }
+
+    fn account_in(&mut self, pod: &PendingPod) {
+        #[cfg(debug_assertions)]
+        assert!(self.uids.insert(pod.uid), "pod {} enqueued twice", pod.uid);
+        self.epc_requested += pod.spec.resources.requests.epc_pages;
+        self.memory_requested += pod.spec.resources.requests.memory;
     }
 
     /// Enqueues a pod at its FCFS position: ordered by `submitted_at`,
@@ -59,39 +75,63 @@ impl PendingQueue {
     /// submission time and is inserted back where it belongs, so it does
     /// not lose its place to everything submitted while it ran.
     pub fn enqueue(&mut self, uid: PodUid, spec: PodSpec, submitted_at: SimTime) {
-        debug_assert!(
-            self.pods.iter().all(|p| p.uid != uid),
-            "pod {uid} enqueued twice"
-        );
+        let pod = PendingPod {
+            uid,
+            spec,
+            submitted_at,
+        };
+        self.account_in(&pod);
         let at = self
             .pods
             .partition_point(|p| p.submitted_at <= submitted_at);
-        self.pods.insert(
-            at,
-            PendingPod {
-                uid,
-                spec,
-                submitted_at,
-            },
-        );
+        self.pods.insert(at, pod);
     }
 
-    /// Removes a pod (after it was bound or rejected). Returns it, or
-    /// `None` if absent.
+    /// Removes one pod by uid, scanning from the front; returns it, or
+    /// `None` if absent. The slow path — O(depth) — for tests and
+    /// one-off evictions; a scheduling pass never calls it (it takes
+    /// the whole queue and moves back what it could not bind).
     pub fn remove(&mut self, uid: PodUid) -> Option<PendingPod> {
         let idx = self.pods.iter().position(|p| p.uid == uid)?;
-        self.pods.remove(idx)
+        let pod = self.pods.remove(idx)?;
+        #[cfg(debug_assertions)]
+        self.uids.remove(&pod.uid);
+        self.epc_requested -= pod.spec.resources.requests.epc_pages;
+        self.memory_requested -= pod.spec.resources.requests.memory;
+        Some(pod)
+    }
+
+    /// Hands the whole queue, in FCFS order, to a scheduling pass and
+    /// leaves this queue empty. The pass moves every pod it could not
+    /// bind back with [`keep`](Self::keep), in the order it received
+    /// them — no pod is cloned and none is searched for.
+    pub(crate) fn take(&mut self) -> VecDeque<PendingPod> {
+        #[cfg(debug_assertions)]
+        self.uids.clear();
+        self.epc_requested = EpcPages::ZERO;
+        self.memory_requested = ByteSize::ZERO;
+        let capacity = self.pods.len();
+        std::mem::replace(&mut self.pods, VecDeque::with_capacity(capacity))
+    }
+
+    /// Appends a pod a scheduling pass [took](Self::take) and could not
+    /// bind. Pods must come back in the order they were taken, which is
+    /// what keeps the queue FCFS without a position search.
+    pub(crate) fn keep(&mut self, pod: PendingPod) {
+        debug_assert!(
+            self.pods
+                .back()
+                .is_none_or(|last| last.submitted_at <= pod.submitted_at),
+            "pod {} kept out of FCFS order",
+            pod.uid
+        );
+        self.account_in(&pod);
+        self.pods.push_back(pod);
     }
 
     /// The pods in FCFS order.
     pub fn iter(&self) -> impl Iterator<Item = &PendingPod> {
         self.pods.iter()
-    }
-
-    /// A snapshot of the queue in FCFS order (the "list of pending jobs"
-    /// the scheduler fetches each pass).
-    pub fn snapshot(&self) -> Vec<PendingPod> {
-        self.pods.iter().cloned().collect()
     }
 
     /// Number of pending pods.
@@ -106,18 +146,12 @@ impl PendingQueue {
 
     /// Total EPC pages requested by pending pods — the y-axis of Fig. 7.
     pub fn epc_requested(&self) -> EpcPages {
-        self.pods
-            .iter()
-            .map(|p| p.spec.resources.requests.epc_pages)
-            .sum()
+        self.epc_requested
     }
 
     /// Total ordinary memory requested by pending pods.
     pub fn memory_requested(&self) -> ByteSize {
-        self.pods
-            .iter()
-            .map(|p| p.spec.resources.requests.memory)
-            .sum()
+        self.memory_requested
     }
 
     /// Age of the oldest pending pod at `now`, if any.
@@ -205,13 +239,37 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_a_copy() {
+    fn take_and_keep_preserve_order_and_totals() {
         let mut q = PendingQueue::new();
-        q.enqueue(PodUid::new(1), spec(1), SimTime::ZERO);
-        let snap = q.snapshot();
-        q.remove(PodUid::new(1));
-        assert_eq!(snap.len(), 1);
+        for i in 0..5 {
+            q.enqueue(PodUid::new(i), spec(i + 1), SimTime::from_secs(i));
+        }
+        let total = q.epc_requested();
+        let taken = q.take();
         assert!(q.is_empty());
+        assert_eq!(q.epc_requested(), EpcPages::ZERO);
         assert_eq!(q.oldest_wait(SimTime::ZERO), None);
+        // The pass binds pods 1 and 3 and keeps the rest.
+        for pod in taken {
+            if pod.uid.as_u64() % 2 == 0 {
+                q.keep(pod);
+            }
+        }
+        let order: Vec<u64> = q.iter().map(|p| p.uid.as_u64()).collect();
+        assert_eq!(order, [0, 2, 4]);
+        assert_eq!(
+            q.epc_requested(),
+            total - EpcPages::from_mib_ceil(2) - EpcPages::from_mib_ceil(4)
+        );
+        // Totals stay exact through the slow path too.
+        q.remove(PodUid::new(2));
+        assert_eq!(
+            q.epc_requested(),
+            EpcPages::from_mib_ceil(1) + EpcPages::from_mib_ceil(5)
+        );
+        // A bound pod's uid may be enqueued again (crash requeue).
+        q.enqueue(PodUid::new(1), spec(2), SimTime::from_secs(1));
+        let order: Vec<u64> = q.iter().map(|p| p.uid.as_u64()).collect();
+        assert_eq!(order, [0, 1, 4]);
     }
 }

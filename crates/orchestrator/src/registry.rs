@@ -185,7 +185,7 @@ mod tests {
 
     use crate::snapshot::ClusterSnapshot;
 
-    fn nodes() -> std::collections::BTreeMap<cluster::api::NodeName, crate::metrics::NodeView> {
+    fn snapshot() -> ClusterSnapshot {
         let cluster = Cluster::build(&ClusterSpec::paper_cluster());
         ClusterSnapshot::capture(
             &cluster,
@@ -193,8 +193,6 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_secs(25),
         )
-        .nodes()
-        .clone()
     }
 
     /// Satellite: every registered name round-trips parse → `name()`.
@@ -238,7 +236,7 @@ mod tests {
         // empty SGX node if it is least requested — here all are empty, so
         // the tie-break picks the alphabetically first node overall.
         let registry = PolicyRegistry::builtin();
-        let nodes = nodes();
+        let nodes = snapshot();
         let pod = PodSpec::builder("p")
             .memory_resources(ByteSize::from_gib(2))
             .build();
@@ -252,14 +250,14 @@ mod tests {
     #[test]
     fn default_scheduler_least_requested_spreads() {
         let registry = PolicyRegistry::builtin();
-        let mut nodes = nodes();
+        let mut cycle = crate::framework::SchedulingCycle::new(snapshot());
         let pod = PodSpec::builder("p")
             .sgx_resources(ByteSize::from_mib(10))
             .build();
         let stock = registry.by_name(DEFAULT_SCHEDULER).unwrap();
-        let first = stock.place(&pod, &nodes).unwrap();
-        nodes.get_mut(&first).unwrap().reserve(&pod);
-        let second = stock.place(&pod, &nodes).unwrap();
+        let first = cycle.place(&stock, &pod).unwrap();
+        cycle.reserve(&first, &pod);
+        let second = cycle.place(&stock, &pod).unwrap();
         assert_ne!(first, second);
     }
 
@@ -289,16 +287,10 @@ mod tests {
         let registry = PolicyRegistry::builtin();
         // Stock scheduler still places on sgx-1 (requests say it's empty)…
         let stock = registry.by_name(DEFAULT_SCHEDULER).unwrap();
-        assert_eq!(
-            stock.place(&pod, snapshot.nodes()).unwrap().as_str(),
-            "sgx-1"
-        );
+        assert_eq!(stock.place(&pod, &snapshot).unwrap().as_str(), "sgx-1");
         // …while the SGX-aware pipeline sees the measured usage and avoids it.
         let aware = registry.by_name(SGX_BINPACK).unwrap();
-        assert_eq!(
-            aware.place(&pod, snapshot.nodes()).unwrap().as_str(),
-            "sgx-2"
-        );
+        assert_eq!(aware.place(&pod, &snapshot).unwrap().as_str(), "sgx-2");
     }
 
     #[test]

@@ -19,12 +19,12 @@ use sgx_sim::units::{ByteSize, EpcPages};
 use tsdb::{PointBatch, ShardedDatabase, WindowedCache};
 
 use crate::events::{EventKind, EventLog};
-use crate::framework::{PlacementOptions, PolicyPipeline, SchedulingCycle};
+use crate::framework::{PolicyPipeline, SchedulingCycle};
 use crate::metrics::{ClusterView, NodeView};
 use crate::policy::{CordonFilter, EpcFitFilter, SgxCapableFilter};
 use crate::queue::PendingQueue;
 use crate::registry::{PolicyRegistry, SGX_BINPACK};
-use crate::snapshot::ClusterSnapshot;
+use crate::snapshot::{view_of, ClusterSnapshot, SlotCursor};
 
 /// Tunables of the orchestrator control loop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,33 +54,10 @@ pub struct OrchestratorConfig {
     /// to re-capturing from scratch; `false` forces full captures.
     #[serde(default = "default_incremental_snapshots")]
     pub incremental_snapshots: bool,
-    /// Percentage of nodes a placement keeps as feasible candidates
-    /// (1–100). At 100 every feasible node is scored — the exhaustive
-    /// kube-scheduler-style pass.
-    #[serde(default = "default_percentage_of_nodes_to_score")]
-    pub percentage_of_nodes_to_score: u8,
-    /// Use the cluster-size-adaptive candidate percentage
-    /// (`max(5, 50 - nodes/125)`, kube-scheduler's formula) instead of
-    /// the fixed `percentage_of_nodes_to_score`.
-    #[serde(default)]
-    pub adaptive_percentage_of_nodes_to_score: bool,
-    /// Threads used to score each placement's candidate set (1 scores
-    /// inline; scores are pure, so the outcome is thread-count
-    /// independent).
-    #[serde(default = "default_score_threads")]
-    pub score_threads: usize,
 }
 
 fn default_incremental_snapshots() -> bool {
     true
-}
-
-fn default_percentage_of_nodes_to_score() -> u8 {
-    100
-}
-
-fn default_score_threads() -> usize {
-    1
 }
 
 impl OrchestratorConfig {
@@ -99,9 +76,6 @@ impl OrchestratorConfig {
             staleness_threshold: SimDuration::from_secs(30),
             seed: 0,
             incremental_snapshots: default_incremental_snapshots(),
-            percentage_of_nodes_to_score: default_percentage_of_nodes_to_score(),
-            adaptive_percentage_of_nodes_to_score: false,
-            score_threads: default_score_threads(),
         }
     }
 
@@ -133,34 +107,6 @@ impl OrchestratorConfig {
     pub fn with_incremental_snapshots(mut self, incremental: bool) -> Self {
         self.incremental_snapshots = incremental;
         self
-    }
-
-    /// Same configuration with a different candidate percentage
-    /// (clamped to 1–100).
-    pub fn with_percentage_of_nodes_to_score(mut self, percentage: u8) -> Self {
-        self.percentage_of_nodes_to_score = percentage.clamp(1, 100);
-        self
-    }
-
-    /// Same configuration with the adaptive candidate percentage toggled.
-    pub fn with_adaptive_percentage_of_nodes_to_score(mut self, adaptive: bool) -> Self {
-        self.adaptive_percentage_of_nodes_to_score = adaptive;
-        self
-    }
-
-    /// Same configuration with a different score-thread count (≥ 1).
-    pub fn with_score_threads(mut self, threads: usize) -> Self {
-        self.score_threads = threads.max(1);
-        self
-    }
-
-    /// The per-placement options this configuration prescribes.
-    pub fn placement_options(&self) -> PlacementOptions {
-        PlacementOptions {
-            percentage_of_nodes_to_score: self.percentage_of_nodes_to_score.clamp(1, 100),
-            adaptive_percentage: self.adaptive_percentage_of_nodes_to_score,
-            score_threads: self.score_threads.max(1),
-        }
     }
 }
 
@@ -329,9 +275,6 @@ pub struct Orchestrator {
     /// The previous pass's frozen snapshot and the window bound it saw —
     /// the base the next incremental capture refreshes.
     snapshot_cache: RefCell<Option<CachedSnapshot>>,
-    /// Scheduling passes taken so far; seeds the candidate-rotation
-    /// cursor of sampled placements.
-    pass_counter: u64,
     /// Pods successfully bound (started running) over the orchestrator's
     /// lifetime — the numerator of the online-serving pods-bound/sec
     /// benchmark. Denied-at-init launches are not counted.
@@ -376,7 +319,6 @@ impl Orchestrator {
             dirty: RefCell::new(BTreeSet::new()),
             last_sample: BTreeMap::new(),
             snapshot_cache: RefCell::new(None),
-            pass_counter: 0,
             bound_count: 0,
             snapshot_captures: Cell::new(0),
             next_uid: 1,
@@ -513,24 +455,28 @@ impl Orchestrator {
     pub fn scheduler_pass(&mut self, now: SimTime) -> Vec<BindOutcome> {
         let snapshot = self.capture_snapshot(now);
         let view_degraded = snapshot.any_degraded();
-        // Seeded rotation start for sampled placements. At the default
-        // 100 % sampling every scan still visits all nodes and picks the
-        // global best, so the offset cannot change any decision there.
-        let start = derive_seed(self.config.seed, "placement-rotation")
-            .wrapping_add(self.pass_counter) as usize;
-        self.pass_counter += 1;
-        let mut cycle =
-            SchedulingCycle::new(snapshot).with_options(self.config.placement_options(), start);
+        let mut cycle = SchedulingCycle::new(snapshot);
         let mut outcomes = Vec::new();
+        let default_pipeline = self.registry.resolve(None, &self.config.default_scheduler);
 
-        for pending in self.queue.snapshot() {
-            let pipeline = self.registry.resolve(
-                pending.spec.scheduler.as_deref(),
-                &self.config.default_scheduler,
-            );
+        // The queue itself is walked, not a copy of it: every pod that
+        // stays pending moves back in the order it came out, which is
+        // FCFS order; bound and denied pods simply do not return.
+        for pending in self.queue.take() {
+            let routed;
+            let pipeline: &PolicyPipeline = match pending.spec.scheduler.as_deref() {
+                None => &default_pipeline,
+                Some(name) => {
+                    routed = self
+                        .registry
+                        .resolve(Some(name), &self.config.default_scheduler);
+                    &routed
+                }
+            };
 
-            let Some(node_name) = cycle.place(&pipeline, &pending.spec) else {
-                continue; // stays pending; FCFS retry next pass
+            let Some(node_name) = cycle.place(pipeline, &pending.spec) else {
+                self.queue.keep(pending); // FCFS retry next pass
+                continue;
             };
 
             let node = self
@@ -539,7 +485,6 @@ impl Orchestrator {
                 .expect("view only contains cluster nodes");
             match node.run_pod(pending.uid, pending.spec.clone(), now, &mut self.rng) {
                 Ok(report) => {
-                    self.queue.remove(pending.uid);
                     self.mark_dirty(&node_name);
                     let started_at = now + report.startup_delay;
                     let record = self
@@ -597,6 +542,7 @@ impl Orchestrator {
                     // one. The pod stays queued and retries then.
                     cycle.mark_infeasible(&node_name);
                     self.mark_dirty(&node_name);
+                    self.queue.keep(pending);
                 }
             }
         }
@@ -724,6 +670,13 @@ impl Orchestrator {
                 .get(node)
                 .is_none_or(|&scraped| scraped < epoch)
         })
+    }
+
+    /// The nodes currently under recovery quarantine, in name order.
+    fn quarantined(&self) -> impl Iterator<Item = &NodeName> {
+        self.recovered_at
+            .keys()
+            .filter(|name| self.recovery_pending(name))
     }
 
     /// Placement decisions taken while stale metrics had degraded at
@@ -915,7 +868,7 @@ impl Orchestrator {
                     now,
                     window,
                 );
-                snapshot.update(now, |nodes| self.stamp_staleness(nodes, now));
+                snapshot.update(now, |names, views| self.stamp_staleness(names, views, now));
                 snapshot
             }
         };
@@ -936,82 +889,82 @@ impl Orchestrator {
     /// the previous capture's window bound (its in-window sample set can
     /// have gained or lost samples as the window slid; a node whose
     /// newest sample predates that bound measured empty then and still
-    /// does). Staleness is re-stamped on every node — ages move with
-    /// `now` for free inside the same map walk.
+    /// does). Staleness is re-stamped on every scraped node — ages move
+    /// with `now`.
     fn refresh_snapshot(&self, prev: CachedSnapshot, now: SimTime) -> ClusterSnapshot {
         let window = self.config.metrics_window;
-        let mut refresh = std::mem::take(&mut *self.dirty.borrow_mut());
-        for (name, &last) in &self.last_sample {
-            if last >= prev.window_lo {
-                refresh.insert(name.clone());
-            }
-        }
+        let derive = |node: &Node| {
+            let measured = |measurement| {
+                ClusterView::measured_node(&self.db, measurement, node.name(), now, window)
+            };
+            view_of(
+                node,
+                measured(MEASUREMENT_MEMORY),
+                measured(MEASUREMENT_EPC),
+            )
+        };
+        let dirty = std::mem::take(&mut *self.dirty.borrow_mut());
+        let in_window = self
+            .last_sample
+            .iter()
+            .filter(|(_, &last)| last >= prev.window_lo)
+            .map(|(name, _)| name);
+        // Two ascending runs: the stable sort merges them, no name is
+        // cloned to decide what to refresh.
+        let mut refresh: Vec<&NodeName> = dirty.iter().chain(in_window).collect();
+        refresh.sort();
+        refresh.dedup();
+
+        // The refresh set is also how runtime node lifecycle reaches the
+        // cached snapshot: a node deregistered since the last capture
+        // has a dirty mark but no cluster entry (drop its slot); a
+        // freshly registered one has a dirty mark but no slot (derive
+        // one). Treating either as "skip" would freeze the topology of
+        // the first capture into every later snapshot.
+        let mut removed: Vec<usize> = Vec::new();
+        let mut added: Vec<(NodeName, NodeView)> = Vec::new();
         let mut snapshot = prev.snapshot;
-        snapshot.update(now, |nodes| {
-            for name in &refresh {
-                // The refresh set is also how runtime node lifecycle
-                // reaches the cached snapshot: a node deregistered since
-                // the last capture has a dirty mark but no cluster entry
-                // (drop its stale view); a freshly registered one has a
-                // dirty mark but no cached view (derive one). Treating
-                // either as "skip" would freeze the topology of the
-                // first capture into every later snapshot.
-                let Some(node) = self.cluster.node(name) else {
-                    nodes.remove(name);
-                    continue;
-                };
-                if !nodes.contains_key(name) && node.role() != NodeRole::Worker {
-                    continue; // snapshots only ever hold workers
+        snapshot.update(now, |names, views| {
+            let mut slots = SlotCursor::new(names);
+            for name in refresh {
+                match (slots.find(name), self.cluster.node(name)) {
+                    (Some(slot), Some(node)) => views[slot] = derive(node),
+                    (Some(slot), None) => removed.push(slot),
+                    // Snapshots only ever hold workers.
+                    (None, Some(node)) if node.role() == NodeRole::Worker => {
+                        added.push((name.clone(), derive(node)));
+                    }
+                    (None, _) => {}
                 }
-                let view = NodeView {
-                    memory_capacity: node.allocatable_memory(),
-                    epc_capacity: node.allocatable_epc(),
-                    memory_requested: node.memory_requested(),
-                    epc_requested: node.epc_requested(),
-                    memory_measured: ClusterView::measured_node(
-                        &self.db,
-                        MEASUREMENT_MEMORY,
-                        name,
-                        now,
-                        window,
-                    ),
-                    epc_measured: ClusterView::measured_node(
-                        &self.db,
-                        MEASUREMENT_EPC,
-                        name,
-                        now,
-                        window,
-                    ),
-                    metrics_age: None,
-                    degraded: false,
-                    cordoned: node.is_cordoned(),
-                };
-                nodes.insert(name.clone(), view);
             }
-            self.stamp_staleness(nodes, now);
         });
+        snapshot.reshape(&removed, added);
+        snapshot.update(now, |names, views| self.stamp_staleness(names, views, now));
         snapshot
     }
 
-    /// Stamps metrics ages and degraded flags — the one staleness rule
-    /// all capture paths share (full snapshot capture, incremental
-    /// refresh, and the [`ClusterView`] path): a node is degraded once
-    /// its last delivered scrape is strictly older than the configured
-    /// threshold; never-scraped nodes stay fresh. Walks the scrape
-    /// ledger, not the node map: a node with no recorded scrape reads
-    /// `metrics_age: None, degraded: false` — exactly what fresh view
-    /// construction and the refresh reset leave behind — so only
-    /// scraped nodes ever need their stamps rewritten, and the walk
-    /// costs O(scraped), not O(nodes).
-    fn stamp_staleness(&self, nodes: &mut BTreeMap<NodeName, NodeView>, now: SimTime) {
+    /// Stamps metrics ages and degraded flags onto a snapshot's slots —
+    /// the staleness rule of [`metrics_age`](Self::metrics_age) and
+    /// [`recovery_pending`](Self::recovery_pending), applied ledger
+    /// first: a node is degraded once its last delivered scrape is
+    /// strictly older than the configured threshold; never-scraped nodes
+    /// stay fresh. Walks the scrape ledger, not the slots: a node with
+    /// no recorded scrape reads `metrics_age: None, degraded: false` —
+    /// exactly what fresh view construction and the refresh reset leave
+    /// behind — so only scraped nodes ever need their stamps rewritten.
+    /// The ledger and the slots are both name-ordered, so with every
+    /// node scraped this is a merge walk (one comparison per node), and
+    /// with few scraped it costs O(scraped · log nodes), not O(nodes).
+    fn stamp_staleness(&self, names: &[NodeName], views: &mut [NodeView], now: SimTime) {
         let threshold = self.config.staleness_threshold;
+        let mut slots = SlotCursor::new(names);
         for (name, &scraped_at) in &self.last_scrape {
-            let Some(view) = nodes.get_mut(name) else {
+            let Some(slot) = slots.find(name) else {
                 continue;
             };
             let age = now.saturating_since(scraped_at);
-            view.metrics_age = Some(age);
-            view.degraded = age > threshold;
+            views[slot].metrics_age = Some(age);
+            views[slot].degraded = age > threshold;
         }
         // A node under recovery quarantine is degraded regardless of how
         // fresh its pre-crash scrape stamp still looks: nothing delivered
@@ -1020,27 +973,28 @@ impl Orchestrator {
         // the lifting scrape on purpose — clearing it would make frame
         // delivery order-sensitive (a post-recovery frame clearing the
         // entry would re-admit a later-arriving pre-crash frame).
-        for (name, &epoch) in &self.recovered_at {
-            let lifted = self
-                .last_scrape
-                .get(name)
-                .is_some_and(|&scraped| scraped >= epoch);
-            if !lifted {
-                if let Some(view) = nodes.get_mut(name) {
-                    view.degraded = true;
-                }
+        for name in self.quarantined() {
+            if let Some(slot) = slots.find(name) {
+                views[slot].degraded = true;
             }
         }
     }
 
     /// Stamps a view with per-node metrics ages and degrades nodes whose
-    /// last delivered scrape is older than the configured threshold —
-    /// what [`capture_view`](Self::capture_view) applies to every
-    /// snapshot it hands the schedulers. Same rule as
-    /// [`capture_snapshot`](Self::capture_snapshot), via the shared
-    /// stamping helper.
+    /// last delivered scrape is older than the configured threshold or
+    /// that are under recovery quarantine — what
+    /// [`capture_view`](Self::capture_view) applies to every view it
+    /// hands out. Same rule as
+    /// [`capture_snapshot`](Self::capture_snapshot), asked per node.
     pub fn annotate_staleness(&self, view: &mut ClusterView, now: SimTime) {
-        self.stamp_staleness(view.nodes_mut(), now);
+        view.annotate_staleness(self.config.staleness_threshold, |name| {
+            self.metrics_age(name, now)
+        });
+        for name in self.quarantined() {
+            if let Some(node) = view.node_mut(name) {
+                node.degraded = true;
+            }
+        }
     }
 
     /// Usage counters of the sliding-window query cache.
@@ -1709,6 +1663,51 @@ mod tests {
         let outcomes = orch.scheduler_pass(SimTime::from_secs(45));
         assert_eq!(outcomes.len(), 1);
         assert!(orch.queue().is_empty());
+    }
+
+    #[test]
+    fn refused_and_unplaceable_pods_stay_queued_in_fcfs_order() {
+        let mut orch = orchestrator();
+        // A foreign pod already runs on sgx-1 under the uid the second
+        // submission will get: binding that pod there is refused
+        // (`PodAlreadyRunning`) — the snapshot/kubelet race, on demand.
+        let squatter = PodSpec::builder("squatter")
+            .memory_resources(ByteSize::from_mib(1))
+            .build();
+        let mut rng = seeded_rng(1);
+        orch.cluster_mut()
+            .node_mut(&NodeName::new("sgx-1"))
+            .unwrap()
+            .run_pod(PodUid::new(2), squatter, SimTime::ZERO, &mut rng)
+            .unwrap();
+
+        let placed = orch.submit(sgx_spec("placed", 10), SimTime::from_secs(1));
+        let refused = orch.submit(sgx_spec("refused", 10), SimTime::from_secs(2));
+        let too_big = orch.submit(sgx_spec("too-big", 90), SimTime::from_secs(3));
+        let rerouted = orch.submit(sgx_spec("rerouted", 10), SimTime::from_secs(4));
+        let outcomes = orch.scheduler_pass(SimTime::from_secs(5));
+
+        // binpack: `placed` goes to sgx-1; `refused` is sent there too and
+        // bounces, which takes sgx-1 out of the pass; `too-big` fills the
+        // empty sgx-2; nothing is left for `rerouted`.
+        let bound: Vec<(PodUid, &str)> =
+            outcomes.iter().map(|o| (o.uid, o.node.as_str())).collect();
+        assert_eq!(bound, [(placed, "sgx-1"), (too_big, "sgx-2")]);
+        // `refused` and `rerouted` stay, in submission order, with their
+        // requests still accounted.
+        let queued: Vec<PodUid> = orch.queue().iter().map(|p| p.uid).collect();
+        assert_eq!(queued, [refused, rerouted]);
+        assert_eq!(
+            orch.queue().epc_requested(),
+            EpcPages::from_mib_ceil(10) + EpcPages::from_mib_ceil(10)
+        );
+        assert_eq!(orch.record(refused).unwrap().outcome, PodOutcome::Pending);
+        // No phantom reservation: the next pass sees sgx-1's real state,
+        // is refused again for the squatted uid, and places the other pod
+        // nowhere (sgx-1 excluded again, sgx-2 full) — order still kept.
+        orch.scheduler_pass(SimTime::from_secs(10));
+        let queued: Vec<PodUid> = orch.queue().iter().map(|p| p.uid).collect();
+        assert_eq!(queued, [refused, rerouted]);
     }
 
     #[test]
@@ -2443,7 +2442,7 @@ mod tests {
         let mut orch = orchestrator();
         // Prime the cached snapshot with the stock topology.
         let first = orch.capture_snapshot(SimTime::from_secs(1));
-        assert_eq!(first.nodes().len(), 4);
+        assert_eq!(first.len(), 4);
         // A node added after the first capture must appear in the next
         // *incremental* refresh, and a removed one must vanish — the
         // refresh used to skip names with no cached entry (or no cluster
@@ -2452,11 +2451,11 @@ mod tests {
             .unwrap();
         let grown = orch.capture_snapshot(SimTime::from_secs(3));
         assert!(grown.node(&NodeName::new("extra")).is_some());
-        assert_eq!(grown.nodes().len(), 5);
+        assert_eq!(grown.len(), 5);
         orch.remove_node(&NodeName::new("extra"), SimTime::from_secs(4))
             .unwrap();
         let shrunk = orch.capture_snapshot(SimTime::from_secs(5));
         assert!(shrunk.node(&NodeName::new("extra")).is_none());
-        assert_eq!(shrunk.nodes().len(), 4);
+        assert_eq!(shrunk.len(), 4);
     }
 }

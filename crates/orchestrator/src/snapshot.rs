@@ -8,11 +8,18 @@
 //! an `Arc` bump, so filters, scorers, `drain_node` and `rebalance_epc`
 //! can all share the exact same view of the world without re-deriving it.
 //!
-//! Two properties are load-bearing:
+//! Three properties are load-bearing:
 //!
-//! * **Determinism** — nodes live in a [`BTreeMap`] keyed by name; every
-//!   iteration anywhere in the scheduling framework walks them in name
-//!   order. No `HashMap` ordering can leak into placement decisions.
+//! * **Dense, name-ranked layout** — the snapshot is two parallel arrays:
+//!   a name-sorted `Arc<[NodeName]>` (rebuilt only when a node joins or
+//!   leaves) and a flat `Vec<NodeView>` (`NodeView` is `Copy`). A node's
+//!   **slot** is the rank of its name, so "lowest name wins ties" is
+//!   "lowest slot wins", every float fold over the nodes runs in name
+//!   order, a [`SchedulingCycle`](crate::SchedulingCycle)'s working copy
+//!   is one `memcpy`, and lookup by name is a binary search.
+//! * **Determinism** — every iteration anywhere in the scheduling
+//!   framework walks the slots in order. No `HashMap` ordering can leak
+//!   into placement decisions.
 //! * **Completeness** — unlike [`ClusterView`], which captures only
 //!   schedulable nodes, a snapshot captures *every worker* including
 //!   cordoned ones (with [`NodeView::cordoned`] set). Cordoned nodes are
@@ -23,6 +30,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cluster::api::NodeName;
+use cluster::node::Node;
 use cluster::probe::{MEASUREMENT_EPC, MEASUREMENT_MEMORY};
 use cluster::topology::Cluster;
 use des::{SimDuration, SimTime};
@@ -58,18 +66,81 @@ pub struct ClusterSnapshot {
     inner: Arc<SnapshotInner>,
 }
 
+/// `names` is strictly ascending and `views[i]` describes `names[i]`.
+/// Copying this (the copy-on-write path of [`ClusterSnapshot::update`])
+/// is an `Arc` bump plus one `memcpy` — no per-node allocation.
 #[derive(Debug, Clone, PartialEq)]
 struct SnapshotInner {
     captured_at: SimTime,
-    nodes: BTreeMap<NodeName, NodeView>,
+    names: Arc<[NodeName]>,
+    views: Vec<NodeView>,
+}
+
+/// The view of a node as the cluster itself accounts it: capacities,
+/// admitted requests and cordon flag; measured usage as given, staleness
+/// not yet stamped.
+pub(crate) fn view_of(node: &Node, memory_measured: ByteSize, epc_measured: ByteSize) -> NodeView {
+    NodeView {
+        memory_capacity: node.allocatable_memory(),
+        epc_capacity: node.allocatable_epc(),
+        memory_requested: node.memory_requested(),
+        epc_requested: node.epc_requested(),
+        memory_measured,
+        epc_measured,
+        metrics_age: None,
+        degraded: false,
+        cordoned: node.is_cordoned(),
+    }
+}
+
+/// Finds the slots of names asked for in (mostly) ascending order, as a
+/// walk over any name-ordered ledger asks: the slot after the previous
+/// hit is tried first. A ledger that covers every node therefore costs
+/// one comparison per entry — a merge walk — and a sparse one a binary
+/// search per entry, never a walk over the slots in between. The order
+/// is only a hint; any name is found.
+pub(crate) struct SlotCursor<'a> {
+    names: &'a [NodeName],
+    next: usize,
+}
+
+impl<'a> SlotCursor<'a> {
+    pub(crate) fn new(names: &'a [NodeName]) -> Self {
+        SlotCursor { names, next: 0 }
+    }
+
+    pub(crate) fn find(&mut self, name: &NodeName) -> Option<usize> {
+        let slot = if self.names.get(self.next) == Some(name) {
+            self.next
+        } else {
+            self.names.binary_search(name).ok()?
+        };
+        self.next = slot + 1;
+        Some(slot)
+    }
 }
 
 impl ClusterSnapshot {
     /// Freezes an explicit node map into a snapshot — the escape hatch
     /// for tests and synthetic scenarios.
     pub fn from_nodes(captured_at: SimTime, nodes: BTreeMap<NodeName, NodeView>) -> Self {
+        Self::from_sorted(captured_at, nodes)
+    }
+
+    /// Freezes `(name, view)` pairs that already arrive in strictly
+    /// ascending name order (a `BTreeMap` walk, the cluster's workers).
+    fn from_sorted(
+        captured_at: SimTime,
+        nodes: impl IntoIterator<Item = (NodeName, NodeView)>,
+    ) -> Self {
+        let (names, views): (Vec<NodeName>, Vec<NodeView>) = nodes.into_iter().unzip();
+        debug_assert!(names.windows(2).all(|w| w[0] < w[1]), "names out of order");
         ClusterSnapshot {
-            inner: Arc::new(SnapshotInner { captured_at, nodes }),
+            inner: Arc::new(SnapshotInner {
+                captured_at,
+                names: names.into(),
+                views,
+            }),
         }
     }
 
@@ -114,31 +185,21 @@ impl ClusterSnapshot {
     ) -> Self {
         let epc_measured = ClusterView::measured(MEASUREMENT_EPC, now, window, run_query);
         let mem_measured = ClusterView::measured(MEASUREMENT_MEMORY, now, window, run_query);
-        let nodes = cluster
-            .workers()
-            .map(|node| {
-                let name = node.name().clone();
-                let view = NodeView {
-                    memory_capacity: node.allocatable_memory(),
-                    epc_capacity: node.allocatable_epc(),
-                    memory_requested: node.memory_requested(),
-                    epc_requested: node.epc_requested(),
-                    memory_measured: mem_measured
-                        .get(name.as_str())
-                        .copied()
-                        .unwrap_or(ByteSize::ZERO),
-                    epc_measured: epc_measured
-                        .get(name.as_str())
-                        .copied()
-                        .unwrap_or(ByteSize::ZERO),
-                    metrics_age: None,
-                    degraded: false,
-                    cordoned: node.is_cordoned(),
-                };
-                (name, view)
-            })
-            .collect();
-        Self::from_nodes(now, nodes)
+        let measured = |of: &BTreeMap<String, ByteSize>, name: &NodeName| {
+            of.get(name.as_str()).copied().unwrap_or(ByteSize::ZERO)
+        };
+        Self::from_sorted(
+            now,
+            cluster.workers().map(|node| {
+                let name = node.name();
+                let view = view_of(
+                    node,
+                    measured(&mem_measured, name),
+                    measured(&epc_measured, name),
+                );
+                (name.clone(), view)
+            }),
+        )
     }
 
     /// A requests-only snapshot straight off the cluster: capacities,
@@ -147,24 +208,15 @@ impl ClusterSnapshot {
     /// accounting is requests-based, so measured usage would be dead
     /// weight queried in a loop.
     pub fn requests_only(cluster: &Cluster, now: SimTime) -> Self {
-        let nodes = cluster
-            .workers()
-            .map(|node| {
-                let view = NodeView {
-                    memory_capacity: node.allocatable_memory(),
-                    epc_capacity: node.allocatable_epc(),
-                    memory_requested: node.memory_requested(),
-                    epc_requested: node.epc_requested(),
-                    memory_measured: ByteSize::ZERO,
-                    epc_measured: ByteSize::ZERO,
-                    metrics_age: None,
-                    degraded: false,
-                    cordoned: node.is_cordoned(),
-                };
-                (node.name().clone(), view)
-            })
-            .collect();
-        Self::from_nodes(now, nodes)
+        Self::from_sorted(
+            now,
+            cluster.workers().map(|node| {
+                (
+                    node.name().clone(),
+                    view_of(node, ByteSize::ZERO, ByteSize::ZERO),
+                )
+            }),
+        )
     }
 
     /// Returns a snapshot with every node stamped with the age of its
@@ -174,38 +226,74 @@ impl ClusterSnapshot {
     /// freeze time because snapshots are immutable afterwards.
     #[must_use]
     pub fn with_staleness(
-        self,
+        mut self,
         threshold: SimDuration,
         mut age_of: impl FnMut(&NodeName) -> Option<SimDuration>,
     ) -> Self {
-        let mut nodes = self.inner.nodes.clone();
-        for (name, view) in nodes.iter_mut() {
-            let age = age_of(name);
-            view.metrics_age = age;
-            view.degraded = age.is_some_and(|a| a > threshold);
-        }
-        Self::from_nodes(self.inner.captured_at, nodes)
+        let captured_at = self.inner.captured_at;
+        self.update(captured_at, |names, views| {
+            for (name, view) in names.iter().zip(views) {
+                let age = age_of(name);
+                view.metrics_age = age;
+                view.degraded = age.is_some_and(|a| a > threshold);
+            }
+        });
+        self
     }
 
-    /// Advances the snapshot to a new capture instant, handing the node
-    /// map to `apply` for in-place edits — the incremental-maintenance
-    /// entry point: the orchestrator refreshes only the dirty nodes'
-    /// views and re-stamps staleness, structurally sharing everything
-    /// else.
+    /// Advances the snapshot to a new capture instant, handing the slots
+    /// to `apply` for in-place edits of the views — the
+    /// incremental-maintenance entry point: the orchestrator refreshes
+    /// only the dirty nodes' views and re-stamps staleness, leaving
+    /// everything else as captured.
     ///
     /// When this snapshot is the only live handle (the steady state
     /// between scheduling passes), the update happens in place with no
-    /// copy at all; while clones are still alive (e.g. held by an open
-    /// [`SchedulingCycle`](crate::SchedulingCycle)), the map is cloned
-    /// first so frozen snapshots stay immutable.
+    /// copy at all; while clones are still alive, the views are copied
+    /// first (one `memcpy`; the names stay shared) so frozen snapshots
+    /// stay immutable.
     pub fn update(
         &mut self,
         captured_at: SimTime,
-        apply: impl FnOnce(&mut BTreeMap<NodeName, NodeView>),
+        apply: impl FnOnce(&[NodeName], &mut [NodeView]),
     ) {
         let inner = Arc::make_mut(&mut self.inner);
         inner.captured_at = captured_at;
-        apply(&mut inner.nodes);
+        apply(&inner.names, &mut inner.views);
+    }
+
+    /// Changes the node *set*: drops the slots listed in `removed`
+    /// (ascending) and merges in `added` (ascending by name, none of
+    /// them present). The one operation that rebuilds the name array —
+    /// node registration and deregistration are rare next to scheduling
+    /// passes.
+    pub(crate) fn reshape(&mut self, removed: &[usize], added: Vec<(NodeName, NodeView)>) {
+        if removed.is_empty() && added.is_empty() {
+            return;
+        }
+        let inner = Arc::make_mut(&mut self.inner);
+        let len = inner.names.len() - removed.len() + added.len();
+        let mut names = Vec::with_capacity(len);
+        let mut views = Vec::with_capacity(len);
+        let mut removed = removed.iter().copied().peekable();
+        let mut added = added.into_iter().peekable();
+        for (slot, (name, view)) in inner.names.iter().zip(&inner.views).enumerate() {
+            while let Some((new_name, new_view)) = added.next_if(|(n, _)| n < name) {
+                names.push(new_name);
+                views.push(new_view);
+            }
+            if removed.next_if_eq(&slot).is_none() {
+                names.push(name.clone());
+                views.push(*view);
+            }
+        }
+        for (new_name, new_view) in added {
+            names.push(new_name);
+            views.push(new_view);
+        }
+        debug_assert!(names.windows(2).all(|w| w[0] < w[1]), "names out of order");
+        inner.names = names.into();
+        inner.views = views;
     }
 
     /// When the snapshot was captured.
@@ -215,27 +303,38 @@ impl ClusterSnapshot {
 
     /// The per-node views, in node-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&NodeName, &NodeView)> {
-        self.inner.nodes.iter()
+        self.inner.names.iter().zip(&self.inner.views)
     }
 
-    /// The underlying node map (name-ordered).
-    pub fn nodes(&self) -> &BTreeMap<NodeName, NodeView> {
-        &self.inner.nodes
+    /// The node names in ascending order; `names()[slot]` names
+    /// `views()[slot]`.
+    pub fn names(&self) -> &Arc<[NodeName]> {
+        &self.inner.names
+    }
+
+    /// The node views, indexed by slot (name rank).
+    pub fn views(&self) -> &[NodeView] {
+        &self.inner.views
+    }
+
+    /// The slot of a node — the rank of its name — by binary search.
+    pub(crate) fn slot_of(&self, name: &NodeName) -> Option<usize> {
+        self.inner.names.binary_search(name).ok()
     }
 
     /// One node's view.
     pub fn node(&self, name: &NodeName) -> Option<&NodeView> {
-        self.inner.nodes.get(name)
+        self.slot_of(name).map(|slot| &self.inner.views[slot])
     }
 
     /// Number of captured workers (cordoned ones included).
     pub fn len(&self) -> usize {
-        self.inner.nodes.len()
+        self.inner.views.len()
     }
 
     /// `true` when the cluster has no workers at all.
     pub fn is_empty(&self) -> bool {
-        self.inner.nodes.is_empty()
+        self.inner.views.is_empty()
     }
 
     /// `true` when any *schedulable* (non-cordoned) node is degraded —
@@ -243,7 +342,7 @@ impl ClusterSnapshot {
     /// by. Cordoned nodes are excluded: they take no placements, so
     /// their staleness cannot taint a decision.
     pub fn any_degraded(&self) -> bool {
-        self.inner.nodes.values().any(|v| !v.cordoned && v.degraded)
+        self.inner.views.iter().any(|v| !v.cordoned && v.degraded)
     }
 }
 
@@ -308,14 +407,45 @@ mod tests {
         assert!(snapshot.any_degraded());
 
         // If the only degraded node is cordoned it cannot taint decisions.
-        let mut nodes = snapshot.nodes().clone();
-        for (name, view) in nodes.iter_mut() {
-            if name.as_str() == "sgx-1" {
-                view.cordoned = true;
+        let mut cordoned = snapshot.clone();
+        cordoned.update(SimTime::ZERO, |names, views| {
+            for (name, view) in names.iter().zip(views) {
+                if name.as_str() == "sgx-1" {
+                    view.cordoned = true;
+                }
             }
-        }
-        let cordoned = ClusterSnapshot::from_nodes(SimTime::ZERO, nodes);
+        });
         assert!(!cordoned.any_degraded());
+        // The edit copied on write: the shared original is untouched.
+        assert!(snapshot.any_degraded());
+    }
+
+    #[test]
+    fn reshape_keeps_slots_name_ranked() {
+        let mut snapshot = paper_snapshot();
+        let sgx2 = snapshot.slot_of(&NodeName::new("sgx-2")).unwrap();
+        let added = NodeView {
+            epc_capacity: EpcPages::new(7),
+            ..NodeView::default()
+        };
+        snapshot.reshape(
+            &[sgx2],
+            vec![
+                (NodeName::new("a-first"), added),
+                (NodeName::new("sgx-3"), added),
+                (NodeName::new("z-last"), added),
+            ],
+        );
+        let names: Vec<&str> = snapshot.names().iter().map(NodeName::as_str).collect();
+        assert_eq!(
+            names,
+            ["a-first", "sgx-1", "sgx-3", "std-1", "std-2", "z-last"]
+        );
+        for name in ["a-first", "sgx-3", "z-last"] {
+            assert_eq!(snapshot.node(&NodeName::new(name)), Some(&added));
+        }
+        assert_eq!(snapshot.node(&NodeName::new("sgx-2")), None);
+        assert!(snapshot.node(&NodeName::new("sgx-1")).unwrap().has_sgx());
     }
 
     #[test]

@@ -3,11 +3,12 @@
 
 use proptest::prelude::*;
 
-use cluster::api::{PodSpec, PodUid};
+use cluster::api::{NodeName, PodSpec, PodUid};
 use cluster::topology::ClusterSpec;
+use des::rng::seeded_rng;
 use des::{SimDuration, SimTime};
 use orchestrator::{Orchestrator, OrchestratorConfig, PodOutcome};
-use sgx_sim::units::ByteSize;
+use sgx_sim::units::{ByteSize, EpcPages};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -21,6 +22,12 @@ enum Op {
     Complete(u8),
     /// Migrate the nth running pod to the other SGX node (if possible).
     Migrate(u8),
+    /// Start a foreign pod on the nth worker under the uid the
+    /// orchestrator will hand out `k` submissions from now: if the
+    /// scheduler later picks that node for that uid, its kubelet refuses
+    /// (`PodAlreadyRunning`) — the one way to reach the refusal arm of a
+    /// pass from outside.
+    Squat(u8, u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -30,6 +37,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Probe),
         (0u8..16).prop_map(Op::Complete),
         (0u8..16).prop_map(Op::Migrate),
+        (0u8..4, 0u8..3).prop_map(|(node, ahead)| Op::Squat(node, ahead)),
     ]
 }
 
@@ -88,13 +96,30 @@ fn check_invariants(orch: &Orchestrator) -> Result<(), TestCaseError> {
             );
         }
     }
-    // Queue entries are exactly the Pending records.
-    let pending_records = orch
+    // The queue holds exactly the Pending records, in FCFS order: these
+    // ops submit at strictly increasing times and never requeue, so FCFS
+    // order is uid order, which is the order `records()` iterates in.
+    let pending_records: Vec<PodUid> = orch
         .records()
         .values()
         .filter(|r| r.outcome == PodOutcome::Pending)
-        .count();
-    prop_assert_eq!(orch.queue().len(), pending_records);
+        .map(|r| r.uid)
+        .collect();
+    let queued: Vec<PodUid> = orch.queue().iter().map(|p| p.uid).collect();
+    prop_assert_eq!(queued, pending_records);
+    // The running totals are the sums they stand for.
+    let epc: EpcPages = orch
+        .queue()
+        .iter()
+        .map(|p| p.spec.resources.requests.epc_pages)
+        .sum();
+    let memory: ByteSize = orch
+        .queue()
+        .iter()
+        .map(|p| p.spec.resources.requests.memory)
+        .sum();
+    prop_assert_eq!(orch.queue().epc_requested(), epc);
+    prop_assert_eq!(orch.queue().memory_requested(), memory);
     Ok(())
 }
 
@@ -110,17 +135,36 @@ proptest! {
             OrchestratorConfig::paper(),
         );
         let mut now = SimTime::ZERO;
+        let mut submitted = 0u64;
+        let mut squat_rng = seeded_rng(11);
         for (index, op) in ops.into_iter().enumerate() {
             now += SimDuration::from_secs(5);
             match op {
                 Op::Submit(sgx, size) => {
                     orch.submit(spec_for(index, sgx, size), now);
+                    submitted += 1;
                 }
                 Op::Schedule => {
                     orch.scheduler_pass(now);
                 }
                 Op::Probe => {
                     orch.probe_pass(now);
+                }
+                Op::Squat(node, ahead) => {
+                    // Uids are handed out sequentially from 1.
+                    let uid = PodUid::new(submitted + 1 + u64::from(ahead));
+                    let names: Vec<NodeName> =
+                        orch.cluster().workers().map(|n| n.name().clone()).collect();
+                    let name = &names[node as usize % names.len()];
+                    let squatter = PodSpec::builder(format!("squatter-{index}"))
+                        .memory_resources(ByteSize::from_mib(1))
+                        .build();
+                    // A uid already running there, or a full node: no squat.
+                    let _ = orch
+                        .cluster_mut()
+                        .node_mut(name)
+                        .expect("listed above")
+                        .run_pod(uid, squatter, now, &mut squat_rng);
                 }
                 Op::Complete(n) => {
                     let running = running_pods(&orch);
@@ -182,7 +226,7 @@ proptest! {
                             orch.complete_pod(uid, now).unwrap();
                         }
                     }
-                    Op::Migrate(_) => {}
+                    Op::Migrate(_) | Op::Squat(..) => {}
                 }
             }
             orch.records().clone()

@@ -39,8 +39,8 @@ fn oracle(orch: &Orchestrator, now: SimTime) -> ClusterSnapshot {
             .with_staleness(orch.config().staleness_threshold, |name| {
                 orch.metrics_age(name, now)
             });
-    snap.update(now, |nodes| {
-        for (name, view) in nodes.iter_mut() {
+    snap.update(now, |names, views| {
+        for (name, view) in names.iter().zip(views) {
             if orch.recovery_pending(name) {
                 view.degraded = true;
             }
