@@ -10,7 +10,12 @@
 //!   (`incremental_snapshots = false`) vs incrementally maintained
 //!   (`true`). The incremental path refreshes only the dirty/in-window
 //!   nodes and leaves the rest as captured, so it should scale with the
-//!   number of *active* nodes, not the cluster size.
+//!   number of *active* nodes, not the cluster size. The frames carry
+//!   pod turnover — half of each node's pods finish and are replaced
+//!   every pass, their series staying inside the 15-minute retention —
+//!   because that is what a replay's store looks like: without it a
+//!   per-node fold over the node's series reads ≈20× cheaper here than
+//!   end to end.
 //! * `bind` — pods bound/sec for one scheduler pass over 64 small SGX
 //!   pods that all fit (every placement scans and scores every node),
 //!   with full and with incremental captures.
@@ -28,7 +33,8 @@
 //!
 //! `--smoke` runs a reduced sweep (5/100 nodes, 1 rep) and asserts the
 //! invariants CI cares about: the incremental snapshot equals the full
-//! rebuild bit for bit, the bind outcomes are identical with and
+//! rebuild bit for bit after pod turnover and reordered frames, the
+//! bind outcomes are identical with and
 //! without incremental snapshots, the backlog pass binds exactly the
 //! pods that fit and leaves the rest queued, and every rate is positive.
 
@@ -59,6 +65,8 @@ const BACKLOG_FITTING_PODS: usize = 8;
 /// whose size, not the cluster's, should bound incremental refresh cost.
 const ACTIVE_NODES: usize = 8;
 const PODS_PER_FRAME: usize = 8;
+/// Pods of each active node that finish, and are replaced, per pass.
+const PODS_REPLACED_PER_PASS: usize = 4;
 const CAPTURE_PASSES: usize = 50;
 const SMOKE_CAPTURE_PASSES: usize = 5;
 const REPS: usize = 3;
@@ -88,14 +96,16 @@ fn sgx_pod(name: String, mib: u64) -> PodSpec {
         .build()
 }
 
-/// The frame node `node` emits at capture pass `pass`.
+/// The frame node `node` emits at capture pass `pass`: the pods running
+/// there then, `PODS_REPLACED_PER_PASS` of them new since the last one.
 fn frame_for(node: usize, pass: usize, now: SimTime) -> PointBatch {
     let mut batch = PointBatch::new(MEASUREMENT_EPC, "pod_name", now)
         .with_shared_tag("nodename", node_name(node));
-    for pod in 0..PODS_PER_FRAME {
+    let oldest = pass * PODS_REPLACED_PER_PASS;
+    for pod in oldest..oldest + PODS_PER_FRAME {
         batch.push(
             format!("pod-{pod}"),
-            (node * 1000 + pod * 10 + pass % 7 + 1) as f64,
+            (node * 1000 + pod % 89 * 10 + pass % 7 + 1) as f64,
         );
     }
     batch
@@ -203,29 +213,40 @@ fn run_backlog(nodes: usize, reps: usize) -> f64 {
 }
 
 /// Smoke-only: the incremental snapshot must equal a full rebuild after
-/// frames, binds, and a pod completion.
+/// a bind, a pod completion, and frames with pod turnover that arrive
+/// out of order (each pass's frame is delivered after the next one's).
 fn assert_snapshot_equivalence(nodes: usize) {
     let mut incr = build_orchestrator(nodes, config(true));
     let mut full = build_orchestrator(nodes, config(false));
-    for orch in [&mut incr, &mut full] {
-        let _ = orch.capture_snapshot(SimTime::from_secs(1));
-        let uid = orch.submit(sgx_pod("smoke-pod".to_string(), 4), SimTime::from_secs(2));
-        let outcomes = orch.scheduler_pass(SimTime::from_secs(5));
-        assert!(outcomes[0].report.started());
-        let now = SimTime::from_secs(20);
-        for node in 0..ACTIVE_NODES.min(nodes) {
-            let name = cluster::api::NodeName::new(node_name(node));
-            orch.ingest_frame(&name, &frame_for(node, 0, now), now);
+    let sampled_at = |pass: usize| SimTime::from_secs(10 * (pass as u64 + 2));
+    for pass in 0..6 {
+        for orch in [&mut incr, &mut full] {
+            if pass == 0 {
+                let _ = orch.capture_snapshot(SimTime::from_secs(1));
+                orch.submit(sgx_pod("smoke-pod".to_string(), 4), SimTime::from_secs(2));
+                let outcomes = orch.scheduler_pass(SimTime::from_secs(5));
+                assert!(outcomes[0].report.started());
+            }
+            // Frames 1, 0, 3, 2, 5, 4.
+            let delivered = pass ^ 1;
+            for node in 0..ACTIVE_NODES.min(nodes) {
+                let name = cluster::api::NodeName::new(node_name(node));
+                let frame = frame_for(node, delivered, sampled_at(delivered));
+                orch.ingest_frame(&name, &frame, sampled_at(delivered));
+            }
+            if pass == 3 {
+                let uid = *orch.records().keys().next().expect("one pod submitted");
+                orch.complete_pod(uid, sampled_at(pass))
+                    .expect("pod completes");
+            }
         }
-        orch.complete_pod(uid, SimTime::from_secs(30))
-            .expect("pod completes");
+        let now = sampled_at(pass) + SimDuration::from_secs(5);
+        assert_eq!(
+            incr.capture_snapshot(now),
+            full.capture_snapshot(now),
+            "incremental snapshot must equal a full rebuild at {nodes} nodes, pass {pass}"
+        );
     }
-    let now = SimTime::from_secs(35);
-    assert_eq!(
-        incr.capture_snapshot(now),
-        full.capture_snapshot(now),
-        "incremental snapshot must equal a full rebuild at {nodes} nodes"
-    );
 }
 
 fn main() {
@@ -284,6 +305,8 @@ fn main() {
     println!("  \"backlog_pods\": {BACKLOG_PODS},");
     println!("  \"backlog_fitting_pods\": {BACKLOG_FITTING_PODS},");
     println!("  \"active_nodes_between_captures\": {ACTIVE_NODES},");
+    println!("  \"pods_per_frame\": {PODS_PER_FRAME},");
+    println!("  \"pods_replaced_per_pass\": {PODS_REPLACED_PER_PASS},");
     println!("  \"capture_passes\": {passes},");
     println!("  \"reps\": {reps},");
     println!("  \"smoke\": {smoke},");

@@ -250,62 +250,16 @@ impl ClusterView {
             .into_iter()
             .filter_map(|row| {
                 let node = row.tag("nodename")?.to_string();
-                Some((node, ByteSize::from_bytes(row.value.max(0.0) as u64)))
+                Some((node, Self::measured_bytes(row.value)))
             })
             .collect()
     }
 
-    /// Recomputes one node's Listing-1 value — per-pod MAX over the
-    /// window filtered `value <> 0`, summed per node — by folding only
-    /// that node's series, located with a tag-range scan instead of the
-    /// global grouped query. This is the per-node refresh step of
-    /// incremental snapshot maintenance.
-    ///
-    /// Bit-for-bit identical to what [`measured`](Self::measured) yields
-    /// for the node, because it replicates the engine's fold exactly:
-    /// the window admits `time >= now - window` (saturating, no upper
-    /// bound), the per-pod MAX starts at `f64::MIN`, a pod with no
-    /// admitted samples produces no row, the per-node SUM starts at
-    /// `0.0` and folds pods in projected-tag-set order (a series without
-    /// a `pod_name` tag projects onto the bare node group, which sorts
-    /// first), and the final conversion clamps at zero. MAX is
-    /// order-insensitive over the finite values the store admits, and
-    /// the SUM order here matches the global query's row order because
-    /// one node's inner rows are contiguous and pod-ordered in it.
-    pub(crate) fn measured_node<S: SeriesStore + ?Sized>(
-        db: &S,
-        measurement: &str,
-        node: &NodeName,
-        now: SimTime,
-        window: SimDuration,
-    ) -> ByteSize {
-        let lo = SimTime::from_micros(now.as_micros().saturating_sub(window.as_micros()));
-        let mut per_pod: BTreeMap<Option<String>, f64> = BTreeMap::new();
-        db.for_each_series_with_first_tag(measurement, "nodename", node.as_str(), &mut |series| {
-            let start = series.samples.partition_point(|&(t, _)| t < lo);
-            let mut acc = f64::MIN;
-            let mut admitted = false;
-            for &(_, value) in &series.samples[start..] {
-                if value != 0.0 {
-                    acc = acc.max(value);
-                    admitted = true;
-                }
-            }
-            if admitted {
-                let slot = per_pod
-                    .entry(series.tags.get("pod_name").cloned())
-                    .or_insert(f64::MIN);
-                *slot = slot.max(acc);
-            }
-        });
-        if per_pod.is_empty() {
-            return ByteSize::ZERO;
-        }
-        let mut total = 0.0;
-        for max in per_pod.values() {
-            total += max;
-        }
-        ByteSize::from_bytes(total.max(0.0) as u64)
+    /// A Listing-1 sum as the byte count the views carry: clamped at
+    /// zero, truncated. Shared by the query path above and the rollup
+    /// read of incremental captures so the two convert identically.
+    pub(crate) fn measured_bytes(sum: f64) -> ByteSize {
+        ByteSize::from_bytes(sum.max(0.0) as u64)
     }
 
     /// Stamps every node with the age of its last delivered scrape and

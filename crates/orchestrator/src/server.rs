@@ -16,7 +16,7 @@ use cluster::ClusterError;
 use des::rng::{derive_seed, seeded_rng};
 use des::{SimDuration, SimTime};
 use sgx_sim::units::{ByteSize, EpcPages};
-use tsdb::{PointBatch, ShardedDatabase, WindowedCache};
+use tsdb::{PointBatch, ShardedDatabase, TimeBound, WindowRollup, WindowedCache};
 
 use crate::events::{EventKind, EventLog};
 use crate::framework::{PolicyPipeline, SchedulingCycle};
@@ -49,8 +49,8 @@ pub struct OrchestratorConfig {
     /// Base seed for the startup-cost jitter stream.
     pub seed: u64,
     /// Maintain the per-pass [`ClusterSnapshot`] incrementally: refresh
-    /// only nodes whose cluster state or in-window samples changed since
-    /// the previous pass, structurally sharing the rest. Bit-identical
+    /// only nodes whose cluster state changed or that still hold
+    /// in-window samples, structurally sharing the rest. Bit-identical
     /// to re-capturing from scratch; `false` forces full captures.
     #[serde(default = "default_incremental_snapshots")]
     pub incremental_snapshots: bool,
@@ -233,7 +233,14 @@ pub struct NodeRemoval {
 pub struct Orchestrator {
     cluster: Cluster,
     db: ShardedDatabase,
-    /// Incremental state for the per-pass Listing-1 queries. Interior
+    /// Listing 1 as a continuous query: per node, the samples a window
+    /// query can still admit, fed every frame `db` ingests. Incremental
+    /// captures read a node's measured usage here instead of evaluating
+    /// the query; the nodes it lists are the window half of the refresh
+    /// set. Interior mutability because a capture (a `&self` read) trims
+    /// it to the window it just served.
+    rollup: RefCell<WindowRollup>,
+    /// Incremental state for the from-scratch Listing-1 queries. Interior
     /// mutability keeps [`capture_view`](Orchestrator::capture_view) a
     /// `&self` read — the cache is an acceleration structure, not
     /// observable state.
@@ -266,15 +273,11 @@ pub struct Orchestrator {
     /// mutability keeps [`capture_snapshot`](Orchestrator::capture_snapshot)
     /// a `&self` read, like the window cache.
     dirty: RefCell<BTreeSet<NodeName>>,
-    /// Newest sample instant per node, counting only non-empty scrape
-    /// frames. Decides which nodes' measured usage may have changed as
-    /// the sliding window advances: a node whose newest sample predates
-    /// the previous capture's window had nothing in that window, so
-    /// nothing left it since.
-    last_sample: BTreeMap<NodeName, SimTime>,
-    /// The previous pass's frozen snapshot and the window bound it saw —
-    /// the base the next incremental capture refreshes.
-    snapshot_cache: RefCell<Option<CachedSnapshot>>,
+    /// The previous pass's frozen snapshot — the base the next
+    /// incremental capture refreshes. Its measured values were derived
+    /// at the rollup's floor, so every node the rollup no longer lists
+    /// reads zero in it and keeps reading zero.
+    snapshot_cache: RefCell<Option<ClusterSnapshot>>,
     /// Pods successfully bound (started running) over the orchestrator's
     /// lifetime — the numerator of the online-serving pods-bound/sec
     /// benchmark. Denied-at-init launches are not counted.
@@ -287,12 +290,23 @@ pub struct Orchestrator {
     rng: StdRng,
 }
 
-/// Base of the next incremental snapshot capture.
-#[derive(Debug)]
-struct CachedSnapshot {
-    snapshot: ClusterSnapshot,
-    /// Lower bound of the metrics window at capture time.
-    window_lo: SimTime,
+/// `now - span`, saturating at the epoch, resolved the way the query
+/// engine resolves `time >= now() - span`: the lower bound of a metrics
+/// window, or a retention cutoff.
+fn window_lo(now: SimTime, span: SimDuration) -> SimTime {
+    TimeBound::SinceNowMinus(span).resolve(now)
+}
+
+/// Max-merges a scrape delivery into the freshness ledger — a delayed
+/// frame must not roll freshness backwards. The name is cloned on a
+/// node's first delivery only.
+fn stamp_scrape(ledger: &mut BTreeMap<NodeName, SimTime>, node: &NodeName, scraped_at: SimTime) {
+    match ledger.get_mut(node) {
+        Some(stamp) => *stamp = (*stamp).max(scraped_at),
+        None => {
+            ledger.insert(node.clone(), scraped_at);
+        }
+    }
 }
 
 impl Orchestrator {
@@ -305,6 +319,7 @@ impl Orchestrator {
         Orchestrator {
             cluster: Cluster::build(&spec),
             db: ShardedDatabase::new(config.ingest_shards),
+            rollup: RefCell::new(WindowRollup::new("nodename", "pod_name")),
             window_cache: RefCell::new(WindowedCache::new()),
             queue: PendingQueue::new(),
             probes,
@@ -317,7 +332,6 @@ impl Orchestrator {
             recovered_at: BTreeMap::new(),
             degraded_decisions: 0,
             dirty: RefCell::new(BTreeSet::new()),
-            last_sample: BTreeMap::new(),
             snapshot_cache: RefCell::new(None),
             bound_count: 0,
             snapshot_captures: Cell::new(0),
@@ -555,31 +569,25 @@ impl Orchestrator {
     /// measurement and `nodename` tag once per frame instead of cloning
     /// them into every point.
     pub fn probe_pass(&mut self, now: SimTime) {
-        let mut sampled: Vec<NodeName> = Vec::new();
+        let rollup = self.rollup.get_mut();
         for probe in &self.probes {
             for node in self.cluster.nodes() {
                 if probe.targets(node) {
                     let batch = probe.sample_batch(node, now);
-                    if !batch.is_empty() {
-                        sampled.push(node.name().clone());
-                    }
                     self.db.insert_batch(&batch);
+                    rollup.feed(&batch);
                 }
             }
         }
-        for name in sampled {
-            self.record_sample(&name, now);
-        }
         self.stamp_all_scrapes(now);
-        self.db.enforce_retention(now, self.config.retention);
+        self.enforce_metrics_retention(now);
     }
 
     /// Records a successful same-instant scrape delivery for every node —
     /// the lossless probe passes deliver all frames inline.
     fn stamp_all_scrapes(&mut self, now: SimTime) {
-        let names: Vec<NodeName> = self.cluster.nodes().map(|n| n.name().clone()).collect();
-        for name in names {
-            self.record_scrape(&name, now);
+        for node in self.cluster.nodes() {
+            stamp_scrape(&mut self.last_scrape, node.name(), now);
         }
     }
 
@@ -621,31 +629,8 @@ impl Orchestrator {
             return;
         }
         self.db.insert_batch(batch);
-        if !batch.is_empty() {
-            self.record_sample(node, scraped_at);
-        }
-        self.record_scrape(node, scraped_at);
-    }
-
-    fn record_scrape(&mut self, node: &NodeName, scraped_at: SimTime) {
-        self.last_scrape
-            .entry(node.clone())
-            .and_modify(|t| *t = (*t).max(scraped_at))
-            .or_insert(scraped_at);
-    }
-
-    /// Records that a non-empty frame sampled at `at` entered the
-    /// database for `node` — the signal the incremental snapshot refresh
-    /// uses to tell which nodes' in-window sample sets can still change.
-    /// Max-merged, like the scrape stamp: a delayed frame must not roll
-    /// the newest-sample instant backwards. Also marks the node dirty so
-    /// the next capture re-derives its measured usage right away.
-    fn record_sample(&mut self, node: &NodeName, at: SimTime) {
-        self.mark_dirty(node);
-        self.last_sample
-            .entry(node.clone())
-            .and_modify(|t| *t = (*t).max(at))
-            .or_insert(at);
+        self.rollup.get_mut().feed(batch);
+        stamp_scrape(&mut self.last_scrape, node, scraped_at);
     }
 
     /// Enforces the database retention window, as the tail of a probe
@@ -653,6 +638,17 @@ impl Orchestrator {
     /// themselves.
     pub fn enforce_metrics_retention(&mut self, now: SimTime) {
         self.db.enforce_retention(now, self.config.retention);
+        // While passes run, every capture trims the rollup to its window
+        // and this bound lies far below the floor. When none has for
+        // longer than the retention, the store's cutoff bounds the
+        // rollup as well — and the cached snapshot, whose views may rest
+        // on samples just evicted, is no base to refresh from any more.
+        let cutoff = window_lo(now, self.config.retention);
+        let rollup = self.rollup.get_mut();
+        if cutoff > rollup.floor() {
+            rollup.trim(cutoff);
+            *self.snapshot_cache.get_mut() = None;
+        }
     }
 
     /// Age of a node's last delivered scrape, `None` if never scraped.
@@ -717,11 +713,12 @@ impl Orchestrator {
         let db = &self.db;
         let probes = &self.probes;
         let nodes: Vec<&Node> = self.cluster.nodes().collect();
-        // Producers note which nodes shipped non-empty frames; merged
-        // into the newest-sample stamps after the scope joins (the merge
-        // is a max, so the collection order across threads is moot).
-        let sampled = std::sync::Mutex::new(Vec::<NodeName>::new());
-        let sampled_ref = &sampled;
+        // Producers feed the rollup the frames they ship. A node's
+        // frames come from one producer in probe order and the rollup
+        // keeps nodes apart, so which producer gets the lock first is
+        // moot.
+        let rollup = std::sync::Mutex::new(self.rollup.get_mut());
+        let rollup_ref = &rollup;
 
         crossbeam::thread::scope(|scope| {
             // One bounded channel per writer; a node's frames always go to
@@ -767,10 +764,11 @@ impl Orchestrator {
                             }
                         }
                         if !frames.is_empty() {
-                            sampled_ref
-                                .lock()
-                                .expect("sample collector")
-                                .push(node.name().clone());
+                            {
+                                let mut rollup =
+                                    rollup_ref.lock().expect("a producer panicked mid-feed");
+                                frames.iter().for_each(|frame| rollup.feed(frame));
+                            }
                             senders[writer].send(frames).expect("writer alive");
                         }
                     }
@@ -780,11 +778,8 @@ impl Orchestrator {
             // is done.
             drop(senders);
         });
-        for name in sampled.into_inner().expect("sample collector") {
-            self.record_sample(&name, now);
-        }
         self.stamp_all_scrapes(now);
-        self.db.enforce_retention(now, self.config.retention);
+        self.enforce_metrics_retention(now);
     }
 
     /// Completes a running pod: terminates it on its node and closes its
@@ -841,24 +836,27 @@ impl Orchestrator {
     /// With `incremental_snapshots` on (the default) the snapshot is
     /// maintained across passes: only nodes in the refresh set — marked
     /// dirty by a bind, completion, migration, cordon or failure, or
-    /// whose in-window sample set changed as the window slid — have
-    /// their views re-derived; the clean remainder is structurally
-    /// shared with the previous pass's snapshot. Bit-identical to a full
-    /// capture (property-tested in `tests/snapshot_incremental.rs`).
+    /// still holding in-window samples in the rollup — have their views
+    /// re-derived, their measured usage read from the rollup; the clean
+    /// remainder is structurally shared with the previous pass's
+    /// snapshot. Bit-identical to a full capture (property-tested in
+    /// `tests/snapshot_incremental.rs`) for every `now`: one whose window
+    /// reaches back below the rollup's floor — a step backwards in time,
+    /// or passes resuming after the retention overtook them — evaluates
+    /// the queries against the store instead.
     pub fn capture_snapshot(&self, now: SimTime) -> ClusterSnapshot {
         self.snapshot_captures.set(self.snapshot_captures.get() + 1);
         let window = self.config.metrics_window;
+        let lo = window_lo(now, window);
         // Retention shorter than the query window could evict in-window
-        // samples behind the dirty tracking's back; full captures are
-        // the safe fallback in that (mis)configuration.
-        let incremental = self.config.incremental_snapshots && self.config.retention >= window;
-        let cached = if incremental {
-            self.snapshot_cache.borrow_mut().take()
-        } else {
-            None
-        };
-        let snapshot = match cached {
-            Some(prev) => self.refresh_snapshot(prev, now),
+        // samples behind the rollup's back; full captures are the safe
+        // fallback in that (mis)configuration.
+        let incremental = self.config.incremental_snapshots
+            && self.config.retention >= window
+            && lo >= self.rollup.borrow().floor();
+        let cached = self.snapshot_cache.borrow_mut().take();
+        let snapshot = match cached.filter(|_| incremental) {
+            Some(prev) => self.refresh_snapshot(prev, now, lo),
             None => {
                 self.dirty.borrow_mut().clear();
                 let mut snapshot = ClusterSnapshot::capture_cached(
@@ -873,29 +871,34 @@ impl Orchestrator {
             }
         };
         if incremental {
-            let window_lo =
-                SimTime::from_micros(now.as_micros().saturating_sub(window.as_micros()));
-            *self.snapshot_cache.borrow_mut() = Some(CachedSnapshot {
-                snapshot: snapshot.clone(),
-                window_lo,
-            });
+            // No later capture on this path admits a sample below `lo`.
+            self.rollup.borrow_mut().trim(lo);
+            *self.snapshot_cache.borrow_mut() = Some(snapshot.clone());
         }
         snapshot
     }
 
     /// The incremental capture path: advances the cached snapshot to
     /// `now`, re-deriving only the refresh set — the drained dirty set
-    /// plus every node whose newest non-empty sample falls at or after
-    /// the previous capture's window bound (its in-window sample set can
-    /// have gained or lost samples as the window slid; a node whose
-    /// newest sample predates that bound measured empty then and still
-    /// does). Staleness is re-stamped on every scraped node — ages move
-    /// with `now`.
-    fn refresh_snapshot(&self, prev: CachedSnapshot, now: SimTime) -> ClusterSnapshot {
-        let window = self.config.metrics_window;
+    /// plus every node the rollup lists (its in-window sample set can
+    /// gain or lose samples as the window slides; a node it does not
+    /// list measured empty at the previous capture and still does).
+    /// Staleness is re-stamped on every scraped node — ages move with
+    /// `now`.
+    fn refresh_snapshot(
+        &self,
+        mut snapshot: ClusterSnapshot,
+        now: SimTime,
+        lo: SimTime,
+    ) -> ClusterSnapshot {
+        let rollup = self.rollup.borrow();
         let derive = |node: &Node| {
             let measured = |measurement| {
-                ClusterView::measured_node(&self.db, measurement, node.name(), now, window)
+                ClusterView::measured_bytes(rollup.sum_of_max(
+                    node.name().as_str(),
+                    measurement,
+                    lo,
+                ))
             };
             view_of(
                 node,
@@ -904,37 +907,46 @@ impl Orchestrator {
             )
         };
         let dirty = std::mem::take(&mut *self.dirty.borrow_mut());
-        let in_window = self
-            .last_sample
+        // Two ascending runs, merged by the stable sort; no name is cloned
+        // to decide what to refresh. Of a name in both, the dirty entry
+        // (which carries the `NodeName`) sorts first and survives.
+        let mut refresh: Vec<(&str, Option<&NodeName>)> = dirty
             .iter()
-            .filter(|(_, &last)| last >= prev.window_lo)
-            .map(|(name, _)| name);
-        // Two ascending runs: the stable sort merges them, no name is
-        // cloned to decide what to refresh.
-        let mut refresh: Vec<&NodeName> = dirty.iter().chain(in_window).collect();
-        refresh.sort();
-        refresh.dedup();
+            .map(|name| (name.as_str(), Some(name)))
+            .chain(rollup.groups().map(|group| (group, None)))
+            .collect();
+        refresh.sort_by_key(|&(name, dirty)| (name, dirty.is_none()));
+        refresh.dedup_by_key(|&mut (name, _)| name);
 
-        // The refresh set is also how runtime node lifecycle reaches the
+        // The dirty half is also how runtime node lifecycle reaches the
         // cached snapshot: a node deregistered since the last capture
         // has a dirty mark but no cluster entry (drop its slot); a
         // freshly registered one has a dirty mark but no slot (derive
         // one). Treating either as "skip" would freeze the topology of
-        // the first capture into every later snapshot.
+        // the first capture into every later snapshot. A rollup group
+        // without a slot is no worker — frames of a node that left, or
+        // never was one.
         let mut removed: Vec<usize> = Vec::new();
         let mut added: Vec<(NodeName, NodeView)> = Vec::new();
-        let mut snapshot = prev.snapshot;
         snapshot.update(now, |names, views| {
             let mut slots = SlotCursor::new(names);
-            for name in refresh {
-                match (slots.find(name), self.cluster.node(name)) {
-                    (Some(slot), Some(node)) => views[slot] = derive(node),
-                    (Some(slot), None) => removed.push(slot),
-                    // Snapshots only ever hold workers.
-                    (None, Some(node)) if node.role() == NodeRole::Worker => {
-                        added.push((name.clone(), derive(node)));
+            for (name, dirty) in refresh {
+                match (slots.find(name), dirty) {
+                    (Some(slot), _) => match self.cluster.node(&names[slot]) {
+                        Some(node) => views[slot] = derive(node),
+                        None => removed.push(slot),
+                    },
+                    (None, Some(name)) => {
+                        // Snapshots only ever hold workers.
+                        if let Some(node) = self
+                            .cluster
+                            .node(name)
+                            .filter(|node| node.role() == NodeRole::Worker)
+                        {
+                            added.push((name.clone(), derive(node)));
+                        }
                     }
-                    (None, _) => {}
+                    (None, None) => {}
                 }
             }
         });
@@ -959,7 +971,7 @@ impl Orchestrator {
         let threshold = self.config.staleness_threshold;
         let mut slots = SlotCursor::new(names);
         for (name, &scraped_at) in &self.last_scrape {
-            let Some(slot) = slots.find(name) else {
+            let Some(slot) = slots.find(name.as_str()) else {
                 continue;
             };
             let age = now.saturating_since(scraped_at);
@@ -974,7 +986,7 @@ impl Orchestrator {
         // delivery order-sensitive (a post-recovery frame clearing the
         // entry would re-admit a later-arriving pre-crash frame).
         for name in self.quarantined() {
-            if let Some(slot) = slots.find(name) {
+            if let Some(slot) = slots.find(name.as_str()) {
                 views[slot].degraded = true;
             }
         }
@@ -995,6 +1007,13 @@ impl Orchestrator {
                 node.degraded = true;
             }
         }
+    }
+
+    /// Size and work counters of the Listing-1 rollup incremental
+    /// captures read: nodes still holding in-window samples, samples
+    /// held, and samples the captures have folded so far.
+    pub fn window_rollup_stats(&self) -> tsdb::RollupStats {
+        self.rollup.borrow().stats()
     }
 
     /// Usage counters of the sliding-window query cache.
@@ -1336,7 +1355,7 @@ impl Orchestrator {
     /// scale-up path (a kubelet joining the cluster).
     ///
     /// The name starts from a clean slate even if a previous node carried
-    /// it: any leftover scrape stamp, recovery epoch, sample stamp or
+    /// it: any leftover scrape stamp, recovery epoch, rollup window or
     /// stored probe series from the old incarnation is torn down first,
     /// so the reused name schedules as a fresh, never-degraded node
     /// instead of inheriting the predecessor's staleness or quarantine.
@@ -1373,9 +1392,9 @@ impl Orchestrator {
     /// evicted back to the pending queue at their original submit times
     /// (the controller-recreates semantics node failure uses), so no pod
     /// is ever lost to a removal. Finally every per-node ledger is torn
-    /// down — scrape stamp, recovery epoch, dirty/sample entries, the
-    /// cached snapshot entry (dropped by the next incremental capture,
-    /// no full invalidation) and the node's stored tsdb probe series.
+    /// down — scrape stamp, recovery epoch, rollup window, the cached
+    /// snapshot entry (dropped by the next incremental capture, no full
+    /// invalidation) and the node's stored tsdb probe series.
     ///
     /// # Errors
     ///
@@ -1438,13 +1457,13 @@ impl Orchestrator {
         })
     }
 
-    /// Tears down every per-node ledger entry plus the node's stored
-    /// probe series — shared by deregistration and by registration's
-    /// name-reuse guard.
+    /// Tears down every per-node ledger entry plus the node's rollup
+    /// window and stored probe series — shared by deregistration and by
+    /// registration's name-reuse guard.
     fn forget_node(&mut self, name: &NodeName) {
         self.last_scrape.remove(name);
         self.recovered_at.remove(name);
-        self.last_sample.remove(name);
+        self.rollup.get_mut().forget(name.as_str());
         if self
             .db
             .drop_series_with_first_tag("nodename", name.as_str())

@@ -109,11 +109,13 @@ impl<'a> SlotCursor<'a> {
         SlotCursor { names, next: 0 }
     }
 
-    pub(crate) fn find(&mut self, name: &NodeName) -> Option<usize> {
-        let slot = if self.names.get(self.next) == Some(name) {
+    pub(crate) fn find(&mut self, name: &str) -> Option<usize> {
+        let slot = if self.names.get(self.next).map(NodeName::as_str) == Some(name) {
             self.next
         } else {
-            self.names.binary_search(name).ok()?
+            self.names
+                .binary_search_by(|held| held.as_str().cmp(name))
+                .ok()?
         };
         self.next = slot + 1;
         Some(slot)

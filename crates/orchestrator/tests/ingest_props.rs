@@ -3,8 +3,9 @@
 //! the same pod workload; one scrapes with [`Orchestrator::probe_pass`],
 //! the other with [`Orchestrator::probe_pass_concurrent`] at an arbitrary
 //! writer-thread count. After every pass the two databases must produce
-//! the same snapshot bytes, the same counters and the same scheduler
-//! view — regardless of shard count, thread count or workload shape.
+//! the same snapshot bytes, the same counters, the same scheduler view
+//! and the same incremental cluster snapshot — regardless of shard
+//! count, thread count or workload shape.
 
 use proptest::prelude::*;
 
@@ -109,6 +110,13 @@ proptest! {
                 "tsdb state diverged after op {} at now={}", index, now
             );
             prop_assert_eq!(concurrent.capture_view(now), sequential.capture_view(now));
+            // The incremental capture reads the ingest-side rollup, which
+            // each pipeline feeds on its own path.
+            prop_assert_eq!(
+                concurrent.capture_snapshot(now),
+                sequential.capture_snapshot(now),
+                "incremental snapshots diverged after op {} at now={}", index, now
+            );
         }
     }
 }

@@ -1,15 +1,21 @@
-//! Incremental snapshot maintenance: the dirty-set bookkeeping must be
-//! exact (each mutation dirties the node it touched and nothing else),
-//! and the incrementally maintained snapshot must stay bit-identical to
-//! a from-scratch capture under arbitrary event interleavings.
+//! Incremental snapshot maintenance: the refresh-set bookkeeping must be
+//! exact (each mutation dirties the node it touched and nothing else, a
+//! delivered frame enters the rollup window of the node it scraped and
+//! nothing else), and the incrementally maintained snapshot — measured
+//! usage read from the ingest-side Listing-1 rollup — must stay
+//! bit-identical to a from-scratch capture through the query engine
+//! under arbitrary event interleavings.
 
 use proptest::prelude::*;
 
 use cluster::api::{NodeName, PodSpec, PodUid};
+use cluster::machine::MachineSpec;
+use cluster::node::NodeRole;
 use cluster::topology::ClusterSpec;
 use des::{SimDuration, SimTime};
 use orchestrator::{ClusterSnapshot, Orchestrator, OrchestratorConfig, PodOutcome};
 use sgx_sim::units::ByteSize;
+use tsdb::PointBatch;
 
 fn orchestrator() -> Orchestrator {
     Orchestrator::new(ClusterSpec::paper_cluster(), OrchestratorConfig::paper())
@@ -131,11 +137,11 @@ fn degraded_to_fresh_transition_dirties_exactly_the_revived_node() {
         .expect("the running pod's node produces a non-empty frame")
         .clone();
     orch.ingest_frame(&name, &batch, SimTime::from_secs(101));
-    let dirty = orch.dirty_nodes();
+    assert!(orch.dirty_nodes().is_empty(), "frames mark nothing dirty");
     assert_eq!(
-        dirty.iter().collect::<Vec<_>>(),
-        vec![&node],
-        "a delivered frame dirties the scraped node and nothing else"
+        orch.window_rollup_stats().groups,
+        1,
+        "a delivered frame puts the scraped node in the refresh set and nothing else"
     );
     assert_matches_oracle(&orch, SimTime::from_secs(102));
     let snap = orch.capture_snapshot(SimTime::from_secs(102));
@@ -170,6 +176,112 @@ fn samples_aging_out_of_the_window_refresh_without_explicit_dirt() {
     // And the node goes quiet afterwards: captures keep matching.
     assert_matches_oracle(&orch, SimTime::from_secs(50));
     assert_matches_oracle(&orch, SimTime::from_secs(55));
+}
+
+#[test]
+fn a_capture_stepping_backwards_in_time_is_evaluated_from_scratch() {
+    let mut orch = orchestrator();
+    orch.submit(sgx_spec("early", 30), SimTime::ZERO);
+    orch.scheduler_pass(SimTime::from_secs(5));
+    orch.probe_pass(SimTime::from_secs(10));
+
+    assert_matches_oracle(&orch, SimTime::from_secs(12));
+    // The window moves past the only samples…
+    assert_matches_oracle(&orch, SimTime::from_secs(100));
+    // …and then *back* over them. Regression: the refresh set only ever
+    // looked forwards, so the views emptied at t=100 were reused and the
+    // node measured idle.
+    let snap = orch.capture_snapshot(SimTime::from_secs(20));
+    assert!(
+        snap.iter().any(|(_, v)| !v.epc_measured.is_zero()),
+        "the samples at t=10 are inside the window of a capture at t=20"
+    );
+    assert_matches_oracle(&orch, SimTime::from_secs(20));
+    // Still behind the rollup's floor, then forwards again.
+    assert_matches_oracle(&orch, SimTime::from_secs(30));
+    assert_matches_oracle(&orch, SimTime::from_secs(101));
+    orch.probe_pass(SimTime::from_secs(110));
+    assert_matches_oracle(&orch, SimTime::from_secs(111));
+}
+
+#[test]
+fn retention_overtaking_the_last_capture_drops_the_cached_base() {
+    let mut orch = orchestrator();
+    orch.submit(sgx_spec("svc", 30), SimTime::ZERO);
+    orch.scheduler_pass(SimTime::from_secs(5));
+    orch.probe_pass(SimTime::from_secs(10));
+    // One capture, then only probe ticks for longer than the retention,
+    // the last frames arriving long before the passes resume: every
+    // sample the cached views rest on is evicted meanwhile.
+    assert_matches_oracle(&orch, SimTime::from_secs(12));
+    let retention = orch.config().retention;
+    let resume = SimTime::from_secs(12) + retention + retention;
+    orch.probe_pass(SimTime::from_secs(20));
+    orch.enforce_metrics_retention(resume);
+    assert_eq!(orch.window_rollup_stats().samples_held, 0);
+    assert_matches_oracle(&orch, resume);
+    assert!(orch
+        .capture_snapshot(resume)
+        .iter()
+        .all(|(_, v)| v.epc_measured.is_zero()));
+}
+
+/// The deterministic work gate: what one incremental capture folds is
+/// bounded by the pods running now, however many finished pods' series
+/// the 15-minute retention still holds.
+#[test]
+fn a_capture_folds_live_pods_not_retained_series() {
+    let mut spec = ClusterSpec::new();
+    for i in 0..6 {
+        spec = spec.with_node(
+            format!("sgx-{i}"),
+            MachineSpec::sgx_node(),
+            NodeRole::Worker,
+        );
+    }
+    let config = OrchestratorConfig::paper();
+    let scrapes_in_window = config
+        .metrics_window
+        .as_micros()
+        .div_ceil(config.probe_period.as_micros());
+    let mut orch = Orchestrator::new(spec, config);
+    let mut running: Vec<PodUid> = Vec::new();
+    let mut now = SimTime::ZERO;
+    for tick in 0..50u64 {
+        now += SimDuration::from_secs(10);
+        // Churn: six pods arrive and the six oldest finish every tick.
+        for i in 0..6 {
+            orch.submit(sgx_spec(&format!("churn-{tick}-{i}"), 4), now);
+        }
+        for outcome in orch.scheduler_pass(now) {
+            running.push(outcome.uid);
+        }
+        if running.len() > 24 {
+            for uid in running.drain(..6) {
+                orch.complete_pod(uid, now).expect("running pods complete");
+            }
+        }
+        orch.probe_pass(now);
+        orch.capture_snapshot(now);
+    }
+    let live = running.len() as u64;
+    let retained = orch.db().series_count() as u64;
+    assert!(
+        retained > 8 * live,
+        "churn must leave many finished pods' series inside the retention \
+         ({retained} series, {live} live pods)"
+    );
+    let before = orch.window_rollup_stats().samples_folded;
+    now += SimDuration::from_secs(5);
+    assert_matches_oracle(&orch, now);
+    let folded = orch.window_rollup_stats().samples_folded - before;
+    // Per measurement; these pods report EPC only, so the bound for one
+    // measurement covers the capture.
+    assert!(
+        folded <= live * (scrapes_in_window + 1),
+        "one capture folded {folded} samples for {live} live pods"
+    );
+    assert!(orch.window_rollup_stats().samples_held as u64 <= live * (scrapes_in_window + 1));
 }
 
 #[test]
@@ -225,6 +337,13 @@ enum Ev {
     Probe,
     /// Scrape frames but deliver only every `k`-th (lossy transport).
     LossyFrames(u8),
+    /// Scrape frames and hold them back (a slow transport).
+    StashFrames,
+    /// Deliver every held-back frame, newest first — delayed, reordered,
+    /// and across whatever failed, recovered, left or joined meanwhile.
+    DeliverStash,
+    /// Deliver a full probe pass through the concurrent pipeline.
+    ConcurrentProbe(u8),
     /// Complete the nth running pod.
     Finish(u8),
     /// Drain (cordon) the nth worker, or uncordon it if already cordoned.
@@ -247,6 +366,9 @@ fn ev_strategy() -> impl Strategy<Value = Ev> {
         Just(Ev::Schedule),
         Just(Ev::Probe),
         (1u8..4).prop_map(Ev::LossyFrames),
+        Just(Ev::StashFrames),
+        Just(Ev::DeliverStash),
+        (1u8..4).prop_map(Ev::ConcurrentProbe),
         (0u8..16).prop_map(Ev::Finish),
         (0u8..4).prop_map(Ev::ToggleCordon),
         (0u8..4).prop_map(Ev::ToggleFailure),
@@ -270,10 +392,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole property: after every event of an arbitrary
-    /// interleaving of probe frames (lossless and lossy), binds,
-    /// finishes, cordons, node failures and runtime node add/remove, the
-    /// incrementally maintained snapshot equals a from-scratch capture,
-    /// bit for bit.
+    /// interleaving of probe frames (lossless, lossy, delayed and
+    /// reordered, sequential and concurrent), binds, finishes, cordons,
+    /// node failures and runtime node add/remove, the incrementally
+    /// maintained snapshot equals a from-scratch capture, bit for bit.
     #[test]
     fn incremental_snapshots_match_full_captures_under_arbitrary_events(
         events in prop::collection::vec(ev_strategy(), 1..48),
@@ -285,6 +407,7 @@ proptest! {
             orch.cluster().workers().map(|n| n.name().clone()).collect()
         };
         let mut next_node = 0u32;
+        let mut stash: Vec<(NodeName, PointBatch, SimTime)> = Vec::new();
         let mut now = SimTime::ZERO;
         for (index, event) in events.into_iter().enumerate() {
             now += SimDuration::from_secs(5);
@@ -304,6 +427,19 @@ proptest! {
                         }
                     }
                     orch.enforce_metrics_retention(now);
+                }
+                Ev::StashFrames => {
+                    let frames = orch.scrape_frames(now);
+                    stash.extend(frames.into_iter().map(|(node, batch)| (node, batch, now)));
+                }
+                Ev::DeliverStash => {
+                    for (node, batch, scraped_at) in stash.drain(..).rev() {
+                        orch.ingest_frame(&node, &batch, scraped_at);
+                    }
+                    orch.enforce_metrics_retention(now);
+                }
+                Ev::ConcurrentProbe(threads) => {
+                    orch.probe_pass_concurrent(now, usize::from(threads));
                 }
                 Ev::Finish(n) => {
                     let running = running_pods(&orch);
@@ -331,9 +467,9 @@ proptest! {
                 }
                 Ev::AddNode(flag) => {
                     let spec = if flag % 2 == 1 {
-                        cluster::machine::MachineSpec::sgx_node()
+                        MachineSpec::sgx_node()
                     } else {
-                        cluster::machine::MachineSpec::dell_r330()
+                        MachineSpec::dell_r330()
                     };
                     // Every fourth add reuses a previously retired name
                     // (if any), exercising the name-reuse teardown path.

@@ -14,6 +14,9 @@
 //!   on the read side.
 //! * [`PointBatch`] — the one-frame-per-node-per-scrape transport unit
 //!   probes ship to the shard writers.
+//! * [`WindowRollup`] — Listing 1 as a continuous query: the per-node
+//!   window state maintained from the same frames at ingest, read by the
+//!   scheduler instead of re-evaluating the query.
 //! * [`query`] — a structured query AST and executor supporting the
 //!   nested sliding-window aggregation of the paper's Listing 1.
 //! * [`influxql`] — a parser for the InfluxQL subset the paper uses, so
@@ -67,6 +70,7 @@ mod batch;
 mod cache;
 mod error;
 mod point;
+mod rollup;
 mod sharded;
 mod storage;
 
@@ -75,5 +79,6 @@ pub use cache::{CacheStats, WindowedCache};
 pub use error::TsdbError;
 pub use point::{Point, TagSet};
 pub use query::{Aggregate, Predicate, Row, Select, Source, TimeBound};
+pub use rollup::{RollupStats, WindowRollup};
 pub use sharded::ShardedDatabase;
 pub use storage::{Database, SeriesRef, SeriesStore};

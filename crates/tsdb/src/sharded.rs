@@ -572,33 +572,6 @@ impl SeriesStore for ShardedDatabase {
         }
     }
 
-    fn for_each_series_with_first_tag(
-        &self,
-        measurement: &str,
-        key: &str,
-        value: &str,
-        visit: &mut dyn FnMut(SeriesRef<'_>),
-    ) {
-        let (lo, hi) = crate::storage::first_tag_range(key, value);
-        let guards = self.read_all();
-        let mut series: Vec<(&TagSet, &Series)> = Vec::new();
-        for guard in &guards {
-            if let Some(series_map) = guard.series_of(measurement) {
-                series.extend(series_map.range(lo.clone()..hi.clone()));
-            }
-        }
-        series.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        for (tags, series) in series {
-            let data = series.read();
-            visit(SeriesRef {
-                tags,
-                id: series.id(),
-                evicted: data.evicted,
-                samples: &data.samples,
-            });
-        }
-    }
-
     fn contains_series(&self, measurement: &str, tags: &TagSet) -> bool {
         self.shards[self.shard_of(measurement, tags)]
             .read()
@@ -722,24 +695,6 @@ mod tests {
         assert_eq!(sharded.points_evicted(), single.points_evicted());
         assert_eq!(sharded.point_count(), single.point_count());
         assert_eq!(sharded.snapshot(), single.snapshot());
-    }
-
-    #[test]
-    fn first_tag_scan_merges_shards_into_single_database_order() {
-        for shards in [1, 2, 4, 8] {
-            let (single, sharded) = paired(shards, &workload());
-            for node in ["n0", "n1", "n2", "n9"] {
-                let mut from_single: Vec<(TagSet, Vec<(SimTime, f64)>)> = Vec::new();
-                single.for_each_series_with_first_tag("sgx/epc", "nodename", node, &mut |s| {
-                    from_single.push((s.tags.clone(), s.samples.to_vec()));
-                });
-                let mut from_sharded: Vec<(TagSet, Vec<(SimTime, f64)>)> = Vec::new();
-                sharded.for_each_series_with_first_tag("sgx/epc", "nodename", node, &mut |s| {
-                    from_sharded.push((s.tags.clone(), s.samples.to_vec()));
-                });
-                assert_eq!(from_sharded, from_single, "node {node}, {shards} shards");
-            }
-        }
     }
 
     #[test]

@@ -51,40 +51,6 @@ pub trait SeriesStore {
     /// Visits every series of `measurement` in tag-set order.
     fn for_each_series(&self, measurement: &str, visit: &mut dyn FnMut(SeriesRef<'_>));
 
-    /// Visits, in tag-set order, every series of `measurement` whose
-    /// lexicographically *first* tag pair is exactly `(key, value)`.
-    ///
-    /// Because a [`TagSet`] is an ordered map, all such series are
-    /// contiguous in the per-measurement series map, so implementations
-    /// can serve this with a range scan — O(log series + matches) —
-    /// instead of a full iteration. That is what makes per-node snapshot
-    /// refreshes cheap: probe series are tagged `{nodename, pod_name}`
-    /// and `"nodename"` sorts first, so one node's series form exactly
-    /// one such range.
-    ///
-    /// The default implementation filters [`for_each_series`]
-    /// (correct for any store, O(series)).
-    ///
-    /// [`for_each_series`]: Self::for_each_series
-    fn for_each_series_with_first_tag(
-        &self,
-        measurement: &str,
-        key: &str,
-        value: &str,
-        visit: &mut dyn FnMut(SeriesRef<'_>),
-    ) {
-        self.for_each_series(measurement, &mut |series| {
-            if series
-                .tags
-                .iter()
-                .next()
-                .is_some_and(|(k, v)| k == key && v == value)
-            {
-                visit(series);
-            }
-        });
-    }
-
     /// `true` while the store holds at least one sample for the series.
     fn contains_series(&self, measurement: &str, tags: &TagSet) -> bool;
 }
@@ -93,7 +59,7 @@ pub trait SeriesStore {
 /// tag pair is `(key, value)`: from `{key: value}` (a prefix of every
 /// such tag set, hence ≤ all of them) up to `{key: value + "\0"}` (the
 /// smallest tag set sorting after all of them).
-pub(crate) fn first_tag_range(key: &str, value: &str) -> (TagSet, TagSet) {
+fn first_tag_range(key: &str, value: &str) -> (TagSet, TagSet) {
     let lo: TagSet = [(key.to_string(), value.to_string())].into();
     let mut next = value.to_string();
     next.push('\0');
@@ -681,27 +647,6 @@ impl SeriesStore for Database {
         }
     }
 
-    fn for_each_series_with_first_tag(
-        &self,
-        measurement: &str,
-        key: &str,
-        value: &str,
-        visit: &mut dyn FnMut(SeriesRef<'_>),
-    ) {
-        if let Some(series_map) = self.measurements.get(measurement) {
-            let (lo, hi) = first_tag_range(key, value);
-            for (tags, series) in series_map.range(lo..hi) {
-                let data = series.read();
-                visit(SeriesRef {
-                    tags,
-                    id: series.id(),
-                    evicted: data.evicted,
-                    samples: &data.samples,
-                });
-            }
-        }
-    }
-
     fn contains_series(&self, measurement: &str, tags: &TagSet) -> bool {
         self.measurements
             .get(measurement)
@@ -862,53 +807,6 @@ mod tests {
         assert_eq!(db.query(&q, now), restored.query(&q, now));
         // Corruption is surfaced.
         assert!(Database::restore(&snapshot[..snapshot.len() - 2]).is_err());
-    }
-
-    #[test]
-    fn first_tag_scan_visits_exactly_one_nodes_series_in_order() {
-        let mut db = Database::new();
-        // Node names chosen so naive prefix matching would over-match:
-        // "n1" is a string prefix of "n10".
-        for node in ["n1", "n10", "n2"] {
-            for pod in ["a", "b", "c"] {
-                db.insert(epc_point(5, &format!("{node}-{pod}"), node, 1.0));
-            }
-        }
-        let mut visited = Vec::new();
-        db.for_each_series_with_first_tag("sgx/epc", "nodename", "n1", &mut |s| {
-            visited.push(s.tags.clone());
-        });
-        assert_eq!(visited.len(), 3);
-        assert!(visited.iter().all(|t| t["nodename"] == "n1"));
-        assert!(visited.windows(2).all(|w| w[0] < w[1]), "tag-set order");
-        // The range scan agrees with the default (filtering) trait impl.
-        struct Slow<'a>(&'a Database);
-        impl SeriesStore for Slow<'_> {
-            fn query(&self, s: &Select, now: SimTime) -> Vec<Row> {
-                self.0.query(s, now)
-            }
-            fn out_of_order_inserts(&self) -> u64 {
-                self.0.out_of_order_inserts()
-            }
-            fn for_each_series(&self, m: &str, visit: &mut dyn FnMut(SeriesRef<'_>)) {
-                self.0.for_each_series(m, visit);
-            }
-            fn contains_series(&self, m: &str, tags: &TagSet) -> bool {
-                self.0.contains_series(m, tags)
-            }
-        }
-        let mut default_impl = Vec::new();
-        Slow(&db).for_each_series_with_first_tag("sgx/epc", "nodename", "n1", &mut |s| {
-            default_impl.push(s.tags.clone());
-        });
-        assert_eq!(visited, default_impl);
-        // Unknown measurement or node: no visits.
-        db.for_each_series_with_first_tag("nope", "nodename", "n1", &mut |_| {
-            panic!("no series expected")
-        });
-        db.for_each_series_with_first_tag("sgx/epc", "nodename", "n99", &mut |_| {
-            panic!("no series expected")
-        });
     }
 
     #[test]
