@@ -4,11 +4,21 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use borg_trace::{GeneratorConfig, TracePipeline, Workload, WorkloadParams};
-use des::SimTime;
+use des::{SimDuration, SimTime};
 
 fn bench_generate(c: &mut Criterion) {
     c.bench_function("trace/generate_small", |b| {
         b.iter(|| black_box(GeneratorConfig::small(7).generate()))
+    });
+}
+
+/// `small` is flat, so it never rejects a candidate; this is the
+/// calibrated profile at full rate — ≈1.35 M thinning candidates for
+/// ≈1,000 kept jobs, i.e. the time per candidate.
+fn bench_thinning(c: &mut Criterion) {
+    let config = GeneratorConfig::replay_scale(7).with_horizon(SimDuration::from_secs(600));
+    c.bench_function("trace/thinning_replay_scale", |b| {
+        b.iter(|| black_box(config.generate_sampled(1200)))
     });
 }
 
@@ -42,6 +52,7 @@ fn bench_csv_round_trip(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_generate,
+    bench_thinning,
     bench_pipeline,
     bench_materialize,
     bench_csv_round_trip

@@ -10,13 +10,21 @@
 //!   24 h with a dip around the slice the paper replays
 //!   ([`ConcurrencyProfile`]).
 //!
-//! A note on scale (also recorded in `DESIGN.md`): the public trace's
-//! *job-level* concurrency (Fig. 5) and the paper's replayed-job count
-//! (≈663 after keeping every 1200th job of a one-hour slice) cannot both be
-//! produced by one homogeneous process with durations ≤ 300 s. The crate
-//! therefore ships two presets: [`GeneratorConfig::paper_scale`] matches
-//! the Fig. 3–5 statistics, while [`GeneratorConfig::replay_scale`] is
-//! calibrated so the §VI-B pipeline yields ≈663 jobs as replayed.
+//! A note on scale: the public trace's *job-level* concurrency (Fig. 5)
+//! and the replayed-job count §VI-F mentions (663 after keeping every
+//! 1200th job of a one-hour slice) cannot both be produced by one process
+//! with durations ≤ 300 s. The generator follows Figs. 4/5/10:
+//! [`GeneratorConfig::paper_scale`] matches the Fig. 3–5 statistics and
+//! [`GeneratorConfig::replay_scale`] is the same process cut at the end
+//! of the replayed slice, so the §VI-B pipeline yields ≈4 100 jobs (4,142
+//! at seed 42), not 663. The conflict and the choice are recorded under
+//! "Calibration conflicts" in `EXPERIMENTS.md`.
+//!
+//! Arrivals are a non-homogeneous Poisson process sampled by thinning at
+//! full rate — ≈1 950 candidates per job the §VI-B pipeline keeps — so
+//! the accept/reject test is squeezed between bounds that rarely need the
+//! profile evaluated ([`TraceStream`]; "Arrival process: exact squeeze
+//! thinning" in `DESIGN.md`).
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -189,12 +197,17 @@ impl ConcurrencyProfile {
         }
     }
 
+    /// Period of the slow oscillation, seconds.
+    const SLOW_PERIOD_SECS: f64 = 8.0 * 3600.0;
+    /// Period of the fast oscillation, seconds.
+    const FAST_PERIOD_SECS: f64 = 3.0 * 3600.0;
+
     /// The load multiplier at elapsed time `t` (≈1.0, bounded away from 0).
     pub fn multiplier(&self, t: SimDuration) -> f64 {
         use std::f64::consts::TAU;
         let secs = t.as_secs_f64();
-        let slow = self.slow_amplitude * (TAU * secs / (8.0 * 3600.0)).sin();
-        let fast = self.fast_amplitude * (TAU * secs / (3.0 * 3600.0) + 1.3).sin();
+        let slow = self.slow_amplitude * (TAU * secs / Self::SLOW_PERIOD_SECS).sin();
+        let fast = self.fast_amplitude * (TAU * secs / Self::FAST_PERIOD_SECS + 1.3).sin();
         let z = (secs - self.dip_center.as_secs_f64()) / self.dip_width.as_secs_f64();
         let dip = self.dip_depth * (-0.5 * z * z).exp();
         let burst =
@@ -206,6 +219,57 @@ impl ConcurrencyProfile {
     /// envelope for non-homogeneous Poisson sampling).
     pub fn max_multiplier(&self) -> f64 {
         (1.0 + self.slow_amplitude + self.fast_amplitude) * (1.0 + self.burst_amplitude)
+    }
+
+    /// Upper bound on `|d multiplier / dt|`, per second, at every `t` —
+    /// the second thinning bound, next to
+    /// [`max_multiplier`](Self::max_multiplier). The multiplier is
+    /// `max(0.05, envelope · burst)`; by the product rule its slope is at
+    /// most `|envelope′|·|burst| + |envelope|·|burst′|`, each sinusoid
+    /// `a·sin(ωt + φ)` contributes `a·ω` to a slope, the Gaussian dip's
+    /// slope peaks at `depth·e^{-1/2}/width` (at one width from its
+    /// centre), and the floor only ever flattens.
+    fn lipschitz(&self) -> f64 {
+        use std::f64::consts::TAU;
+        let envelope_slope = self.slow_amplitude * TAU / Self::SLOW_PERIOD_SECS
+            + self.fast_amplitude * TAU / Self::FAST_PERIOD_SECS
+            + self.dip_depth * (-0.5_f64).exp() / self.dip_width.as_secs_f64();
+        let burst_slope = self.burst_amplitude * TAU / self.burst_period.as_secs_f64();
+        envelope_slope * (1.0 + self.burst_amplitude)
+            + (1.0 + self.slow_amplitude + self.fast_amplitude) * burst_slope
+    }
+
+    /// Panics unless both thinning bounds hold for this profile. The
+    /// fields are public, so a profile can be built for which
+    /// [`max_multiplier`](Self::max_multiplier) is not a maximum (a
+    /// negative depth raises the load above it; a depth above 1 lets two
+    /// negative factors multiply above it) or for which
+    /// [`multiplier`](Self::multiplier) is NaN until its floor flattens
+    /// it to 0.05 (a zero period or width, a non-finite amplitude).
+    fn assert_well_formed(&self) {
+        for (field, value) in [
+            ("slow_amplitude", self.slow_amplitude),
+            ("fast_amplitude", self.fast_amplitude),
+            ("burst_amplitude", self.burst_amplitude),
+        ] {
+            assert!(
+                value.is_finite() && value >= 0.0,
+                "profile {field} must be non-negative and finite, got {value}"
+            );
+        }
+        assert!(
+            (0.0..=1.0).contains(&self.dip_depth),
+            "profile dip_depth must lie in [0, 1], got {}",
+            self.dip_depth
+        );
+        assert!(
+            !self.dip_width.is_zero(),
+            "profile dip_width must be non-zero"
+        );
+        assert!(
+            !self.burst_period.is_zero(),
+            "profile burst_period must be non-zero"
+        );
     }
 }
 
@@ -245,13 +309,14 @@ impl GeneratorConfig {
     /// Replay-grade preset: the same process as [`paper_scale`](Self::paper_scale)
     /// (Fig. 5's 135k concurrency) with the horizon cut at the end of the
     /// replayed slice. Feeding it through the §VI-B pipeline (slice
-    /// `[6480, 10080)`, keep every 1200th job) yields ≈3 800 jobs whose
-    /// summed useful duration is ≈100 h — consistent with Fig. 5 and the
-    /// Fig. 10 "Trace" bar (94 h). The paper's §VI-F mentions 663 replayed
-    /// jobs, which cannot be reconciled with those two figures under
-    /// Fig. 4's 300 s duration bound; this reproduction follows
-    /// Figs. 4/5/10 and keeps the §VI-F *rate* of over-users (≈6.6 %).
-    /// The conflict is recorded in `DESIGN.md`.
+    /// `[6480, 10080)`, keep every 1200th job) yields ≈4 100 jobs (4,142
+    /// at seed 42) whose summed useful duration is ≈110 h — consistent
+    /// with Fig. 5 and the Fig. 10 "Trace" bar (94 h). The paper's §VI-F
+    /// mentions 663 replayed jobs, which cannot be reconciled with those
+    /// two figures under Fig. 4's 300 s duration bound; this reproduction
+    /// follows Figs. 4/5/10 and keeps the §VI-F *rate* of over-users
+    /// (≈6.6 %). The conflict is recorded under "Calibration conflicts"
+    /// in `EXPERIMENTS.md`.
     pub fn replay_scale(seed: u64) -> Self {
         GeneratorConfig {
             horizon: SimDuration::from_secs(10_080),
@@ -350,9 +415,12 @@ impl GeneratorConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `keep_every` is zero.
+    /// Panics if `keep_every` is zero, or if the profile is malformed: an
+    /// amplitude that is negative or non-finite, a `dip_depth` outside
+    /// `[0, 1]`, or a zero `dip_width` or `burst_period`.
     pub fn stream_sampled(&self, keep_every: usize) -> TraceStream {
         assert!(keep_every > 0, "keep_every must be at least 1");
+        self.profile.assert_well_formed();
         TraceStream {
             config: *self,
             // Independent streams: skipping a job's attributes must not
@@ -363,6 +431,7 @@ impl GeneratorConfig {
             keep_every,
             t: 0.0,
             arrival_index: 0,
+            squeeze: Squeeze::new(&self.profile),
         }
     }
 
@@ -442,6 +511,7 @@ pub struct TraceStream {
     keep_every: usize,
     t: f64,
     arrival_index: usize,
+    squeeze: Squeeze,
 }
 
 impl Iterator for TraceStream {
@@ -449,17 +519,18 @@ impl Iterator for TraceStream {
 
     fn next(&mut self) -> Option<TraceJob> {
         let horizon = self.config.horizon.as_secs_f64();
+        let max_multiplier = self.config.profile.max_multiplier();
         loop {
             self.t += sample_exponential(&mut self.arrivals_rng, self.lambda_max);
             if self.t >= horizon {
                 return None;
             }
             // Thinning for the non-homogeneous rate.
-            let local = self
-                .config
-                .profile
-                .multiplier(SimDuration::from_secs_f64(self.t));
-            if self.arrivals_rng.random::<f64>() * self.config.profile.max_multiplier() > local {
+            let threshold = self.arrivals_rng.random::<f64>() * max_multiplier;
+            if !self
+                .squeeze
+                .accepts(&self.config.profile, self.t, threshold)
+            {
                 continue;
             }
             self.arrival_index += 1;
@@ -476,6 +547,95 @@ impl Iterator for TraceStream {
                 max_mem_fraction: max_usage,
             });
         }
+    }
+}
+
+/// Exact squeeze for the thinning test `threshold ≤ multiplier(t)`.
+///
+/// The multiplier is Lipschitz ([`ConcurrencyProfile::lipschitz`]) and a
+/// stream's `t` only grows, so one exact evaluation brackets every
+/// candidate of the next `width` seconds within `± margin`: a threshold
+/// above the bracket is rejected and one at or below it accepted by
+/// comparison alone, and only a threshold inside the bracket — or a
+/// candidate past its end — pays for an evaluation, which starts the
+/// next bracket. Either way the answer is the evaluation's answer.
+#[derive(Debug, Clone)]
+struct Squeeze {
+    /// How long a bracket stays valid, seconds (infinite for a flat
+    /// profile, negative — every candidate evaluates — for one faster
+    /// than the slack below).
+    width: f64,
+    /// Half-width of a bracket.
+    margin: f64,
+    /// The current bracket: holds for candidates in `[.., until)`.
+    until: f64,
+    lo: f64,
+    hi: f64,
+    #[cfg(test)]
+    work: SqueezeWork,
+}
+
+/// Candidates decided and exact evaluations paid, for the work gate.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct SqueezeWork {
+    candidates: u64,
+    evaluations: u64,
+}
+
+impl Squeeze {
+    /// Share of `max_multiplier()` a bracket spans, i.e. the share of
+    /// candidates whose threshold lands inside it.
+    const UNDECIDED_BAND: f64 = 1e-3;
+    /// `multiplier` reads `t` rounded to a microsecond, so two instants
+    /// `d` apart are evaluated up to `d + 1 µs` apart; the second
+    /// microsecond covers `f64` rounding of `t` itself and of the phase
+    /// arguments (relative 10⁻¹⁵, below 1 µs for any `t` under 30 years).
+    const QUANTISATION_SLACK_SECS: f64 = 2e-6;
+    /// Share of `max_multiplier()` set aside for the rounding of
+    /// `multiplier`'s own arithmetic (a few ulps, 10⁻¹⁶ relative).
+    const ROUNDING_GUARD: f64 = 1e-12;
+
+    fn new(profile: &ConcurrencyProfile) -> Self {
+        let max = profile.max_multiplier();
+        let margin = 0.5 * Self::UNDECIDED_BAND * max;
+        // margin ≥ lipschitz · (width + slack) + guard, solved for width.
+        let width = (margin - Self::ROUNDING_GUARD * max) / profile.lipschitz()
+            - Self::QUANTISATION_SLACK_SECS;
+        Squeeze {
+            width,
+            margin,
+            until: f64::NEG_INFINITY,
+            lo: 0.0,
+            hi: 0.0,
+            #[cfg(test)]
+            work: SqueezeWork::default(),
+        }
+    }
+
+    /// `threshold ≤ profile.multiplier(t)`, for non-decreasing `t`.
+    fn accepts(&mut self, profile: &ConcurrencyProfile, t: f64, threshold: f64) -> bool {
+        #[cfg(test)]
+        {
+            self.work.candidates += 1;
+        }
+        if t < self.until {
+            if threshold > self.hi {
+                return false;
+            }
+            if threshold <= self.lo {
+                return true;
+            }
+        }
+        #[cfg(test)]
+        {
+            self.work.evaluations += 1;
+        }
+        let local = profile.multiplier(SimDuration::from_secs_f64(t));
+        self.until = t + self.width;
+        self.lo = local - self.margin;
+        self.hi = local + self.margin;
+        threshold <= local
     }
 }
 
@@ -573,18 +733,18 @@ mod tests {
                 j.submit >= SimTime::from_secs(6480) && j.submit < SimTime::from_secs(10_080)
             })
             .collect();
-        // ≈3 800 jobs (Fig. 5's 135k concurrency through the §VI-B
+        // ≈4 100 jobs (Fig. 5's 135k concurrency through the §VI-B
         // pipeline, dipped around the slice).
         assert!(
             (3_300..=4_300).contains(&in_slice.len()),
-            "slice job count {}, expected ≈3 800",
+            "slice job count {}, expected ≈4 100",
             in_slice.len()
         );
-        // Their useful duration sums to ≈100 h (Fig. 10 "Trace": 94 h).
+        // Their useful duration sums to ≈110 h (Fig. 10 "Trace": 94 h).
         let total_hours: f64 = in_slice.iter().map(|j| j.duration.as_hours_f64()).sum();
         assert!(
             (80.0..=120.0).contains(&total_hours),
-            "total useful duration {total_hours:.0} h, expected ≈100 h"
+            "total useful duration {total_hours:.0} h, expected ≈110 h"
         );
     }
 
@@ -689,5 +849,142 @@ mod tests {
     #[should_panic(expected = "horizon")]
     fn zero_horizon_panics() {
         let _ = GeneratorConfig::full_scale(0).with_horizon(SimDuration::ZERO);
+    }
+
+    fn stream_with(edit: impl FnOnce(&mut ConcurrencyProfile)) -> TraceStream {
+        let mut config = GeneratorConfig::replay_scale(0);
+        edit(&mut config.profile);
+        config.stream_sampled(1)
+    }
+
+    #[test]
+    #[should_panic(expected = "dip_depth must lie in [0, 1]")]
+    fn negative_dip_depth_panics() {
+        // multiplier() would exceed max_multiplier() around the dip.
+        let _ = stream_with(|p| p.dip_depth = -0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dip_depth must lie in [0, 1]")]
+    fn dip_deeper_than_the_load_panics() {
+        let _ = stream_with(|p| p.dip_depth = 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst_period must be non-zero")]
+    fn zero_burst_period_panics() {
+        // multiplier() would be NaN, floored to 0.05 without a word.
+        let _ = stream_with(|p| p.burst_period = SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "dip_width must be non-zero")]
+    fn zero_dip_width_panics() {
+        let _ = stream_with(|p| p.dip_width = SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "slow_amplitude must be non-negative and finite")]
+    fn nan_amplitude_panics() {
+        let _ = stream_with(|p| p.slow_amplitude = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst_amplitude must be non-negative and finite")]
+    fn infinite_amplitude_panics() {
+        let _ = stream_with(|p| p.burst_amplitude = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "fast_amplitude must be non-negative and finite")]
+    fn negative_amplitude_panics() {
+        let _ = stream_with(|p| p.fast_amplitude = -0.01);
+    }
+
+    fn random_profile(rng: &mut StdRng) -> ConcurrencyProfile {
+        ConcurrencyProfile {
+            slow_amplitude: rng.random_range(0.0..0.9),
+            fast_amplitude: rng.random_range(0.0..0.9),
+            dip_depth: if rng.random() {
+                rng.random_range(0.0..0.9)
+            } else {
+                0.0
+            },
+            dip_center: SimDuration::from_secs(rng.random_range(0..28_800u64)),
+            dip_width: SimDuration::from_secs(rng.random_range(60..28_800u64)),
+            burst_amplitude: rng.random_range(0.0..0.9),
+            burst_period: SimDuration::from_secs(rng.random_range(60..28_800u64)),
+        }
+    }
+
+    /// The bound itself, not the luck of a draw: a margin short by a
+    /// sliver is otherwise met by a threshold once in millions of
+    /// candidates. Every bracket must contain the multiplier — as the
+    /// stream reads it, at the microsecond `t` rounds to — at every
+    /// instant the bracket answers for, its edges and the instants where
+    /// the rounding flips included.
+    #[test]
+    fn squeeze_brackets_contain_the_multiplier_at_every_instant() {
+        let mut rng = seeded_rng(derive_seed(0x5C, "squeeze-bound"));
+        let mut profiles = vec![
+            ConcurrencyProfile::paper_calibrated(),
+            ConcurrencyProfile::flat(),
+        ];
+        profiles.extend((0..14).map(|_| random_profile(&mut rng)));
+        for profile in profiles {
+            let reach = Squeeze::new(&profile).width.min(3600.0);
+            assert!(reach > 0.0, "{profile:?}");
+            for _ in 0..100 {
+                let start = rng.random_range(0.0..30.0 * 3600.0);
+                let mut squeeze = Squeeze::new(&profile);
+                squeeze.accepts(&profile, start, 0.0);
+                let (lo, hi, until) = (squeeze.lo, squeeze.hi, squeeze.until);
+                assert!(hi - lo <= 1.001e-3 * profile.max_multiplier());
+
+                let mut probes = vec![start, start + reach - 1e-6, start + reach - 2e-6];
+                if until.is_finite() {
+                    probes.push(f64::from_bits(until.to_bits() - 1));
+                }
+                for _ in 0..500 {
+                    let t = start + rng.random_range(0.0..reach);
+                    // `t`, and the two sides of the half-microsecond it
+                    // rounds across.
+                    let flip = ((t * 1e6).floor() + 0.5) / 1e6;
+                    probes.extend([t, flip - 1e-9, flip + 1e-9]);
+                }
+                for t in probes {
+                    if t < start || t >= until {
+                        continue;
+                    }
+                    let exact = profile.multiplier(SimDuration::from_secs_f64(t));
+                    assert!(
+                        lo <= exact && exact <= hi,
+                        "{exact} outside [{lo}, {hi}] at {t} (bracket from {start}): {profile:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn squeeze_evaluates_a_sliver_of_the_replay_scale_candidates() {
+        let mut stream = GeneratorConfig::replay_scale(42).stream_sampled(1200);
+        assert_eq!(stream.by_ref().count(), 11_918);
+        let work = stream.squeeze.work;
+        assert!(work.candidates > 20_000_000, "{work:?}");
+        // Under 0.5 % of candidates pay for a profile evaluation.
+        assert!(work.evaluations * 200 < work.candidates, "{work:?}");
+    }
+
+    #[test]
+    fn flat_profile_is_one_bracket() {
+        let mut stream = GeneratorConfig::small(3).stream_sampled(1);
+        let jobs = stream.by_ref().count() as u64;
+        let work = stream.squeeze.work;
+        // Thinning never rejects under a flat profile...
+        assert_eq!(work.candidates, jobs);
+        // ...and only thresholds within the band of 1.0 evaluate it.
+        assert!(work.evaluations * 200 < work.candidates, "{work:?}");
+        assert_eq!(stream.squeeze.until, f64::INFINITY);
     }
 }

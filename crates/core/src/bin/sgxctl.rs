@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 
-use borg_trace::{stats, GeneratorConfig, JobKind, TracePipeline, Workload, WorkloadParams};
+use borg_trace::{stats, JobKind, Workload, WorkloadParams};
 use orchestrator::autoscale::AutoscalerPolicy;
 use orchestrator::billing::{Invoice, PriceSheet};
 use sgx_orchestrator::prelude::*;
@@ -125,12 +125,12 @@ fn cmd_cluster() -> ExitCode {
 
 fn prepared_trace(args: &mut Args) -> Result<borg_trace::Trace, String> {
     let seed = args.flag_u64("--seed")?.unwrap_or(42);
-    if args.has_flag("--quick") {
-        Ok(GeneratorConfig::small(seed).generate())
+    let experiment = if args.has_flag("--quick") {
+        Experiment::quick(seed)
     } else {
-        let raw = GeneratorConfig::replay_scale(seed).generate_sampled(1200);
-        Ok(TracePipeline::paper().sample_every(1).prepare(&raw))
-    }
+        Experiment::paper_replay(seed)
+    };
+    Ok(experiment.prepared_trace())
 }
 
 fn cmd_trace_generate(args: &mut Args) -> ExitCode {

@@ -18,7 +18,9 @@ pub enum TracePreset {
     /// second — for examples and tests.
     Quick,
     /// The paper's §VI-B preparation: full-rate generation, slice
-    /// `[6480 s, 10 080 s)`, every 1200th job → ≈663 replayed jobs.
+    /// `[6480 s, 10 080 s)`, every 1200th job → ≈4 100 replayed jobs
+    /// (4,142 at seed 42). §VI-F's 663 cannot be reconciled with
+    /// Figs. 4/5/10; see the calibration-conflict note in EXPERIMENTS.md.
     PaperReplay,
 }
 
@@ -71,8 +73,8 @@ impl Experiment {
         }
     }
 
-    /// The paper's replay-scale experiment (≈663 jobs over one hour of
-    /// submissions).
+    /// The paper's replay-scale experiment (≈4 100 jobs over one hour of
+    /// submissions; see [`TracePreset::PaperReplay`]).
     pub fn paper_replay(seed: u64) -> Self {
         Experiment {
             preset: TracePreset::PaperReplay,
@@ -189,8 +191,34 @@ impl Experiment {
 
     /// The materialised workload (trace × SGX designation × multipliers).
     pub fn workload(&self) -> Workload {
-        let trace = self.prepared_trace();
-        Workload::materialize(&trace, &WorkloadParams::paper(self.sgx_ratio, self.seed))
+        self.workload_from(&self.prepared_trace())
+    }
+
+    /// [`workload`](Self::workload) from an already prepared trace, so
+    /// experiments that differ only past the trace — ratio, scheduler,
+    /// cluster — share one [`prepared_trace`](Self::prepared_trace).
+    /// `trace` must be the prepared trace of an experiment with this
+    /// one's preset and seed.
+    pub fn workload_from(&self, trace: &Trace) -> Workload {
+        Workload::materialize(trace, &WorkloadParams::paper(self.sgx_ratio, self.seed))
+    }
+
+    /// Everything [`prepared_trace`](Self::prepared_trace) depends on.
+    fn trace_key(&self) -> (TracePreset, u64) {
+        (self.preset, self.seed)
+    }
+
+    /// One prepared trace per distinct [`trace_key`](Self::trace_key)
+    /// among `experiments`, in first-seen order.
+    fn prepared_traces(experiments: &[Experiment]) -> Vec<((TracePreset, u64), Trace)> {
+        let mut traces: Vec<((TracePreset, u64), Trace)> = Vec::new();
+        for exp in experiments {
+            let key = exp.trace_key();
+            if traces.iter().all(|(k, _)| *k != key) {
+                traces.push((key, exp.prepared_trace()));
+            }
+        }
+        traces
     }
 
     /// The replay configuration this experiment uses.
@@ -243,7 +271,8 @@ impl Experiment {
 
     /// Runs a batch of experiments on the parallel sweep, returning results
     /// in input order. Bit-identical to calling [`run`](Self::run) on each
-    /// experiment sequentially.
+    /// experiment sequentially, but the batch prepares each distinct
+    /// `(preset, seed)` trace once and materialises every cell from it.
     pub fn run_all(experiments: &[Experiment]) -> Vec<ReplayResult> {
         Experiment::run_all_with_progress(experiments, |_| {})
     }
@@ -264,9 +293,16 @@ impl Experiment {
             experiments.iter().all(|e| e.frontend.is_none()),
             "run_all sweeps materialised workloads; run streaming-frontend experiments via run()"
         );
+        let traces = Experiment::prepared_traces(experiments);
         let jobs: Vec<sweep::SweepJob> = experiments
             .iter()
-            .map(|exp| (exp.workload(), exp.replay_config()))
+            .map(|exp| {
+                let (_, trace) = traces
+                    .iter()
+                    .find(|(key, _)| *key == exp.trace_key())
+                    .expect("one trace per key in the batch");
+                (exp.workload_from(trace), exp.replay_config())
+            })
             .collect();
         sweep::run_all_with(&jobs, sweep::default_threads(jobs.len()), progress)
     }
@@ -338,6 +374,36 @@ mod tests {
             assert_eq!(result.runs(), solo.runs());
             assert_eq!(result.end_time(), solo.end_time());
         }
+    }
+
+    #[test]
+    fn a_batch_prepares_one_trace_per_preset_and_seed() {
+        let experiments = [
+            Experiment::quick(6).sgx_ratio(1.0),
+            Experiment::quick(7).epc_size(ByteSize::from_mib(64)),
+            Experiment::quick(6).scheduler(orchestrator::SGX_SPREAD),
+            Experiment::quick(7).sgx_ratio(0.0).limits(false),
+            Experiment::quick(6).malicious(0.25),
+        ];
+        let traces = Experiment::prepared_traces(&experiments);
+        let keys: Vec<_> = traces.iter().map(|(key, _)| *key).collect();
+        assert_eq!(keys, [(TracePreset::Quick, 6), (TracePreset::Quick, 7)]);
+        for ((_, seed), trace) in &traces {
+            assert_eq!(*trace, Experiment::quick(*seed).prepared_trace());
+        }
+        // The preset is part of the key, not only the seed.
+        let mixed = [
+            Experiment::paper_replay(6),
+            Experiment::quick(6),
+            Experiment::paper_replay(6).sgx_ratio(1.0),
+        ];
+        let traces = Experiment::prepared_traces(&mixed);
+        let keys: Vec<_> = traces.iter().map(|(key, _)| *key).collect();
+        assert_eq!(
+            keys,
+            [(TracePreset::PaperReplay, 6), (TracePreset::Quick, 6)]
+        );
+        assert!(traces[0].1.len() > traces[1].1.len());
     }
 
     #[test]
