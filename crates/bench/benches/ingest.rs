@@ -1,13 +1,12 @@
 //! Ingestion-path micro-benchmarks: the per-point seed path (one tag-set
-//! allocation per sample) against the batched [`PointBatch`] transport,
-//! into the single-writer [`Database`] and the sharded concurrent store
-//! at 1/4/8 shards.
+//! allocation per sample) against the batched [`PointBatch`] transport
+//! into the [`Database`], and the wire codec of a frame.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use des::SimTime;
-use tsdb::{Database, Point, PointBatch, ShardedDatabase};
+use tsdb::{Database, Point, PointBatch};
 
 const PODS: usize = 20;
 
@@ -55,25 +54,6 @@ fn bench_transport(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ingest/sharded_batch");
-    for shards in [1usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(shards),
-            &shards,
-            |b, &shards| {
-                let db = ShardedDatabase::new(shards);
-                let mut t = 0u64;
-                b.iter(|| {
-                    t += 1;
-                    db.insert_batch(black_box(&scrape_batch(SimTime::from_secs(t))));
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest/wire");
     let batch = scrape_batch(SimTime::from_secs(1));
@@ -87,5 +67,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_transport, bench_sharded, bench_wire);
+criterion_group!(benches, bench_transport, bench_wire);
 criterion_main!(benches);

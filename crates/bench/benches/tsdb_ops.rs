@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use des::{SimDuration, SimTime};
-use tsdb::{Database, Point, WindowedCache};
+use tsdb::{Database, Point};
 
 fn populated_db(pods: usize, samples: usize) -> Database {
     let mut db = Database::new();
@@ -84,10 +84,9 @@ fn tick_insert(db: &mut Database, pods: usize, now: SimTime) {
 /// The orchestrator's steady state: every tick appends one sample per pod
 /// and re-evaluates Listing 1 over the trailing 25 s window, against
 /// 10 minutes of accumulated 1 s-period history. Compares the naive
-/// full-scan executor, the time-bounded streaming scan, and the
-/// incremental [`WindowedCache`] — all three answer identically; only the
-/// work per tick differs (O(history) vs O(log history + window) vs
-/// O(new samples)).
+/// full-scan executor with the time-bounded streaming scan — both
+/// answer identically; only the work per tick differs (O(history) vs
+/// O(log history + window)).
 fn bench_listing1_per_tick(c: &mut Criterion) {
     let query = tsdb::influxql::parse(
         r#"SELECT SUM(epc) AS epc FROM
@@ -117,16 +116,6 @@ fn bench_listing1_per_tick(c: &mut Criterion) {
             now += SimDuration::from_secs(1);
             tick_insert(&mut db, PODS, now);
             black_box(db.query(black_box(&query), now))
-        });
-    });
-    group.bench_function("cached", |b| {
-        let mut db = history_db(PODS, HISTORY_SECS);
-        let mut cache = WindowedCache::new();
-        let mut now = SimTime::from_secs(HISTORY_SECS);
-        b.iter(|| {
-            now += SimDuration::from_secs(1);
-            tick_insert(&mut db, PODS, now);
-            black_box(cache.query(&db, black_box(&query), now))
         });
     });
     group.finish();

@@ -44,9 +44,10 @@ COMMON OPTIONS:
                        instead of materialising a workload; --quick selects the
                        smoke-scale calibration (see --list-frontends)
     --list-frontends   List the registered trace frontends and exit
-    --epc-total <MIB>  Simulate a single SGX node with this much usable EPC
+    --epc-total <MIB>  Simulate a single SGX node with this much usable EPC, > 0
     --no-limits        Disable driver-side EPC limit enforcement (Fig. 11)
-    --malicious <F>    Add one squatter per SGX node mapping F of its EPC
+    --malicious <F>    Add one squatter per SGX node mapping F of its EPC,
+                       in (0, 1]
     --bill             Print the invoice total (requests-based billing)
     --autoscale        Enable the cluster autoscaler (paper defaults); the
                        flags below imply it and override individual knobs
@@ -81,11 +82,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Reports a malformed command line: the message, the help text, and
-/// exit code 2 (1 is left for runs that fail).
+/// Reports a malformed command line: one line on stderr and exit code 2
+/// (1 is left for runs that fail).
 fn usage_error(message: &str) -> ExitCode {
-    eprintln!("error: {message}\n");
-    eprint!("{HELP}");
+    eprintln!("error: {message} (see `sgxctl help`)");
     ExitCode::from(2)
 }
 
@@ -235,8 +235,15 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
     let mut config = ReplayConfig::paper(seed).with_scheduler(&scheduler);
     match args.flag_u64("--epc-total") {
         Ok(Some(mib)) => {
+            // `ByteSize::from_mib` multiplies unchecked: an unrepresentable
+            // size would wrap to an EPC-less cluster in a release build.
+            let Some(bytes) = mib.checked_mul(1 << 20).filter(|&b| b > 0) else {
+                return usage_error(&format!(
+                    "--epc-total must be a non-zero MiB count below 2^44, got `{mib}`"
+                ));
+            };
             config = config.with_cluster(ClusterSpec::sim_cluster_with_total_epc(
-                ByteSize::from_mib(mib),
+                ByteSize::from_bytes(bytes),
             ));
         }
         Ok(None) => {}
@@ -247,6 +254,9 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
     }
     match args.flag_f64("--malicious") {
         Ok(Some(fraction)) => {
+            if !(fraction > 0.0 && fraction <= 1.0) {
+                return usage_error("--malicious must lie in (0, 1]");
+            }
             config = config.with_malicious(MaliciousConfig::squatting(fraction));
         }
         Ok(None) => {}

@@ -4,9 +4,10 @@
 //! The orchestrator sits on the master node. Users submit pod
 //! specifications (§IV step Ê); submissions land in a persistent FCFS
 //! [`queue`]; each scheduling pass freezes an immutable
-//! [`ClusterSnapshot`] ([`snapshot`]) combining declared requests with
-//! **measured** usage from the time-series database ([`metrics`], the
-//! Listing 1 sliding-window query), then opens a [`SchedulingCycle`]
+//! [`ClusterSnapshot`] ([`snapshot`]) combining, per node
+//! ([`metrics::NodeView`]), declared requests with **measured** usage
+//! from the time-series database (the Listing 1 sliding-window query,
+//! kept up to date at ingest), then opens a [`SchedulingCycle`]
 //! ([`framework`]) that runs each pending pod through a `FilterPlugin`
 //! chain and weighted `ScorePlugin` stages before binding it to the
 //! winning node.

@@ -1,6 +1,7 @@
-//! The scheduler's window onto cluster state.
+//! The scheduler's window onto one node.
 //!
-//! A [`ClusterView`] snapshot combines, per node:
+//! A [`NodeView`] — one slot of a
+//! [`ClusterSnapshot`](crate::ClusterSnapshot) — combines:
 //!
 //! * static capacity (allocatable memory; EPC pages from the device
 //!   plugin),
@@ -24,14 +25,9 @@
 //! measurements are no longer trusted), and placement policies prefer
 //! fresh nodes over degraded ones.
 
-use std::collections::BTreeMap;
-
-use cluster::api::{NodeName, PodSpec};
-use cluster::probe::{MEASUREMENT_EPC, MEASUREMENT_MEMORY};
-use cluster::topology::Cluster;
-use des::{SimDuration, SimTime};
+use cluster::api::PodSpec;
+use des::SimDuration;
 use sgx_sim::units::{ByteSize, EpcPages};
-use tsdb::{Aggregate, Predicate, Row, Select, SeriesStore, TimeBound, WindowedCache};
 
 /// Capacity and occupancy of one node, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -54,11 +50,10 @@ pub struct NodeView {
     /// node's measurements can no longer be trusted and occupancy falls
     /// back to requests-only accounting.
     pub degraded: bool,
-    /// `true` while the node is cordoned (e.g. mid-drain). A
-    /// [`ClusterView`] only ever captures schedulable nodes, so the flag
-    /// stays `false` there; [`ClusterSnapshot`](crate::ClusterSnapshot)s
-    /// capture cordoned workers too and rely on the cordon filter plugin
-    /// to keep placements off them.
+    /// `true` while the node is cordoned (e.g. mid-drain).
+    /// [`ClusterSnapshot`](crate::ClusterSnapshot)s capture cordoned
+    /// workers too and rely on the cordon filter plugin to keep
+    /// placements off them.
     pub cordoned: bool,
 }
 
@@ -154,178 +149,19 @@ impl NodeView {
     }
 }
 
-/// Snapshot of every schedulable node, taken once per scheduling pass.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ClusterView {
-    nodes: BTreeMap<NodeName, NodeView>,
-}
-
-impl ClusterView {
-    /// Builds the view: capacities and requests from the cluster, measured
-    /// usage from sliding-window queries against the database — any
-    /// [`SeriesStore`], the single-writer `Database` or the sharded
-    /// concurrent one.
-    pub fn capture<S: SeriesStore + ?Sized>(
-        cluster: &Cluster,
-        db: &S,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            db.query(select, now)
-        })
-    }
-
-    /// Like [`capture`](Self::capture), but runs the Listing-1 queries
-    /// through a [`WindowedCache`], so a scheduling tick only pays for the
-    /// samples that entered or left the 25 s window since the previous
-    /// tick. Results are bit-for-bit identical to [`capture`](Self::capture).
-    pub fn capture_cached<S: SeriesStore + ?Sized>(
-        cluster: &Cluster,
-        db: &S,
-        cache: &mut WindowedCache,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            cache.query(db, select, now)
-        })
-    }
-
-    fn capture_with(
-        cluster: &Cluster,
-        now: SimTime,
-        window: SimDuration,
-        run_query: &mut dyn FnMut(&Select, SimTime) -> Vec<Row>,
-    ) -> Self {
-        let epc_measured = Self::measured(MEASUREMENT_EPC, now, window, run_query);
-        let mem_measured = Self::measured(MEASUREMENT_MEMORY, now, window, run_query);
-
-        let nodes = cluster
-            .schedulable_nodes()
-            .map(|node| {
-                let name = node.name().clone();
-                let view = NodeView {
-                    memory_capacity: node.allocatable_memory(),
-                    epc_capacity: node.allocatable_epc(),
-                    memory_requested: node.memory_requested(),
-                    epc_requested: node.epc_requested(),
-                    memory_measured: mem_measured
-                        .get(name.as_str())
-                        .copied()
-                        .unwrap_or(ByteSize::ZERO),
-                    epc_measured: epc_measured
-                        .get(name.as_str())
-                        .copied()
-                        .unwrap_or(ByteSize::ZERO),
-                    metrics_age: None,
-                    degraded: false,
-                    cordoned: false,
-                };
-                (name, view)
-            })
-            .collect();
-        ClusterView { nodes }
-    }
-
-    /// Executes the Listing 1 aggregation for one measurement: per-pod MAX
-    /// over the window, summed per node. Shared with
-    /// [`ClusterSnapshot`](crate::ClusterSnapshot) capture so both read
-    /// paths run bit-identical queries.
-    pub(crate) fn measured(
-        measurement: &str,
-        now: SimTime,
-        window: SimDuration,
-        run_query: &mut dyn FnMut(&Select, SimTime) -> Vec<Row>,
-    ) -> BTreeMap<String, ByteSize> {
-        let per_pod = Select::from_measurement(measurement)
-            .aggregate(Aggregate::Max)
-            .filter(Predicate::ValueNe(0.0))
-            .filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(window)))
-            .group_by(["pod_name", "nodename"]);
-        let per_node = Select::from_subquery(per_pod)
-            .aggregate(Aggregate::Sum)
-            .group_by(["nodename"]);
-        run_query(&per_node, now)
-            .into_iter()
-            .filter_map(|row| {
-                let node = row.tag("nodename")?.to_string();
-                Some((node, Self::measured_bytes(row.value)))
-            })
-            .collect()
-    }
-
-    /// A Listing-1 sum as the byte count the views carry: clamped at
-    /// zero, truncated. Shared by the query path above and the rollup
-    /// read of incremental captures so the two convert identically.
-    pub(crate) fn measured_bytes(sum: f64) -> ByteSize {
-        ByteSize::from_bytes(sum.max(0.0) as u64)
-    }
-
-    /// Stamps every node with the age of its last delivered scrape and
-    /// marks nodes whose age exceeds `threshold` as degraded. A node that
-    /// was never scraped (`age_of` returns `None`) keeps `metrics_age ==
-    /// None` and stays fresh: before the first probe tick nothing has
-    /// been measured anywhere, so there is no staleness to distrust.
-    pub fn annotate_staleness(
-        &mut self,
-        threshold: SimDuration,
-        mut age_of: impl FnMut(&NodeName) -> Option<SimDuration>,
-    ) {
-        for (name, view) in self.nodes.iter_mut() {
-            let age = age_of(name);
-            view.metrics_age = age;
-            view.degraded = age.is_some_and(|a| a > threshold);
-        }
-    }
-
-    /// The per-node views, in node-name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&NodeName, &NodeView)> {
-        self.nodes.iter()
-    }
-
-    /// One node's view.
-    pub fn node(&self, name: &NodeName) -> Option<&NodeView> {
-        self.nodes.get(name)
-    }
-
-    /// One node's view, mutably (for in-pass reservations).
-    pub fn node_mut(&mut self, name: &NodeName) -> Option<&mut NodeView> {
-        self.nodes.get_mut(name)
-    }
-
-    /// Number of nodes in the view.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when no nodes are schedulable.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// `true` when no node could *ever* fit the pod's requests, even
-    /// completely empty — such pods are permanently unschedulable.
-    pub fn permanently_unschedulable(&self, spec: &PodSpec) -> bool {
-        let req = spec.resources.requests;
-        !self.nodes.values().any(|v| {
-            req.memory <= v.memory_capacity
-                && req.epc_pages <= v.epc_capacity
-                && (!req.needs_sgx() || v.has_sgx())
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::api::PodUid;
-    use cluster::topology::ClusterSpec;
+    use crate::ClusterSnapshot;
+    use cluster::api::{NodeName, PodUid};
+    use cluster::probe::MEASUREMENT_EPC;
+    use cluster::topology::{Cluster, ClusterSpec};
     use des::rng::seeded_rng;
+    use des::SimTime;
     use tsdb::{Database, Point};
 
-    fn paper_view(db: &Database, cluster: &Cluster, now: SimTime) -> ClusterView {
-        ClusterView::capture(cluster, db, now, SimDuration::from_secs(25))
+    fn paper_view(db: &Database, cluster: &Cluster, now: SimTime) -> ClusterSnapshot {
+        ClusterSnapshot::capture(cluster, db, now, SimDuration::from_secs(25))
     }
 
     #[test]
@@ -407,14 +243,16 @@ mod tests {
     fn annotate_staleness_marks_old_nodes_degraded() {
         let cluster = Cluster::build(&ClusterSpec::paper_cluster());
         let db = Database::new();
-        let mut view = paper_view(&db, &cluster, SimTime::from_secs(100));
         let threshold = SimDuration::from_secs(30);
-        view.annotate_staleness(threshold, |name| match name.as_str() {
-            "sgx-1" => Some(SimDuration::from_secs(45)), // stale
-            "sgx-2" => Some(SimDuration::from_secs(30)), // exactly at threshold
-            "std-1" => Some(SimDuration::from_secs(10)), // fresh
-            _ => None,                                   // never scraped
-        });
+        let view =
+            paper_view(&db, &cluster, SimTime::from_secs(100)).with_staleness(threshold, |name| {
+                match name.as_str() {
+                    "sgx-1" => Some(SimDuration::from_secs(45)), // stale
+                    "sgx-2" => Some(SimDuration::from_secs(30)), // exactly at threshold
+                    "std-1" => Some(SimDuration::from_secs(10)), // fresh
+                    _ => None,                                   // never scraped
+                }
+            });
         let sgx1 = view.node(&NodeName::new("sgx-1")).unwrap();
         assert!(sgx1.degraded);
         assert_eq!(sgx1.metrics_age, Some(SimDuration::from_secs(45)));
@@ -484,27 +322,6 @@ mod tests {
             .build();
         assert!((view.load_fraction_after(&std_pod, false) - 0.5).abs() < 1e-9);
         assert!((view.load_fraction_after(&std_pod, true) - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unschedulable_detection() {
-        let cluster = Cluster::build(&ClusterSpec::paper_cluster());
-        let db = Database::new();
-        let view = paper_view(&db, &cluster, SimTime::ZERO);
-        // 100 MiB of EPC fits nowhere (capacity 93.5 MiB per node).
-        let monster = PodSpec::builder("m")
-            .sgx_resources(ByteSize::from_mib(100))
-            .build();
-        assert!(view.permanently_unschedulable(&monster));
-        let ok = PodSpec::builder("ok")
-            .sgx_resources(ByteSize::from_mib(50))
-            .build();
-        assert!(!view.permanently_unschedulable(&ok));
-        // A 100 GiB memory pod exceeds every node.
-        let huge_mem = PodSpec::builder("h")
-            .memory_resources(ByteSize::from_gib(100))
-            .build();
-        assert!(view.permanently_unschedulable(&huge_mem));
     }
 
     // Keep rand linked for the dev-dependency graph.

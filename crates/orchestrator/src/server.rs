@@ -16,15 +16,15 @@ use cluster::ClusterError;
 use des::rng::{derive_seed, seeded_rng};
 use des::{SimDuration, SimTime};
 use sgx_sim::units::{ByteSize, EpcPages};
-use tsdb::{PointBatch, ShardedDatabase, TimeBound, WindowRollup, WindowedCache};
+use tsdb::{Database, PointBatch, TimeBound, WindowRollup};
 
 use crate::events::{EventKind, EventLog};
 use crate::framework::{PolicyPipeline, SchedulingCycle};
-use crate::metrics::{ClusterView, NodeView};
+use crate::metrics::NodeView;
 use crate::policy::{CordonFilter, EpcFitFilter, SgxCapableFilter};
 use crate::queue::PendingQueue;
 use crate::registry::{PolicyRegistry, SGX_BINPACK};
-use crate::snapshot::{view_of, ClusterSnapshot, SlotCursor};
+use crate::snapshot::{measured_bytes, view_of, ClusterSnapshot, SlotCursor};
 
 /// Tunables of the orchestrator control loop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -39,25 +39,12 @@ pub struct OrchestratorConfig {
     pub probe_period: SimDuration,
     /// Retention of the time-series database.
     pub retention: SimDuration,
-    /// Number of independently locked shards the ingestion database is
-    /// split into (≥ 1; 1 behaves exactly like the unsharded store).
-    pub ingest_shards: usize,
     /// How old a node's last delivered scrape may get before the
     /// scheduler stops trusting its measurements and falls back to
     /// requests-only accounting for that node.
     pub staleness_threshold: SimDuration,
     /// Base seed for the startup-cost jitter stream.
     pub seed: u64,
-    /// Maintain the per-pass [`ClusterSnapshot`] incrementally: refresh
-    /// only nodes whose cluster state changed or that still hold
-    /// in-window samples, structurally sharing the rest. Bit-identical
-    /// to re-capturing from scratch; `false` forces full captures.
-    #[serde(default = "default_incremental_snapshots")]
-    pub incremental_snapshots: bool,
-}
-
-fn default_incremental_snapshots() -> bool {
-    true
 }
 
 impl OrchestratorConfig {
@@ -70,24 +57,16 @@ impl OrchestratorConfig {
             scheduler_period: SimDuration::from_secs(5),
             probe_period: SimDuration::from_secs(10),
             retention: SimDuration::from_mins(15),
-            ingest_shards: 4,
             // Three missed 10 s scrapes: the 25 s window is empty by then,
             // so the node's measurements have fully aged out.
             staleness_threshold: SimDuration::from_secs(30),
             seed: 0,
-            incremental_snapshots: default_incremental_snapshots(),
         }
     }
 
     /// Same configuration with a different base seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Same configuration with a different ingestion shard count.
-    pub fn with_ingest_shards(mut self, shards: usize) -> Self {
-        self.ingest_shards = shards.max(1);
         self
     }
 
@@ -100,12 +79,6 @@ impl OrchestratorConfig {
     /// Same configuration with a different staleness threshold.
     pub fn with_staleness_threshold(mut self, threshold: SimDuration) -> Self {
         self.staleness_threshold = threshold;
-        self
-    }
-
-    /// Same configuration with incremental snapshot maintenance toggled.
-    pub fn with_incremental_snapshots(mut self, incremental: bool) -> Self {
-        self.incremental_snapshots = incremental;
         self
     }
 }
@@ -232,7 +205,7 @@ pub struct NodeRemoval {
 #[derive(Debug)]
 pub struct Orchestrator {
     cluster: Cluster,
-    db: ShardedDatabase,
+    db: Database,
     /// Listing 1 as a continuous query: per node, the samples a window
     /// query can still admit, fed every frame `db` ingests. Incremental
     /// captures read a node's measured usage here instead of evaluating
@@ -240,11 +213,6 @@ pub struct Orchestrator {
     /// set. Interior mutability because a capture (a `&self` read) trims
     /// it to the window it just served.
     rollup: RefCell<WindowRollup>,
-    /// Incremental state for the from-scratch Listing-1 queries. Interior
-    /// mutability keeps [`capture_view`](Orchestrator::capture_view) a
-    /// `&self` read — the cache is an acceleration structure, not
-    /// observable state.
-    window_cache: RefCell<WindowedCache>,
     queue: PendingQueue,
     probes: Vec<Probe>,
     /// Scheduler-name → pipeline resolution for every placement the
@@ -271,7 +239,7 @@ pub struct Orchestrator {
     /// snapshot (binds, completions, migrations, cordons, failures) —
     /// the explicit half of the incremental refresh set. Interior
     /// mutability keeps [`capture_snapshot`](Orchestrator::capture_snapshot)
-    /// a `&self` read, like the window cache.
+    /// a `&self` read, like the rollup.
     dirty: RefCell<BTreeSet<NodeName>>,
     /// The previous pass's frozen snapshot — the base the next
     /// incremental capture refreshes. Its measured values were derived
@@ -318,9 +286,8 @@ impl Orchestrator {
         ];
         Orchestrator {
             cluster: Cluster::build(&spec),
-            db: ShardedDatabase::new(config.ingest_shards),
+            db: Database::new(),
             rollup: RefCell::new(WindowRollup::new("nodename", "pod_name")),
-            window_cache: RefCell::new(WindowedCache::new()),
             queue: PendingQueue::new(),
             probes,
             registry: PolicyRegistry::builtin(),
@@ -378,7 +345,7 @@ impl Orchestrator {
     }
 
     /// Read access to the time-series database.
-    pub fn db(&self) -> &ShardedDatabase {
+    pub fn db(&self) -> &Database {
         &self.db
     }
 
@@ -420,10 +387,9 @@ impl Orchestrator {
         let uid = PodUid::new(self.next_uid);
         self.next_uid += 1;
 
-        // Same predicate as `ClusterView::permanently_unschedulable`, but
-        // walked directly over the cluster: admission only needs static
+        // Walked directly over the cluster: admission only needs static
         // capacities, so capturing (and staleness-stamping) a full
-        // metrics view per submission would cost O(nodes) for nothing —
+        // snapshot per submission would cost O(nodes) for nothing —
         // ruinous at autoscaled cluster sizes. The walk short-circuits on
         // the first node that could ever hold the pod.
         let req = spec.resources.requests;
@@ -681,107 +647,6 @@ impl Orchestrator {
         self.degraded_decisions
     }
 
-    /// [`probe_pass`](Self::probe_pass) with the fleet fan-in ran
-    /// concurrently: `threads` producer threads scrape disjoint node
-    /// subsets and ship each node's [`PointBatch`]es — all of a node's
-    /// frames in one message — over bounded `crossbeam` channels to
-    /// `threads` writer threads. Each writer coalesces incoming frames
-    /// into a writer-local buffer and flushes it through
-    /// [`ShardedDatabase::insert_batches`], which groups rows by shard
-    /// across frames so each shard's registry guard is taken once per
-    /// flush instead of once per frame. Buffers flush every
-    /// `WRITER_FLUSH_FRAMES` (32) frames and, unconditionally, when the
-    /// channel closes — the tick boundary — so no sample outlives the
-    /// pass in a buffer.
-    ///
-    /// The resulting database state is **bit-identical** to the
-    /// sequential pass (property-tested in `tests/ingest_props.rs`): a
-    /// node's series are written only by the writer its name hashes to,
-    /// the buffer preserves frame arrival order, and within one pass
-    /// every series receives at most one sample per probe, so no
-    /// same-series ordering exists to violate; all writer threads join
-    /// before the pass returns.
-    pub fn probe_pass_concurrent(&mut self, now: SimTime, threads: usize) {
-        /// Frames a writer accumulates locally before flushing them into
-        /// the database in one grouped [`ShardedDatabase::insert_batches`]
-        /// call. Small enough that a pass's tail latency stays bounded,
-        /// large enough to amortise the per-shard guard across a run of
-        /// frames.
-        const WRITER_FLUSH_FRAMES: usize = 32;
-
-        let threads = threads.max(1);
-        let db = &self.db;
-        let probes = &self.probes;
-        let nodes: Vec<&Node> = self.cluster.nodes().collect();
-        // Producers feed the rollup the frames they ship. A node's
-        // frames come from one producer in probe order and the rollup
-        // keeps nodes apart, so which producer gets the lock first is
-        // moot.
-        let rollup = std::sync::Mutex::new(self.rollup.get_mut());
-        let rollup_ref = &rollup;
-
-        crossbeam::thread::scope(|scope| {
-            // One bounded channel per writer; a node's frames always go to
-            // the same writer (hash of the node name), so the per-node
-            // probe order is preserved end to end.
-            let mut senders = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let (tx, rx) = crossbeam::channel::bounded::<Vec<PointBatch>>(16);
-                senders.push(tx);
-                scope.spawn(move || {
-                    let mut buffer: Vec<PointBatch> = Vec::with_capacity(WRITER_FLUSH_FRAMES);
-                    while let Ok(frames) = rx.recv() {
-                        buffer.extend(frames);
-                        if buffer.len() >= WRITER_FLUSH_FRAMES {
-                            db.insert_batches(&buffer);
-                            buffer.clear();
-                        }
-                    }
-                    // Tick boundary: the channel closed, flush what's left.
-                    db.insert_batches(&buffer);
-                });
-            }
-            // Producers scrape strided node subsets, shipping each node's
-            // frames as one message.
-            for offset in 0..threads.min(nodes.len().max(1)) {
-                let senders = senders.clone();
-                let nodes = &nodes;
-                scope.spawn(move || {
-                    for node in nodes.iter().skip(offset).step_by(threads) {
-                        let writer = {
-                            use std::hash::{Hash, Hasher};
-                            let mut h = std::collections::hash_map::DefaultHasher::new();
-                            node.name().as_str().hash(&mut h);
-                            (h.finish() % senders.len() as u64) as usize
-                        };
-                        let mut frames: Vec<PointBatch> = Vec::new();
-                        for probe in probes {
-                            if probe.targets(node) {
-                                let batch = probe.sample_batch(node, now);
-                                if !batch.is_empty() {
-                                    frames.push(batch);
-                                }
-                            }
-                        }
-                        if !frames.is_empty() {
-                            {
-                                let mut rollup =
-                                    rollup_ref.lock().expect("a producer panicked mid-feed");
-                                frames.iter().for_each(|frame| rollup.feed(frame));
-                            }
-                            senders[writer].send(frames).expect("writer alive");
-                        }
-                    }
-                });
-            }
-            // Drop the template senders: writers exit once every producer
-            // is done.
-            drop(senders);
-        });
-        self.stamp_all_scrapes(now);
-        self.enforce_metrics_retention(now);
-    }
-
     /// Completes a running pod: terminates it on its node and closes its
     /// record.
     ///
@@ -807,39 +672,19 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// The scheduler's current view (capacities, requests, measured usage
-    /// over the sliding window).
-    ///
-    /// The Listing-1 queries run through a [`WindowedCache`] shared across
-    /// passes, so each capture only processes the samples that entered or
-    /// left the window since the previous one. The cache validates itself
-    /// against the database's change stamps, and its results are
-    /// bit-for-bit identical to querying the database directly.
-    pub fn capture_view(&self, now: SimTime) -> ClusterView {
-        let mut view = ClusterView::capture_cached(
-            &self.cluster,
-            &self.db,
-            &mut self.window_cache.borrow_mut(),
-            now,
-            self.config.metrics_window,
-        );
-        self.annotate_staleness(&mut view, now);
-        view
-    }
-
     /// Freezes the immutable per-pass [`ClusterSnapshot`] the scheduling
     /// framework consumes: every worker (cordoned ones included, flagged
     /// for the cordon filter), effective occupancy from the Listing-1
     /// window queries, staleness annotated against the configured
     /// threshold.
     ///
-    /// With `incremental_snapshots` on (the default) the snapshot is
-    /// maintained across passes: only nodes in the refresh set — marked
-    /// dirty by a bind, completion, migration, cordon or failure, or
-    /// still holding in-window samples in the rollup — have their views
-    /// re-derived, their measured usage read from the rollup; the clean
-    /// remainder is structurally shared with the previous pass's
-    /// snapshot. Bit-identical to a full capture (property-tested in
+    /// The snapshot is maintained across passes: only nodes in the
+    /// refresh set — marked dirty by a bind, completion, migration,
+    /// cordon or failure, or still holding in-window samples in the
+    /// rollup — have their views re-derived, their measured usage read
+    /// from the rollup; the clean remainder is structurally shared with
+    /// the previous pass's snapshot. Bit-identical to a from-scratch
+    /// [`ClusterSnapshot::capture`] (property-tested in
     /// `tests/snapshot_incremental.rs`) for every `now`: one whose window
     /// reaches back below the rollup's floor — a step backwards in time,
     /// or passes resuming after the retention overtook them — evaluates
@@ -851,21 +696,13 @@ impl Orchestrator {
         // Retention shorter than the query window could evict in-window
         // samples behind the rollup's back; full captures are the safe
         // fallback in that (mis)configuration.
-        let incremental = self.config.incremental_snapshots
-            && self.config.retention >= window
-            && lo >= self.rollup.borrow().floor();
+        let incremental = self.config.retention >= window && lo >= self.rollup.borrow().floor();
         let cached = self.snapshot_cache.borrow_mut().take();
         let snapshot = match cached.filter(|_| incremental) {
             Some(prev) => self.refresh_snapshot(prev, now, lo),
             None => {
                 self.dirty.borrow_mut().clear();
-                let mut snapshot = ClusterSnapshot::capture_cached(
-                    &self.cluster,
-                    &self.db,
-                    &mut self.window_cache.borrow_mut(),
-                    now,
-                    window,
-                );
+                let mut snapshot = ClusterSnapshot::capture(&self.cluster, &self.db, now, window);
                 snapshot.update(now, |names, views| self.stamp_staleness(names, views, now));
                 snapshot
             }
@@ -894,11 +731,7 @@ impl Orchestrator {
         let rollup = self.rollup.borrow();
         let derive = |node: &Node| {
             let measured = |measurement| {
-                ClusterView::measured_bytes(rollup.sum_of_max(
-                    node.name().as_str(),
-                    measurement,
-                    lo,
-                ))
+                measured_bytes(rollup.sum_of_max(node.name().as_str(), measurement, lo))
             };
             view_of(
                 node,
@@ -992,33 +825,11 @@ impl Orchestrator {
         }
     }
 
-    /// Stamps a view with per-node metrics ages and degrades nodes whose
-    /// last delivered scrape is older than the configured threshold or
-    /// that are under recovery quarantine — what
-    /// [`capture_view`](Self::capture_view) applies to every view it
-    /// hands out. Same rule as
-    /// [`capture_snapshot`](Self::capture_snapshot), asked per node.
-    pub fn annotate_staleness(&self, view: &mut ClusterView, now: SimTime) {
-        view.annotate_staleness(self.config.staleness_threshold, |name| {
-            self.metrics_age(name, now)
-        });
-        for name in self.quarantined() {
-            if let Some(node) = view.node_mut(name) {
-                node.degraded = true;
-            }
-        }
-    }
-
     /// Size and work counters of the Listing-1 rollup incremental
     /// captures read: nodes still holding in-window samples, samples
     /// held, and samples the captures have folded so far.
     pub fn window_rollup_stats(&self) -> tsdb::RollupStats {
         self.rollup.borrow().stats()
-    }
-
-    /// Usage counters of the sliding-window query cache.
-    pub fn window_cache_stats(&self) -> tsdb::CacheStats {
-        self.window_cache.borrow().stats()
     }
 
     /// Snapshot captures performed so far, full and incremental alike —
@@ -1464,15 +1275,8 @@ impl Orchestrator {
         self.last_scrape.remove(name);
         self.recovered_at.remove(name);
         self.rollup.get_mut().forget(name.as_str());
-        if self
-            .db
-            .drop_series_with_first_tag("nodename", name.as_str())
-            > 0
-        {
-            // Cached window aggregates may still fold the dropped series;
-            // deregistration is rare, so a full cache rebuild is fine.
-            self.window_cache.borrow_mut().clear();
-        }
+        self.db
+            .drop_series_with_first_tag("nodename", name.as_str());
     }
 
     /// Un-cordons a previously drained node.
@@ -1732,9 +1536,18 @@ mod tests {
     #[test]
     fn unschedulable_pods_never_enqueue() {
         let mut orch = orchestrator();
-        let uid = orch.submit(sgx_spec("monster", 100), SimTime::ZERO);
-        assert_eq!(orch.record(uid).unwrap().outcome, PodOutcome::Unschedulable);
-        assert!(orch.queue().is_empty());
+        // 100 MiB of EPC fits nowhere (capacity 93.5 MiB per node), and a
+        // 100 GiB memory pod exceeds every node.
+        let huge_mem = PodSpec::builder("h")
+            .memory_resources(ByteSize::from_gib(100))
+            .build();
+        for spec in [sgx_spec("monster", 100), huge_mem] {
+            let uid = orch.submit(spec, SimTime::ZERO);
+            assert_eq!(orch.record(uid).unwrap().outcome, PodOutcome::Unschedulable);
+            assert!(orch.queue().is_empty());
+        }
+        let ok = orch.submit(sgx_spec("ok", 50), SimTime::ZERO);
+        assert_eq!(orch.record(ok).unwrap().outcome, PodOutcome::Pending);
     }
 
     #[test]
@@ -1769,45 +1582,13 @@ mod tests {
         assert_eq!(orch.db().point_count(), 0);
         orch.probe_pass(SimTime::from_secs(10));
         assert!(orch.db().point_count() > 0);
-        let view = orch.capture_view(SimTime::from_secs(12));
+        let view = orch.capture_snapshot(SimTime::from_secs(12));
         let (_, node_view) = view
             .iter()
             .find(|(_, v)| !v.epc_measured.is_zero())
             .expect("one node reports EPC usage");
         assert_eq!(node_view.epc_measured, ByteSize::from_mib(20));
         let _ = uid;
-    }
-
-    #[test]
-    fn concurrent_probe_pass_matches_sequential_bit_for_bit() {
-        let mut sequential = orchestrator();
-        let mut concurrent = orchestrator();
-        for orch in [&mut sequential, &mut concurrent] {
-            orch.submit(sgx_spec("a", 20), SimTime::ZERO);
-            orch.submit(sgx_spec("b", 30), SimTime::ZERO);
-            orch.scheduler_pass(SimTime::from_secs(5));
-        }
-        for tick in 1..=12u64 {
-            let now = SimTime::from_secs(tick * 10);
-            sequential.probe_pass(now);
-            concurrent.probe_pass_concurrent(now, 4);
-            assert_eq!(
-                concurrent.db().snapshot(),
-                sequential.db().snapshot(),
-                "stores diverged at {now}"
-            );
-        }
-        assert_eq!(
-            concurrent.db().points_inserted(),
-            sequential.db().points_inserted()
-        );
-        // Listing-1 rows agree too.
-        let now = SimTime::from_secs(125);
-        let seq_view = sequential.capture_view(now);
-        let conc_view = concurrent.capture_view(now);
-        for (name, view) in seq_view.iter() {
-            assert_eq!(conc_view.node(name), Some(view));
-        }
     }
 
     #[test]
@@ -1821,17 +1602,17 @@ mod tests {
             if tick % 2 == 0 {
                 orch.probe_pass(now);
             }
-            let cached = orch.capture_view(now);
-            let mut direct =
-                ClusterView::capture(orch.cluster(), orch.db(), now, orch.config().metrics_window);
-            orch.annotate_staleness(&mut direct, now);
-            for (name, view) in direct.iter() {
-                assert_eq!(cached.node(name), Some(view), "diverged at {now}");
-            }
+            let cached = orch.capture_snapshot(now);
+            let mut direct = ClusterSnapshot::capture(
+                orch.cluster(),
+                orch.db(),
+                now,
+                orch.config().metrics_window,
+            );
+            direct.update(now, |names, views| orch.stamp_staleness(names, views, now));
+            assert_eq!(cached, direct, "diverged at {now}");
         }
-        let stats = orch.window_cache_stats();
-        assert!(stats.hits > 0, "cache never hit: {stats:?}");
-        assert_eq!(stats.fallbacks, 0);
+        assert!(orch.window_rollup_stats().samples_folded > 0);
     }
 
     #[test]
@@ -2074,7 +1855,7 @@ mod tests {
         orch.probe_pass(SimTime::from_secs(10));
 
         // Fresh scrape: ages annotated, nothing degraded.
-        let view = orch.capture_view(SimTime::from_secs(12));
+        let view = orch.capture_snapshot(SimTime::from_secs(12));
         let sgx1 = view.node(&NodeName::new("sgx-1")).unwrap();
         assert!(!sgx1.degraded);
         assert_eq!(sgx1.metrics_age, Some(SimDuration::from_secs(2)));
@@ -2085,7 +1866,7 @@ mod tests {
             orch.last_scrape
                 .insert(NodeName::new(name), SimTime::from_secs(95));
         }
-        let view = orch.capture_view(SimTime::from_secs(100));
+        let view = orch.capture_snapshot(SimTime::from_secs(100));
         let sgx1 = view.node(&NodeName::new("sgx-1")).unwrap();
         assert!(sgx1.degraded);
         assert_eq!(sgx1.metrics_age, Some(SimDuration::from_secs(90)));
@@ -2424,7 +2205,7 @@ mod tests {
         orch.probe_pass(SimTime::from_secs(10));
         orch.fail_node(&name, SimTime::from_secs(20)).unwrap();
         orch.recover_node(&name, SimTime::from_secs(30)).unwrap();
-        let view = orch.capture_view(SimTime::from_secs(31));
+        let view = orch.capture_snapshot(SimTime::from_secs(31));
         assert!(view.node(&name).unwrap().degraded);
 
         // Deregister, then register a brand-new machine under the same
@@ -2434,7 +2215,7 @@ mod tests {
         orch.remove_node(&name, SimTime::from_secs(40)).unwrap();
         orch.add_node("sgx-1", MachineSpec::sgx_node(), SimTime::from_secs(50))
             .unwrap();
-        let view = orch.capture_view(SimTime::from_secs(51));
+        let view = orch.capture_snapshot(SimTime::from_secs(51));
         let fresh = view.node(&name).unwrap();
         assert!(!fresh.degraded, "reused name inherited recovery quarantine");
         assert_eq!(
@@ -2442,10 +2223,6 @@ mod tests {
             "reused name inherited scrape stamp"
         );
         assert!(fresh.epc_measured.is_zero());
-        let snap = orch.capture_snapshot(SimTime::from_secs(51));
-        let cached = snap.node(&name).unwrap();
-        assert!(!cached.degraded);
-        assert_eq!(cached.metrics_age, None);
         // And it takes pods like any healthy node.
         orch.submit(sgx_spec("fresh", 60), SimTime::from_secs(52));
         orch.submit(sgx_spec("fresh-2", 60), SimTime::from_secs(52));

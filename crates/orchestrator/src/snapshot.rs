@@ -20,11 +20,16 @@
 //! * **Determinism** — every iteration anywhere in the scheduling
 //!   framework walks the slots in order. No `HashMap` ordering can leak
 //!   into placement decisions.
-//! * **Completeness** — unlike [`ClusterView`], which captures only
-//!   schedulable nodes, a snapshot captures *every worker* including
+//! * **Completeness** — a snapshot captures *every worker* including
 //!   cordoned ones (with [`NodeView::cordoned`] set). Cordoned nodes are
 //!   excluded from placement by the cordon **filter plugin**, not by
 //!   omission, so the exclusion is visible, testable and reusable.
+//!
+//! [`ClusterSnapshot::capture`] is the from-scratch evaluator: it runs
+//! Listing 1 through the query engine. `Orchestrator::capture_snapshot`
+//! reads the same values off the ingest-side rollup instead and falls
+//! back to it below the rollup's floor; the property tests hold the two
+//! equal.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,9 +40,9 @@ use cluster::probe::{MEASUREMENT_EPC, MEASUREMENT_MEMORY};
 use cluster::topology::Cluster;
 use des::{SimDuration, SimTime};
 use sgx_sim::units::ByteSize;
-use tsdb::{Row, Select, SeriesStore, WindowedCache};
+use tsdb::{Aggregate, Database, Predicate, Select, TimeBound};
 
-use crate::metrics::{ClusterView, NodeView};
+use crate::metrics::NodeView;
 
 /// An immutable, cheaply-cloneable snapshot of every worker node, taken
 /// once per scheduling cycle.
@@ -91,6 +96,38 @@ pub(crate) fn view_of(node: &Node, memory_measured: ByteSize, epc_measured: Byte
         degraded: false,
         cordoned: node.is_cordoned(),
     }
+}
+
+/// Executes the Listing 1 aggregation for one measurement: per-pod MAX
+/// over the window, summed per node.
+fn measured(
+    db: &Database,
+    measurement: &str,
+    now: SimTime,
+    window: SimDuration,
+) -> BTreeMap<String, ByteSize> {
+    let per_pod = Select::from_measurement(measurement)
+        .aggregate(Aggregate::Max)
+        .filter(Predicate::ValueNe(0.0))
+        .filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(window)))
+        .group_by(["pod_name", "nodename"]);
+    let per_node = Select::from_subquery(per_pod)
+        .aggregate(Aggregate::Sum)
+        .group_by(["nodename"]);
+    db.query(&per_node, now)
+        .into_iter()
+        .filter_map(|row| {
+            let node = row.tag("nodename")?.to_string();
+            Some((node, measured_bytes(row.value)))
+        })
+        .collect()
+}
+
+/// A Listing-1 sum as the byte count the views carry: clamped at zero,
+/// truncated. Shared by the query path above and the rollup read of
+/// incremental captures so the two convert identically.
+pub(crate) fn measured_bytes(sum: f64) -> ByteSize {
+    ByteSize::from_bytes(sum.max(0.0) as u64)
 }
 
 /// Finds the slots of names asked for in (mostly) ascending order, as a
@@ -153,41 +190,10 @@ impl ClusterSnapshot {
     /// bookkeeping); compose with
     /// [`with_staleness`](Self::with_staleness), as
     /// `Orchestrator::capture_snapshot` does.
-    pub fn capture<S: SeriesStore + ?Sized>(
-        cluster: &Cluster,
-        db: &S,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            db.query(select, now)
-        })
-    }
-
-    /// Like [`capture`](Self::capture), but routes the Listing-1 queries
-    /// through a [`WindowedCache`]; bit-identical results, incremental
-    /// cost.
-    pub fn capture_cached<S: SeriesStore + ?Sized>(
-        cluster: &Cluster,
-        db: &S,
-        cache: &mut WindowedCache,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            cache.query(db, select, now)
-        })
-    }
-
-    fn capture_with(
-        cluster: &Cluster,
-        now: SimTime,
-        window: SimDuration,
-        run_query: &mut dyn FnMut(&Select, SimTime) -> Vec<Row>,
-    ) -> Self {
-        let epc_measured = ClusterView::measured(MEASUREMENT_EPC, now, window, run_query);
-        let mem_measured = ClusterView::measured(MEASUREMENT_MEMORY, now, window, run_query);
-        let measured = |of: &BTreeMap<String, ByteSize>, name: &NodeName| {
+    pub fn capture(cluster: &Cluster, db: &Database, now: SimTime, window: SimDuration) -> Self {
+        let epc_measured = measured(db, MEASUREMENT_EPC, now, window);
+        let mem_measured = measured(db, MEASUREMENT_MEMORY, now, window);
+        let of_node = |of: &BTreeMap<String, ByteSize>, name: &NodeName| {
             of.get(name.as_str()).copied().unwrap_or(ByteSize::ZERO)
         };
         Self::from_sorted(
@@ -196,8 +202,8 @@ impl ClusterSnapshot {
                 let name = node.name();
                 let view = view_of(
                     node,
-                    measured(&mem_measured, name),
-                    measured(&epc_measured, name),
+                    of_node(&mem_measured, name),
+                    of_node(&epc_measured, name),
                 );
                 (name.clone(), view)
             }),
@@ -223,9 +229,10 @@ impl ClusterSnapshot {
 
     /// Returns a snapshot with every node stamped with the age of its
     /// last delivered scrape and marked degraded once that age exceeds
-    /// `threshold` (strictly greater; never-scraped nodes stay fresh).
-    /// Same semantics as [`ClusterView::annotate_staleness`], applied at
-    /// freeze time because snapshots are immutable afterwards.
+    /// `threshold` (strictly greater; never-scraped nodes stay fresh:
+    /// before the first probe tick nothing has been measured anywhere, so
+    /// there is no staleness to distrust). Applied at freeze time because
+    /// snapshots are immutable afterwards.
     #[must_use]
     pub fn with_staleness(
         mut self,
@@ -388,7 +395,7 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_secs(25),
         );
-        // Unlike ClusterView, the cordoned node is present...
+        // The cordoned node is present...
         assert_eq!(snapshot.len(), 4);
         // ...but flagged.
         assert!(snapshot.node(&NodeName::new("sgx-1")).unwrap().cordoned);

@@ -7,7 +7,7 @@
 //!    the pre-framework `PlacementPolicy`/`SchedulerKind` enums, whose
 //!    `place()` bodies are preserved verbatim in the [`oracle`] module
 //!    below (operating over schedulable nodes only, exactly as the old
-//!    `ClusterView::capture` delivered them).
+//!    per-pass view capture delivered them).
 //! 2. **Feasibility** — no registered pipeline ever places a pod on a
 //!    cordoned node, on a non-SGX node for an SGX pod, or where the
 //!    requested resources would drive free capacity negative.
@@ -50,7 +50,7 @@ fn place(
 
 /// The pre-refactor placement implementations, copied verbatim from the
 /// deleted `PlacementPolicy::place_*` / `place_least_requested` (only the
-/// input type changed: the old `ClusterView` captured schedulable nodes
+/// input type changed: the old per-pass view captured schedulable nodes
 /// only, so the oracle first drops cordoned entries from the map).
 mod oracle {
     use super::*;

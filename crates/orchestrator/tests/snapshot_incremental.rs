@@ -303,30 +303,6 @@ fn cluster_mut_invalidates_the_cached_snapshot() {
     assert!(snap.node(&NodeName::new("sgx-2")).unwrap().cordoned);
 }
 
-#[test]
-fn disabling_incremental_snapshots_changes_nothing() {
-    let run = |incremental: bool| {
-        let mut orch = Orchestrator::new(
-            ClusterSpec::paper_cluster(),
-            OrchestratorConfig::paper().with_incremental_snapshots(incremental),
-        );
-        let mut digests = Vec::new();
-        for i in 0..8u64 {
-            let now = SimTime::from_secs(i * 5);
-            if i % 3 == 0 {
-                orch.submit(sgx_spec(&format!("p{i}"), 8 + i), now);
-            }
-            orch.scheduler_pass(now);
-            if i % 2 == 0 {
-                orch.probe_pass(now);
-            }
-            digests.push(format!("{:?}", orch.capture_snapshot(now)));
-        }
-        digests
-    };
-    assert_eq!(run(true), run(false));
-}
-
 #[derive(Debug, Clone)]
 enum Ev {
     /// Submit an SGX pod of the given size step.
@@ -342,8 +318,6 @@ enum Ev {
     /// Deliver every held-back frame, newest first — delayed, reordered,
     /// and across whatever failed, recovered, left or joined meanwhile.
     DeliverStash,
-    /// Deliver a full probe pass through the concurrent pipeline.
-    ConcurrentProbe(u8),
     /// Complete the nth running pod.
     Finish(u8),
     /// Drain (cordon) the nth worker, or uncordon it if already cordoned.
@@ -368,7 +342,6 @@ fn ev_strategy() -> impl Strategy<Value = Ev> {
         (1u8..4).prop_map(Ev::LossyFrames),
         Just(Ev::StashFrames),
         Just(Ev::DeliverStash),
-        (1u8..4).prop_map(Ev::ConcurrentProbe),
         (0u8..16).prop_map(Ev::Finish),
         (0u8..4).prop_map(Ev::ToggleCordon),
         (0u8..4).prop_map(Ev::ToggleFailure),
@@ -393,11 +366,11 @@ proptest! {
 
     /// The tentpole property: after every event of an arbitrary
     /// interleaving of probe frames (lossless, lossy, delayed and
-    /// reordered, sequential and concurrent), binds, finishes, cordons,
+    /// reordered), binds, finishes, cordons,
     /// node failures and runtime node add/remove, the incrementally
     /// maintained snapshot equals a from-scratch capture, bit for bit.
     #[test]
-    fn incremental_snapshots_match_full_captures_under_arbitrary_events(
+    fn incremental_captures_match_full_captures_under_arbitrary_events(
         events in prop::collection::vec(ev_strategy(), 1..48),
     ) {
         let mut orch = orchestrator();
@@ -437,9 +410,6 @@ proptest! {
                         orch.ingest_frame(&node, &batch, scraped_at);
                     }
                     orch.enforce_metrics_retention(now);
-                }
-                Ev::ConcurrentProbe(threads) => {
-                    orch.probe_pass_concurrent(now, usize::from(threads));
                 }
                 Ev::Finish(n) => {
                     let running = running_pods(&orch);

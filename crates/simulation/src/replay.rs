@@ -832,8 +832,10 @@ fn deliver_frame(
 ) {
     let batch = tsdb::wire::decode_batch(&frame.bytes)
         .expect("probe frames round-trip through the wire format");
-    let shards = orch.db().shards_of_batch(&batch);
-    if chaos.draw_write_failure(&shards) {
+    // One store: a non-empty frame's failed write is blamed on store 0,
+    // an empty frame's on nothing.
+    let blamed: &[usize] = if batch.is_empty() { &[] } else { &[0] };
+    if chaos.draw_write_failure(blamed) {
         match chaos.plan().retry.backoff_before(frame.attempts) {
             Some(backoff) => {
                 chaos.note_retry();

@@ -9,8 +9,9 @@
 //! * `measurement`, scrape `time`, and the shared tags are stored once;
 //! * each row carries only the distinguishing tag value and the sample.
 //!
-//! Batches are what the per-node probe producers push over the
-//! `crossbeam` channels to the shard writers, and what
+//! Batches are what the probes hand to
+//! [`Database::insert_batch`](crate::Database::insert_batch) and
+//! [`WindowRollup::feed`](crate::WindowRollup::feed), and what
 //! [`wire::encode_batch`](crate::wire::encode_batch) frames in the
 //! snapshot format's length-prefixed style for an on-the-wire hop.
 //!

@@ -9,16 +9,16 @@
 //! * [`Point`] — a tagged, timestamped observation
 //!   (`sgx/epc{pod_name=...,nodename=...} value=N t`).
 //! * [`Database`] — tagged series storage with retention enforcement.
-//! * [`ShardedDatabase`] — the same storage hash-split into
-//!   independently locked shards for concurrent ingestion, bit-identical
-//!   on the read side.
 //! * [`PointBatch`] — the one-frame-per-node-per-scrape transport unit
-//!   probes ship to the shard writers.
+//!   probes ship to the store.
 //! * [`WindowRollup`] — Listing 1 as a continuous query: the per-node
 //!   window state maintained from the same frames at ingest, read by the
 //!   scheduler instead of re-evaluating the query.
 //! * [`query`] — a structured query AST and executor supporting the
-//!   nested sliding-window aggregation of the paper's Listing 1.
+//!   nested sliding-window aggregation of the paper's Listing 1:
+//!   [`Database::query`] seeks each series to the window, and
+//!   [`Database::query_full_scan`] is the naive reference it is tested
+//!   against. The rollup is in turn held to `query`.
 //! * [`influxql`] — a parser for the InfluxQL subset the paper uses, so
 //!   the exact query text from Listing 1 runs against [`Database`].
 //!
@@ -67,18 +67,14 @@ pub mod query;
 pub mod wire;
 
 mod batch;
-mod cache;
 mod error;
 mod point;
 mod rollup;
-mod sharded;
 mod storage;
 
 pub use batch::{BatchRow, PointBatch};
-pub use cache::{CacheStats, WindowedCache};
 pub use error::TsdbError;
 pub use point::{Point, TagSet};
 pub use query::{Aggregate, Predicate, Row, Select, Source, TimeBound};
 pub use rollup::{RollupStats, WindowRollup};
-pub use sharded::ShardedDatabase;
-pub use storage::{Database, SeriesRef, SeriesStore};
+pub use storage::Database;

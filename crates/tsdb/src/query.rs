@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 use des::{SimDuration, SimTime};
 
 use crate::point::TagSet;
+use crate::storage::Database;
 
 /// An aggregate function applied to the values of one group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -62,7 +63,7 @@ impl Aggregate {
 /// [`Aggregate::apply`] over the collected samples, so results are
 /// bit-for-bit the same.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct AggState {
+struct AggState {
     aggregate: Aggregate,
     /// Running max / min / sum depending on the aggregate.
     acc: f64,
@@ -75,7 +76,7 @@ pub(crate) struct AggState {
 }
 
 impl AggState {
-    pub(crate) fn new(aggregate: Aggregate) -> Self {
+    fn new(aggregate: Aggregate) -> Self {
         let acc = match aggregate {
             Aggregate::Max => f64::MIN,
             Aggregate::Min => f64::MAX,
@@ -90,7 +91,7 @@ impl AggState {
         }
     }
 
-    pub(crate) fn push(&mut self, time: SimTime, value: f64) {
+    fn push(&mut self, time: SimTime, value: f64) {
         match self.aggregate {
             Aggregate::Max => self.acc = self.acc.max(value),
             Aggregate::Min => self.acc = self.acc.min(value),
@@ -106,7 +107,7 @@ impl AggState {
         self.count += 1;
     }
 
-    pub(crate) fn finish(&self) -> f64 {
+    fn finish(&self) -> f64 {
         debug_assert!(self.count > 0);
         match self.aggregate {
             Aggregate::Max | Aggregate::Min | Aggregate::Sum => self.acc,
@@ -160,11 +161,11 @@ impl Predicate {
     /// `true` for predicates that constrain the timestamp alone. These are
     /// absorbed into the scan bounds by [`scan_bounds`] instead of being
     /// re-evaluated per sample.
-    pub(crate) fn is_time_bound(&self) -> bool {
+    fn is_time_bound(&self) -> bool {
         matches!(self, Predicate::TimeAtLeast(_) | Predicate::TimeBefore(_))
     }
 
-    pub(crate) fn matches(&self, time: SimTime, value: f64, tags: &TagSet, now: SimTime) -> bool {
+    fn matches(&self, time: SimTime, value: f64, tags: &TagSet, now: SimTime) -> bool {
         match self {
             Predicate::ValueNe(x) => value != *x,
             Predicate::ValueGt(x) => value > *x,
@@ -280,13 +281,12 @@ impl Select {
     }
 
     /// Evaluates against a time-bounded sample stream. Time predicates are
-    /// resolved up front into a `[lo, hi)` scan range so `source` can seek
-    /// straight to the window (the storage layer uses `partition_point` on
-    /// each series); the remaining predicates are checked per sample and
-    /// each group folds through a constant-space [`AggState`] instead of
-    /// collecting a `Vec`. Rows come back sorted by tag set for
-    /// determinism.
-    pub(crate) fn execute_streaming(&self, source: &dyn WindowSource, now: SimTime) -> Vec<Row> {
+    /// resolved up front into a `[lo, hi)` scan range so the store can seek
+    /// straight to the window (`partition_point` on each series); the
+    /// remaining predicates are checked per sample and each group folds
+    /// through a constant-space [`AggState`] instead of collecting a
+    /// `Vec`. Rows come back sorted by tag set for determinism.
+    pub(crate) fn execute_streaming(&self, db: &Database, now: SimTime) -> Vec<Row> {
         match &self.source {
             Source::Measurement(measurement) => {
                 let (lo, hi) = scan_bounds(&self.predicates, now);
@@ -296,7 +296,7 @@ impl Select {
                     .filter(|p| !p.is_time_bound())
                     .collect();
                 let mut groups: BTreeMap<TagSet, AggState> = BTreeMap::new();
-                source.stream_window(measurement, lo, hi, &mut |time, value, tags| {
+                db.stream_window(measurement, lo, hi, |time, value, tags| {
                     if !residual.iter().all(|p| p.matches(time, value, tags, now)) {
                         return;
                     }
@@ -308,7 +308,7 @@ impl Select {
                 finish_groups(groups)
             }
             Source::Subquery(inner) => {
-                let rows = inner.execute_streaming(source, now);
+                let rows = inner.execute_streaming(db, now);
                 aggregate_rows(self, &rows, now)
             }
         }
@@ -316,8 +316,8 @@ impl Select {
 
     /// Reference executor: materialises every sample of the source
     /// measurement and filters after the fact, exactly as the original
-    /// engine did. Kept as the oracle the incremental paths are verified
-    /// against (see the `windowed_cache_props` property tests) and as the
+    /// engine did. Kept as the oracle the streaming executor is verified
+    /// against (see the `query_props` property tests) and as the
     /// baseline of the `tsdb_ops` benchmark.
     pub(crate) fn execute_full_scan<'a, F>(&self, fetch: &F, now: SimTime) -> Vec<Row>
     where
@@ -362,26 +362,9 @@ impl Select {
     }
 }
 
-/// A seekable source of time-ordered samples, implemented by the storage
-/// layer. The contract `execute_streaming` relies on: series are visited
-/// in tag-set order and, within a series, samples in timestamp order
-/// (stable for equal timestamps) — the same total order the full scan
-/// produces, so both executors fold groups identically.
-pub(crate) trait WindowSource {
-    /// Streams every sample of `measurement` with `lo <= time` (and
-    /// `time < hi` when `hi` is bounded) into `emit`.
-    fn stream_window(
-        &self,
-        measurement: &str,
-        lo: SimTime,
-        hi: Option<SimTime>,
-        emit: &mut dyn FnMut(SimTime, f64, &TagSet),
-    );
-}
-
 /// Resolves the conjunction of time predicates into a half-open scan
 /// range `[lo, hi)`; `hi` is `None` when unbounded above.
-pub(crate) fn scan_bounds(predicates: &[Predicate], now: SimTime) -> (SimTime, Option<SimTime>) {
+fn scan_bounds(predicates: &[Predicate], now: SimTime) -> (SimTime, Option<SimTime>) {
     let mut lo = SimTime::ZERO;
     let mut hi: Option<SimTime> = None;
     for predicate in predicates {
@@ -398,16 +381,15 @@ pub(crate) fn scan_bounds(predicates: &[Predicate], now: SimTime) -> (SimTime, O
 }
 
 /// Projects a full tag set onto the `GROUP BY` keys.
-pub(crate) fn project_tags(tags: &TagSet, keys: &[String]) -> TagSet {
+fn project_tags(tags: &TagSet, keys: &[String]) -> TagSet {
     keys.iter()
         .filter_map(|k| tags.get(k).map(|v| (k.clone(), v.clone())))
         .collect()
 }
 
 /// Applies a select to already-aggregated rows treated as observations at
-/// `now` — the outer half of a nested query. Shared by the streaming
-/// executor and the windowed cache so both produce identical results.
-pub(crate) fn aggregate_rows(select: &Select, inputs: &[Row], now: SimTime) -> Vec<Row> {
+/// `now` — the outer half of a nested query.
+fn aggregate_rows(select: &Select, inputs: &[Row], now: SimTime) -> Vec<Row> {
     let (lo, hi) = scan_bounds(&select.predicates, now);
     let mut groups: BTreeMap<TagSet, AggState> = BTreeMap::new();
     if now >= lo && hi.is_none_or(|h| now < h) {
@@ -432,7 +414,7 @@ pub(crate) fn aggregate_rows(select: &Select, inputs: &[Row], now: SimTime) -> V
     finish_groups(groups)
 }
 
-pub(crate) fn finish_groups(groups: BTreeMap<TagSet, AggState>) -> Vec<Row> {
+fn finish_groups(groups: BTreeMap<TagSet, AggState>) -> Vec<Row> {
     groups
         .into_iter()
         .map(|(tags, state)| Row {

@@ -69,7 +69,7 @@ fn main() {
     // *measured* EPC usage.
     orch.probe_pass(SimTime::from_secs(10));
     println!("\nmeasured view at t+12s:");
-    for (name, view) in orch.capture_view(SimTime::from_secs(12)).iter() {
+    for (name, view) in orch.capture_snapshot(SimTime::from_secs(12)).iter() {
         if view.has_sgx() {
             println!(
                 "  {:<8} epc measured {:>8.1} MiB / requested {:>6} / free {}",

@@ -46,7 +46,7 @@ fn sgx2_growth_is_visible_to_the_scheduler() {
         .unwrap();
     orch.probe_pass(SimTime::from_secs(10));
 
-    let view = orch.capture_view(SimTime::from_secs(12));
+    let view = orch.capture_snapshot(SimTime::from_secs(12));
     let node_view = view.node(&node).unwrap();
     assert_eq!(node_view.epc_measured, ByteSize::from_mib(80));
 

@@ -135,7 +135,7 @@ fn orchestrator_view_agrees_with_manual_query() {
     orch.scheduler_pass(SimTime::from_secs(5));
     orch.probe_pass(SimTime::from_secs(10));
 
-    let view = orch.capture_view(SimTime::from_secs(12));
+    let view = orch.capture_snapshot(SimTime::from_secs(12));
     let measured: Vec<_> = view
         .iter()
         .filter(|(_, v)| !v.epc_measured.is_zero())
