@@ -1,57 +1,142 @@
-//! Ingestion-path micro-benchmarks: the per-point seed path (one tag-set
-//! allocation per sample) against the batched [`PointBatch`] transport
-//! into the [`Database`], and the wire codec of a frame.
+//! Ingestion-path micro-benchmarks: one probe tick of a replay-sized
+//! fleet into the [`Database`] — per point, as tagged [`PointBatch`]
+//! frames, and by resolved [`SeriesId`] — and the wire codec of a frame.
+//!
+//! `ingest/transport` measures what a replay pays, which a handful of
+//! immortal series does not show: 8,400 live series (60 nodes × 140
+//! pods, `steady_static`'s population), one pod a node replaced every
+//! tick, so series are created at one end and run out of a 90-tick
+//! retention — enforced every tick — at the other. Each case is warmed
+//! past the retention first; an iteration is one tick, 8,400 points.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use des::SimTime;
-use tsdb::{Database, Point, PointBatch};
+use des::{SimDuration, SimTime};
+use tsdb::{Database, Point, PointBatch, SeriesId, TagSet};
 
-const PODS: usize = 20;
+const NODES: usize = 60;
+const PODS: usize = 140;
+const PERIOD: SimDuration = SimDuration::from_secs(10);
+const RETENTION: SimDuration = SimDuration::from_mins(15);
 
-/// One scrape's worth of per-point inserts — the seed transport: every
-/// point clones the measurement and both tag strings.
-fn insert_points(db: &mut Database, now: SimTime) {
-    for p in 0..PODS {
-        db.insert(
-            Point::new("sgx/epc", now, ((p + 1) * 4096) as f64)
-                .with_tag("pod_name", format!("pod-{p}"))
-                .with_tag("nodename", "node-0"),
-        );
+/// The pods of every node, tick by tick: uid-ascending per node, the
+/// oldest replaced by a fresh uid each tick. `T` is what a transport
+/// keeps per pod between ticks.
+struct Fleet<T> {
+    now: SimTime,
+    next_uid: u64,
+    nodes: Vec<Vec<(u64, T)>>,
+}
+
+impl<T: Copy> Fleet<T> {
+    fn new(fresh: T) -> Self {
+        let nodes = (0..NODES)
+            .map(|n| (0..PODS).map(|p| ((n * PODS + p) as u64, fresh)).collect())
+            .collect();
+        Fleet {
+            now: SimTime::ZERO,
+            next_uid: (NODES * PODS) as u64,
+            nodes,
+        }
+    }
+
+    /// One tick: `ingest` sees every node's pods, then retention runs.
+    fn tick(
+        &mut self,
+        db: &mut Database,
+        fresh: T,
+        mut ingest: impl FnMut(&mut Database, usize, SimTime, &mut [(u64, T)]),
+    ) {
+        self.now += PERIOD;
+        for (n, pods) in self.nodes.iter_mut().enumerate() {
+            pods.remove(0);
+            pods.push((self.next_uid, fresh));
+            self.next_uid += 1;
+            ingest(db, n, self.now, pods);
+        }
+        db.enforce_retention(self.now, RETENTION);
+    }
+
+    /// Warms the store past the retention, then measures ticks.
+    fn bench(
+        mut self,
+        b: &mut criterion::Bencher,
+        fresh: T,
+        mut ingest: impl FnMut(&mut Database, usize, SimTime, &mut [(u64, T)]),
+    ) {
+        let mut db = Database::new();
+        for _ in 0..RETENTION.as_secs() / PERIOD.as_secs() + 10 {
+            self.tick(&mut db, fresh, &mut ingest);
+        }
+        assert!(db.points_evicted() > 0 && db.series_count() >= NODES * PODS);
+        b.iter(|| self.tick(&mut db, fresh, &mut ingest));
+        black_box(db.point_count());
     }
 }
 
-/// The same scrape as one wire frame: shared tags stored once, rows carry
-/// only the pod name and value.
-fn scrape_batch(now: SimTime) -> PointBatch {
-    let mut batch =
-        PointBatch::new("sgx/epc", "pod_name", now).with_shared_tag("nodename", "node-0");
-    for p in 0..PODS {
-        batch.push(format!("pod-{p}"), ((p + 1) * 4096) as f64);
-    }
-    batch
+fn value(uid: u64) -> f64 {
+    ((uid % 97 + 1) * 4096) as f64
 }
 
 fn bench_transport(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest/transport");
+    // The seed transport: every point clones the measurement and formats
+    // and allocates both tag strings.
     group.bench_function("per_point", |b| {
-        let mut db = Database::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1;
-            insert_points(&mut db, SimTime::from_secs(t));
+        Fleet::new(()).bench(b, (), |db, n, now, pods| {
+            for &(uid, ()) in pods.iter() {
+                db.insert(
+                    Point::new("sgx/epc", now, value(uid))
+                        .with_tag("pod_name", format!("pod-{uid}"))
+                        .with_tag("nodename", format!("node-{n}")),
+                );
+            }
         });
     });
+    // One tagged frame per node — what crosses the wire and what
+    // `ingest_frame` takes: a name formatted per row, the series resolved
+    // on arrival.
     group.bench_function("batched", |b| {
-        let mut db = Database::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1;
-            db.insert_batch(black_box(&scrape_batch(SimTime::from_secs(t))));
+        Fleet::new(()).bench(b, (), |db, n, now, pods| {
+            let mut batch = PointBatch::new("sgx/epc", "pod_name", now)
+                .with_shared_tag("nodename", format!("node-{n}"));
+            for &(uid, ()) in pods.iter() {
+                batch.push(format!("pod-{uid}"), value(uid));
+            }
+            db.insert_batch(black_box(&batch));
+        });
+    });
+    // What the in-process probe pass does: a pod resolves its series on
+    // first contact and appends by id from then on.
+    group.bench_function("resolved", |b| {
+        Fleet::new(None::<SeriesId>).bench(b, None, |db, n, now, pods| {
+            for (uid, series) in pods.iter_mut() {
+                let value = value(*uid);
+                if series.is_none_or(|id| !db.append(id, now, value)) {
+                    let tags: TagSet = [
+                        ("nodename".to_string(), format!("node-{n}")),
+                        ("pod_name".to_string(), format!("pod-{uid}")),
+                    ]
+                    .into();
+                    let id = db.resolve("sgx/epc", &tags);
+                    db.append(id, now, value);
+                    *series = Some(id);
+                }
+            }
         });
     });
     group.finish();
+}
+
+/// One node's scrape as a wire frame.
+fn scrape_batch(now: SimTime) -> PointBatch {
+    let mut batch =
+        PointBatch::new("sgx/epc", "pod_name", now).with_shared_tag("nodename", "node-0");
+    for uid in 0..20 {
+        batch.push(format!("pod-{uid}"), value(uid));
+    }
+    batch
 }
 
 fn bench_wire(c: &mut Criterion) {

@@ -32,6 +32,19 @@ pub enum NodeRole {
     Worker,
 }
 
+/// Where Kubelet roots pod cgroups; a pod's path is this plus its uid's
+/// display form (`/kubepods/pod-7`).
+const CGROUP_ROOT: &str = "/kubepods/";
+
+fn cgroup_of(uid: PodUid) -> CgroupPath {
+    CgroupPath::new(format!("{CGROUP_ROOT}{uid}"))
+}
+
+/// The uid whose cgroup is exactly `path` — the inverse of [`cgroup_of`].
+fn uid_of(path: &CgroupPath) -> Option<PodUid> {
+    PodUid::parse(path.as_str().strip_prefix(CGROUP_ROOT)?)
+}
+
 /// A pod currently running on a node.
 #[derive(Debug, Clone)]
 pub struct RunningPod {
@@ -47,6 +60,15 @@ pub struct RunningPod {
     pub mem_allocated: ByteSize,
     /// Instant the containers finished starting.
     pub started_at: SimTime,
+}
+
+impl RunningPod {
+    /// The value of the pod's `pod_name` tag in the monitoring pipeline:
+    /// the uid's display form (`pod-7`), borrowed from the tail of the
+    /// cgroup path Kubelet built from it, so a scrape formats nothing.
+    pub fn pod_name(&self) -> &str {
+        &self.cgroup.as_str()[CGROUP_ROOT.len()..]
+    }
 }
 
 /// Outcome of starting a pod's containers.
@@ -287,27 +309,43 @@ impl Node {
         })
     }
 
-    /// Per-pod EPC usage in bytes — the quantity the SGX probe scrapes.
-    pub fn epc_usage_by_pod(&self) -> BTreeMap<PodUid, ByteSize> {
-        let Some(driver) = &self.driver else {
-            return BTreeMap::new();
-        };
-        self.pods
-            .values()
-            .filter_map(|pod| {
-                let pages = driver.pages_for_pod(&pod.cgroup);
-                (!pages.is_zero()).then_some((pod.uid, pages.to_bytes()))
-            })
-            .collect()
+    /// Per-pod EPC usage in bytes, uid-ascending, pods without any left
+    /// out — the quantity the SGX probe scrapes.
+    ///
+    /// One pass over the driver's enclaves, whatever the number of pods:
+    /// each enclave is credited to the pod whose cgroup it names (the
+    /// sums are integers, so the driver's enclave order cannot matter),
+    /// then pods and sums are walked side by side. Equal, pod for pod, to
+    /// asking the driver `pages_for_pod`.
+    pub fn epc_usage(&self) -> impl Iterator<Item = (&RunningPod, ByteSize)> + '_ {
+        let mut pages: Vec<(PodUid, EpcPages)> = self
+            .driver
+            .iter()
+            .flat_map(SgxDriver::enclaves)
+            .filter_map(|enclave| Some((uid_of(enclave.pod())?, enclave.committed())))
+            .collect();
+        pages.sort_unstable_by_key(|&(uid, _)| uid);
+        let mut pages = pages.into_iter().peekable();
+        self.pods.values().filter_map(move |pod| {
+            // Enclaves under a cgroup that is no running pod's are
+            // passed over; several under one pod's add up.
+            let mut total = EpcPages::ZERO;
+            while let Some((uid, committed)) = pages.next_if(|&(uid, _)| uid <= pod.uid) {
+                if uid == pod.uid {
+                    total += committed;
+                }
+            }
+            (!total.is_zero()).then(|| (pod, total.to_bytes()))
+        })
     }
 
-    /// Per-pod ordinary memory usage — the quantity Heapster scrapes.
-    pub fn memory_usage_by_pod(&self) -> BTreeMap<PodUid, ByteSize> {
+    /// Per-pod ordinary memory usage, uid-ascending, pods without any
+    /// left out — the quantity Heapster scrapes.
+    pub fn memory_usage(&self) -> impl Iterator<Item = (&RunningPod, ByteSize)> + '_ {
         self.pods
             .values()
-            .filter(|p| !p.mem_allocated.is_zero())
-            .map(|p| (p.uid, p.mem_allocated))
-            .collect()
+            .filter(|pod| !pod.mem_allocated.is_zero())
+            .map(|pod| (pod, pod.mem_allocated))
     }
 
     /// The running pods, keyed by uid.
@@ -380,7 +418,7 @@ impl Node {
         }
         self.can_admit(&spec)?;
 
-        let cgroup = CgroupPath::new(format!("/kubepods/{uid}"));
+        let cgroup = cgroup_of(uid);
         let requests = spec.resources.requests;
         let device_mounted = requests.needs_sgx();
 
@@ -542,7 +580,7 @@ impl Node {
         if let Err(cause) = self.can_admit(&spec) {
             return Err(MigrateInError { cause, checkpoint });
         }
-        let cgroup = CgroupPath::new(format!("/kubepods/{uid}"));
+        let cgroup = cgroup_of(uid);
         let requests = spec.resources.requests;
         if requests.needs_sgx() {
             let driver = self.driver.as_mut().expect("checked by can_admit");
@@ -867,13 +905,38 @@ mod tests {
             .unwrap();
         node.run_pod(PodUid::new(2), sgx_pod("b", 20), SimTime::ZERO, &mut rng)
             .unwrap();
-        let usage = node.epc_usage_by_pod();
-        assert_eq!(usage.len(), 2);
+        let usage: Vec<_> = node
+            .epc_usage()
+            .map(|(pod, bytes)| (pod.uid, pod.pod_name(), bytes))
+            .collect();
         assert_eq!(
-            usage[&PodUid::new(1)],
-            EpcPages::from_mib_ceil(10).to_bytes()
+            usage,
+            [
+                (
+                    PodUid::new(1),
+                    "pod-1",
+                    EpcPages::from_mib_ceil(10).to_bytes()
+                ),
+                (
+                    PodUid::new(2),
+                    "pod-2",
+                    EpcPages::from_mib_ceil(20).to_bytes()
+                ),
+            ]
         );
-        assert!(node.memory_usage_by_pod().is_empty()); // EPC-only stressors
+        assert_eq!(node.memory_usage().count(), 0); // EPC-only stressors
+    }
+
+    #[test]
+    fn cgroup_paths_name_their_pod_and_nothing_else_does() {
+        for uid in [0, 7, 10, u64::MAX].map(PodUid::new) {
+            let cgroup = cgroup_of(uid);
+            assert_eq!(cgroup.as_str(), format!("/kubepods/{uid}"));
+            assert_eq!(uid_of(&cgroup), Some(uid));
+        }
+        for foreign in ["/kubepods/pod-07", "/kubepods/malicious", "/pod-7", "pod-7"] {
+            assert_eq!(uid_of(&CgroupPath::new(foreign)), None, "{foreign}");
+        }
     }
 
     #[test]

@@ -12,13 +12,23 @@
 //!
 //! Both tag points with `pod_name` and `nodename`, which is what the
 //! scheduler's Listing 1 query groups by.
+//!
+//! A scrape is one walk, [`Probe::scrape`]: the pods of a node that use
+//! the probe's resource, uid-ascending, with their usage — no map, no
+//! string, and for the SGX probe one pass over the driver's enclaves
+//! however many pods there are. What the rows become is the caller's
+//! business: [`Probe::sample_batch`] names them into a tagged
+//! [`PointBatch`], the frame that crosses a wire (and a fault injector);
+//! the orchestrator's in-process probe pass appends them to series it
+//! resolved on an earlier tick and never builds the frame.
 
 use serde::{Deserialize, Serialize};
 
 use des::{SimDuration, SimTime};
+use sgx_sim::units::ByteSize;
 use tsdb::{Point, PointBatch};
 
-use crate::node::Node;
+use crate::node::{Node, RunningPod};
 
 /// Measurement name for ordinary memory usage (Heapster).
 pub const MEASUREMENT_MEMORY: &str = "memory/usage";
@@ -129,12 +139,33 @@ impl Probe {
         }
     }
 
+    /// The measurement this probe writes.
+    pub fn measurement(&self) -> &'static str {
+        match self.kind {
+            ProbeKind::Heapster => MEASUREMENT_MEMORY,
+            ProbeKind::Sgx => MEASUREMENT_EPC,
+        }
+    }
+
+    /// The scrape itself: calls `row` with every pod of `node` that has
+    /// non-zero usage of this probe's resource, uid-ascending, and that
+    /// usage. Allocation-free for Heapster; the SGX probe makes one pass
+    /// over the driver's enclaves ([`Node::epc_usage`]). Both
+    /// [`sample_batch`](Self::sample_batch) and the orchestrator's
+    /// in-process probe pass are this walk with a different sink.
+    pub fn scrape<'a>(&self, node: &'a Node, mut row: impl FnMut(&'a RunningPod, ByteSize)) {
+        match self.kind {
+            ProbeKind::Heapster => node.memory_usage().for_each(|(pod, used)| row(pod, used)),
+            ProbeKind::Sgx => node.epc_usage().for_each(|(pod, used)| row(pod, used)),
+        }
+    }
+
     /// Scrapes the node, producing one point per pod with non-zero usage.
     /// Values are bytes; tags are `pod_name` and `nodename`.
     ///
     /// Convenience wrapper over [`sample_batch`](Self::sample_batch) for
-    /// callers that want standalone points; the batched form is the hot
-    /// path.
+    /// callers that want standalone points; the batched form is what
+    /// travels.
     pub fn sample(&self, node: &Node, now: SimTime) -> Vec<Point> {
         self.sample_batch(node, now).to_points()
     }
@@ -145,15 +176,11 @@ impl Probe {
     /// being cloned into every point; each row carries only the pod name
     /// and the usage in bytes.
     pub fn sample_batch(&self, node: &Node, now: SimTime) -> PointBatch {
-        let (measurement, usage) = match self.kind {
-            ProbeKind::Heapster => (MEASUREMENT_MEMORY, node.memory_usage_by_pod()),
-            ProbeKind::Sgx => (MEASUREMENT_EPC, node.epc_usage_by_pod()),
-        };
-        let mut batch = PointBatch::new(measurement, "pod_name", now)
+        let mut batch = PointBatch::new(self.measurement(), "pod_name", now)
             .with_shared_tag("nodename", node.name().as_str());
-        for (uid, bytes) in usage {
-            batch.push(uid.to_string(), bytes.as_bytes() as f64);
-        }
+        self.scrape(node, |pod, used| {
+            batch.push(pod.pod_name(), used.as_bytes() as f64);
+        });
         batch
     }
 }
@@ -165,7 +192,6 @@ mod tests {
     use crate::machine::MachineSpec;
     use crate::node::NodeRole;
     use des::rng::seeded_rng;
-    use sgx_sim::units::ByteSize;
 
     fn nodes() -> (Node, Node) {
         (

@@ -309,8 +309,18 @@ fn requested_fraction(view: &NodeView, spec: &PodSpec) -> f64 {
 
 /// Population standard deviation of a peer group's load fractions. The
 /// loads arrive in slot (= name) order, so the float summation order is
-/// deterministic; an empty group yields NaN, as it always has.
+/// deterministic.
+///
+/// An empty group has none: the answer is [`f64::NAN`], the one bit
+/// pattern, returned rather than computed — the sign of a computed `0/0`
+/// is unspecified and differs between a runtime division and the
+/// constant folder, hence between build profiles. [`SpreadScore`]
+/// negates it, and `total_cmp` orders that below every number: a
+/// candidate with no peer group never outranks one with.
 fn load_stddev(loads: &[f64]) -> f64 {
+    if loads.is_empty() {
+        return f64::NAN;
+    }
     let mean = loads.iter().sum::<f64>() / loads.len() as f64;
     (loads.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / loads.len() as f64).sqrt()
 }

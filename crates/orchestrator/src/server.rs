@@ -16,7 +16,7 @@ use cluster::ClusterError;
 use des::rng::{derive_seed, seeded_rng};
 use des::{SimDuration, SimTime};
 use sgx_sim::units::{ByteSize, EpcPages};
-use tsdb::{Database, PointBatch, TimeBound, WindowRollup};
+use tsdb::{Database, PointBatch, SeriesId, TagSet, TimeBound, WindowRollup};
 
 use crate::events::{EventKind, EventLog};
 use crate::framework::{PolicyPipeline, SchedulingCycle};
@@ -215,6 +215,15 @@ pub struct Orchestrator {
     rollup: RefCell<WindowRollup>,
     queue: PendingQueue,
     probes: Vec<Probe>,
+    /// The scrape cache of [`probe_pass`](Orchestrator::probe_pass), one
+    /// map per probe (parallel to `probes`): per node, the pods that
+    /// probe reported last tick, uid-ascending like the node's own pod
+    /// map, each with the series its row went to. It memoises
+    /// `Database::resolve` across ticks and nothing else — an entry is
+    /// `resolve(measurement, {nodename, pod_name})` of its key — so a
+    /// frame delivered through [`ingest_frame`](Orchestrator::ingest_frame)
+    /// in between, which resolves on arrival, lands in the same series.
+    scrape_cache: Vec<BTreeMap<NodeName, Vec<(PodUid, SeriesId)>>>,
     /// Scheduler-name → pipeline resolution for every placement the
     /// orchestrator makes (per-pod routing, drains, rebalancing).
     registry: PolicyRegistry,
@@ -277,6 +286,23 @@ fn stamp_scrape(ledger: &mut BTreeMap<NodeName, SimTime>, node: &NodeName, scrap
     }
 }
 
+/// Overwrites `tags` with the tag set of a probe series — the pair
+/// [`Probe::sample_batch`] frames as shared tag and row tag — reusing
+/// the strings it holds.
+fn set_series_tags(tags: &mut TagSet, node: &str, pod: &str) {
+    for (key, value) in [("nodename", node), ("pod_name", pod)] {
+        match tags.get_mut(key) {
+            Some(held) => {
+                held.clear();
+                held.push_str(value);
+            }
+            None => {
+                tags.insert(key.to_string(), value.to_string());
+            }
+        }
+    }
+}
+
 impl Orchestrator {
     /// Builds the cluster from `spec` and wires up the monitoring stack.
     pub fn new(spec: ClusterSpec, config: OrchestratorConfig) -> Self {
@@ -289,6 +315,7 @@ impl Orchestrator {
             db: Database::new(),
             rollup: RefCell::new(WindowRollup::new("nodename", "pod_name")),
             queue: PendingQueue::new(),
+            scrape_cache: vec![BTreeMap::new(); probes.len()],
             probes,
             registry: PolicyRegistry::builtin(),
             rng: seeded_rng(derive_seed(config.seed, "orchestrator")),
@@ -530,19 +557,60 @@ impl Orchestrator {
     }
 
     /// One probe pass (§V-C): every probe scrapes every node it targets
-    /// into one [`PointBatch`] per node and pushes the frames into the
-    /// database; retention is enforced. The batched transport stores the
-    /// measurement and `nodename` tag once per frame instead of cloning
-    /// them into every point.
+    /// and the rows go into the database and the window rollup; retention
+    /// is enforced. Equal in effect to delivering
+    /// [`scrape_frames`](Self::scrape_frames) through
+    /// [`ingest_frame`](Self::ingest_frame), without the frames: a row is
+    /// never named. The scrape cache keeps, per probe and node, the
+    /// series of every pod scraped last tick, under three rules —
+    ///
+    /// 1. *resolve once*: a pod met for the first time on a node resolves
+    ///    its series through the store's index, and from then on appends
+    ///    by id;
+    /// 2. *prune what was not scraped*: a tick's list holds exactly the
+    ///    pods that tick reported, so a pod that finished, migrated or
+    ///    fell to zero usage drops out with no teardown call;
+    /// 3. *fall back on a stale id*: when the store refuses an id (the
+    ///    series aged out of retention, or was dropped) the pod resolves
+    ///    again.
     pub fn probe_pass(&mut self, now: SimTime) {
         let rollup = self.rollup.get_mut();
-        for probe in &self.probes {
-            for node in self.cluster.nodes() {
-                if probe.targets(node) {
-                    let batch = probe.sample_batch(node, now);
-                    self.db.insert_batch(&batch);
-                    rollup.feed(&batch);
+        let db = &mut self.db;
+        // Scratch for rule 1 and for a tick's new list; the list's
+        // allocation is swapped with last tick's, so a steady cluster
+        // allocates nothing here.
+        let mut tags = TagSet::new();
+        let mut scraped = Vec::new();
+        for (probe, cache) in self.probes.iter().zip(&mut self.scrape_cache) {
+            let measurement = probe.measurement();
+            for node in self.cluster.nodes().filter(|node| probe.targets(node)) {
+                let name = node.name();
+                if !cache.contains_key(name) {
+                    cache.insert(name.clone(), Vec::new());
                 }
+                let known = cache.get_mut(name).expect("inserted above");
+                let mut feed = rollup.group_feed(name.as_str(), measurement, now);
+                // Pods come uid-ascending, as `known` is: one cursor.
+                let mut at = 0;
+                probe.scrape(node, |pod, used| {
+                    let value = used.as_bytes() as f64;
+                    while known.get(at).is_some_and(|&(uid, _)| uid < pod.uid) {
+                        at += 1;
+                    }
+                    let id = match known.get(at) {
+                        Some(&(uid, id)) if uid == pod.uid && db.append(id, now, value) => id,
+                        _ => {
+                            set_series_tags(&mut tags, name.as_str(), pod.pod_name());
+                            let id = db.resolve(measurement, &tags);
+                            db.append(id, now, value);
+                            id
+                        }
+                    };
+                    scraped.push((pod.uid, id));
+                    feed.admit(Some(pod.pod_name()), value);
+                });
+                std::mem::swap(known, &mut scraped);
+                scraped.clear();
             }
         }
         self.stamp_all_scrapes(now);
@@ -1166,8 +1234,9 @@ impl Orchestrator {
     /// scale-up path (a kubelet joining the cluster).
     ///
     /// The name starts from a clean slate even if a previous node carried
-    /// it: any leftover scrape stamp, recovery epoch, rollup window or
-    /// stored probe series from the old incarnation is torn down first,
+    /// it: any leftover scrape stamp, recovery epoch, scrape-cache list,
+    /// rollup window or stored probe series from the old incarnation is
+    /// torn down first,
     /// so the reused name schedules as a fresh, never-degraded node
     /// instead of inheriting the predecessor's staleness or quarantine.
     /// (Deregistration via [`remove_node`](Self::remove_node) already
@@ -1203,9 +1272,10 @@ impl Orchestrator {
     /// evicted back to the pending queue at their original submit times
     /// (the controller-recreates semantics node failure uses), so no pod
     /// is ever lost to a removal. Finally every per-node ledger is torn
-    /// down — scrape stamp, recovery epoch, rollup window, the cached
-    /// snapshot entry (dropped by the next incremental capture, no full
-    /// invalidation) and the node's stored tsdb probe series.
+    /// down — scrape stamp, recovery epoch, scrape-cache list, rollup
+    /// window, the cached snapshot entry (dropped by the next incremental
+    /// capture, no full invalidation) and the node's stored tsdb probe
+    /// series.
     ///
     /// # Errors
     ///
@@ -1268,12 +1338,16 @@ impl Orchestrator {
         })
     }
 
-    /// Tears down every per-node ledger entry plus the node's rollup
-    /// window and stored probe series — shared by deregistration and by
-    /// registration's name-reuse guard.
+    /// Tears down every per-node ledger entry — scrape stamp, recovery
+    /// epoch, scrape cache — plus the node's rollup window and stored
+    /// probe series; shared by deregistration and by registration's
+    /// name-reuse guard.
     fn forget_node(&mut self, name: &NodeName) {
         self.last_scrape.remove(name);
         self.recovered_at.remove(name);
+        for cache in &mut self.scrape_cache {
+            cache.remove(name);
+        }
         self.rollup.get_mut().forget(name.as_str());
         self.db
             .drop_series_with_first_tag("nodename", name.as_str());
@@ -1431,6 +1505,7 @@ impl Orchestrator {
 mod tests {
     use super::*;
     use crate::registry::{DEFAULT_SCHEDULER, SGX_SPREAD};
+    use proptest::prelude::*;
     use sgx_sim::units::ByteSize;
     use stress::Stressor;
 
@@ -1900,31 +1975,174 @@ mod tests {
         assert_eq!(orch.degraded_decisions(), 1);
     }
 
-    #[test]
-    fn scrape_frames_then_ingest_matches_probe_pass() {
-        let mut direct = orchestrator();
-        let mut framed = orchestrator();
-        for orch in [&mut direct, &mut framed] {
-            orch.submit(sgx_spec("a", 20), SimTime::ZERO);
-            orch.submit(sgx_spec("b", 30), SimTime::ZERO);
-            orch.scheduler_pass(SimTime::from_secs(5));
-        }
-        for tick in 1..=6u64 {
-            let now = SimTime::from_secs(tick * 10);
-            direct.probe_pass(now);
-            let frames = framed.scrape_frames(now);
-            for (node, batch) in &frames {
-                framed.ingest_frame(node, batch, now);
+    /// One step of the probe-path equivalence property below.
+    #[derive(Debug, Clone)]
+    enum TickOp {
+        /// Submit a pod (EPC-only or memory-only) and run a pass.
+        Bind {
+            sgx: bool,
+            mib: u64,
+        },
+        /// Complete the `nth` running pod (modulo).
+        Complete(usize),
+        /// Advance `secs` and run a probe tick — the one step the two
+        /// orchestrators under comparison take differently.
+        Tick {
+            secs: u64,
+        },
+        /// Advance `secs` and enforce retention with no scrape — what
+        /// runs a series out from under a cached id.
+        Expire {
+            secs: u64,
+        },
+        /// Crash / bring back the `nth` worker.
+        Fail(usize),
+        Recover(usize),
+        /// Deregister the `nth` worker and register a fresh node under
+        /// the same name.
+        Readd(usize),
+        /// Drain the `nth` worker — its pods migrate wherever binpack
+        /// puts them — and uncordon it.
+        Drain(usize),
+    }
+
+    const WORKERS: [&str; 4] = ["sgx-1", "sgx-2", "std-1", "std-2"];
+
+    fn tick_ops() -> impl Strategy<Value = Vec<TickOp>> {
+        let bind = || (any::<bool>(), 1u64..30).prop_map(|(sgx, mib)| TickOp::Bind { sgx, mib });
+        prop::collection::vec(
+            prop_oneof![
+                bind(),
+                bind(),
+                (0usize..8).prop_map(TickOp::Complete),
+                (1u64..25).prop_map(|secs| TickOp::Tick { secs }),
+                (1u64..25).prop_map(|secs| TickOp::Tick { secs }),
+                // Past the 15 min retention in one or two steps.
+                (400u64..1_000).prop_map(|secs| TickOp::Tick { secs }),
+                (400u64..1_000).prop_map(|secs| TickOp::Expire { secs }),
+                (0usize..4).prop_map(TickOp::Fail),
+                (0usize..4).prop_map(TickOp::Recover),
+                (0usize..4).prop_map(TickOp::Readd),
+                (0usize..4).prop_map(TickOp::Drain),
+            ],
+            1..60,
+        )
+    }
+
+    impl TickOp {
+        fn elapses(&self) -> SimDuration {
+            match *self {
+                TickOp::Tick { secs } | TickOp::Expire { secs } => SimDuration::from_secs(secs),
+                _ => SimDuration::ZERO,
             }
-            framed.enforce_metrics_retention(now);
-            assert_eq!(framed.db().snapshot(), direct.db().snapshot());
-            assert_eq!(framed.last_scrape, direct.last_scrape);
         }
-        // Idle nodes' empty frames still refresh their freshness.
-        let frames = framed.scrape_frames(SimTime::from_secs(70));
-        assert!(frames
-            .iter()
-            .any(|(n, b)| n.as_str() == "std-1" && b.is_empty()));
+
+        /// Applies the op at `now`; `framed` picks the entry point of a
+        /// probe tick.
+        fn apply(&self, orch: &mut Orchestrator, now: SimTime, framed: bool) {
+            let worker = |nth: usize| NodeName::new(WORKERS[nth]);
+            match *self {
+                TickOp::Bind { sgx, mib } => {
+                    let spec = if sgx {
+                        sgx_spec("e", mib)
+                    } else {
+                        PodSpec::builder("m")
+                            .memory_resources(ByteSize::from_mib(mib))
+                            .build()
+                    };
+                    orch.submit(spec, now);
+                    orch.scheduler_pass(now);
+                }
+                TickOp::Complete(nth) => {
+                    let running: Vec<PodUid> = orch
+                        .cluster
+                        .nodes()
+                        .flat_map(|n| n.pods().keys().copied())
+                        .collect();
+                    if !running.is_empty() {
+                        orch.complete_pod(running[nth % running.len()], now)
+                            .unwrap();
+                    }
+                }
+                TickOp::Tick { .. } if framed => {
+                    for (node, batch) in &orch.scrape_frames(now) {
+                        orch.ingest_frame(node, batch, now);
+                    }
+                    orch.enforce_metrics_retention(now);
+                }
+                TickOp::Tick { .. } => orch.probe_pass(now),
+                TickOp::Expire { .. } => orch.enforce_metrics_retention(now),
+                TickOp::Fail(nth) => {
+                    orch.fail_node(&worker(nth), now).unwrap();
+                }
+                TickOp::Recover(nth) => orch.recover_node(&worker(nth), now).unwrap(),
+                TickOp::Readd(nth) => {
+                    let name = worker(nth);
+                    let spec = *orch.cluster.node(&name).unwrap().spec();
+                    orch.remove_node(&name, now).unwrap();
+                    orch.add_node(WORKERS[nth], spec, now).unwrap();
+                    // A fresh incarnation inherits nothing.
+                    assert!(orch.scrape_cache.iter().all(|c| !c.contains_key(&name)));
+                    assert_eq!(orch.metrics_age(&name, now), None);
+                }
+                TickOp::Drain(nth) => {
+                    orch.drain_node(&worker(nth), now).unwrap();
+                    orch.uncordon_node(&worker(nth), now).unwrap();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The probe tick has two entry points and one effect:
+        /// `probe_pass` (rows appended by cached series id, the rollup fed
+        /// unframed) and `scrape_frames` + `ingest_frame` +
+        /// `enforce_metrics_retention` (tagged frames resolved on
+        /// arrival) leave the same store, counters, rollup and freshness
+        /// ledger — across pod turnover, migrations, retention running
+        /// series out from under cached ids, node crashes, and a node
+        /// name changing hands.
+        #[test]
+        fn scrape_frames_then_ingest_matches_probe_pass(ops in tick_ops()) {
+            let mut direct = orchestrator();
+            let mut framed = orchestrator();
+            let mut now = SimTime::from_secs(1);
+            for (index, op) in ops.iter().enumerate() {
+                now += op.elapses();
+                op.apply(&mut direct, now, false);
+                op.apply(&mut framed, now, true);
+                prop_assert_eq!(direct.db().snapshot(), framed.db().snapshot(), "step {}", index);
+                for (d, f) in [
+                    (direct.db().points_inserted(), framed.db().points_inserted()),
+                    (direct.db().points_evicted(), framed.db().points_evicted()),
+                    (direct.db().series_count() as u64, framed.db().series_count() as u64),
+                ] {
+                    prop_assert_eq!(d, f, "step {}", index);
+                }
+                prop_assert_eq!(
+                    direct.window_rollup_stats(),
+                    framed.window_rollup_stats(),
+                    "step {}", index
+                );
+                // Every node got a frame, idle or not.
+                prop_assert_eq!(&direct.last_scrape, &framed.last_scrape, "step {}", index);
+                prop_assert_eq!(
+                    direct.capture_snapshot(now),
+                    framed.capture_snapshot(now),
+                    "step {}", index
+                );
+                // The cache is uid-ascending and names registered nodes
+                // its probe targets, nothing else.
+                for (probe, cache) in direct.probes.iter().zip(&direct.scrape_cache) {
+                    for (name, known) in cache {
+                        prop_assert!(known.windows(2).all(|w| w[0].0 < w[1].0));
+                        prop_assert!(direct.cluster.node(name).is_some_and(|n| probe.targets(n)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -314,6 +314,11 @@ fn legacy_spread_score(
         .iter()
         .map(|(n, v)| v.load_fraction_after(spec, *n == name))
         .collect();
+    // No peers, no deviation: one fixed NaN, not whichever `0/0` the
+    // build profile computes.
+    if loads.is_empty() {
+        return -f64::NAN;
+    }
     let mean = loads.iter().sum::<f64>() / loads.len() as f64;
     -(loads.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / loads.len() as f64).sqrt()
 }
@@ -446,8 +451,9 @@ fn non_monotone_filters_bypass_the_frontier() {
 #[test]
 fn spread_score_of_an_empty_peer_group_is_nan_either_way() {
     // A lone cordoned node is no member of its own (hence empty) peer
-    // group: 0/0. Batch scoring must hand back the same NaN, not panic
-    // or invent a number.
+    // group. Batch scoring must hand back the same NaN — the same bits,
+    // in every build profile — not panic or invent a number, and
+    // `total_cmp` must rank it below any real score.
     let lone = NodeView {
         memory_capacity: ByteSize::from_gib(8),
         epc_capacity: EpcPages::new(1_000),
@@ -456,7 +462,9 @@ fn spread_score_of_an_empty_peer_group_is_nan_either_way() {
     };
     let nodes: BTreeMap<NodeName, NodeView> = [(NodeName::new("n-0"), lone)].into();
     let spec = fine_spec_for(0, true, 10);
-    assert!(legacy_spread_score(&nodes, &NodeName::new("n-0"), &spec).is_nan());
+    let score = legacy_spread_score(&nodes, &NodeName::new("n-0"), &spec);
+    assert_eq!(score.to_bits(), (-f64::NAN).to_bits());
+    assert!(score.total_cmp(&f64::NEG_INFINITY).is_lt());
     assert_spread_scores_agree(&nodes, &spec).unwrap();
 }
 

@@ -545,6 +545,13 @@ impl SgxDriver {
         self.enclaves.get(&id)
     }
 
+    /// Every registered enclave, in no particular order — one pass gives
+    /// a scraper each pod's usage, where [`pages_for_pod`](Self::pages_for_pod)
+    /// per pod would make a pass per pod.
+    pub fn enclaves(&self) -> impl Iterator<Item = &Enclave> {
+        self.enclaves.values()
+    }
+
     /// Pages owned by all enclaves of a process (the per-process ioctl).
     ///
     /// # Errors

@@ -9,11 +9,15 @@
 //! * `measurement`, scrape `time`, and the shared tags are stored once;
 //! * each row carries only the distinguishing tag value and the sample.
 //!
-//! Batches are what the probes hand to
-//! [`Database::insert_batch`](crate::Database::insert_batch) and
-//! [`WindowRollup::feed`](crate::WindowRollup::feed), and what
+//! Batches are what a probe's frame is at every boundary: what
 //! [`wire::encode_batch`](crate::wire::encode_batch) frames in the
-//! snapshot format's length-prefixed style for an on-the-wire hop.
+//! snapshot format's length-prefixed style for an on-the-wire hop, and
+//! what [`Database::insert_batch`](crate::Database::insert_batch) and
+//! [`WindowRollup::feed`](crate::WindowRollup::feed) take on arrival,
+//! resolving each row's series by its tags. (A writer inside the
+//! process that meets the same series every tick can skip the frame:
+//! [`Database::append`](crate::Database::append) by
+//! [`SeriesId`](crate::SeriesId).)
 //!
 //! # Examples
 //!

@@ -8,12 +8,18 @@
 //!
 //! * [`Point`] — a tagged, timestamped observation
 //!   (`sgx/epc{pod_name=...,nodename=...} value=N t`).
-//! * [`Database`] — tagged series storage with retention enforcement.
+//! * [`Database`] — tagged series storage with retention enforcement:
+//!   an ordered index from `(measurement, tag set)` to a slab of sample
+//!   vectors. [`Database::resolve`] names a series once and returns a
+//!   [`SeriesId`]; [`Database::append`] writes through it at the cost of
+//!   a push. Every tagged insert is the two composed.
 //! * [`PointBatch`] — the one-frame-per-node-per-scrape transport unit
-//!   probes ship to the store.
+//!   probes ship to the store across a wire.
 //! * [`WindowRollup`] — Listing 1 as a continuous query: the per-node
-//!   window state maintained from the same frames at ingest, read by the
-//!   scheduler instead of re-evaluating the query.
+//!   window state maintained from the same rows at ingest
+//!   ([`WindowRollup::feed`] for a frame, [`WindowRollup::group_feed`]
+//!   for a writer that never framed them), read by the scheduler instead
+//!   of re-evaluating the query.
 //! * [`query`] — a structured query AST and executor supporting the
 //!   nested sliding-window aggregation of the paper's Listing 1:
 //!   [`Database::query`] seeks each series to the window, and
@@ -76,5 +82,5 @@ pub use batch::{BatchRow, PointBatch};
 pub use error::TsdbError;
 pub use point::{Point, TagSet};
 pub use query::{Aggregate, Predicate, Row, Select, Source, TimeBound};
-pub use rollup::{RollupStats, WindowRollup};
-pub use storage::Database;
+pub use rollup::{GroupFeed, RollupStats, WindowRollup};
+pub use storage::{Database, SeriesId};

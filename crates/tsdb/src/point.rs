@@ -83,10 +83,6 @@ impl Point {
     pub fn value(&self) -> f64 {
         self.value
     }
-
-    pub(crate) fn into_parts(self) -> (String, TagSet, SimTime, f64) {
-        (self.measurement, self.tags, self.time, self.value)
-    }
 }
 
 impl fmt::Display for Point {

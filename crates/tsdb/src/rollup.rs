@@ -142,6 +142,9 @@ struct MeasurementWindow {
     members: Vec<MemberWindow>,
 }
 
+/// Group value → its measurements (a handful; searched linearly).
+type Groups = BTreeMap<String, Vec<MeasurementWindow>>;
+
 /// The ingest-side state of the nested `SUM(MAX(..))` window query. See
 /// the module docs.
 ///
@@ -171,9 +174,8 @@ pub struct WindowRollup {
     group_tag: String,
     /// The tag the inner `GROUP BY` adds (`pod_name`).
     member_tag: String,
-    /// Group value → its measurements (a handful; searched linearly).
     /// Holds no empty group, measurement or member.
-    groups: BTreeMap<String, Vec<MeasurementWindow>>,
+    groups: Groups,
     /// Highest bound ever trimmed to; no held sample is older.
     floor: SimTime,
     /// Samples examined by reads so far.
@@ -197,35 +199,46 @@ impl WindowRollup {
     /// ingests. Rows that are zero, older than the floor, or without a
     /// group tag (the outer query yields them no group row) are dropped.
     pub fn feed(&mut self, batch: &PointBatch) {
-        if batch.time() < self.floor {
-            return;
-        }
         let shared = |tag: &str| batch.shared_tags().get(tag).map(String::as_str);
         let shared_member = shared(&self.member_tag);
         let (measurement, time) = (batch.measurement(), batch.time());
-        let mut rows = batch
-            .rows()
-            .iter()
-            .filter(|row| row.value != 0.0)
-            .peekable();
         if batch.row_tag_key() == self.group_tag {
-            for row in rows {
-                window_of(&mut self.groups, &row.tag_value, measurement)
-                    .admit(shared_member, (time, row.value));
+            for row in batch.rows() {
+                self.group_feed(&row.tag_value, measurement, time)
+                    .admit(shared_member, row.value);
             }
-        } else if let (Some(group), Some(_)) = (shared(&self.group_tag), rows.peek()) {
+        } else if let Some(group) = shared(&self.group_tag) {
             // What the probes ship: one group per frame, rows told apart
-            // by member — the group's window is looked up once.
+            // by member.
             let row_is_member = batch.row_tag_key() == self.member_tag;
-            let window = window_of(&mut self.groups, group, measurement);
-            for row in rows {
+            let mut feed = self.group_feed(group, measurement, time);
+            for row in batch.rows() {
                 let member = if row_is_member {
                     Some(row.tag_value.as_str())
                 } else {
                     shared_member
                 };
-                window.admit(member, (time, row.value));
+                feed.admit(member, row.value);
             }
+        }
+    }
+
+    /// [`feed`](Self::feed) for a writer that holds its rows unframed:
+    /// opens `group`'s share of one frame of `measurement` sampled at
+    /// `time`, to be [`admit`](GroupFeed::admit)ted row by row with the
+    /// same outcome as feeding the frame.
+    pub fn group_feed<'a>(
+        &'a mut self,
+        group: &'a str,
+        measurement: &'a str,
+        time: SimTime,
+    ) -> GroupFeed<'a> {
+        GroupFeed {
+            groups: (time >= self.floor).then_some(&mut self.groups),
+            window: None,
+            group,
+            measurement,
+            time,
         }
     }
 
@@ -330,9 +343,41 @@ pub struct RollupStats {
     pub samples_folded: u64,
 }
 
+/// One group's rows of one frame on their way into a [`WindowRollup`];
+/// see [`WindowRollup::group_feed`]. The group's window is looked up
+/// once, by the first row that is kept, so a frame of zeros (or none)
+/// creates nothing.
+#[derive(Debug)]
+pub struct GroupFeed<'a> {
+    /// The rollup's groups until the first kept row opens the window;
+    /// `None` from the start for a frame below the floor, which is
+    /// dropped whole.
+    groups: Option<&'a mut Groups>,
+    window: Option<&'a mut MeasurementWindow>,
+    group: &'a str,
+    measurement: &'a str,
+    time: SimTime,
+}
+
+impl GroupFeed<'_> {
+    /// Admits one row: `member` is the row's member-tag value (`None`
+    /// for a series without the tag). Zeros are dropped.
+    pub fn admit(&mut self, member: Option<&str>, value: f64) {
+        if value == 0.0 {
+            return;
+        }
+        if let Some(groups) = self.groups.take() {
+            self.window = Some(window_of(groups, self.group, self.measurement));
+        }
+        if let Some(window) = &mut self.window {
+            window.admit(member, (self.time, value));
+        }
+    }
+}
+
 /// The window of `(group, measurement)`, created on first contact.
 fn window_of<'a>(
-    groups: &'a mut BTreeMap<String, Vec<MeasurementWindow>>,
+    groups: &'a mut Groups,
     group: &str,
     measurement: &str,
 ) -> &'a mut MeasurementWindow {

@@ -1,4 +1,35 @@
 //! Series storage and retention.
+//!
+//! A series lives in two places. Its samples sit in a *slot* of a slab
+//! (`Vec<Slot>` plus a free list), addressed by a [`SeriesId`]; its name
+//! — `(measurement, tag set)` — is a key of the ordered index, whose
+//! value is the slot number. The split is what lets a writer pay for the
+//! name once:
+//!
+//! * [`Database::resolve`] is the store's one resolver: two string-keyed
+//!   B-tree descents, get-or-create, returning the id.
+//! * [`Database::append`] is its one append routine: an index into the
+//!   slab, a generation compare, a push.
+//!
+//! [`insert`](Database::insert), [`insert_at`](Database::insert_at) and
+//! [`insert_batch`](Database::insert_batch) are `append(resolve(..))`; a
+//! writer that sees the same series tick after tick (a probe scraping a
+//! pod) keeps the id and skips the resolver.
+//!
+//! The index is *eager*: it lists exactly the live series, so every read
+//! — [`query`](Database::query), the full scan, `stream_window`,
+//! [`snapshot`](Database::snapshot) — walks series in tag-set order as it
+//! always has, and never meets a hole. Ids are generation-checked: a slot
+//! released by retention or [`drop_series_with_first_tag`] bumps its
+//! generation before it is reused, so an id that outlived its series
+//! appends nothing and says so.
+//!
+//! Each slot carries the time of its oldest sample inline, so
+//! [`enforce_retention`] compares one word per series and opens the
+//! sample vector only of a series the cutoff has passed.
+//!
+//! [`drop_series_with_first_tag`]: Database::drop_series_with_first_tag
+//! [`enforce_retention`]: Database::enforce_retention
 
 use std::collections::BTreeMap;
 
@@ -44,6 +75,34 @@ fn window(series: &Series, lo: SimTime, hi: Option<SimTime>) -> &[(SimTime, f64)
     &series[start..end.max(start)]
 }
 
+/// A handle to one stored series, from [`Database::resolve`]. Opaque and
+/// `Copy`; valid until the series is unregistered (its last sample
+/// evicted, or dropped with its node), after which
+/// [`Database::append`] refuses it — also once the storage behind it
+/// holds another series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId {
+    slot: u32,
+    generation: u32,
+}
+
+/// Storage of one series, or a free cell of the slab.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// Empty in a free slot, and in a series resolved but not yet
+    /// appended to.
+    samples: Series,
+    /// `samples[0].0` — kept here so retention can tell a series with
+    /// nothing to evict without following `samples` to the heap.
+    /// [`SimTime::MAX`] in a free slot (never due); [`SimTime::ZERO`] in
+    /// a live series without samples (due at every retention, which
+    /// unregisters it).
+    oldest: SimTime,
+    /// How many series this slot has held before the current one. An id
+    /// is live while its generation equals the slot's.
+    generation: u32,
+}
+
 /// The in-memory time-series database.
 ///
 /// Series are keyed by `(measurement, tag set)`; queries are executed with
@@ -67,7 +126,12 @@ fn window(series: &Series, lo: SimTime, hi: Option<SimTime>) -> &[(SimTime, f64)
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    measurements: BTreeMap<String, BTreeMap<TagSet, Series>>,
+    /// The ordered index: measurement → tag set → slot number, listing
+    /// exactly the live series.
+    index: BTreeMap<String, BTreeMap<TagSet, u32>>,
+    slots: Vec<Slot>,
+    /// Numbers of the free slots, reused last-released first.
+    free: Vec<u32>,
     points_inserted: u64,
     points_evicted: u64,
 }
@@ -78,51 +142,127 @@ impl Database {
         Database::default()
     }
 
+    /// The series `(measurement, tags)`, registered empty on first
+    /// contact (only then are `measurement` and `tags` cloned into owned
+    /// keys). A series still empty at the next
+    /// [`enforce_retention`](Self::enforce_retention) is unregistered by
+    /// it like any other.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use des::SimTime;
+    /// use tsdb::{Database, TagSet};
+    ///
+    /// let mut db = Database::new();
+    /// let tags: TagSet = [("pod_name".to_string(), "pod-1".to_string())].into();
+    /// let id = db.resolve("sgx/epc", &tags);
+    /// assert!(db.append(id, SimTime::from_secs(10), 4096.0));
+    /// assert!(db.append(id, SimTime::from_secs(20), 8192.0));
+    /// assert_eq!((db.series_count(), db.point_count()), (1, 2));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `measurement` is empty (the [`Point::new`] contract).
+    pub fn resolve(&mut self, measurement: &str, tags: &TagSet) -> SeriesId {
+        assert!(
+            !measurement.is_empty(),
+            "measurement name must not be empty"
+        );
+        // Lookups instead of `entry`: `entry` would force cloning the
+        // borrowed keys on every call, existing series or not. The miss
+        // arms re-walk the tree, but only on first contact with a
+        // measurement or series.
+        let series_map = if self.index.contains_key(measurement) {
+            self.index.get_mut(measurement).expect("checked above")
+        } else {
+            self.index.entry(measurement.to_string()).or_default()
+        };
+        if let Some(&slot) = series_map.get(tags) {
+            let generation = self.slots[slot as usize].generation;
+            return SeriesId { slot, generation };
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 series");
+                self.slots.push(Slot {
+                    samples: Series::new(),
+                    oldest: SimTime::MAX,
+                    generation: 0,
+                });
+                slot
+            }
+        };
+        series_map.insert(tags.clone(), slot);
+        let held = &mut self.slots[slot as usize];
+        held.oldest = SimTime::ZERO;
+        SeriesId {
+            slot,
+            generation: held.generation,
+        }
+    }
+
+    /// Appends a sample to the series behind `id` (anywhere in time: an
+    /// out-of-order sample is inserted at its place). Returns `false`,
+    /// storing and counting nothing, when that series has since been
+    /// unregistered — [`resolve`](Self::resolve) it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is not finite (the [`Point::new`] contract).
+    pub fn append(&mut self, id: SeriesId, time: SimTime, value: f64) -> bool {
+        assert!(value.is_finite(), "point value must be finite, got {value}");
+        let Some(slot) = self
+            .slots
+            .get_mut(id.slot as usize)
+            .filter(|slot| slot.generation == id.generation)
+        else {
+            return false;
+        };
+        // A delayed sample moves the stamp *back*: the next retention
+        // that passes it must find it.
+        if slot.samples.is_empty() || time < slot.oldest {
+            slot.oldest = time;
+        }
+        insert_sorted(&mut slot.samples, time, value);
+        self.points_inserted += 1;
+        true
+    }
+
+    /// Unregisters the series in `slot`, whose index entry the caller has
+    /// removed: every id to it goes stale, its samples are freed, the
+    /// slot joins the free list. Returns how many samples it held.
+    fn release(slots: &mut [Slot], free: &mut Vec<u32>, slot: u32) -> usize {
+        let held = &mut slots[slot as usize];
+        held.generation = held.generation.wrapping_add(1);
+        held.oldest = SimTime::MAX;
+        free.push(slot);
+        std::mem::take(&mut held.samples).len()
+    }
+
     /// Inserts a point.
     pub fn insert(&mut self, point: Point) {
-        let (measurement, tags, time, value) = point.into_parts();
-        let series = self
-            .measurements
-            .entry(measurement)
-            .or_default()
-            .entry(tags)
-            .or_default();
-        insert_sorted(series, time, value);
-        self.points_inserted += 1;
+        self.insert_at(
+            point.measurement(),
+            point.tags(),
+            point.time(),
+            point.value(),
+        );
     }
 
     /// Inserts a sample by borrowed identity, allocating nothing when the
-    /// series already exists — the batched-ingestion hot path. Only a
-    /// *new* series clones `measurement` and `tags` into owned keys.
+    /// series already exists: `append(resolve(measurement, tags), ..)`.
     ///
     /// # Panics
     ///
     /// Panics if `measurement` is empty or `value` is not finite (the
     /// same contract [`Point::new`] enforces).
     pub fn insert_at(&mut self, measurement: &str, tags: &TagSet, time: SimTime, value: f64) {
-        assert!(
-            !measurement.is_empty(),
-            "measurement name must not be empty"
-        );
-        assert!(value.is_finite(), "point value must be finite, got {value}");
-        // Lookups instead of `entry`: `entry` would force cloning the
-        // borrowed keys on every call, existing series or not. The miss
-        // arms re-walk the tree, but only on first contact with a
-        // measurement or series; steady state is two `get_mut` hits.
-        let series_map = if self.measurements.contains_key(measurement) {
-            self.measurements
-                .get_mut(measurement)
-                .expect("checked above")
-        } else {
-            self.measurements
-                .entry(measurement.to_string())
-                .or_default()
-        };
-        match series_map.get_mut(tags) {
-            Some(series) => insert_sorted(series, time, value),
-            None => insert_sorted(series_map.entry(tags.clone()).or_default(), time, value),
-        }
-        self.points_inserted += 1;
+        let id = self.resolve(measurement, tags);
+        let stored = self.append(id, time, value);
+        debug_assert!(stored, "a series just resolved is live");
     }
 
     /// Inserts every row of a [`PointBatch`](crate::PointBatch), sharing
@@ -159,14 +299,24 @@ impl Database {
     pub fn query_full_scan(&self, select: &Select, now: SimTime) -> Vec<Row> {
         let fetch = |measurement: &str| -> Vec<(SimTime, f64, &TagSet)> {
             let mut samples = Vec::new();
-            if let Some(series_map) = self.measurements.get(measurement) {
-                for (tags, series) in series_map {
-                    samples.extend(series.iter().map(|&(t, v)| (t, v, tags)));
-                }
+            for (tags, series) in self.series_of(measurement) {
+                samples.extend(series.iter().map(|&(t, v)| (t, v, tags)));
             }
             samples
         };
         select.execute_full_scan(&fetch, now)
+    }
+
+    /// The series of `measurement` with their samples, in tag-set order.
+    fn series_of<'a>(
+        &'a self,
+        measurement: &str,
+    ) -> impl Iterator<Item = (&'a TagSet, &'a Series)> + 'a {
+        self.index
+            .get(measurement)
+            .into_iter()
+            .flatten()
+            .map(|(tags, &slot)| (tags, &self.slots[slot as usize].samples))
     }
 
     /// Streams every sample of `measurement` with `lo <= time` (and
@@ -181,11 +331,9 @@ impl Database {
         hi: Option<SimTime>,
         mut emit: impl FnMut(SimTime, f64, &TagSet),
     ) {
-        if let Some(series_map) = self.measurements.get(measurement) {
-            for (tags, series) in series_map {
-                for &(time, value) in window(series, lo, hi) {
-                    emit(time, value, tags);
-                }
+        for (tags, series) in self.series_of(measurement) {
+            for &(time, value) in window(series, lo, hi) {
+                emit(time, value, tags);
             }
         }
     }
@@ -194,17 +342,41 @@ impl Database {
     /// series, and removes series that become empty. Returns the number of
     /// samples evicted. This is the retention-policy enforcement a real
     /// InfluxDB runs continuously.
+    ///
+    /// Costs one comparison per series plus the samples evicted: a series
+    /// whose oldest sample is inside the retention is not opened. Only a
+    /// call that leaves some series empty walks the index to unregister
+    /// them.
     pub fn enforce_retention(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let cutoff = TimeBound::SinceNowMinus(keep).resolve(now);
         let mut evicted = 0;
-        for series_map in self.measurements.values_mut() {
-            series_map.retain(|_, series| {
-                let keep_from = series.partition_point(|&(t, _)| t < cutoff);
-                evicted += series.drain(..keep_from).count();
-                !series.is_empty()
-            });
+        let mut emptied = false;
+        for slot in &mut self.slots {
+            if slot.oldest < cutoff || slot.oldest == SimTime::ZERO {
+                // Counted from the front, not bisected: the walk ends one
+                // sample past the last one evicted.
+                let expired = slot.samples.iter().take_while(|&&(t, _)| t < cutoff);
+                let keep_from = expired.count();
+                evicted += slot.samples.drain(..keep_from).count();
+                match slot.samples.first() {
+                    Some(&(first, _)) => slot.oldest = first,
+                    None => emptied = true,
+                }
+            }
         }
-        self.measurements.retain(|_, m| !m.is_empty());
+        if emptied {
+            let (slots, free) = (&mut self.slots, &mut self.free);
+            for series_map in self.index.values_mut() {
+                series_map.retain(|_, &mut slot| {
+                    let live = !slots[slot as usize].samples.is_empty();
+                    if !live {
+                        Self::release(slots, free, slot);
+                    }
+                    live
+                });
+            }
+            self.index.retain(|_, m| !m.is_empty());
+        }
         self.points_evicted += evicted as u64;
         evicted
     }
@@ -220,34 +392,30 @@ impl Database {
     pub fn drop_series_with_first_tag(&mut self, key: &str, value: &str) -> usize {
         let (lo, hi) = first_tag_range(key, value);
         let mut dropped = 0;
-        for series_map in self.measurements.values_mut() {
+        for series_map in self.index.values_mut() {
             let doomed: Vec<TagSet> = series_map
                 .range(lo.clone()..hi.clone())
                 .map(|(tags, _)| tags.clone())
                 .collect();
             for tags in doomed {
-                if let Some(series) = series_map.remove(&tags) {
-                    dropped += series.len();
+                if let Some(slot) = series_map.remove(&tags) {
+                    dropped += Self::release(&mut self.slots, &mut self.free, slot);
                 }
             }
         }
-        self.measurements.retain(|_, m| !m.is_empty());
+        self.index.retain(|_, m| !m.is_empty());
         self.points_evicted += dropped as u64;
         dropped
     }
 
     /// Number of distinct series currently stored.
     pub fn series_count(&self) -> usize {
-        self.measurements.values().map(BTreeMap::len).sum()
+        self.index.values().map(BTreeMap::len).sum()
     }
 
     /// Number of samples currently stored.
     pub fn point_count(&self) -> usize {
-        self.measurements
-            .values()
-            .flat_map(BTreeMap::values)
-            .map(Vec::len)
-            .sum()
+        self.slots.iter().map(|slot| slot.samples.len()).sum()
     }
 
     /// Lifetime insert counter.
@@ -262,16 +430,16 @@ impl Database {
 
     /// The measurement names currently stored, in sorted order.
     pub fn measurement_names(&self) -> Vec<&str> {
-        self.measurements.keys().map(String::as_str).collect()
+        self.index.keys().map(String::as_str).collect()
     }
 
     /// Serialises every stored sample into the binary snapshot format of
     /// [`crate::wire`] (what a real InfluxDB would flush to disk).
     pub fn snapshot(&self) -> bytes::Bytes {
         let mut points = Vec::with_capacity(self.point_count());
-        for (measurement, series_map) in &self.measurements {
-            for (tags, series) in series_map {
-                for &(time, value) in series {
+        for (measurement, series_map) in &self.index {
+            for (tags, &slot) in series_map {
+                for &(time, value) in &self.slots[slot as usize].samples {
                     let mut point = Point::new(measurement.clone(), time, value);
                     for (k, v) in tags {
                         point = point.with_tag(k.clone(), v.clone());
@@ -403,6 +571,99 @@ mod tests {
         assert_eq!(evicted, 10);
         assert_eq!(db.series_count(), 0);
         assert!(db.measurement_names().is_empty());
+    }
+
+    fn pod_tags(pod: &str, node: &str) -> TagSet {
+        epc_point(0, pod, node, 1.0).tags().clone()
+    }
+
+    #[test]
+    fn an_id_outliving_its_series_appends_nothing_and_says_so() {
+        let mut db = Database::new();
+        let aged = db.resolve("sgx/epc", &pod_tags("a", "n1"));
+        let dropped = db.resolve("sgx/epc", &pod_tags("b", "n2"));
+        let kept = db.resolve("sgx/epc", &pod_tags("c", "n1"));
+        assert!(db.append(aged, SimTime::from_secs(10), 1.0));
+        assert!(db.append(dropped, SimTime::from_secs(95), 2.0));
+        assert!(db.append(kept, SimTime::from_secs(95), 3.0));
+        // Resolving again finds the same series.
+        assert_eq!(db.resolve("sgx/epc", &pod_tags("a", "n1")), aged);
+
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(100), SimDuration::from_secs(30)),
+            1
+        );
+        assert_eq!(db.drop_series_with_first_tag("nodename", "n2"), 1);
+        let before = (db.snapshot(), db.points_inserted());
+        for stale in [aged, dropped] {
+            assert!(!db.append(stale, SimTime::from_secs(100), 9.0));
+        }
+        assert_eq!((db.snapshot(), db.points_inserted()), before);
+        assert!(db.append(kept, SimTime::from_secs(100), 4.0));
+        assert_eq!((db.series_count(), db.point_count()), (1, 2));
+    }
+
+    #[test]
+    fn a_reused_slot_refuses_the_previous_tenants_id() {
+        let mut db = Database::new();
+        let first = db.resolve("sgx/epc", &pod_tags("a", "n1"));
+        db.append(first, SimTime::from_secs(1), 1.0);
+        db.enforce_retention(SimTime::from_secs(100), SimDuration::from_secs(10));
+        assert_eq!(db.series_count(), 0);
+        // The next series moves into the storage `first` pointed at.
+        let second = db.resolve("memory/usage", &pod_tags("b", "n1"));
+        assert_eq!(second.slot, first.slot);
+        assert_ne!(second, first);
+        assert!(!db.append(first, SimTime::from_secs(100), 7.0));
+        assert!(db.append(second, SimTime::from_secs(100), 8.0));
+        assert_eq!(db.measurement_names(), ["memory/usage"]);
+        assert_eq!(db.point_count(), 1);
+    }
+
+    #[test]
+    fn resolve_after_removal_starts_an_empty_series() {
+        let mut db = Database::new();
+        let tags = pod_tags("a", "n1");
+        let old = db.resolve("sgx/epc", &tags);
+        db.append(old, SimTime::from_secs(1), 1.0);
+        db.drop_series_with_first_tag("nodename", "n1");
+        let new = db.resolve("sgx/epc", &tags);
+        assert_ne!(new, old);
+        assert_eq!((db.series_count(), db.point_count()), (1, 0));
+        assert!(db.append(new, SimTime::from_secs(2), 2.0));
+        let q = Select::from_measurement("sgx/epc").aggregate(Aggregate::Sum);
+        assert_eq!(db.query(&q, SimTime::from_secs(3))[0].value, 2.0);
+        // A series nobody appended to goes with the next retention,
+        // even one that evicts nothing.
+        db.resolve("sgx/epc", &pod_tags("idle", "n1"));
+        assert_eq!(db.series_count(), 2);
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(3), SimDuration::from_secs(60)),
+            0
+        );
+        assert_eq!(db.series_count(), 1);
+    }
+
+    #[test]
+    fn a_delayed_sample_before_the_first_is_evicted_when_retention_passes_it() {
+        let mut db = Database::new();
+        db.insert(epc_point(100, "a", "n1", 1.0));
+        db.insert(epc_point(110, "a", "n1", 2.0));
+        // A delayed frame lands ahead of the series' first sample…
+        db.insert(epc_point(50, "a", "n1", 3.0));
+        // …a cutoff short of it evicts nothing…
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(105), SimDuration::from_secs(60)),
+            0
+        );
+        // …and the first cutoff past it evicts exactly it.
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(150), SimDuration::from_secs(60)),
+            1
+        );
+        let q = Select::from_measurement("sgx/epc").aggregate(Aggregate::Sum);
+        assert_eq!(db.query(&q, SimTime::from_secs(150))[0].value, 3.0);
+        assert_eq!(db.points_evicted(), 1);
     }
 
     #[test]

@@ -37,6 +37,8 @@ use crate::point::Point;
 const MAGIC: u32 = 0x5453_4442; // "TSDB"
 const BATCH_MAGIC: u32 = 0x5453_4250; // "TSBP" (tsdb batch of points)
 const VERSION: u8 = 1;
+/// The shortest point record: a one-byte measurement, no tags.
+const MIN_POINT_LEN: usize = 2 + 1 + 1 + 16;
 
 /// Encodes points into a snapshot buffer.
 ///
@@ -83,7 +85,8 @@ fn put_str(buf: &mut BytesMut, s: &str) {
 /// # Errors
 ///
 /// Returns [`TsdbError::Parse`] on truncated input, a bad magic/version,
-/// or invalid UTF-8 in string fields.
+/// invalid UTF-8 in string fields, an empty measurement or a non-finite
+/// value — nothing a buffer can hold makes it panic.
 pub fn decode(mut data: &[u8]) -> Result<Vec<Point>, TsdbError> {
     let err = |message: &str| TsdbError::Parse {
         message: message.to_string(),
@@ -101,9 +104,14 @@ pub fn decode(mut data: &[u8]) -> Result<Vec<Point>, TsdbError> {
         });
     }
     let count = data.get_u64_le();
-    let mut points = Vec::with_capacity(count.min(1 << 20) as usize);
+    // A forged count reserves no more than the payload could hold.
+    let mut points =
+        Vec::with_capacity(count.min((data.remaining() / MIN_POINT_LEN) as u64) as usize);
     for _ in 0..count {
         let measurement = get_str(&mut data)?;
+        if measurement.is_empty() {
+            return Err(err("empty measurement"));
+        }
         if data.remaining() < 1 {
             return Err(err("truncated tag count"));
         }
@@ -182,7 +190,9 @@ pub fn encode_batch(batch: &PointBatch) -> Bytes {
 /// # Errors
 ///
 /// Returns [`TsdbError::Parse`] on truncated input, a bad magic/version,
-/// invalid UTF-8, or non-finite row values.
+/// invalid UTF-8, an empty measurement or row tag key, a shared tag
+/// under the row tag key, or non-finite row values — nothing a buffer
+/// can hold makes it panic.
 pub fn decode_batch(mut data: &[u8]) -> Result<PointBatch, TsdbError> {
     let err = |message: &str| TsdbError::Parse {
         message: message.to_string(),
