@@ -123,13 +123,6 @@ fn check(params: &BenchParams, result: &ReplayResult) {
         "non-terminal pods remain: {terminal} < {}",
         trace_jobs(result)
     );
-    // The stream's raison d'être: the replay never held more than one
-    // not-yet-submitted job, regardless of the trace's size.
-    assert!(
-        result.peak_materialized_jobs() <= 1,
-        "streaming replay materialised {} jobs ahead of the clock",
-        result.peak_materialized_jobs()
-    );
     let metrics = result.elasticity().expect("autoscaling is enabled");
     let peak = metrics.peak_nodes;
     assert!(
@@ -176,9 +169,8 @@ fn main() {
         assert_eq!(result.elasticity(), again.elasticity());
         assert_eq!(result.group_peak_replicas(), again.group_peak_replicas());
         eprintln!(
-            "bench_autoscale --smoke ok: {} jobs streamed (lookahead {}), {} pod events, peak {} nodes, deterministic",
+            "bench_autoscale --smoke ok: {} jobs streamed, {} pod events, peak {} nodes, deterministic",
             trace_jobs(&result),
-            result.peak_materialized_jobs(),
             pod_events(&result),
             result.elasticity().map_or(0, |m| m.peak_nodes),
         );
@@ -221,10 +213,6 @@ fn main() {
     println!(
         "    \"events_per_wall_sec\": {:.0},",
         pod_events(&result) as f64 / wall
-    );
-    println!(
-        "    \"peak_materialized_jobs\": {},",
-        result.peak_materialized_jobs()
     );
     println!("    \"completed\": {},", result.completed_count());
     println!("    \"denied\": {},", result.denied_count());

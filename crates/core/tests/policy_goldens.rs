@@ -12,10 +12,11 @@
 //! only integers, strings, enums and exact shortest-roundtrip floats; it is
 //! deterministic for identical bit patterns.
 
+use borg_trace::frontend::MaterializedFrontend;
 use des::SimDuration;
 use sgx_orchestrator::Experiment;
 use sgx_sim::units::ByteSize;
-use simulation::{replay, FaultPlan, NodeDrain, ProbeSilence, RebalanceConfig};
+use simulation::{replay_stream, FaultPlan, NodeDrain, ProbeSilence, RebalanceConfig};
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -140,7 +141,7 @@ fn drain_digest() -> u64 {
         drain_at_secs: 300,
         down_for: SimDuration::from_secs(600),
     });
-    let result = replay(&exp.workload(), &config);
+    let result = replay_stream(&mut MaterializedFrontend::new(&exp.workload()), &config);
     fnv1a64(format!("{result:?}").as_bytes())
 }
 

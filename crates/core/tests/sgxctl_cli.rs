@@ -47,3 +47,52 @@ fn a_quick_replay_succeeds() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("makespan:"), "{stdout}");
 }
+
+/// Replays a one-job trace file holding `row` under the given extra flags.
+fn replay_trace_row(file: &str, row: &str, flags: &[&str]) -> Output {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    std::fs::write(&path, format!("{}\n{row}\n", borg_trace::csv::HEADER)).unwrap();
+    let mut args = vec!["replay", "--trace", path.to_str().unwrap()];
+    args.extend_from_slice(flags);
+    sgxctl(&args)
+}
+
+#[test]
+fn an_unrepresentable_finish_instant_times_out_with_exit_code_1() {
+    // A u64::MAX µs duration: the finish instant (and, submitted after
+    // t = 0, the frontend's horizon hint) used to overflow — a panic in a
+    // debug build, a wrap to `t+10.0s, 1 completed` in release.
+    let output = replay_trace_row(
+        "overflowing_duration.csv",
+        "1,1,18446744073709551615,0.1,0.05",
+        &[],
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stdout.contains("0 completed"), "{stdout}");
+    assert!(
+        stderr.contains("timed out at the 48h00m00s cap with 1 pod(s)"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_zero_page_sgx_request_still_lands_on_an_sgx_node() {
+    // The request rounds to 0 EPC pages; the pod used to be placed as a
+    // standard pod, refused by the kubelet and retried until the 48 h cap
+    // (exit 0). With a one-page floor it reaches an SGX node, where the
+    // driver denies it for using more than it asked for.
+    let output = replay_trace_row(
+        "zero_page_sgx.csv",
+        "1,0,1000000,0.0,0.1",
+        &["--sgx-ratio", "1"],
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("0 completed, 1 denied at launch"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("48h"), "{stdout}");
+}

@@ -235,13 +235,17 @@ pub fn frame_loss_rate(result: &ReplayResult) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{replay, ReplayConfig};
+    use crate::{replay_stream, ReplayConfig};
+    use borg_trace::frontend::MaterializedFrontend;
     use borg_trace::{GeneratorConfig, Workload, WorkloadParams};
 
     fn result() -> ReplayResult {
         let trace = GeneratorConfig::small(21).generate();
         let workload = Workload::materialize(&trace, &WorkloadParams::paper(0.5, 21));
-        replay(&workload, &ReplayConfig::paper(21))
+        replay_stream(
+            &mut MaterializedFrontend::new(&workload),
+            &ReplayConfig::paper(21),
+        )
     }
 
     #[test]
@@ -340,7 +344,10 @@ mod tests {
         // Replay of an empty workload: zero runs, so every mean is over
         // an empty set. The checked variants say so; the `_secs`
         // variants are pinned to 0.0, never NaN.
-        let r = replay(&Workload::default(), &ReplayConfig::paper(1));
+        let r = replay_stream(
+            &mut MaterializedFrontend::new(&Workload::default()),
+            &ReplayConfig::paper(1),
+        );
         assert_eq!(r.runs().len(), 0);
         assert_eq!(mean_waiting(&r, None), None);
         assert_eq!(mean_turnaround(&r, None), None);
@@ -360,7 +367,10 @@ mod tests {
         let single = borg_trace::Trace::from_jobs(trace.jobs()[..1].to_vec());
         let workload = Workload::materialize(&single, &WorkloadParams::paper(1.0, 23));
         assert_eq!(workload.len(), 1);
-        let r = replay(&workload, &ReplayConfig::paper(23));
+        let r = replay_stream(
+            &mut MaterializedFrontend::new(&workload),
+            &ReplayConfig::paper(23),
+        );
         let run = r.runs().first().unwrap();
         let wait = run.record.waiting_time().unwrap().as_secs_f64();
         assert_eq!(mean_waiting(&r, None), Some(wait));
@@ -407,7 +417,7 @@ mod tests {
         let workload = Workload::materialize(&trace, &WorkloadParams::paper(0.5, 22));
         let config = ReplayConfig::paper(22)
             .with_faults(crate::FaultPlan::none().with_seed(3).with_scrape_drops(0.4));
-        let r = replay(&workload, &config);
+        let r = replay_stream(&mut MaterializedFrontend::new(&workload), &config);
         let rate = frame_loss_rate(&r);
         assert!(rate > 0.0 && rate < 1.0, "loss rate {rate}");
         assert_eq!(

@@ -3,8 +3,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use borg_trace::frontend::{MaterializedFrontend, TraceFrontend, WorkloadEvent};
-use borg_trace::{Workload, WorkloadJob};
+use borg_trace::frontend::{FrontendHint, TraceFrontend, WorkloadEvent};
+use borg_trace::WorkloadJob;
 use cluster::api::{NodeName, PodSpec, PodUid, ResourceRequirements, Resources};
 use des::stats::TimeSeries;
 use des::{EventQueue, SimDuration, SimTime};
@@ -13,7 +13,7 @@ use orchestrator::autoscale::{
 };
 use orchestrator::events::ClusterEvent;
 use orchestrator::{Migration, Orchestrator, PodOutcome, PodRecord};
-use sgx_sim::units::ByteSize;
+use sgx_sim::units::{ByteSize, EpcPages};
 use stress::Stressor;
 
 use crate::chaos::{FaultInjector, FaultStats, FrameFate};
@@ -78,6 +78,20 @@ struct InFlightFrame {
     attempts: u32,
 }
 
+/// A pod's finish bookkeeping, kept from its first bind until it
+/// completes.
+#[derive(Default)]
+struct Finish {
+    /// Bumped whenever a scheduled [`Event::PodFinish`] goes stale: a pod
+    /// killed by a node crash and rescheduled gets a new generation, so
+    /// the old event is ignored when it fires.
+    generation: u32,
+    /// The in-flight finish instant while the pod runs, so a live
+    /// migration can shift it by its transfer delay (downtime →
+    /// turnaround).
+    at: Option<SimTime>,
+}
+
 /// One submitted pod with its provenance, after the replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRun {
@@ -114,7 +128,6 @@ pub struct ReplayResult {
     degraded_decisions: u64,
     elasticity: Option<ElasticityMetrics>,
     group_peak_replicas: Vec<(String, usize)>,
-    peak_materialized_jobs: usize,
 }
 
 // Hand-written so a replay without autoscaling formats exactly like the
@@ -140,8 +153,6 @@ impl fmt::Debug for ReplayResult {
             s.field("elasticity", &self.elasticity)
                 .field("group_peak_replicas", &self.group_peak_replicas);
         }
-        // `peak_materialized_jobs` is memory telemetry, not replay
-        // behaviour — never formatted, so the golden digests stay stable.
         s.finish()
     }
 }
@@ -232,16 +243,6 @@ impl ReplayResult {
         &self.group_peak_replicas
     }
 
-    /// Peak number of workload jobs that were materialised ahead of
-    /// their submission during the replay. A streamed frontend holds a
-    /// single lookahead event, so this is 1 (0 for an empty trace);
-    /// the legacy `replay(&Workload, ..)` path reports the whole
-    /// workload's length — the `bench_autoscale` O(in-flight) memory
-    /// proof compares the two.
-    pub fn peak_materialized_jobs(&self) -> usize {
-        self.peak_materialized_jobs
-    }
-
     /// Number of pods that completed normally.
     pub fn completed_count(&self) -> usize {
         self.runs
@@ -271,24 +272,10 @@ impl ReplayResult {
 /// groups but the replay has no explicit autoscale configuration.
 pub const DEFAULT_GROUP_AUTOSCALE_PERIOD: SimDuration = SimDuration::from_secs(15);
 
-/// Replays a fully materialised workload against a freshly built
-/// cluster and orchestrator — the legacy entry point, now a thin
-/// adapter over [`replay_stream`]. Property tests prove the adapter is
-/// bit-identical to streaming the same generator, and the policy
-/// goldens pin the combined engine to the pre-streaming behaviour.
-///
-/// The loop is fully deterministic for a given `(workload, config)` pair.
-pub fn replay(workload: &Workload, config: &ReplayConfig) -> ReplayResult {
-    let mut frontend = MaterializedFrontend::new(workload);
-    let mut result = replay_stream(&mut frontend, config);
-    // The caller materialised the whole workload up front; report that,
-    // not the adapter's one-event lookahead.
-    result.peak_materialized_jobs = workload.len();
-    result
-}
-
 /// Replays a streaming [`TraceFrontend`] against a freshly built
-/// cluster and orchestrator.
+/// cluster and orchestrator — the one entry point; an already
+/// materialised [`borg_trace::Workload`] goes through
+/// [`MaterializedFrontend`](borg_trace::frontend::MaterializedFrontend).
 ///
 /// Submissions are pulled lazily — the loop holds one lookahead event —
 /// so memory stays O(in-flight pods) regardless of the horizon.
@@ -299,622 +286,653 @@ pub fn replay(workload: &Workload, config: &ReplayConfig) -> ReplayResult {
 ///
 /// The loop is fully deterministic for a given `(frontend, config)` pair.
 pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) -> ReplayResult {
-    let mut orch = Orchestrator::new(config.cluster.clone(), config.orchestrator.clone());
-    orch.set_enforce_limits(config.enforce_limits);
-    if let Some(model) = config.cost_model {
-        for node in orch.cluster_mut().nodes_mut() {
-            node.set_cost_model(model);
-        }
-    }
+    let mut engine = Engine::new(&frontend.hint(), config);
+    engine.run(frontend);
+    engine.into_result()
+}
 
-    let scheduler_period = config.orchestrator.scheduler_period;
-    let probe_period = config.orchestrator.probe_period;
-    let cap = SimTime::ZERO + config.max_sim_time;
-
-    let hint = frontend.hint();
-    // Every job contributes (usually) a PodFinish, the periodic loops
-    // keep at most one in-flight event each, and each injected failure
-    // or drain adds an open/close pair — so ~2 events per expected job
-    // plus a small constant bounds the heap's high-water mark.
-    let event_estimate =
-        hint.expected_jobs * 2 + config.failures.len() * 2 + config.drains.len() * 2 + 8;
-    let mut events: EventQueue<Event> = EventQueue::with_capacity(event_estimate);
-    if let Some(mal) = &config.malicious {
-        events.schedule(
-            SimTime::from_secs(mal.submit_at_secs),
-            Event::SubmitMalicious,
-        );
-    }
-    for (index, failure) in config.failures.iter().enumerate() {
-        let at = SimTime::from_secs(failure.fail_at_secs);
-        events.schedule(at, Event::NodeFail(index));
-        events.schedule(at + failure.down_for, Event::NodeRecover(index));
-    }
-    for (index, drain) in config.drains.iter().enumerate() {
-        let at = SimTime::from_secs(drain.drain_at_secs);
-        events.schedule(at, Event::DrainNode(index));
-        events.schedule(at + drain.down_for, Event::UncordonNode(index));
-    }
-    // The periodic loops start with the replay and stop once everything
-    // has drained (they re-arm themselves only while work remains).
-    events.schedule(SimTime::ZERO, Event::SchedulerTick);
-    events.schedule(SimTime::ZERO, Event::ProbeTick);
-    if let Some(rebalance) = config.rebalance {
-        events.schedule(SimTime::ZERO + rebalance.period, Event::RebalanceTick);
-    }
-
-    // The two autoscaling controllers. The node-pool controller exists
-    // only when configured; the pod-group controller also comes up when
-    // the frontend announces service groups (their reconcile templates
-    // start at zero offered load and are driven purely by `GroupLoad`).
-    let frontend_groups: Vec<PodGroupSpec> = hint
-        .service_groups
-        .iter()
-        .map(|g| PodGroupSpec {
-            name: g.name.clone(),
-            sgx: g.sgx,
-            replica_request: g.replica_request,
-            min_replicas: g.min_replicas,
-            max_replicas: g.max_replicas,
-            capacity_per_replica: g.capacity_per_replica,
-            profile: vec![(0, 0.0)],
-        })
-        .collect();
-    let mut cluster_as = config
-        .autoscale
-        .as_ref()
-        .map(|autoscale| ClusterAutoscaler::new(autoscale.policy.clone()));
-    let mut groups_as = (config.autoscale.is_some() || !frontend_groups.is_empty()).then(|| {
-        let mut specs = config
-            .autoscale
-            .as_ref()
-            .map(|autoscale| autoscale.pod_groups.clone())
-            .unwrap_or_default();
-        specs.extend(frontend_groups);
-        PodGroupAutoscaler::new(specs)
-    });
-    let autoscale_period = match (&config.autoscale, &groups_as) {
-        (Some(autoscale), _) => Some(autoscale.period),
-        (None, Some(_)) => Some(DEFAULT_GROUP_AUTOSCALE_PERIOD),
-        (None, None) => None,
-    };
-    let autoscale_audit = config.autoscale.as_ref().is_some_and(|a| a.audit);
-    if let Some(period) = autoscale_period {
-        events.schedule(SimTime::ZERO + period, Event::AutoscaleTick);
-    }
-
-    let mut uid_to_job: BTreeMap<PodUid, WorkloadJob> = BTreeMap::new();
-    let mut generation: BTreeMap<PodUid, u32> = BTreeMap::new();
-    // In-flight finish instant per running pod, so a live migration can
-    // shift the finish by its transfer delay (downtime → turnaround).
-    let mut finish_at: BTreeMap<PodUid, SimTime> = BTreeMap::new();
-    let mut malicious_uids: Vec<PodUid> = Vec::new();
-    let mut running = 0usize;
-    // The malicious tenant is a queue event, not a frontend event; its
-    // own flag keeps the periodic loops armed until it lands.
-    let mut malicious_pending = config.malicious.is_some();
-    let mut pending_epc_series = TimeSeries::new();
-    let mut pending_memory_series = TimeSeries::new();
-    let mut epc_imbalance_series = TimeSeries::new();
-    let mut migration_count = 0u64;
-    let mut migration_downtime = SimDuration::ZERO;
-    let mut timed_out = false;
-    let mut end_time = SimTime::ZERO;
+/// The event loop's state: [`run`](Self::run) drives it, one handler
+/// per event kind mutates it, and the caller then either builds a
+/// [`ReplayResult`] from it or (online mode) counts outcomes straight
+/// from the orchestrator's records.
+pub(crate) struct Engine<'a> {
+    config: &'a ReplayConfig,
+    pub(crate) orch: Orchestrator,
+    events: EventQueue<Event>,
+    /// One lookahead frontend event: the stream never materialises more
+    /// than a single job ahead of the simulation clock.
+    next_fe: Option<WorkloadEvent>,
+    cap: SimTime,
+    end_time: SimTime,
+    timed_out: bool,
+    cluster_as: Option<ClusterAutoscaler>,
+    groups_as: Option<PodGroupAutoscaler>,
+    autoscale_period: Option<SimDuration>,
+    uid_to_job: BTreeMap<PodUid, WorkloadJob>,
+    finishes: BTreeMap<PodUid, Finish>,
+    malicious_uids: BTreeSet<PodUid>,
+    /// Service replicas the pod-group controller submitted: they are
+    /// infrastructure, not trace jobs, and stay out of `runs`.
+    group_uids: BTreeSet<PodUid>,
+    running: usize,
+    /// The malicious tenant is a queue event, not a frontend event; its
+    /// own flag keeps the periodic loops armed until it lands.
+    malicious_pending: bool,
     // The periodic loops de-arm themselves when the cluster drains and
     // are re-armed by the next submission.
-    let mut sched_armed = true;
-    let mut probe_armed = true;
-    let mut rebalance_armed = config.rebalance.is_some();
-    let mut autoscale_armed = autoscale_period.is_some();
-    // Service replicas the pod-group controller submitted: they are
-    // infrastructure, not trace jobs, and stay out of `runs`.
-    let mut group_uids: BTreeSet<PodUid> = BTreeSet::new();
-    // Fault injection: a no-op plan never constructs the injector, so
-    // the replay is structurally identical to the pre-chaos engine
-    // (bit-identity property-tested in tests/chaos_props.rs).
-    let mut injector =
-        (!config.faults.is_noop()).then(|| FaultInjector::new(config.faults.clone()));
-    let mut in_flight: BTreeMap<u64, InFlightFrame> = BTreeMap::new();
-    let mut next_frame_id = 0u64;
+    sched_armed: bool,
+    probe_armed: bool,
+    rebalance_armed: bool,
+    autoscale_armed: bool,
+    pending_epc_series: TimeSeries,
+    pending_memory_series: TimeSeries,
+    epc_imbalance_series: TimeSeries,
+    migration_count: u64,
+    migration_downtime: SimDuration,
+    /// Fault injection: a no-op plan never constructs the injector, so
+    /// the replay is structurally identical to the pre-chaos engine
+    /// (bit-identity property-tested in tests/chaos_props.rs).
+    injector: Option<FaultInjector>,
+    in_flight: BTreeMap<u64, InFlightFrame>,
+    next_frame_id: u64,
+}
 
-    // One lookahead frontend event: the stream never materialises more
-    // than a single job ahead of the simulation clock.
-    let mut next_fe = frontend.next_event();
-    let peak_materialized_jobs = usize::from(next_fe.is_some());
+impl<'a> Engine<'a> {
+    /// Builds the cluster, orchestrator and controllers and schedules
+    /// the configured injections and the first tick of every loop.
+    pub(crate) fn new(hint: &FrontendHint, config: &'a ReplayConfig) -> Self {
+        let mut orch = Orchestrator::new(config.cluster.clone(), config.orchestrator.clone());
+        orch.set_enforce_limits(config.enforce_limits);
+        if let Some(model) = config.cost_model {
+            for node in orch.cluster_mut().nodes_mut() {
+                node.set_cost_model(model);
+            }
+        }
 
-    loop {
-        // Interleave the frontend with the queue by time. The frontend
-        // wins ties, which reproduces the legacy ordering where all
-        // pre-scheduled submits carried the lowest sequence numbers.
-        let take_fe = match (next_fe.as_ref().map(WorkloadEvent::at), events.peek_time()) {
-            (Some(fe_at), Some(queue_at)) => fe_at <= queue_at,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_fe {
-            let fe = next_fe.take().expect("take_fe implies a lookahead event");
-            let now = fe.at();
-            if now > cap {
-                // The replay is cut off *at* the cap: events past it
-                // never execute, so the makespan reported is the cap.
-                end_time = cap;
-                timed_out = true;
-                break;
-            }
-            end_time = now;
-            match fe {
-                WorkloadEvent::Submit { job, hostile } => {
-                    let uid = orch.submit(pod_spec_for(&job), now);
-                    uid_to_job.insert(uid, job);
-                    if hostile {
-                        malicious_uids.push(uid);
-                    }
-                    if !sched_armed {
-                        events.schedule(now, Event::SchedulerTick);
-                        sched_armed = true;
-                    }
-                    if !probe_armed {
-                        events.schedule(now, Event::ProbeTick);
-                        probe_armed = true;
-                    }
-                    if let Some(rebalance) = config.rebalance {
-                        if !rebalance_armed {
-                            events.schedule(now + rebalance.period, Event::RebalanceTick);
-                            rebalance_armed = true;
-                        }
-                    }
-                    if let Some(period) = autoscale_period {
-                        if !autoscale_armed {
-                            events.schedule(now + period, Event::AutoscaleTick);
-                            autoscale_armed = true;
-                        }
-                    }
-                }
-                WorkloadEvent::GroupLoad { group, load, .. } => {
-                    let groups = groups_as
-                        .as_mut()
-                        .expect("GroupLoad events require announced service groups");
-                    assert!(
-                        groups.set_offered_load(&group, load),
-                        "frontend drove unannounced group {group:?}"
-                    );
-                    // A load change must wake the controller even after
-                    // it de-armed itself in a lull.
-                    if !autoscale_armed {
-                        events.schedule(now, Event::AutoscaleTick);
-                        autoscale_armed = true;
-                    }
-                }
-            }
-            next_fe = frontend.next_event();
-            continue;
+        // Every job contributes (usually) a PodFinish, the periodic loops
+        // keep at most one in-flight event each, and each injected failure
+        // or drain adds an open/close pair — so ~2 events per expected job
+        // plus a small constant bounds the heap's high-water mark.
+        let event_estimate =
+            hint.expected_jobs * 2 + config.failures.len() * 2 + config.drains.len() * 2 + 8;
+        let mut events: EventQueue<Event> = EventQueue::with_capacity(event_estimate);
+        if let Some(mal) = &config.malicious {
+            events.schedule(
+                SimTime::from_secs(mal.submit_at_secs),
+                Event::SubmitMalicious,
+            );
         }
-        let Some((now, event)) = events.pop() else {
-            break;
-        };
-        if now > cap {
-            // The replay is cut off *at* the cap: events past it never
-            // execute, so the makespan reported is the cap itself.
-            end_time = cap;
-            timed_out = true;
-            break;
+        for (index, failure) in config.failures.iter().enumerate() {
+            let at = SimTime::from_secs(failure.fail_at_secs);
+            events.schedule(at, Event::NodeFail(index));
+            events.schedule(at + failure.down_for, Event::NodeRecover(index));
         }
-        end_time = now;
+        for (index, drain) in config.drains.iter().enumerate() {
+            let at = SimTime::from_secs(drain.drain_at_secs);
+            events.schedule(at, Event::DrainNode(index));
+            events.schedule(at + drain.down_for, Event::UncordonNode(index));
+        }
+        // The periodic loops start with the replay and stop once everything
+        // has drained (they re-arm themselves only while work remains).
+        events.schedule(SimTime::ZERO, Event::SchedulerTick);
+        events.schedule(SimTime::ZERO, Event::ProbeTick);
+        if let Some(rebalance) = config.rebalance {
+            events.schedule(SimTime::ZERO + rebalance.period, Event::RebalanceTick);
+        }
+
+        // The two autoscaling controllers. The node-pool controller exists
+        // only when configured; the pod-group controller also comes up when
+        // the frontend announces service groups (their reconcile templates
+        // start at zero offered load and are driven purely by `GroupLoad`).
+        let frontend_groups: Vec<PodGroupSpec> = hint
+            .service_groups
+            .iter()
+            .map(|g| PodGroupSpec {
+                name: g.name.clone(),
+                sgx: g.sgx,
+                replica_request: g.replica_request,
+                min_replicas: g.min_replicas,
+                max_replicas: g.max_replicas,
+                capacity_per_replica: g.capacity_per_replica,
+                profile: vec![(0, 0.0)],
+            })
+            .collect();
+        let cluster_as = config
+            .autoscale
+            .as_ref()
+            .map(|autoscale| ClusterAutoscaler::new(autoscale.policy.clone()));
+        let groups_as = (config.autoscale.is_some() || !frontend_groups.is_empty()).then(|| {
+            let mut specs = config
+                .autoscale
+                .as_ref()
+                .map(|autoscale| autoscale.pod_groups.clone())
+                .unwrap_or_default();
+            specs.extend(frontend_groups);
+            PodGroupAutoscaler::new(specs)
+        });
+        let autoscale_period = match (&config.autoscale, &groups_as) {
+            (Some(autoscale), _) => Some(autoscale.period),
+            (None, Some(_)) => Some(DEFAULT_GROUP_AUTOSCALE_PERIOD),
+            (None, None) => None,
+        };
+        if let Some(period) = autoscale_period {
+            events.schedule(SimTime::ZERO + period, Event::AutoscaleTick);
+        }
+
+        Engine {
+            config,
+            orch,
+            events,
+            next_fe: None,
+            cap: SimTime::ZERO + config.max_sim_time,
+            end_time: SimTime::ZERO,
+            timed_out: false,
+            cluster_as,
+            groups_as,
+            autoscale_period,
+            uid_to_job: BTreeMap::new(),
+            finishes: BTreeMap::new(),
+            malicious_uids: BTreeSet::new(),
+            group_uids: BTreeSet::new(),
+            running: 0,
+            malicious_pending: config.malicious.is_some(),
+            sched_armed: true,
+            probe_armed: true,
+            rebalance_armed: config.rebalance.is_some(),
+            autoscale_armed: autoscale_period.is_some(),
+            pending_epc_series: TimeSeries::new(),
+            pending_memory_series: TimeSeries::new(),
+            epc_imbalance_series: TimeSeries::new(),
+            migration_count: 0,
+            migration_downtime: SimDuration::ZERO,
+            injector: (!config.faults.is_noop()).then(|| FaultInjector::new(config.faults.clone())),
+            in_flight: BTreeMap::new(),
+            next_frame_id: 0,
+        }
+    }
+
+    /// Runs the loop until the frontend is exhausted and the queue has
+    /// drained, or the clock passes the cap.
+    pub(crate) fn run(&mut self, frontend: &mut dyn TraceFrontend) {
+        self.next_fe = frontend.next_event();
+        loop {
+            // Interleave the frontend with the queue by time. The frontend
+            // wins ties, which reproduces the legacy ordering where all
+            // pre-scheduled submits carried the lowest sequence numbers.
+            let fe_at = self.next_fe.as_ref().map(WorkloadEvent::at);
+            let take_fe = match (fe_at, self.events.peek_time()) {
+                (Some(fe_at), Some(queue_at)) => fe_at <= queue_at,
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            if take_fe {
+                let fe = self.next_fe.take().expect("take_fe implies a lookahead");
+                if !self.advance_clock(fe.at()) {
+                    break;
+                }
+                self.on_frontend_event(fe);
+                self.next_fe = frontend.next_event();
+            } else {
+                let Some((now, event)) = self.events.pop() else {
+                    break;
+                };
+                if !self.advance_clock(now) {
+                    break;
+                }
+                self.on_event(event, now);
+            }
+        }
+    }
+
+    /// Moves the clock to `now`, or cuts the replay off *at* the cap:
+    /// events past it never execute, so the makespan reported is the cap
+    /// itself. Returns whether the event at `now` may run.
+    fn advance_clock(&mut self, now: SimTime) -> bool {
+        self.timed_out = now > self.cap;
+        self.end_time = now.min(self.cap);
+        !self.timed_out
+    }
+
+    /// The de-arm rule of the periodic loops: a tick schedules its
+    /// successor only while some pod can still change state.
+    fn work_remains(&self) -> bool {
+        self.next_fe.is_some()
+            || self.malicious_pending
+            || self.running > 0
+            || !self.orch.queue().is_empty()
+    }
+
+    /// New pods reached the queue: wakes the scheduler and probe loops
+    /// if they de-armed themselves in a lull.
+    fn rearm_passes(&mut self, now: SimTime) {
+        if !self.sched_armed {
+            self.events.schedule(now, Event::SchedulerTick);
+            self.sched_armed = true;
+        }
+        if !self.probe_armed {
+            self.events.schedule(now, Event::ProbeTick);
+            self.probe_armed = true;
+        }
+    }
+
+    /// The re-arm rule: work arrived from outside the loop, so every
+    /// de-armed periodic loop starts again — the passes at once, the
+    /// controllers one period out.
+    fn rearm(&mut self, now: SimTime) {
+        self.rearm_passes(now);
+        if let Some(rebalance) = self.config.rebalance {
+            if !self.rebalance_armed {
+                self.events
+                    .schedule(now + rebalance.period, Event::RebalanceTick);
+                self.rebalance_armed = true;
+            }
+        }
+        if let Some(period) = self.autoscale_period {
+            if !self.autoscale_armed {
+                self.events.schedule(now + period, Event::AutoscaleTick);
+                self.autoscale_armed = true;
+            }
+        }
+    }
+
+    /// The one place a pod's finish is scheduled: `from` plus every
+    /// delay, under the pod's current generation.
+    fn schedule_finish(&mut self, uid: PodUid, from: SimTime, delays: &[SimDuration]) {
+        let at = finish_instant(from, delays);
+        let finish = self.finishes.entry(uid).or_default();
+        finish.at = Some(at);
+        let event = Event::PodFinish(uid, finish.generation);
+        self.events.schedule(at, event);
+    }
+
+    /// The pod left its node before finishing (crash, eviction,
+    /// retirement): its in-flight finish event is now stale.
+    fn cancel_finish(&mut self, uid: PodUid) {
+        let finish = self.finishes.entry(uid).or_default();
+        finish.generation += 1;
+        if finish.at.take().is_some() {
+            self.running -= 1;
+        }
+    }
+
+    fn on_frontend_event(&mut self, event: WorkloadEvent) {
+        let now = event.at();
         match event {
-            Event::SubmitMalicious => {
-                malicious_pending = false;
-                let mal = config.malicious.expect("event only scheduled when set");
-                // One malicious pod per SGX node ("as many of them as
-                // there are SGX-enabled nodes", §VI-F).
-                let sgx_node_count = orch.cluster().sgx_nodes().count();
-                for i in 0..sgx_node_count {
-                    let spec = PodSpec::builder(format!("malicious-{i}"))
-                        .requirements(ResourceRequirements::exact(Resources::with_epc(
-                            ByteSize::ZERO,
-                            sgx_sim::units::EpcPages::ONE,
-                        )))
-                        .stressor(Stressor::malicious(mal.fraction))
-                        .duration(mal.duration)
-                        .build();
-                    let uid = orch.submit(spec, now);
-                    malicious_uids.push(uid);
+            WorkloadEvent::Submit { job, hostile } => {
+                let uid = self.orch.submit(pod_spec_for(&job), now);
+                self.uid_to_job.insert(uid, job);
+                if hostile {
+                    self.malicious_uids.insert(uid);
+                }
+                self.rearm(now);
+            }
+            WorkloadEvent::GroupLoad { group, load, .. } => {
+                let groups = self
+                    .groups_as
+                    .as_mut()
+                    .expect("GroupLoad events require announced service groups");
+                assert!(
+                    groups.set_offered_load(&group, load),
+                    "frontend drove unannounced group {group:?}"
+                );
+                // A load change must wake the controller even after
+                // it de-armed itself in a lull.
+                if !self.autoscale_armed {
+                    self.events.schedule(now, Event::AutoscaleTick);
+                    self.autoscale_armed = true;
                 }
             }
-            Event::SchedulerTick => {
-                let outcomes = orch.scheduler_pass(now);
-                for outcome in outcomes {
-                    if outcome.report.started() {
-                        running += 1;
-                        let runtime = outcome
-                            .spec_duration
-                            .mul_f64(outcome.slowdown_at_start.max(1.0));
-                        let generation = *generation.entry(outcome.uid).or_insert(0);
-                        let finish = now + outcome.report.startup_delay + runtime;
-                        finish_at.insert(outcome.uid, finish);
-                        events.schedule(finish, Event::PodFinish(outcome.uid, generation));
-                    }
-                }
-                pending_epc_series.record(now, orch.queue().epc_requested().as_mib_f64());
-                pending_memory_series.record(now, orch.queue().memory_requested().as_mib_f64());
-                epc_imbalance_series.record(now, orch.epc_imbalance());
-                if next_fe.is_some() || malicious_pending || running > 0 || !orch.queue().is_empty()
-                {
-                    events.schedule(now + scheduler_period, Event::SchedulerTick);
-                } else {
-                    sched_armed = false;
-                }
-            }
-            Event::ProbeTick => {
-                match injector.as_mut() {
-                    None => orch.probe_pass(now),
-                    Some(chaos) => {
-                        // Faulted scrape: every frame is judged; surviving
-                        // frames deliver inline *now* (never via a
-                        // same-instant event, which would reorder against
-                        // coinciding scheduler ticks), delayed ones go
-                        // through the in-flight table.
-                        for (node, batch) in orch.scrape_frames(now) {
-                            match chaos.judge_frame(node.as_str(), now) {
-                                FrameFate::Silenced | FrameFate::Dropped => {}
-                                FrameFate::Deliver => {
-                                    let frame = InFlightFrame {
-                                        node,
-                                        bytes: tsdb::wire::encode_batch(&batch),
-                                        scraped_at: now,
-                                        attempts: 0,
-                                    };
-                                    deliver_frame(
-                                        &mut orch,
-                                        chaos,
-                                        &mut events,
-                                        &mut in_flight,
-                                        &mut next_frame_id,
-                                        frame,
-                                        now,
-                                    );
-                                }
-                                FrameFate::Delayed(delay) => {
-                                    let id = next_frame_id;
-                                    next_frame_id += 1;
-                                    in_flight.insert(
-                                        id,
-                                        InFlightFrame {
-                                            node,
-                                            bytes: tsdb::wire::encode_batch(&batch),
-                                            scraped_at: now,
-                                            attempts: 0,
-                                        },
-                                    );
-                                    events.schedule(now + delay, Event::FrameDelivery(id));
-                                }
-                            }
-                        }
-                        orch.enforce_metrics_retention(now);
-                    }
-                }
-                if next_fe.is_some() || malicious_pending || running > 0 || !orch.queue().is_empty()
-                {
-                    events.schedule(now + probe_period, Event::ProbeTick);
-                } else {
-                    probe_armed = false;
-                }
-            }
+        }
+    }
+
+    fn on_event(&mut self, event: Event, now: SimTime) {
+        match event {
+            Event::SubmitMalicious => self.submit_malicious(now),
+            Event::SchedulerTick => self.scheduler_tick(now),
+            Event::ProbeTick => self.probe_tick(now),
             Event::FrameDelivery(id) => {
-                let frame = in_flight
+                let frame = self
+                    .in_flight
                     .remove(&id)
                     .expect("frame deliveries reference in-flight frames");
-                let chaos = injector
-                    .as_mut()
-                    .expect("frame deliveries only exist under fault injection");
-                deliver_frame(
-                    &mut orch,
-                    chaos,
-                    &mut events,
-                    &mut in_flight,
-                    &mut next_frame_id,
-                    frame,
-                    now,
-                );
+                self.deliver_frame(frame, now);
             }
-            Event::PodFinish(uid, event_generation) => {
-                if generation.get(&uid).copied().unwrap_or(0) != event_generation {
-                    continue; // stale: the pod crashed or migrated since
+            Event::PodFinish(uid, generation) => {
+                // Otherwise stale: the pod crashed, migrated or already
+                // completed since the event was scheduled.
+                let current = self.finishes.get(&uid);
+                if current.is_some_and(|finish| finish.generation == generation) {
+                    self.finishes.remove(&uid);
+                    self.running -= 1;
+                    self.orch
+                        .complete_pod(uid, now)
+                        .expect("finish events only exist for running pods");
                 }
-                running -= 1;
-                finish_at.remove(&uid);
-                orch.complete_pod(uid, now)
-                    .expect("finish events only exist for running pods");
             }
             Event::NodeFail(index) => {
-                let failure = &config.failures[index];
-                let node = cluster::api::NodeName::new(failure.node.clone());
-                let crashed = orch
+                let node = NodeName::new(self.config.failures[index].node.clone());
+                let crashed = self
+                    .orch
                     .fail_node(&node, now)
                     .expect("failure injection targets existing nodes");
                 for uid in crashed {
-                    // Invalidate the in-flight finish event and account
-                    // the pod as queued again.
-                    *generation.entry(uid).or_insert(0) += 1;
-                    finish_at.remove(&uid);
-                    running -= 1;
+                    self.cancel_finish(uid);
                 }
-                if !sched_armed {
-                    events.schedule(now, Event::SchedulerTick);
-                    sched_armed = true;
-                }
-                if !probe_armed {
-                    events.schedule(now, Event::ProbeTick);
-                    probe_armed = true;
-                }
-                if let Some(rebalance) = config.rebalance {
-                    if !rebalance_armed {
-                        events.schedule(now + rebalance.period, Event::RebalanceTick);
-                        rebalance_armed = true;
-                    }
-                }
-                if let Some(period) = autoscale_period {
-                    if !autoscale_armed {
-                        events.schedule(now + period, Event::AutoscaleTick);
-                        autoscale_armed = true;
-                    }
-                }
+                self.rearm(now);
             }
             Event::NodeRecover(index) => {
-                let failure = &config.failures[index];
-                let node = cluster::api::NodeName::new(failure.node.clone());
-                orch.recover_node(&node, now)
+                let node = NodeName::new(self.config.failures[index].node.clone());
+                self.orch
+                    .recover_node(&node, now)
                     .expect("failure injection targets existing nodes");
             }
             Event::RebalanceTick => {
-                let rebalance = config.rebalance.expect("event only scheduled when set");
-                let moves = orch.rebalance_epc(now, rebalance.threshold);
-                apply_migrations(
-                    &moves,
-                    now,
-                    &mut events,
-                    &mut generation,
-                    &mut finish_at,
-                    &mut migration_count,
-                    &mut migration_downtime,
-                );
-                epc_imbalance_series.record(now, orch.epc_imbalance());
-                if next_fe.is_some() || malicious_pending || running > 0 || !orch.queue().is_empty()
-                {
-                    events.schedule(now + rebalance.period, Event::RebalanceTick);
+                let rebalance = self
+                    .config
+                    .rebalance
+                    .expect("event only scheduled when set");
+                let moves = self.orch.rebalance_epc(now, rebalance.threshold);
+                self.apply_migrations(&moves, now);
+                self.epc_imbalance_series
+                    .record(now, self.orch.epc_imbalance());
+                if self.work_remains() {
+                    self.events
+                        .schedule(now + rebalance.period, Event::RebalanceTick);
                 } else {
-                    rebalance_armed = false;
+                    self.rebalance_armed = false;
                 }
             }
-            Event::AutoscaleTick => {
-                let period = autoscale_period.expect("event only scheduled when a period exists");
-                let mut outcome = AutoscaleOutcome::default();
-                if let Some(cluster_as) = cluster_as.as_mut() {
-                    outcome.merge(cluster_as.tick(&mut orch, now));
-                }
-                if let Some(groups_as) = groups_as.as_mut() {
-                    outcome.merge(groups_as.tick(&mut orch, now));
-                }
-                for (_, removal) in &outcome.removed {
-                    // Scale-down drained a node: migrated pods shift
-                    // their finishes by the transfer delay; stragglers
-                    // with no target were evicted back to the queue, so
-                    // their in-flight finishes are stale.
-                    apply_migrations(
-                        &removal.migrations,
-                        now,
-                        &mut events,
-                        &mut generation,
-                        &mut finish_at,
-                        &mut migration_count,
-                        &mut migration_downtime,
-                    );
-                    for &uid in &removal.requeued {
-                        *generation.entry(uid).or_insert(0) += 1;
-                        if finish_at.remove(&uid).is_some() {
-                            running -= 1;
-                        }
-                    }
-                }
-                for &uid in &outcome.retired {
-                    // The pod-group controller completed a surplus
-                    // replica; invalidate its backstop finish.
-                    *generation.entry(uid).or_insert(0) += 1;
-                    if finish_at.remove(&uid).is_some() {
-                        running -= 1;
-                    }
-                }
-                if !outcome.submitted.is_empty() {
-                    group_uids.extend(outcome.submitted.iter().copied());
-                    if !sched_armed {
-                        events.schedule(now, Event::SchedulerTick);
-                        sched_armed = true;
-                    }
-                    if !probe_armed {
-                        events.schedule(now, Event::ProbeTick);
-                        probe_armed = true;
-                    }
-                }
-                if autoscale_audit {
-                    let violations = orch.audit_invariants();
-                    assert!(
-                        violations.is_empty(),
-                        "orchestrator invariants violated at autoscale tick {now}: {violations:?}"
-                    );
-                }
-                if !outcome.is_empty() {
-                    epc_imbalance_series.record(now, orch.epc_imbalance());
-                }
-                // Unlike the other periodic loops, live service groups
-                // keep the controller armed through batch-workload lulls:
-                // future profile (or frontend-driven) demand must still
-                // be served.
-                let groups_live = groups_as
-                    .as_ref()
-                    .is_some_and(|groups| !groups.is_drained(now));
-                if next_fe.is_some()
-                    || malicious_pending
-                    || running > 0
-                    || !orch.queue().is_empty()
-                    || groups_live
-                {
-                    events.schedule(now + period, Event::AutoscaleTick);
-                } else {
-                    autoscale_armed = false;
-                }
-            }
+            Event::AutoscaleTick => self.autoscale_tick(now),
             Event::DrainNode(index) => {
-                let drain = &config.drains[index];
-                let node = cluster::api::NodeName::new(drain.node.clone());
-                let moves = orch
+                let node = NodeName::new(self.config.drains[index].node.clone());
+                let moves = self
+                    .orch
                     .drain_node(&node, now)
                     .expect("drain injection targets existing nodes");
-                apply_migrations(
-                    &moves,
-                    now,
-                    &mut events,
-                    &mut generation,
-                    &mut finish_at,
-                    &mut migration_count,
-                    &mut migration_downtime,
-                );
-                epc_imbalance_series.record(now, orch.epc_imbalance());
+                self.apply_migrations(&moves, now);
+                self.epc_imbalance_series
+                    .record(now, self.orch.epc_imbalance());
             }
             Event::UncordonNode(index) => {
-                let drain = &config.drains[index];
-                let node = cluster::api::NodeName::new(drain.node.clone());
-                orch.uncordon_node(&node, now)
+                let node = NodeName::new(self.config.drains[index].node.clone());
+                self.orch
+                    .uncordon_node(&node, now)
                     .expect("drain injection targets existing nodes");
             }
         }
     }
 
-    let runs = build_runs(&orch, &uid_to_job, &malicious_uids, &group_uids);
-    let events = orch.events().iter().cloned().collect();
-    let degraded_decisions = orch.degraded_decisions();
-    let fault_stats = injector.map(FaultInjector::into_stats).unwrap_or_default();
-    let elasticity = cluster_as.as_ref().map(|cluster_as| *cluster_as.metrics());
-    let group_peak_replicas = groups_as
-        .as_ref()
-        .map(PodGroupAutoscaler::peak_replicas)
-        .unwrap_or_default();
-    ReplayResult {
-        runs,
-        pending_epc_series,
-        pending_memory_series,
-        epc_imbalance_series,
-        migration_count,
-        migration_downtime,
-        events,
-        end_time,
-        timed_out,
-        fault_stats,
-        degraded_decisions,
-        elasticity,
-        group_peak_replicas,
-        peak_materialized_jobs,
+    /// One malicious pod per SGX node ("as many of them as there are
+    /// SGX-enabled nodes", §VI-F).
+    fn submit_malicious(&mut self, now: SimTime) {
+        self.malicious_pending = false;
+        let mal = self
+            .config
+            .malicious
+            .expect("event only scheduled when set");
+        let sgx_node_count = self.orch.cluster().sgx_nodes().count();
+        for i in 0..sgx_node_count {
+            let spec = PodSpec::builder(format!("malicious-{i}"))
+                .requirements(ResourceRequirements::exact(Resources::with_epc(
+                    ByteSize::ZERO,
+                    EpcPages::ONE,
+                )))
+                .stressor(Stressor::malicious(mal.fraction))
+                .duration(mal.duration)
+                .build();
+            let uid = self.orch.submit(spec, now);
+            self.malicious_uids.insert(uid);
+        }
     }
-}
 
-/// One delivery attempt of a probe frame against the metrics store.
-///
-/// The frame's write either succeeds (ingest under its *scrape*
-/// timestamp — late frames land out of time order) or fails per the
-/// injector's draw; failed writes re-enter the in-flight table with
-/// exponential backoff until the transport's retry budget runs out.
-fn deliver_frame(
-    orch: &mut Orchestrator,
-    chaos: &mut FaultInjector,
-    events: &mut EventQueue<Event>,
-    in_flight: &mut BTreeMap<u64, InFlightFrame>,
-    next_frame_id: &mut u64,
-    frame: InFlightFrame,
-    now: SimTime,
-) {
-    let batch = tsdb::wire::decode_batch(&frame.bytes)
-        .expect("probe frames round-trip through the wire format");
-    // One store: a non-empty frame's failed write is blamed on store 0,
-    // an empty frame's on nothing.
-    let blamed: &[usize] = if batch.is_empty() { &[] } else { &[0] };
-    if chaos.draw_write_failure(blamed) {
-        match chaos.plan().retry.backoff_before(frame.attempts) {
-            Some(backoff) => {
-                chaos.note_retry();
-                let id = *next_frame_id;
-                *next_frame_id += 1;
-                in_flight.insert(
-                    id,
-                    InFlightFrame {
+    fn scheduler_tick(&mut self, now: SimTime) {
+        for outcome in self.orch.scheduler_pass(now) {
+            if outcome.report.started() {
+                self.running += 1;
+                let runtime = outcome
+                    .spec_duration
+                    .mul_f64(outcome.slowdown_at_start.max(1.0));
+                self.schedule_finish(outcome.uid, now, &[outcome.report.startup_delay, runtime]);
+            }
+        }
+        let queue = self.orch.queue();
+        self.pending_epc_series
+            .record(now, queue.epc_requested().as_mib_f64());
+        self.pending_memory_series
+            .record(now, queue.memory_requested().as_mib_f64());
+        self.epc_imbalance_series
+            .record(now, self.orch.epc_imbalance());
+        if self.work_remains() {
+            self.events.schedule(
+                now + self.config.orchestrator.scheduler_period,
+                Event::SchedulerTick,
+            );
+        } else {
+            self.sched_armed = false;
+        }
+    }
+
+    fn probe_tick(&mut self, now: SimTime) {
+        if self.injector.is_none() {
+            self.orch.probe_pass(now);
+        } else {
+            // Faulted scrape: every frame is judged; surviving frames
+            // deliver inline *now* (never via a same-instant event,
+            // which would reorder against coinciding scheduler ticks),
+            // delayed ones go through the in-flight table.
+            for (node, batch) in self.orch.scrape_frames(now) {
+                let delay = match self.chaos().judge_frame(node.as_str(), now) {
+                    FrameFate::Silenced | FrameFate::Dropped => continue,
+                    FrameFate::Deliver => None,
+                    FrameFate::Delayed(delay) => Some(delay),
+                };
+                let frame = InFlightFrame {
+                    node,
+                    bytes: tsdb::wire::encode_batch(&batch),
+                    scraped_at: now,
+                    attempts: 0,
+                };
+                match delay {
+                    None => self.deliver_frame(frame, now),
+                    Some(delay) => self.hold_frame(frame, now + delay),
+                }
+            }
+            self.orch.enforce_metrics_retention(now);
+        }
+        if self.work_remains() {
+            self.events.schedule(
+                now + self.config.orchestrator.probe_period,
+                Event::ProbeTick,
+            );
+        } else {
+            self.probe_armed = false;
+        }
+    }
+
+    fn chaos(&mut self) -> &mut FaultInjector {
+        self.injector
+            .as_mut()
+            .expect("probe frames only exist under fault injection")
+    }
+
+    /// Parks a probe frame in the in-flight table until `until`.
+    fn hold_frame(&mut self, frame: InFlightFrame, until: SimTime) {
+        let id = self.next_frame_id;
+        self.next_frame_id += 1;
+        self.in_flight.insert(id, frame);
+        self.events.schedule(until, Event::FrameDelivery(id));
+    }
+
+    /// One delivery attempt of a probe frame against the metrics store.
+    ///
+    /// The frame's write either succeeds (ingest under its *scrape*
+    /// timestamp — late frames land out of time order) or fails per the
+    /// injector's draw; failed writes re-enter the in-flight table with
+    /// exponential backoff until the transport's retry budget runs out.
+    fn deliver_frame(&mut self, frame: InFlightFrame, now: SimTime) {
+        let batch = tsdb::wire::decode_batch(&frame.bytes)
+            .expect("probe frames round-trip through the wire format");
+        // One store: a non-empty frame's failed write is blamed on store 0,
+        // an empty frame's on nothing.
+        let blamed: &[usize] = if batch.is_empty() { &[] } else { &[0] };
+        let chaos = self.chaos();
+        if chaos.draw_write_failure(blamed) {
+            match chaos.plan().retry.backoff_before(frame.attempts) {
+                Some(backoff) => {
+                    chaos.note_retry();
+                    let retry = InFlightFrame {
                         attempts: frame.attempts + 1,
                         ..frame
-                    },
-                );
-                events.schedule(now + backoff, Event::FrameDelivery(id));
+                    };
+                    self.hold_frame(retry, now + backoff);
+                }
+                None => chaos.note_lost(),
             }
-            None => chaos.note_lost(),
+        } else {
+            chaos.note_delivered();
+            self.orch
+                .ingest_frame(&frame.node, &batch, frame.scraped_at);
         }
-    } else {
-        orch.ingest_frame(&frame.node, &batch, frame.scraped_at);
-        chaos.note_delivered();
     }
-}
 
-/// Accounts a batch of live migrations in the event loop: each migrated
-/// pod's in-flight [`Event::PodFinish`] is invalidated through the
-/// generation counter and rescheduled shifted by the transfer delay, so
-/// the migration downtime lands in the pod's turnaround time.
-fn apply_migrations(
-    moves: &[Migration],
-    now: SimTime,
-    events: &mut EventQueue<Event>,
-    generation: &mut BTreeMap<PodUid, u32>,
-    finish_at: &mut BTreeMap<PodUid, SimTime>,
-    migration_count: &mut u64,
-    migration_downtime: &mut SimDuration,
-) {
-    for m in moves {
-        let gen = generation.entry(m.uid).or_insert(0);
-        *gen += 1;
-        let old_finish = finish_at
-            .get(&m.uid)
-            .copied()
-            .expect("only running pods (with a scheduled finish) migrate");
-        let new_finish = old_finish.max(now) + m.delay;
-        finish_at.insert(m.uid, new_finish);
-        events.schedule(new_finish, Event::PodFinish(m.uid, *gen));
-        *migration_count += 1;
-        *migration_downtime += m.delay;
-    }
-}
-
-fn build_runs(
-    orch: &Orchestrator,
-    uid_to_job: &BTreeMap<PodUid, WorkloadJob>,
-    malicious_uids: &[PodUid],
-    group_uids: &BTreeSet<PodUid>,
-) -> Vec<JobRun> {
-    let mut runs = Vec::with_capacity(orch.records().len());
-    for (uid, record) in orch.records() {
-        if group_uids.contains(uid) {
-            continue; // service replicas are infrastructure, not jobs
+    /// Accounts a batch of live migrations: each migrated pod's
+    /// in-flight [`Event::PodFinish`] is invalidated through the
+    /// generation counter and rescheduled shifted by the transfer delay,
+    /// so the migration downtime lands in the pod's turnaround time.
+    fn apply_migrations(&mut self, moves: &[Migration], now: SimTime) {
+        for m in moves {
+            let finish = self.finishes.entry(m.uid).or_default();
+            finish.generation += 1;
+            let old_finish = finish
+                .at
+                .expect("only running pods (with a scheduled finish) migrate");
+            self.schedule_finish(m.uid, old_finish.max(now), &[m.delay]);
+            self.migration_count += 1;
+            self.migration_downtime += m.delay;
         }
-        let malicious = malicious_uids.contains(uid);
-        let job = uid_to_job.get(uid).copied();
-        runs.push(JobRun {
-            job,
+    }
+
+    fn autoscale_tick(&mut self, now: SimTime) {
+        let period = self
+            .autoscale_period
+            .expect("event only scheduled when a period exists");
+        let mut outcome = AutoscaleOutcome::default();
+        if let Some(cluster_as) = self.cluster_as.as_mut() {
+            outcome.merge(cluster_as.tick(&mut self.orch, now));
+        }
+        if let Some(groups_as) = self.groups_as.as_mut() {
+            outcome.merge(groups_as.tick(&mut self.orch, now));
+        }
+        for (_, removal) in &outcome.removed {
+            // Scale-down drained a node: migrated pods shift their
+            // finishes by the transfer delay; stragglers with no target
+            // were evicted back to the queue.
+            self.apply_migrations(&removal.migrations, now);
+            for &uid in &removal.requeued {
+                self.cancel_finish(uid);
+            }
+        }
+        for &uid in &outcome.retired {
+            // The pod-group controller completed a surplus replica;
+            // invalidate its backstop finish.
+            self.cancel_finish(uid);
+        }
+        if !outcome.submitted.is_empty() {
+            self.group_uids.extend(outcome.submitted.iter().copied());
+            self.rearm_passes(now);
+        }
+        if self.config.autoscale.as_ref().is_some_and(|a| a.audit) {
+            let violations = self.orch.audit_invariants();
+            assert!(
+                violations.is_empty(),
+                "orchestrator invariants violated at autoscale tick {now}: {violations:?}"
+            );
+        }
+        if !outcome.is_empty() {
+            self.epc_imbalance_series
+                .record(now, self.orch.epc_imbalance());
+        }
+        // Unlike the other periodic loops, live service groups keep the
+        // controller armed through batch-workload lulls: future profile
+        // (or frontend-driven) demand must still be served.
+        let groups_live = self
+            .groups_as
+            .as_ref()
+            .is_some_and(|groups| !groups.is_drained(now));
+        if self.work_remains() || groups_live {
+            self.events.schedule(now + period, Event::AutoscaleTick);
+        } else {
+            self.autoscale_armed = false;
+        }
+    }
+
+    /// Records of the pods that came from the frontend or the malicious
+    /// tenant, in uid (= submission) order — service replicas are
+    /// infrastructure, not jobs.
+    pub(crate) fn job_records(&self) -> impl Iterator<Item = (&PodUid, &PodRecord)> {
+        self.orch
+            .records()
+            .iter()
+            .filter(|(uid, _)| !self.group_uids.contains(uid))
+    }
+
+    /// Number of `Submit` events the frontend delivered.
+    pub(crate) fn submissions(&self) -> usize {
+        self.uid_to_job.len()
+    }
+
+    fn into_result(self) -> ReplayResult {
+        let mut runs = Vec::with_capacity(self.orch.records().len());
+        runs.extend(self.job_records().map(|(uid, record)| JobRun {
+            job: self.uid_to_job.get(uid).copied(),
             record: record.clone(),
-            malicious,
-        });
+            malicious: self.malicious_uids.contains(uid),
+        }));
+        ReplayResult {
+            runs,
+            events: self.orch.events().iter().cloned().collect(),
+            degraded_decisions: self.orch.degraded_decisions(),
+            fault_stats: self
+                .injector
+                .map(FaultInjector::into_stats)
+                .unwrap_or_default(),
+            elasticity: self.cluster_as.as_ref().map(|c| *c.metrics()),
+            group_peak_replicas: self
+                .groups_as
+                .as_ref()
+                .map(PodGroupAutoscaler::peak_replicas)
+                .unwrap_or_default(),
+            pending_epc_series: self.pending_epc_series,
+            pending_memory_series: self.pending_memory_series,
+            epc_imbalance_series: self.epc_imbalance_series,
+            migration_count: self.migration_count,
+            migration_downtime: self.migration_downtime,
+            end_time: self.end_time,
+            timed_out: self.timed_out,
+        }
     }
-    runs
+}
+
+/// `from` plus every delay, saturating at [`SimTime::MAX`]: durations
+/// come from trace files, and a finish past the representable horizon
+/// must stay past every cap (the pod is then reported unfinished)
+/// instead of wrapping into the past.
+fn finish_instant(from: SimTime, delays: &[SimDuration]) -> SimTime {
+    delays
+        .iter()
+        .try_fold(from, |at, &delay| at.checked_add(delay))
+        .unwrap_or(SimTime::MAX)
 }
 
 /// Turns a workload job into the pod spec the orchestrator sees: SGX
-/// jobs request EPC pages, standard jobs plain memory, and the stressor
-/// reproduces the job's actual allocation behaviour. Shared with the
-/// online serving loop.
-pub(crate) fn pod_spec_for(job: &WorkloadJob) -> PodSpec {
+/// jobs request EPC pages — at least one, an enclave is never smaller
+/// than a page — standard jobs plain memory, and the stressor
+/// reproduces the job's actual allocation behaviour.
+fn pod_spec_for(job: &WorkloadJob) -> PodSpec {
     let requests = match job.kind {
-        borg_trace::JobKind::Sgx => Resources::with_epc(ByteSize::ZERO, job.epc_request()),
+        borg_trace::JobKind::Sgx => {
+            Resources::with_epc(ByteSize::ZERO, job.epc_request().max(EpcPages::ONE))
+        }
         borg_trace::JobKind::Standard => Resources::memory(job.mem_request),
     };
     PodSpec::builder(format!("{}", job.id))
@@ -927,12 +945,31 @@ pub(crate) fn pod_spec_for(job: &WorkloadJob) -> PodSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borg_trace::{GeneratorConfig, WorkloadParams};
-    use des::SimDuration;
+    use borg_trace::frontend::MaterializedFrontend;
+    use borg_trace::{GeneratorConfig, Workload, WorkloadParams};
+
+    fn replay(workload: &Workload, config: &ReplayConfig) -> ReplayResult {
+        replay_stream(&mut MaterializedFrontend::new(workload), config)
+    }
 
     fn small_workload(sgx_ratio: f64) -> Workload {
         let trace = GeneratorConfig::small(11).generate();
         Workload::materialize(&trace, &WorkloadParams::paper(sgx_ratio, 11))
+    }
+
+    #[test]
+    fn finish_instant_saturates_instead_of_wrapping() {
+        let start = SimTime::from_secs(10);
+        let second = SimDuration::from_secs(1);
+        assert_eq!(
+            finish_instant(start, &[second, second]),
+            SimTime::from_secs(12)
+        );
+        assert_eq!(
+            finish_instant(start, &[second, SimDuration::MAX]),
+            SimTime::MAX
+        );
+        assert_eq!(finish_instant(SimTime::MAX, &[second]), SimTime::MAX);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The figure and ablation binaries all share the same outer shape: a loop
 //! over a handful of configurations (EPC sizes, SGX ratios, schedulers,
-//! seeds), each replayed independently. Every [`replay`] is fully
+//! seeds), each replayed independently. Every [`replay_stream`] is fully
 //! deterministic and shares no mutable state with its siblings, so the
 //! sweep fans the runs out over a scoped worker pool and collects results
 //! **in submission order** — the output is bit-identical to running the
@@ -33,10 +33,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use borg_trace::frontend::MaterializedFrontend;
 use borg_trace::Workload;
 
 use crate::config::ReplayConfig;
-use crate::replay::{replay, ReplayResult};
+use crate::replay::{replay_stream, ReplayResult};
 
 /// One unit of sweep work: a workload and the configuration to replay it
 /// under.
@@ -85,7 +86,7 @@ where
             .iter()
             .enumerate()
             .map(|(index, (workload, config))| {
-                let result = replay(workload, config);
+                let result = replay_stream(&mut MaterializedFrontend::new(workload), config);
                 progress(SweepProgress {
                     index,
                     completed: index + 1,
@@ -112,7 +113,7 @@ where
                     break;
                 }
                 let (workload, config) = &jobs[index];
-                let result = replay(workload, config);
+                let result = replay_stream(&mut MaterializedFrontend::new(workload), config);
                 *slots_ref[index]
                     .lock()
                     .expect("sweep worker never panics while holding the slot lock") = Some(result);

@@ -10,13 +10,18 @@
 //! exercise both directions of the controller: scale-ups under queue
 //! pressure and drain-then-deregister scale-downs during lulls.
 
+use borg_trace::frontend::MaterializedFrontend;
 use borg_trace::{GeneratorConfig, Workload, WorkloadParams};
 use des::SimDuration;
 use orchestrator::autoscale::{AutoscalerPolicy, PodGroupSpec};
 use orchestrator::events::EventKind;
 use proptest::prelude::*;
 use sgx_sim::units::ByteSize;
-use simulation::{replay, AutoscaleConfig, ReplayConfig, ReplayResult};
+use simulation::{replay_stream, AutoscaleConfig, ReplayConfig, ReplayResult};
+
+fn replay(workload: &Workload, config: &ReplayConfig) -> ReplayResult {
+    replay_stream(&mut MaterializedFrontend::new(workload), config)
+}
 
 fn small_workload(seed: u64, sgx_ratio: f64) -> Workload {
     let trace = GeneratorConfig::small(seed).generate();

@@ -3,10 +3,15 @@
 //! fixed plan+seed is bit-identical across runs, and every pod still
 //! reaches a terminal state under arbitrary random fault schedules.
 
+use borg_trace::frontend::MaterializedFrontend;
 use borg_trace::{GeneratorConfig, Workload, WorkloadParams};
 use des::SimDuration;
 use proptest::prelude::*;
-use simulation::{replay, FaultPlan, ProbeSilence, ReplayConfig, ReplayResult};
+use simulation::{replay_stream, FaultPlan, ProbeSilence, ReplayConfig, ReplayResult};
+
+fn replay(workload: &Workload, config: &ReplayConfig) -> ReplayResult {
+    replay_stream(&mut MaterializedFrontend::new(workload), config)
+}
 
 fn small_workload(seed: u64, sgx_ratio: f64) -> Workload {
     let trace = GeneratorConfig::small(seed).generate();

@@ -6,12 +6,13 @@
 //! flagged hostile and denied under limit enforcement.
 
 use borg_trace::frontend::{
-    FrontendParams, FrontendRegistry, WorkloadEvent, ADVERSARIAL_MIX, DIURNAL_SERVING,
+    FrontendParams, FrontendRegistry, MaterializedFrontend, WorkloadEvent, ADVERSARIAL_MIX,
+    DIURNAL_SERVING,
 };
 use borg_trace::{BorgSynthetic, GeneratorConfig, Workload, WorkloadParams};
 use des::SimDuration;
 use proptest::prelude::*;
-use simulation::{replay, replay_stream, FaultPlan, ReplayConfig, ReplayResult};
+use simulation::{replay_stream, FaultPlan, ReplayConfig, ReplayResult};
 
 fn assert_identical(a: &ReplayResult, b: &ReplayResult) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.runs(), b.runs());
@@ -62,19 +63,13 @@ proptest! {
 
         let workload =
             Workload::materialize(&config.generate_sampled(keep_every), &params);
-        let materialised = replay(&workload, &replay_config);
+        let materialised =
+            replay_stream(&mut MaterializedFrontend::new(&workload), &replay_config);
 
         let mut frontend = BorgSynthetic::sampled(config, params, keep_every);
         let streamed = replay_stream(&mut frontend, &replay_config);
 
         assert_identical(&materialised, &streamed)?;
-        // Only the memory telemetry differs: the stream held one
-        // lookahead job, the legacy path the whole workload.
-        prop_assert_eq!(
-            streamed.peak_materialized_jobs(),
-            usize::from(!workload.is_empty())
-        );
-        prop_assert_eq!(materialised.peak_materialized_jobs(), workload.len());
     }
 
     /// Every built-in frontend drains: each submitted pod reaches a

@@ -6,11 +6,18 @@
 
 use std::collections::BTreeMap;
 
+use borg_trace::frontend::MaterializedFrontend;
 use borg_trace::{GeneratorConfig, Workload, WorkloadParams};
 use des::SimDuration;
 use orchestrator::events::EventKind;
 use proptest::prelude::*;
-use simulation::{replay, NodeDrain, NodeFailure, RebalanceConfig, ReplayConfig, ReplayResult};
+use simulation::{
+    replay_stream, NodeDrain, NodeFailure, RebalanceConfig, ReplayConfig, ReplayResult,
+};
+
+fn replay(workload: &Workload, config: &ReplayConfig) -> ReplayResult {
+    replay_stream(&mut MaterializedFrontend::new(workload), config)
+}
 
 fn small_workload(seed: u64, sgx_ratio: f64) -> Workload {
     let trace = GeneratorConfig::small(seed).generate();

@@ -2,6 +2,7 @@
 //! materialisation → replay, with cross-crate invariants checked on the
 //! result.
 
+use borg_trace::frontend::MaterializedFrontend;
 use borg_trace::JobKind;
 use orchestrator::PodOutcome;
 use sgx_orchestrator::Experiment;
@@ -121,7 +122,7 @@ fn csv_round_trip_preserves_replay_behaviour() {
     let w2 = borg_trace::Workload::materialize(&reloaded, &params);
     assert_eq!(w1, w2);
 
-    let r1 = simulation::replay(&w1, &exp.replay_config());
-    let r2 = simulation::replay(&w2, &exp.replay_config());
+    let r1 = simulation::replay_stream(&mut MaterializedFrontend::new(&w1), &exp.replay_config());
+    let r2 = simulation::replay_stream(&mut MaterializedFrontend::new(&w2), &exp.replay_config());
     assert_eq!(r1.runs(), r2.runs());
 }
