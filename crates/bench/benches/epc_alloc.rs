@@ -36,8 +36,7 @@ fn bench_paging_pressure(c: &mut Criterion) {
             },
             |(mut epc, victim)| {
                 // Forces ~16 k evictions.
-                epc.commit(victim, EpcPages::new(20_000)).unwrap();
-                black_box(epc.total_evictions())
+                black_box(epc.commit(victim, EpcPages::new(20_000)).unwrap().evicted)
             },
         );
     });

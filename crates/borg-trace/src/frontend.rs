@@ -15,14 +15,14 @@
 //!   per-job materialisation is bit-identical to
 //!   `Workload::materialize` because the SGX designation is an
 //!   independent per-job function of `(seed, job id)`.
-//! * [`AlibabaShaped`] — shaped to the Alibaba-cluster-trace-v2017
+//! * `AlibabaShaped` — shaped to the Alibaba-cluster-trace-v2017
 //!   marginals: short-task-heavy batch durations with a minority of
 //!   long-running service containers.
-//! * [`DiurnalServing`] — long-running service groups whose offered
+//! * `DiurnalServing` — long-running service groups whose offered
 //!   load follows a compressed diurnal sinusoid plus random bursts,
 //!   driving the pod-group autoscaler through [`WorkloadEvent::GroupLoad`]
 //!   events, over a light background batch stream.
-//! * [`AdversarialMix`] — an honest Borg stream interleaved with
+//! * `AdversarialMix` — an honest Borg stream interleaved with
 //!   coordinated waves of EPC-greedy tenants that advertise almost
 //!   nothing and then allocate a large slice of the EPC.
 //!
@@ -174,7 +174,7 @@ impl TraceFrontend for MaterializedFrontend<'_> {
 
 /// The calibrated Borg generator, streamed: arrivals come from
 /// [`GeneratorConfig::stream_sampled`] and each job is materialised
-/// lazily with [`WorkloadJob::from_trace`]. Collecting the stream is
+/// lazily with `WorkloadJob::from_trace`. Collecting the stream is
 /// bit-identical to `Workload::materialize(&config.generate_sampled(k), &params)`.
 #[derive(Debug)]
 pub struct BorgSynthetic {
@@ -233,7 +233,7 @@ impl TraceFrontend for BorgSynthetic {
 /// materialisation ([`WorkloadParams`]), so the sweep axis stays
 /// comparable across frontends.
 #[derive(Debug)]
-pub struct AlibabaShaped {
+pub(crate) struct AlibabaShaped {
     arrivals_rng: StdRng,
     attrs_rng: StdRng,
     params: WorkloadParams,
@@ -256,7 +256,12 @@ impl AlibabaShaped {
     ///
     /// Panics unless `mean_concurrency` is positive and finite, or if
     /// `horizon` is zero.
-    pub fn new(seed: u64, sgx_ratio: f64, mean_concurrency: f64, horizon: SimDuration) -> Self {
+    pub(crate) fn new(
+        seed: u64,
+        sgx_ratio: f64,
+        mean_concurrency: f64,
+        horizon: SimDuration,
+    ) -> Self {
         assert!(
             mean_concurrency.is_finite() && mean_concurrency > 0.0,
             "mean concurrency must be positive and finite"
@@ -351,7 +356,7 @@ impl TraceFrontend for AlibabaShaped {
 /// background batch stream so the batch path stays exercised. Every
 /// group's load is driven to `0.0` at the horizon so the replay drains.
 #[derive(Debug)]
-pub struct DiurnalServing {
+pub(crate) struct DiurnalServing {
     groups: Vec<ServiceGroup>,
     base_loads: Vec<f64>,
     phases: Vec<f64>,
@@ -373,7 +378,7 @@ impl DiurnalServing {
     ///
     /// Panics unless `base_load` is positive and finite, or if `horizon`
     /// is zero.
-    pub fn new(seed: u64, sgx_ratio: f64, base_load: f64, horizon: SimDuration) -> Self {
+    pub(crate) fn new(seed: u64, sgx_ratio: f64, base_load: f64, horizon: SimDuration) -> Self {
         assert!(
             base_load.is_finite() && base_load > 0.0,
             "base load must be positive and finite"
@@ -508,7 +513,7 @@ const HOSTILE_ID_BASE: u64 = 1 << 40;
 /// enforced the waves are denied at allocation time; without limits they
 /// squat the EPC and the honest jobs feel it.
 #[derive(Debug)]
-pub struct AdversarialMix {
+pub(crate) struct AdversarialMix {
     honest: BorgSynthetic,
     honest_peek: Option<WorkloadEvent>,
     wave_rng: StdRng,
@@ -528,7 +533,7 @@ impl AdversarialMix {
     /// # Panics
     ///
     /// Panics if `wave_period` is zero or `wave_size` is zero.
-    pub fn new(
+    pub(crate) fn new(
         config: GeneratorConfig,
         params: WorkloadParams,
         wave_period: SimDuration,
@@ -609,8 +614,6 @@ pub const ALIBABA_2017: &str = "alibaba-2017";
 pub const DIURNAL_SERVING: &str = "diurnal-serving";
 /// Name of the adversarial EPC-greedy-wave frontend.
 pub const ADVERSARIAL_MIX: &str = "adversarial-mix";
-/// The frontend used when none is named.
-pub const DEFAULT_FRONTEND: &str = BORG_SYNTHETIC;
 
 /// Scale preset a registry-built frontend runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -750,7 +753,7 @@ impl FrontendRegistry {
 
     /// Registers (or replaces) a frontend under `name`. `summary`
     /// describes the event mix, `calibration` what it is shaped to.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         name: &str,
         summary: &str,
@@ -945,7 +948,7 @@ mod tests {
         assert_eq!(hostile.len(), 16);
         for job in &hostile {
             assert_eq!(job.kind, JobKind::Sgx);
-            assert!(job.over_uses_memory());
+            assert!(job.mem_usage > job.mem_request);
             assert!(job.mem_usage >= USABLE_EPC.mul_f64(0.25));
             assert_eq!(
                 job.submit.saturating_since(SimTime::ZERO).as_secs_f64() as u64 % 120,
@@ -977,7 +980,7 @@ mod tests {
     #[test]
     fn registry_rejects_unknown_and_accepts_custom() {
         let mut registry = FrontendRegistry::builtin();
-        assert!(registry.contains(DEFAULT_FRONTEND));
+        assert!(registry.contains(BORG_SYNTHETIC));
         assert!(!registry.contains("no-such-frontend"));
         assert!(registry
             .build("no-such-frontend", &FrontendParams::new(0, 0.5))

@@ -28,7 +28,6 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use des::rng::{derive_seed, sample_exponential, sample_log_normal, seeded_rng};
 use des::{SimDuration, SimTime};
@@ -36,7 +35,7 @@ use des::{SimDuration, SimTime};
 use crate::job::{JobId, Trace, TraceJob};
 
 /// Job-duration model: log-normal, truncated to `(min, max]` by rejection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurationModel {
     /// Mean of the underlying normal (of log-seconds).
     pub log_mean: f64,
@@ -52,7 +51,7 @@ impl DurationModel {
     /// Calibrated against Fig. 4 *and* the aggregate load implied by the
     /// Fig. 7 makespans (≈600 k MiB·s of EPC work across the replayed
     /// jobs): median ≈ 85 s, everything ≤ 300 s, mean ≈ 100 s.
-    pub fn paper_calibrated() -> Self {
+    pub(crate) fn paper_calibrated() -> Self {
         DurationModel {
             log_mean: 85.0_f64.ln(),
             log_sigma: 0.85,
@@ -74,7 +73,7 @@ impl DurationModel {
 
     /// Monte-Carlo estimate of the mean duration in seconds, used to turn
     /// a concurrency target into an arrival rate (Little's law).
-    pub fn mean_secs(&self) -> f64 {
+    pub(crate) fn mean_secs(&self) -> f64 {
         let mut rng = seeded_rng(derive_seed(0xD0, "duration-mean"));
         let n = 20_000;
         (0..n)
@@ -86,7 +85,7 @@ impl DurationModel {
 
 /// Memory model: maximal usage fraction (Fig. 3) plus the relation between
 /// advertised and actual usage (§VI-F's 44-in-663 over-users).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Mean of the underlying normal of the log max-usage fraction.
     pub log_median_fraction: f64,
@@ -113,7 +112,7 @@ impl MemoryModel {
     /// tail to 0.5), the §VI-F over-user rate, and the aggregate EPC
     /// demand implied by the Fig. 7 makespans (mean usage fraction
     /// ≈ 0.016 of the SGX multiplier).
-    pub fn paper_calibrated() -> Self {
+    pub(crate) fn paper_calibrated() -> Self {
         MemoryModel {
             log_median_fraction: 0.006_f64.ln(),
             log_sigma: 0.85,
@@ -147,7 +146,7 @@ impl MemoryModel {
 /// Diurnal load-shape multiplier applied to the arrival rate, producing the
 /// Fig. 5 band, including the dip around the hour the paper replays
 /// ("the less job-intensive" slice of the first 24 h).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConcurrencyProfile {
     /// Amplitude of the slow (8 h period) oscillation.
     pub slow_amplitude: f64,
@@ -274,7 +273,7 @@ impl ConcurrencyProfile {
 }
 
 /// Full generator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Base seed; every derived random stream is a pure function of it.
     pub seed: u64,
@@ -701,7 +700,7 @@ mod tests {
                 let at = SimTime::from_secs(sec);
                 trace
                     .iter()
-                    .filter(|j| j.submit <= at && j.nominal_finish() > at)
+                    .filter(|j| j.submit <= at && j.submit + j.duration > at)
                     .count()
             })
             .collect();
@@ -815,7 +814,7 @@ mod tests {
             let streamed: Vec<_> = GeneratorConfig::small(12)
                 .stream_sampled(keep_every)
                 .collect();
-            assert_eq!(materialised.jobs(), streamed.as_slice());
+            assert!(materialised.iter().eq(streamed.iter()));
         }
         // Exhausted streams stay exhausted.
         let mut stream = GeneratorConfig::small(12).stream_sampled(1);

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use des::{SimDuration, SimTime};
 
 /// Identifier of a job within a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(u64);
 
 impl JobId {
@@ -17,7 +15,7 @@ impl JobId {
     }
 
     /// The raw numeric identifier.
-    pub const fn as_u64(self) -> u64 {
+    pub(crate) const fn as_u64(self) -> u64 {
         self.0
     }
 }
@@ -36,7 +34,7 @@ impl fmt::Display for JobId {
 /// the largest machine's capacity** (absolute values are undisclosed). The
 /// workload-materialisation step multiplies these fractions by concrete
 /// capacities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceJob {
     /// Identifier, unique within its trace.
     pub id: JobId,
@@ -53,21 +51,16 @@ pub struct TraceJob {
 impl TraceJob {
     /// `true` when the job allocates more memory than it advertised — the
     /// behaviour shown by 44 of the 663 replayed jobs in §VI-F.
-    pub fn over_uses_memory(&self) -> bool {
+    pub(crate) fn over_uses_memory(&self) -> bool {
         self.max_mem_fraction > self.assigned_mem_fraction
-    }
-
-    /// Instant the job would finish if started immediately on submission.
-    pub fn nominal_finish(&self) -> SimTime {
-        self.submit + self.duration
     }
 }
 
 /// A time-ordered collection of [`TraceJob`]s.
 ///
 /// The ordering invariant (non-decreasing `submit`) is maintained by all
-/// constructors; [`Trace::from_jobs`] sorts its input.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// constructors; `Trace::from_jobs` sorts its input.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     jobs: Vec<TraceJob>,
 }
@@ -75,14 +68,9 @@ pub struct Trace {
 impl Trace {
     /// Builds a trace from jobs, sorting them by submission time (stable,
     /// so equal-time jobs keep their relative order).
-    pub fn from_jobs(mut jobs: Vec<TraceJob>) -> Self {
+    pub(crate) fn from_jobs(mut jobs: Vec<TraceJob>) -> Self {
         jobs.sort_by_key(|j| j.submit);
         Trace { jobs }
-    }
-
-    /// The jobs, in submission order.
-    pub fn jobs(&self) -> &[TraceJob] {
-        &self.jobs
     }
 
     /// Number of jobs.
@@ -96,18 +84,8 @@ impl Trace {
     }
 
     /// Iterates over the jobs in submission order.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceJob> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, TraceJob> {
         self.jobs.iter()
-    }
-
-    /// Submission instant of the first job, if any.
-    pub fn start(&self) -> Option<SimTime> {
-        self.jobs.first().map(|j| j.submit)
-    }
-
-    /// Latest nominal finish across all jobs, if any.
-    pub fn end(&self) -> Option<SimTime> {
-        self.jobs.iter().map(TraceJob::nominal_finish).max()
     }
 
     /// Sum of all job durations — the "useful job duration" baseline of
@@ -156,8 +134,6 @@ mod tests {
         let trace = Trace::from_jobs(vec![job(1, 30, 10), job(2, 10, 10), job(3, 20, 10)]);
         let order: Vec<u64> = trace.iter().map(|j| j.id.as_u64()).collect();
         assert_eq!(order, [2, 3, 1]);
-        assert_eq!(trace.start(), Some(SimTime::from_secs(10)));
-        assert_eq!(trace.end(), Some(SimTime::from_secs(40)));
     }
 
     #[test]
@@ -182,8 +158,6 @@ mod tests {
     fn empty_trace_behaviour() {
         let trace = Trace::default();
         assert!(trace.is_empty());
-        assert_eq!(trace.start(), None);
-        assert_eq!(trace.end(), None);
         assert_eq!(trace.total_duration(), SimDuration::ZERO);
     }
 }

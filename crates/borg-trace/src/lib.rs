@@ -47,9 +47,8 @@ mod job;
 mod pipeline;
 
 pub use frontend::{
-    AdversarialMix, AlibabaShaped, BorgSynthetic, DiurnalServing, FrontendHint, FrontendParams,
-    FrontendRegistry, FrontendScale, MaterializedFrontend, ServiceGroup, TraceFrontend,
-    WorkloadEvent,
+    BorgSynthetic, FrontendHint, FrontendParams, FrontendRegistry, FrontendScale,
+    MaterializedFrontend, ServiceGroup, TraceFrontend, WorkloadEvent,
 };
 pub use generator::{ConcurrencyProfile, DurationModel, GeneratorConfig, MemoryModel, TraceStream};
 pub use job::{JobId, Trace, TraceJob};

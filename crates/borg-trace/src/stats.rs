@@ -1,7 +1,6 @@
 //! Trace statistics backing Figs. 3–5.
 
-use des::stats::{Cdf, TimeSeries};
-use des::{SimDuration, SimTime};
+use des::stats::Cdf;
 
 use crate::job::Trace;
 
@@ -20,55 +19,10 @@ pub fn duration_cdf(trace: &Trace) -> Cdf {
     trace.iter().map(|j| j.duration.as_secs_f64()).collect()
 }
 
-/// Concurrent running jobs sampled every `step` — Fig. 5 for materialised
-/// traces. Uses an event sweep, so it is `O(n log n + points)`.
-///
-/// # Panics
-///
-/// Panics if `step` is zero.
-pub fn concurrency_series(trace: &Trace, step: SimDuration) -> TimeSeries {
-    assert!(!step.is_zero(), "step must be non-zero");
-    let mut events: Vec<(SimTime, i64)> = Vec::with_capacity(trace.len() * 2);
-    for job in trace {
-        events.push((job.submit, 1));
-        events.push((job.nominal_finish(), -1));
-    }
-    events.sort();
-
-    let mut series = TimeSeries::new();
-    let Some(end) = trace.end() else {
-        return series;
-    };
-    let mut running: i64 = 0;
-    let mut idx = 0;
-    let mut t = SimTime::ZERO;
-    while t <= end {
-        while idx < events.len() && events[idx].0 <= t {
-            running += events[idx].1;
-            idx += 1;
-        }
-        series.record(t, running as f64);
-        t += step;
-    }
-    series
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::GeneratorConfig;
-    use crate::job::{JobId, TraceJob};
-
-    fn job(id: u64, submit: u64, dur: u64) -> TraceJob {
-        TraceJob {
-            id: JobId::new(id),
-            submit: SimTime::from_secs(submit),
-            duration: SimDuration::from_secs(dur),
-            assigned_mem_fraction: 0.10,
-            max_mem_fraction: 0.05,
-        }
-    }
-
     #[test]
     fn cdfs_cover_all_jobs() {
         let trace = GeneratorConfig::small(1).generate();
@@ -79,31 +33,5 @@ mod tests {
         assert_eq!(duration_cdf(&trace).fraction_at_or_below(300.0), 1.0);
         // Fig. 3: all fractions at or below 0.5.
         assert_eq!(memory_usage_cdf(&trace).fraction_at_or_below(0.5), 1.0);
-    }
-
-    #[test]
-    fn concurrency_counts_overlaps() {
-        let trace: Trace = vec![job(1, 0, 100), job(2, 50, 100), job(3, 120, 10)]
-            .into_iter()
-            .collect();
-        let series = concurrency_series(&trace, SimDuration::from_secs(10));
-        assert_eq!(series.value_at(SimTime::from_secs(0)), Some(1.0));
-        assert_eq!(series.value_at(SimTime::from_secs(60)), Some(2.0));
-        assert_eq!(series.value_at(SimTime::from_secs(110)), Some(1.0));
-        assert_eq!(series.value_at(SimTime::from_secs(125)), Some(2.0));
-        assert_eq!(series.peak(), Some(2.0));
-    }
-
-    #[test]
-    fn concurrency_of_empty_trace_is_empty() {
-        let series = concurrency_series(&Trace::default(), SimDuration::from_secs(10));
-        assert!(series.is_empty());
-    }
-
-    #[test]
-    fn concurrency_drains_to_zero_at_end() {
-        let trace: Trace = vec![job(1, 0, 30)].into_iter().collect();
-        let series = concurrency_series(&trace, SimDuration::from_secs(10));
-        assert_eq!(series.value_at(SimTime::from_secs(30)), Some(0.0));
     }
 }

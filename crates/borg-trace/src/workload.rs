@@ -7,7 +7,6 @@
 //! SGX-enabled.
 
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use des::rng::{derive_seed, seeded_rng};
 use des::{SimDuration, SimTime};
@@ -16,7 +15,7 @@ use sgx_sim::units::{ByteSize, EpcPages, USABLE_EPC};
 use crate::job::{JobId, Trace, TraceJob};
 
 /// Whether a job requires SGX.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// Ordinary job: allocates standard memory only.
     Standard,
@@ -34,7 +33,7 @@ impl std::fmt::Display for JobKind {
 }
 
 /// Parameters of the materialisation step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadParams {
     /// Fraction of jobs designated SGX-enabled (the paper sweeps 0 %,
     /// 25 %, 50 %, 75 %, 100 %).
@@ -70,16 +69,10 @@ impl WorkloadParams {
             seed,
         }
     }
-
-    /// Removes the replay fraction clamp (full Fig. 3 tail).
-    pub fn without_fraction_cap(mut self) -> Self {
-        self.fraction_cap = None;
-        self
-    }
 }
 
 /// A deployable job with concrete memory quantities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadJob {
     /// Trace identifier the job came from.
     pub id: JobId,
@@ -104,7 +97,7 @@ impl WorkloadJob {
     /// materialising lazily (one job at a time, as the streaming
     /// frontends do) is bit-identical to materialising the whole trace
     /// up front via [`Workload::materialize`].
-    pub fn from_trace(j: &TraceJob, params: &WorkloadParams) -> Self {
+    pub(crate) fn from_trace(j: &TraceJob, params: &WorkloadParams) -> Self {
         let mut rng = seeded_rng(derive_seed(params.seed, &format!("sgx:{}", j.id.as_u64())));
         let kind = if rng.random::<f64>() < params.sgx_ratio {
             JobKind::Sgx
@@ -128,11 +121,6 @@ impl WorkloadJob {
         }
     }
 
-    /// `true` when the job allocates more than it advertised.
-    pub fn over_uses_memory(&self) -> bool {
-        self.mem_usage > self.mem_request
-    }
-
     /// The advertised request expressed in EPC pages (meaningful for SGX
     /// jobs, whose memory *is* EPC).
     pub fn epc_request(&self) -> EpcPages {
@@ -146,7 +134,7 @@ impl WorkloadJob {
 }
 
 /// A time-ordered set of deployable jobs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Workload {
     jobs: Vec<WorkloadJob>,
 }
@@ -256,15 +244,20 @@ mod tests {
         let w = Workload::materialize(&tiny_trace(), &params);
         // Job 2 requested 0.4 → clamped to 0.20.
         assert_eq!(w.jobs()[1].mem_request, USABLE_EPC.mul_f64(0.20));
-        let unclamped = Workload::materialize(&tiny_trace(), &params.without_fraction_cap());
+        let uncapped = WorkloadParams {
+            fraction_cap: None,
+            ..params
+        };
+        let unclamped = Workload::materialize(&tiny_trace(), &uncapped);
         assert_eq!(unclamped.jobs()[1].mem_request, USABLE_EPC.mul_f64(0.4));
     }
 
     #[test]
     fn over_use_survives_materialisation() {
         let w = Workload::materialize(&tiny_trace(), &WorkloadParams::paper(0.0, 1));
-        assert!(w.jobs()[0].over_uses_memory()); // 0.2 used > 0.1 advertised
-        assert!(!w.jobs()[1].over_uses_memory());
+        let over_uses = |j: &WorkloadJob| j.mem_usage > j.mem_request;
+        assert!(over_uses(&w.jobs()[0])); // 0.2 used > 0.1 advertised
+        assert!(!over_uses(&w.jobs()[1]));
     }
 
     #[test]

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use des::SimDuration;
 use sgx_sim::units::{ByteSize, EpcPages};
 use stress::{ContainerImage, Stressor};
 
 /// Unique identifier the API server assigns to each pod.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PodUid(u64);
 
 impl PodUid {
@@ -27,7 +25,7 @@ impl PodUid {
     /// (`pod-7`), so `PodUid::parse(s) == Some(uid)` implies
     /// `uid.to_string() == s`. Anything else — `pod-07`, `pod-+7`, a
     /// number beyond `u64` — is `None`.
-    pub fn parse(name: &str) -> Option<Self> {
+    pub(crate) fn parse(name: &str) -> Option<Self> {
         let digits = name.strip_prefix("pod-")?;
         // `u64::from_str` alone would take a sign and leading zeros.
         let canonical = digits.bytes().all(|b| b.is_ascii_digit())
@@ -46,7 +44,7 @@ impl fmt::Display for PodUid {
 }
 
 /// Name of a node, unique within the cluster.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeName(String);
 
 impl NodeName {
@@ -81,7 +79,7 @@ impl From<&str> for NodeName {
 
 /// A bundle of resource quantities: standard memory plus the "SGX" EPC
 /// resource exposed by the device plugin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Resources {
     /// Ordinary memory.
     pub memory: ByteSize,
@@ -90,12 +88,6 @@ pub struct Resources {
 }
 
 impl Resources {
-    /// No resources.
-    pub const NONE: Resources = Resources {
-        memory: ByteSize::ZERO,
-        epc_pages: EpcPages::ZERO,
-    };
-
     /// Standard memory only.
     pub fn memory(memory: ByteSize) -> Self {
         Resources {
@@ -117,7 +109,7 @@ impl Resources {
 
 /// Requests (what the scheduler reserves) and limits (what the driver
 /// enforces) — the two halves of a Kubernetes resource specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceRequirements {
     /// Scheduler-visible reservation.
     pub requests: Resources,
@@ -153,7 +145,7 @@ impl ResourceRequirements {
 ///     .build();
 /// assert!(spec.needs_sgx());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PodSpec {
     /// Human-readable pod name.
     pub name: String,
@@ -188,11 +180,9 @@ impl PodSpec {
 #[derive(Debug, Clone)]
 pub struct PodSpecBuilder {
     name: String,
-    image: Option<ContainerImage>,
     resources: ResourceRequirements,
     stressor: Option<Stressor>,
     duration: SimDuration,
-    scheduler: Option<String>,
 }
 
 impl PodSpecBuilder {
@@ -201,24 +191,10 @@ impl PodSpecBuilder {
         assert!(!name.is_empty(), "pod name must not be empty");
         PodSpecBuilder {
             name,
-            image: None,
             resources: ResourceRequirements::default(),
             stressor: None,
             duration: SimDuration::from_secs(60),
-            scheduler: None,
         }
-    }
-
-    /// Sets the container image (defaults to the stressor's image).
-    pub fn image(mut self, image: ContainerImage) -> Self {
-        self.image = Some(image);
-        self
-    }
-
-    /// Declares identical requests and limits.
-    pub fn resources(mut self, resources: Resources) -> Self {
-        self.resources = ResourceRequirements::exact(resources);
-        self
     }
 
     /// Declares requests and limits separately.
@@ -255,12 +231,6 @@ impl PodSpecBuilder {
         self
     }
 
-    /// Routes the pod to a named scheduler.
-    pub fn scheduler(mut self, name: impl Into<String>) -> Self {
-        self.scheduler = Some(name.into());
-        self
-    }
-
     /// Finalises the spec.
     ///
     /// # Panics
@@ -276,14 +246,13 @@ impl PodSpecBuilder {
                 Stressor::virtual_memory(r.memory)
             }
         });
-        let image = self.image.unwrap_or_else(|| stressor.image());
         PodSpec {
             name: self.name,
-            image,
+            image: stressor.image(),
             resources: self.resources,
             stressor,
             duration: self.duration,
-            scheduler: self.scheduler,
+            scheduler: None,
         }
     }
 }
@@ -327,15 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_routing() {
-        let spec = PodSpec::builder("p")
-            .memory_resources(ByteSize::from_mib(1))
-            .scheduler("sgx-binpack")
-            .build();
-        assert_eq!(spec.scheduler.as_deref(), Some("sgx-binpack"));
-    }
-
-    #[test]
     fn uids_and_names_display() {
         assert_eq!(PodUid::new(3).to_string(), "pod-3");
         for uid in [0, 7, 10, 4_142, u64::MAX] {
@@ -362,7 +322,7 @@ mod tests {
 
     #[test]
     fn resources_helpers() {
-        assert!(!Resources::NONE.needs_sgx());
+        assert!(!Resources::default().needs_sgx());
         assert!(!Resources::memory(ByteSize::from_mib(1)).needs_sgx());
         assert!(Resources::with_epc(ByteSize::ZERO, EpcPages::ONE).needs_sgx());
     }

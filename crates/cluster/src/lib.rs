@@ -1,5 +1,5 @@
-//! Node-side cluster substrate: machines, the Kubelet agent, the SGX
-//! device plugin and the metric probes.
+//! Node-side cluster substrate: machines, the Kubelet agent and the
+//! metric probes.
 //!
 //! This crate models everything that runs *on the nodes* of the paper's
 //! architecture (Fig. 2):
@@ -12,10 +12,10 @@
 //! * [`node`] — a cluster node with its Kubelet behaviour: admission,
 //!   cgroup setup, the cgo bridge that communicates EPC limits to the
 //!   driver (§V-D), container startup against the simulated SGX driver,
-//!   and teardown.
-//! * [`device_plugin`] — the paper's Kubernetes device plugin (§V-A),
-//!   which advertises **each usable EPC page as an independent resource
-//!   item** so multiple SGX pods can share one node.
+//!   and teardown. What the paper's device plugin (§V-A) advertises —
+//!   **each usable EPC page as an independent resource item**, so
+//!   multiple SGX pods can share one node — is
+//!   [`node::Node::allocatable_epc`].
 //! * [`probe`] — the Heapster memory probe and the custom SGX probe
 //!   (§V-C) producing the `memory/usage` and `sgx/epc` series the
 //!   scheduler queries.
@@ -39,11 +39,9 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod device_plugin;
 pub mod machine;
 pub mod node;
 pub mod probe;
-pub mod registry;
 pub mod topology;
 
 mod error;

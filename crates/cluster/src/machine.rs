@@ -1,13 +1,11 @@
 //! Hardware specifications, including the paper's testbed (§VI-A).
 
-use serde::{Deserialize, Serialize};
-
 use sgx_sim::epc::EpcConfig;
 use sgx_sim::units::ByteSize;
 use sgx_sim::SgxVersion;
 
 /// SGX capability of a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgxSpec {
     /// Hardware generation.
     pub version: SgxVersion,
@@ -16,7 +14,7 @@ pub struct SgxSpec {
 }
 
 /// CPU models present in the paper's testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuModel {
     /// Intel Xeon E3-1270 v6 (the Dell R330 workers; no SGX).
     XeonE31270V6,
@@ -48,7 +46,7 @@ impl std::fmt::Display for CpuModel {
 /// let sgx = MachineSpec::sgx_node();
 /// assert_eq!(sgx.sgx.unwrap().epc.usable.as_mib_f64(), 93.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineSpec {
     /// CPU model (informational).
     pub cpu_model: CpuModel,
@@ -102,17 +100,6 @@ impl MachineSpec {
         spec
     }
 
-    /// An SGX2 (EDMM-capable) variant of the SGX node, for the §VI-G
-    /// compatibility analysis.
-    pub fn sgx2_node() -> Self {
-        let mut spec = MachineSpec::sgx_node();
-        spec.sgx = Some(SgxSpec {
-            version: SgxVersion::Sgx2,
-            epc: EpcConfig::sgx1_default(),
-        });
-        spec
-    }
-
     /// `true` when the machine can execute SGX instructions.
     pub fn has_sgx(&self) -> bool {
         self.sgx.is_some()
@@ -148,11 +135,5 @@ mod tests {
             let spec = MachineSpec::sgx_node_with_usable_epc(ByteSize::from_mib(mib));
             assert_eq!(spec.usable_epc(), ByteSize::from_mib(mib));
         }
-    }
-
-    #[test]
-    fn sgx2_node_supports_edmm() {
-        let spec = MachineSpec::sgx2_node();
-        assert!(spec.sgx.unwrap().version.supports_dynamic_memory());
     }
 }

@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use des::{SimDuration, SimTime};
 use sgx_sim::cost::CostModel;
@@ -21,10 +20,9 @@ use sgx_sim::{CgroupPath, EnclaveId, Pid, SgxError};
 use crate::api::{NodeName, PodSpec, PodUid};
 use crate::error::ClusterError;
 use crate::machine::MachineSpec;
-use crate::registry::{ImageCache, RegistryModel};
 
 /// Role of a node in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRole {
     /// Control-plane node; not schedulable for workloads.
     Master,
@@ -140,18 +138,15 @@ pub struct Node {
     driver: Option<SgxDriver>,
     cost_model: CostModel,
     pods: BTreeMap<PodUid, RunningPod>,
-    mem_used: ByteSize,
     mem_requested: ByteSize,
     epc_requested: EpcPages,
     next_pid: u32,
-    registry: Option<RegistryModel>,
-    image_cache: ImageCache,
     cordoned: bool,
 }
 
 impl Node {
     /// Creates a node; SGX machines get a fresh driver instance whose
-    /// attestation platform identity is derived from the node name.
+    /// platform identity is derived from the node name.
     pub fn new(name: NodeName, spec: MachineSpec, role: NodeRole) -> Self {
         let platform = des::rng::derive_seed(0x5167, name.as_str());
         let driver = spec
@@ -164,12 +159,9 @@ impl Node {
             driver,
             cost_model: CostModel::paper_defaults(),
             pods: BTreeMap::new(),
-            mem_used: ByteSize::ZERO,
             mem_requested: ByteSize::ZERO,
             epc_requested: EpcPages::ZERO,
             next_pid: 1,
-            registry: None,
-            image_cache: ImageCache::new(),
             cordoned: false,
         }
     }
@@ -214,10 +206,10 @@ impl Node {
         self.driver.is_some()
     }
 
-    /// The attestation platform identity of this node's CPU, when it has
-    /// SGX (anchors launch tokens, quotes and migration keys).
+    /// The platform identity of this node's CPU, when it has SGX (anchors
+    /// migration keys).
     pub fn platform(&self) -> Option<u64> {
-        self.driver.as_ref().map(|d| d.aesm().platform())
+        self.driver.as_ref().map(SgxDriver::platform)
     }
 
     /// Read access to the SGX driver, when present.
@@ -236,24 +228,6 @@ impl Node {
         self.cost_model = model;
     }
 
-    /// The active cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
-    /// Enables image-pull modelling against `registry`: the first pod per
-    /// image on this node pays the pull time (§IV step Ë); later pods hit
-    /// the local cache. Disabled by default — the paper pre-pulls its
-    /// stress images.
-    pub fn set_registry(&mut self, registry: Option<RegistryModel>) {
-        self.registry = registry;
-    }
-
-    /// The node's image cache.
-    pub fn image_cache(&self) -> &ImageCache {
-        &self.image_cache
-    }
-
     // ---- capacity & usage ----------------------------------------------
 
     /// Total allocatable ordinary memory.
@@ -270,18 +244,13 @@ impl Node {
     }
 
     /// Memory still available going by admitted *requests*.
-    pub fn memory_unrequested(&self) -> ByteSize {
+    pub(crate) fn memory_unrequested(&self) -> ByteSize {
         self.allocatable_memory().saturating_sub(self.mem_requested)
     }
 
     /// EPC pages still available going by admitted *requests*.
-    pub fn epc_unrequested(&self) -> EpcPages {
+    pub(crate) fn epc_unrequested(&self) -> EpcPages {
         self.allocatable_epc().saturating_sub(self.epc_requested)
-    }
-
-    /// Ordinary memory the containers have actually allocated.
-    pub fn memory_used(&self) -> ByteSize {
-        self.mem_used
     }
 
     /// Sum of admitted memory requests.
@@ -341,7 +310,7 @@ impl Node {
 
     /// Per-pod ordinary memory usage, uid-ascending, pods without any
     /// left out — the quantity Heapster scrapes.
-    pub fn memory_usage(&self) -> impl Iterator<Item = (&RunningPod, ByteSize)> + '_ {
+    pub(crate) fn memory_usage(&self) -> impl Iterator<Item = (&RunningPod, ByteSize)> + '_ {
         self.pods
             .values()
             .filter(|pod| !pod.mem_allocated.is_zero())
@@ -365,7 +334,7 @@ impl Node {
     /// * [`ClusterError::SgxUnavailable`] — EPC requested on a non-SGX node.
     /// * [`ClusterError::InsufficientResources`] — requests exceed what is
     ///   left.
-    pub fn can_admit(&self, spec: &PodSpec) -> Result<(), ClusterError> {
+    pub(crate) fn can_admit(&self, spec: &PodSpec) -> Result<(), ClusterError> {
         if !self.is_schedulable() {
             return Err(ClusterError::NodeUnschedulable(self.name.clone()));
         }
@@ -404,7 +373,7 @@ impl Node {
     ///
     /// # Errors
     ///
-    /// * Everything [`can_admit`](Self::can_admit) returns.
+    /// * Everything `can_admit` returns.
     /// * [`ClusterError::PodAlreadyRunning`] — uid reuse.
     pub fn run_pod(
         &mut self,
@@ -450,19 +419,12 @@ impl Node {
         // SGX containers pay PSW/AESM launch plus enclave allocation
         // proportional to the memory they actually commit.
         let usable_epc = self.spec.usable_epc();
-        // First use of an image on this node pulls it from the registry
-        // (when pull modelling is enabled); everything else hits the cache.
-        let pull_delay = match &self.registry {
-            Some(registry) => self.image_cache.ensure(&spec.image, registry),
-            None => des::SimDuration::ZERO,
+        let startup_delay = if plan.requires_sgx {
+            self.cost_model
+                .sgx_startup(rng, plan.epc_allocation.to_bytes(), usable_epc)
+        } else {
+            self.cost_model.standard_startup(rng)
         };
-        let startup_delay = pull_delay
-            + if plan.requires_sgx {
-                self.cost_model
-                    .sgx_startup(rng, plan.epc_allocation.to_bytes(), usable_epc)
-            } else {
-                self.cost_model.standard_startup(rng)
-            };
 
         // Execute the stressor's allocation plan.
         let mut enclave = None;
@@ -488,7 +450,6 @@ impl Node {
                 }
             }
         }
-        self.mem_used += plan.standard_allocation;
         self.mem_requested += requests.memory;
         self.epc_requested += requests.epc_pages;
 
@@ -540,7 +501,6 @@ impl Node {
         // The enclave is gone (self-destroyed); release everything else.
         let mut pod = self.pods.remove(&uid).expect("looked up above");
         pod.enclave = None;
-        self.mem_used = self.mem_used.saturating_sub(pod.mem_allocated);
         self.mem_requested = self
             .mem_requested
             .saturating_sub(pod.spec.resources.requests.memory);
@@ -617,7 +577,6 @@ impl Node {
 
         // Re-establish the standard-memory side of the stressor.
         let plan = spec.stressor.plan_on(self.spec.usable_epc());
-        self.mem_used += plan.standard_allocation;
         self.mem_requested += requests.memory;
         self.epc_requested += requests.epc_pages;
         self.pods.insert(
@@ -634,44 +593,6 @@ impl Node {
         Ok(delay)
     }
 
-    /// Grows a running SGX pod's enclave by `pages` (SGX2 EDMM, §VI-G).
-    /// The driver's pod-limit check still applies, so a pod can never grow
-    /// past what it advertised.
-    ///
-    /// # Errors
-    ///
-    /// * [`ClusterError::UnknownPod`] — no such pod, or it has no enclave.
-    /// * [`ClusterError::Sgx`] — SGX1 hardware, limit exceeded, or EPC
-    ///   exhausted.
-    pub fn augment_pod(&mut self, uid: PodUid, pages: EpcPages) -> Result<(), ClusterError> {
-        let pod = self.pods.get(&uid).ok_or(ClusterError::UnknownPod(uid))?;
-        let enclave = pod.enclave.ok_or(ClusterError::UnknownPod(uid))?;
-        let driver = self
-            .driver
-            .as_mut()
-            .expect("pods with enclaves run on SGX nodes");
-        driver.augment_pages(enclave, pages)?;
-        Ok(())
-    }
-
-    /// Shrinks a running SGX pod's enclave by `pages` (SGX2 trim),
-    /// returning the pages to the node's EPC.
-    ///
-    /// # Errors
-    ///
-    /// * [`ClusterError::UnknownPod`] — no such pod, or it has no enclave.
-    /// * [`ClusterError::Sgx`] — SGX1 hardware or more pages than owned.
-    pub fn trim_pod(&mut self, uid: PodUid, pages: EpcPages) -> Result<(), ClusterError> {
-        let pod = self.pods.get(&uid).ok_or(ClusterError::UnknownPod(uid))?;
-        let enclave = pod.enclave.ok_or(ClusterError::UnknownPod(uid))?;
-        let driver = self
-            .driver
-            .as_mut()
-            .expect("pods with enclaves run on SGX nodes");
-        driver.trim_pages(enclave, pages)?;
-        Ok(())
-    }
-
     /// Terminates a pod, releasing all its resources (memory, EPC pages,
     /// the cgroup and its driver-side limit entry).
     ///
@@ -683,7 +604,6 @@ impl Node {
             .pods
             .remove(&uid)
             .ok_or(ClusterError::UnknownPod(uid))?;
-        self.mem_used = self.mem_used.saturating_sub(pod.mem_allocated);
         self.mem_requested = self
             .mem_requested
             .saturating_sub(pod.spec.resources.requests.memory);
@@ -719,6 +639,11 @@ mod tests {
         )
     }
 
+    /// What Heapster would add up for the node.
+    fn memory_used(node: &Node) -> ByteSize {
+        node.memory_usage().map(|(_, bytes)| bytes).sum()
+    }
+
     fn sgx_pod(name: &str, mib: u64) -> PodSpec {
         PodSpec::builder(name)
             .sgx_resources(ByteSize::from_mib(mib))
@@ -737,13 +662,13 @@ mod tests {
             .unwrap();
         assert!(report.started());
         assert!(report.startup_delay <= SimDuration::from_millis(1));
-        assert_eq!(node.memory_used(), ByteSize::from_gib(2));
+        assert_eq!(memory_used(&node), ByteSize::from_gib(2));
         assert_eq!(node.memory_requested(), ByteSize::from_gib(2));
         assert_eq!(node.pods().len(), 1);
 
         let pod = node.terminate_pod(PodUid::new(1)).unwrap();
         assert_eq!(pod.uid, PodUid::new(1));
-        assert_eq!(node.memory_used(), ByteSize::ZERO);
+        assert_eq!(memory_used(&node), ByteSize::ZERO);
         assert!(node.pods().is_empty());
     }
 
@@ -1060,31 +985,8 @@ mod tests {
             .migrate_in(PodUid::new(1), spec, None, key, SimTime::ZERO)
             .unwrap();
         assert_eq!(delay, SimDuration::from_millis(50)); // handshake only
-        assert_eq!(target.memory_used(), ByteSize::from_gib(2));
-        assert_eq!(source.memory_used(), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn image_pulls_hit_first_pod_only() {
-        use crate::registry::RegistryModel;
-
-        let mut node = sgx_worker();
-        node.set_registry(Some(RegistryModel::paper_network()));
-        let mut rng = seeded_rng(30);
-        let first = node
-            .run_pod(PodUid::new(1), sgx_pod("a", 8), SimTime::ZERO, &mut rng)
-            .unwrap();
-        // Pull (≈3.5 s for the 420 MiB sgx-base image) dominates startup.
-        assert!(
-            first.startup_delay > SimDuration::from_secs(3),
-            "{}",
-            first.startup_delay
-        );
-        let second = node
-            .run_pod(PodUid::new(2), sgx_pod("b", 8), SimTime::ZERO, &mut rng)
-            .unwrap();
-        assert!(second.startup_delay < SimDuration::from_millis(200));
-        assert_eq!(node.image_cache().len(), 1);
+        assert_eq!(memory_used(&target), ByteSize::from_gib(2));
+        assert_eq!(memory_used(&source), ByteSize::ZERO);
     }
 
     #[test]
@@ -1103,50 +1005,6 @@ mod tests {
         assert_eq!(node.pods().len(), 1);
         node.set_cordoned(false);
         assert!(node.is_schedulable());
-    }
-
-    #[test]
-    fn sgx2_pods_grow_and_shrink_within_limits() {
-        let mut node = Node::new(
-            NodeName::new("sgx2-1"),
-            MachineSpec::sgx2_node(),
-            NodeRole::Worker,
-        );
-        let mut rng = seeded_rng(32);
-        // Requests (and limit) 32 MiB; the stressor initially maps 8 MiB.
-        let spec = PodSpec::builder("elastic")
-            .requirements(crate::api::ResourceRequirements::exact(
-                crate::api::Resources::with_epc(ByteSize::ZERO, EpcPages::from_mib_ceil(32)),
-            ))
-            .stressor(Stressor::epc(ByteSize::from_mib(8)))
-            .build();
-        node.run_pod(PodUid::new(1), spec, SimTime::ZERO, &mut rng)
-            .unwrap();
-        assert_eq!(node.epc_committed(), EpcPages::from_mib_ceil(8));
-
-        node.augment_pod(PodUid::new(1), EpcPages::from_mib_ceil(16))
-            .unwrap();
-        assert_eq!(node.epc_committed(), EpcPages::from_mib_ceil(24));
-        // Growing past the 32 MiB limit is denied by the driver.
-        assert!(matches!(
-            node.augment_pod(PodUid::new(1), EpcPages::from_mib_ceil(16)),
-            Err(ClusterError::Sgx(SgxError::PodLimitExceeded { .. }))
-        ));
-        node.trim_pod(PodUid::new(1), EpcPages::from_mib_ceil(20))
-            .unwrap();
-        assert_eq!(node.epc_committed(), EpcPages::from_mib_ceil(4));
-    }
-
-    #[test]
-    fn sgx1_pods_cannot_grow() {
-        let mut node = sgx_worker();
-        let mut rng = seeded_rng(33);
-        node.run_pod(PodUid::new(1), sgx_pod("a", 8), SimTime::ZERO, &mut rng)
-            .unwrap();
-        assert!(matches!(
-            node.augment_pod(PodUid::new(1), EpcPages::ONE),
-            Err(ClusterError::Sgx(SgxError::DynamicMemoryUnsupported))
-        ));
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //! the orchestrator's in-process probe pass appends them to series it
 //! resolved on an earlier tick and never builds the frame.
 
-use serde::{Deserialize, Serialize};
-
 use des::{SimDuration, SimTime};
 use sgx_sim::units::ByteSize;
 use tsdb::{Point, PointBatch};
@@ -42,7 +40,7 @@ pub const MEASUREMENT_EPC: &str = "sgx/epc";
 /// `backoff · 2^attempt` of simulated time, up to `max_retries` times;
 /// after that the frame is dropped and counted as lost. A policy with
 /// `max_retries == 0` drops failed frames immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum number of redelivery attempts after the first failure.
     pub max_retries: u32,
@@ -78,15 +76,15 @@ impl Default for RetryPolicy {
 }
 
 /// A monitoring probe: which metrics it scrapes and how often.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Probe {
     kind: ProbeKind,
     period: SimDuration,
 }
 
 /// The two probe kinds of the paper's monitoring layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProbeKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ProbeKind {
     /// Heapster: per-pod ordinary memory.
     Heapster,
     /// The SGX probe: per-pod EPC pages, read from the modified driver.
@@ -117,16 +115,6 @@ impl Probe {
             Probe::heapster(SimDuration::from_secs(10)),
             Probe::sgx(SimDuration::from_secs(10)),
         ]
-    }
-
-    /// The probe kind.
-    pub fn kind(&self) -> ProbeKind {
-        self.kind
-    }
-
-    /// The scrape period.
-    pub fn period(&self) -> SimDuration {
-        self.period
     }
 
     /// Whether this probe should be deployed on `node` — the DaemonSet for
@@ -216,8 +204,6 @@ mod tests {
         assert!(heapster.targets(&sgx_node));
         assert!(!sgx.targets(&std_node));
         assert!(sgx.targets(&sgx_node));
-        assert_eq!(sgx.kind(), ProbeKind::Sgx);
-        assert_eq!(sgx.period(), SimDuration::from_secs(10));
     }
 
     #[test]

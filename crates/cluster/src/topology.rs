@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use sgx_sim::units::ByteSize;
 
 use crate::api::NodeName;
@@ -11,7 +9,7 @@ use crate::machine::MachineSpec;
 use crate::node::{Node, NodeRole};
 
 /// Declarative description of a cluster: named machines and their roles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     members: Vec<(String, MachineSpec, NodeRole)>,
 }
@@ -189,16 +187,6 @@ impl Cluster {
         self.nodes.get_mut(name)
     }
 
-    /// Number of nodes (including the master).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when the cluster has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Total usable EPC across SGX workers.
     pub fn total_epc(&self) -> ByteSize {
         self.sgx_nodes().map(|n| n.spec().usable_epc()).sum()
@@ -219,7 +207,7 @@ mod tests {
     #[test]
     fn paper_cluster_topology() {
         let cluster = Cluster::build(&ClusterSpec::paper_cluster());
-        assert_eq!(cluster.len(), 5);
+        assert_eq!(cluster.nodes().count(), 5);
         assert_eq!(cluster.schedulable_nodes().count(), 4);
         assert_eq!(cluster.sgx_nodes().count(), 2);
         // §VI-E: 2 × 93.5 MiB of EPC vs 144 GiB of ordinary memory.
@@ -250,7 +238,7 @@ mod tests {
     #[test]
     fn empty_cluster() {
         let cluster = Cluster::build(&ClusterSpec::new());
-        assert!(cluster.is_empty());
+        assert_eq!(cluster.nodes().count(), 0);
         assert_eq!(cluster.total_epc(), ByteSize::ZERO);
     }
 

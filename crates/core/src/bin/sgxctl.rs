@@ -378,22 +378,22 @@ fn autoscale_flags(args: &mut Args) -> Result<Option<AutoscaleConfig>, String> {
     let mut enabled = args.has_flag("--autoscale");
     let mut period = SimDuration::from_secs(30);
     let mut policy = AutoscalerPolicy::paper_defaults();
-    if let Some(secs) = args.flag_u64("--autoscale-period")? {
-        if secs == 0 {
+    if let Some(every) = args.flag_secs("--autoscale-period")? {
+        if every.is_zero() {
             return Err("--autoscale-period must be positive".to_string());
         }
-        period = SimDuration::from_secs(secs);
+        period = every;
         enabled = true;
     }
-    if let Some(secs) = args.flag_u64("--autoscale-up-wait-secs")? {
-        if secs == 0 {
+    if let Some(wait) = args.flag_secs("--autoscale-up-wait-secs")? {
+        if wait.is_zero() {
             return Err("--autoscale-up-wait-secs must be positive".to_string());
         }
-        policy = policy.with_scale_up_wait(SimDuration::from_secs(secs));
+        policy = policy.with_scale_up_wait(wait);
         enabled = true;
     }
-    if let Some(secs) = args.flag_u64("--autoscale-cooldown-secs")? {
-        policy = policy.with_scale_down_after(SimDuration::from_secs(secs));
+    if let Some(cooldown) = args.flag_secs("--autoscale-cooldown-secs")? {
+        policy = policy.with_scale_down_after(cooldown);
         enabled = true;
     }
     if let Some(low_water) = args.flag_f64("--autoscale-low-water")? {
@@ -469,6 +469,19 @@ impl Args {
                     .map_err(|_| format!("{name} expects an integer, got `{v}`"))
             })
             .transpose()
+    }
+
+    /// A whole number of seconds `SimDuration` can hold:
+    /// `SimDuration::from_secs` multiplies unchecked, so a larger count
+    /// would panic in a debug build and wrap to another value in release.
+    fn flag_secs(&mut self, name: &str) -> Result<Option<SimDuration>, String> {
+        const MAX_SECS: u64 = u64::MAX / 1_000_000;
+        match self.flag_u64(name)? {
+            Some(secs) if secs > MAX_SECS => Err(format!(
+                "{name} must be at most {MAX_SECS} seconds, got `{secs}`"
+            )),
+            secs => Ok(secs.map(SimDuration::from_secs)),
+        }
     }
 
     fn flag_f64(&mut self, name: &str) -> Result<Option<f64>, String> {

@@ -14,7 +14,7 @@ use simulation::{
 
 /// Which trace the experiment replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePreset {
+pub(crate) enum TracePreset {
     /// A small one-hour trace (≈1–2 k jobs) that replays in well under a
     /// second — for examples and tests.
     Quick,
@@ -74,8 +74,9 @@ impl Experiment {
         }
     }
 
-    /// The paper's replay-scale experiment (≈4 100 jobs over one hour of
-    /// submissions; see [`TracePreset::PaperReplay`]).
+    /// The paper's replay-scale experiment: §VI-B's preparation (full-rate
+    /// generation, slice `[6480 s, 10 080 s)`, every 1200th job) keeps
+    /// ≈4 100 jobs over one hour of submissions.
     pub fn paper_replay(seed: u64) -> Self {
         Experiment {
             preset: TracePreset::PaperReplay,
@@ -154,8 +155,8 @@ impl Experiment {
     /// Streams the workload from the named registry frontend
     /// (`borg-synthetic`, `alibaba-2017`, `diurnal-serving`,
     /// `adversarial-mix`) instead of materialising the preset trace.
-    /// [`TracePreset::Quick`] maps to the frontend's smoke scale,
-    /// [`TracePreset::PaperReplay`] to its full scale.
+    /// [`quick`](Self::quick) maps to the frontend's smoke scale,
+    /// [`paper_replay`](Self::paper_replay) to its full scale.
     ///
     /// # Panics
     ///
@@ -171,7 +172,7 @@ impl Experiment {
     }
 
     /// Parameters a registry frontend is built from for this experiment.
-    pub fn frontend_params(&self) -> FrontendParams {
+    pub(crate) fn frontend_params(&self) -> FrontendParams {
         let params = FrontendParams::new(self.seed, self.sgx_ratio);
         match self.preset {
             TracePreset::Quick => params.smoke(),

@@ -61,7 +61,7 @@
 
 mod experiment;
 
-pub use experiment::{Experiment, TracePreset};
+pub use experiment::Experiment;
 
 /// One-stop imports for typical use.
 pub mod prelude {
@@ -79,7 +79,6 @@ pub mod prelude {
         ClusterSnapshot, Orchestrator, OrchestratorConfig, PodOutcome, PolicyPipeline,
         PolicyRegistry, SchedulingCycle, DEFAULT_SCHEDULER, SGX_BINPACK, SGX_SPREAD,
     };
-    pub use sgx_sim::attestation::{Aesm, Measurement, QuoteVerdict, Signer};
     pub use sgx_sim::migration::MigrationKey;
     pub use sgx_sim::units::{ByteSize, EpcPages};
     pub use sgx_sim::SgxVersion;
@@ -89,5 +88,5 @@ pub mod prelude {
     };
     pub use stress::Stressor;
 
-    pub use crate::{Experiment, TracePreset};
+    pub use crate::Experiment;
 }

@@ -26,6 +26,12 @@ fn bad_flags_and_flag_values_are_one_line_usage_errors() {
         // EPC-less cluster and exited 0); zero asks for the same cluster.
         &["--epc-total", "17592186044416"],
         &["--epc-total", "0"],
+        // More seconds than `SimDuration` holds microseconds for: a debug
+        // build panicked in `from_secs`, a release build wrapped to some
+        // other duration and replayed that.
+        &["--autoscale-period", "18446744073709551615"],
+        &["--autoscale-up-wait-secs", "18446744073710"],
+        &["--autoscale-cooldown-secs", "18446744073709551615"],
     ];
     for case in cases {
         let mut args = vec!["replay", "--quick"];

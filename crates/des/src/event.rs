@@ -85,11 +85,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of pending events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
     /// The instant of the most recently popped event ([`SimTime::ZERO`]
     /// before the first pop). This is the simulation's current virtual time.
     pub fn now(&self) -> SimTime {
@@ -111,11 +106,6 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Schedules `event` to fire `after` the current virtual time.
-    pub fn schedule_after(&mut self, after: crate::SimDuration, event: E) {
-        self.schedule(self.now + after, event);
     }
 
     /// Removes and returns the next event, advancing the virtual clock to its
@@ -140,11 +130,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops every pending event, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -164,7 +149,6 @@ impl<E> Extend<(SimTime, E)> for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     #[test]
     fn pops_in_chronological_order() {
@@ -197,16 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), "first");
-        q.pop();
-        q.schedule_after(SimDuration::from_secs(5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(15));
-    }
-
-    #[test]
     #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
@@ -225,20 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        q.pop();
-        q.schedule(SimTime::from_secs(9), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_secs(1));
-    }
-
-    #[test]
     fn with_capacity_preallocates() {
         let q: EventQueue<u32> = EventQueue::with_capacity(128);
-        assert!(q.capacity() >= 128);
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
     }

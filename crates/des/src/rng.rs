@@ -56,7 +56,7 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Samples a standard-normal variate using the Box–Muller transform.
-pub fn sample_standard_normal<R: Rng + RngExt + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn sample_standard_normal<R: Rng + RngExt + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling u1 from the half-open interval (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();

@@ -4,9 +4,7 @@
 //! confidence intervals (Figs. 6, 9) and time series (Figs. 5, 7). This
 //! module provides exactly those primitives.
 
-use serde::{Deserialize, Serialize};
-
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 
 /// An empirical cumulative distribution function over `f64` samples.
 ///
@@ -19,7 +17,7 @@ use crate::{SimDuration, SimTime};
 /// assert_eq!(cdf.fraction_at_or_below(2.0), 0.5);
 /// assert_eq!(cdf.quantile(1.0), Some(4.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -80,47 +78,9 @@ impl Cdf {
         Some(self.sorted[rank.min(self.sorted.len() - 1)])
     }
 
-    /// The smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
-    }
-
     /// The largest sample, if any.
     pub fn max(&self) -> Option<f64> {
         self.sorted.last().copied()
-    }
-
-    /// Arithmetic mean, or `None` for an empty CDF.
-    pub fn mean(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-        }
-    }
-
-    /// Evaluates the CDF on `points` evenly spaced x-values spanning
-    /// `[min, max]`, yielding `(x, percent <= x)` pairs ready for plotting.
-    ///
-    /// Returns an empty vector when the CDF is empty or `points < 2`.
-    pub fn plot_points(&self, points: usize) -> Vec<(f64, f64)> {
-        let (Some(lo), Some(hi)) = (self.min(), self.max()) else {
-            return Vec::new();
-        };
-        if points < 2 {
-            return Vec::new();
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, 100.0 * self.fraction_at_or_below(x))
-            })
-            .collect()
-    }
-
-    /// A borrowed view of the sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -142,15 +102,13 @@ impl FromIterator<f64> for Cdf {
 ///     s.push(x);
 /// }
 /// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.sample_std_dev(), 2.0);
+/// assert_eq!(s.sample_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
@@ -160,8 +118,6 @@ impl RunningStats {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -179,8 +135,6 @@ impl RunningStats {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of samples pushed so far.
@@ -203,27 +157,8 @@ impl RunningStats {
     }
 
     /// Unbiased sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
+    pub(crate) fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
-    }
-
-    /// Population standard deviation (divides by `n`).
-    pub fn population_std_dev(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
     }
 
     /// Half-width of the normal-approximation 95 % confidence interval of
@@ -234,24 +169,6 @@ impl RunningStats {
         } else {
             1.96 * self.sample_std_dev() / (self.count as f64).sqrt()
         }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -283,10 +200,9 @@ impl FromIterator<f64> for RunningStats {
 /// let mut ts = TimeSeries::new();
 /// ts.record(SimTime::from_secs(0), 0.0);
 /// ts.record(SimTime::from_secs(60), 128.0);
-/// assert_eq!(ts.value_at(SimTime::from_secs(30)), Some(0.0));
 /// assert_eq!(ts.peak(), Some(128.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -311,59 +227,12 @@ impl TimeSeries {
         self.points.push((at, value));
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when the series holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The step-function value in effect at `at` (the most recent observation
-    /// at or before `at`), or `None` before the first observation.
-    pub fn value_at(&self, at: SimTime) -> Option<f64> {
-        let idx = self.points.partition_point(|&(t, _)| t <= at);
-        idx.checked_sub(1).map(|i| self.points[i].1)
-    }
-
     /// Largest observed value.
     pub fn peak(&self) -> Option<f64> {
         self.points
             .iter()
             .map(|&(_, v)| v)
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// The last instant whose observation is non-zero, useful for measuring
-    /// "when did the backlog drain" (Fig. 7 makespans).
-    pub fn last_nonzero(&self) -> Option<SimTime> {
-        self.points
-            .iter()
-            .rev()
-            .find(|&&(_, v)| v != 0.0)
-            .map(|&(t, _)| t)
-    }
-
-    /// Down-samples to one value per `bucket` (taking the maximum within each
-    /// bucket), yielding `(bucket start, max value)` pairs for plotting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` is zero.
-    pub fn downsample_max(&self, bucket: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!bucket.is_zero(), "bucket must be non-zero");
-        let mut out: Vec<(SimTime, f64)> = Vec::new();
-        for &(t, v) in &self.points {
-            let start =
-                SimTime::from_micros(t.as_micros() / bucket.as_micros() * bucket.as_micros());
-            match out.last_mut() {
-                Some((last, max)) if *last == start => *max = max.max(v),
-                _ => out.push((start, v)),
-            }
-        }
-        out
     }
 
     /// A borrowed view of the raw observations.
@@ -400,9 +269,7 @@ mod tests {
         assert_eq!(cdf.quantile(0.0), Some(1.0));
         assert_eq!(cdf.quantile(0.5), Some(50.0));
         assert_eq!(cdf.quantile(1.0), Some(100.0));
-        assert_eq!(cdf.min(), Some(1.0));
         assert_eq!(cdf.max(), Some(100.0));
-        assert_eq!(cdf.mean(), Some(50.5));
     }
 
     #[test]
@@ -411,16 +278,6 @@ mod tests {
         assert!(cdf.is_empty());
         assert_eq!(cdf.quantile(0.5), None);
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
-        assert!(cdf.plot_points(10).is_empty());
-    }
-
-    #[test]
-    fn cdf_plot_points_span_range() {
-        let cdf: Cdf = (0..=10).map(f64::from).collect();
-        let pts = cdf.plot_points(11);
-        assert_eq!(pts.len(), 11);
-        assert_eq!(pts[0], (0.0, 100.0 / 11.0));
-        assert_eq!(pts[10], (10.0, 100.0));
     }
 
     #[test]
@@ -435,48 +292,7 @@ mod tests {
         assert_eq!(s.count(), 4);
         assert_eq!(s.mean(), 2.5);
         assert!((s.sample_std_dev() - 1.2909944).abs() < 1e-6);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(4.0));
         assert!(s.ci95_half_width() > 0.0);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let seq: RunningStats = xs.iter().copied().collect();
-        let mut a: RunningStats = xs[..20].iter().copied().collect();
-        let b: RunningStats = xs[20..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-9);
-        assert!((a.sample_variance() - seq.sample_variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_stats_merge_with_empty() {
-        let mut a = RunningStats::new();
-        let b: RunningStats = [5.0].into_iter().collect();
-        a.merge(&b);
-        assert_eq!(a.mean(), 5.0);
-        let empty = RunningStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn time_series_step_semantics() {
-        let ts: TimeSeries = [
-            (SimTime::from_secs(10), 1.0),
-            (SimTime::from_secs(20), 5.0),
-            (SimTime::from_secs(30), 0.0),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(ts.value_at(SimTime::from_secs(5)), None);
-        assert_eq!(ts.value_at(SimTime::from_secs(10)), Some(1.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(25)), Some(5.0));
-        assert_eq!(ts.peak(), Some(5.0));
-        assert_eq!(ts.last_nonzero(), Some(SimTime::from_secs(20)));
     }
 
     #[test]
@@ -485,15 +301,5 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.record(SimTime::from_secs(10), 1.0);
         ts.record(SimTime::from_secs(5), 2.0);
-    }
-
-    #[test]
-    fn time_series_downsample_max() {
-        let ts: TimeSeries = (0..10).map(|i| (SimTime::from_secs(i), i as f64)).collect();
-        let buckets = ts.downsample_max(SimDuration::from_secs(5));
-        assert_eq!(
-            buckets,
-            vec![(SimTime::ZERO, 4.0), (SimTime::from_secs(5), 9.0)]
-        );
     }
 }

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, measured in microseconds since the start of the
 /// simulation.
 ///
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_secs_f64(), 90.0);
 /// assert_eq!(t - SimTime::from_secs(30), SimDuration::from_secs(60));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, measured in microseconds.
@@ -38,9 +34,7 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_secs_f64(), 1.5);
 /// assert_eq!(d * 2, SimDuration::from_secs(3));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -202,11 +196,6 @@ impl SimDuration {
     /// `true` when the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
     }
 
     /// Multiplies the duration by a non-negative factor, rounding to the

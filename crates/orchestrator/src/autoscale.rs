@@ -27,8 +27,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use cluster::api::{NodeName, PodSpec, PodUid};
 use cluster::machine::MachineSpec;
 use des::{SimDuration, SimTime};
@@ -38,7 +36,7 @@ use crate::server::{NodeRemoval, Orchestrator, PodOutcome};
 
 /// The two independently scaled capacity pools.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
+pub(crate) enum Tier {
     /// Nodes without SGX; scaled on ordinary-memory pressure.
     Standard,
     /// SGX nodes; scaled on EPC pressure.
@@ -64,7 +62,7 @@ impl Tier {
 const TIERS: [Tier; 2] = [Tier::Standard, Tier::Sgx];
 
 /// Per-tier knobs of the [`ClusterAutoscaler`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierPolicy {
     /// Machine provisioned on scale-up.
     pub template: MachineSpec,
@@ -79,7 +77,7 @@ pub struct TierPolicy {
 impl TierPolicy {
     /// A tier provisioning `template` machines, up to `max_nodes` of
     /// them, `max_step` per tick, shrinking to zero when idle.
-    pub fn new(template: MachineSpec, max_nodes: usize, max_step: usize) -> Self {
+    pub(crate) fn new(template: MachineSpec, max_nodes: usize, max_step: usize) -> Self {
         TierPolicy {
             template,
             min_nodes: 0,
@@ -90,7 +88,7 @@ impl TierPolicy {
 }
 
 /// Thresholds and cooldowns of the [`ClusterAutoscaler`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoscalerPolicy {
     /// Scale a tier up once its oldest pending pod has waited this long.
     pub scale_up_wait: SimDuration,
@@ -200,7 +198,7 @@ impl AutoscalerPolicy {
 }
 
 /// Elasticity accounting kept by the [`ClusterAutoscaler`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ElasticityMetrics {
     /// Ticks on which a tier grew.
     pub scale_up_events: u64,
@@ -317,20 +315,9 @@ impl ClusterAutoscaler {
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> &AutoscalerPolicy {
-        &self.policy
-    }
-
     /// Elasticity accounting so far.
     pub fn metrics(&self) -> &ElasticityMetrics {
         &self.metrics
-    }
-
-    /// Nodes currently managed (provisioned and not yet removed) by this
-    /// autoscaler, across both tiers, in name order.
-    pub fn managed_nodes(&self) -> impl Iterator<Item = &NodeName> {
-        self.managed.iter().flat_map(|tier| tier.iter())
     }
 
     /// One control-loop pass: account wasted capacity for the elapsed
@@ -578,7 +565,7 @@ fn tier_totals(orch: &Orchestrator, tier: Tier) -> (u64, u64) {
 }
 
 /// One long-running service group the [`PodGroupAutoscaler`] manages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PodGroupSpec {
     /// Group name (replica pods are named `{name}-r{index}`).
     pub name: String,
@@ -643,7 +630,7 @@ impl PodGroupSpec {
 
     /// Offered load at `now`: linear interpolation within the profile,
     /// first value before it, zero after it.
-    pub fn load_at(&self, now: SimTime) -> f64 {
+    pub(crate) fn load_at(&self, now: SimTime) -> f64 {
         let t = now.saturating_since(SimTime::ZERO).as_secs_f64();
         let first = self.profile[0];
         if t <= first.0 as f64 {
@@ -662,7 +649,7 @@ impl PodGroupSpec {
     /// Desired replica count at `now`: `ceil(load / capacity_per_replica)`
     /// clamped into `[min_replicas, max_replicas]` while the profile is
     /// live, zero once it ended (so the group drains).
-    pub fn desired_replicas(&self, now: SimTime) -> usize {
+    pub(crate) fn desired_replicas(&self, now: SimTime) -> usize {
         let t = now.saturating_since(SimTime::ZERO).as_secs_f64();
         let end = self.profile.last().expect("validated non-empty").0 as f64;
         if t > end {
@@ -674,7 +661,7 @@ impl PodGroupSpec {
     }
 
     /// When the profile ends (after which the desired count is zero).
-    pub fn profile_end(&self) -> SimTime {
+    pub(crate) fn profile_end(&self) -> SimTime {
         SimTime::from_secs(self.profile.last().expect("validated non-empty").0)
     }
 
@@ -860,6 +847,12 @@ mod tests {
         Orchestrator::new(spec, OrchestratorConfig::paper())
     }
 
+    /// Nodes the autoscaler provisioned that are still registered.
+    fn autoscaled(orch: &Orchestrator) -> usize {
+        let provisioned = |n: &&cluster::node::Node| n.name().as_str().starts_with("as-");
+        orch.cluster().nodes().filter(provisioned).count()
+    }
+
     fn quick_policy() -> AutoscalerPolicy {
         AutoscalerPolicy::paper_defaults()
             .with_scale_up_wait(SimDuration::from_secs(30))
@@ -901,7 +894,7 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
         assert!(orch.queue().is_empty());
         // The standard tier saw no pressure and did not move.
-        assert!(scaler.managed_nodes().all(|n| n.as_str().contains("sgx")));
+        assert!(outcome.added.iter().all(|n| n.as_str().contains("sgx")));
     }
 
     #[test]
@@ -914,7 +907,7 @@ mod tests {
         orch.scheduler_pass(SimTime::from_secs(5));
         scaler.tick(&mut orch, SimTime::from_secs(10));
         orch.scheduler_pass(SimTime::from_secs(15));
-        assert_eq!(scaler.managed_nodes().count(), 2);
+        assert_eq!(autoscaled(&orch), 2);
         // All pods finish: the tier idles below the low-water mark, but
         // scale-down waits out the cooldown...
         for uid in orch.records().keys().copied().collect::<Vec<_>>() {
@@ -925,10 +918,10 @@ mod tests {
         // ...then removes ONE node per elapsed cooldown window.
         let outcome = scaler.tick(&mut orch, SimTime::from_secs(30 + 120));
         assert_eq!(outcome.removed.len(), 1);
-        assert_eq!(scaler.managed_nodes().count(), 1);
+        assert_eq!(autoscaled(&orch), 1);
         let outcome = scaler.tick(&mut orch, SimTime::from_secs(30 + 240));
         assert_eq!(outcome.removed.len(), 1);
-        assert_eq!(scaler.managed_nodes().count(), 0);
+        assert_eq!(autoscaled(&orch), 0);
         // Baseline nodes are never candidates: further idle ticks are
         // no-ops even at zero occupancy.
         let outcome = scaler.tick(&mut orch, SimTime::from_secs(30 + 3600));

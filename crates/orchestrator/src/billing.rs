@@ -16,8 +16,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use cluster::api::PodUid;
 
 use crate::server::{PodOutcome, PodRecord};
@@ -25,7 +23,7 @@ use crate::server::{PodOutcome, PodRecord};
 /// Unit prices. EPC is priced per MiB·hour and standard memory per
 /// GiB·hour; the ~800× price gap mirrors the ~788× scarcity gap of the
 /// paper's cluster (187 MiB of EPC vs 144 GiB of memory, §VI-E).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriceSheet {
     /// Price of one GiB·hour of standard memory.
     pub memory_gib_hour: f64,
@@ -53,7 +51,7 @@ impl Default for PriceSheet {
 }
 
 /// One pod's bill.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvoiceLine {
     /// The pod billed.
     pub uid: PodUid,
@@ -69,13 +67,13 @@ pub struct InvoiceLine {
 
 impl InvoiceLine {
     /// Total charge for the pod.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.memory_cost + self.epc_cost
     }
 }
 
 /// A bill covering a set of pod records.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Invoice {
     lines: Vec<InvoiceLine>,
 }
@@ -117,11 +115,6 @@ impl Invoice {
     pub fn total(&self) -> f64 {
         self.lines.iter().map(InvoiceLine::total).sum()
     }
-
-    /// The line for one pod, if it was billed.
-    pub fn line(&self, uid: PodUid) -> Option<&InvoiceLine> {
-        self.lines.iter().find(|l| l.uid == uid)
-    }
 }
 
 #[cfg(test)]
@@ -133,6 +126,10 @@ mod tests {
     use des::SimTime;
     use sgx_sim::units::{ByteSize, EpcPages};
     use stress::Stressor;
+
+    fn line_for(invoice: &Invoice, uid: PodUid) -> Option<&InvoiceLine> {
+        invoice.lines().iter().find(|l| l.uid == uid)
+    }
 
     fn run_and_bill(specs: Vec<PodSpec>) -> (Vec<PodUid>, Invoice) {
         let mut orch = Orchestrator::new(ClusterSpec::paper_cluster(), OrchestratorConfig::paper());
@@ -163,8 +160,8 @@ mod tests {
             .stressor(Stressor::epc(ByteSize::from_mib(8)))
             .build();
         let (uids, invoice) = run_and_bill(vec![truthful, greedy]);
-        let t = invoice.line(uids[0]).expect("truthful billed");
-        let g = invoice.line(uids[1]).expect("greedy billed");
+        let t = line_for(&invoice, uids[0]).expect("truthful billed");
+        let g = line_for(&invoice, uids[1]).expect("greedy billed");
         assert!(
             g.total() > 3.5 * t.total(),
             "over-declaring must cost ≈4×: {} vs {}",
@@ -184,7 +181,7 @@ mod tests {
             .build();
         let (uids, invoice) = run_and_bill(vec![cheat]);
         // Denied service (§VI-F) — and no revenue for the provider.
-        assert!(invoice.line(uids[0]).is_none());
+        assert!(line_for(&invoice, uids[0]).is_none());
         assert_eq!(invoice.total(), 0.0);
     }
 
@@ -202,7 +199,7 @@ mod tests {
             .sgx_resources(ByteSize::from_mib(10))
             .build();
         let (uids, invoice) = run_and_bill(vec![spec]);
-        let line = invoice.line(uids[0]).unwrap();
+        let line = line_for(&invoice, uids[0]).unwrap();
         assert!(
             (line.reserved_hours - 1.0).abs() < 0.01,
             "{}",

@@ -6,13 +6,11 @@
 //! understand *why* the cluster is in its current state; the paper's
 //! own debugging of denied pods (§VI-F) is exactly this kind of trail.
 
-use serde::{Deserialize, Serialize};
-
 use cluster::api::{NodeName, PodUid};
 use des::SimTime;
 
 /// What happened.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EventKind {
     /// A pod entered the pending queue.
@@ -90,27 +88,12 @@ pub enum EventKind {
 }
 
 /// One timestamped entry of the event stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterEvent {
     /// When it happened (virtual time).
     pub at: SimTime,
     /// What happened.
     pub kind: EventKind,
-}
-
-impl ClusterEvent {
-    /// The pod this event concerns, if any.
-    pub fn pod(&self) -> Option<PodUid> {
-        match &self.kind {
-            EventKind::Submitted { uid }
-            | EventKind::Unschedulable { uid }
-            | EventKind::Scheduled { uid, .. }
-            | EventKind::DeniedAtInit { uid, .. }
-            | EventKind::Completed { uid, .. }
-            | EventKind::Migrated { uid, .. } => Some(*uid),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for ClusterEvent {
@@ -148,7 +131,6 @@ impl std::fmt::Display for ClusterEvent {
 pub struct EventLog {
     events: std::collections::VecDeque<ClusterEvent>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl EventLog {
@@ -157,20 +139,18 @@ impl EventLog {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "event log capacity must be positive");
         EventLog {
             events: std::collections::VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            dropped: 0,
         }
     }
 
     /// Appends an event, evicting the oldest when full.
-    pub fn record(&mut self, at: SimTime, kind: EventKind) {
+    pub(crate) fn record(&mut self, at: SimTime, kind: EventKind) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
-            self.dropped += 1;
         }
         self.events.push_back(ClusterEvent { at, kind });
     }
@@ -178,26 +158,6 @@ impl EventLog {
     /// The retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &ClusterEvent> {
         self.events.iter()
-    }
-
-    /// Events concerning one pod, oldest first.
-    pub fn for_pod(&self, uid: PodUid) -> impl Iterator<Item = &ClusterEvent> {
-        self.events.iter().filter(move |e| e.pod() == Some(uid))
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -216,32 +176,9 @@ mod tests {
                 },
             );
         }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
+        assert_eq!(log.iter().count(), 3);
         let first = log.iter().next().unwrap();
         assert_eq!(first.at, SimTime::from_secs(2)); // 0 and 1 evicted
-    }
-
-    #[test]
-    fn per_pod_filter() {
-        let mut log = EventLog::with_capacity(10);
-        let uid = PodUid::new(7);
-        log.record(SimTime::ZERO, EventKind::Submitted { uid });
-        log.record(
-            SimTime::from_secs(1),
-            EventKind::NodeCordoned {
-                node: NodeName::new("n"),
-            },
-        );
-        log.record(
-            SimTime::from_secs(2),
-            EventKind::Scheduled {
-                uid,
-                node: NodeName::new("n"),
-            },
-        );
-        assert_eq!(log.for_pod(uid).count(), 2);
-        assert_eq!(log.for_pod(PodUid::new(8)).count(), 0);
     }
 
     #[test]

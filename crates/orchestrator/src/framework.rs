@@ -119,19 +119,19 @@ pub trait ScorePlugin: fmt::Debug + Send + Sync {
 /// One ordered scoring stage of a pipeline: a plugin and the weight its
 /// scores are scaled by (negative weights invert a stage's preference).
 #[derive(Debug, Clone)]
-pub struct ScoreStage {
+pub(crate) struct ScoreStage {
     plugin: Arc<dyn ScorePlugin>,
     weight: f64,
 }
 
 impl ScoreStage {
     /// The stage's plugin.
-    pub fn plugin(&self) -> &Arc<dyn ScorePlugin> {
+    pub(crate) fn plugin(&self) -> &Arc<dyn ScorePlugin> {
         &self.plugin
     }
 
     /// The stage's weight.
-    pub fn weight(&self) -> f64 {
+    pub(crate) fn weight(&self) -> f64 {
         self.weight
     }
 }
@@ -175,17 +175,17 @@ impl PolicyPipeline {
     }
 
     /// The filter chain, in evaluation order.
-    pub fn filters(&self) -> &[Arc<dyn FilterPlugin>] {
+    pub(crate) fn filters(&self) -> &[Arc<dyn FilterPlugin>] {
         &self.filters
     }
 
     /// The score stages, in priority order.
-    pub fn scorers(&self) -> &[ScoreStage] {
+    pub(crate) fn scorers(&self) -> &[ScoreStage] {
         &self.scorers
     }
 
     /// Runs the filter chain: `true` iff every filter accepts.
-    pub fn feasible(&self, spec: &PodSpec, name: &NodeName, node: &NodeView) -> bool {
+    pub(crate) fn feasible(&self, spec: &PodSpec, name: &NodeName, node: &NodeView) -> bool {
         self.filters.iter().all(|f| f.feasible(spec, name, node))
     }
 
@@ -221,7 +221,7 @@ impl PipelineBuilder {
 
     /// Appends a score stage with weight `1.0`.
     #[must_use]
-    pub fn score(self, plugin: impl ScorePlugin + 'static) -> Self {
+    pub(crate) fn score(self, plugin: impl ScorePlugin + 'static) -> Self {
         self.weighted_score(plugin, 1.0)
     }
 
@@ -284,11 +284,6 @@ impl SchedulingCycle {
             scores: Vec::new(),
             nodes_scanned: 0,
         }
-    }
-
-    /// The frozen snapshot this cycle was opened on.
-    pub fn snapshot(&self) -> &ClusterSnapshot {
-        &self.snapshot
     }
 
     /// The working view of one node (in-pass reservations applied).
@@ -531,7 +526,8 @@ mod tests {
     #[test]
     fn cycle_reservations_affect_later_placements() {
         let pipeline = fit_pipeline();
-        let mut cycle = SchedulingCycle::new(snapshot());
+        let frozen = snapshot();
+        let mut cycle = SchedulingCycle::new(frozen.clone());
         let pod = sgx_pod(60);
         let first = cycle.place(&pipeline, &pod).unwrap();
         assert_eq!(first.as_str(), "sgx-1");
@@ -540,10 +536,7 @@ mod tests {
         let second = cycle.place(&pipeline, &pod).unwrap();
         assert_eq!(second.as_str(), "sgx-2");
         // The underlying snapshot is untouched.
-        assert_eq!(
-            cycle.snapshot().node(&first).unwrap().epc_requested.count(),
-            0
-        );
+        assert_eq!(frozen.node(&first).unwrap().epc_requested.count(), 0);
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub use autoscale::{
 };
 pub use framework::{
     FilterPlugin, PipelineBuilder, PolicyPipeline, SchedulingCycle, ScoreContext, ScorePlugin,
-    ScoreStage,
 };
 pub use queue::{PendingPod, PendingQueue};
 pub use registry::{PolicyRegistry, DEFAULT_SCHEDULER, SGX_BINPACK, SGX_SPREAD};

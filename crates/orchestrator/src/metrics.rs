@@ -67,7 +67,7 @@ impl NodeView {
     /// requests alone when the view is degraded (stale measurements have
     /// aged out of the window and read as idle — trusting them would make
     /// a silent node look empty).
-    pub fn memory_occupied(&self) -> ByteSize {
+    pub(crate) fn memory_occupied(&self) -> ByteSize {
         if self.degraded {
             return self.memory_requested;
         }
@@ -76,7 +76,7 @@ impl NodeView {
 
     /// Effective EPC occupancy in pages: `max(measured, requested)`, or
     /// requests alone when the view is degraded.
-    pub fn epc_occupied(&self) -> EpcPages {
+    pub(crate) fn epc_occupied(&self) -> EpcPages {
         if self.degraded {
             return self.epc_requested;
         }
@@ -86,7 +86,7 @@ impl NodeView {
     }
 
     /// Memory still considered free by the SGX-aware schedulers.
-    pub fn memory_free(&self) -> ByteSize {
+    pub(crate) fn memory_free(&self) -> ByteSize {
         self.memory_capacity.saturating_sub(self.memory_occupied())
     }
 

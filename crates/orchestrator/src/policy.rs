@@ -7,19 +7,19 @@
 //! * **binpack** — walk the nodes in a fixed, consistent order and fill
 //!   the first node until its resources become insufficient, then
 //!   advance. The fixed order is exactly the framework's centralized
-//!   name tie-break, layered under [`SgxPreserveScore`] (standard pods
-//!   keep off SGX nodes) and [`FreshBeforeDegradedScore`] (PR 4's
+//!   name tie-break, layered under `SgxPreserveScore` (standard pods
+//!   keep off SGX nodes) and `FreshBeforeDegradedScore` (PR 4's
 //!   staleness ordering) — so binpack needs no load scorer at all.
 //! * **spread** — pick the placement that yields the smallest standard
 //!   deviation of load across the candidate's peer group
 //!   ([`SpreadScore`]), under the same two ordering stages.
 //! * **least-requested** — the stock Kubernetes behaviour: requests-only
 //!   feasibility and the least requested-fraction of the pod's primary
-//!   resource ([`LeastRequestedScore`]), blind to measured usage,
+//!   resource (`LeastRequestedScore`), blind to measured usage,
 //!   staleness and SGX preservation.
 //!
 //! Feasibility plugins come in two accounting bases
-//! ([`OccupancyBasis`]): the SGX-aware pipelines filter on **effective**
+//! (`OccupancyBasis`): the SGX-aware pipelines filter on **effective**
 //! occupancy (`max(measured, requested)`, requests-only when degraded),
 //! the stock pipeline on **requests** alone.
 
@@ -30,7 +30,7 @@ use crate::metrics::NodeView;
 
 /// Which occupancy accounting a feasibility filter reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OccupancyBasis {
+pub(crate) enum OccupancyBasis {
     /// `max(measured, requested)` — requests-only when the node is
     /// degraded. What the paper's SGX-aware schedulers filter on.
     Effective,
@@ -45,7 +45,7 @@ pub enum OccupancyBasis {
 /// actually keeps placements — including drain and rebalance targets —
 /// off nodes under maintenance.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CordonFilter;
+pub(crate) struct CordonFilter;
 
 impl FilterPlugin for CordonFilter {
     fn name(&self) -> &'static str {
@@ -61,7 +61,7 @@ impl FilterPlugin for CordonFilter {
 
 /// Rejects nodes without SGX for pods that request EPC pages.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SgxCapableFilter;
+pub(crate) struct SgxCapableFilter;
 
 impl FilterPlugin for SgxCapableFilter {
     fn name(&self) -> &'static str {
@@ -76,7 +76,7 @@ impl FilterPlugin for SgxCapableFilter {
 }
 
 /// EPC-capacity feasibility: the pod's requested pages must fit the
-/// node's free EPC under the configured [`OccupancyBasis`].
+/// node's free EPC under the configured `OccupancyBasis`.
 #[derive(Debug, Clone, Copy)]
 pub struct EpcFitFilter {
     basis: OccupancyBasis,
@@ -90,7 +90,7 @@ impl EpcFitFilter {
         }
     }
     /// Requests-only variant.
-    pub fn requests_only() -> Self {
+    pub(crate) fn requests_only() -> Self {
         EpcFitFilter {
             basis: OccupancyBasis::RequestsOnly,
         }
@@ -121,19 +121,19 @@ impl FilterPlugin for EpcFitFilter {
 /// Standard-resource (memory) feasibility under the configured
 /// [`OccupancyBasis`].
 #[derive(Debug, Clone, Copy)]
-pub struct MemoryFitFilter {
+pub(crate) struct MemoryFitFilter {
     basis: OccupancyBasis,
 }
 
 impl MemoryFitFilter {
     /// Effective-occupancy variant (measured ∨ requests).
-    pub fn effective() -> Self {
+    pub(crate) fn effective() -> Self {
         MemoryFitFilter {
             basis: OccupancyBasis::Effective,
         }
     }
     /// Requests-only variant.
-    pub fn requests_only() -> Self {
+    pub(crate) fn requests_only() -> Self {
         MemoryFitFilter {
             basis: OccupancyBasis::RequestsOnly,
         }
@@ -166,7 +166,7 @@ impl FilterPlugin for MemoryFitFilter {
 /// nodes score `0.0`, others `1.0`. For SGX pods every feasible node is
 /// an SGX node, so the stage is a constant and decides nothing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SgxPreserveScore;
+pub(crate) struct SgxPreserveScore;
 
 impl ScorePlugin for SgxPreserveScore {
     fn name(&self) -> &'static str {
@@ -185,7 +185,7 @@ impl ScorePlugin for SgxPreserveScore {
 /// degraded ones `0.0` — a node whose probes went silent is only a last
 /// resort, never unschedulable.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FreshBeforeDegradedScore;
+pub(crate) struct FreshBeforeDegradedScore;
 
 impl ScorePlugin for FreshBeforeDegradedScore {
     fn name(&self) -> &'static str {
@@ -278,7 +278,7 @@ impl ScorePlugin for SpreadScore {
 /// otherwise). Least-requested scores highest; nodes lacking the
 /// resource entirely count as full.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LeastRequestedScore;
+pub(crate) struct LeastRequestedScore;
 
 impl ScorePlugin for LeastRequestedScore {
     fn name(&self) -> &'static str {

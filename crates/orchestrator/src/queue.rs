@@ -2,14 +2,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use cluster::api::{PodSpec, PodUid};
 use des::SimTime;
 use sgx_sim::units::{ByteSize, EpcPages};
 
 /// A submitted pod waiting for placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PendingPod {
     /// The pod's uid.
     pub uid: PodUid,
@@ -29,17 +27,18 @@ pub struct PendingPod {
 /// # Examples
 ///
 /// ```
-/// use cluster::api::{PodSpec, PodUid};
+/// use cluster::api::PodSpec;
+/// use cluster::topology::ClusterSpec;
 /// use des::SimTime;
-/// use orchestrator::PendingQueue;
+/// use orchestrator::{Orchestrator, OrchestratorConfig};
 /// use sgx_sim::units::ByteSize;
 ///
-/// let mut queue = PendingQueue::new();
+/// let mut orch = Orchestrator::new(ClusterSpec::paper_cluster(), OrchestratorConfig::paper());
 /// let spec = PodSpec::builder("a").memory_resources(ByteSize::from_mib(64)).build();
-/// queue.enqueue(PodUid::new(1), spec, SimTime::ZERO);
-/// assert_eq!(queue.len(), 1);
-/// queue.remove(PodUid::new(1));
-/// assert!(queue.is_empty());
+/// orch.submit(spec, SimTime::ZERO);
+/// assert_eq!(orch.queue().len(), 1);
+/// orch.scheduler_pass(SimTime::from_secs(5));
+/// assert!(orch.queue().is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PendingQueue {
@@ -57,7 +56,7 @@ pub struct PendingQueue {
 
 impl PendingQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PendingQueue::default()
     }
 
@@ -74,7 +73,7 @@ impl PendingQueue {
     /// O(1); a pod *re*-queued after a node crash carries its original
     /// submission time and is inserted back where it belongs, so it does
     /// not lose its place to everything submitted while it ran.
-    pub fn enqueue(&mut self, uid: PodUid, spec: PodSpec, submitted_at: SimTime) {
+    pub(crate) fn enqueue(&mut self, uid: PodUid, spec: PodSpec, submitted_at: SimTime) {
         let pod = PendingPod {
             uid,
             spec,
@@ -85,20 +84,6 @@ impl PendingQueue {
             .pods
             .partition_point(|p| p.submitted_at <= submitted_at);
         self.pods.insert(at, pod);
-    }
-
-    /// Removes one pod by uid, scanning from the front; returns it, or
-    /// `None` if absent. The slow path — O(depth) — for tests and
-    /// one-off evictions; a scheduling pass never calls it (it takes
-    /// the whole queue and moves back what it could not bind).
-    pub fn remove(&mut self, uid: PodUid) -> Option<PendingPod> {
-        let idx = self.pods.iter().position(|p| p.uid == uid)?;
-        let pod = self.pods.remove(idx)?;
-        #[cfg(debug_assertions)]
-        self.uids.remove(&pod.uid);
-        self.epc_requested -= pod.spec.resources.requests.epc_pages;
-        self.memory_requested -= pod.spec.resources.requests.memory;
-        Some(pod)
     }
 
     /// Hands the whole queue, in FCFS order, to a scheduling pass and
@@ -153,13 +138,6 @@ impl PendingQueue {
     pub fn memory_requested(&self) -> ByteSize {
         self.memory_requested
     }
-
-    /// Age of the oldest pending pod at `now`, if any.
-    pub fn oldest_wait(&self, now: SimTime) -> Option<des::SimDuration> {
-        self.pods
-            .front()
-            .map(|p| now.saturating_since(p.submitted_at))
-    }
 }
 
 #[cfg(test)]
@@ -183,19 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_from_middle_keeps_order() {
-        let mut q = PendingQueue::new();
-        for i in 0..4 {
-            q.enqueue(PodUid::new(i), spec(1), SimTime::ZERO);
-        }
-        let removed = q.remove(PodUid::new(2)).unwrap();
-        assert_eq!(removed.uid, PodUid::new(2));
-        assert_eq!(q.remove(PodUid::new(2)), None);
-        let order: Vec<u64> = q.iter().map(|p| p.uid.as_u64()).collect();
-        assert_eq!(order, [0, 1, 3]);
-    }
-
-    #[test]
     fn aggregates_for_fig7() {
         let mut q = PendingQueue::new();
         q.enqueue(PodUid::new(1), spec(10), SimTime::from_secs(5));
@@ -205,10 +170,6 @@ mod tests {
             EpcPages::from_mib_ceil(10) + EpcPages::from_mib_ceil(20)
         );
         assert_eq!(q.memory_requested(), ByteSize::ZERO);
-        assert_eq!(
-            q.oldest_wait(SimTime::from_secs(15)),
-            Some(des::SimDuration::from_secs(10))
-        );
     }
 
     #[test]
@@ -221,11 +182,6 @@ mod tests {
         q.enqueue(PodUid::new(0), spec(3), SimTime::from_secs(5));
         let order: Vec<u64> = q.iter().map(|p| p.uid.as_u64()).collect();
         assert_eq!(order, [0, 1, 2]);
-        // `oldest_wait` sees the true oldest pod again.
-        assert_eq!(
-            q.oldest_wait(SimTime::from_secs(30)),
-            Some(des::SimDuration::from_secs(25))
-        );
     }
 
     #[test]
@@ -248,7 +204,6 @@ mod tests {
         let taken = q.take();
         assert!(q.is_empty());
         assert_eq!(q.epc_requested(), EpcPages::ZERO);
-        assert_eq!(q.oldest_wait(SimTime::ZERO), None);
         // The pass binds pods 1 and 3 and keeps the rest.
         for pod in taken {
             if pod.uid.as_u64() % 2 == 0 {
@@ -261,15 +216,9 @@ mod tests {
             q.epc_requested(),
             total - EpcPages::from_mib_ceil(2) - EpcPages::from_mib_ceil(4)
         );
-        // Totals stay exact through the slow path too.
-        q.remove(PodUid::new(2));
-        assert_eq!(
-            q.epc_requested(),
-            EpcPages::from_mib_ceil(1) + EpcPages::from_mib_ceil(5)
-        );
         // A bound pod's uid may be enqueued again (crash requeue).
         q.enqueue(PodUid::new(1), spec(2), SimTime::from_secs(1));
         let order: Vec<u64> = q.iter().map(|p| p.uid.as_u64()).collect();
-        assert_eq!(order, [0, 1, 4]);
+        assert_eq!(order, [0, 1, 2, 4]);
     }
 }

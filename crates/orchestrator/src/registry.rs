@@ -102,7 +102,7 @@ impl PolicyRegistry {
     }
 
     /// Registers (or replaces) a pipeline under its own name.
-    pub fn register(&mut self, pipeline: PolicyPipeline) {
+    pub(crate) fn register(&mut self, pipeline: PolicyPipeline) {
         self.pipelines
             .insert(pipeline.name().to_string(), Arc::new(pipeline));
     }
@@ -119,7 +119,11 @@ impl PolicyRegistry {
 
     /// Resolves the pipeline for a pod: the pod's own scheduler name if
     /// registered, else the configured default, else the stock fallback.
-    pub fn resolve(&self, pod_scheduler: Option<&str>, default: &str) -> Arc<PolicyPipeline> {
+    pub(crate) fn resolve(
+        &self,
+        pod_scheduler: Option<&str>,
+        default: &str,
+    ) -> Arc<PolicyPipeline> {
         pod_scheduler
             .and_then(|name| self.by_name(name))
             .or_else(|| self.by_name(default))

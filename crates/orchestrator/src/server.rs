@@ -5,7 +5,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use cluster::api::{NodeName, PodSpec, PodUid};
 use cluster::machine::MachineSpec;
@@ -27,7 +26,7 @@ use crate::registry::{PolicyRegistry, SGX_BINPACK};
 use crate::snapshot::{measured_bytes, view_of, ClusterSnapshot, SlotCursor};
 
 /// Tunables of the orchestrator control loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrchestratorConfig {
     /// Scheduler used for pods that do not name one.
     pub default_scheduler: String,
@@ -75,12 +74,6 @@ impl OrchestratorConfig {
         self.default_scheduler = name.into();
         self
     }
-
-    /// Same configuration with a different staleness threshold.
-    pub fn with_staleness_threshold(mut self, threshold: SimDuration) -> Self {
-        self.staleness_threshold = threshold;
-        self
-    }
 }
 
 impl Default for OrchestratorConfig {
@@ -90,7 +83,7 @@ impl Default for OrchestratorConfig {
 }
 
 /// Lifecycle state of a submitted pod.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PodOutcome {
     /// Still in the pending queue.
     Pending,
@@ -115,7 +108,7 @@ pub enum PodOutcome {
 
 /// Bookkeeping for one submitted pod, from which the evaluation derives
 /// waiting times (Figs. 8, 9, 11) and turnaround times (Fig. 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PodRecord {
     /// The pod's uid.
     pub uid: PodUid,
@@ -1520,6 +1513,17 @@ mod tests {
             .build()
     }
 
+    /// Declares one EPC page, commits half a node's EPC (§VI-F).
+    fn under_declaring_spec() -> PodSpec {
+        PodSpec::builder("malicious")
+            .requirements(cluster::api::ResourceRequirements::exact(
+                cluster::api::Resources::with_epc(ByteSize::ZERO, EpcPages::ONE),
+            ))
+            .stressor(Stressor::malicious(0.5))
+            .duration(SimDuration::from_secs(1000))
+            .build()
+    }
+
     #[test]
     fn submit_schedule_complete_lifecycle() {
         let mut orch = orchestrator();
@@ -1628,14 +1632,7 @@ mod tests {
     #[test]
     fn denied_pods_are_recorded_and_leave_the_queue() {
         let mut orch = orchestrator();
-        let spec = PodSpec::builder("malicious")
-            .requirements(cluster::api::ResourceRequirements::exact(
-                cluster::api::Resources::with_epc(ByteSize::ZERO, EpcPages::ONE),
-            ))
-            .stressor(Stressor::malicious(0.5))
-            .duration(SimDuration::from_secs(1000))
-            .build();
-        let uid = orch.submit(spec, SimTime::ZERO);
+        let uid = orch.submit(under_declaring_spec(), SimTime::ZERO);
         let outcomes = orch.scheduler_pass(SimTime::from_secs(5));
         assert_eq!(outcomes.len(), 1);
         assert!(!outcomes[0].report.started());
@@ -1694,14 +1691,14 @@ mod tests {
     fn per_pod_scheduler_routing() {
         let mut orch = orchestrator();
         // Route one pod through spread, one through the stock scheduler.
-        let spread = PodSpec::builder("s")
+        let mut spread = PodSpec::builder("s")
             .sgx_resources(ByteSize::from_mib(10))
-            .scheduler(SGX_SPREAD)
             .build();
-        let stock = PodSpec::builder("d")
+        spread.scheduler = Some(SGX_SPREAD.to_string());
+        let mut stock = PodSpec::builder("d")
             .memory_resources(ByteSize::from_gib(1))
-            .scheduler(DEFAULT_SCHEDULER)
             .build();
+        stock.scheduler = Some(DEFAULT_SCHEDULER.to_string());
         orch.submit(spread, SimTime::ZERO);
         orch.submit(stock, SimTime::ZERO);
         let outcomes = orch.scheduler_pass(SimTime::from_secs(1));
@@ -2278,24 +2275,28 @@ mod tests {
         orch.fail_node(&node_a, SimTime::from_secs(20)).unwrap();
         let order: Vec<PodUid> = orch.queue().iter().map(|p| p.uid).collect();
         assert_eq!(order, vec![a, c]);
-        // `oldest_wait`'s front-is-oldest assumption holds again.
-        assert_eq!(
-            orch.queue().oldest_wait(SimTime::from_secs(20)),
-            Some(SimDuration::from_secs(20))
-        );
         let _ = b;
     }
 
     #[test]
     fn enforcement_toggle_reaches_all_drivers() {
+        // An under-declaring pod launched on each SGX node directly: it
+        // starts exactly where the driver does not enforce.
+        let greedy = under_declaring_spec();
         let mut orch = orchestrator();
-        orch.set_enforce_limits(false);
-        for node in orch.cluster().sgx_nodes() {
-            assert!(!node.driver().unwrap().enforces_limits());
-        }
-        orch.set_enforce_limits(true);
-        for node in orch.cluster().sgx_nodes() {
-            assert!(node.driver().unwrap().enforces_limits());
+        let mut rng = des::rng::seeded_rng(1);
+        for (round, enforce) in [false, true].into_iter().enumerate() {
+            orch.set_enforce_limits(enforce);
+            let uid = PodUid::new(900 + round as u64);
+            let mut visited = 0;
+            for node in orch.cluster_mut().nodes_mut().filter(|n| n.has_sgx()) {
+                let report = node
+                    .run_pod(uid, greedy.clone(), SimTime::ZERO, &mut rng)
+                    .unwrap();
+                assert_eq!(report.started(), !enforce, "{}", node.name());
+                visited += 1;
+            }
+            assert_eq!(visited, 2);
         }
     }
 

@@ -215,7 +215,7 @@ impl ClusterSnapshot {
     /// EPC rebalancer runs its feasibility chain against this — its
     /// accounting is requests-based, so measured usage would be dead
     /// weight queried in a loop.
-    pub fn requests_only(cluster: &Cluster, now: SimTime) -> Self {
+    pub(crate) fn requests_only(cluster: &Cluster, now: SimTime) -> Self {
         Self::from_sorted(
             now,
             cluster.workers().map(|node| {
@@ -305,11 +305,6 @@ impl ClusterSnapshot {
         inner.views = views;
     }
 
-    /// When the snapshot was captured.
-    pub fn captured_at(&self) -> SimTime {
-        self.inner.captured_at
-    }
-
     /// The per-node views, in node-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&NodeName, &NodeView)> {
         self.inner.names.iter().zip(&self.inner.views)
@@ -350,7 +345,7 @@ impl ClusterSnapshot {
     /// the signal the orchestrator counts degraded scheduling decisions
     /// by. Cordoned nodes are excluded: they take no placements, so
     /// their staleness cannot taint a decision.
-    pub fn any_degraded(&self) -> bool {
+    pub(crate) fn any_degraded(&self) -> bool {
         self.inner.views.iter().any(|v| !v.cordoned && v.degraded)
     }
 }
@@ -469,7 +464,6 @@ mod tests {
     fn requests_only_skips_measurements() {
         let cluster = Cluster::build(&ClusterSpec::paper_cluster());
         let snapshot = ClusterSnapshot::requests_only(&cluster, SimTime::from_secs(7));
-        assert_eq!(snapshot.captured_at(), SimTime::from_secs(7));
         assert!(snapshot
             .iter()
             .all(|(_, v)| v.epc_measured == ByteSize::ZERO && v.metrics_age.is_none()));

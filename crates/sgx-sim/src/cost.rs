@@ -17,7 +17,6 @@
 //! 1000× reported by SCONE and quoted in §V-A.
 
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
 
 use des::rng::sample_normal;
 use des::SimDuration;
@@ -38,7 +37,7 @@ use crate::units::ByteSize;
 /// let d = model.allocation_time(ByteSize::from_mib(32), ByteSize::from_mib_f64(93.5));
 /// assert_eq!(d.as_millis(), 51);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Mean PSW/AESM service startup time, ms (paper: ≈100 ms).
     pub psw_startup_ms: f64,

@@ -5,49 +5,27 @@
 //!
 //! * **Module parameters** readable under
 //!   `/sys/module/isgx/parameters/`: `sgx_nr_total_epc_pages` and
-//!   `sgx_nr_free_pages` — see [`SgxDriver::read_module_param`].
-//! * **Per-process usage ioctl**: the number of EPC pages currently given
-//!   to a process — [`IoctlRequest::ProcessEpcPages`].
+//!   `sgx_nr_free_pages` — [`SgxDriver::sgx_nr_total_epc_pages`] and
+//!   [`SgxDriver::sgx_nr_free_pages`].
+//! * **Usage query**: the number of EPC pages currently given to a pod's
+//!   processes — [`SgxDriver::pages_for_pod`].
 //! * **Limit ioctl**: a *(cgroup path, EPC page limit)* pair communicated
 //!   by Kubelet at pod-creation time; settable **once** per pod so
 //!   containers cannot reset their own limits —
-//!   [`IoctlRequest::SetPodLimit`].
+//!   [`SgxDriver::set_pod_limit`].
 //! * **Admission check in `__sgx_encl_init`**: initialisation of an
 //!   enclave is denied when the pages owned by its pod's enclaves exceed
 //!   the pod's advertised limit — [`SgxDriver::init_enclave`].
 
 use std::collections::HashMap;
 
-use crate::attestation::{Aesm, LaunchToken, Measurement, Signer};
 use crate::enclave::{Enclave, EnclaveState};
 use crate::epc::{EnclaveUsage, Epc, EpcConfig, PagingActivity};
 use crate::error::SgxError;
 use crate::ids::{CgroupPath, EnclaveId, Pid};
+use crate::migration::Measurement;
 use crate::units::EpcPages;
 use crate::SgxVersion;
-
-/// Requests accepted by the driver's `ioctl` entry point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IoctlRequest {
-    /// Report the number of EPC pages currently owned by a process.
-    ProcessEpcPages(Pid),
-    /// Advertise the EPC-page limit for a pod; accepted only once per pod.
-    SetPodLimit {
-        /// Pod identifier (its cgroup path).
-        pod: CgroupPath,
-        /// Maximum pages the pod's enclaves may own together.
-        limit: EpcPages,
-    },
-}
-
-/// Replies from the driver's `ioctl` entry point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoctlResponse {
-    /// Page count answering [`IoctlRequest::ProcessEpcPages`].
-    PageCount(EpcPages),
-    /// Acknowledgement of [`IoctlRequest::SetPodLimit`].
-    LimitSet,
-}
 
 /// The simulated modified `isgx` kernel driver for one machine.
 ///
@@ -79,7 +57,7 @@ pub struct SgxDriver {
     pod_limits: HashMap<CgroupPath, EpcPages>,
     enforce_limits: bool,
     denied_inits: u64,
-    aesm: Aesm,
+    platform: u64,
 }
 
 impl SgxDriver {
@@ -93,21 +71,20 @@ impl SgxDriver {
             pod_limits: HashMap::new(),
             enforce_limits: true,
             denied_inits: 0,
-            aesm: Aesm::new(0),
+            platform: 0,
         }
     }
 
-    /// Assigns the machine's platform identity, which anchors launch
-    /// tokens, quotes and seal keys to this CPU.
+    /// Assigns the machine's platform identity, which anchors migration
+    /// keys and checkpoints to this CPU.
     pub fn with_platform(mut self, platform: u64) -> Self {
-        self.aesm = Aesm::new(platform);
+        self.platform = platform;
         self
     }
 
-    /// The platform's AESM (gateway to the LE/QE/PE architectural
-    /// enclaves).
-    pub fn aesm(&self) -> &Aesm {
-        &self.aesm
+    /// The machine's platform identity.
+    pub fn platform(&self) -> u64 {
+        self.platform
     }
 
     /// SGX1 driver on the paper's hardware (128 MiB PRM / 93.5 MiB usable).
@@ -136,11 +113,6 @@ impl SgxDriver {
         self.enforce_limits = enforce;
     }
 
-    /// Whether strict limit enforcement is active.
-    pub fn enforces_limits(&self) -> bool {
-        self.enforce_limits
-    }
-
     /// Number of enclave initialisations the admission check has denied.
     pub fn denied_inits(&self) -> u64 {
         self.denied_inits
@@ -158,38 +130,7 @@ impl SgxDriver {
         self.epc.free_pages()
     }
 
-    /// Reads a module parameter by its sysfs name, mirroring
-    /// `/sys/module/isgx/parameters/<name>`. Returns `None` for unknown
-    /// parameters.
-    pub fn read_module_param(&self, name: &str) -> Option<u64> {
-        match name {
-            "sgx_nr_total_epc_pages" => Some(self.sgx_nr_total_epc_pages().count()),
-            "sgx_nr_free_pages" => Some(self.sgx_nr_free_pages().count()),
-            _ => None,
-        }
-    }
-
-    // ---- ioctl interface ---------------------------------------------
-
-    /// The driver's `ioctl` entry point.
-    ///
-    /// # Errors
-    ///
-    /// * [`SgxError::UnknownProcess`] — no enclave belongs to the queried
-    ///   process.
-    /// * [`SgxError::LimitAlreadySet`] — a second `SetPodLimit` for the
-    ///   same pod.
-    pub fn ioctl(&mut self, request: IoctlRequest) -> Result<IoctlResponse, SgxError> {
-        match request {
-            IoctlRequest::ProcessEpcPages(pid) => {
-                self.pages_for_process(pid).map(IoctlResponse::PageCount)
-            }
-            IoctlRequest::SetPodLimit { pod, limit } => {
-                self.set_pod_limit(&pod, limit)?;
-                Ok(IoctlResponse::LimitSet)
-            }
-        }
-    }
+    // ---- limit ioctl ---------------------------------------------------
 
     /// Records the EPC-page limit for a pod. Limits are set exactly once:
     /// Kubelet issues this at pod creation, before any container starts, so
@@ -207,7 +148,7 @@ impl SgxDriver {
     }
 
     /// The limit recorded for a pod, if any.
-    pub fn pod_limit(&self, pod: &CgroupPath) -> Option<EpcPages> {
+    pub(crate) fn pod_limit(&self, pod: &CgroupPath) -> Option<EpcPages> {
         self.pod_limits.get(pod).copied()
     }
 
@@ -304,47 +245,6 @@ impl SgxDriver {
             .expect("checked above")
             .set_state(EnclaveState::Initialized);
         Ok(())
-    }
-
-    /// Measures a not-yet-initialised enclave: the MRENCLAVE a verifier
-    /// would compute from its committed pages and code identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::UnknownEnclave`] for unknown enclaves.
-    pub fn measure_enclave(
-        &self,
-        id: EnclaveId,
-        code_identity: &str,
-    ) -> Result<Measurement, SgxError> {
-        let enclave = self.enclaves.get(&id).ok_or(SgxError::UnknownEnclave(id))?;
-        Ok(Measurement::compute(code_identity, enclave.committed()))
-    }
-
-    /// The full Fig. 1 launch flow: verifies the launch token against the
-    /// enclave's measurement, signer and this platform, then runs the
-    /// ordinary `EINIT` admission path (including the paper's pod-limit
-    /// check).
-    ///
-    /// # Errors
-    ///
-    /// * [`SgxError::AttestationFailed`] — the token does not authorise
-    ///   this enclave on this platform.
-    /// * Everything [`init_enclave`](Self::init_enclave) returns.
-    pub fn init_enclave_with_token(
-        &mut self,
-        id: EnclaveId,
-        code_identity: &str,
-        signer: &Signer,
-        token: &LaunchToken,
-    ) -> Result<(), SgxError> {
-        let measurement = self.measure_enclave(id, code_identity)?;
-        if !token.authorises(measurement, signer, self.aesm.platform()) {
-            return Err(SgxError::AttestationFailed {
-                reason: "launch token does not match enclave identity or platform",
-            });
-        }
-        self.init_enclave(id)
     }
 
     /// `EAUG` (SGX2 EDMM): commits additional pages to a running enclave.
@@ -471,7 +371,6 @@ impl SgxDriver {
             committed: enclave.committed(),
             ecalls: enclave.ecalls(),
             key_tag: crate::migration::EnclaveCheckpoint::tag_for(key),
-            source_platform: self.aesm.platform(),
         };
         // Self-destroy: after the snapshot the source must never resume.
         self.destroy_enclave(id)?;
@@ -552,28 +451,6 @@ impl SgxDriver {
         self.enclaves.values()
     }
 
-    /// Pages owned by all enclaves of a process (the per-process ioctl).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::UnknownProcess`] when the process owns no
-    /// enclave, mirroring the `-EINVAL` a real ioctl would produce.
-    pub fn pages_for_process(&self, pid: Pid) -> Result<EpcPages, SgxError> {
-        let mut any = false;
-        let mut total = EpcPages::ZERO;
-        for enclave in self.enclaves.values() {
-            if enclave.owner() == pid {
-                any = true;
-                total += enclave.committed();
-            }
-        }
-        if any {
-            Ok(total)
-        } else {
-            Err(SgxError::UnknownProcess(pid))
-        }
-    }
-
     /// Pages owned by all enclaves of a pod (zero when the pod has none).
     pub fn pages_for_pod(&self, pod: &CgroupPath) -> EpcPages {
         self.enclaves
@@ -581,16 +458,6 @@ impl SgxDriver {
             .filter(|e| e.pod() == pod)
             .map(Enclave::committed)
             .sum()
-    }
-
-    /// Per-pod page usage for every pod with at least one enclave —
-    /// exactly what the SGX metrics probe (§V-C) scrapes on each tick.
-    pub fn usage_by_pod(&self) -> HashMap<CgroupPath, EpcPages> {
-        let mut map: HashMap<CgroupPath, EpcPages> = HashMap::new();
-        for enclave in self.enclaves.values() {
-            *map.entry(enclave.pod().clone()).or_default() += enclave.committed();
-        }
-        map
     }
 
     /// Committed ÷ usable ratio; above 1.0 the machine is paging.
@@ -618,13 +485,12 @@ mod tests {
     #[test]
     fn module_params_reflect_epc_state() {
         let mut d = driver_with_limit(1, 10_000);
-        assert_eq!(d.read_module_param("sgx_nr_total_epc_pages"), Some(23_936));
-        assert_eq!(d.read_module_param("sgx_nr_free_pages"), Some(23_936));
-        assert_eq!(d.read_module_param("bogus"), None);
+        assert_eq!(d.sgx_nr_total_epc_pages().count(), 23_936);
+        assert_eq!(d.sgx_nr_free_pages().count(), 23_936);
 
         let e = d.create_enclave(Pid::new(1), pod(1));
         d.add_pages(e, EpcPages::new(1000)).unwrap();
-        assert_eq!(d.read_module_param("sgx_nr_free_pages"), Some(22_936));
+        assert_eq!(d.sgx_nr_free_pages().count(), 22_936);
     }
 
     #[test]
@@ -681,7 +547,6 @@ mod tests {
     fn enforcement_can_be_disabled() {
         let mut d = SgxDriver::sgx1_default();
         d.set_enforce_limits(false);
-        assert!(!d.enforces_limits());
         let e = d.create_enclave(Pid::new(1), pod(9));
         d.add_pages(e, EpcPages::from_mib_ceil(46)).unwrap();
         d.init_enclave(e).unwrap(); // no limit, no problem: Fig. 11's broken world
@@ -694,28 +559,6 @@ mod tests {
         let err = d.set_pod_limit(&pod(1), EpcPages::new(999)).unwrap_err();
         assert!(matches!(err, SgxError::LimitAlreadySet { .. }));
         assert_eq!(d.pod_limit(&pod(1)), Some(EpcPages::new(10)));
-    }
-
-    #[test]
-    fn ioctl_interface_round_trips() {
-        let mut d = SgxDriver::sgx1_default();
-        let reply = d
-            .ioctl(IoctlRequest::SetPodLimit {
-                pod: pod(1),
-                limit: EpcPages::new(500),
-            })
-            .unwrap();
-        assert_eq!(reply, IoctlResponse::LimitSet);
-
-        let e = d.create_enclave(Pid::new(7), pod(1));
-        d.add_pages(e, EpcPages::new(123)).unwrap();
-        let reply = d.ioctl(IoctlRequest::ProcessEpcPages(Pid::new(7))).unwrap();
-        assert_eq!(reply, IoctlResponse::PageCount(EpcPages::new(123)));
-
-        let err = d
-            .ioctl(IoctlRequest::ProcessEpcPages(Pid::new(8)))
-            .unwrap_err();
-        assert!(matches!(err, SgxError::UnknownProcess(_)));
     }
 
     #[test]
@@ -778,21 +621,6 @@ mod tests {
     }
 
     #[test]
-    fn usage_by_pod_aggregates_enclaves() {
-        let mut d = SgxDriver::sgx1_default();
-        d.set_enforce_limits(false);
-        let a1 = d.create_enclave(Pid::new(1), pod(1));
-        let a2 = d.create_enclave(Pid::new(2), pod(1));
-        let b = d.create_enclave(Pid::new(3), pod(2));
-        d.add_pages(a1, EpcPages::new(10)).unwrap();
-        d.add_pages(a2, EpcPages::new(20)).unwrap();
-        d.add_pages(b, EpcPages::new(5)).unwrap();
-        let usage = d.usage_by_pod();
-        assert_eq!(usage[&pod(1)], EpcPages::new(30));
-        assert_eq!(usage[&pod(2)], EpcPages::new(5));
-    }
-
-    #[test]
     fn remove_pod_destroys_enclaves_and_frees_limit() {
         let mut d = driver_with_limit(1, 1000);
         let e = d.create_enclave(Pid::new(1), pod(1));
@@ -803,42 +631,6 @@ mod tests {
         assert_eq!(d.sgx_nr_free_pages().count(), 23_936);
         // The path can now be reused by a new pod with a fresh limit.
         d.set_pod_limit(&pod(1), EpcPages::new(5)).unwrap();
-    }
-
-    #[test]
-    fn token_gated_launch_flow() {
-        use crate::attestation::Signer;
-
-        let mut d = SgxDriver::sgx1_default().with_platform(7);
-        d.set_pod_limit(&pod(1), EpcPages::new(1000)).unwrap();
-        let signer = Signer::new("acme");
-        let e = d.create_enclave(Pid::new(1), pod(1));
-        d.add_pages(e, EpcPages::new(512)).unwrap();
-
-        // A token for the right identity on the right platform launches.
-        let mrenclave = d.measure_enclave(e, "kv-store-v1").unwrap();
-        let token = d.aesm().launch_token(mrenclave, &signer);
-        d.init_enclave_with_token(e, "kv-store-v1", &signer, &token)
-            .unwrap();
-
-        // A token minted on another platform is rejected before EINIT.
-        let e2 = d.create_enclave(Pid::new(2), pod(1));
-        d.add_pages(e2, EpcPages::new(100)).unwrap();
-        let m2 = d.measure_enclave(e2, "kv-store-v1").unwrap();
-        let foreign = crate::attestation::Aesm::new(8).launch_token(m2, &signer);
-        assert!(matches!(
-            d.init_enclave_with_token(e2, "kv-store-v1", &signer, &foreign),
-            Err(SgxError::AttestationFailed { .. })
-        ));
-
-        // …and so is a token for different code.
-        let other = d
-            .aesm()
-            .launch_token(d.measure_enclave(e2, "trojan").unwrap(), &signer);
-        assert!(matches!(
-            d.init_enclave_with_token(e2, "kv-store-v1", &signer, &other),
-            Err(SgxError::AttestationFailed { .. })
-        ));
     }
 
     #[test]

@@ -6,14 +6,12 @@
 //! On SGX1 every page must be added before initialisation; SGX2 adds EDMM
 //! (`EAUG`/trim) for dynamic growth while running.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{CgroupPath, EnclaveId, Pid};
 use crate::units::EpcPages;
 use crate::SgxVersion;
 
 /// Lifecycle states of an enclave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnclaveState {
     /// Created (`ECREATE` issued); pages may be added, no code runs yet.
     Created,
@@ -37,7 +35,7 @@ impl std::fmt::Display for EnclaveState {
 ///
 /// The driver exposes the mutating operations; this type only answers
 /// questions about the enclave's identity and lifecycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Enclave {
     id: EnclaveId,
     owner: Pid,
@@ -66,19 +64,9 @@ impl Enclave {
         self.id
     }
 
-    /// The process that owns the enclave.
-    pub fn owner(&self) -> Pid {
-        self.owner
-    }
-
     /// The cgroup path of the pod the enclave runs in.
     pub fn pod(&self) -> &CgroupPath {
         &self.pod
-    }
-
-    /// The SGX generation the enclave was built for.
-    pub fn version(&self) -> SgxVersion {
-        self.version
     }
 
     /// Current lifecycle state.
@@ -132,9 +120,7 @@ mod tests {
         assert_eq!(e.state(), EnclaveState::Created);
         assert_eq!(e.committed(), EpcPages::ZERO);
         assert_eq!(e.ecalls(), 0);
-        assert_eq!(e.owner(), Pid::new(10));
         assert_eq!(e.pod().as_str(), "/pod");
-        assert_eq!(e.version(), SgxVersion::Sgx1);
     }
 
     #[test]

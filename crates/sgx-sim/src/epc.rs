@@ -9,12 +9,9 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SgxError;
 use crate::ids::EnclaveId;
-use crate::mee::MeeStats;
-use crate::units::{ByteSize, EpcPages, PRM_SIZE, USABLE_EPC, USABLE_EPC_FRACTION};
+use crate::units::{ByteSize, EpcPages, PRM_SIZE, USABLE_EPC};
 
 /// Static configuration of a machine's EPC.
 ///
@@ -22,17 +19,12 @@ use crate::units::{ByteSize, EpcPages, PRM_SIZE, USABLE_EPC, USABLE_EPC_FRACTION
 ///
 /// ```
 /// use sgx_sim::epc::EpcConfig;
-/// use sgx_sim::units::ByteSize;
 ///
 /// // The paper's hardware: 128 MiB PRM, 93.5 MiB usable.
 /// let current = EpcConfig::sgx1_default();
 /// assert_eq!(current.usable.as_mib_f64(), 93.5);
-///
-/// // A hypothetical SGX2-era machine for the Fig. 7 sweep.
-/// let future = EpcConfig::with_prm(ByteSize::from_mib(256));
-/// assert_eq!(future.usable.as_mib_f64(), 187.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpcConfig {
     /// Total Processor Reserved Memory (UEFI-configured; reboot to change).
     pub prm: ByteSize,
@@ -55,26 +47,8 @@ impl EpcConfig {
         }
     }
 
-    /// Derives a configuration for an arbitrary PRM size, keeping the
-    /// 93.5/128 usable fraction observed on real hardware. Used by the
-    /// Fig. 7 "future SGX" sweep (32–256 MiB).
-    pub fn with_prm(prm: ByteSize) -> Self {
-        EpcConfig {
-            prm,
-            usable: prm.mul_f64(USABLE_EPC_FRACTION),
-            paging_enabled: true,
-        }
-    }
-
-    /// Disables the paging mechanism; allocations beyond the usable EPC
-    /// then fail instead of thrashing.
-    pub fn without_paging(mut self) -> Self {
-        self.paging_enabled = false;
-        self
-    }
-
     /// Usable pages under this configuration.
-    pub fn usable_pages(&self) -> EpcPages {
+    pub(crate) fn usable_pages(&self) -> EpcPages {
         self.usable.to_epc_pages_ceil()
     }
 }
@@ -86,7 +60,7 @@ impl Default for EpcConfig {
 }
 
 /// Per-enclave page accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnclaveUsage {
     /// Pages the enclave owns (committed via `EADD`/`EAUG`).
     pub committed: EpcPages,
@@ -130,9 +104,6 @@ pub struct Epc {
     free: EpcPages,
     enclaves: BTreeMap<EnclaveId, EnclaveUsage>,
     next_id: u64,
-    total_evictions: u64,
-    total_faults: u64,
-    mee: MeeStats,
 }
 
 impl Epc {
@@ -143,15 +114,7 @@ impl Epc {
             config,
             enclaves: BTreeMap::new(),
             next_id: 0,
-            total_evictions: 0,
-            total_faults: 0,
-            mee: MeeStats::default(),
         }
-    }
-
-    /// The static configuration.
-    pub fn config(&self) -> &EpcConfig {
-        &self.config
     }
 
     /// Total usable pages (the `sgx_nr_total_epc_pages` module parameter).
@@ -171,11 +134,6 @@ impl Epc {
         self.enclaves.values().map(|u| u.committed).sum()
     }
 
-    /// Total pages resident across all enclaves.
-    pub fn resident_pages(&self) -> EpcPages {
-        self.enclaves.values().map(|u| u.resident).sum()
-    }
-
     /// Ratio of committed pages to usable pages; values above 1.0 mean the
     /// machine is over-committed and paging.
     pub fn overcommit_ratio(&self) -> f64 {
@@ -184,28 +142,6 @@ impl Epc {
             return 0.0;
         }
         self.committed_pages().count() as f64 / usable as f64
-    }
-
-    /// Lifetime eviction count.
-    pub fn total_evictions(&self) -> u64 {
-        self.total_evictions
-    }
-
-    /// Lifetime page-fault count.
-    pub fn total_faults(&self) -> u64 {
-        self.total_faults
-    }
-
-    /// Memory Encryption Engine counters: every eviction encrypts a page
-    /// out of the PRM (and inserts a digest in the integrity tree), every
-    /// fault decrypts and verifies one on the way back (§II).
-    pub fn mee(&self) -> &MeeStats {
-        &self.mee
-    }
-
-    /// Number of registered enclaves.
-    pub fn enclave_count(&self) -> usize {
-        self.enclaves.len()
     }
 
     /// Registers a new enclave (the accounting side of `ECREATE`) and
@@ -346,8 +282,6 @@ impl Epc {
         usage.paged_out -= faulted;
         usage.faults += faulted.count();
         activity.faults = faulted.count();
-        self.total_faults += faulted.count();
-        self.mee.record_faults(faulted);
         Ok(activity)
     }
 
@@ -371,15 +305,8 @@ impl Epc {
             usage.paged_out += take;
             self.free += take;
             evicted += take;
-            self.total_evictions += take.count();
-            self.mee.record_evictions(take);
         }
         evicted
-    }
-
-    /// Iterates over `(enclave, usage)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (EnclaveId, EnclaveUsage)> + '_ {
-        self.enclaves.iter().map(|(id, u)| (*id, *u))
     }
 
     /// Checks the internal accounting invariant; used by tests and
@@ -466,7 +393,6 @@ mod tests {
         assert_eq!(epc.usage(a).unwrap().resident, EpcPages::new(80));
         // b lost pages in turn.
         assert_eq!(epc.usage(b).unwrap().paged_out, EpcPages::new(30));
-        assert_eq!(epc.total_faults(), 30);
         assert!(epc.check_invariants());
     }
 
@@ -540,28 +466,5 @@ mod tests {
         epc.commit(newcomer, EpcPages::new(30)).unwrap(); // needs 10 evictions
         assert_eq!(epc.usage(large).unwrap().paged_out, EpcPages::new(10));
         assert_eq!(epc.usage(small).unwrap().paged_out, EpcPages::ZERO);
-    }
-
-    #[test]
-    fn mee_accounts_paging_traffic() {
-        let mut epc = small_epc(100, true);
-        let a = epc.register_enclave();
-        let b = epc.register_enclave();
-        epc.commit(a, EpcPages::new(80)).unwrap();
-        epc.commit(b, EpcPages::new(50)).unwrap(); // evicts 30 of a
-        assert_eq!(epc.mee().bytes_encrypted, 30 * 4096);
-        assert_eq!(epc.mee().digests_inserted, 30);
-        epc.touch(a, EpcPages::new(80)).unwrap(); // faults 30 back in
-        assert_eq!(epc.mee().bytes_decrypted, 30 * 4096);
-        assert_eq!(epc.mee().integrity_checks, 30);
-        assert!(epc.mee().total_traffic().as_bytes() > 0);
-    }
-
-    #[test]
-    fn with_prm_keeps_usable_fraction() {
-        let cfg = EpcConfig::with_prm(ByteSize::from_mib(64));
-        assert!((cfg.usable.as_mib_f64() - 46.75).abs() < 0.01);
-        let cfg = EpcConfig::with_prm(ByteSize::from_mib(256));
-        assert!((cfg.usable.as_mib_f64() - 187.0).abs() < 0.01);
     }
 }

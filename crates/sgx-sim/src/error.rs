@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ids::{CgroupPath, EnclaveId, Pid};
+use crate::ids::{CgroupPath, EnclaveId};
 use crate::units::EpcPages;
 
 /// Errors returned by the simulated SGX driver and EPC allocator.
@@ -50,8 +50,6 @@ pub enum SgxError {
     },
     /// No enclave with this identifier is registered.
     UnknownEnclave(EnclaveId),
-    /// No enclave belongs to this process.
-    UnknownProcess(Pid),
     /// The operation is invalid in the enclave's current lifecycle state
     /// (e.g. `EADD` after `EINIT` on SGX1).
     InvalidState {
@@ -62,8 +60,8 @@ pub enum SgxError {
     },
     /// Dynamic memory management was requested on SGX1 hardware.
     DynamicMemoryUnsupported,
-    /// An attestation-infrastructure operation failed (invalid launch
-    /// token, cross-platform report, seal-key mismatch, …).
+    /// A checkpoint was presented with a migration key other than the one
+    /// agreed over the attested channel.
     AttestationFailed {
         /// What went wrong.
         reason: &'static str,
@@ -92,7 +90,6 @@ impl fmt::Display for SgxError {
                 "request of {requested} exceeds the usable EPC of {usable}"
             ),
             SgxError::UnknownEnclave(id) => write!(f, "unknown enclave {id}"),
-            SgxError::UnknownProcess(pid) => write!(f, "no enclave registered for {pid}"),
             SgxError::InvalidState { enclave, reason } => {
                 write!(f, "invalid operation on {enclave}: {reason}")
             }

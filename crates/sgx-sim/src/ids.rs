@@ -2,21 +2,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A process identifier, as used by the per-process EPC-usage ioctl (§V-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(u32);
 
 impl Pid {
     /// Creates a process identifier.
     pub const fn new(pid: u32) -> Self {
         Pid(pid)
-    }
-
-    /// The raw numeric pid.
-    pub const fn as_u32(self) -> u32 {
-        self.0
     }
 }
 
@@ -27,17 +20,12 @@ impl fmt::Display for Pid {
 }
 
 /// A unique identifier for an enclave registered with the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EnclaveId(u64);
 
 impl EnclaveId {
     pub(crate) const fn new(id: u64) -> Self {
         EnclaveId(id)
-    }
-
-    /// The raw numeric identifier.
-    pub const fn as_u64(self) -> u64 {
-        self.0
     }
 }
 
@@ -64,7 +52,7 @@ impl fmt::Display for EnclaveId {
 /// let pod = CgroupPath::new("/kubepods/besteffort/pod-42");
 /// assert_eq!(pod.as_str(), "/kubepods/besteffort/pod-42");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CgroupPath(String);
 
 impl CgroupPath {

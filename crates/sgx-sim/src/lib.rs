@@ -47,12 +47,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attestation;
 pub mod cost;
 pub mod driver;
 pub mod enclave;
 pub mod epc;
-pub mod mee;
 pub mod migration;
 pub mod units;
 
@@ -62,15 +60,13 @@ mod ids;
 pub use error::SgxError;
 pub use ids::{CgroupPath, EnclaveId, Pid};
 
-use serde::{Deserialize, Serialize};
-
 /// The SGX hardware generation being simulated.
 ///
 /// The difference that matters to the orchestrator (§VI-G) is memory
 /// semantics: SGX1 enclaves must commit every EPC page before
 /// initialisation, while SGX2 supports EDMM — enclaves may request and
 /// release pages while running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SgxVersion {
     /// First-generation SGX: static EPC allocation at enclave build time.
     Sgx1,
@@ -80,7 +76,7 @@ pub enum SgxVersion {
 
 impl SgxVersion {
     /// `true` when enclaves may grow or shrink after initialisation.
-    pub fn supports_dynamic_memory(self) -> bool {
+    pub(crate) fn supports_dynamic_memory(self) -> bool {
         matches!(self, SgxVersion::Sgx2)
     }
 }

@@ -19,14 +19,35 @@
 //! [`SgxDriver::checkpoint_enclave`]: crate::driver::SgxDriver::checkpoint_enclave
 //! [`SgxDriver::restore_enclave`]: crate::driver::SgxDriver::restore_enclave
 
-use serde::{Deserialize, Serialize};
-
-use crate::attestation::Measurement;
 use crate::units::EpcPages;
+
+/// An enclave *measurement* (MRENCLAVE): a digest of the enclave's
+/// initial contents and layout. Two enclaves built from the same pages
+/// have the same measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Measurement(u64);
+
+impl Measurement {
+    /// Computes the measurement of an enclave from its committed size and
+    /// code identity. Real SGX hashes every `EADD`ed page; the simulation
+    /// digests the page count and a caller-supplied code identity, which
+    /// preserves the property the protocols rely on: equal inputs ⇒ equal
+    /// measurement, different inputs ⇒ (overwhelmingly) different.
+    pub(crate) fn compute(code_identity: &str, size: EpcPages) -> Self {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64; // FNV-1a
+        for &b in code_identity.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        h ^= size.count();
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        Measurement(h)
+    }
+}
 
 /// A symmetric migration key, agreed between source and target platforms
 /// over an attested channel (the quotes of both sides verified first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MigrationKey(u64);
 
 impl MigrationKey {
@@ -55,29 +76,18 @@ impl MigrationKey {
 /// given snapshot can run at most once (rollback/fork protection at the
 /// type level, mirroring the self-destroy + freshness protocol of the
 /// real mechanism).
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct EnclaveCheckpoint {
     pub(crate) measurement: Measurement,
     pub(crate) committed: EpcPages,
     pub(crate) ecalls: u64,
     pub(crate) key_tag: u64,
-    pub(crate) source_platform: u64,
 }
 
 impl EnclaveCheckpoint {
-    /// Identity of the checkpointed enclave.
-    pub fn measurement(&self) -> Measurement {
-        self.measurement
-    }
-
     /// EPC pages the enclave owned when checkpointed (its restored size).
     pub fn committed(&self) -> EpcPages {
         self.committed
-    }
-
-    /// The platform the checkpoint was taken on.
-    pub fn source_platform(&self) -> u64 {
-        self.source_platform
     }
 
     /// Size of the serialised, encrypted snapshot on the wire — the EPC
@@ -134,6 +144,15 @@ mod tests {
     }
 
     #[test]
+    fn measurements_are_deterministic_and_content_sensitive() {
+        let a = Measurement::compute("app", EpcPages::new(100));
+        let b = Measurement::compute("app", EpcPages::new(100));
+        assert_eq!(a, b);
+        assert_ne!(a, Measurement::compute("app", EpcPages::new(101)));
+        assert_ne!(a, Measurement::compute("app2", EpcPages::new(100)));
+    }
+
+    #[test]
     fn checkpoint_accessors() {
         let key = MigrationKey::derive(1, 2, 0);
         let cp = EnclaveCheckpoint {
@@ -141,10 +160,8 @@ mod tests {
             committed: EpcPages::new(256),
             ecalls: 7,
             key_tag: EnclaveCheckpoint::tag_for(key),
-            source_platform: 1,
         };
         assert_eq!(cp.committed(), EpcPages::new(256));
-        assert_eq!(cp.source_platform(), 1);
         assert!(cp.opens_with(key));
         assert!(!cp.opens_with(MigrationKey::derive(1, 2, 1)));
         // 1 MiB of pages + 64 KiB of metadata.

@@ -9,24 +9,15 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Size of one EPC page: 4 KiB (§II of the paper).
-pub const EPC_PAGE_SIZE: u64 = 4096;
+pub(crate) const EPC_PAGE_SIZE: u64 = 4096;
 
 /// Processor Reserved Memory configured on the paper's machines: 128 MiB.
-pub const PRM_SIZE: ByteSize = ByteSize::from_mib(128);
+pub(crate) const PRM_SIZE: ByteSize = ByteSize::from_mib(128);
 
 /// EPC effectively usable by applications on a 128 MiB PRM: 93.5 MiB,
 /// i.e. 23 936 pages; the remainder stores SGX metadata (§II).
 pub const USABLE_EPC: ByteSize = ByteSize::from_kib(95_744);
-
-/// Number of usable EPC pages on a 128 MiB PRM machine: 23 936.
-pub const USABLE_EPC_PAGES: EpcPages = EpcPages::new(23_936);
-
-/// Ratio of usable EPC to PRM (93.5 / 128), used to derive the usable size
-/// for hypothetical PRM configurations in the Fig. 7 sweep.
-pub const USABLE_EPC_FRACTION: f64 = 93.5 / 128.0;
 
 /// A quantity of ordinary memory, in bytes.
 ///
@@ -38,9 +29,7 @@ pub const USABLE_EPC_FRACTION: f64 = 93.5 / 128.0;
 /// let total = ByteSize::from_gib(64) + ByteSize::from_mib(512);
 /// assert_eq!(total.as_mib_f64(), 66_048.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {
@@ -198,9 +187,7 @@ impl fmt::Display for ByteSize {
 /// assert_eq!(pages.count(), 256);
 /// assert_eq!(pages.to_bytes().as_bytes(), 1024 * 1024);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EpcPages(u64);
 
 impl EpcPages {
@@ -246,7 +233,7 @@ impl EpcPages {
     }
 
     /// The smaller of two page counts.
-    pub fn min(self, rhs: EpcPages) -> EpcPages {
+    pub(crate) fn min(self, rhs: EpcPages) -> EpcPages {
         EpcPages(self.0.min(rhs.0))
     }
 }
@@ -307,8 +294,7 @@ mod tests {
     fn paper_constants_line_up() {
         // §II: 93.5 MiB usable, 23 936 pages of 4 KiB.
         assert_eq!(USABLE_EPC.as_mib_f64(), 93.5);
-        assert_eq!(USABLE_EPC.to_epc_pages_ceil(), USABLE_EPC_PAGES);
-        assert_eq!(USABLE_EPC_PAGES.count(), 23_936);
+        assert_eq!(USABLE_EPC.to_epc_pages_ceil().count(), 23_936);
         assert_eq!(PRM_SIZE.as_mib_f64(), 128.0);
     }
 
@@ -367,11 +353,5 @@ mod tests {
         assert_eq!(ByteSize::from_kib(4).to_string(), "4.0KiB");
         assert_eq!(ByteSize::from_bytes(12).to_string(), "12B");
         assert_eq!(EpcPages::new(5).to_string(), "5 pages");
-    }
-
-    #[test]
-    fn usable_fraction_matches_ratio() {
-        let derived = PRM_SIZE.mul_f64(USABLE_EPC_FRACTION);
-        assert_eq!(derived, USABLE_EPC);
     }
 }

@@ -130,12 +130,12 @@ proptest! {
         }
         let committed: u64 = sizes.iter().sum();
         prop_assert_eq!(
-            driver.read_module_param("sgx_nr_free_pages").unwrap(),
+            driver.sgx_nr_free_pages().count(),
             23_936 - committed
         );
         for e in enclaves {
             driver.destroy_enclave(e).unwrap();
         }
-        prop_assert_eq!(driver.read_module_param("sgx_nr_free_pages").unwrap(), 23_936);
+        prop_assert_eq!(driver.sgx_nr_free_pages().count(), 23_936);
     }
 }

@@ -13,7 +13,7 @@
 //!   the transport retries it with bounded exponential backoff
 //!   ([`RetryPolicy`]), dropping the frame once the budget is exhausted.
 //!
-//! A [`FaultInjector`] consumes the plan: it owns a seeded RNG (derived
+//! A `FaultInjector` consumes the plan: it owns a seeded RNG (derived
 //! from the plan seed, independent of every other stream in the replay)
 //! and tallies a [`FaultStats`] as the replay asks it to judge frames.
 //! Everything is a pure function of `(plan, call sequence)`, so a replay
@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 use cluster::probe::RetryPolicy;
 use des::rng::{derive_seed, seeded_rng};
@@ -36,7 +35,7 @@ use des::{SimDuration, SimTime};
 /// swallowed for `[from_secs, until_secs)` of simulated time. Silence is
 /// schedule-driven, not random — it models a wedged DaemonSet pod, the
 /// failure mode that makes a loaded node read as idle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeSilence {
     /// Node whose probes go quiet.
     pub node: String,
@@ -48,7 +47,7 @@ pub struct ProbeSilence {
 
 impl ProbeSilence {
     /// Whether `now` falls inside the window.
-    pub fn covers(&self, now: SimTime) -> bool {
+    pub(crate) fn covers(&self, now: SimTime) -> bool {
         let from = SimTime::from_secs(self.from_secs);
         let until = SimTime::from_secs(self.until_secs);
         from <= now && now < until
@@ -57,7 +56,7 @@ impl ProbeSilence {
 
 /// A seeded description of every fault the metrics pipeline suffers
 /// during one replay. All rates are per-frame probabilities in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault RNG stream (independent of the replay seed).
     pub seed: u64,
@@ -170,7 +169,7 @@ fn assert_rate(rate: f64, what: &str) {
 
 /// What the injector decided to do with one scraped frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFate {
+pub(crate) enum FrameFate {
     /// Deliver inline, this instant (still subject to write failures).
     Deliver,
     /// The node's probes are inside a silence window: the frame never
@@ -222,7 +221,7 @@ impl FaultStats {
 /// and write failures from its own seeded stream, and tallies
 /// [`FaultStats`].
 #[derive(Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
     stats: FaultStats,
@@ -232,7 +231,7 @@ impl FaultInjector {
     /// Creates an injector for `plan`. The RNG stream is derived from
     /// the plan seed alone, so two injectors with the same plan make the
     /// same decisions in the same call order.
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         let rng = seeded_rng(derive_seed(plan.seed, "chaos"));
         FaultInjector {
             plan,
@@ -242,23 +241,18 @@ impl FaultInjector {
     }
 
     /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
+    pub(crate) fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
     /// The tally so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
-    /// Consumes the injector, yielding the final tally.
-    pub fn into_stats(self) -> FaultStats {
+    pub(crate) fn into_stats(self) -> FaultStats {
         self.stats
     }
 
     /// Whether `node`'s probes are inside a silence window at `now`.
     /// Schedule-driven: consumes no randomness.
-    pub fn silenced(&self, node: &str, now: SimTime) -> bool {
+    pub(crate) fn silenced(&self, node: &str, now: SimTime) -> bool {
         self.plan
             .silences
             .iter()
@@ -270,7 +264,7 @@ impl FaultInjector {
     /// Draw order per judged frame is fixed (silence check consumes no
     /// randomness; then one drop draw; then one delay draw, plus one
     /// magnitude draw when it fires) — part of the determinism contract.
-    pub fn judge_frame(&mut self, node: &str, now: SimTime) -> FrameFate {
+    pub(crate) fn judge_frame(&mut self, node: &str, now: SimTime) -> FrameFate {
         self.stats.frames_scraped += 1;
         if self.silenced(node, now) {
             self.stats.frames_silenced += 1;
@@ -294,7 +288,7 @@ impl FaultInjector {
     /// Draws whether one delivery attempt's database write fails; on
     /// failure the blame is recorded against `shards` (the shards the
     /// frame's rows route to).
-    pub fn draw_write_failure(&mut self, shards: &[usize]) -> bool {
+    pub(crate) fn draw_write_failure(&mut self, shards: &[usize]) -> bool {
         if self.rng.random::<f64>() < self.plan.write_fail_rate {
             self.stats.write_failures += 1;
             for &shard in shards {
@@ -307,17 +301,17 @@ impl FaultInjector {
     }
 
     /// Records a scheduled redelivery attempt.
-    pub fn note_retry(&mut self) {
+    pub(crate) fn note_retry(&mut self) {
         self.stats.frames_retried += 1;
     }
 
     /// Records a frame abandoned after exhausting its retries.
-    pub fn note_lost(&mut self) {
+    pub(crate) fn note_lost(&mut self) {
         self.stats.frames_lost += 1;
     }
 
     /// Records a frame that reached the database.
-    pub fn note_delivered(&mut self) {
+    pub(crate) fn note_delivered(&mut self) {
         self.stats.frames_delivered += 1;
     }
 }
@@ -391,7 +385,7 @@ mod tests {
             assert_eq!(a.judge_frame("sgx-1", now), b.judge_frame("sgx-1", now));
             assert_eq!(a.draw_write_failure(&[0, 1]), b.draw_write_failure(&[0, 1]));
         }
-        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
@@ -414,7 +408,7 @@ mod tests {
                 FrameFate::Silenced | FrameFate::Dropped => {}
             }
         }
-        let stats = injector.stats();
+        let stats = &injector.stats;
         assert!(!stats.is_clean());
         assert_eq!(stats.frames_scraped, 2_000);
         assert!(stats.frames_silenced >= 100); // the whole window
@@ -445,7 +439,7 @@ mod tests {
             );
             assert!(!injector.draw_write_failure(&[0]));
         }
-        assert!(injector.stats().is_clean());
+        assert!(injector.stats.is_clean());
         assert_eq!(injector.into_stats().frames_scraped, 100);
     }
 }

@@ -1,7 +1,5 @@
 //! Replay configuration.
 
-use serde::{Deserialize, Serialize};
-
 use cluster::topology::ClusterSpec;
 use des::SimDuration;
 use orchestrator::autoscale::{AutoscalerPolicy, PodGroupSpec};
@@ -13,7 +11,7 @@ use crate::chaos::FaultPlan;
 /// The malicious-tenant scenario of §VI-F: one malicious pod per SGX node,
 /// each declaring a single EPC page but actually mapping `fraction` of its
 /// node's usable EPC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaliciousConfig {
     /// Fraction of the node's usable EPC each malicious container maps
     /// (the paper runs 0.25 and 0.5).
@@ -46,7 +44,7 @@ impl MaliciousConfig {
 /// [`Orchestrator::rebalance_epc`](orchestrator::Orchestrator::rebalance_epc)
 /// pass, live-migrating SGX pods from the most- to the least-loaded node
 /// while the requested-EPC imbalance exceeds `threshold`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// How often the rebalancer wakes up.
     pub period: SimDuration,
@@ -74,12 +72,6 @@ impl RebalanceConfig {
         );
         RebalanceConfig { period, threshold }
     }
-
-    /// The defaults used by the rebalancing experiments: a pass every
-    /// 60 s at a 0.2 imbalance threshold.
-    pub fn paper_defaults() -> Self {
-        RebalanceConfig::every(SimDuration::from_secs(60), 0.2)
-    }
 }
 
 /// Autoscaling for the replay: a periodic `AutoscaleTick` runs the
@@ -88,20 +80,18 @@ impl RebalanceConfig {
 /// independently) and, when `pod_groups` is non-empty, the
 /// [`PodGroupAutoscaler`](orchestrator::PodGroupAutoscaler) (horizontal
 /// replica scaling of long-running service groups).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoscaleConfig {
     /// How often the controllers wake up.
     pub period: SimDuration,
     /// Node-pool thresholds, cooldowns and tier templates.
     pub policy: AutoscalerPolicy,
     /// Long-running service groups to horizontally scale (may be empty).
-    #[serde(default)]
     pub pod_groups: Vec<PodGroupSpec>,
     /// When `true`, the replay runs
     /// [`Orchestrator::audit_invariants`](orchestrator::Orchestrator::audit_invariants)
     /// at every tick and panics on a violation — for tests; expensive on
     /// big clusters.
-    #[serde(default)]
     pub audit: bool,
 }
 
@@ -124,15 +114,6 @@ impl AutoscaleConfig {
             pod_groups: Vec::new(),
             audit: false,
         }
-    }
-
-    /// The defaults used by the autoscaling experiments: a pass every
-    /// 30 s under [`AutoscalerPolicy::paper_defaults`].
-    pub fn paper_defaults() -> Self {
-        AutoscaleConfig::every(
-            SimDuration::from_secs(30),
-            AutoscalerPolicy::paper_defaults(),
-        )
     }
 
     /// Adds a horizontally scaled service group.
@@ -158,7 +139,7 @@ impl AutoscaleConfig {
 /// target stay put on the cordoned node); `down_for` later the node is
 /// un-cordoned and accepts pods again. The graceful sibling of
 /// [`NodeFailure`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeDrain {
     /// Name of the node to drain.
     pub node: String,
@@ -170,7 +151,7 @@ pub struct NodeDrain {
 
 /// A node-crash injection: the node dies at `fail_at_secs` (losing every
 /// pod, which re-queues) and registers back `down_for` later.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeFailure {
     /// Name of the node to crash.
     pub node: String,
@@ -181,7 +162,7 @@ pub struct NodeFailure {
 }
 
 /// Full configuration of one replay run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayConfig {
     /// The cluster to replay against.
     pub cluster: ClusterSpec,
@@ -205,7 +186,6 @@ pub struct ReplayConfig {
     pub drains: Vec<NodeDrain>,
     /// Cluster + pod-group autoscaling; `None` (the default, and the
     /// paper's fixed-cluster world) replays against a static node set.
-    #[serde(default)]
     pub autoscale: Option<AutoscaleConfig>,
     /// Fault injection on the probe→tsdb metrics pipeline (scrape drops,
     /// probe silences, delayed frames, shard write failures). A
@@ -218,7 +198,6 @@ pub struct ReplayConfig {
     /// Name of the workload frontend to stream from (validated against
     /// `borg_trace::FrontendRegistry` by the consumer); `None` keeps
     /// whatever workload the caller materialised or streamed explicitly.
-    #[serde(default)]
     pub frontend: Option<String>,
 }
 

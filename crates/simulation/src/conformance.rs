@@ -9,7 +9,7 @@
 //! [`Orchestrator`] — so a violation the checker reports is either
 //! confirmed on the implementation (an implementation bug, with the trace
 //! as its regression test) or refuted (a model bug). The vocabulary is
-//! the chaos layer's ([`FrameFate`](crate::FrameFate) decides a frame's
+//! the chaos layer's (`FrameFate` decides a frame's
 //! fate probabilistically there; [`TraceOp::DeliverFrame`] /
 //! [`TraceOp::DropFrame`] decide it deterministically here).
 //!
@@ -108,7 +108,7 @@ struct StashedFrame {
 /// One placement decision observed during a replay: the pod involved and
 /// the node the orchestrator chose for it (a bind, a drain target or a
 /// rebalance move).
-pub type Decision = (String, String);
+pub(crate) type Decision = (String, String);
 
 /// Drives a real [`Orchestrator`] through a [`TraceOp`] sequence,
 /// auditing invariants after every op and logging every placement
@@ -238,13 +238,6 @@ impl TraceHarness {
         }
     }
 
-    /// Applies a whole trace in order.
-    pub fn apply_all(&mut self, ops: &[TraceOp]) {
-        for op in ops {
-            self.apply(op);
-        }
-    }
-
     fn pod_name(&self, uid: PodUid) -> String {
         self.orch
             .record(uid)
@@ -265,18 +258,8 @@ impl TraceHarness {
         &self.audit_failures
     }
 
-    /// Frames currently in flight (scraped, neither delivered nor lost).
-    pub fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// The driven orchestrator.
     pub fn orchestrator(&self) -> &Orchestrator {
         &self.orch
-    }
-
-    /// The current replay instant.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 }

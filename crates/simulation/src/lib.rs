@@ -39,11 +39,11 @@ pub mod sweep;
 mod config;
 mod replay;
 
-pub use chaos::{FaultInjector, FaultPlan, FaultStats, FrameFate, ProbeSilence};
+pub use chaos::{FaultPlan, FaultStats, ProbeSilence};
 pub use config::{
     AutoscaleConfig, MaliciousConfig, NodeDrain, NodeFailure, RebalanceConfig, ReplayConfig,
 };
 pub use conformance::{TraceHarness, TraceOp};
 pub use online::{online_channel, OnlineFrontend, OnlineHandle, OnlineReport, OnlineServer};
-pub use replay::{replay_stream, JobRun, ReplayResult, DEFAULT_GROUP_AUTOSCALE_PERIOD};
+pub use replay::{replay_stream, JobRun, ReplayResult};
 pub use sweep::{SweepJob, SweepProgress};

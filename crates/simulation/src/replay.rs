@@ -107,7 +107,7 @@ pub struct JobRun {
 
 impl JobRun {
     /// `true` for honest (trace-derived) jobs.
-    pub fn honest(&self) -> bool {
+    pub(crate) fn honest(&self) -> bool {
         !self.malicious
     }
 }
@@ -270,7 +270,7 @@ impl ReplayResult {
 
 /// Pod-group reconcile cadence used when a frontend announces service
 /// groups but the replay has no explicit autoscale configuration.
-pub const DEFAULT_GROUP_AUTOSCALE_PERIOD: SimDuration = SimDuration::from_secs(15);
+pub(crate) const DEFAULT_GROUP_AUTOSCALE_PERIOD: SimDuration = SimDuration::from_secs(15);
 
 /// Replays a streaming [`TraceFrontend`] against a freshly built
 /// cluster and orchestrator — the one entry point; an already
@@ -281,7 +281,7 @@ pub const DEFAULT_GROUP_AUTOSCALE_PERIOD: SimDuration = SimDuration::from_secs(1
 /// so memory stays O(in-flight pods) regardless of the horizon.
 /// Service groups announced in the frontend's hint are handed to the
 /// pod-group autoscaler (created on demand, ticking every
-/// [`DEFAULT_GROUP_AUTOSCALE_PERIOD`], when `config.autoscale` is off)
+/// `DEFAULT_GROUP_AUTOSCALE_PERIOD`, when `config.autoscale` is off)
 /// and driven by the frontend's [`WorkloadEvent::GroupLoad`] events.
 ///
 /// The loop is fully deterministic for a given `(frontend, config)` pair.
@@ -1035,7 +1035,7 @@ mod tests {
     fn pending_series_is_recorded() {
         let workload = small_workload(1.0);
         let result = replay(&workload, &ReplayConfig::paper(4));
-        assert!(!result.pending_epc_series().is_empty());
+        assert!(!result.pending_epc_series().points().is_empty());
         // The queue eventually drains to zero.
         let last = result.pending_epc_series().points().last().unwrap();
         assert_eq!(last.1, 0.0);
@@ -1078,7 +1078,10 @@ mod tests {
         let trace = GeneratorConfig::small(12).generate();
         let workload = Workload::materialize(
             &trace,
-            &WorkloadParams::paper(1.0, 12).without_fraction_cap(),
+            &WorkloadParams {
+                fraction_cap: None,
+                ..WorkloadParams::paper(1.0, 12)
+            },
         );
         let config = ReplayConfig::paper(6).with_cluster(
             cluster::topology::ClusterSpec::paper_cluster_with_epc(ByteSize::from_mib(32)),

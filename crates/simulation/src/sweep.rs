@@ -26,7 +26,7 @@
 //!         (workload, ReplayConfig::paper(seed))
 //!     })
 //!     .collect();
-//! let results = sweep::run_all(&jobs);
+//! let results = sweep::run_all_with(&jobs, sweep::default_threads(jobs.len()), |_| {});
 //! assert_eq!(results.len(), 3);
 //! ```
 
@@ -56,14 +56,7 @@ pub struct SweepProgress {
     pub total: usize,
 }
 
-/// Replays every job on an automatically sized worker pool (one worker per
-/// available core, capped at the job count). Results come back in input
-/// order.
-pub fn run_all(jobs: &[SweepJob]) -> Vec<ReplayResult> {
-    run_all_with(jobs, default_threads(jobs.len()), |_| {})
-}
-
-/// Worker count [`run_all`] uses: the machine's available parallelism,
+/// An automatically sized worker pool: the machine's available parallelism,
 /// capped at the number of jobs (never zero).
 pub fn default_threads(jobs: usize) -> usize {
     std::thread::available_parallelism()
@@ -105,7 +98,7 @@ where
     let next_ref = &next;
     let completed_ref = &completed;
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads.min(total) {
             s.spawn(move || loop {
                 let index = next_ref.fetch_add(1, Ordering::Relaxed);
@@ -193,7 +186,7 @@ mod tests {
     fn auto_sized_pool_matches_too() {
         let jobs = jobs();
         let sequential = run_all_with(&jobs, 1, |_| {});
-        let auto = run_all(&jobs);
+        let auto = run_all_with(&jobs, default_threads(jobs.len()), |_| {});
         assert_identical(&sequential, &auto);
     }
 
@@ -219,7 +212,6 @@ mod tests {
 
     #[test]
     fn empty_sweep_returns_empty() {
-        assert!(run_all(&[]).is_empty());
         assert!(run_all_with(&[], 8, |_| panic!("no progress expected")).is_empty());
     }
 

@@ -6,26 +6,23 @@
 //! `sebvaucher/sgx-base` image provides, and why SGX containers pay the
 //! ≈100 ms AESM startup cost on every launch.
 
-use serde::{Deserialize, Serialize};
-
-use sgx_sim::units::ByteSize;
-
 /// Name of the paper's public base image for SGX applications.
-pub const SGX_BASE_IMAGE_NAME: &str = "sebvaucher/sgx-base";
+pub(crate) const SGX_BASE_IMAGE_NAME: &str = "sebvaucher/sgx-base";
 
 /// Metadata of a container image referenced by a pod spec.
 ///
 /// # Examples
 ///
 /// ```
-/// use stress::ContainerImage;
+/// use sgx_sim::units::ByteSize;
+/// use stress::Stressor;
 ///
-/// let image = ContainerImage::sgx_base();
+/// let image = Stressor::epc(ByteSize::from_mib(8)).image();
 /// assert!(image.bundles_psw());
-/// let plain = ContainerImage::new("stress-ng", false);
+/// let plain = Stressor::virtual_memory(ByteSize::from_mib(8)).image();
 /// assert!(!plain.bundles_psw());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ContainerImage {
     name: String,
     bundles_psw: bool,
@@ -37,19 +34,19 @@ impl ContainerImage {
     /// # Panics
     ///
     /// Panics if `name` is empty.
-    pub fn new(name: impl Into<String>, bundles_psw: bool) -> Self {
+    pub(crate) fn new(name: impl Into<String>, bundles_psw: bool) -> Self {
         let name = name.into();
         assert!(!name.is_empty(), "image name must not be empty");
         ContainerImage { name, bundles_psw }
     }
 
     /// The paper's SGX base image: Intel SDK runtime plus PSW/AESM.
-    pub fn sgx_base() -> Self {
+    pub(crate) fn sgx_base() -> Self {
         ContainerImage::new(SGX_BASE_IMAGE_NAME, true)
     }
 
     /// A plain STRESS-NG image for standard jobs.
-    pub fn stress_ng() -> Self {
+    pub(crate) fn stress_ng() -> Self {
         ContainerImage::new("stress-ng", false)
     }
 
@@ -63,16 +60,6 @@ impl ContainerImage {
     pub fn bundles_psw(&self) -> bool {
         self.bundles_psw
     }
-
-    /// Nominal on-disk size used when modelling registry pulls.
-    pub fn nominal_size(&self) -> ByteSize {
-        if self.bundles_psw {
-            // SDK + PSW layers on top of the base OS layer.
-            ByteSize::from_mib(420)
-        } else {
-            ByteSize::from_mib(180)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +71,7 @@ mod tests {
         let sgx = ContainerImage::sgx_base();
         assert_eq!(sgx.name(), SGX_BASE_IMAGE_NAME);
         assert!(sgx.bundles_psw());
-        assert!(sgx.nominal_size() > ContainerImage::stress_ng().nominal_size());
+        assert!(!ContainerImage::stress_ng().bundles_psw());
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! # Examples
 //!
 //! ```
-//! use sgx_sim::units::{ByteSize, EpcPages};
-//! use stress::{StressPlan, Stressor};
+//! use sgx_sim::units::{ByteSize, USABLE_EPC};
+//! use stress::Stressor;
 //!
 //! // An EPC stressor allocating 16 MiB inside an enclave.
 //! let stressor = Stressor::epc(ByteSize::from_mib(16));
-//! let plan = stressor.plan();
+//! let plan = stressor.plan_on(USABLE_EPC);
 //! assert_eq!(plan.epc_allocation, ByteSize::from_mib(16).to_epc_pages_ceil());
 //! assert!(plan.requires_sgx);
 //! ```
@@ -30,5 +30,6 @@
 mod image;
 mod stressor;
 
-pub use image::{ContainerImage, SGX_BASE_IMAGE_NAME};
+pub use image::ContainerImage;
+
 pub use stressor::{StressPlan, Stressor};

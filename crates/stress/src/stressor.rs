@@ -1,7 +1,5 @@
 //! Stressor behaviour models.
 
-use serde::{Deserialize, Serialize};
-
 use borg_trace::{JobKind, WorkloadJob};
 use sgx_sim::units::{ByteSize, EpcPages};
 
@@ -13,7 +11,7 @@ use crate::image::ContainerImage;
 /// STRESS-NG's virtual-memory stressor, STRESS-SGX's EPC stressor, and the
 /// malicious container of §VI-F (declares one EPC page, maps a large slice
 /// of the node's EPC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stressor {
     /// STRESS-NG `--vm`: allocates ordinary memory.
     VirtualMemory {
@@ -107,16 +105,10 @@ impl Stressor {
             },
         }
     }
-
-    /// The allocation plan on the paper's default hardware (93.5 MiB of
-    /// usable EPC).
-    pub fn plan(&self) -> StressPlan {
-        self.plan_on(sgx_sim::units::USABLE_EPC)
-    }
 }
 
 /// A resolved allocation plan: what the container will actually map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StressPlan {
     /// Ordinary memory the container maps.
     pub standard_allocation: ByteSize,
@@ -146,7 +138,7 @@ mod tests {
 
     #[test]
     fn vm_stressor_plan() {
-        let plan = Stressor::virtual_memory(ByteSize::from_mib(64)).plan();
+        let plan = Stressor::virtual_memory(ByteSize::from_mib(64)).plan_on(USABLE_EPC);
         assert_eq!(plan.standard_allocation, ByteSize::from_mib(64));
         assert_eq!(plan.epc_allocation, EpcPages::ZERO);
         assert!(!plan.requires_sgx);
@@ -154,7 +146,7 @@ mod tests {
 
     #[test]
     fn epc_stressor_plan() {
-        let plan = Stressor::epc(ByteSize::from_mib(10)).plan();
+        let plan = Stressor::epc(ByteSize::from_mib(10)).plan_on(USABLE_EPC);
         assert_eq!(plan.epc_allocation, EpcPages::from_mib_ceil(10));
         assert_eq!(plan.standard_allocation, ByteSize::ZERO);
         assert!(plan.requires_sgx);
@@ -183,14 +175,14 @@ mod tests {
     #[test]
     fn job_materialisation_follows_kind() {
         let std_job = workload_job(JobKind::Standard);
-        let plan = Stressor::for_job(&std_job).plan();
+        let plan = Stressor::for_job(&std_job).plan_on(USABLE_EPC);
         assert_eq!(plan.standard_allocation, ByteSize::from_mib(12)); // actual usage
         assert!(!plan.requires_sgx);
 
         let sgx_job = workload_job(JobKind::Sgx);
         let s = Stressor::for_job(&sgx_job);
         assert_eq!(s.image(), ContainerImage::sgx_base());
-        let plan = s.plan();
+        let plan = s.plan_on(USABLE_EPC);
         assert_eq!(
             plan.epc_allocation,
             ByteSize::from_mib(12).to_epc_pages_ceil()

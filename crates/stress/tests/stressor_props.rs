@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use borg_trace::{JobId, JobKind, WorkloadJob};
 use des::{SimDuration, SimTime};
-use sgx_sim::units::ByteSize;
+use sgx_sim::units::{ByteSize, USABLE_EPC};
 use stress::Stressor;
 
 fn arbitrary_job(kind: JobKind) -> impl Strategy<Value = WorkloadJob> {
@@ -23,7 +23,7 @@ proptest! {
     /// kind matching the job kind.
     #[test]
     fn job_stressors_allocate_actual_usage_sgx(job in arbitrary_job(JobKind::Sgx)) {
-        let plan = Stressor::for_job(&job).plan();
+        let plan = Stressor::for_job(&job).plan_on(USABLE_EPC);
         prop_assert!(plan.requires_sgx);
         prop_assert_eq!(plan.epc_allocation, job.mem_usage.to_epc_pages_ceil());
         prop_assert_eq!(plan.standard_allocation, ByteSize::ZERO);
@@ -32,7 +32,7 @@ proptest! {
 
     #[test]
     fn job_stressors_allocate_actual_usage_standard(job in arbitrary_job(JobKind::Standard)) {
-        let plan = Stressor::for_job(&job).plan();
+        let plan = Stressor::for_job(&job).plan_on(USABLE_EPC);
         prop_assert!(!plan.requires_sgx);
         prop_assert_eq!(plan.standard_allocation, job.mem_usage);
         prop_assert!(plan.epc_allocation.is_zero());

@@ -36,16 +36,14 @@
 //! assert_eq!(db.series_count(), 2);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use des::SimTime;
 
 use crate::point::{Point, TagSet};
 
 /// One row of a [`PointBatch`]: the distinguishing tag value (e.g. the
 /// pod name) and the observed sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchRow {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BatchRow {
     /// Value of the batch's row tag key for this row.
     pub tag_value: String,
     /// The observed value.
@@ -54,7 +52,7 @@ pub struct BatchRow {
 
 /// A set of same-instant observations sharing measurement and tags —
 /// one probe scrape of one node. See the module docs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointBatch {
     measurement: String,
     /// Tag key that distinguishes rows from one another (`pod_name` for
@@ -133,7 +131,7 @@ impl PointBatch {
     }
 
     /// The shared scrape instant.
-    pub fn time(&self) -> SimTime {
+    pub(crate) fn time(&self) -> SimTime {
         self.time
     }
 
@@ -143,7 +141,7 @@ impl PointBatch {
     }
 
     /// The rows.
-    pub fn rows(&self) -> &[BatchRow] {
+    pub(crate) fn rows(&self) -> &[BatchRow] {
         &self.rows
     }
 

@@ -25,7 +25,8 @@
 //!         GROUP BY pod_name, nodename)
 //!        GROUP BY nodename"#,
 //! )?;
-//! assert_eq!(select.group_by_keys(), ["nodename"]);
+//! let empty = tsdb::Database::new();
+//! assert!(empty.query(&select, des::SimTime::from_secs(30)).is_empty());
 //! # Ok::<(), tsdb::TsdbError>(())
 //! ```
 
@@ -39,12 +40,13 @@ use crate::query::{Aggregate, Predicate, Select, TimeBound};
 /// # Errors
 ///
 /// Returns [`TsdbError::Lex`] for unrecognised characters,
-/// [`TsdbError::Parse`] for grammar violations, and
+/// [`TsdbError::Parse`] for grammar violations (including subqueries
+/// nested more than 16 selects deep), and
 /// [`TsdbError::UnknownAggregate`] for unsupported aggregate functions.
 pub fn parse(input: &str) -> Result<Select, TsdbError> {
     let tokens = lex(input)?;
     let mut parser = Parser { tokens, pos: 0 };
-    let select = parser.parse_select()?;
+    let select = parser.parse_select(1)?;
     parser.expect_end()?;
     Ok(select)
 }
@@ -224,6 +226,11 @@ fn lex(input: &str) -> Result<Vec<Token>, TsdbError> {
 
 // --------------------------------------------------------------- parser
 
+/// Selects a statement may nest (Listing 1 nests two). The parser, and
+/// later the executor and `Drop`, recurse once per level, so the bound is
+/// what keeps hostile input an error instead of a stack overflow.
+const MAX_SELECT_DEPTH: usize = 16;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -295,7 +302,7 @@ impl Parser {
         }
     }
 
-    fn parse_select(&mut self) -> Result<Select, TsdbError> {
+    fn parse_select(&mut self, depth: usize) -> Result<Select, TsdbError> {
         self.expect_keyword("SELECT")?;
 
         let func = self.ident("aggregate function")?;
@@ -313,7 +320,12 @@ impl Parser {
             Some(Token::Str(name)) => Select::from_measurement(name),
             Some(Token::Ident(name)) => Select::from_measurement(name),
             Some(Token::LParen) => {
-                let inner = self.parse_select()?;
+                if depth == MAX_SELECT_DEPTH {
+                    return Err(TsdbError::Parse {
+                        message: format!("subqueries nest deeper than {MAX_SELECT_DEPTH} selects"),
+                    });
+                }
+                let inner = self.parse_select(depth + 1)?;
                 self.expect(Token::RParen, "`)` closing subquery")?;
                 Select::from_subquery(inner)
             }
@@ -414,7 +426,6 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Source;
 
     const LISTING_1: &str = r#"SELECT SUM(epc) AS epc FROM
         (SELECT MAX(value) AS epc FROM "sgx/epc"
@@ -422,40 +433,42 @@ mod tests {
          GROUP BY pod_name, nodename)
         GROUP BY nodename"#;
 
+    fn max_of(measurement: &str) -> Select {
+        Select::from_measurement(measurement).aggregate(Aggregate::Max)
+    }
+
     #[test]
     fn parses_listing_1_exactly() {
-        let select = parse(LISTING_1).unwrap();
-        assert_eq!(select.aggregate_fn(), Aggregate::Sum);
-        assert_eq!(select.group_by_keys(), ["nodename"]);
-        let Source::Subquery(inner) = select.source() else {
-            panic!("expected subquery source");
-        };
-        assert_eq!(inner.aggregate_fn(), Aggregate::Max);
-        assert_eq!(inner.group_by_keys(), ["pod_name", "nodename"]);
-        assert_eq!(inner.predicates().len(), 2);
-        assert_eq!(inner.predicates()[0], Predicate::ValueNe(0.0));
-        assert_eq!(
-            inner.predicates()[1],
-            Predicate::TimeAtLeast(TimeBound::SinceNowMinus(SimDuration::from_secs(25)))
-        );
-        assert!(matches!(inner.source(), Source::Measurement(m) if m == "sgx/epc"));
+        let per_pod = max_of("sgx/epc")
+            .filter(Predicate::ValueNe(0.0))
+            .filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(
+                SimDuration::from_secs(25),
+            )))
+            .group_by(["pod_name", "nodename"]);
+        let per_node = Select::from_subquery(per_pod)
+            .aggregate(Aggregate::Sum)
+            .group_by(["nodename"]);
+        assert_eq!(parse(LISTING_1).unwrap(), per_node);
     }
 
     #[test]
     fn parses_simple_select() {
-        let s = parse("SELECT MEAN(value) FROM cpu WHERE host = 'web-1'").unwrap();
-        assert_eq!(s.aggregate_fn(), Aggregate::Mean);
         assert_eq!(
-            s.predicates(),
-            &[Predicate::TagEq("host".into(), "web-1".into())]
+            parse("SELECT MEAN(value) FROM cpu WHERE host = 'web-1'").unwrap(),
+            Select::from_measurement("cpu")
+                .aggregate(Aggregate::Mean)
+                .filter(Predicate::TagEq("host".into(), "web-1".into()))
         );
     }
 
     #[test]
     fn keywords_are_case_insensitive() {
-        let s = parse("select count(value) from m group by a").unwrap();
-        assert_eq!(s.aggregate_fn(), Aggregate::Count);
-        assert_eq!(s.group_by_keys(), ["a"]);
+        assert_eq!(
+            parse("select count(value) from m group by a").unwrap(),
+            Select::from_measurement("m")
+                .aggregate(Aggregate::Count)
+                .group_by(["a"])
+        );
     }
 
     #[test]
@@ -467,10 +480,11 @@ mod tests {
             ("1h", 3_600_000_000),
         ] {
             let q = format!("SELECT MAX(value) FROM m WHERE time >= now() - {text}");
-            let s = parse(&q).unwrap();
             assert_eq!(
-                s.predicates()[0],
-                Predicate::TimeAtLeast(TimeBound::SinceNowMinus(SimDuration::from_micros(micros))),
+                parse(&q).unwrap(),
+                max_of("m").filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(
+                    SimDuration::from_micros(micros)
+                ))),
                 "for {text}"
             );
         }
@@ -478,13 +492,16 @@ mod tests {
 
     #[test]
     fn value_operators() {
-        let s = parse("SELECT MAX(value) FROM m WHERE value > 1.5 AND value < 9").unwrap();
         assert_eq!(
-            s.predicates(),
-            &[Predicate::ValueGt(1.5), Predicate::ValueLt(9.0)]
+            parse("SELECT MAX(value) FROM m WHERE value > 1.5 AND value < 9").unwrap(),
+            max_of("m")
+                .filter(Predicate::ValueGt(1.5))
+                .filter(Predicate::ValueLt(9.0))
         );
-        let s = parse("SELECT MAX(value) FROM m WHERE value != 0").unwrap();
-        assert_eq!(s.predicates(), &[Predicate::ValueNe(0.0)]);
+        assert_eq!(
+            parse("SELECT MAX(value) FROM m WHERE value != 0").unwrap(),
+            max_of("m").filter(Predicate::ValueNe(0.0))
+        );
     }
 
     #[test]
@@ -523,12 +540,37 @@ mod tests {
         assert!(matches!(err, TsdbError::Lex { .. }));
     }
 
+    /// `selects` nested SELECTs around one measurement.
+    fn nested(selects: usize) -> String {
+        let mut q = "SELECT MAX(value) FROM (".repeat(selects - 1);
+        q.push_str("SELECT MAX(value) FROM m");
+        q.push_str(&")".repeat(selects - 1));
+        q
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let mut deepest = max_of("m");
+        for _ in 1..MAX_SELECT_DEPTH {
+            deepest = Select::from_subquery(deepest).aggregate(Aggregate::Max);
+        }
+        assert_eq!(parse(&nested(MAX_SELECT_DEPTH)).unwrap(), deepest);
+        for selects in [MAX_SELECT_DEPTH + 1, 200_000] {
+            let err = parse(&nested(selects)).unwrap_err();
+            assert!(
+                matches!(&err, TsdbError::Parse { message } if message.contains("16 selects")),
+                "{selects}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn bare_now_means_zero_offset() {
-        let s = parse("SELECT MAX(value) FROM m WHERE time >= now()").unwrap();
         assert_eq!(
-            s.predicates()[0],
-            Predicate::TimeAtLeast(TimeBound::SinceNowMinus(SimDuration::ZERO))
+            parse("SELECT MAX(value) FROM m WHERE time >= now()").unwrap(),
+            max_of("m").filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(
+                SimDuration::ZERO
+            )))
         );
     }
 }

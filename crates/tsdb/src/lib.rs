@@ -78,9 +78,9 @@ mod point;
 mod rollup;
 mod storage;
 
-pub use batch::{BatchRow, PointBatch};
+pub use batch::PointBatch;
 pub use error::TsdbError;
 pub use point::{Point, TagSet};
-pub use query::{Aggregate, Predicate, Row, Select, Source, TimeBound};
+pub use query::{Aggregate, Predicate, Row, Select, TimeBound};
 pub use rollup::{GroupFeed, RollupStats, WindowRollup};
 pub use storage::{Database, SeriesId};

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use des::SimTime;
 
 /// An ordered tag map (`key → value`). Ordered so that tag sets have a
@@ -24,7 +22,7 @@ pub type TagSet = BTreeMap<String, String>;
 ///     .with_tag("nodename", "sgx-node-1");
 /// assert_eq!(p.tag("pod_name"), Some("redis-0"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     measurement: String,
     tags: TagSet,
@@ -65,7 +63,7 @@ impl Point {
     }
 
     /// The tag set.
-    pub fn tags(&self) -> &TagSet {
+    pub(crate) fn tags(&self) -> &TagSet {
         &self.tags
     }
 
@@ -75,7 +73,7 @@ impl Point {
     }
 
     /// The observation time.
-    pub fn time(&self) -> SimTime {
+    pub(crate) fn time(&self) -> SimTime {
         self.time
     }
 

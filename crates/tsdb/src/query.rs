@@ -8,15 +8,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use des::{SimDuration, SimTime};
 
 use crate::point::TagSet;
 use crate::storage::Database;
 
 /// An aggregate function applied to the values of one group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Aggregate {
     /// Largest value.
     Max,
@@ -34,7 +32,7 @@ pub enum Aggregate {
 
 impl Aggregate {
     /// Parses an aggregate name, case-insensitively.
-    pub fn from_name(name: &str) -> Option<Aggregate> {
+    pub(crate) fn from_name(name: &str) -> Option<Aggregate> {
         match name.to_ascii_uppercase().as_str() {
             "MAX" => Some(Aggregate::Max),
             "MIN" => Some(Aggregate::Min),
@@ -120,7 +118,7 @@ impl AggState {
 
 /// A point in time expressed either absolutely or relative to the query's
 /// evaluation instant (`now() - d`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeBound {
     /// A fixed instant.
     Absolute(SimTime),
@@ -141,7 +139,7 @@ impl TimeBound {
 }
 
 /// A filter over points (applied before grouping).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// `value <> x`
     ValueNe(f64),
@@ -178,8 +176,8 @@ impl Predicate {
 }
 
 /// The data a [`Select`] reads from: a raw measurement or a subquery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Source {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Source {
     /// A stored measurement, e.g. `"sgx/epc"`.
     Measurement(String),
     /// A nested select whose result rows are re-aggregated.
@@ -206,9 +204,14 @@ pub enum Source {
 /// let per_node = Select::from_subquery(per_pod)
 ///     .aggregate(Aggregate::Sum)
 ///     .group_by(["nodename"]);
-/// assert_eq!(per_node.group_by_keys(), ["nodename"]);
+/// assert_eq!(per_node, tsdb::influxql::parse(
+///     r#"SELECT SUM(epc) FROM (SELECT MAX(value) FROM "sgx/epc"
+///        WHERE value <> 0 AND time >= now() - 25s GROUP BY pod_name, nodename)
+///        GROUP BY nodename"#,
+/// )?);
+/// # Ok::<(), tsdb::TsdbError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Select {
     source: Source,
     aggregate: Aggregate,
@@ -258,26 +261,6 @@ impl Select {
     {
         self.group_by = keys.into_iter().map(Into::into).collect();
         self
-    }
-
-    /// The source this select reads from.
-    pub fn source(&self) -> &Source {
-        &self.source
-    }
-
-    /// The configured aggregate.
-    pub fn aggregate_fn(&self) -> Aggregate {
-        self.aggregate
-    }
-
-    /// The configured predicates.
-    pub fn predicates(&self) -> &[Predicate] {
-        &self.predicates
-    }
-
-    /// The grouping tag keys.
-    pub fn group_by_keys(&self) -> &[String] {
-        &self.group_by
     }
 
     /// Evaluates against a time-bounded sample stream. Time predicates are
@@ -425,7 +408,7 @@ fn finish_groups(groups: BTreeMap<TagSet, AggState>) -> Vec<Row> {
 }
 
 /// One result row: the grouping tags and the aggregated value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Tag values identifying the group (restricted to the `GROUP BY` keys).
     pub tags: TagSet,
@@ -521,17 +504,5 @@ mod tests {
             Predicate::TimeBefore(TimeBound::Absolute(SimTime::from_secs(101)))
                 .matches(now, 1.0, &tags, now)
         );
-    }
-
-    #[test]
-    fn builder_accessors() {
-        let s = Select::from_measurement("m")
-            .aggregate(Aggregate::Mean)
-            .filter(Predicate::ValueGt(1.0))
-            .group_by(["a", "b"]);
-        assert!(matches!(s.source(), Source::Measurement(m) if m == "m"));
-        assert_eq!(s.aggregate_fn(), Aggregate::Mean);
-        assert_eq!(s.predicates().len(), 1);
-        assert_eq!(s.group_by_keys(), ["a", "b"]);
     }
 }

@@ -78,7 +78,7 @@ fn sgx_designation_only_touches_designated_jobs() {
 fn pending_series_starts_and_ends_empty() {
     let result = Experiment::quick(5).sgx_ratio(1.0).run();
     let series = result.pending_epc_series();
-    assert!(!series.is_empty());
+    assert!(!series.points().is_empty());
     assert_eq!(series.points().last().unwrap().1, 0.0);
     // The series is the queue's EPC backlog: never negative.
     assert!(series.points().iter().all(|&(_, v)| v >= 0.0));
