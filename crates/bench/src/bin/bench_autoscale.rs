@@ -190,6 +190,10 @@ fn main() {
     println!("{{");
     println!("  \"benchmark\": \"autoscaled_full_trace_replay\",");
     println!("  \"seed\": {SEED},");
+    println!(
+        "  \"cores\": {},",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
     println!("  \"trace\": {{");
     println!("    \"frontend\": \"borg-synthetic\",");
     println!(

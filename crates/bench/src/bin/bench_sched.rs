@@ -1,7 +1,7 @@
 //! Scheduler-pass throughput sweep: snapshot captures/sec and pods/sec
 //! through one scheduler pass across cluster sizes (5 → 12,500 nodes).
 //!
-//! Three axes are measured per size; cluster construction, cache priming
+//! Four axes are measured per size; cluster construction, cache priming
 //! and submission stay outside the clock, only the `capture_snapshot` /
 //! `scheduler_pass` calls themselves are timed:
 //!
@@ -21,7 +21,13 @@
 //!   per-node fold over the node's series reads ≈20× cheaper here than
 //!   end to end.
 //! * `bind` — pods bound/sec for one scheduler pass over 64 small SGX
-//!   pods that all fit (every placement scans and scores every node).
+//!   pods that all fit, under `sgx-binpack` (first fit: the tier index
+//!   hands each placement the one slot it lands on) and, as
+//!   `bind_spread`, under `sgx-spread` (each placement rates every node
+//!   that can hold the pod, O(1) a node). `slots_per_bind*` is the
+//!   deterministic side of both: slots a filter chain ran on per bound
+//!   pod (`SchedulingCycle::nodes_scanned`), from the same 64
+//!   placements made through a cycle directly.
 //! * `backlog` — pods considered/sec for one scheduler pass over a
 //!   2,048-pod backlog that fits nowhere (every node is 80 MiB full, the
 //!   pods ask for 20 MiB) followed by 8 small pods that do fit: pods per
@@ -34,11 +40,13 @@
 //! cargo run --release -p bench --bin bench_sched > BENCH_sched.json
 //! ```
 //!
-//! `--smoke` runs a reduced sweep (5/100 nodes, 1 rep) and asserts the
+//! `--smoke` runs a reduced sweep (5/100/1,000 nodes, 1 rep) and asserts the
 //! invariants CI cares about: the incremental snapshot equals the full
 //! rebuild bit for bit after pod turnover and reordered frames, the
 //! backlog pass binds exactly the pods that fit and leaves the rest
-//! queued, and every rate is positive.
+//! queued, both bind passes bind every pod, a first-fit bind visits at
+//! most [`MAX_SLOTS_PER_FIRST_FIT`] slots and a spread bind no more than
+//! the cluster has, and every rate is positive.
 
 use std::time::Instant;
 
@@ -49,12 +57,15 @@ use cluster::probe::MEASUREMENT_EPC;
 use cluster::topology::ClusterSpec;
 use des::rng::seeded_rng;
 use des::{SimDuration, SimTime};
-use orchestrator::{ClusterSnapshot, Orchestrator, OrchestratorConfig, SGX_BINPACK};
+use orchestrator::{
+    ClusterSnapshot, Orchestrator, OrchestratorConfig, PolicyRegistry, SchedulingCycle,
+    SGX_BINPACK, SGX_SPREAD,
+};
 use sgx_sim::units::ByteSize;
 use tsdb::PointBatch;
 
 const SIZES: &[usize] = &[5, 100, 1_000, 5_000, 12_500];
-const SMOKE_SIZES: &[usize] = &[5, 100];
+const SMOKE_SIZES: &[usize] = &[5, 100, 1_000];
 /// Pods scheduled in the timed pass of the bind benchmark.
 const PODS_PER_PASS: usize = 64;
 /// Unplaceable pods queued ahead of the timed backlog pass…
@@ -70,19 +81,22 @@ const PODS_REPLACED_PER_PASS: usize = 4;
 const CAPTURE_PASSES: usize = 50;
 const SMOKE_CAPTURE_PASSES: usize = 5;
 const REPS: usize = 3;
+/// Slots a first-fit placement may visit, whatever the cluster size —
+/// the sub-linear gate `--smoke` holds at its largest size.
+const MAX_SLOTS_PER_FIRST_FIT: f64 = 64.0;
 
 fn node_name(i: usize) -> String {
     format!("node-{i:05}")
 }
 
-fn build_orchestrator(nodes: usize) -> Orchestrator {
+fn build_orchestrator(nodes: usize, scheduler: &str) -> Orchestrator {
     let mut spec = ClusterSpec::new();
     for i in 0..nodes {
         spec = spec.with_node(node_name(i), MachineSpec::sgx_node(), NodeRole::Worker);
     }
     Orchestrator::new(
         spec,
-        OrchestratorConfig::paper().with_default_scheduler(SGX_BINPACK),
+        OrchestratorConfig::paper().with_default_scheduler(scheduler),
     )
 }
 
@@ -128,7 +142,7 @@ fn run_captures(
 ) -> f64 {
     let mut best = f64::MIN;
     for _ in 0..reps {
-        let mut orch = build_orchestrator(nodes);
+        let mut orch = build_orchestrator(nodes, SGX_BINPACK);
         // Prime the cache so the timed captures measure steady-state
         // refreshes, not the first (necessarily full) build.
         let _ = orch.capture_snapshot(SimTime::from_secs(1));
@@ -150,11 +164,12 @@ fn run_captures(
     best
 }
 
-/// Pods bound/sec for one scheduler pass over `PODS_PER_PASS` pods.
-fn run_bind(nodes: usize, reps: usize) -> f64 {
+/// Pods bound/sec for one scheduler pass over `PODS_PER_PASS` pods
+/// under `scheduler`.
+fn run_bind(nodes: usize, reps: usize, scheduler: &str) -> f64 {
     let mut best = f64::MIN;
     for _ in 0..reps {
-        let mut orch = build_orchestrator(nodes);
+        let mut orch = build_orchestrator(nodes, scheduler);
         let _ = orch.capture_snapshot(SimTime::from_secs(1));
         for i in 0..PODS_PER_PASS {
             orch.submit(sgx_pod(format!("pod-{i:03}"), 1), SimTime::from_secs(2));
@@ -170,6 +185,24 @@ fn run_bind(nodes: usize, reps: usize) -> f64 {
     best
 }
 
+/// Slots visited per bound pod for the bind pass's placements, made
+/// through a cycle directly (place, then reserve): a count, not a time.
+fn slots_per_bind(nodes: usize, scheduler: &str) -> f64 {
+    let orch = build_orchestrator(nodes, scheduler);
+    let pipeline = PolicyRegistry::builtin()
+        .by_name(scheduler)
+        .expect("a built-in scheduler");
+    let mut cycle = SchedulingCycle::new(orch.capture_snapshot(SimTime::from_secs(1)));
+    for i in 0..PODS_PER_PASS {
+        let pod = sgx_pod(format!("pod-{i:03}"), 1);
+        let node = cycle
+            .place(&pipeline, &pod)
+            .expect("every 1 MiB pod should place");
+        cycle.reserve(&node, &pod);
+    }
+    cycle.nodes_scanned() as f64 / PODS_PER_PASS as f64
+}
+
 /// Pods considered/sec for one scheduler pass over a backlog that fits
 /// nowhere plus a few pods that do. Every node already runs an 80 MiB
 /// pod (started on the node directly, as a foreign scheduler would:
@@ -179,7 +212,7 @@ fn run_bind(nodes: usize, reps: usize) -> f64 {
 fn run_backlog(nodes: usize, reps: usize) -> f64 {
     let mut best = f64::MIN;
     for _ in 0..reps {
-        let mut orch = build_orchestrator(nodes);
+        let mut orch = build_orchestrator(nodes, SGX_BINPACK);
         let mut rng = seeded_rng(7);
         for (i, node) in orch.cluster_mut().nodes_mut().enumerate() {
             let uid = PodUid::new(1_000_000 + i as u64);
@@ -220,7 +253,7 @@ fn run_backlog(nodes: usize, reps: usize) -> f64 {
 /// a bind, a pod completion, and frames with pod turnover that arrive
 /// out of order (each pass's frame is delivered after the next one's).
 fn assert_snapshot_equivalence(nodes: usize) {
-    let mut orch = build_orchestrator(nodes);
+    let mut orch = build_orchestrator(nodes, SGX_BINPACK);
     let sampled_at = |pass: usize| SimTime::from_secs(10 * (pass as u64 + 2));
     for pass in 0..6 {
         if pass == 0 {
@@ -262,16 +295,29 @@ fn main() {
     for &nodes in sizes {
         let full_captures = run_captures(nodes, passes, reps, full_capture);
         let incr_captures = run_captures(nodes, passes, reps, Orchestrator::capture_snapshot);
-        let bind = run_bind(nodes, reps);
+        let bind = run_bind(nodes, reps, SGX_BINPACK);
+        let bind_spread = run_bind(nodes, reps, SGX_SPREAD);
+        let slots = slots_per_bind(nodes, SGX_BINPACK);
+        let slots_spread = slots_per_bind(nodes, SGX_SPREAD);
         let backlog = run_backlog(nodes, reps);
         if smoke {
             assert_snapshot_equivalence(nodes);
-            assert!(full_captures > 0.0 && incr_captures > 0.0 && bind > 0.0 && backlog > 0.0);
-            eprintln!("smoke nodes={nodes}: snapshot equivalence OK");
+            assert!(full_captures > 0.0 && incr_captures > 0.0 && backlog > 0.0);
+            assert!(bind > 0.0 && bind_spread > 0.0);
+            assert!(
+                slots <= MAX_SLOTS_PER_FIRST_FIT,
+                "first fit visited {slots} slots a bind at {nodes} nodes"
+            );
+            assert!(
+                slots_spread <= nodes as f64,
+                "spread visited {slots_spread} slots a bind at {nodes} nodes"
+            );
+            eprintln!("smoke nodes={nodes}: snapshot equivalence and slots-per-bind bounds OK");
         }
         eprintln!(
             "nodes={nodes}: captures full {full_captures:.0}/s, incr {incr_captures:.0}/s \
-             ({:.2}x); bind {bind:.0} pods/s; backlog {backlog:.0} pods/s",
+             ({:.2}x); bind {bind:.0} pods/s ({slots:.1} slots/bind), spread \
+             {bind_spread:.0} pods/s ({slots_spread:.1} slots/bind); backlog {backlog:.0} pods/s",
             incr_captures / full_captures,
         );
         rows.push(format!(
@@ -281,6 +327,9 @@ fn main() {
                 "\"incremental_captures_per_sec\": {:.1}, ",
                 "\"capture_speedup\": {:.2}, ",
                 "\"bind_pods_per_sec\": {:.0}, ",
+                "\"bind_spread_pods_per_sec\": {:.0}, ",
+                "\"slots_per_bind\": {:.1}, ",
+                "\"slots_per_bind_spread\": {:.1}, ",
                 "\"backlog_pods_per_sec\": {:.0}}}"
             ),
             nodes,
@@ -289,6 +338,9 @@ fn main() {
             incr_captures,
             incr_captures / full_captures,
             bind,
+            bind_spread,
+            slots,
+            slots_spread,
             backlog
         ));
     }

@@ -216,7 +216,7 @@ impl TraceFrontend for BorgSynthetic {
 
     fn hint(&self) -> FrontendHint {
         let expected =
-            self.config.base_rate() * self.config.horizon.as_secs_f64() / self.keep_every as f64;
+            self.stream.base_rate() * self.config.horizon.as_secs_f64() / self.keep_every as f64;
         FrontendHint {
             expected_jobs: expected.ceil() as usize,
             horizon: self.config.horizon,

@@ -420,13 +420,15 @@ impl GeneratorConfig {
     pub fn stream_sampled(&self, keep_every: usize) -> TraceStream {
         assert!(keep_every > 0, "keep_every must be at least 1");
         self.profile.assert_well_formed();
+        let base_rate = self.base_rate();
         TraceStream {
             config: *self,
             // Independent streams: skipping a job's attributes must not
             // perturb the arrival process.
             arrivals_rng: seeded_rng(derive_seed(self.seed, "arrivals")),
             attrs_rng: seeded_rng(derive_seed(self.seed, "attributes")),
-            lambda_max: self.base_rate() * self.profile.max_multiplier(),
+            base_rate,
+            lambda_max: base_rate * self.profile.max_multiplier(),
             keep_every,
             t: 0.0,
             arrival_index: 0,
@@ -506,11 +508,21 @@ pub struct TraceStream {
     config: GeneratorConfig,
     arrivals_rng: StdRng,
     attrs_rng: StdRng,
+    /// [`GeneratorConfig::base_rate`] of `config` — a 20,000-sample
+    /// Monte Carlo, so computed once and kept.
+    base_rate: f64,
     lambda_max: f64,
     keep_every: usize,
     t: f64,
     arrival_index: usize,
     squeeze: Squeeze,
+}
+
+impl TraceStream {
+    /// Mean arrivals per second before thinning and sampling.
+    pub(crate) fn base_rate(&self) -> f64 {
+        self.base_rate
+    }
 }
 
 impl Iterator for TraceStream {

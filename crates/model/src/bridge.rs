@@ -22,11 +22,11 @@ use cluster::machine::MachineSpec;
 use cluster::node::NodeRole;
 use cluster::topology::ClusterSpec;
 use des::SimDuration;
-use orchestrator::OrchestratorConfig;
+use orchestrator::{OrchestratorConfig, SGX_BINPACK, SGX_SPREAD};
 use sgx_sim::units::ByteSize;
 use simulation::{TraceHarness, TraceOp};
 
-use crate::spec::ModelConfig;
+use crate::spec::{ModelConfig, Policy};
 use crate::state::{Action, NodeId, PodId};
 
 /// Implementation seconds per model tick.
@@ -60,7 +60,8 @@ pub fn cluster_spec(config: &ModelConfig) -> ClusterSpec {
 }
 
 /// The orchestrator configuration conformance replays run under: the
-/// paper's, with the metrics window and staleness threshold pinned
+/// paper's, with the model's policy as default scheduler and the metrics
+/// window and staleness threshold pinned
 /// between tick multiples — `k` model ticks become `10·k + 5` seconds,
 /// so an age of `k` ticks (`10·k` s) classifies inside and `k + 1`
 /// ticks outside, exactly like the model, and the boundary itself is
@@ -69,6 +70,11 @@ pub fn orchestrator_config(config: &ModelConfig) -> OrchestratorConfig {
     let mut paper = OrchestratorConfig::paper();
     paper.metrics_window = SimDuration::from_secs(TICK_SECS * u64::from(config.window) + 5);
     paper.staleness_threshold = SimDuration::from_secs(TICK_SECS * u64::from(config.staleness) + 5);
+    paper.default_scheduler = match config.policy {
+        Policy::Binpack => SGX_BINPACK,
+        Policy::Spread => SGX_SPREAD,
+    }
+    .to_string();
     paper
 }
 

@@ -63,5 +63,5 @@ mod state;
 pub use explorer::{explore, Bounds, Report};
 pub use invariants::Violation;
 pub use machine::{DrainEffects, Model, RebalanceEffects, StepEffects};
-pub use spec::{ModelConfig, Semantics};
+pub use spec::{ModelConfig, Policy, Semantics};
 pub use state::{Action, Frame, ModelState, NodeId, NodeState, PodId, PodPhase, Sample};

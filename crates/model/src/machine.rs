@@ -1,19 +1,28 @@
 //! The transition system: enabled actions, the step function, and exact
 //! integer mirrors of the scheduler and rebalancer decision rules.
 //!
-//! Every decision the implementation takes in `f64` (load fractions,
-//! spreads) is mirrored here with exact rational arithmetic via `i128`
-//! cross-multiplication. The checked configurations use power-of-two
-//! capacities, so the implementation's floating-point values are exact
-//! too and the two decision procedures agree bit-for-bit.
+//! The implementation places by exact integer comparison (sgx-spread
+//! included, since it stopped folding floats); what it still takes in
+//! `f64` — the rebalancer's load fractions and spreads — is mirrored
+//! here with exact rational arithmetic via `i128` cross-multiplication.
+//! The checked configurations use power-of-two capacities, so those
+//! floating-point values are exact too and the two decision procedures
+//! agree bit-for-bit.
+//!
+//! The spread rule is stated here the obvious way, not the
+//! implementation's: per feasible candidate, the population variance of
+//! its peer group's loads after the placement, computed from the
+//! definition in [`Frac`]s; the minimum wins, the lowest index on ties.
+//! That makes the model an oracle for the implementation's O(1)
+//! comparison, independent of its algebra.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use crate::spec::ModelConfig;
+use crate::spec::{ModelConfig, Policy};
 use crate::state::{Action, Frame, ModelState, NodeId, NodeState, PodId, PodPhase, Sample};
 
-/// An exact non-negative rational with a positive denominator.
+/// An exact rational with a positive denominator, kept in lowest terms.
 #[derive(Debug, Clone, Copy)]
 struct Frac {
     num: i128,
@@ -22,9 +31,21 @@ struct Frac {
 
 impl Frac {
     fn new(num: u64, den: u64) -> Self {
+        Frac::reduced(i128::from(num), i128::from(den.max(1)))
+    }
+
+    fn reduced(num: i128, den: i128) -> Self {
+        fn gcd(a: i128, b: i128) -> i128 {
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
+        }
+        let g = gcd(num.abs(), den).max(1);
         Frac {
-            num: i128::from(num),
-            den: i128::from(den.max(1)),
+            num: num / g,
+            den: den / g,
         }
     }
 
@@ -32,18 +53,46 @@ impl Frac {
         (self.num * other.den).cmp(&(other.num * self.den))
     }
 
+    fn add(self, other: Self) -> Frac {
+        Frac::reduced(
+            self.num * other.den + other.num * self.den,
+            self.den * other.den,
+        )
+    }
+
     /// `self - other` (may be negative).
     fn sub(self, other: Self) -> Frac {
-        Frac {
-            num: self.num * other.den - other.num * self.den,
-            den: self.den * other.den,
-        }
+        self.add(Frac {
+            num: -other.num,
+            den: other.den,
+        })
+    }
+
+    fn mul(self, other: Self) -> Frac {
+        Frac::reduced(self.num * other.num, self.den * other.den)
     }
 
     /// `self > milli / 1000`.
     fn exceeds_milli(self, milli: u64) -> bool {
         self.num * 1000 > i128::from(milli) * self.den
     }
+}
+
+/// Population variance of `loads`, from the definition: the mean of the
+/// squared deviations from the mean.
+fn variance(loads: &[Frac]) -> Frac {
+    let inverse = Frac::new(1, loads.len() as u64);
+    let mean = loads
+        .iter()
+        .fold(Frac::new(0, 1), |sum, &load| sum.add(load))
+        .mul(inverse);
+    loads
+        .iter()
+        .fold(Frac::new(0, 1), |sum, &load| {
+            let deviation = load.sub(mean);
+            sum.add(deviation.mul(deviation))
+        })
+        .mul(inverse)
 }
 
 /// What a rebalance transition observed — consumed by the
@@ -178,26 +227,70 @@ impl Model {
         }
     }
 
+    /// Whether `node` can take `request` more pages: uncordoned, alive,
+    /// effective occupancy plus the request within capacity.
+    fn feasible(&self, state: &ModelState, node: NodeId, request: u64) -> bool {
+        let n = &state.nodes[node as usize];
+        !n.cordoned
+            && !n.crashed
+            && self.effective(state, node) + request <= self.config.node_capacity[node as usize]
+    }
+
     /// The sgx-binpack placement rule for one pod of `request` pages:
-    /// feasible nodes are uncordoned, with effective occupancy plus the
-    /// request within capacity; fresh nodes win over degraded ones and
+    /// among the feasible nodes, fresh ones win over degraded ones and
     /// name (index) order breaks ties.
+    fn place_binpack(&self, state: &ModelState, request: u64) -> Option<NodeId> {
+        (0..self.config.nodes() as u8)
+            .filter(|&node| self.feasible(state, node, request))
+            .min_by_key(|&node| (self.degraded(state, node), node))
+    }
+
+    /// The sgx-spread placement rule: fresh nodes still win over degraded
+    /// ones; among the feasible nodes of the winning partition, the one
+    /// whose placement leaves the partition's effective loads — every
+    /// uncordoned node of it, feasible or not — with the least variance;
+    /// index order breaks ties.
+    fn place_spread(&self, state: &ModelState, request: u64) -> Option<NodeId> {
+        let nodes = 0..self.config.nodes() as u8;
+        let feasible: Vec<NodeId> = nodes
+            .clone()
+            .filter(|&node| self.feasible(state, node, request))
+            .collect();
+        let degraded = feasible
+            .iter()
+            .map(|&node| self.degraded(state, node))
+            .min()?;
+        let peers: Vec<NodeId> = nodes
+            .filter(|&node| {
+                let n = &state.nodes[node as usize];
+                !n.cordoned && !n.crashed && self.degraded(state, node) == degraded
+            })
+            .collect();
+        let variance_after = |chosen: NodeId| {
+            let loads: Vec<Frac> = peers
+                .iter()
+                .map(|&node| {
+                    let placed = if node == chosen { request } else { 0 };
+                    Frac::new(
+                        self.effective(state, node) + placed,
+                        self.config.node_capacity[node as usize],
+                    )
+                })
+                .collect();
+            variance(&loads)
+        };
+        feasible
+            .into_iter()
+            .filter(|&node| self.degraded(state, node) == degraded)
+            .min_by(|&a, &b| variance_after(a).cmp(variance_after(b)).then(a.cmp(&b)))
+    }
+
+    /// The configured pipeline's choice for one pod of `request` pages.
     fn place(&self, state: &ModelState, request: u64) -> Option<NodeId> {
-        let mut best: Option<(bool, NodeId)> = None;
-        for node in 0..self.config.nodes() as u8 {
-            let n = &state.nodes[node as usize];
-            if n.cordoned || n.crashed {
-                continue;
-            }
-            if self.effective(state, node) + request > self.config.node_capacity[node as usize] {
-                continue;
-            }
-            let key = (self.degraded(state, node), node);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
+        match self.config.policy {
+            Policy::Binpack => self.place_binpack(state, request),
+            Policy::Spread => self.place_spread(state, request),
         }
-        best.map(|(_, node)| node)
     }
 
     /// The decisions one scheduler pass would take right now: the FCFS
@@ -465,7 +558,7 @@ impl Model {
     }
 
     /// A drain: cordon, then try to migrate every resident away through
-    /// the same placement rule the scheduler uses. The fixed semantics
+    /// the binpack rule, whatever the scheduler's policy. The fixed semantics
     /// thread one scheduling snapshot across the whole eviction; the
     /// per-pod-capture bug re-captures per evicted pod (identical
     /// decisions, different cost — which is what the invariant bounds).
@@ -474,7 +567,7 @@ impl Model {
         let evicted = state.nodes[node as usize].residents.clone();
         for &pod in &evicted {
             let request = self.config.pod_request[pod as usize];
-            if let Some(target) = self.place(state, request) {
+            if let Some(target) = self.place_binpack(state, request) {
                 state.nodes[node as usize].residents.retain(|&p| p != pod);
                 bind(state, pod, target);
             }

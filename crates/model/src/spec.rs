@@ -56,6 +56,18 @@ impl Semantics {
     }
 }
 
+/// Which pipeline the scheduler pass places through. Drains place
+/// through sgx-binpack whatever this says, as the implementation's do.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Policy {
+    /// sgx-binpack: the first node, in index order, that fits.
+    #[default]
+    Binpack,
+    /// sgx-spread: the node that leaves its peer group's load with the
+    /// least variance.
+    Spread,
+}
+
 /// Shape and bounds of the explored system.
 ///
 /// All EPC quantities are abstract *pages*. One model tick corresponds
@@ -107,6 +119,8 @@ pub struct ModelConfig {
     pub rebalance_threshold_milli: u64,
     /// Which historical bugs the model reproduces.
     pub semantics: Semantics,
+    /// Which pipeline scheduler passes place through.
+    pub policy: Policy,
 }
 
 impl ModelConfig {
@@ -133,6 +147,7 @@ impl ModelConfig {
             max_scrapes: 1,
             rebalance_threshold_milli: 250,
             semantics: Semantics::fixed(),
+            policy: Policy::Binpack,
         }
     }
 
@@ -153,6 +168,18 @@ impl ModelConfig {
             max_scrapes: 1,
             rebalance_threshold_milli: 250,
             semantics: Semantics::fixed(),
+            policy: Policy::Binpack,
+        }
+    }
+
+    /// The spread gate: [`small`](Self::small) placed through sgx-spread.
+    /// Capacities stay equal powers of two — the implementation compares
+    /// integers now, so that is no longer needed for exactness, but it
+    /// keeps the load ties that make spread's tie-break matter frequent.
+    pub fn small_spread() -> Self {
+        ModelConfig {
+            policy: Policy::Spread,
+            ..ModelConfig::small()
         }
     }
 

@@ -65,6 +65,26 @@ fn exhaustive_small_config_holds_all_invariants() {
 }
 
 #[test]
+fn exhaustive_spread_config_holds_all_invariants() {
+    // The paper's second policy under the checker: the same cluster,
+    // pods, faults and bounds, every scheduler pass placing by the
+    // definitional spread rule.
+    let model = Model::new(ModelConfig::small_spread());
+    let report = explore(&model, &Bounds::exhaustive());
+    println!(
+        "small spread config: {} distinct states, {} transitions, depth {}",
+        report.states, report.transitions, report.max_depth
+    );
+    assert!(!report.truncated, "exploration must be exhaustive");
+    assert!(
+        report.violations.is_empty(),
+        "sgx-spread must satisfy every invariant: {:?}",
+        report.violations
+    );
+    assert!(report.states > 1_000, "suspiciously small state space");
+}
+
+#[test]
 fn exhaustive_tiny_config_holds_all_invariants() {
     let model = Model::new(ModelConfig::tiny());
     let report = explore(&model, &Bounds::exhaustive());
@@ -184,6 +204,50 @@ fn per_pod_drain_capture_bug_found_and_refuted_on_implementation() {
         "a drain must thread one scheduling snapshot across all evictions"
     );
     assert_conforms(&config, &with_drain);
+}
+
+/// The model's spread rule — variance from the definition, in rationals
+/// — is the oracle for the implementation's O(1) integer comparison:
+/// along the representative traces and along a few hundred seeded walks
+/// through whatever the model enables (scrapes delivered and dropped,
+/// crashes, drains, completions, rebalances in between), every
+/// scheduler pass of the real orchestrator under sgx-spread must bind
+/// the pods the model binds, to the nodes the model picks.
+#[test]
+fn spread_model_conforms_to_the_implementation() {
+    let mut config = ModelConfig::small_spread();
+    config.horizon = 3;
+    config.max_scrapes = 2;
+    // Unequal capacities and requests that leave unequal loads: ties are
+    // the exception here, where they are the rule in the gate's config.
+    let mut uneven = config.clone();
+    uneven.node_capacity = vec![16, 8, 4];
+    uneven.pod_request = vec![3, 5, 2, 1];
+    for config in [&config, &uneven] {
+        let model = Model::new(config.clone());
+        for seed in 0..200u64 {
+            // A fixed LCG picks among the enabled actions.
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut state = model.initial();
+            let mut trace = Vec::new();
+            for _ in 0..14 {
+                let enabled = model.enabled_actions(&state);
+                rng = rng
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                // Schedule whenever the dice say so and something queues:
+                // the passes are what is being compared.
+                let action = if rng >> 61 < 3 && enabled.contains(&Action::Schedule) {
+                    Action::Schedule
+                } else {
+                    enabled[(rng >> 33) as usize % enabled.len()]
+                };
+                trace.push(action);
+                state = model.step(&state, action).0;
+            }
+            assert_conforms(config, &trace);
+        }
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! from the time-series database (the Listing 1 sliding-window query,
 //! kept up to date at ingest), then opens a [`SchedulingCycle`]
 //! ([`framework`]) that runs each pending pod through a `FilterPlugin`
-//! chain and weighted `ScorePlugin` stages before binding it to the
+//! chain and ordered `ScorePlugin` stages before binding it to the
 //! winning node.
 //!
 //! Three pipelines ship in the [`PolicyRegistry`] ([`registry`]),
@@ -62,7 +62,8 @@ pub use autoscale::{
     PodGroupSpec, TierPolicy,
 };
 pub use framework::{
-    FilterPlugin, PipelineBuilder, PolicyPipeline, SchedulingCycle, ScoreContext, ScorePlugin,
+    keep_best, FilterPlugin, Needs, PipelineBuilder, PolicyPipeline, SchedulingCycle, ScoreContext,
+    ScorePlugin,
 };
 pub use queue::{PendingPod, PendingQueue};
 pub use registry::{PolicyRegistry, DEFAULT_SCHEDULER, SGX_BINPACK, SGX_SPREAD};

@@ -29,6 +29,18 @@ use cluster::api::PodSpec;
 use des::SimDuration;
 use sgx_sim::units::{ByteSize, EpcPages};
 
+/// The resource a pod primarily consumes — EPC (`true`) for SGX pods,
+/// memory otherwise — and how much of it the pod requests, in pages or
+/// bytes: the resource whose load the spread policy balances.
+pub(crate) fn primary_request(spec: &PodSpec) -> (bool, u64) {
+    let requests = spec.resources.requests;
+    if requests.needs_sgx() {
+        (true, requests.epc_pages.count())
+    } else {
+        (false, requests.memory.as_bytes())
+    }
+}
+
 /// Capacity and occupancy of one node, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeView {
@@ -112,32 +124,36 @@ impl NodeView {
             && (!req.needs_sgx() || self.has_sgx())
     }
 
-    /// Fractional load of the resource a pod primarily consumes, after
-    /// hypothetically placing `extra` requests here — the quantity the
-    /// spread policy balances.
-    pub fn load_fraction_after(&self, spec: &PodSpec, placed_here: bool) -> f64 {
-        let req = spec.resources.requests;
-        if req.needs_sgx() {
-            let cap = self.epc_capacity.count();
-            if cap == 0 {
-                return 1.0;
-            }
-            let mut occupied = self.epc_occupied().count();
-            if placed_here {
-                occupied += req.epc_pages.count();
-            }
-            occupied as f64 / cap as f64
+    /// Effective occupancy and capacity of one resource in its own unit:
+    /// EPC pages when `epc`, memory bytes otherwise — the two integers a
+    /// load fraction is made of.
+    pub(crate) fn load_parts(&self, epc: bool) -> (u64, u64) {
+        if epc {
+            (self.epc_occupied().count(), self.epc_capacity.count())
         } else {
-            let cap = self.memory_capacity.as_bytes();
-            if cap == 0 {
-                return 1.0;
-            }
-            let mut occupied = self.memory_occupied().as_bytes();
-            if placed_here {
-                occupied += req.memory.as_bytes();
-            }
-            occupied as f64 / cap as f64
+            (
+                self.memory_occupied().as_bytes(),
+                self.memory_capacity.as_bytes(),
+            )
         }
+    }
+
+    /// Fractional load of the resource a pod primarily consumes (EPC for
+    /// SGX pods, memory otherwise) — the quantity the spread policy
+    /// balances — with the pod's requests added when `placed_here`. A
+    /// node without the resource counts as full either way. The spread
+    /// stage itself compares the integers behind this fraction; the
+    /// float is for reports and for the reference fold in the tests.
+    pub fn load_fraction_after(&self, spec: &PodSpec, placed_here: bool) -> f64 {
+        let (epc, request) = primary_request(spec);
+        let (mut occupied, cap) = self.load_parts(epc);
+        if cap == 0 {
+            return 1.0;
+        }
+        if placed_here {
+            occupied += request;
+        }
+        occupied as f64 / cap as f64
     }
 
     /// Registers an in-pass reservation so later pods of the same

@@ -23,10 +23,12 @@
 //! occupancy (`max(measured, requested)`, requests-only when degraded),
 //! the stock pipeline on **requests** alone.
 
+use std::cmp::Ordering;
+
 use cluster::api::{NodeName, PodSpec};
 
-use crate::framework::{FilterPlugin, ScoreContext, ScorePlugin};
-use crate::metrics::NodeView;
+use crate::framework::{keep_best, FilterPlugin, Needs, ScoreContext, ScorePlugin};
+use crate::metrics::{primary_request, NodeView};
 
 /// Which occupancy accounting a feasibility filter reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +58,9 @@ impl FilterPlugin for CordonFilter {
     }
     fn monotone_in_requests(&self) -> bool {
         true
+    }
+    fn needs(&self, _spec: &PodSpec) -> Needs {
+        Needs::uncordoned()
     }
 }
 
@@ -116,6 +121,9 @@ impl FilterPlugin for EpcFitFilter {
     fn monotone_in_requests(&self) -> bool {
         true
     }
+    fn needs(&self, spec: &PodSpec) -> Needs {
+        Needs::free(self.basis, true, spec.resources.requests.epc_pages.count())
+    }
 }
 
 /// Standard-resource (memory) feasibility under the configured
@@ -159,12 +167,15 @@ impl FilterPlugin for MemoryFitFilter {
     fn monotone_in_requests(&self) -> bool {
         true
     }
+    fn needs(&self, spec: &PodSpec) -> Needs {
+        Needs::free(self.basis, false, spec.resources.requests.memory.as_bytes())
+    }
 }
 
 /// SGX preservation (§IV): standard jobs go to non-SGX nodes whenever
-/// possible, "to preserve their resources for SGX-enabled jobs" — SGX
-/// nodes score `0.0`, others `1.0`. For SGX pods every feasible node is
-/// an SGX node, so the stage is a constant and decides nothing.
+/// possible, "to preserve their resources for SGX-enabled jobs" — nodes
+/// without SGX rank above nodes with. For SGX pods every feasible node
+/// is an SGX node, so the stage decides nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SgxPreserveScore;
 
@@ -172,17 +183,16 @@ impl ScorePlugin for SgxPreserveScore {
     fn name(&self) -> &'static str {
         "sgx-preserve"
     }
-    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
-        if cx.nodes[slot].has_sgx() {
-            0.0
-        } else {
-            1.0
-        }
+    fn narrow(&self, cx: &ScoreContext<'_>, candidates: &mut Vec<usize>) {
+        keep_best(candidates, |slot| !cx.nodes[slot].has_sgx(), bool::cmp);
+    }
+    fn class_constant(&self) -> bool {
+        true
     }
 }
 
-/// PR 4's staleness ordering: nodes with fresh metrics score `1.0`,
-/// degraded ones `0.0` — a node whose probes went silent is only a last
+/// PR 4's staleness ordering: nodes with fresh metrics rank above
+/// degraded ones — a node whose probes went silent is only a last
 /// resort, never unschedulable.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FreshBeforeDegradedScore;
@@ -191,92 +201,331 @@ impl ScorePlugin for FreshBeforeDegradedScore {
     fn name(&self) -> &'static str {
         "fresh-first"
     }
-    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
-        if cx.nodes[slot].degraded {
-            0.0
-        } else {
-            1.0
+    fn narrow(&self, cx: &ScoreContext<'_>, candidates: &mut Vec<usize>) {
+        keep_best(candidates, |slot| !cx.nodes[slot].degraded, bool::cmp);
+    }
+    fn class_constant(&self) -> bool {
+        true
+    }
+}
+
+/// The peer group a node's load is balanced within: the non-cordoned
+/// nodes sharing its `(has_sgx, degraded)` partition. A cordoned node
+/// belongs to none.
+pub(crate) fn peer_group_of(view: &NodeView) -> Option<usize> {
+    (!view.cordoned).then(|| usize::from(view.has_sgx()) << 1 | usize::from(view.degraded))
+}
+
+/// The members of one peer group that share one capacity of one
+/// resource (EPC pages when `epc`, memory bytes otherwise).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    group: usize,
+    epc: bool,
+    capacity: u64,
+    members: u64,
+    /// Σ effective occupancy over the members.
+    occupied: u128,
+}
+
+/// The exact load sums of the four peer groups: per group its member
+/// count and, per resource, its members bucketed by capacity. With that,
+/// Σ load = Σ over buckets of `occupied / capacity` is known exactly, a
+/// handful of terms however many nodes a group has — all
+/// [`SpreadScore`] needs beyond the candidates themselves. Infeasible
+/// and excluded members count; a zero-capacity member counts as full.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PeerSums {
+    members: [u64; 4],
+    /// A tier holds a handful of machine classes: searched linearly.
+    buckets: Vec<Bucket>,
+}
+
+impl PeerSums {
+    fn bucket(&mut self, group: usize, epc: bool, capacity: u64) -> &mut Bucket {
+        let found = self
+            .buckets
+            .iter()
+            .position(|b| b.group == group && b.epc == epc && b.capacity == capacity);
+        let at = found.unwrap_or_else(|| {
+            self.buckets.push(Bucket {
+                group,
+                epc,
+                capacity,
+                members: 0,
+                occupied: 0,
+            });
+            self.buckets.len() - 1
+        });
+        &mut self.buckets[at]
+    }
+
+    /// The sums over `nodes`: every node counted into its group, if it
+    /// has one.
+    pub(crate) fn of(nodes: &[NodeView]) -> Self {
+        let mut sums = PeerSums::default();
+        for view in nodes {
+            let Some(group) = peer_group_of(view) else {
+                continue;
+            };
+            sums.members[group] += 1;
+            for epc in [false, true] {
+                let (occupied, capacity) = view.load_parts(epc);
+                let bucket = sums.bucket(group, epc, capacity);
+                bucket.members += 1;
+                bucket.occupied += u128::from(occupied);
+            }
+        }
+        sums
+    }
+
+    /// Follows a node whose occupancy grew from `before` to `after` (a
+    /// reservation; capacities and groups never change).
+    pub(crate) fn moved(&mut self, before: &NodeView, after: &NodeView) {
+        let Some(group) = peer_group_of(after) else {
+            return;
+        };
+        for epc in [false, true] {
+            let (was, capacity) = before.load_parts(epc);
+            let (is, _) = after.load_parts(epc);
+            self.bucket(group, epc, capacity).occupied += u128::from(is - was);
         }
     }
 }
 
-/// The spread criterion: the negated standard deviation of load across
-/// the candidate's **peer group** — all non-cordoned nodes sharing the
-/// candidate's `(has_sgx, degraded)` partition — if the pod were placed
-/// on the candidate. Placements that flatten the group score higher.
+/// The spread criterion (§IV): place the pod where the load of the
+/// node's **peer group** — the non-cordoned nodes of its
+/// `(has_sgx, degraded)` partition — ends up with the smallest
+/// variance — the paper's "smallest standard deviation".
 ///
 /// The group deliberately includes infeasible peers: a nearly-full node
 /// still shapes the distribution the paper's spread policy balances.
 ///
-/// One placement scores all its candidates through
-/// [`score_batch`](ScorePlugin::score_batch), which builds each peer
-/// group and its load vector once and then, per candidate, patches one
-/// element and re-runs the two folds. The folds themselves stay: a left
-/// fold over floats cannot be updated in O(1) bit-identically, and nodes
-/// with equal load are told apart only by that rounding.
+/// The comparison is exact and costs O(1) a candidate. With *n* members
+/// of loads *xᵢ = oᵢ / capᵢ*, *S* = Σ*xᵢ* and a pod of *r* units,
+/// placing on *c* changes *n²·Var* by
+/// *(r / cap_c²) · [n(2o_c + r) − r − 2·S·cap_c]*: everything but the
+/// candidate's own occupancy and capacity is shared by the group. Two
+/// candidates of one group and one capacity therefore compare by
+/// occupancy alone — on a uniform tier spread *is* least-occupied — and
+/// any other pair by cross-multiplied integers of whatever size it takes
+/// (`Natural`); candidates of different groups compare by the change
+/// in their own group's variance. No float is involved. A zero-capacity
+/// member is full and unmoved by a placement, a pod requesting nothing
+/// of its primary resource moves nobody (all tie), and a candidate that
+/// belongs to no group ranks below every one that does.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpreadScore;
 
-/// One `(has_sgx, degraded)` peer group of a placement: its member
-/// slots (ascending) and their load fractions before the pod lands.
-struct PeerGroup {
-    slots: Vec<usize>,
-    loads: Vec<f64>,
-}
-
-impl PeerGroup {
-    fn of(cx: &ScoreContext<'_>, peer: &NodeView) -> Self {
-        let slots: Vec<usize> = (0..cx.nodes.len())
-            .filter(|&slot| {
-                let v = &cx.nodes[slot];
-                !v.cordoned && v.has_sgx() == peer.has_sgx() && v.degraded == peer.degraded
-            })
-            .collect();
-        let loads = slots
-            .iter()
-            .map(|&slot| cx.nodes[slot].load_fraction_after(cx.spec, false))
-            .collect();
-        PeerGroup { slots, loads }
-    }
-}
+/// A candidate as the spread comparison sees it: its peer group and, if
+/// placing the pod there moves its load at all, its capacity and
+/// occupancy (both zero if not).
+type Seat = (Option<usize>, u64, u64);
 
 impl ScorePlugin for SpreadScore {
     fn name(&self) -> &'static str {
         "spread"
     }
 
-    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
-        let mut out = Vec::with_capacity(1);
-        self.score_batch(cx, &[slot], &mut out);
-        out[0]
-    }
-
-    fn score_batch(&self, cx: &ScoreContext<'_>, candidates: &[usize], out: &mut Vec<f64>) {
-        // At most four groups exist; under the built-in pipelines the
-        // earlier stages leave candidates of exactly one.
-        let mut groups: [Option<PeerGroup>; 4] = [None, None, None, None];
-        for &slot in candidates {
-            let node = &cx.nodes[slot];
-            let key = usize::from(node.has_sgx()) * 2 + usize::from(node.degraded);
-            let group = groups[key].get_or_insert_with(|| PeerGroup::of(cx, node));
-            // A cordoned candidate (only under a pipeline without the
-            // cordon filter) is no member of its own group: nothing lands.
-            let Ok(member) = group.slots.binary_search(&slot) else {
-                out.push(-load_stddev(&group.loads));
-                continue;
-            };
-            let before = group.loads[member];
-            group.loads[member] = node.load_fraction_after(cx.spec, true);
-            out.push(-load_stddev(&group.loads));
-            group.loads[member] = before;
+    fn narrow(&self, cx: &ScoreContext<'_>, candidates: &mut Vec<usize>) {
+        let (epc, request) = primary_request(cx.spec);
+        let seat = |slot: usize| -> Seat {
+            let view = &cx.nodes[slot];
+            let group = peer_group_of(view);
+            let (occupied, capacity) = view.load_parts(epc);
+            if group.is_none() || capacity == 0 || request == 0 {
+                (group, 0, 0)
+            } else {
+                (group, capacity, occupied)
+            }
+        };
+        // Within one group and capacity the least occupied wins, so only
+        // that champion of each needs the exact comparison.
+        let mut champions: Vec<Seat> = Vec::new();
+        for &slot in candidates.iter() {
+            let (group, capacity, occupied) = seat(slot);
+            match champions
+                .iter_mut()
+                .find(|c| c.0 == group && c.1 == capacity)
+            {
+                Some(champion) => champion.2 = champion.2.min(occupied),
+                None => champions.push((group, capacity, occupied)),
+            }
         }
+        if champions.len() > 1 {
+            let changes: Vec<VarianceChange> = champions
+                .iter()
+                .map(|seat| variance_change(cx.peers(), epc, request, seat))
+                .collect();
+            let least = changes
+                .iter()
+                .min_by(|a, b| a.cmp(b))
+                .expect("candidates are never empty");
+            let mut ties = changes.iter().map(|change| change.cmp(least).is_eq());
+            champions.retain(|_| ties.next().expect("one change a champion"));
+        }
+        candidates.retain(|&slot| champions.contains(&seat(slot)));
     }
 }
 
-/// The stock scheduler's criterion: the negated requested-fraction of
-/// the pod's primary resource (EPC pages for SGX pods, memory
-/// otherwise). Least-requested scores highest; nodes lacking the
-/// resource entirely count as full.
+/// How placing `request` units on a seat changes the variance of its
+/// group's load, as an exactly ordered key: seats outside any group
+/// last, the others by *(cost − gain) / n²* where, per unit requested,
+/// *cost = [2·n·o + (n − 1)·r] / cap²* and *gain = 2·S / cap* (see
+/// [`SpreadScore`]; an unmoved seat has neither).
+#[derive(Debug)]
+struct VarianceChange {
+    outside: bool,
+    cost: Ratio,
+    gain: Ratio,
+}
+
+fn variance_change(peers: &PeerSums, epc: bool, request: u64, seat: &Seat) -> VarianceChange {
+    let &(group, capacity, occupied) = seat;
+    let mut change = VarianceChange {
+        outside: group.is_none(),
+        cost: Ratio::zero(),
+        gain: Ratio::zero(),
+    };
+    let Some(group) = group.filter(|_| capacity != 0) else {
+        return change;
+    };
+    let members = peers.members[group];
+    let n = Natural::from(u128::from(members));
+    let scale = Natural::from(u128::from(capacity)).times(&n).times(&n);
+    let cost = Natural::from(2 * u128::from(occupied))
+        .times(&n)
+        .plus(&Natural::from(
+            u128::from(members - 1) * u128::from(request),
+        ));
+    change.cost = Ratio {
+        num: cost,
+        den: scale.times(&Natural::from(u128::from(capacity))),
+    };
+    let load_sum = peers
+        .buckets
+        .iter()
+        .filter(|bucket| bucket.group == group && bucket.epc == epc)
+        .fold(Ratio::zero(), |sum, bucket| {
+            sum.plus(&if bucket.capacity == 0 {
+                Ratio::whole(u128::from(bucket.members))
+            } else {
+                Ratio {
+                    num: Natural::from(bucket.occupied),
+                    den: Natural::from(u128::from(bucket.capacity)),
+                }
+            })
+        });
+    change.gain = Ratio {
+        num: load_sum.num.times(&Natural::from(2)),
+        den: load_sum.den.times(&scale),
+    };
+    change
+}
+
+impl VarianceChange {
+    fn cmp(&self, other: &VarianceChange) -> Ordering {
+        // cost − gain < cost′ − gain′  ⇔  cost + gain′ < cost′ + gain.
+        self.outside.cmp(&other.outside).then_with(|| {
+            self.cost
+                .plus(&other.gain)
+                .cmp(&other.cost.plus(&self.gain))
+        })
+    }
+}
+
+/// A natural number of any size: base-2⁶⁴ digits, least significant
+/// first, no leading zero. Just the arithmetic an exact comparison of
+/// sums of fractions needs — it cannot overflow, so the spread decision
+/// has no capacity, cluster size or machine mix at which it stops being
+/// exact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Natural(Vec<u64>);
+
+impl Natural {
+    fn from(value: u128) -> Self {
+        Natural(vec![value as u64, (value >> 64) as u64]).trimmed()
+    }
+
+    fn trimmed(mut self) -> Self {
+        while self.0.last() == Some(&0) {
+            self.0.pop();
+        }
+        self
+    }
+
+    fn plus(&self, other: &Natural) -> Natural {
+        let (long, short) = if self.0.len() >= other.0.len() {
+            (&self.0, &other.0)
+        } else {
+            (&other.0, &self.0)
+        };
+        let mut digits = Vec::with_capacity(long.len() + 1);
+        let mut carry = 0u128;
+        for (at, &digit) in long.iter().enumerate() {
+            let sum = u128::from(digit) + u128::from(short.get(at).copied().unwrap_or(0)) + carry;
+            digits.push(sum as u64);
+            carry = sum >> 64;
+        }
+        digits.push(carry as u64);
+        Natural(digits).trimmed()
+    }
+
+    fn times(&self, other: &Natural) -> Natural {
+        let mut digits = vec![0u64; self.0.len() + other.0.len()];
+        for (i, &a) in self.0.iter().enumerate() {
+            let mut carry = 0u128;
+            for (j, &b) in other.0.iter().enumerate() {
+                // At most (2⁶⁴ − 1)² + 2·(2⁶⁴ − 1) = 2¹²⁸ − 1: no overflow.
+                let sum = u128::from(digits[i + j]) + u128::from(a) * u128::from(b) + carry;
+                digits[i + j] = sum as u64;
+                carry = sum >> 64;
+            }
+            digits[i + other.0.len()] = carry as u64;
+        }
+        Natural(digits).trimmed()
+    }
+
+    fn cmp(&self, other: &Natural) -> Ordering {
+        (self.0.len().cmp(&other.0.len()))
+            .then_with(|| self.0.iter().rev().cmp(other.0.iter().rev()))
+    }
+}
+
+/// A non-negative fraction of [`Natural`]s, never reduced.
+#[derive(Debug, Clone)]
+struct Ratio {
+    num: Natural,
+    den: Natural,
+}
+
+impl Ratio {
+    fn zero() -> Ratio {
+        Ratio::whole(0)
+    }
+
+    fn whole(value: u128) -> Ratio {
+        Ratio {
+            num: Natural::from(value),
+            den: Natural::from(1),
+        }
+    }
+
+    fn plus(&self, other: &Ratio) -> Ratio {
+        Ratio {
+            num: self.num.times(&other.den).plus(&other.num.times(&self.den)),
+            den: self.den.times(&other.den),
+        }
+    }
+
+    fn cmp(&self, other: &Ratio) -> Ordering {
+        self.num.times(&other.den).cmp(&other.num.times(&self.den))
+    }
+}
+
+/// The stock scheduler's criterion: the least requested-fraction of the
+/// pod's primary resource (EPC pages for SGX pods, memory otherwise)
+/// wins; nodes lacking the resource entirely count as full.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LeastRequestedScore;
 
@@ -284,8 +533,12 @@ impl ScorePlugin for LeastRequestedScore {
     fn name(&self) -> &'static str {
         "least-requested"
     }
-    fn score(&self, cx: &ScoreContext<'_>, slot: usize) -> f64 {
-        -requested_fraction(&cx.nodes[slot], cx.spec)
+    fn narrow(&self, cx: &ScoreContext<'_>, candidates: &mut Vec<usize>) {
+        keep_best(
+            candidates,
+            |slot| -requested_fraction(&cx.nodes[slot], cx.spec),
+            f64::total_cmp,
+        );
     }
 }
 
@@ -305,24 +558,6 @@ fn requested_fraction(view: &NodeView, spec: &PodSpec) -> f64 {
             view.memory_requested.as_bytes() as f64 / cap as f64
         }
     }
-}
-
-/// Population standard deviation of a peer group's load fractions. The
-/// loads arrive in slot (= name) order, so the float summation order is
-/// deterministic.
-///
-/// An empty group has none: the answer is [`f64::NAN`], the one bit
-/// pattern, returned rather than computed — the sign of a computed `0/0`
-/// is unspecified and differs between a runtime division and the
-/// constant folder, hence between build profiles. [`SpreadScore`]
-/// negates it, and `total_cmp` orders that below every number: a
-/// candidate with no peer group never outranks one with.
-fn load_stddev(loads: &[f64]) -> f64 {
-    if loads.is_empty() {
-        return f64::NAN;
-    }
-    let mean = loads.iter().sum::<f64>() / loads.len() as f64;
-    (loads.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / loads.len() as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -420,6 +655,93 @@ mod tests {
         // A 4 GiB pod now only fits on the 8 GiB SGX machines.
         let chosen = place(SGX_BINPACK, &std_pod(4), &nodes).unwrap();
         assert_eq!(chosen.as_str(), "sgx-1");
+    }
+
+    #[test]
+    fn naturals_multiply_add_and_compare_across_digits() {
+        let big = u128::MAX - 12_345;
+        let n = Natural::from(big);
+        // (2¹²⁸ − k)² needs four digits; check it against the expansion
+        // 2²⁵⁶ − 2·k·2¹²⁸ + k², assembled digit by digit.
+        let k = 12_346u128;
+        let square = n.times(&n);
+        assert_eq!(square.0.len(), 4);
+        let low = k * k; // fits: k is small
+        let minus = 2 * k; // subtracted from the upper half, borrowing from 2²⁵⁶
+        let upper = u128::MAX - minus + 1;
+        assert_eq!(
+            square.0,
+            vec![
+                low as u64,
+                (low >> 64) as u64,
+                upper as u64,
+                (upper >> 64) as u64
+            ]
+        );
+        // Carries ripple through every digit of a sum.
+        let ones = Natural(vec![u64::MAX; 3]);
+        assert_eq!(ones.plus(&Natural::from(1)).0, vec![0, 0, 0, 1]);
+        assert_eq!(Natural::from(0).0, Vec::<u64>::new());
+        assert!(Natural::from(0).times(&n).0.is_empty());
+        assert!(ones.cmp(&square).is_lt());
+        assert!(Natural::from(big).cmp(&Natural::from(big - 1)).is_gt());
+        assert!(n.plus(&Natural::from(0)).cmp(&n).is_eq());
+    }
+
+    /// The size the integers must carry without a fallback: 12,500
+    /// standard nodes, 64 GiB and 8 GiB alternating, loads in bytes. The
+    /// expected winner is computed here by the cross-multiplied form of
+    /// the rule in plain `i128` (gcd 8 GiB taken out, so it fits):
+    /// minimise `[n(2o + r) − r − 2·S·cap] / cap²`.
+    #[test]
+    fn spread_is_exact_at_12_500_mixed_nodes_of_64_and_8_gib() {
+        const NODES: usize = 12_500;
+        let gib = ByteSize::from_gib(1).as_bytes();
+        let nodes: BTreeMap<NodeName, NodeView> = (0..NODES)
+            .map(|i| {
+                let big = i % 2 == 0;
+                let capacity = if big { 64 } else { 8 };
+                // Loads of 20–29.9 % in steps no float would keep apart
+                // for long: one byte between neighbours of a class.
+                let requested = capacity * gib / 5 + (i as u64 % 1_000) * capacity * gib / 10_000
+                    - (i as u64 / 1_000);
+                let view = NodeView {
+                    memory_capacity: ByteSize::from_gib(capacity),
+                    memory_requested: ByteSize::from_bytes(requested),
+                    ..NodeView::default()
+                };
+                (NodeName::new(format!("std-{i:05}")), view)
+            })
+            .collect();
+        let pod = std_pod(1);
+        let chosen = place(SGX_SPREAD, &pod, &nodes).unwrap();
+
+        let n = NODES as i128;
+        let r = i128::from(gib);
+        // S over the common denominator 64 GiB, in units of bytes / 64 GiB.
+        let s_num: i128 = nodes
+            .values()
+            .map(|v| {
+                let weight = 64 * i128::from(gib) / i128::from(v.memory_capacity.as_bytes());
+                i128::from(v.memory_requested.as_bytes()) * weight
+            })
+            .sum();
+        let key = |v: &NodeView| {
+            let cap = i128::from(v.memory_capacity.as_bytes() / gib / 8); // 8 or 1
+            let o = i128::from(v.memory_requested.as_bytes());
+            // [n(2o + r) − r − 2·S·cap_bytes] / cap², S·cap_bytes = s_num·cap/8.
+            let numerator = 8 * (n * (2 * o + r) - r) - 2 * s_num * cap;
+            (numerator, cap * cap)
+        };
+        let expected = nodes
+            .iter()
+            .min_by(|a, b| {
+                let ((na, da), (nb, db)) = (key(a.1), key(b.1));
+                (na * db).cmp(&(nb * da)).then_with(|| a.0.cmp(b.0))
+            })
+            .map(|(name, _)| name.clone())
+            .unwrap();
+        assert_eq!(chosen, expected);
     }
 
     #[test]

@@ -145,17 +145,7 @@ impl PolicyRegistry {
         );
         for pipeline in self.pipelines.values() {
             let filters: Vec<&str> = pipeline.filters().iter().map(|f| f.name()).collect();
-            let scorers: Vec<String> = pipeline
-                .scorers()
-                .iter()
-                .map(|s| {
-                    if (s.weight() - 1.0).abs() < f64::EPSILON {
-                        s.plugin().name().to_string()
-                    } else {
-                        format!("{}×{}", s.plugin().name(), s.weight())
-                    }
-                })
-                .collect();
+            let scorers: Vec<&str> = pipeline.scorers().iter().map(|s| s.name()).collect();
             let scorers = if scorers.is_empty() {
                 "(name order only)".to_string()
             } else {

@@ -453,7 +453,12 @@ impl Orchestrator {
     /// whose enclave the driver denies are recorded as [`PodOutcome::Denied`]
     /// and leave the queue — they were launched and killed.
     pub fn scheduler_pass(&mut self, now: SimTime) -> Vec<BindOutcome> {
+        // Captured even for an empty queue: the capture trims the rollup.
+        // The cycle — a copy of every view plus its tier index — is not.
         let snapshot = self.capture_snapshot(now);
+        if self.queue.is_empty() {
+            return Vec::new();
+        }
         let view_degraded = snapshot.any_degraded();
         let mut cycle = SchedulingCycle::new(snapshot);
         let mut outcomes = Vec::new();
@@ -1545,6 +1550,27 @@ mod tests {
         let record = orch.record(uid).unwrap();
         assert!(matches!(record.outcome, PodOutcome::Completed { .. }));
         assert_eq!(record.turnaround(), Some(SimDuration::from_secs(60)));
+    }
+
+    #[test]
+    fn a_pass_with_nothing_pending_captures_but_opens_no_cycle() {
+        let mut spec = ClusterSpec::new();
+        for i in 0..1_000 {
+            spec = spec.with_node(
+                format!("node-{i:04}"),
+                cluster::machine::MachineSpec::sgx_node(),
+                NodeRole::Worker,
+            );
+        }
+        let mut orch = Orchestrator::new(spec, OrchestratorConfig::paper());
+        let before = orch.snapshot_captures();
+        assert!(orch.scheduler_pass(SimTime::from_secs(5)).is_empty());
+        // The capture still ran: it is what trims the rollup.
+        assert_eq!(orch.snapshot_captures() - before, 1);
+        // And the next pass, with a pod pending, schedules as ever.
+        orch.submit(sgx_spec("a", 16), SimTime::from_secs(6));
+        assert_eq!(orch.scheduler_pass(SimTime::from_secs(10)).len(), 1);
+        assert_eq!(orch.snapshot_captures() - before, 2);
     }
 
     #[test]
