@@ -8,8 +8,13 @@
 //! tick, so series are created at one end and run out of a 90-tick
 //! retention — enforced every tick — at the other. Each case is warmed
 //! past the retention first; an iteration is one tick, 8,400 points.
+//!
+//! `ingest/series` prices a series' birth and death at
+//! `fullscale_autoscale`'s population: creating one among ≈24,000, and a
+//! retention that unregisters 1 % of 20,000.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 use des::{SimDuration, SimTime};
@@ -129,6 +134,105 @@ fn bench_transport(c: &mut Criterion) {
     group.finish();
 }
 
+/// Overwrites `tags` with a probe series' `{nodename, pod_name}`, named
+/// the way `fullscale_autoscale` names them, reusing the strings held.
+fn name_series(tags: &mut TagSet, pod: u64) {
+    let node = format!("as-sgx-{:05}", pod / 50 % 490);
+    for (key, value) in [("nodename", node), ("pod_name", format!("pod-{pod}"))] {
+        match tags.get_mut(key) {
+            Some(held) => {
+                held.clear();
+                held.push_str(&value);
+            }
+            None => {
+                tags.insert(key.to_string(), value);
+            }
+        }
+    }
+}
+
+/// A store of `live` series, pod `p` sampled once at `p` s.
+fn named_store(live: u64) -> Database {
+    let mut db = Database::new();
+    let mut tags = TagSet::new();
+    for pod in 0..live {
+        name_series(&mut tags, pod);
+        let id = db.resolve("sgx/epc", &tags);
+        db.append(id, SimTime::from_secs(pod), value(pod));
+    }
+    db
+}
+
+/// Series turnover at `fullscale_autoscale`'s population. `create` is a
+/// resolve that misses — a pod's first scrape: an iteration names a new
+/// series (untimed) and resolves it and appends its first sample among
+/// ≈24,000 live ones, a retention every 1,000 iterations (untimed)
+/// keeping the population there. `turnover` is a retention that empties
+/// 1 % of 20,000 series and leaves the rest alone; the emptied 200 are
+/// named again (untimed) before the next.
+fn bench_series(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ingest/series");
+    group.bench_function("create", |b| {
+        const LIVE: u64 = 24_000;
+        let db = RefCell::new(named_store(LIVE));
+        let tags = RefCell::new(TagSet::new());
+        let mut pod = LIVE;
+        b.iter_with_setup(
+            || {
+                pod += 1;
+                if pod.is_multiple_of(1_000) {
+                    let now = SimTime::from_secs(pod);
+                    db.borrow_mut()
+                        .enforce_retention(now, SimDuration::from_secs(LIVE));
+                }
+                name_series(&mut tags.borrow_mut(), pod);
+                pod
+            },
+            |pod| {
+                let mut db = db.borrow_mut();
+                let id = db.resolve("sgx/epc", &tags.borrow());
+                db.append(id, SimTime::from_secs(pod), value(pod))
+            },
+        );
+        assert!(db.borrow().series_count() <= LIVE as usize + 1_000);
+    });
+    group.bench_function("turnover", |b| {
+        const LIVE: u64 = 20_000;
+        const EMPTIED: u64 = LIVE / 100;
+        // The long-lived series hold a sample no cutoff below reaches.
+        let far = SimTime::from_secs(1 << 40);
+        let db = RefCell::new(Database::new());
+        let mut tags = TagSet::new();
+        for pod in 0..LIVE - EMPTIED {
+            name_series(&mut tags, pod);
+            let id = db.borrow_mut().resolve("sgx/epc", &tags);
+            db.borrow_mut().append(id, far, value(pod));
+        }
+        let mut round = 0;
+        b.iter_with_setup(
+            || {
+                round += 1;
+                let mut db = db.borrow_mut();
+                for i in 0..EMPTIED {
+                    let pod = LIVE * round + i;
+                    name_series(&mut tags, pod);
+                    let id = db.resolve("sgx/epc", &tags);
+                    db.append(id, SimTime::from_secs(round), value(pod));
+                }
+                SimTime::from_secs(round + 2)
+            },
+            |now| {
+                let evicted = db
+                    .borrow_mut()
+                    .enforce_retention(now, SimDuration::from_secs(1));
+                assert_eq!(evicted, EMPTIED as usize);
+            },
+        );
+        assert_eq!(db.borrow().series_count(), (LIVE - EMPTIED) as usize);
+    });
+    group.finish();
+}
+
 /// One node's scrape as a wire frame.
 fn scrape_batch(now: SimTime) -> PointBatch {
     let mut batch =
@@ -152,5 +256,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_transport, bench_wire);
+criterion_group!(benches, bench_transport, bench_series, bench_wire);
 criterion_main!(benches);

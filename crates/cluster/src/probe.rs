@@ -75,11 +75,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A monitoring probe: which metrics it scrapes and how often.
+/// A monitoring probe: which metrics it scrapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Probe {
     kind: ProbeKind,
-    period: SimDuration,
 }
 
 /// The two probe kinds of the paper's monitoring layer.
@@ -92,29 +91,23 @@ pub(crate) enum ProbeKind {
 }
 
 impl Probe {
-    /// A Heapster probe with the given scrape period.
-    pub fn heapster(period: SimDuration) -> Self {
+    /// A Heapster probe.
+    pub fn heapster() -> Self {
         Probe {
             kind: ProbeKind::Heapster,
-            period,
         }
     }
 
-    /// An SGX probe with the given scrape period.
-    pub fn sgx(period: SimDuration) -> Self {
+    /// An SGX probe.
+    pub fn sgx() -> Self {
         Probe {
             kind: ProbeKind::Sgx,
-            period,
         }
     }
 
-    /// Default probes at a 10 s scrape period (comfortably inside the
-    /// scheduler's 25 s sliding window).
+    /// The default probes: Heapster and the SGX probe.
     pub fn default_pair() -> [Probe; 2] {
-        [
-            Probe::heapster(SimDuration::from_secs(10)),
-            Probe::sgx(SimDuration::from_secs(10)),
-        ]
+        [Probe::heapster(), Probe::sgx()]
     }
 
     /// Whether this probe should be deployed on `node` — the DaemonSet for
@@ -217,8 +210,7 @@ mod tests {
             .run_pod(PodUid::new(7), spec, SimTime::ZERO, &mut rng)
             .unwrap();
 
-        let points =
-            Probe::sgx(SimDuration::from_secs(10)).sample(&sgx_node, SimTime::from_secs(10));
+        let points = Probe::sgx().sample(&sgx_node, SimTime::from_secs(10));
         assert_eq!(points.len(), 1);
         let p = &points[0];
         assert_eq!(p.measurement(), MEASUREMENT_EPC);
@@ -238,8 +230,7 @@ mod tests {
             .run_pod(PodUid::new(1), spec, SimTime::ZERO, &mut rng)
             .unwrap();
 
-        let points =
-            Probe::heapster(SimDuration::from_secs(10)).sample(&std_node, SimTime::from_secs(10));
+        let points = Probe::heapster().sample(&std_node, SimTime::from_secs(10));
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].measurement(), MEASUREMENT_MEMORY);
         assert_eq!(points[0].value(), ByteSize::from_gib(1).as_bytes() as f64);
@@ -282,7 +273,7 @@ mod tests {
                 .run_pod(PodUid::new(uid), spec, SimTime::ZERO, &mut rng)
                 .unwrap();
         }
-        let probe = Probe::heapster(SimDuration::from_secs(10));
+        let probe = Probe::heapster();
         let now = SimTime::from_secs(10);
         let batch = probe.sample_batch(&std_node, now);
         assert_eq!(batch.measurement(), MEASUREMENT_MEMORY);

@@ -299,10 +299,7 @@ fn set_series_tags(tags: &mut TagSet, node: &str, pod: &str) {
 impl Orchestrator {
     /// Builds the cluster from `spec` and wires up the monitoring stack.
     pub fn new(spec: ClusterSpec, config: OrchestratorConfig) -> Self {
-        let probes = vec![
-            Probe::heapster(config.probe_period),
-            Probe::sgx(config.probe_period),
-        ];
+        let probes = Probe::default_pair().to_vec();
         Orchestrator {
             cluster: Cluster::build(&spec),
             db: Database::new(),
@@ -647,17 +644,22 @@ impl Orchestrator {
     /// node's metrics freshness. `scraped_at` is the instant the frame
     /// was sampled — a delayed frame arriving after a newer one must not
     /// roll freshness backwards, so the stamp is max-merged.
+    ///
+    /// A frame that describes no registered node is void: one for a name
+    /// no node holds now, or sampled before the holder registered (a
+    /// predecessor of the same name) or before its last recovery (the
+    /// pre-crash kubelet). Its pods are gone, and its delivery proves
+    /// nothing about the node that holds the name now; admitting it would
+    /// resurrect their series and phantom occupancy, and stamp freshness.
     pub fn ingest_frame(&mut self, node: &NodeName, batch: &PointBatch, scraped_at: SimTime) {
-        // A frame sampled before the node's last recovery describes the
-        // pre-crash kubelet: its pods died with the crash and its
-        // delivery proves nothing about the rebooted node. Admitting it
-        // would resurrect phantom occupancy (and freshness), so the
-        // whole frame is void.
-        if self
+        let Some(registered_at) = self.cluster.node(node).map(Node::registered_at) else {
+            return;
+        };
+        let epoch = self
             .recovered_at
             .get(node)
-            .is_some_and(|&epoch| scraped_at < epoch)
-        {
+            .map_or(registered_at, |&e| e.max(registered_at));
+        if scraped_at < epoch {
             return;
         }
         self.db.insert_batch(batch);
@@ -1237,6 +1239,9 @@ impl Orchestrator {
     /// torn down first,
     /// so the reused name schedules as a fresh, never-degraded node
     /// instead of inheriting the predecessor's staleness or quarantine.
+    /// The node is stamped with `now` as its registration instant, so a
+    /// frame the predecessor was sampled into and delivered later is void
+    /// at [`ingest_frame`](Self::ingest_frame).
     /// (Deregistration via [`remove_node`](Self::remove_node) already
     /// tears these down; this guards names retired through direct
     /// [`cluster_mut`](Self::cluster_mut) edits too.) The cached
@@ -1254,6 +1259,10 @@ impl Orchestrator {
         now: SimTime,
     ) -> Result<NodeName, ClusterError> {
         let name = self.cluster.add_node(name, spec, NodeRole::Worker)?;
+        self.cluster
+            .node_mut(&name)
+            .expect("just registered")
+            .set_registered_at(now);
         self.forget_node(&name);
         self.mark_dirty(&name);
         self.events
@@ -2476,6 +2485,57 @@ mod tests {
         assert!(outcomes
             .iter()
             .any(|o| o.node == name && o.report.started()));
+    }
+
+    #[test]
+    fn frames_of_a_previous_incarnation_are_void() {
+        let mut orch = orchestrator();
+        orch.submit(sgx_spec("a", 40), SimTime::ZERO);
+        let home = orch.scheduler_pass(SimTime::from_secs(5))[0].node.clone();
+        // Frames sampled from the old incarnation, still in transit.
+        let sampled_at = SimTime::from_secs(10);
+        let stash: Vec<(NodeName, PointBatch)> = orch
+            .scrape_frames(sampled_at)
+            .into_iter()
+            .filter(|(node, _)| *node == home)
+            .collect();
+        assert!(stash.iter().any(|(_, batch)| !batch.is_empty()));
+        let deliver = |orch: &mut Orchestrator| {
+            for (node, batch) in &stash {
+                orch.ingest_frame(node, batch, sampled_at);
+            }
+        };
+
+        orch.remove_node(&home, SimTime::from_secs(20)).unwrap();
+        // Delivered while no node holds the name: nothing lands, and no
+        // freshness stamp is left behind for ever.
+        deliver(&mut orch);
+        assert!(!orch.last_scrape.contains_key(&home));
+
+        orch.add_node(
+            home.as_str(),
+            MachineSpec::sgx_node(),
+            SimTime::from_secs(30),
+        )
+        .unwrap();
+        // Delivered to the replacement: still nothing.
+        deliver(&mut orch);
+        assert_eq!(
+            orch.db().series_count(),
+            0,
+            "the old pods' series came back"
+        );
+        assert!(
+            orch.rollup
+                .borrow()
+                .groups()
+                .all(|group| group != home.as_str()),
+            "the old pods' samples reached the rollup"
+        );
+        assert_eq!(orch.metrics_age(&home, SimTime::from_secs(31)), None);
+        let view = orch.capture_snapshot(SimTime::from_secs(31));
+        assert!(view.node(&home).unwrap().epc_measured.is_zero());
+        assert!(!view.node(&home).unwrap().degraded);
     }
 
     #[test]

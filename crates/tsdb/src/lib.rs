@@ -9,10 +9,11 @@
 //! * [`Point`] — a tagged, timestamped observation
 //!   (`sgx/epc{pod_name=...,nodename=...} value=N t`).
 //! * [`Database`] — tagged series storage with retention enforcement:
-//!   an ordered index from `(measurement, tag set)` to a slab of sample
-//!   vectors. [`Database::resolve`] names a series once and returns a
-//!   [`SeriesId`]; [`Database::append`] writes through it at the cost of
-//!   a push. Every tagged insert is the two composed.
+//!   an ordered index from `(measurement, tag set)` — the tag set packed
+//!   into one byte string that sorts as the [`TagSet`] does — to a slab
+//!   of sample vectors. [`Database::resolve`] names a series once and
+//!   returns a [`SeriesId`]; [`Database::append`] writes through it at
+//!   the cost of a push. Every tagged insert is the two composed.
 //! * [`PointBatch`] — the one-frame-per-node-per-scrape transport unit
 //!   probes ship to the store across a wire.
 //! * [`WindowRollup`] — Listing 1 as a continuous query: the per-node
@@ -74,6 +75,7 @@ pub mod wire;
 
 mod batch;
 mod error;
+mod key;
 mod point;
 mod rollup;
 mod storage;

@@ -304,13 +304,20 @@ impl Select {
     /// baseline of the `tsdb_ops` benchmark.
     pub(crate) fn execute_full_scan<'a, F>(&self, fetch: &F, now: SimTime) -> Vec<Row>
     where
-        F: Fn(&str) -> Vec<(SimTime, f64, &'a TagSet)>,
+        F: Fn(&str) -> Vec<(TagSet, &'a [(SimTime, f64)])>,
     {
         // Collect the input stream: either raw points or inner rows
         // (treated as observations at `now`).
+        let series;
         let owned_rows;
         let inputs: Vec<(SimTime, f64, &TagSet)> = match &self.source {
-            Source::Measurement(m) => fetch(m),
+            Source::Measurement(m) => {
+                series = fetch(m);
+                series
+                    .iter()
+                    .flat_map(|(tags, samples)| samples.iter().map(move |&(t, v)| (t, v, tags)))
+                    .collect()
+            }
             Source::Subquery(inner) => {
                 owned_rows = inner.execute_full_scan(fetch, now);
                 owned_rows

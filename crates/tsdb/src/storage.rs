@@ -6,8 +6,9 @@
 //! value is the slot number. The split is what lets a writer pay for the
 //! name once:
 //!
-//! * [`Database::resolve`] is the store's one resolver: two string-keyed
-//!   B-tree descents, get-or-create, returning the id.
+//! * [`Database::resolve`] is the store's one resolver: a measurement
+//!   lookup and a byte-keyed B-tree descent, get-or-create, returning
+//!   the id.
 //! * [`Database::append`] is its one append routine: an index into the
 //!   slab, a generation compare, a push.
 //!
@@ -16,39 +17,49 @@
 //! writer that sees the same series tick after tick (a probe scraping a
 //! pod) keeps the id and skips the resolver.
 //!
-//! The index is *eager*: it lists exactly the live series, so every read
-//! — [`query`](Database::query), the full scan, `stream_window`,
-//! [`snapshot`](Database::snapshot) — walks series in tag-set order as it
-//! always has, and never meets a hole. Ids are generation-checked: a slot
-//! released by retention or [`drop_series_with_first_tag`] bumps its
-//! generation before it is reused, so an id that outlived its series
-//! appends nothing and says so.
+//! # The packed key
+//!
+//! A tag set is not stored as a [`TagSet`]: the index keys a series by
+//! its *packed* tag set, one `Box<[u8]>` holding every tag key and value.
+//! Each string has its `0x00` bytes escaped as `00 FF` and ends with the
+//! terminator `00 01` (Prometheus packs its label sets into one string
+//! the same way). The encoding orders byte-wise exactly as the tag sets
+//! do: where two keys first differ, an escaped `0x00` still sorts below
+//! any other byte, and a string that ends (`00 01`) sorts below any
+//! continuation (a byte ≥ `01`, or `00 FF`), as a shorter string or tag
+//! set does. So every read — [`query`](Database::query), the full scan,
+//! `stream_window`, [`snapshot`](Database::snapshot) — walks series in
+//! tag-set order as it always has, decoding each series' key into one
+//! reused scratch [`TagSet`]. A series name costs two allocations: the
+//! index key and the slot's own copy, which begins with the packed
+//! measurement.
+//!
+//! The index is *eager*: it lists exactly the live series, and never
+//! meets a hole. Ids are generation-checked: a slot released by
+//! retention or [`drop_series_with_first_tag`] bumps its generation
+//! before it is reused, so an id that outlived its series appends nothing
+//! and says so.
 //!
 //! Each slot carries the time of its oldest sample inline, so
 //! [`enforce_retention`] compares one word per series and opens the
-//! sample vector only of a series the cutoff has passed.
+//! sample vector only of a series the cutoff has passed. A series it
+//! empties is unregistered through the key its slot holds — O(log n) per
+//! series emptied, with no walk of the index.
+//! [`drop_series_with_first_tag`] removes a byte-prefix range: the packed
+//! `(key, value)` pair is a prefix of exactly the keys whose first tag it
+//! is.
 //!
 //! [`drop_series_with_first_tag`]: Database::drop_series_with_first_tag
 //! [`enforce_retention`]: Database::enforce_retention
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use des::{SimDuration, SimTime};
 
+use crate::key::{pack_tags, push_field, split_field, unescape, unpack_tags};
 use crate::point::{Point, TagSet};
 use crate::query::{Row, Select, TimeBound};
-
-/// The `[lo, hi)` tag-set range containing exactly the series whose first
-/// tag pair is `(key, value)`: from `{key: value}` (a prefix of every
-/// such tag set, hence ≤ all of them) up to `{key: value + "\0"}` (the
-/// smallest tag set sorting after all of them).
-fn first_tag_range(key: &str, value: &str) -> (TagSet, TagSet) {
-    let lo: TagSet = [(key.to_string(), value.to_string())].into();
-    let mut next = value.to_string();
-    next.push('\0');
-    let hi: TagSet = [(key.to_string(), next)].into();
-    (lo, hi)
-}
 
 /// One series' samples, sorted by time (stable for equal timestamps).
 type Series = Vec<(SimTime, f64)>;
@@ -94,13 +105,25 @@ struct Slot {
     samples: Series,
     /// `samples[0].0` — kept here so retention can tell a series with
     /// nothing to evict without following `samples` to the heap.
-    /// [`SimTime::MAX`] in a free slot (never due); [`SimTime::ZERO`] in
-    /// a live series without samples (due at every retention, which
-    /// unregisters it).
+    /// [`SimTime::MAX`] while `samples` is empty.
     oldest: SimTime,
+    /// The series' name: its packed measurement, then its packed tag set
+    /// (the index key). Empty in a free slot — a packed measurement never
+    /// is.
+    key: Box<[u8]>,
     /// How many series this slot has held before the current one. An id
     /// is live while its generation equals the slot's.
     generation: u32,
+}
+
+impl Slot {
+    /// Whether a retention with this cutoff has work here: samples to
+    /// evict, or a live series with none to keep — one resolved and never
+    /// appended to, which the retention unregisters. Reads only the slot
+    /// itself, not the heap behind it.
+    fn due(&self, cutoff: SimTime) -> bool {
+        self.oldest < cutoff || (self.samples.is_empty() && !self.key.is_empty())
+    }
 }
 
 /// The in-memory time-series database.
@@ -126,12 +149,15 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    /// The ordered index: measurement → tag set → slot number, listing
-    /// exactly the live series.
-    index: BTreeMap<String, BTreeMap<TagSet, u32>>,
+    /// The ordered index: measurement → packed tag set → slot number,
+    /// listing exactly the live series.
+    index: BTreeMap<String, BTreeMap<Box<[u8]>, u32>>,
     slots: Vec<Slot>,
     /// Numbers of the free slots, reused last-released first.
     free: Vec<u32>,
+    /// [`resolve`](Self::resolve)'s scratch: the tag set it looks up,
+    /// packed.
+    packed: Vec<u8>,
     points_inserted: u64,
     points_evicted: u64,
 }
@@ -143,8 +169,8 @@ impl Database {
     }
 
     /// The series `(measurement, tags)`, registered empty on first
-    /// contact (only then are `measurement` and `tags` cloned into owned
-    /// keys). A series still empty at the next
+    /// contact (only then is its packed key allocated; a hit allocates
+    /// nothing). A series still empty at the next
     /// [`enforce_retention`](Self::enforce_retention) is unregistered by
     /// it like any other.
     ///
@@ -170,16 +196,16 @@ impl Database {
             !measurement.is_empty(),
             "measurement name must not be empty"
         );
-        // Lookups instead of `entry`: `entry` would force cloning the
-        // borrowed keys on every call, existing series or not. The miss
-        // arms re-walk the tree, but only on first contact with a
-        // measurement or series.
+        pack_tags(&mut self.packed, tags);
+        // A lookup instead of `entry`: `entry` would force cloning the
+        // borrowed name on every call. The miss arm re-walks the tree,
+        // but only on first contact with a measurement.
         let series_map = if self.index.contains_key(measurement) {
             self.index.get_mut(measurement).expect("checked above")
         } else {
             self.index.entry(measurement.to_string()).or_default()
         };
-        if let Some(&slot) = series_map.get(tags) {
+        if let Some(&slot) = series_map.get(&self.packed[..]) {
             let generation = self.slots[slot as usize].generation;
             return SeriesId { slot, generation };
         }
@@ -190,14 +216,18 @@ impl Database {
                 self.slots.push(Slot {
                     samples: Series::new(),
                     oldest: SimTime::MAX,
+                    key: Box::default(),
                     generation: 0,
                 });
                 slot
             }
         };
-        series_map.insert(tags.clone(), slot);
+        series_map.insert(Box::from(&self.packed[..]), slot);
+        let mut key = Vec::with_capacity(measurement.len() + 2 + self.packed.len());
+        push_field(&mut key, measurement);
+        key.extend_from_slice(&self.packed);
         let held = &mut self.slots[slot as usize];
-        held.oldest = SimTime::ZERO;
+        held.key = key.into_boxed_slice();
         SeriesId {
             slot,
             generation: held.generation,
@@ -223,22 +253,32 @@ impl Database {
         };
         // A delayed sample moves the stamp *back*: the next retention
         // that passes it must find it.
-        if slot.samples.is_empty() || time < slot.oldest {
-            slot.oldest = time;
-        }
+        slot.oldest = slot.oldest.min(time);
         insert_sorted(&mut slot.samples, time, value);
         self.points_inserted += 1;
         true
     }
 
-    /// Unregisters the series in `slot`, whose index entry the caller has
-    /// removed: every id to it goes stale, its samples are freed, the
-    /// slot joins the free list. Returns how many samples it held.
-    fn release(slots: &mut [Slot], free: &mut Vec<u32>, slot: u32) -> usize {
-        let held = &mut slots[slot as usize];
+    /// Unregisters the series in `slot`: its index entry goes (and its
+    /// measurement's, with the last series), every id to it goes stale,
+    /// its key and samples are freed, the slot joins the free list.
+    /// Returns how many samples it held.
+    fn unregister(&mut self, slot: u32) -> usize {
+        let held = &mut self.slots[slot as usize];
+        let key = std::mem::take(&mut held.key);
+        let (measurement, tags) = split_field(&key).expect("a live slot holds its name");
+        let measurement = unescape(measurement);
+        let series_map = self
+            .index
+            .get_mut(measurement.as_ref())
+            .expect("a live series is indexed");
+        series_map.remove(tags);
+        if series_map.is_empty() {
+            self.index.remove(measurement.as_ref());
+        }
         held.generation = held.generation.wrapping_add(1);
         held.oldest = SimTime::MAX;
-        free.push(slot);
+        self.free.push(slot);
         std::mem::take(&mut held.samples).len()
     }
 
@@ -297,26 +337,29 @@ impl Database {
     /// against and as the benchmark baseline; the result is bit-for-bit
     /// identical.
     pub fn query_full_scan(&self, select: &Select, now: SimTime) -> Vec<Row> {
-        let fetch = |measurement: &str| -> Vec<(SimTime, f64, &TagSet)> {
-            let mut samples = Vec::new();
-            for (tags, series) in self.series_of(measurement) {
-                samples.extend(series.iter().map(|&(t, v)| (t, v, tags)));
-            }
-            samples
+        let fetch = |measurement: &str| -> Vec<(TagSet, &[(SimTime, f64)])> {
+            self.series_of(measurement)
+                .map(|(packed, series)| {
+                    let mut tags = TagSet::new();
+                    unpack_tags(packed, &mut tags);
+                    (tags, &series[..])
+                })
+                .collect()
         };
         select.execute_full_scan(&fetch, now)
     }
 
-    /// The series of `measurement` with their samples, in tag-set order.
+    /// The series of `measurement` — packed tag set and samples — in
+    /// tag-set order.
     fn series_of<'a>(
         &'a self,
         measurement: &str,
-    ) -> impl Iterator<Item = (&'a TagSet, &'a Series)> + 'a {
+    ) -> impl Iterator<Item = (&'a [u8], &'a Series)> + 'a {
         self.index
             .get(measurement)
             .into_iter()
             .flatten()
-            .map(|(tags, &slot)| (tags, &self.slots[slot as usize].samples))
+            .map(|(packed, &slot)| (&packed[..], &self.slots[slot as usize].samples))
     }
 
     /// Streams every sample of `measurement` with `lo <= time` (and
@@ -331,9 +374,15 @@ impl Database {
         hi: Option<SimTime>,
         mut emit: impl FnMut(SimTime, f64, &TagSet),
     ) {
-        for (tags, series) in self.series_of(measurement) {
-            for &(time, value) in window(series, lo, hi) {
-                emit(time, value, tags);
+        let mut tags = TagSet::new();
+        for (packed, series) in self.series_of(measurement) {
+            let samples = window(series, lo, hi);
+            if samples.is_empty() {
+                continue;
+            }
+            unpack_tags(packed, &mut tags);
+            for &(time, value) in samples {
+                emit(time, value, &tags);
             }
         }
     }
@@ -344,38 +393,28 @@ impl Database {
     /// InfluxDB runs continuously.
     ///
     /// Costs one comparison per series plus the samples evicted: a series
-    /// whose oldest sample is inside the retention is not opened. Only a
-    /// call that leaves some series empty walks the index to unregister
-    /// them.
+    /// whose oldest sample is inside the retention is not opened. A
+    /// series left empty is unregistered through its slot's key, in
+    /// O(log series).
     pub fn enforce_retention(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let cutoff = TimeBound::SinceNowMinus(keep).resolve(now);
         let mut evicted = 0;
-        let mut emptied = false;
-        for slot in &mut self.slots {
-            if slot.oldest < cutoff || slot.oldest == SimTime::ZERO {
-                // Counted from the front, not bisected: the walk ends one
-                // sample past the last one evicted.
-                let expired = slot.samples.iter().take_while(|&&(t, _)| t < cutoff);
-                let keep_from = expired.count();
-                evicted += slot.samples.drain(..keep_from).count();
-                match slot.samples.first() {
-                    Some(&(first, _)) => slot.oldest = first,
-                    None => emptied = true,
+        for n in 0..self.slots.len() {
+            let slot = &mut self.slots[n];
+            if !slot.due(cutoff) {
+                continue;
+            }
+            // Counted from the front, not bisected: the walk ends one
+            // sample past the last one evicted.
+            let expired = slot.samples.iter().take_while(|&&(t, _)| t < cutoff);
+            let keep_from = expired.count();
+            evicted += slot.samples.drain(..keep_from).count();
+            match slot.samples.first() {
+                Some(&(first, _)) => slot.oldest = first,
+                None => {
+                    self.unregister(n as u32);
                 }
             }
-        }
-        if emptied {
-            let (slots, free) = (&mut self.slots, &mut self.free);
-            for series_map in self.index.values_mut() {
-                series_map.retain(|_, &mut slot| {
-                    let live = !slots[slot as usize].samples.is_empty();
-                    if !live {
-                        Self::release(slots, free, slot);
-                    }
-                    live
-                });
-            }
-            self.index.retain(|_, m| !m.is_empty());
         }
         self.points_evicted += evicted as u64;
         evicted
@@ -390,20 +429,20 @@ impl Database {
     /// call with `("nodename", node)` unregisters exactly that node's
     /// series. A later node reusing the name starts from empty series.
     pub fn drop_series_with_first_tag(&mut self, key: &str, value: &str) -> usize {
-        let (lo, hi) = first_tag_range(key, value);
-        let mut dropped = 0;
-        for series_map in self.index.values_mut() {
-            let doomed: Vec<TagSet> = series_map
-                .range(lo.clone()..hi.clone())
-                .map(|(tags, _)| tags.clone())
-                .collect();
-            for tags in doomed {
-                if let Some(slot) = series_map.remove(&tags) {
-                    dropped += Self::release(&mut self.slots, &mut self.free, slot);
-                }
-            }
-        }
-        self.index.retain(|_, m| !m.is_empty());
+        let mut prefix = Vec::new();
+        push_field(&mut prefix, key);
+        push_field(&mut prefix, value);
+        let doomed: Vec<u32> = self
+            .index
+            .values()
+            .flat_map(|series_map| {
+                series_map
+                    .range::<[u8], _>((Bound::Included(&prefix[..]), Bound::Unbounded))
+                    .take_while(|(packed, _)| packed.starts_with(&prefix))
+                    .map(|(_, &slot)| slot)
+            })
+            .collect();
+        let dropped = doomed.into_iter().map(|slot| self.unregister(slot)).sum();
         self.points_evicted += dropped as u64;
         dropped
     }
@@ -437,11 +476,13 @@ impl Database {
     /// [`crate::wire`] (what a real InfluxDB would flush to disk).
     pub fn snapshot(&self) -> bytes::Bytes {
         let mut points = Vec::with_capacity(self.point_count());
+        let mut tags = TagSet::new();
         for (measurement, series_map) in &self.index {
-            for (tags, &slot) in series_map {
+            for (packed, &slot) in series_map {
+                unpack_tags(packed, &mut tags);
                 for &(time, value) in &self.slots[slot as usize].samples {
                     let mut point = Point::new(measurement.clone(), time, value);
-                    for (k, v) in tags {
+                    for (k, v) in &tags {
                         point = point.with_tag(k.clone(), v.clone());
                     }
                     points.push(point);
@@ -642,6 +683,23 @@ mod tests {
             0
         );
         assert_eq!(db.series_count(), 1);
+    }
+
+    #[test]
+    fn retention_opens_a_series_only_when_it_has_work_there() {
+        let mut db = Database::new();
+        let id = db.resolve("sgx/epc", &pod_tags("a", "n1"));
+        let due = |db: &Database, cutoff: SimTime| db.slots[id.slot as usize].due(cutoff);
+        // Resolved and empty: due at any cutoff, to be unregistered.
+        assert!(due(&db, SimTime::ZERO));
+        // One sample at t = 0: due only once a cutoff passes it.
+        assert!(db.append(id, SimTime::ZERO, 1.0));
+        assert!(!due(&db, SimTime::ZERO));
+        assert!(due(&db, SimTime::from_micros(1)));
+        // A free slot never is.
+        db.enforce_retention(SimTime::from_secs(100), SimDuration::from_secs(10));
+        assert_eq!(db.series_count(), 0);
+        assert!(!due(&db, SimTime::MAX));
     }
 
     #[test]
