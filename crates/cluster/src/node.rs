@@ -142,7 +142,6 @@ pub struct Node {
     epc_requested: EpcPages,
     next_pid: u32,
     cordoned: bool,
-    registered_at: SimTime,
 }
 
 impl Node {
@@ -164,7 +163,6 @@ impl Node {
             epc_requested: EpcPages::ZERO,
             next_pid: 1,
             cordoned: false,
-            registered_at: SimTime::ZERO,
         }
     }
 
@@ -200,18 +198,6 @@ impl Node {
     /// Whether the node is cordoned.
     pub fn is_cordoned(&self) -> bool {
         self.cordoned
-    }
-
-    /// Stamps the instant this node joined the cluster.
-    pub fn set_registered_at(&mut self, at: SimTime) {
-        self.registered_at = at;
-    }
-
-    /// The instant this node joined the cluster: [`SimTime::ZERO`] for a
-    /// node built with it, the join instant for one registered at
-    /// runtime. Nothing sampled before it describes this node.
-    pub fn registered_at(&self) -> SimTime {
-        self.registered_at
     }
 
     /// `true` when the `isgx` module is loaded — what the device plugin

@@ -97,40 +97,98 @@ impl Default for ClusterSpec {
     }
 }
 
-/// A running cluster: the instantiated nodes, keyed (and iterated) by name
-/// so traversal order is deterministic.
+/// The address of one node incarnation in a [`Cluster`]'s slot table.
+///
+/// Removing a node bumps its slot's generation, so a key taken before the
+/// removal fails every lookup afterwards — also once a node of the same
+/// name (or any other) has been registered into the reused slot. State
+/// kept per key beside the cluster can therefore tell a fresh incarnation
+/// from its predecessor without being torn down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeKey {
+    index: u32,
+    generation: u32,
+}
+
+impl NodeKey {
+    /// The slot index: dense, reused after a removal, stable while the
+    /// node is registered.
+    pub fn index(self) -> usize {
+        self.index as usize
+    }
+
+    /// The incarnation of the slot this key addresses.
+    pub fn generation(self) -> u32 {
+        self.generation
+    }
+}
+
+/// One entry of the slot table: the node it holds, if any, and how many
+/// nodes it has held before.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    generation: u32,
+    node: Option<Node>,
+}
+
+/// A running cluster: a table of node slots addressed by [`NodeKey`],
+/// with a name index that every name-taking method goes through once.
+/// Every walk visits nodes in name order, so traversal order is
+/// deterministic and "lowest name first" is iteration order.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    nodes: BTreeMap<NodeName, Node>,
+    slots: Vec<Slot>,
+    /// Slots emptied by a removal, reused last-freed first.
+    free: Vec<u32>,
+    by_name: BTreeMap<NodeName, NodeKey>,
 }
 
 impl Cluster {
     /// Instantiates every node of a spec.
     pub fn build(spec: &ClusterSpec) -> Self {
-        let nodes = spec
-            .members()
-            .iter()
-            .map(|(name, machine, role)| {
-                let name = NodeName::new(name.clone());
-                (name.clone(), Node::new(name, *machine, *role))
-            })
-            .collect();
-        Cluster { nodes }
+        let mut cluster = Cluster {
+            slots: Vec::new(),
+            free: Vec::new(),
+            by_name: BTreeMap::new(),
+        };
+        for (name, machine, role) in spec.members() {
+            cluster
+                .add_node(name.clone(), *machine, *role)
+                .expect("a spec's names are distinct");
+        }
+        cluster
+    }
+
+    /// Every registered node with its key, in name order.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeKey, &Node)> {
+        self.by_name.values().map(|&key| {
+            let node = self.slots[key.index()].node.as_ref();
+            (key, node.expect("an indexed slot holds its node"))
+        })
     }
 
     /// All nodes in name order.
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.values()
+        self.entries().map(|(_, node)| node)
     }
 
     /// All nodes, mutably, in name order.
     pub fn nodes_mut(&mut self) -> impl Iterator<Item = &mut Node> {
-        self.nodes.values_mut()
+        let mut held: Vec<Option<&mut Node>> = self
+            .slots
+            .iter_mut()
+            .map(|slot| slot.node.as_mut())
+            .collect();
+        self.by_name.values().map(move |key| {
+            held[key.index()]
+                .take()
+                .expect("an indexed slot holds its node")
+        })
     }
 
     /// Worker nodes (the master is excluded), in name order.
     pub fn schedulable_nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.values().filter(|n| n.is_schedulable())
+        self.nodes().filter(|n| n.is_schedulable())
     }
 
     /// All worker nodes in name order, **including cordoned ones** — the
@@ -138,9 +196,7 @@ impl Cluster {
     /// flag instead of by omission so filter plugins can reject (and
     /// report on) cordoned nodes explicitly.
     pub fn workers(&self) -> impl Iterator<Item = &Node> {
-        self.nodes
-            .values()
-            .filter(|n| n.role() == crate::node::NodeRole::Worker)
+        self.nodes().filter(|n| n.role() == NodeRole::Worker)
     }
 
     /// SGX-capable worker nodes, in name order.
@@ -148,8 +204,9 @@ impl Cluster {
         self.schedulable_nodes().filter(|n| n.has_sgx())
     }
 
-    /// Registers a node at runtime — the autoscaler's scale-up path.
-    /// Returns the name on success.
+    /// Registers a node at runtime — the autoscaler's scale-up path — in
+    /// the most recently freed slot, or a new one. Returns the name on
+    /// success.
     ///
     /// # Errors
     ///
@@ -162,29 +219,65 @@ impl Cluster {
         role: NodeRole,
     ) -> Result<NodeName, crate::error::ClusterError> {
         let name = NodeName::new(name.into());
-        if self.nodes.contains_key(&name) {
+        if self.by_name.contains_key(&name) {
             return Err(crate::error::ClusterError::NodeAlreadyRegistered(name));
         }
-        self.nodes
-            .insert(name.clone(), Node::new(name.clone(), spec, role));
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot::default());
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots")
+        });
+        let slot = &mut self.slots[index as usize];
+        slot.node = Some(Node::new(name.clone(), spec, role));
+        let key = NodeKey {
+            index,
+            generation: slot.generation,
+        };
+        self.by_name.insert(name.clone(), key);
         Ok(name)
     }
 
     /// Deregisters a node, returning it (with whatever pods it still
     /// hosts) — the autoscaler's scale-down path. `None` when no node of
-    /// that name exists.
+    /// that name exists. Every key of the node fails its lookup from now
+    /// on.
     pub fn remove_node(&mut self, name: &NodeName) -> Option<Node> {
-        self.nodes.remove(name)
+        let key = self.by_name.remove(name)?;
+        let slot = &mut self.slots[key.index()];
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(key.index);
+        slot.node.take()
+    }
+
+    /// The key of the node registered under `name`.
+    pub fn key_of(&self, name: &NodeName) -> Option<NodeKey> {
+        self.by_name.get(name).copied()
+    }
+
+    /// The node `key` addresses; `None` once that incarnation is gone.
+    pub fn get(&self, key: NodeKey) -> Option<&Node> {
+        let slot = self.slots.get(key.index())?;
+        slot.node
+            .as_ref()
+            .filter(|_| slot.generation == key.generation)
+    }
+
+    /// The node `key` addresses, mutably; `None` once that incarnation
+    /// is gone.
+    pub fn get_mut(&mut self, key: NodeKey) -> Option<&mut Node> {
+        let slot = self.slots.get_mut(key.index())?;
+        slot.node
+            .as_mut()
+            .filter(|_| slot.generation == key.generation)
     }
 
     /// Looks a node up by name.
     pub fn node(&self, name: &NodeName) -> Option<&Node> {
-        self.nodes.get(name)
+        self.get(self.key_of(name)?)
     }
 
     /// Looks a node up by name, mutably.
     pub fn node_mut(&mut self, name: &NodeName) -> Option<&mut Node> {
-        self.nodes.get_mut(name)
+        self.get_mut(self.key_of(name)?)
     }
 
     /// Total usable EPC across SGX workers.
@@ -233,6 +326,54 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+    }
+
+    #[test]
+    fn a_key_from_before_a_removal_fails_once_the_slot_is_reused() {
+        let mut cluster = Cluster::build(&ClusterSpec::paper_cluster());
+        let name = NodeName::new("sgx-1");
+        let stale = cluster.key_of(&name).unwrap();
+        assert!(cluster.get(stale).is_some());
+        assert!(cluster.remove_node(&name).is_some());
+        assert!(cluster.get(stale).is_none());
+
+        // Same name, same machine, same (recycled) slot: a new incarnation.
+        cluster
+            .add_node("sgx-1", MachineSpec::sgx_node(), NodeRole::Worker)
+            .unwrap();
+        let fresh = cluster.key_of(&name).unwrap();
+        assert_eq!(fresh.index(), stale.index(), "the freed slot is reused");
+        assert_ne!(fresh, stale);
+        assert!(cluster.get(stale).is_none());
+        assert!(cluster.get_mut(stale).is_none());
+        assert_eq!(cluster.get(fresh).map(Node::name), Some(&name));
+        // The name index and the walks see only the live incarnation.
+        assert_eq!(cluster.nodes().count(), 5);
+        assert_eq!(
+            cluster
+                .entries()
+                .find(|(_, n)| *n.name() == name)
+                .map(|(k, _)| k),
+            Some(fresh)
+        );
+    }
+
+    #[test]
+    fn walks_stay_in_name_order_across_slot_reuse() {
+        let mut cluster = Cluster::build(&ClusterSpec::paper_cluster());
+        cluster.remove_node(&NodeName::new("std-2"));
+        // Lands in std-2's slot, between master and sgx-1 by name.
+        cluster
+            .add_node("a-new", MachineSpec::dell_r330(), NodeRole::Worker)
+            .unwrap();
+        let order = ["a-new", "master", "sgx-1", "sgx-2", "std-1"];
+        let names: Vec<&str> = cluster.nodes().map(|n| n.name().as_str()).collect();
+        assert_eq!(names, order);
+        let names: Vec<String> = cluster
+            .nodes_mut()
+            .map(|n| n.name().as_str().to_string())
+            .collect();
+        assert_eq!(names, order);
     }
 
     #[test]

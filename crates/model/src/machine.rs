@@ -174,7 +174,7 @@ impl Model {
     /// scrape sampled at-or-after the rejoin has been delivered yet.
     /// Only the fixed semantics quarantine; the stale-recovery bug is
     /// precisely its absence.
-    fn quarantined(&self, node: &NodeState) -> bool {
+    fn recovery_pending(&self, node: &NodeState) -> bool {
         !self.config.semantics.stale_recovery
             && node
                 .rejoined_at
@@ -186,7 +186,7 @@ impl Model {
     /// threshold, and quarantined nodes are always degraded.
     pub fn degraded(&self, state: &ModelState, node: NodeId) -> bool {
         let n = &state.nodes[node as usize];
-        if self.quarantined(n) {
+        if self.recovery_pending(n) {
             return true;
         }
         n.last_scrape

@@ -10,7 +10,7 @@ use cluster::api::{NodeName, PodSpec, PodUid};
 use cluster::machine::MachineSpec;
 use cluster::node::{Node, NodeRole, PodStartReport};
 use cluster::probe::{Probe, MEASUREMENT_EPC, MEASUREMENT_MEMORY};
-use cluster::topology::{Cluster, ClusterSpec};
+use cluster::topology::{Cluster, ClusterSpec, NodeKey};
 use cluster::ClusterError;
 use des::rng::{derive_seed, seeded_rng};
 use des::{SimDuration, SimTime};
@@ -23,7 +23,7 @@ use crate::metrics::NodeView;
 use crate::policy::{CordonFilter, EpcFitFilter, SgxCapableFilter};
 use crate::queue::PendingQueue;
 use crate::registry::{PolicyRegistry, SGX_BINPACK};
-use crate::snapshot::{measured_bytes, view_of, ClusterSnapshot, SlotCursor};
+use crate::snapshot::{measured_bytes, view_of, ClusterSnapshot};
 
 /// Tunables of the orchestrator control loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -207,46 +207,24 @@ pub struct Orchestrator {
     /// it to the window it just served.
     rollup: RefCell<WindowRollup>,
     queue: PendingQueue,
-    probes: Vec<Probe>,
-    /// The scrape cache of [`probe_pass`](Orchestrator::probe_pass), one
-    /// map per probe (parallel to `probes`): per node, the pods that
-    /// probe reported last tick, uid-ascending like the node's own pod
-    /// map, each with the series its row went to. It memoises
-    /// `Database::resolve` across ticks and nothing else — an entry is
-    /// `resolve(measurement, {nodename, pod_name})` of its key — so a
-    /// frame delivered through [`ingest_frame`](Orchestrator::ingest_frame)
-    /// in between, which resolves on arrival, lands in the same series.
-    scrape_cache: Vec<BTreeMap<NodeName, Vec<(PodUid, SeriesId)>>>,
+    probes: [Probe; 2],
+    /// The master's half of the node table: one ledger per cluster slot.
+    ledgers: Ledgers,
     /// Scheduler-name → pipeline resolution for every placement the
     /// orchestrator makes (per-pod routing, drains, rebalancing).
     registry: PolicyRegistry,
     config: OrchestratorConfig,
     records: BTreeMap<PodUid, PodRecord>,
     events: EventLog,
-    /// Instant each node's metrics last reached the database (scrape
-    /// *delivery*, not sampling: a frame lost in transit keeps the node
-    /// stale). Absent until the node's first delivered scrape.
-    last_scrape: BTreeMap<NodeName, SimTime>,
-    /// Recovery epoch per node: set when a crashed node rejoins with a
-    /// fresh (empty-state) kubelet, cleared by the first scrape sampled
-    /// at or after it. While present, the node's view is forced
-    /// degraded (requests-only) — whatever the tsdb still holds from
-    /// before the crash describes pods that died with the old kubelet —
-    /// and frames sampled before the epoch are dropped at ingest.
-    recovered_at: BTreeMap<NodeName, SimTime>,
     /// Placement decisions taken while at least one node's view was
     /// degraded by stale metrics.
     degraded_decisions: u64,
-    /// Nodes whose cluster-side state changed since the last frozen
-    /// snapshot (binds, completions, migrations, cordons, failures) —
-    /// the explicit half of the incremental refresh set. Interior
-    /// mutability keeps [`capture_snapshot`](Orchestrator::capture_snapshot)
-    /// a `&self` read, like the rollup.
-    dirty: RefCell<BTreeSet<NodeName>>,
     /// The previous pass's frozen snapshot — the base the next
     /// incremental capture refreshes. Its measured values were derived
     /// at the rollup's floor, so every node the rollup no longer lists
-    /// reads zero in it and keeps reading zero.
+    /// reads zero in it and keeps reading zero. Its slots are the
+    /// cluster's workers in name order: registration and removal
+    /// reshape it as they change the cluster.
     snapshot_cache: RefCell<Option<ClusterSnapshot>>,
     /// Pods successfully bound (started running) over the orchestrator's
     /// lifetime — the numerator of the online-serving pods-bound/sec
@@ -267,15 +245,81 @@ fn window_lo(now: SimTime, span: SimDuration) -> SimTime {
     TimeBound::SinceNowMinus(span).resolve(now)
 }
 
-/// Max-merges a scrape delivery into the freshness ledger — a delayed
-/// frame must not roll freshness backwards. The name is cloned on a
-/// node's first delivery only.
-fn stamp_scrape(ledger: &mut BTreeMap<NodeName, SimTime>, node: &NodeName, scraped_at: SimTime) {
-    match ledger.get_mut(node) {
-        Some(stamp) => *stamp = (*stamp).max(scraped_at),
-        None => {
-            ledger.insert(node.clone(), scraped_at);
+/// What the master keeps about one node incarnation. The default is a
+/// never-seen node.
+#[derive(Debug, Default)]
+struct NodeLedger {
+    /// The generation of the [`NodeKey`] this ledger describes.
+    generation: u32,
+    /// Instant the node joined: zero for a node the orchestrator was
+    /// built with. Nothing sampled before it describes this node.
+    registered_at: SimTime,
+    /// Instant the node's metrics last reached the database (scrape
+    /// *delivery*, not sampling: a frame lost in transit keeps the node
+    /// stale), max-merged so a delayed frame cannot roll it backwards.
+    last_scrape: Option<SimTime>,
+    /// Recovery epoch: set when a crashed node rejoins with a fresh
+    /// (empty-state) kubelet. Until a scrape sampled at or after it is
+    /// delivered, the node's view is forced degraded (requests-only) —
+    /// whatever the tsdb still holds from before the crash describes
+    /// pods that died with the old kubelet — and frames sampled before
+    /// it are dropped at ingest for good.
+    recovered_at: Option<SimTime>,
+    /// The scrape cache of [`probe_pass`](Orchestrator::probe_pass), one
+    /// list per probe: the pods that probe reported last tick,
+    /// uid-ascending like the node's own pod map, each with the series
+    /// its row went to. It memoises `Database::resolve` across ticks and
+    /// nothing else — an entry is `resolve(measurement, {nodename,
+    /// pod_name})` of its key — so a frame delivered through
+    /// [`ingest_frame`](Orchestrator::ingest_frame) in between, which
+    /// resolves on arrival, lands in the same series.
+    scrape_cache: [Vec<(PodUid, SeriesId)>; 2],
+    /// Cluster-side state changed since the last frozen snapshot (a
+    /// bind, completion, migration, cordon or failure) — the explicit
+    /// half of the incremental refresh set. A `Cell`, so that
+    /// [`capture_snapshot`](Orchestrator::capture_snapshot) stays a
+    /// `&self` read while it clears the mark.
+    dirty: Cell<bool>,
+}
+
+impl NodeLedger {
+    /// Whether the node is under recovery quarantine: it rejoined after
+    /// a crash and no scrape sampled since has been delivered.
+    fn recovery_pending(&self) -> bool {
+        self.recovered_at
+            .is_some_and(|epoch| self.last_scrape.is_none_or(|scraped| scraped < epoch))
+    }
+}
+
+/// The ledgers, indexed by [`NodeKey::index`]. A ledger stamped with
+/// another generation than the key asking for it belongs to an earlier
+/// incarnation of the slot, and reads as a never-seen node: a fresh
+/// incarnation inherits nothing, with no teardown to forget.
+#[derive(Debug, Default)]
+struct Ledgers(Vec<NodeLedger>);
+
+impl Ledgers {
+    /// The ledger of `key`'s incarnation, if anything was recorded.
+    fn get(&self, key: NodeKey) -> Option<&NodeLedger> {
+        self.0
+            .get(key.index())
+            .filter(|ledger| ledger.generation == key.generation())
+    }
+
+    /// The ledger of `key`'s incarnation, started afresh when the slot
+    /// is new or holds a predecessor's.
+    fn get_mut(&mut self, key: NodeKey) -> &mut NodeLedger {
+        if key.index() >= self.0.len() {
+            self.0.resize_with(key.index() + 1, NodeLedger::default);
         }
+        let ledger = &mut self.0[key.index()];
+        if ledger.generation != key.generation() {
+            *ledger = NodeLedger {
+                generation: key.generation(),
+                ..NodeLedger::default()
+            };
+        }
+        ledger
     }
 }
 
@@ -299,23 +343,19 @@ fn set_series_tags(tags: &mut TagSet, node: &str, pod: &str) {
 impl Orchestrator {
     /// Builds the cluster from `spec` and wires up the monitoring stack.
     pub fn new(spec: ClusterSpec, config: OrchestratorConfig) -> Self {
-        let probes = Probe::default_pair().to_vec();
         Orchestrator {
             cluster: Cluster::build(&spec),
             db: Database::new(),
             rollup: RefCell::new(WindowRollup::new("nodename", "pod_name")),
             queue: PendingQueue::new(),
-            scrape_cache: vec![BTreeMap::new(); probes.len()],
-            probes,
+            probes: Probe::default_pair(),
+            ledgers: Ledgers::default(),
             registry: PolicyRegistry::builtin(),
             rng: seeded_rng(derive_seed(config.seed, "orchestrator")),
             config,
             records: BTreeMap::new(),
             events: EventLog::with_capacity(100_000),
-            last_scrape: BTreeMap::new(),
-            recovered_at: BTreeMap::new(),
             degraded_decisions: 0,
-            dirty: RefCell::new(BTreeSet::new()),
             snapshot_cache: RefCell::new(None),
             bound_count: 0,
             snapshot_captures: Cell::new(0),
@@ -340,25 +380,48 @@ impl Orchestrator {
 
     /// Mutable access to the cluster (e.g. to toggle driver enforcement).
     ///
-    /// Arbitrary topology edits — node add/remove, capacity changes —
-    /// are only reachable through here, so this drops the incremental
-    /// snapshot base: the next capture re-derives every node.
+    /// Edits made here bypass every per-node mark, so this drops the
+    /// incremental snapshot base: the next capture re-derives every node.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         *self.snapshot_cache.get_mut() = None;
-        self.dirty.get_mut().clear();
         &mut self.cluster
+    }
+
+    /// The key of a registered node, for the name-taking entry points.
+    fn key(&self, name: &NodeName) -> Result<NodeKey, ClusterError> {
+        self.cluster
+            .key_of(name)
+            .ok_or_else(|| ClusterError::UnknownNode(name.clone()))
+    }
+
+    /// A registered node and its key, for the name-taking entry points.
+    fn node_mut(&mut self, name: &NodeName) -> Result<(NodeKey, &mut Node), ClusterError> {
+        let key = self.key(name)?;
+        Ok((
+            key,
+            self.cluster.get_mut(key).expect("a key just looked up"),
+        ))
+    }
+
+    /// The ledger of the node registered under `name`, if it has one.
+    fn ledger_of(&self, name: &NodeName) -> Option<&NodeLedger> {
+        self.ledgers.get(self.cluster.key_of(name)?)
     }
 
     /// Marks a node's frozen view stale: the next snapshot capture
     /// re-derives it instead of reusing the cached one.
-    fn mark_dirty(&self, name: &NodeName) {
-        self.dirty.borrow_mut().insert(name.clone());
+    fn mark_dirty(&mut self, key: NodeKey) {
+        self.ledgers.get_mut(key).dirty.set(true);
     }
 
     /// Nodes currently marked for refresh at the next snapshot capture
     /// (observability for the incremental-maintenance tests).
     pub fn dirty_nodes(&self) -> BTreeSet<NodeName> {
-        self.dirty.borrow().clone()
+        self.cluster
+            .entries()
+            .filter(|&(key, _)| self.ledgers.get(key).is_some_and(|l| l.dirty.get()))
+            .map(|(_, node)| node.name().clone())
+            .collect()
     }
 
     /// Read access to the time-series database.
@@ -481,13 +544,14 @@ impl Orchestrator {
                 continue;
             };
 
-            let node = self
+            let key = self
                 .cluster
-                .node_mut(&node_name)
+                .key_of(&node_name)
                 .expect("view only contains cluster nodes");
+            let node = self.cluster.get_mut(key).expect("a key just looked up");
             match node.run_pod(pending.uid, pending.spec.clone(), now, &mut self.rng) {
                 Ok(report) => {
-                    self.mark_dirty(&node_name);
+                    self.mark_dirty(key);
                     let started_at = now + report.startup_delay;
                     let record = self
                         .records
@@ -520,10 +584,8 @@ impl Orchestrator {
                         );
                         cycle.reserve(&node_name, &pending.spec);
                     }
-                    let slowdown_at_start = self
-                        .cluster
-                        .node(&node_name)
-                        .map_or(1.0, |n| n.current_slowdown());
+                    let slowdown_at_start =
+                        self.cluster.get(key).map_or(1.0, Node::current_slowdown);
                     if view_degraded {
                         self.degraded_decisions += 1;
                     }
@@ -543,7 +605,7 @@ impl Orchestrator {
                     // of the pass and refresh its view before the next
                     // one. The pod stays queued and retries then.
                     cycle.mark_infeasible(&node_name);
-                    self.mark_dirty(&node_name);
+                    self.mark_dirty(key);
                     self.queue.keep(pending);
                 }
             }
@@ -576,14 +638,19 @@ impl Orchestrator {
         // allocates nothing here.
         let mut tags = TagSet::new();
         let mut scraped = Vec::new();
-        for (probe, cache) in self.probes.iter().zip(&mut self.scrape_cache) {
+        for (nth, probe) in self.probes.iter().enumerate() {
             let measurement = probe.measurement();
-            for node in self.cluster.nodes().filter(|node| probe.targets(node)) {
+            for (key, node) in self
+                .cluster
+                .entries()
+                .filter(|(_, node)| probe.targets(node))
+            {
                 let name = node.name();
-                if !cache.contains_key(name) {
-                    cache.insert(name.clone(), Vec::new());
-                }
-                let known = cache.get_mut(name).expect("inserted above");
+                let ledger = self.ledgers.get_mut(key);
+                // Delivered inline, sampled now: the scrape proves the
+                // node's probe alive, idle or not.
+                ledger.last_scrape = ledger.last_scrape.max(Some(now));
+                let known = &mut ledger.scrape_cache[nth];
                 let mut feed = rollup.group_feed(name.as_str(), measurement, now);
                 // Pods come uid-ascending, as `known` is: one cursor.
                 let mut at = 0;
@@ -608,16 +675,7 @@ impl Orchestrator {
                 scraped.clear();
             }
         }
-        self.stamp_all_scrapes(now);
         self.enforce_metrics_retention(now);
-    }
-
-    /// Records a successful same-instant scrape delivery for every node —
-    /// the lossless probe passes deliver all frames inline.
-    fn stamp_all_scrapes(&mut self, now: SimTime) {
-        for node in self.cluster.nodes() {
-            stamp_scrape(&mut self.last_scrape, node.name(), now);
-        }
     }
 
     /// Scrapes every node into per-node wire frames *without* delivering
@@ -652,19 +710,17 @@ impl Orchestrator {
     /// nothing about the node that holds the name now; admitting it would
     /// resurrect their series and phantom occupancy, and stamp freshness.
     pub fn ingest_frame(&mut self, node: &NodeName, batch: &PointBatch, scraped_at: SimTime) {
-        let Some(registered_at) = self.cluster.node(node).map(Node::registered_at) else {
+        let Some(key) = self.cluster.key_of(node) else {
             return;
         };
-        let epoch = self
-            .recovered_at
-            .get(node)
-            .map_or(registered_at, |&e| e.max(registered_at));
-        if scraped_at < epoch {
+        let ledger = self.ledgers.get_mut(key);
+        let epoch = ledger.recovered_at.unwrap_or_default();
+        if scraped_at < ledger.registered_at.max(epoch) {
             return;
         }
+        ledger.last_scrape = ledger.last_scrape.max(Some(scraped_at));
         self.db.insert_batch(batch);
         self.rollup.get_mut().feed(batch);
-        stamp_scrape(&mut self.last_scrape, node, scraped_at);
     }
 
     /// Enforces the database retention window, as the tail of a probe
@@ -687,7 +743,8 @@ impl Orchestrator {
 
     /// Age of a node's last delivered scrape, `None` if never scraped.
     pub fn metrics_age(&self, node: &NodeName, now: SimTime) -> Option<SimDuration> {
-        self.last_scrape.get(node).map(|&t| now.saturating_since(t))
+        let scraped = self.ledger_of(node)?.last_scrape?;
+        Some(now.saturating_since(scraped))
     }
 
     /// Whether a node is under recovery quarantine: it rejoined after a
@@ -695,18 +752,8 @@ impl Orchestrator {
     /// is forced degraded regardless of scrape age. Part of the staleness
     /// rule — exposed so external from-scratch oracles can reproduce it.
     pub fn recovery_pending(&self, node: &NodeName) -> bool {
-        self.recovered_at.get(node).is_some_and(|&epoch| {
-            self.last_scrape
-                .get(node)
-                .is_none_or(|&scraped| scraped < epoch)
-        })
-    }
-
-    /// The nodes currently under recovery quarantine, in name order.
-    fn quarantined(&self) -> impl Iterator<Item = &NodeName> {
-        self.recovered_at
-            .keys()
-            .filter(|name| self.recovery_pending(name))
+        self.ledger_of(node)
+            .is_some_and(NodeLedger::recovery_pending)
     }
 
     /// Placement decisions taken while stale metrics had degraded at
@@ -729,13 +776,17 @@ impl Orchestrator {
         let PodOutcome::Running { node } = record.outcome.clone() else {
             return Err(ClusterError::UnknownPod(uid));
         };
+        let key = self
+            .cluster
+            .key_of(&node)
+            .ok_or_else(|| ClusterError::UnknownNode(node.clone()))?;
         self.cluster
-            .node_mut(&node)
-            .ok_or_else(|| ClusterError::UnknownNode(node.clone()))?
+            .get_mut(key)
+            .expect("a key just looked up")
             .terminate_pod(uid)?;
         record.finished_at = Some(now);
         record.outcome = PodOutcome::Completed { node: node.clone() };
-        self.mark_dirty(&node);
+        self.mark_dirty(key);
         self.events.record(now, EventKind::Completed { uid, node });
         Ok(())
     }
@@ -766,15 +817,16 @@ impl Orchestrator {
         // fallback in that (mis)configuration.
         let incremental = self.config.retention >= window && lo >= self.rollup.borrow().floor();
         let cached = self.snapshot_cache.borrow_mut().take();
-        let snapshot = match cached.filter(|_| incremental) {
-            Some(prev) => self.refresh_snapshot(prev, now, lo),
-            None => {
-                self.dirty.borrow_mut().clear();
-                let mut snapshot = ClusterSnapshot::capture(&self.cluster, &self.db, now, window);
-                snapshot.update(now, |names, views| self.stamp_staleness(names, views, now));
-                snapshot
-            }
+        let (mut snapshot, refresh_at) = match cached.filter(|_| incremental) {
+            Some(prev) => (prev, Some(lo)),
+            None => (
+                ClusterSnapshot::capture(&self.cluster, &self.db, now, window),
+                None,
+            ),
         };
+        snapshot.update(now, |names, views| {
+            self.refresh_views(names, views, now, refresh_at);
+        });
         if incremental {
             // No later capture on this path admits a sample below `lo`.
             self.rollup.borrow_mut().trim(lo);
@@ -783,114 +835,68 @@ impl Orchestrator {
         snapshot
     }
 
-    /// The incremental capture path: advances the cached snapshot to
-    /// `now`, re-deriving only the refresh set — the drained dirty set
-    /// plus every node the rollup lists (its in-window sample set can
-    /// gain or lose samples as the window slides; a node it does not
-    /// list measured empty at the previous capture and still does).
-    /// Staleness is re-stamped on every scraped node — ages move with
-    /// `now`.
-    fn refresh_snapshot(
+    /// Brings a snapshot's views up to `now` in one name-ordered walk over
+    /// the cluster's nodes, which clears every dirty mark on the way.
+    ///
+    /// With `refresh_at` — the window's lower bound on the incremental
+    /// path — it first re-derives the refresh set: every worker marked
+    /// dirty, and every one the rollup lists (its in-window sample set
+    /// can gain or lose samples as the window slides; a node it does not
+    /// list measured empty at the previous capture and still does),
+    /// measured usage read off the rollup. The rollup's groups are
+    /// name-ordered too, so that is a merge, and no name is cloned.
+    ///
+    /// Then every worker is stamped with the staleness rule of
+    /// [`metrics_age`](Self::metrics_age) and
+    /// [`recovery_pending`](Self::recovery_pending): degraded once its
+    /// last delivered scrape is strictly older than the threshold (a
+    /// never-scraped node stays fresh), or while under recovery
+    /// quarantine however fresh its pre-crash stamp still looks — nothing
+    /// delivered since the kubelet rebooted, so measured usage is hearsay
+    /// about pods that died with the crash. The epoch persists past the
+    /// lifting scrape on purpose: clearing it would make frame delivery
+    /// order-sensitive (a post-recovery frame clearing it would re-admit
+    /// a later-arriving pre-crash frame).
+    fn refresh_views(
         &self,
-        mut snapshot: ClusterSnapshot,
+        names: &[NodeName],
+        views: &mut [NodeView],
         now: SimTime,
-        lo: SimTime,
-    ) -> ClusterSnapshot {
+        refresh_at: Option<SimTime>,
+    ) {
+        let threshold = self.config.staleness_threshold;
         let rollup = self.rollup.borrow();
-        let derive = |node: &Node| {
-            let measured = |measurement| {
-                measured_bytes(rollup.sum_of_max(node.name().as_str(), measurement, lo))
-            };
-            view_of(
-                node,
-                measured(MEASUREMENT_MEMORY),
-                measured(MEASUREMENT_EPC),
-            )
-        };
-        let dirty = std::mem::take(&mut *self.dirty.borrow_mut());
-        // Two ascending runs, merged by the stable sort; no name is cloned
-        // to decide what to refresh. Of a name in both, the dirty entry
-        // (which carries the `NodeName`) sorts first and survives.
-        let mut refresh: Vec<(&str, Option<&NodeName>)> = dirty
-            .iter()
-            .map(|name| (name.as_str(), Some(name)))
-            .chain(rollup.groups().map(|group| (group, None)))
-            .collect();
-        refresh.sort_by_key(|&(name, dirty)| (name, dirty.is_none()));
-        refresh.dedup_by_key(|&mut (name, _)| name);
-
-        // The dirty half is also how runtime node lifecycle reaches the
-        // cached snapshot: a node deregistered since the last capture
-        // has a dirty mark but no cluster entry (drop its slot); a
-        // freshly registered one has a dirty mark but no slot (derive
-        // one). Treating either as "skip" would freeze the topology of
-        // the first capture into every later snapshot. A rollup group
-        // without a slot is no worker — frames of a node that left, or
-        // never was one.
-        let mut removed: Vec<usize> = Vec::new();
-        let mut added: Vec<(NodeName, NodeView)> = Vec::new();
-        snapshot.update(now, |names, views| {
-            let mut slots = SlotCursor::new(names);
-            for (name, dirty) in refresh {
-                match (slots.find(name), dirty) {
-                    (Some(slot), _) => match self.cluster.node(&names[slot]) {
-                        Some(node) => views[slot] = derive(node),
-                        None => removed.push(slot),
-                    },
-                    (None, Some(name)) => {
-                        // Snapshots only ever hold workers.
-                        if let Some(node) = self
-                            .cluster
-                            .node(name)
-                            .filter(|node| node.role() == NodeRole::Worker)
-                        {
-                            added.push((name.clone(), derive(node)));
-                        }
-                    }
-                    (None, None) => {}
+        let mut listed = rollup.groups().peekable();
+        let mut slot = 0;
+        for (key, node) in self.cluster.entries() {
+            let ledger = self.ledgers.get(key);
+            let dirty = ledger.is_some_and(|l| l.dirty.take());
+            if node.role() != NodeRole::Worker {
+                continue;
+            }
+            let name = node.name().as_str();
+            debug_assert_eq!(names[slot].as_str(), name, "snapshot slots are the workers");
+            let view = &mut views[slot];
+            slot += 1;
+            if let Some(lo) = refresh_at {
+                while listed.next_if(|&group| group < name).is_some() {}
+                if listed.next_if_eq(&name).is_some() || dirty {
+                    let measured = |m| measured_bytes(rollup.sum_of_max(name, m, lo));
+                    *view = view_of(
+                        node,
+                        measured(MEASUREMENT_MEMORY),
+                        measured(MEASUREMENT_EPC),
+                    );
                 }
             }
-        });
-        snapshot.reshape(&removed, added);
-        snapshot.update(now, |names, views| self.stamp_staleness(names, views, now));
-        snapshot
-    }
-
-    /// Stamps metrics ages and degraded flags onto a snapshot's slots —
-    /// the staleness rule of [`metrics_age`](Self::metrics_age) and
-    /// [`recovery_pending`](Self::recovery_pending), applied ledger
-    /// first: a node is degraded once its last delivered scrape is
-    /// strictly older than the configured threshold; never-scraped nodes
-    /// stay fresh. Walks the scrape ledger, not the slots: a node with
-    /// no recorded scrape reads `metrics_age: None, degraded: false` —
-    /// exactly what fresh view construction and the refresh reset leave
-    /// behind — so only scraped nodes ever need their stamps rewritten.
-    /// The ledger and the slots are both name-ordered, so with every
-    /// node scraped this is a merge walk (one comparison per node), and
-    /// with few scraped it costs O(scraped · log nodes), not O(nodes).
-    fn stamp_staleness(&self, names: &[NodeName], views: &mut [NodeView], now: SimTime) {
-        let threshold = self.config.staleness_threshold;
-        let mut slots = SlotCursor::new(names);
-        for (name, &scraped_at) in &self.last_scrape {
-            let Some(slot) = slots.find(name.as_str()) else {
-                continue;
-            };
-            let age = now.saturating_since(scraped_at);
-            views[slot].metrics_age = Some(age);
-            views[slot].degraded = age > threshold;
+            let age = ledger
+                .and_then(|l| l.last_scrape)
+                .map(|scraped| now.saturating_since(scraped));
+            view.metrics_age = age;
+            view.degraded = age.is_some_and(|age| age > threshold)
+                || ledger.is_some_and(NodeLedger::recovery_pending);
         }
-        // A node under recovery quarantine is degraded regardless of how
-        // fresh its pre-crash scrape stamp still looks: nothing delivered
-        // since the kubelet rebooted, so measured usage is hearsay about
-        // pods that died with the crash. The epoch entry persists past
-        // the lifting scrape on purpose — clearing it would make frame
-        // delivery order-sensitive (a post-recovery frame clearing the
-        // entry would re-admit a later-arriving pre-crash frame).
-        for name in self.quarantined() {
-            if let Some(slot) = slots.find(name.as_str()) {
-                views[slot].degraded = true;
-            }
-        }
+        debug_assert_eq!(slot, views.len(), "snapshot slots are the workers");
     }
 
     /// Size and work counters of the Listing-1 rollup incremental
@@ -1020,46 +1026,33 @@ impl Orchestrator {
         let PodOutcome::Running { node: source } = record.outcome.clone() else {
             return Err(ClusterError::UnknownPod(uid));
         };
-        if self.cluster.node(target).is_none() {
-            return Err(ClusterError::UnknownNode(target.clone()));
-        }
+        let to = self.key(target)?;
         if &source == target {
             return Ok(SimDuration::ZERO);
         }
+        let from = self.key(&source)?;
 
         // Key agreement over the attested channel between the two CPUs.
-        let source_platform = self
-            .cluster
-            .node(&source)
-            .and_then(cluster::node::Node::platform)
-            .unwrap_or(0);
-        let target_platform = self
-            .cluster
-            .node(target)
-            .and_then(cluster::node::Node::platform)
-            .unwrap_or(0);
-        let key = sgx_sim::migration::MigrationKey::derive(
-            source_platform,
-            target_platform,
-            uid.as_u64(),
-        );
+        let platform = |key| self.cluster.get(key).and_then(Node::platform).unwrap_or(0);
+        let key =
+            sgx_sim::migration::MigrationKey::derive(platform(from), platform(to), uid.as_u64());
 
         let (spec, checkpoint) = self
             .cluster
-            .node_mut(&source)
-            .ok_or_else(|| ClusterError::UnknownNode(source.clone()))?
+            .get_mut(from)
+            .expect("looked up above")
             .migrate_out(uid, key)?;
 
         let attempt = self
             .cluster
-            .node_mut(target)
-            .expect("checked above")
+            .get_mut(to)
+            .expect("looked up above")
             .migrate_in(uid, spec.clone(), checkpoint, key, now);
         // Either way the source's occupancy churned (migrate-out, and on
         // refusal the restore); the target only changes on success, but
         // a spurious refresh is cheap and a missed one is a stale view.
-        self.mark_dirty(&source);
-        self.mark_dirty(target);
+        self.mark_dirty(from);
+        self.mark_dirty(to);
         match attempt {
             Ok(delay) => {
                 self.records.get_mut(&uid).expect("record exists").outcome = PodOutcome::Running {
@@ -1079,7 +1072,7 @@ impl Orchestrator {
                 // Roll back: the source just freed this capacity, so the
                 // pod always fits back where it came from.
                 self.cluster
-                    .node_mut(&source)
+                    .get_mut(from)
                     .expect("source exists")
                     .migrate_in(uid, spec, refusal.checkpoint, key, now)
                     .expect("the source node must re-admit its own pod");
@@ -1101,24 +1094,30 @@ impl Orchestrator {
     pub fn fail_node(
         &mut self,
         name: &NodeName,
-        _now: SimTime,
+        now: SimTime,
     ) -> Result<Vec<PodUid>, ClusterError> {
-        let victims: Vec<PodUid> = {
-            let node = self
-                .cluster
-                .node_mut(name)
-                .ok_or_else(|| ClusterError::UnknownNode(name.clone()))?;
-            node.set_cordoned(true);
-            node.pods().keys().copied().collect()
-        };
-        self.mark_dirty(name);
+        let (key, node) = self.node_mut(name)?;
+        node.set_cordoned(true);
+        self.mark_dirty(key);
+        let victims = self.evict(key);
+        self.events.record(
+            now,
+            EventKind::NodeFailed {
+                node: name.clone(),
+                pods: victims.len(),
+            },
+        );
+        Ok(victims)
+    }
+
+    /// Terminates every pod on a node and requeues each at its original
+    /// submission time — what a controller recreating the pods a crash or
+    /// a removal killed does. Returns the evicted uids, ascending.
+    fn evict(&mut self, key: NodeKey) -> Vec<PodUid> {
+        let node = self.cluster.get_mut(key).expect("evicting a live node");
+        let victims: Vec<PodUid> = node.pods().keys().copied().collect();
         for &uid in &victims {
-            let pod = self
-                .cluster
-                .node_mut(name)
-                .expect("checked above")
-                .terminate_pod(uid)
-                .expect("listed above");
+            let pod = node.terminate_pod(uid).expect("listed above");
             let record = self
                 .records
                 .get_mut(&uid)
@@ -1128,14 +1127,7 @@ impl Orchestrator {
             record.finished_at = None;
             self.queue.enqueue(uid, pod.spec, record.submitted_at);
         }
-        self.events.record(
-            _now,
-            EventKind::NodeFailed {
-                node: name.clone(),
-                pods: victims.len(),
-            },
-        );
-        Ok(victims)
+        victims
     }
 
     /// Brings a crashed node back: a fresh Kubelet registers with empty
@@ -1154,7 +1146,8 @@ impl Orchestrator {
     /// Returns [`ClusterError::UnknownNode`] for unknown nodes.
     pub fn recover_node(&mut self, name: &NodeName, now: SimTime) -> Result<(), ClusterError> {
         self.uncordon_node(name, now)?;
-        self.recovered_at.insert(name.clone(), now);
+        let key = self.key(name)?;
+        self.ledgers.get_mut(key).recovered_at = Some(now);
         Ok(())
     }
 
@@ -1172,24 +1165,16 @@ impl Orchestrator {
         name: &NodeName,
         now: SimTime,
     ) -> Result<Vec<Migration>, ClusterError> {
-        {
-            let node = self
-                .cluster
-                .node_mut(name)
-                .ok_or_else(|| ClusterError::UnknownNode(name.clone()))?;
-            node.set_cordoned(true);
-        }
-        self.mark_dirty(name);
-        self.events
-            .record(now, EventKind::NodeCordoned { node: name.clone() });
-        let pods: Vec<(PodUid, cluster::api::PodSpec)> = self
-            .cluster
-            .node(name)
-            .expect("checked above")
+        let (key, node) = self.node_mut(name)?;
+        node.set_cordoned(true);
+        let pods: Vec<(PodUid, PodSpec)> = node
             .pods()
             .values()
             .map(|p| (p.uid, p.spec.clone()))
             .collect();
+        self.mark_dirty(key);
+        self.events
+            .record(now, EventKind::NodeCordoned { node: name.clone() });
 
         let pipeline = self
             .registry
@@ -1233,20 +1218,13 @@ impl Orchestrator {
     /// Registers a new worker node at runtime — the autoscaler's
     /// scale-up path (a kubelet joining the cluster).
     ///
-    /// The name starts from a clean slate even if a previous node carried
-    /// it: any leftover scrape stamp, recovery epoch, scrape-cache list,
-    /// rollup window or stored probe series from the old incarnation is
-    /// torn down first,
-    /// so the reused name schedules as a fresh, never-degraded node
-    /// instead of inheriting the predecessor's staleness or quarantine.
-    /// The node is stamped with `now` as its registration instant, so a
-    /// frame the predecessor was sampled into and delivered later is void
-    /// at [`ingest_frame`](Self::ingest_frame).
-    /// (Deregistration via [`remove_node`](Self::remove_node) already
-    /// tears these down; this guards names retired through direct
-    /// [`cluster_mut`](Self::cluster_mut) edits too.) The cached
-    /// incremental snapshot gains exactly this node's entry at the next
-    /// capture — no full invalidation.
+    /// The node gets a fresh key, so nothing a previous holder of the name
+    /// left in the node table reaches it, and `now` is its registration
+    /// instant: a frame sampled before it is void at
+    /// [`ingest_frame`](Self::ingest_frame). Whatever the tsdb and the
+    /// rollup still hold under the name is dropped (a name retired through
+    /// [`cluster_mut`](Self::cluster_mut) left it there). The cached
+    /// incremental snapshot gains the node's slot — no full invalidation.
     ///
     /// # Errors
     ///
@@ -1259,30 +1237,31 @@ impl Orchestrator {
         now: SimTime,
     ) -> Result<NodeName, ClusterError> {
         let name = self.cluster.add_node(name, spec, NodeRole::Worker)?;
-        self.cluster
-            .node_mut(&name)
-            .expect("just registered")
-            .set_registered_at(now);
-        self.forget_node(&name);
-        self.mark_dirty(&name);
+        let key = self.cluster.key_of(&name).expect("just registered");
+        self.ledgers.get_mut(key).registered_at = now;
+        self.drop_metrics(&name);
+        if let Some(snapshot) = self.snapshot_cache.get_mut() {
+            let node = self.cluster.get(key).expect("just registered");
+            let view = view_of(node, ByteSize::ZERO, ByteSize::ZERO);
+            snapshot.reshape(&[], vec![(name.clone(), view)]);
+        }
         self.events
             .record(now, EventKind::NodeAdded { node: name.clone() });
         Ok(name)
     }
 
     /// Deregisters a node — the autoscaler's scale-down path: drain,
-    /// then evict, then tear down.
+    /// then evict, then deregister.
     ///
     /// The node is first drained ([`drain_node`](Self::drain_node)):
     /// cordoned and every pod the binpack pipeline can place elsewhere
     /// live-migrated. Pods with no feasible target anywhere are then
     /// evicted back to the pending queue at their original submit times
     /// (the controller-recreates semantics node failure uses), so no pod
-    /// is ever lost to a removal. Finally every per-node ledger is torn
-    /// down — scrape stamp, recovery epoch, scrape-cache list, rollup
-    /// window, the cached snapshot entry (dropped by the next incremental
-    /// capture, no full invalidation) and the node's stored tsdb probe
-    /// series.
+    /// is ever lost to a removal. Deregistering retires the node's key,
+    /// and with it everything the node table held for it; the node's
+    /// tsdb series and rollup window are dropped, and its slot leaves the
+    /// cached snapshot.
     ///
     /// # Errors
     ///
@@ -1293,45 +1272,20 @@ impl Orchestrator {
         name: &NodeName,
         now: SimTime,
     ) -> Result<NodeRemoval, ClusterError> {
-        {
-            let node = self
-                .cluster
-                .node(name)
-                .ok_or_else(|| ClusterError::UnknownNode(name.clone()))?;
-            if node.role() != NodeRole::Worker {
-                return Err(ClusterError::NodeUnschedulable(name.clone()));
-            }
+        let (key, node) = self.node_mut(name)?;
+        if node.role() != NodeRole::Worker {
+            return Err(ClusterError::NodeUnschedulable(name.clone()));
         }
         let migrations = self.drain_node(name, now)?;
-        let requeued: Vec<PodUid> = self
-            .cluster
-            .node(name)
-            .expect("checked above")
-            .pods()
-            .keys()
-            .copied()
-            .collect();
-        for &uid in &requeued {
-            let pod = self
-                .cluster
-                .node_mut(name)
-                .expect("checked above")
-                .terminate_pod(uid)
-                .expect("listed above");
-            let record = self
-                .records
-                .get_mut(&uid)
-                .expect("running pods have records");
-            record.outcome = PodOutcome::Pending;
-            record.started_at = None;
-            record.finished_at = None;
-            self.queue.enqueue(uid, pod.spec, record.submitted_at);
-        }
+        let requeued = self.evict(key);
         self.cluster.remove_node(name);
-        self.forget_node(name);
-        // The dirty mark outlives the node: the incremental refresh sees
-        // a dirty name with no cluster entry and drops the cached view.
-        self.mark_dirty(name);
+        self.drop_metrics(name);
+        if let Some(snapshot) = self.snapshot_cache.get_mut() {
+            let slot = snapshot
+                .slot_of(name)
+                .expect("cached slots are the workers");
+            snapshot.reshape(&[slot], Vec::new());
+        }
         self.events.record(
             now,
             EventKind::NodeRemoved {
@@ -1345,16 +1299,10 @@ impl Orchestrator {
         })
     }
 
-    /// Tears down every per-node ledger entry — scrape stamp, recovery
-    /// epoch, scrape cache — plus the node's rollup window and stored
-    /// probe series; shared by deregistration and by registration's
-    /// name-reuse guard.
-    fn forget_node(&mut self, name: &NodeName) {
-        self.last_scrape.remove(name);
-        self.recovered_at.remove(name);
-        for cache in &mut self.scrape_cache {
-            cache.remove(name);
-        }
+    /// Drops the node's tsdb probe series and rollup window — the one
+    /// teardown keyed by name, because the store and the rollup keep the
+    /// name as their boundary.
+    fn drop_metrics(&mut self, name: &NodeName) {
         self.rollup.get_mut().forget(name.as_str());
         self.db
             .drop_series_with_first_tag("nodename", name.as_str());
@@ -1366,11 +1314,9 @@ impl Orchestrator {
     ///
     /// Returns [`ClusterError::UnknownNode`] for unknown nodes.
     pub fn uncordon_node(&mut self, name: &NodeName, now: SimTime) -> Result<(), ClusterError> {
-        self.cluster
-            .node_mut(name)
-            .ok_or_else(|| ClusterError::UnknownNode(name.clone()))?
-            .set_cordoned(false);
-        self.mark_dirty(name);
+        let (key, node) = self.node_mut(name)?;
+        node.set_cordoned(false);
+        self.mark_dirty(key);
         self.events
             .record(now, EventKind::NodeUncordoned { node: name.clone() });
         Ok(())
@@ -1710,13 +1656,15 @@ mod tests {
                 orch.probe_pass(now);
             }
             let cached = orch.capture_snapshot(now);
-            let mut direct = ClusterSnapshot::capture(
+            let direct = ClusterSnapshot::capture(
                 orch.cluster(),
                 orch.db(),
                 now,
                 orch.config().metrics_window,
-            );
-            direct.update(now, |names, views| orch.stamp_staleness(names, views, now));
+            )
+            .with_staleness(orch.config().staleness_threshold, |name| {
+                orch.metrics_age(name, now)
+            });
             assert_eq!(cached, direct, "diverged at {now}");
         }
         assert!(orch.window_rollup_stats().samples_folded > 0);
@@ -1954,6 +1902,13 @@ mod tests {
         assert_eq!(orch.epc_imbalance(), before);
     }
 
+    /// Delivers an empty frame from `name`, sampled at `at`: it proves
+    /// the node's probes alive and carries nothing else.
+    fn heartbeat(orch: &mut Orchestrator, name: &str, at: SimTime) {
+        let batch = PointBatch::new(MEASUREMENT_MEMORY, "pod_name", at);
+        orch.ingest_frame(&NodeName::new(name), &batch, at);
+    }
+
     #[test]
     fn silenced_probes_degrade_the_node_view() {
         let mut orch = orchestrator();
@@ -1970,8 +1925,7 @@ mod tests {
         // sgx-1's probes go silent while every other node keeps
         // reporting; by t=100 its last scrape is 90 s old.
         for name in ["sgx-2", "std-1", "std-2"] {
-            orch.last_scrape
-                .insert(NodeName::new(name), SimTime::from_secs(95));
+            heartbeat(&mut orch, name, SimTime::from_secs(95));
         }
         let view = orch.capture_snapshot(SimTime::from_secs(100));
         let sgx1 = view.node(&NodeName::new("sgx-1")).unwrap();
@@ -1990,8 +1944,7 @@ mod tests {
         orch.probe_pass(SimTime::from_secs(10));
         // sgx-1 goes silent; the rest keep scraping.
         for name in ["sgx-2", "std-1", "std-2"] {
-            orch.last_scrape
-                .insert(NodeName::new(name), SimTime::from_secs(100));
+            heartbeat(&mut orch, name, SimTime::from_secs(100));
         }
         let uid = orch.submit(sgx_spec("late", 10), SimTime::from_secs(100));
         assert_eq!(orch.degraded_decisions(), 0);
@@ -2114,7 +2067,9 @@ mod tests {
                     orch.remove_node(&name, now).unwrap();
                     orch.add_node(WORKERS[nth], spec, now).unwrap();
                     // A fresh incarnation inherits nothing.
-                    assert!(orch.scrape_cache.iter().all(|c| !c.contains_key(&name)));
+                    let key = orch.cluster.key_of(&name).unwrap();
+                    let ledger = orch.ledgers.get(key);
+                    assert!(ledger.is_none_or(|l| l.scrape_cache.iter().all(Vec::is_empty)));
                     assert_eq!(orch.metrics_age(&name, now), None);
                 }
                 TickOp::Drain(nth) => {
@@ -2159,18 +2114,33 @@ mod tests {
                     "step {}", index
                 );
                 // Every node got a frame, idle or not.
-                prop_assert_eq!(&direct.last_scrape, &framed.last_scrape, "step {}", index);
+                for node in direct.cluster.nodes() {
+                    let name = node.name();
+                    prop_assert_eq!(
+                        direct.metrics_age(name, now),
+                        framed.metrics_age(name, now),
+                        "step {}", index
+                    );
+                    prop_assert_eq!(
+                        direct.recovery_pending(name),
+                        framed.recovery_pending(name),
+                        "step {}", index
+                    );
+                }
                 prop_assert_eq!(
                     direct.capture_snapshot(now),
                     framed.capture_snapshot(now),
                     "step {}", index
                 );
-                // The cache is uid-ascending and names registered nodes
-                // its probe targets, nothing else.
-                for (probe, cache) in direct.probes.iter().zip(&direct.scrape_cache) {
-                    for (name, known) in cache {
+                // The cache is uid-ascending and lists pods only where
+                // its probe targets the node.
+                for (key, node) in direct.cluster.entries() {
+                    let Some(ledger) = direct.ledgers.get(key) else {
+                        continue;
+                    };
+                    for (probe, known) in direct.probes.iter().zip(&ledger.scrape_cache) {
                         prop_assert!(known.windows(2).all(|w| w[0].0 < w[1].0));
-                        prop_assert!(direct.cluster.node(name).is_some_and(|n| probe.targets(n)));
+                        prop_assert!(known.is_empty() || probe.targets(node));
                     }
                 }
             }
@@ -2507,10 +2477,9 @@ mod tests {
         };
 
         orch.remove_node(&home, SimTime::from_secs(20)).unwrap();
-        // Delivered while no node holds the name: nothing lands, and no
-        // freshness stamp is left behind for ever.
+        // Delivered while no node holds the name: nothing lands.
         deliver(&mut orch);
-        assert!(!orch.last_scrape.contains_key(&home));
+        assert_eq!(orch.db().series_count(), 0);
 
         orch.add_node(
             home.as_str(),
@@ -2558,5 +2527,159 @@ mod tests {
         let shrunk = orch.capture_snapshot(SimTime::from_secs(5));
         assert!(shrunk.node(&NodeName::new("extra")).is_none());
         assert_eq!(shrunk.len(), 4);
+    }
+
+    /// One step of the node-table property below, all on the one name it
+    /// follows.
+    #[derive(Debug, Clone)]
+    enum Life {
+        /// Submit an SGX pod of this many MiB and run a pass.
+        Bind(u64),
+        /// A lossless probe tick.
+        Scrape,
+        /// Crash the followed node, if registered.
+        Crash,
+        /// Bring it back, if registered.
+        Recover,
+        /// Scrape its frames and hold them back.
+        Stash,
+        /// Deliver every held-back frame.
+        Deliver,
+        /// Deregister it, if registered.
+        Remove,
+        /// Register it again, if not.
+        Readd,
+        /// Let this many seconds pass.
+        Idle(u64),
+    }
+
+    fn lives() -> impl Strategy<Value = Vec<Life>> {
+        prop::collection::vec(
+            prop_oneof![
+                (1u64..40).prop_map(Life::Bind),
+                Just(Life::Scrape),
+                Just(Life::Scrape),
+                Just(Life::Crash),
+                Just(Life::Recover),
+                Just(Life::Stash),
+                Just(Life::Deliver),
+                Just(Life::Remove),
+                Just(Life::Readd),
+                (1u64..60).prop_map(Life::Idle),
+            ],
+            1..40,
+        )
+    }
+
+    /// The rows of every series tagged `nodename = name`, per measurement:
+    /// each pod's sample count.
+    fn series_of(orch: &Orchestrator, name: &NodeName, now: SimTime) -> Vec<(TagSet, f64)> {
+        [MEASUREMENT_MEMORY, MEASUREMENT_EPC]
+            .into_iter()
+            .flat_map(|measurement| {
+                let select = tsdb::Select::from_measurement(measurement)
+                    .aggregate(tsdb::Aggregate::Count)
+                    .filter(tsdb::Predicate::TagEq(
+                        "nodename".to_string(),
+                        name.as_str().to_string(),
+                    ))
+                    .group_by(["pod_name"]);
+                orch.db().query(&select, now)
+            })
+            .map(|row| (row.tags, row.value))
+            .collect()
+    }
+
+    /// Holds two nodes equal on everything the master keeps per node:
+    /// scrape age, quarantine, stored series, rollup window and view.
+    fn alike(
+        orch: &Orchestrator,
+        a: &NodeName,
+        b: &NodeName,
+        now: SimTime,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(orch.metrics_age(a, now), orch.metrics_age(b, now));
+        prop_assert_eq!(orch.recovery_pending(a), orch.recovery_pending(b));
+        prop_assert_eq!(series_of(orch, a, now), series_of(orch, b, now));
+        {
+            let rollup = orch.rollup.borrow();
+            let window = |name: &NodeName| {
+                let listed = rollup.groups().any(|group| group == name.as_str());
+                let sum = |m| rollup.sum_of_max(name.as_str(), m, rollup.floor());
+                (listed, sum(MEASUREMENT_MEMORY), sum(MEASUREMENT_EPC))
+            };
+            prop_assert_eq!(window(a), window(b));
+        }
+        let snapshot = orch.capture_snapshot(now);
+        prop_assert_eq!(snapshot.node(a), snapshot.node(b));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A fresh incarnation inherits nothing: whatever one name lived
+        /// through — scrapes, crashes and recoveries, removals and
+        /// re-registrations, frames held back across all of them — the
+        /// node registered under it last is indistinguishable from a
+        /// never-seen node registered at the same instant, before and
+        /// after the old frames arrive, and through the next tick.
+        #[test]
+        fn node_table_fresh_incarnation_inherits_nothing(ops in lives()) {
+            let mut orch = orchestrator();
+            let name = NodeName::new("sgx-1");
+            let mut stash: Vec<(NodeName, PointBatch, SimTime)> = Vec::new();
+            let mut now = SimTime::from_secs(1);
+            for op in &ops {
+                now += SimDuration::from_secs(5);
+                let registered = orch.cluster().node(&name).is_some();
+                match *op {
+                    Life::Bind(mib) => {
+                        orch.submit(sgx_spec("p", mib), now);
+                        orch.scheduler_pass(now);
+                    }
+                    Life::Scrape => orch.probe_pass(now),
+                    Life::Crash if registered => {
+                        orch.fail_node(&name, now).unwrap();
+                    }
+                    Life::Recover if registered => orch.recover_node(&name, now).unwrap(),
+                    Life::Stash => stash.extend(
+                        orch.scrape_frames(now)
+                            .into_iter()
+                            .filter(|(node, _)| *node == name)
+                            .map(|(node, batch)| (node, batch, now)),
+                    ),
+                    Life::Deliver => {
+                        for (node, batch, sampled_at) in stash.drain(..) {
+                            orch.ingest_frame(&node, &batch, sampled_at);
+                        }
+                    }
+                    Life::Remove if registered => {
+                        orch.remove_node(&name, now).unwrap();
+                    }
+                    Life::Readd if !registered => {
+                        orch.add_node("sgx-1", MachineSpec::sgx_node(), now).unwrap();
+                    }
+                    Life::Idle(secs) => now += SimDuration::from_secs(secs),
+                    _ => {}
+                }
+            }
+
+            now += SimDuration::from_secs(5);
+            if orch.cluster().node(&name).is_some() {
+                orch.remove_node(&name, now).unwrap();
+            }
+            now += SimDuration::from_secs(5);
+            orch.add_node("sgx-1", MachineSpec::sgx_node(), now).unwrap();
+            let never_seen = orch.add_node("sgx-never-seen", MachineSpec::sgx_node(), now).unwrap();
+            alike(&orch, &name, &never_seen, now)?;
+            for (node, batch, sampled_at) in stash.drain(..) {
+                orch.ingest_frame(&node, &batch, sampled_at);
+            }
+            alike(&orch, &name, &never_seen, now)?;
+            now += SimDuration::from_secs(5);
+            orch.probe_pass(now);
+            alike(&orch, &name, &never_seen, now)?;
+        }
     }
 }

@@ -130,35 +130,6 @@ pub(crate) fn measured_bytes(sum: f64) -> ByteSize {
     ByteSize::from_bytes(sum.max(0.0) as u64)
 }
 
-/// Finds the slots of names asked for in (mostly) ascending order, as a
-/// walk over any name-ordered ledger asks: the slot after the previous
-/// hit is tried first. A ledger that covers every node therefore costs
-/// one comparison per entry — a merge walk — and a sparse one a binary
-/// search per entry, never a walk over the slots in between. The order
-/// is only a hint; any name is found.
-pub(crate) struct SlotCursor<'a> {
-    names: &'a [NodeName],
-    next: usize,
-}
-
-impl<'a> SlotCursor<'a> {
-    pub(crate) fn new(names: &'a [NodeName]) -> Self {
-        SlotCursor { names, next: 0 }
-    }
-
-    pub(crate) fn find(&mut self, name: &str) -> Option<usize> {
-        let slot = if self.names.get(self.next).map(NodeName::as_str) == Some(name) {
-            self.next
-        } else {
-            self.names
-                .binary_search_by(|held| held.as_str().cmp(name))
-                .ok()?
-        };
-        self.next = slot + 1;
-        Some(slot)
-    }
-}
-
 impl ClusterSnapshot {
     /// Freezes an explicit node map into a snapshot — the escape hatch
     /// for tests and synthetic scenarios.
