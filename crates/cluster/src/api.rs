@@ -1,6 +1,7 @@
 //! Kubernetes-style API objects consumed by nodes and schedulers.
 
 use std::fmt;
+use std::sync::Arc;
 
 use des::SimDuration;
 use sgx_sim::units::{ByteSize, EpcPages};
@@ -44,8 +45,13 @@ impl fmt::Display for PodUid {
 }
 
 /// Name of a node, unique within the cluster.
+///
+/// Shared, not copied: every pod record, cluster event and snapshot slot
+/// naming a node holds the one allocation `new` made, so a clone costs a
+/// reference-count increment. `Debug`, ordering and hashing are those of
+/// the string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeName(String);
+pub struct NodeName(Arc<str>);
 
 impl NodeName {
     /// Creates a node name.
@@ -56,7 +62,7 @@ impl NodeName {
     pub fn new(name: impl Into<String>) -> Self {
         let name = name.into();
         assert!(!name.is_empty(), "node name must not be empty");
-        NodeName(name)
+        NodeName(name.into())
     }
 
     /// The name as a string slice.

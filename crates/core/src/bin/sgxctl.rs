@@ -344,12 +344,8 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
         );
     }
     if bill {
-        let records: std::collections::BTreeMap<_, _> = result
-            .runs()
-            .iter()
-            .map(|run| (run.record.uid, run.record.clone()))
-            .collect();
-        let invoice = Invoice::compute(&records, &PriceSheet::paper_cluster());
+        let records = result.runs().iter().map(|run| &run.record);
+        let invoice = Invoice::compute(records, &PriceSheet::paper_cluster());
         println!(
             "invoice:       {:.4} across {} billed pods (requests × running time)",
             invoice.total(),

@@ -14,8 +14,6 @@
 //! **running time** — so over-declaring costs money, under-declaring
 //! costs service, and declaring truthfully is the equilibrium.
 
-use std::collections::BTreeMap;
-
 use cluster::api::PodUid;
 
 use crate::server::{PodOutcome, PodRecord};
@@ -84,10 +82,15 @@ impl Invoice {
     /// or was denied, which holds nothing and costs nothing).
     ///
     /// Pods are charged for their advertised **requests** over the time
-    /// the reservation was held.
-    pub fn compute(records: &BTreeMap<PodUid, PodRecord>, prices: &PriceSheet) -> Self {
+    /// the reservation was held. Lines follow the records' order —
+    /// uid order for an [`Orchestrator::records`](crate::Orchestrator::records)
+    /// table or a replay's runs.
+    pub fn compute<'a>(
+        records: impl IntoIterator<Item = &'a PodRecord>,
+        prices: &PriceSheet,
+    ) -> Self {
         let mut lines = Vec::new();
-        for record in records.values() {
+        for record in records {
             if !matches!(record.outcome, PodOutcome::Completed { .. }) {
                 continue;
             }

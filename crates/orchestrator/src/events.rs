@@ -159,6 +159,11 @@ impl EventLog {
     pub fn iter(&self) -> impl Iterator<Item = &ClusterEvent> {
         self.events.iter()
     }
+
+    /// The retained events, oldest first, in the log's own buffer.
+    pub(crate) fn into_vec(self) -> Vec<ClusterEvent> {
+        self.events.into()
+    }
 }
 
 #[cfg(test)]

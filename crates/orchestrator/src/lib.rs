@@ -69,5 +69,6 @@ pub use queue::{PendingPod, PendingQueue};
 pub use registry::{PolicyRegistry, DEFAULT_SCHEDULER, SGX_BINPACK, SGX_SPREAD};
 pub use server::{
     BindOutcome, Migration, NodeRemoval, Orchestrator, OrchestratorConfig, PodOutcome, PodRecord,
+    PodTable,
 };
 pub use snapshot::ClusterSnapshot;

@@ -17,7 +17,7 @@ use des::{SimDuration, SimTime};
 use sgx_sim::units::{ByteSize, EpcPages};
 use tsdb::{Database, PointBatch, SeriesId, TagSet, TimeBound, WindowRollup};
 
-use crate::events::{EventKind, EventLog};
+use crate::events::{ClusterEvent, EventKind, EventLog};
 use crate::framework::{PolicyPipeline, SchedulingCycle};
 use crate::metrics::NodeView;
 use crate::policy::{CordonFilter, EpcFitFilter, SgxCapableFilter};
@@ -145,6 +145,91 @@ impl PodRecord {
     }
 }
 
+/// Every submitted pod's record, indexed by uid − 1.
+///
+/// [`Orchestrator::submit`] is the only place a uid is minted, counting
+/// up from 1, so the table is dense by construction: one `Vec` slot a
+/// pod, in uid (= submission) order. It reads like the uid-keyed map it
+/// replaces; iterating `&PodTable` yields the records.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct PodTable(Vec<PodRecord>);
+
+impl PodTable {
+    /// The slot of `uid`, if it is a uid this table could hold.
+    fn index(uid: PodUid) -> Option<usize> {
+        let index = uid.as_u64().checked_sub(1)?;
+        usize::try_from(index).ok()
+    }
+
+    /// The uid the next submission gets: one past the last.
+    fn next_uid(&self) -> PodUid {
+        PodUid::new(self.0.len() as u64 + 1)
+    }
+
+    /// Appends the record of [`next_uid`](Self::next_uid).
+    fn push(&mut self, record: PodRecord) {
+        debug_assert_eq!(record.uid, self.next_uid(), "uids are dense");
+        self.0.push(record);
+    }
+
+    fn get_mut(&mut self, uid: PodUid) -> Option<&mut PodRecord> {
+        self.0.get_mut(Self::index(uid)?)
+    }
+
+    /// One pod's record.
+    pub fn get(&self, uid: PodUid) -> Option<&PodRecord> {
+        self.0.get(Self::index(uid)?)
+    }
+
+    /// Whether `uid` was ever submitted.
+    pub fn contains_key(&self, uid: PodUid) -> bool {
+        self.get(uid).is_some()
+    }
+
+    /// Number of pods submitted.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no pod was submitted yet.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The uids, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &PodUid> {
+        self.0.iter().map(|record| &record.uid)
+    }
+
+    /// The records, in uid order.
+    pub fn values(&self) -> std::slice::Iter<'_, PodRecord> {
+        self.0.iter()
+    }
+
+    /// `(uid, record)` pairs, in uid order.
+    pub fn iter(&self) -> impl Iterator<Item = (&PodUid, &PodRecord)> {
+        self.0.iter().map(|record| (&record.uid, record))
+    }
+}
+
+impl<'a> IntoIterator for &'a PodTable {
+    type Item = &'a PodRecord;
+    type IntoIter = std::slice::Iter<'a, PodRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.values()
+    }
+}
+
+impl IntoIterator for PodTable {
+    type Item = PodRecord;
+    type IntoIter = std::vec::IntoIter<PodRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
 /// Result of binding one pod during a scheduling pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BindOutcome {
@@ -214,7 +299,7 @@ pub struct Orchestrator {
     /// orchestrator makes (per-pod routing, drains, rebalancing).
     registry: PolicyRegistry,
     config: OrchestratorConfig,
-    records: BTreeMap<PodUid, PodRecord>,
+    records: PodTable,
     events: EventLog,
     /// Placement decisions taken while at least one node's view was
     /// degraded by stale metrics.
@@ -234,7 +319,6 @@ pub struct Orchestrator {
     /// Observability for the drain regression tests: a whole drain must
     /// cost exactly one capture, not one per evicted pod.
     snapshot_captures: Cell<u64>,
-    next_uid: u64,
     rng: StdRng,
 }
 
@@ -353,13 +437,12 @@ impl Orchestrator {
             registry: PolicyRegistry::builtin(),
             rng: seeded_rng(derive_seed(config.seed, "orchestrator")),
             config,
-            records: BTreeMap::new(),
+            records: PodTable::default(),
             events: EventLog::with_capacity(100_000),
             degraded_decisions: 0,
             snapshot_cache: RefCell::new(None),
             bound_count: 0,
             snapshot_captures: Cell::new(0),
-            next_uid: 1,
         }
     }
 
@@ -440,14 +523,23 @@ impl Orchestrator {
         self.bound_count
     }
 
-    /// All pod records, keyed by uid.
-    pub fn records(&self) -> &BTreeMap<PodUid, PodRecord> {
+    /// All pod records, indexed by uid.
+    pub fn records(&self) -> &PodTable {
         &self.records
     }
 
     /// One pod's record.
     pub fn record(&self, uid: PodUid) -> Option<&PodRecord> {
-        self.records.get(&uid)
+        self.records.get(uid)
+    }
+
+    /// Ends the run and hands over what it leaves behind: every pod's
+    /// record and the retained event stream, oldest first. Nothing is
+    /// copied — the records move out and the event log's ring buffer
+    /// becomes the `Vec` in place — and the cluster, the store and the
+    /// queue are freed before this returns.
+    pub fn into_history(self) -> (PodTable, Vec<ClusterEvent>) {
+        (self.records, self.events.into_vec())
     }
 
     /// Toggles the driver-side EPC limit enforcement on every SGX node
@@ -464,8 +556,7 @@ impl Orchestrator {
     /// marks it permanently unschedulable when its requests exceed every
     /// node's total capacity.
     pub fn submit(&mut self, spec: PodSpec, now: SimTime) -> PodUid {
-        let uid = PodUid::new(self.next_uid);
-        self.next_uid += 1;
+        let uid = self.records.next_uid();
 
         // Walked directly over the cluster: admission only needs static
         // capacities, so capturing (and staleness-stamping) a full
@@ -478,24 +569,21 @@ impl Orchestrator {
                 && req.epc_pages <= n.allocatable_epc()
                 && (!req.needs_sgx() || !n.allocatable_epc().is_zero())
         });
-        self.records.insert(
+        self.records.push(PodRecord {
             uid,
-            PodRecord {
-                uid,
-                name: spec.name.clone(),
-                needs_sgx: spec.needs_sgx(),
-                mem_request: spec.resources.requests.memory,
-                epc_request: spec.resources.requests.epc_pages,
-                submitted_at: now,
-                started_at: None,
-                finished_at: None,
-                outcome: if unschedulable {
-                    PodOutcome::Unschedulable
-                } else {
-                    PodOutcome::Pending
-                },
+            name: spec.name.clone(),
+            needs_sgx: spec.needs_sgx(),
+            mem_request: spec.resources.requests.memory,
+            epc_request: spec.resources.requests.epc_pages,
+            submitted_at: now,
+            started_at: None,
+            finished_at: None,
+            outcome: if unschedulable {
+                PodOutcome::Unschedulable
+            } else {
+                PodOutcome::Pending
             },
-        );
+        });
         if unschedulable {
             self.events.record(now, EventKind::Unschedulable { uid });
         } else {
@@ -555,7 +643,7 @@ impl Orchestrator {
                     let started_at = now + report.startup_delay;
                     let record = self
                         .records
-                        .get_mut(&pending.uid)
+                        .get_mut(pending.uid)
                         .expect("every queued pod has a record");
                     record.started_at = Some(started_at);
                     if report.denied.is_some() {
@@ -771,7 +859,7 @@ impl Orchestrator {
     pub fn complete_pod(&mut self, uid: PodUid, now: SimTime) -> Result<(), ClusterError> {
         let record = self
             .records
-            .get_mut(&uid)
+            .get_mut(uid)
             .ok_or(ClusterError::UnknownPod(uid))?;
         let PodOutcome::Running { node } = record.outcome.clone() else {
             return Err(ClusterError::UnknownPod(uid));
@@ -957,11 +1045,11 @@ impl Orchestrator {
             if nodes.len() > 1 {
                 violations.push(format!("pod {uid} double-bound: resident on {nodes:?}"));
             }
-            if !self.records.contains_key(uid) {
+            if !self.records.contains_key(*uid) {
                 violations.push(format!("pod {uid} resident on {nodes:?} without a record"));
             }
         }
-        for (uid, record) in &self.records {
+        for (uid, record) in self.records.iter() {
             let resident = residency.get(uid).map(Vec::as_slice).unwrap_or_default();
             match &record.outcome {
                 PodOutcome::Running { node } => {
@@ -1019,10 +1107,7 @@ impl Orchestrator {
         target: &NodeName,
         now: SimTime,
     ) -> Result<SimDuration, ClusterError> {
-        let record = self
-            .records
-            .get(&uid)
-            .ok_or(ClusterError::UnknownPod(uid))?;
+        let record = self.records.get(uid).ok_or(ClusterError::UnknownPod(uid))?;
         let PodOutcome::Running { node: source } = record.outcome.clone() else {
             return Err(ClusterError::UnknownPod(uid));
         };
@@ -1055,7 +1140,7 @@ impl Orchestrator {
         self.mark_dirty(to);
         match attempt {
             Ok(delay) => {
-                self.records.get_mut(&uid).expect("record exists").outcome = PodOutcome::Running {
+                self.records.get_mut(uid).expect("record exists").outcome = PodOutcome::Running {
                     node: target.clone(),
                 };
                 self.events.record(
@@ -1120,7 +1205,7 @@ impl Orchestrator {
             let pod = node.terminate_pod(uid).expect("listed above");
             let record = self
                 .records
-                .get_mut(&uid)
+                .get_mut(uid)
                 .expect("running pods have records");
             record.outcome = PodOutcome::Pending;
             record.started_at = None;

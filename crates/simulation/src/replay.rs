@@ -1,6 +1,6 @@
 //! The discrete-event replay loop.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use borg_trace::frontend::{FrontendHint, TraceFrontend, WorkloadEvent};
@@ -90,6 +90,37 @@ struct Finish {
     /// migration can shift it by its transfer delay (downtime →
     /// turnaround).
     at: Option<SimTime>,
+}
+
+/// Where a submitted pod came from: one entry a pod, in the engine's
+/// origin table.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// A frontend submission, with whether the frontend flagged it
+    /// hostile.
+    Job { job: WorkloadJob, hostile: bool },
+    /// One of the injected malicious squatters (Fig. 11), which have no
+    /// trace job.
+    Malicious,
+    /// A service replica the pod-group controller submitted:
+    /// infrastructure, not a job, so it stays out of `runs`.
+    Replica,
+}
+
+impl Origin {
+    /// The run a pod of this origin adds to the result, if it is a job.
+    fn into_run(self, record: PodRecord) -> Option<JobRun> {
+        let (job, malicious) = match self {
+            Origin::Job { job, hostile } => (Some(job), hostile),
+            Origin::Malicious => (None, true),
+            Origin::Replica => return None,
+        };
+        Some(JobRun {
+            job,
+            record,
+            malicious,
+        })
+    }
 }
 
 /// One submitted pod with its provenance, after the replay.
@@ -278,7 +309,18 @@ pub(crate) const DEFAULT_GROUP_AUTOSCALE_PERIOD: SimDuration = SimDuration::from
 /// [`MaterializedFrontend`](borg_trace::frontend::MaterializedFrontend).
 ///
 /// Submissions are pulled lazily — the loop holds one lookahead event —
-/// so memory stays O(in-flight pods) regardless of the horizon.
+/// so the trace is never materialised. What the loop holds splits in
+/// two:
+///
+/// * **In-flight pods and live nodes:** the event queue, the pending
+///   queue, the finish table, the cluster, and the metrics store and
+///   its rollup (bounded by the retention window).
+/// * **Total jobs:** each pod's history — its record in the
+///   orchestrator's pod table (120 bytes plus its name) and its entry in
+///   the origin table (56 bytes) — the event log, up to its 100,000
+///   entries, and at the end the result's runs, which the records move
+///   into.
+///
 /// Service groups announced in the frontend's hint are handed to the
 /// pod-group autoscaler (created on demand, ticking every
 /// `DEFAULT_GROUP_AUTOSCALE_PERIOD`, when `config.autoscale` is off)
@@ -308,12 +350,10 @@ pub(crate) struct Engine<'a> {
     cluster_as: Option<ClusterAutoscaler>,
     groups_as: Option<PodGroupAutoscaler>,
     autoscale_period: Option<SimDuration>,
-    uid_to_job: BTreeMap<PodUid, WorkloadJob>,
+    /// Where each pod came from, indexed like the orchestrator's
+    /// [`PodTable`](orchestrator::PodTable): by uid − 1.
+    origins: Vec<Origin>,
     finishes: BTreeMap<PodUid, Finish>,
-    malicious_uids: BTreeSet<PodUid>,
-    /// Service replicas the pod-group controller submitted: they are
-    /// infrastructure, not trace jobs, and stay out of `runs`.
-    group_uids: BTreeSet<PodUid>,
     running: usize,
     /// The malicious tenant is a queue event, not a frontend event; its
     /// own flag keeps the periodic loops armed until it lands.
@@ -430,10 +470,8 @@ impl<'a> Engine<'a> {
             cluster_as,
             groups_as,
             autoscale_period,
-            uid_to_job: BTreeMap::new(),
+            origins: Vec::new(),
             finishes: BTreeMap::new(),
-            malicious_uids: BTreeSet::new(),
-            group_uids: BTreeSet::new(),
             running: 0,
             malicious_pending: config.malicious.is_some(),
             sched_armed: true,
@@ -560,10 +598,7 @@ impl<'a> Engine<'a> {
         match event {
             WorkloadEvent::Submit { job, hostile } => {
                 let uid = self.orch.submit(pod_spec_for(&job), now);
-                self.uid_to_job.insert(uid, job);
-                if hostile {
-                    self.malicious_uids.insert(uid);
-                }
+                self.note_origin(uid, Origin::Job { job, hostile });
                 self.rearm(now);
             }
             WorkloadEvent::GroupLoad { group, load, .. } => {
@@ -681,7 +716,7 @@ impl<'a> Engine<'a> {
                 .duration(mal.duration)
                 .build();
             let uid = self.orch.submit(spec, now);
-            self.malicious_uids.insert(uid);
+            self.note_origin(uid, Origin::Malicious);
         }
     }
 
@@ -838,7 +873,9 @@ impl<'a> Engine<'a> {
             self.cancel_finish(uid);
         }
         if !outcome.submitted.is_empty() {
-            self.group_uids.extend(outcome.submitted.iter().copied());
+            for &uid in &outcome.submitted {
+                self.note_origin(uid, Origin::Replica);
+            }
             self.rearm_passes(now);
         }
         if self.config.autoscale.as_ref().is_some_and(|a| a.audit) {
@@ -866,32 +903,55 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Notes where the pod the orchestrator just minted `uid` for came
+    /// from. Every submission passes through here in uid order, so the
+    /// table stays aligned with the orchestrator's records.
+    fn note_origin(&mut self, uid: PodUid, origin: Origin) {
+        assert_eq!(
+            uid.as_u64(),
+            self.origins.len() as u64 + 1,
+            "an origin for every uid, in order"
+        );
+        self.origins.push(origin);
+    }
+
     /// Records of the pods that came from the frontend or the malicious
     /// tenant, in uid (= submission) order — service replicas are
     /// infrastructure, not jobs.
-    pub(crate) fn job_records(&self) -> impl Iterator<Item = (&PodUid, &PodRecord)> {
+    pub(crate) fn job_records(&self) -> impl Iterator<Item = &PodRecord> {
         self.orch
             .records()
-            .iter()
-            .filter(|(uid, _)| !self.group_uids.contains(uid))
+            .values()
+            .zip(&self.origins)
+            .filter(|(_, origin)| !matches!(origin, Origin::Replica))
+            .map(|(record, _)| record)
     }
 
     /// Number of `Submit` events the frontend delivered.
     pub(crate) fn submissions(&self) -> usize {
-        self.uid_to_job.len()
+        self.origins
+            .iter()
+            .filter(|origin| matches!(origin, Origin::Job { .. }))
+            .count()
     }
 
+    /// Hands the run over by move: the orchestrator's heavy state is
+    /// freed first, then each record moves into its run and the event
+    /// log's buffer becomes the result's. Nothing is copied.
     fn into_result(self) -> ReplayResult {
-        let mut runs = Vec::with_capacity(self.orch.records().len());
-        runs.extend(self.job_records().map(|(uid, record)| JobRun {
-            job: self.uid_to_job.get(uid).copied(),
-            record: record.clone(),
-            malicious: self.malicious_uids.contains(uid),
-        }));
+        let degraded_decisions = self.orch.degraded_decisions();
+        let (records, events) = self.orch.into_history();
+        let mut runs = Vec::with_capacity(records.len());
+        runs.extend(
+            records
+                .into_iter()
+                .zip(self.origins)
+                .filter_map(|(record, origin)| origin.into_run(record)),
+        );
         ReplayResult {
             runs,
-            events: self.orch.events().iter().cloned().collect(),
-            degraded_decisions: self.orch.degraded_decisions(),
+            events,
+            degraded_decisions,
             fault_stats: self
                 .injector
                 .map(FaultInjector::into_stats)
