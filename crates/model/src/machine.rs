@@ -1,13 +1,13 @@
 //! The transition system: enabled actions, the step function, and exact
 //! integer mirrors of the scheduler and rebalancer decision rules.
 //!
-//! The implementation places by exact integer comparison (sgx-spread
-//! included, since it stopped folding floats); what it still takes in
-//! `f64` — the rebalancer's load fractions and spreads — is mirrored
-//! here with exact rational arithmetic via `i128` cross-multiplication.
-//! The checked configurations use power-of-two capacities, so those
-//! floating-point values are exact too and the two decision procedures
-//! agree bit-for-bit.
+//! The implementation decides by exact integer comparison — placement,
+//! sgx-spread included, and the rebalancer's load order, trigger,
+//! half-gap and improvement test — and the model mirrors it with exact
+//! rationals via `i128` cross-multiplication, so the two decision
+//! procedures agree on any capacities. Only the rebalance threshold is
+//! an `f64` on the implementation's side; the implementation reads it as
+//! its exact value, and a dyadic `milli / 1000` is the same number here.
 //!
 //! The spread rule is stated here the obvious way, not the
 //! implementation's: per feasible candidate, the population variance of

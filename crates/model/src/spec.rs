@@ -128,10 +128,11 @@ impl ModelConfig {
     /// two completions, a one-tick metrics window and staleness
     /// threshold over a two-tick horizon.
     ///
-    /// Capacities and the threshold are powers of two so every load
-    /// fraction and the implementation's `f64` spread arithmetic are
-    /// exact, keeping the rational model and the floating-point
-    /// implementation decision-identical.
+    /// Both sides decide in exact integers, so no capacity needs to be a
+    /// power of two for them to agree; conformance walks check the
+    /// rebalancer on 7-, 6- and 5-page nodes. The threshold is read from
+    /// the same `f64` on both sides, so it has to be dyadic: 250 milli is
+    /// exactly `0.25`.
     pub fn small() -> Self {
         ModelConfig {
             node_capacity: vec![8, 8, 8],

@@ -3,8 +3,9 @@
 //! semantics, and model↔implementation conformance replays for every
 //! counterexample the checker emits.
 
+use cluster::api::NodeName;
 use model::bridge;
-use model::{explore, Action, Bounds, Model, ModelConfig, Semantics};
+use model::{explore, Action, Bounds, Model, ModelConfig, ModelState, NodeId, Semantics};
 use simulation::TraceHarness;
 
 /// Replays `actions` on a fresh harness (after the submission prefix)
@@ -17,9 +18,42 @@ fn replay(config: &ModelConfig, actions: &[Action]) -> TraceHarness {
     harness
 }
 
+/// The pods each node holds, by name, nodes in index order: what the
+/// implementation's cluster says.
+fn residency(config: &ModelConfig, harness: &TraceHarness) -> Vec<Vec<String>> {
+    (0..config.nodes())
+        .map(|node| {
+            let name = NodeName::new(bridge::node_name(node as NodeId));
+            let node = harness.orchestrator().cluster().node(&name);
+            let pods = node.expect("every model node exists").pods().values();
+            let mut names: Vec<String> = pods.map(|pod| pod.spec.name.clone()).collect();
+            names.sort();
+            names
+        })
+        .collect()
+}
+
+/// The same, as the model says.
+fn model_residency(state: &ModelState) -> Vec<Vec<String>> {
+    state
+        .nodes
+        .iter()
+        .map(|node| {
+            let mut names: Vec<String> = node
+                .residents
+                .iter()
+                .map(|&p| bridge::pod_name(p))
+                .collect();
+            names.sort();
+            names
+        })
+        .collect()
+}
+
 /// Steps the fixed-semantics model and the real orchestrator through the
 /// same trace in lockstep, comparing the decisions of every scheduler
-/// pass and auditing the implementation after every op.
+/// pass and the pod residency after every rebalance pass, and auditing
+/// the implementation after every op.
 fn assert_conforms(config: &ModelConfig, actions: &[Action]) {
     let model = Model::new(config.clone().with_semantics(Semantics::fixed()));
     let mut state = model.initial();
@@ -39,6 +73,13 @@ fn assert_conforms(config: &ModelConfig, actions: &[Action]) {
             assert_eq!(got, predicted, "decision divergence at {action:?}");
         }
         state = model.step(&state, action).0;
+        if action == Action::Rebalance {
+            assert_eq!(
+                residency(config, &harness),
+                model_residency(&state),
+                "residency divergence at {action:?} along {actions:?}"
+            );
+        }
     }
     assert!(
         harness.audit_failures().is_empty(),
@@ -206,6 +247,29 @@ fn per_pod_drain_capture_bug_found_and_refuted_on_implementation() {
     assert_conforms(&config, &with_drain);
 }
 
+/// A seeded walk of `steps` actions through whatever the model enables:
+/// a fixed LCG picks among the enabled actions, and takes `favoured` with
+/// probability 3/8 whenever it is enabled.
+fn seeded_walk(model: &Model, seed: u64, steps: usize, favoured: Action) -> Vec<Action> {
+    let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut state = model.initial();
+    let mut trace = Vec::new();
+    for _ in 0..steps {
+        let enabled = model.enabled_actions(&state);
+        rng = rng
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let action = if rng >> 61 < 3 && enabled.contains(&favoured) {
+            favoured
+        } else {
+            enabled[(rng >> 33) as usize % enabled.len()]
+        };
+        trace.push(action);
+        state = model.step(&state, action).0;
+    }
+    trace
+}
+
 /// The model's spread rule — variance from the definition, in rationals
 /// — is the oracle for the implementation's O(1) integer comparison:
 /// along the representative traces and along a few hundred seeded walks
@@ -226,26 +290,36 @@ fn spread_model_conforms_to_the_implementation() {
     for config in [&config, &uneven] {
         let model = Model::new(config.clone());
         for seed in 0..200u64 {
-            // A fixed LCG picks among the enabled actions.
-            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut state = model.initial();
-            let mut trace = Vec::new();
-            for _ in 0..14 {
-                let enabled = model.enabled_actions(&state);
-                rng = rng
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                // Schedule whenever the dice say so and something queues:
-                // the passes are what is being compared.
-                let action = if rng >> 61 < 3 && enabled.contains(&Action::Schedule) {
-                    Action::Schedule
-                } else {
-                    enabled[(rng >> 33) as usize % enabled.len()]
-                };
-                trace.push(action);
-                state = model.step(&state, action).0;
-            }
-            assert_conforms(config, &trace);
+            // The passes are what is being compared.
+            assert_conforms(config, &seeded_walk(&model, seed, 14, Action::Schedule));
+        }
+    }
+}
+
+/// The rebalancer decides in integers on both sides, so the model and
+/// the real orchestrator must move the same pods on capacities where a
+/// float load is inexact: seeded walks that favour rebalances, over two
+/// 7-page nodes binpacked to 5 and 3 requested pages (a float half-gap
+/// of 2 pages, an exact one of 1) and over a 7/6/5-page cluster, with
+/// residency compared after every rebalance. The threshold stays at 250
+/// milli: dyadic, so both sides read the same number.
+#[test]
+fn rebalance_model_conforms_on_capacities_floats_round() {
+    let mut sevens = ModelConfig::small();
+    sevens.horizon = 3;
+    sevens.max_scrapes = 2;
+    sevens.node_capacity = vec![7, 7];
+    sevens.pod_request = vec![2, 1, 2, 3];
+    sevens.fault_nodes = vec![0, 1];
+    let mut mixed = sevens.clone();
+    mixed.node_capacity = vec![7, 6, 5];
+    mixed.pod_request = vec![3, 2, 2, 1];
+    mixed.fault_nodes = vec![0, 2];
+    for config in [&sevens, &mixed] {
+        assert_eq!(config.rebalance_threshold_milli, 250);
+        let model = Model::new(config.clone());
+        for seed in 0..200u64 {
+            assert_conforms(config, &seeded_walk(&model, seed, 14, Action::Rebalance));
         }
     }
 }

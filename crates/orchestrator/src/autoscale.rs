@@ -29,9 +29,11 @@ use std::collections::BTreeSet;
 
 use cluster::api::{NodeName, PodSpec, PodUid};
 use cluster::machine::MachineSpec;
+use cluster::node::Node;
 use des::{SimDuration, SimTime};
 use sgx_sim::units::ByteSize;
 
+use crate::exact::Ratio;
 use crate::server::{NodeRemoval, Orchestrator, PodOutcome};
 
 /// The two independently scaled capacity pools.
@@ -56,6 +58,30 @@ impl Tier {
             Tier::Standard => 0,
             Tier::Sgx => 1,
         }
+    }
+
+    /// The tier's scarce resource out of a memory and an EPC amount, in
+    /// bytes: the one place that tells the tiers' resources apart.
+    fn scarce(self, memory: ByteSize, epc: ByteSize) -> u64 {
+        match self {
+            Tier::Standard => memory,
+            Tier::Sgx => epc,
+        }
+        .as_bytes()
+    }
+
+    /// A node's requested and allocatable amount of the scarce resource.
+    fn load(self, node: &Node) -> (u64, u64) {
+        (
+            self.scarce(node.memory_requested(), node.epc_requested().to_bytes()),
+            self.scarce(node.allocatable_memory(), node.allocatable_epc().to_bytes()),
+        )
+    }
+
+    /// What a pod requests of the scarce resource.
+    fn request(self, spec: &PodSpec) -> u64 {
+        let requests = spec.resources.requests;
+        self.scarce(requests.memory, requests.epc_pages.to_bytes())
     }
 }
 
@@ -353,16 +379,7 @@ impl ClusterAutoscaler {
                         let Some(node) = orch.cluster().node(name) else {
                             continue;
                         };
-                        let (requested, capacity) = match tier {
-                            Tier::Sgx => (
-                                node.epc_requested().to_bytes().as_bytes(),
-                                node.allocatable_epc().to_bytes().as_bytes(),
-                            ),
-                            Tier::Standard => (
-                                node.memory_requested().as_bytes(),
-                                node.allocatable_memory().as_bytes(),
-                            ),
-                        };
+                        let (requested, capacity) = tier.load(node);
                         if capacity > 0 {
                             let occupied = (requested as f64 / capacity as f64).min(1.0);
                             self.metrics.wasted_capacity_node_secs += (1.0 - occupied) * dt;
@@ -389,11 +406,9 @@ impl ClusterAutoscaler {
         }
         // Enough nodes to absorb the pending backlog, at least one, at
         // most the per-tick step and the tier cap.
-        let per_node = match tier {
-            Tier::Sgx => policy.template.usable_epc().as_bytes(),
-            Tier::Standard => policy.template.memory.as_bytes(),
-        }
-        .max(1);
+        let per_node = tier
+            .scarce(policy.template.memory, policy.template.usable_epc())
+            .max(1);
         let wanted = (pressure.pending_bytes.div_ceil(per_node) as usize)
             .clamp(1, policy.max_step)
             .min(policy.max_nodes - managed);
@@ -429,6 +444,7 @@ impl ClusterAutoscaler {
     /// requested, then name), and only if the tier's total requests
     /// still fit without it — a drain that cannot relocate its pods
     /// would just bounce them through the queue.
+    #[deny(clippy::float_arithmetic)]
     fn maybe_scale_down(
         &mut self,
         orch: &mut Orchestrator,
@@ -446,7 +462,7 @@ impl ClusterAutoscaler {
             self.below_since[tier.index()] = None;
             return;
         }
-        let occupancy = requested as f64 / capacity as f64;
+        let occupancy = Ratio::new(requested.into(), capacity.into());
         if occupancy >= self.policy.low_water {
             self.below_since[tier.index()] = None;
             return;
@@ -455,13 +471,9 @@ impl ClusterAutoscaler {
         if now.saturating_since(since) < self.policy.scale_down_after {
             return;
         }
-        let Some(victim) = self.pick_victim(orch, tier) else {
+        let Some((victim, victim_capacity)) = self.pick_victim(orch, tier) else {
             return;
         };
-        let victim_capacity = orch.cluster().node(&victim).map_or(0, |node| match tier {
-            Tier::Sgx => node.allocatable_epc().to_bytes().as_bytes(),
-            Tier::Standard => node.allocatable_memory().as_bytes(),
-        });
         if requested > capacity.saturating_sub(victim_capacity) {
             return; // the rest of the tier cannot absorb the victim's pods
         }
@@ -484,7 +496,8 @@ impl ClusterAutoscaler {
         }
     }
 
-    fn pick_victim(&self, orch: &Orchestrator, tier: Tier) -> Option<NodeName> {
+    /// The victim and its capacity of the tier's scarce resource.
+    fn pick_victim(&self, orch: &Orchestrator, tier: Tier) -> Option<(NodeName, u64)> {
         self.managed[tier.index()]
             .iter()
             .filter_map(|name| {
@@ -492,14 +505,11 @@ impl ClusterAutoscaler {
                 if node.is_cordoned() {
                     return None;
                 }
-                let requested = match tier {
-                    Tier::Sgx => node.epc_requested().to_bytes().as_bytes(),
-                    Tier::Standard => node.memory_requested().as_bytes(),
-                };
-                Some((node.pods().len(), requested, name.clone()))
+                let (requested, capacity) = tier.load(node);
+                Some((node.pods().len(), requested, name.clone(), capacity))
             })
             .min()
-            .map(|(_, _, name)| name)
+            .map(|(_, _, name, capacity)| (name, capacity))
     }
 }
 
@@ -519,15 +529,8 @@ fn tier_pressure(
     let mut pending_bytes = 0u64;
     let mut oldest = None;
     for pod in tier_pods {
-        pending_bytes += match tier {
-            Tier::Sgx => pod.spec.resources.requests.epc_pages.to_bytes().as_bytes(),
-            Tier::Standard => pod.spec.resources.requests.memory.as_bytes(),
-        };
-        oldest = Some(match oldest {
-            None => pod.submitted_at,
-            Some(t) if pod.submitted_at < t => pod.submitted_at,
-            Some(t) => t,
-        });
+        pending_bytes += tier.request(&pod.spec);
+        oldest = Some(oldest.map_or(pod.submitted_at, |t: SimTime| t.min(pod.submitted_at)));
     }
     let oldest_wait = now.saturating_since(oldest?);
     let (requested, capacity) = tier_totals(orch, tier);
@@ -542,26 +545,11 @@ fn tier_pressure(
 /// Requested and capacity totals of the tier's scarce resource across
 /// its uncordoned workers, in bytes.
 fn tier_totals(orch: &Orchestrator, tier: Tier) -> (u64, u64) {
-    let mut requested = 0u64;
-    let mut capacity = 0u64;
-    for node in orch.cluster().schedulable_nodes() {
-        if node.has_sgx() != (tier == Tier::Sgx) {
-            continue;
-        }
-        let (r, c) = match tier {
-            Tier::Sgx => (
-                node.epc_requested().to_bytes().as_bytes(),
-                node.allocatable_epc().to_bytes().as_bytes(),
-            ),
-            Tier::Standard => (
-                node.memory_requested().as_bytes(),
-                node.allocatable_memory().as_bytes(),
-            ),
-        };
-        requested += r;
-        capacity += c;
-    }
-    (requested, capacity)
+    orch.cluster()
+        .schedulable_nodes()
+        .filter(|node| node.has_sgx() == (tier == Tier::Sgx))
+        .map(|node| tier.load(node))
+        .fold((0, 0), |(r, c), (dr, dc)| (r + dr, c + dc))
 }
 
 /// One long-running service group the [`PodGroupAutoscaler`] manages.

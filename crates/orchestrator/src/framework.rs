@@ -17,8 +17,8 @@
 //!   it narrows the candidate list to its best set. Stages are
 //!   **ordered**: the first stage narrows all feasible nodes, later
 //!   stages only break its ties. Nothing is ever summed across stages, so
-//!   composition is exact — a stage is free to compare integers,
-//!   rationals or `f64::total_cmp` keys, whatever decides it exactly.
+//!   composition is exact, and so is every built-in stage: each compares
+//!   booleans or loads as integer fractions, never an `f64`.
 //! * The final tie-break — lowest node name, which in the snapshot's
 //!   name-ranked layout is the lowest slot — is centralized in
 //!   [`SchedulingCycle::place`], the only routine that ever picks
@@ -69,6 +69,8 @@
 //! [`FilterPlugin::monotone_in_requests`]; a pipeline with any filter
 //! that does not simply never consults it. The frontier dies with the
 //! cycle, so it can never go stale.
+
+#![deny(clippy::float_arithmetic)]
 
 use std::cell::OnceCell;
 use std::cmp::Ordering;

@@ -55,6 +55,7 @@ pub mod queue;
 pub mod registry;
 pub mod snapshot;
 
+mod exact;
 mod server;
 
 pub use autoscale::{

@@ -141,9 +141,10 @@ impl NodeView {
     /// Fractional load of the resource a pod primarily consumes (EPC for
     /// SGX pods, memory otherwise) — the quantity the spread policy
     /// balances — with the pod's requests added when `placed_here`. A
-    /// node without the resource counts as full either way. The spread
-    /// stage itself compares the integers behind this fraction; the
-    /// float is for reports and for the reference fold in the tests.
+    /// node without the resource counts as full either way. No decision
+    /// reads it — every stage compares the integers behind the fraction
+    /// exactly; it is the float fold the policy-equivalence tests hold
+    /// the exact spread rule to.
     pub fn load_fraction_after(&self, spec: &PodSpec, placed_here: bool) -> f64 {
         let (epc, request) = primary_request(spec);
         let (mut occupied, cap) = self.load_parts(epc);

@@ -22,11 +22,17 @@
 //! (`OccupancyBasis`): the SGX-aware pipelines filter on **effective**
 //! occupancy (`max(measured, requested)`, requests-only when degraded),
 //! the stock pipeline on **requests** alone.
+//!
+//! No plugin decides in floating point: loads are compared exactly, in
+//! integers, by the crate's one exact-comparison module (`exact`).
+
+#![deny(clippy::float_arithmetic)]
 
 use std::cmp::Ordering;
 
 use cluster::api::{NodeName, PodSpec};
 
+use crate::exact::{Load, Natural, Ratio};
 use crate::framework::{keep_best, FilterPlugin, Needs, ScoreContext, ScorePlugin};
 use crate::metrics::{primary_request, NodeView};
 
@@ -398,28 +404,19 @@ fn variance_change(peers: &PeerSums, epc: bool, request: u64, seat: &Seat) -> Va
         .plus(&Natural::from(
             u128::from(members - 1) * u128::from(request),
         ));
-    change.cost = Ratio {
-        num: cost,
-        den: scale.times(&Natural::from(u128::from(capacity))),
-    };
+    change.cost = Ratio::of(cost, scale.times(&Natural::from(u128::from(capacity))));
     let load_sum = peers
         .buckets
         .iter()
         .filter(|bucket| bucket.group == group && bucket.epc == epc)
         .fold(Ratio::zero(), |sum, bucket| {
             sum.plus(&if bucket.capacity == 0 {
-                Ratio::whole(u128::from(bucket.members))
+                Ratio::new(u128::from(bucket.members), 1)
             } else {
-                Ratio {
-                    num: Natural::from(bucket.occupied),
-                    den: Natural::from(u128::from(bucket.capacity)),
-                }
+                Ratio::new(bucket.occupied, u128::from(bucket.capacity))
             })
         });
-    change.gain = Ratio {
-        num: load_sum.num.times(&Natural::from(2)),
-        den: load_sum.den.times(&scale),
-    };
+    change.gain = load_sum.times(&Ratio::of(Natural::from(2), scale));
     change
 }
 
@@ -434,98 +431,10 @@ impl VarianceChange {
     }
 }
 
-/// A natural number of any size: base-2⁶⁴ digits, least significant
-/// first, no leading zero. Just the arithmetic an exact comparison of
-/// sums of fractions needs — it cannot overflow, so the spread decision
-/// has no capacity, cluster size or machine mix at which it stops being
-/// exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Natural(Vec<u64>);
-
-impl Natural {
-    fn from(value: u128) -> Self {
-        Natural(vec![value as u64, (value >> 64) as u64]).trimmed()
-    }
-
-    fn trimmed(mut self) -> Self {
-        while self.0.last() == Some(&0) {
-            self.0.pop();
-        }
-        self
-    }
-
-    fn plus(&self, other: &Natural) -> Natural {
-        let (long, short) = if self.0.len() >= other.0.len() {
-            (&self.0, &other.0)
-        } else {
-            (&other.0, &self.0)
-        };
-        let mut digits = Vec::with_capacity(long.len() + 1);
-        let mut carry = 0u128;
-        for (at, &digit) in long.iter().enumerate() {
-            let sum = u128::from(digit) + u128::from(short.get(at).copied().unwrap_or(0)) + carry;
-            digits.push(sum as u64);
-            carry = sum >> 64;
-        }
-        digits.push(carry as u64);
-        Natural(digits).trimmed()
-    }
-
-    fn times(&self, other: &Natural) -> Natural {
-        let mut digits = vec![0u64; self.0.len() + other.0.len()];
-        for (i, &a) in self.0.iter().enumerate() {
-            let mut carry = 0u128;
-            for (j, &b) in other.0.iter().enumerate() {
-                // At most (2⁶⁴ − 1)² + 2·(2⁶⁴ − 1) = 2¹²⁸ − 1: no overflow.
-                let sum = u128::from(digits[i + j]) + u128::from(a) * u128::from(b) + carry;
-                digits[i + j] = sum as u64;
-                carry = sum >> 64;
-            }
-            digits[i + other.0.len()] = carry as u64;
-        }
-        Natural(digits).trimmed()
-    }
-
-    fn cmp(&self, other: &Natural) -> Ordering {
-        (self.0.len().cmp(&other.0.len()))
-            .then_with(|| self.0.iter().rev().cmp(other.0.iter().rev()))
-    }
-}
-
-/// A non-negative fraction of [`Natural`]s, never reduced.
-#[derive(Debug, Clone)]
-struct Ratio {
-    num: Natural,
-    den: Natural,
-}
-
-impl Ratio {
-    fn zero() -> Ratio {
-        Ratio::whole(0)
-    }
-
-    fn whole(value: u128) -> Ratio {
-        Ratio {
-            num: Natural::from(value),
-            den: Natural::from(1),
-        }
-    }
-
-    fn plus(&self, other: &Ratio) -> Ratio {
-        Ratio {
-            num: self.num.times(&other.den).plus(&other.num.times(&self.den)),
-            den: self.den.times(&other.den),
-        }
-    }
-
-    fn cmp(&self, other: &Ratio) -> Ordering {
-        self.num.times(&other.den).cmp(&other.num.times(&self.den))
-    }
-}
-
 /// The stock scheduler's criterion: the least requested-fraction of the
 /// pod's primary resource (EPC pages for SGX pods, memory otherwise)
-/// wins; nodes lacking the resource entirely count as full.
+/// wins, compared exactly; nodes lacking the resource entirely count as
+/// full.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LeastRequestedScore;
 
@@ -534,29 +443,19 @@ impl ScorePlugin for LeastRequestedScore {
         "least-requested"
     }
     fn narrow(&self, cx: &ScoreContext<'_>, candidates: &mut Vec<usize>) {
-        keep_best(
-            candidates,
-            |slot| -requested_fraction(&cx.nodes[slot], cx.spec),
-            f64::total_cmp,
-        );
-    }
-}
-
-fn requested_fraction(view: &NodeView, spec: &PodSpec) -> f64 {
-    if spec.needs_sgx() {
-        let cap = view.epc_capacity.count();
-        if cap == 0 {
-            1.0
-        } else {
-            view.epc_requested.count() as f64 / cap as f64
-        }
-    } else {
-        let cap = view.memory_capacity.as_bytes();
-        if cap == 0 {
-            1.0
-        } else {
-            view.memory_requested.as_bytes() as f64 / cap as f64
-        }
+        let (epc, _) = primary_request(cx.spec);
+        let load = |slot: usize| {
+            let view = &cx.nodes[slot];
+            if epc {
+                Load::new(view.epc_requested.count(), view.epc_capacity.count())
+            } else {
+                Load::new(
+                    view.memory_requested.as_bytes(),
+                    view.memory_capacity.as_bytes(),
+                )
+            }
+        };
+        keep_best(candidates, load, |a, b| b.cmp(a));
     }
 }
 
@@ -564,7 +463,7 @@ fn requested_fraction(view: &NodeView, spec: &PodSpec) -> f64 {
 mod tests {
     use super::*;
     use crate::framework::SchedulingCycle;
-    use crate::registry::{PolicyRegistry, SGX_BINPACK, SGX_SPREAD};
+    use crate::registry::{PolicyRegistry, DEFAULT_SCHEDULER, SGX_BINPACK, SGX_SPREAD};
     use crate::snapshot::ClusterSnapshot;
     use cluster::topology::{Cluster, ClusterSpec};
     use des::{SimDuration, SimTime};
@@ -657,37 +556,6 @@ mod tests {
         assert_eq!(chosen.as_str(), "sgx-1");
     }
 
-    #[test]
-    fn naturals_multiply_add_and_compare_across_digits() {
-        let big = u128::MAX - 12_345;
-        let n = Natural::from(big);
-        // (2¹²⁸ − k)² needs four digits; check it against the expansion
-        // 2²⁵⁶ − 2·k·2¹²⁸ + k², assembled digit by digit.
-        let k = 12_346u128;
-        let square = n.times(&n);
-        assert_eq!(square.0.len(), 4);
-        let low = k * k; // fits: k is small
-        let minus = 2 * k; // subtracted from the upper half, borrowing from 2²⁵⁶
-        let upper = u128::MAX - minus + 1;
-        assert_eq!(
-            square.0,
-            vec![
-                low as u64,
-                (low >> 64) as u64,
-                upper as u64,
-                (upper >> 64) as u64
-            ]
-        );
-        // Carries ripple through every digit of a sum.
-        let ones = Natural(vec![u64::MAX; 3]);
-        assert_eq!(ones.plus(&Natural::from(1)).0, vec![0, 0, 0, 1]);
-        assert_eq!(Natural::from(0).0, Vec::<u64>::new());
-        assert!(Natural::from(0).times(&n).0.is_empty());
-        assert!(ones.cmp(&square).is_lt());
-        assert!(Natural::from(big).cmp(&Natural::from(big - 1)).is_gt());
-        assert!(n.plus(&Natural::from(0)).cmp(&n).is_eq());
-    }
-
     /// The size the integers must carry without a fallback: 12,500
     /// standard nodes, 64 GiB and 8 GiB alternating, loads in bytes. The
     /// expected winner is computed here by the cross-multiplied form of
@@ -742,6 +610,36 @@ mod tests {
             .map(|(name, _)| name.clone())
             .unwrap();
         assert_eq!(chosen, expected);
+    }
+
+    /// 5,368,709,121 B requested of 8 GiB and 2,013,265,921 B of
+    /// 3 GiB + 1 B are different loads — the first is fuller by
+    /// ≈3.6·10⁻²⁰ — that `f64` division rounds to one value. The stock
+    /// scheduler must still pass over the fuller node, although its name
+    /// ranks first.
+    #[test]
+    fn least_requested_tells_apart_loads_a_float_rounds_together() {
+        let gib = ByteSize::from_gib(1).as_bytes();
+        let node = |capacity: u64, requested: u64| NodeView {
+            memory_capacity: ByteSize::from_bytes(capacity),
+            memory_requested: ByteSize::from_bytes(requested),
+            ..NodeView::default()
+        };
+        let fuller = node(8 * gib, 5_368_709_121);
+        let emptier = node(3 * gib + 1, 2_013_265_921);
+        let pod = std_pod(1);
+        assert_eq!(
+            fuller.load_fraction_after(&pod, false),
+            emptier.load_fraction_after(&pod, false)
+        );
+        let nodes = BTreeMap::from([
+            (NodeName::new("std-a"), fuller),
+            (NodeName::new("std-b"), emptier),
+        ]);
+        assert_eq!(
+            place(DEFAULT_SCHEDULER, &pod, &nodes).unwrap().as_str(),
+            "std-b"
+        );
     }
 
     #[test]

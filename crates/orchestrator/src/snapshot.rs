@@ -5,8 +5,8 @@
 //! piecemeal — capacities and requests from the cluster, measured usage
 //! from the Listing-1 sliding-window queries, per-node staleness
 //! annotation, and cordon state — into one deterministic value. Cloning is
-//! an `Arc` bump, so filters, scorers, `drain_node` and `rebalance_epc`
-//! can all share the exact same view of the world without re-deriving it.
+//! an `Arc` bump, so filters, scorers and `drain_node` can all share the
+//! exact same view of the world without re-deriving it.
 //!
 //! Three properties are load-bearing:
 //!
@@ -177,23 +177,6 @@ impl ClusterSnapshot {
                     of_node(&epc_measured, name),
                 );
                 (name.clone(), view)
-            }),
-        )
-    }
-
-    /// A requests-only snapshot straight off the cluster: capacities,
-    /// admitted requests and cordon flags, no database round-trip. The
-    /// EPC rebalancer runs its feasibility chain against this — its
-    /// accounting is requests-based, so measured usage would be dead
-    /// weight queried in a loop.
-    pub(crate) fn requests_only(cluster: &Cluster, now: SimTime) -> Self {
-        Self::from_sorted(
-            now,
-            cluster.workers().map(|node| {
-                (
-                    node.name().clone(),
-                    view_of(node, ByteSize::ZERO, ByteSize::ZERO),
-                )
             }),
         )
     }
@@ -429,14 +412,5 @@ mod tests {
         let clone = snapshot.clone();
         assert_eq!(snapshot, clone);
         assert!(Arc::ptr_eq(&snapshot.inner, &clone.inner));
-    }
-
-    #[test]
-    fn requests_only_skips_measurements() {
-        let cluster = Cluster::build(&ClusterSpec::paper_cluster());
-        let snapshot = ClusterSnapshot::requests_only(&cluster, SimTime::from_secs(7));
-        assert!(snapshot
-            .iter()
-            .all(|(_, v)| v.epc_measured == ByteSize::ZERO && v.metrics_age.is_none()));
     }
 }
