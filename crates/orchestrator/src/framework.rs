@@ -69,6 +69,11 @@
 //! [`FilterPlugin::monotone_in_requests`]; a pipeline with any filter
 //! that does not simply never consults it. The frontier dies with the
 //! cycle, so it can never go stale.
+//!
+//! The same monotonicity bounds the whole cycle: the most free capacity
+//! any node still has, lane by lane, only falls. A pod whose declared
+//! needs exceed it is refused by every later placement of the cycle,
+//! which is what lets a pass's queue walk skip such pods unread.
 
 #![deny(clippy::float_arithmetic)]
 
@@ -88,7 +93,7 @@ use crate::snapshot::ClusterSnapshot;
 /// Free capacity of one node as the tier index keys it: memory bytes
 /// and EPC pages under effective occupancy, then the same two under
 /// requests-only accounting.
-type Free = [u64; 4];
+pub(crate) type Free = [u64; 4];
 
 fn free_of(view: &NodeView) -> Free {
     [
@@ -101,7 +106,7 @@ fn free_of(view: &NodeView) -> Free {
     ]
 }
 
-fn covers(have: &Free, need: &Free) -> bool {
+pub(crate) fn covers(have: &Free, need: &Free) -> bool {
     have.iter().zip(need).all(|(have, need)| have >= need)
 }
 
@@ -117,7 +122,8 @@ fn raise(max: &mut Free, by: &Free) {
 /// The default needs nothing, which never prunes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Needs {
-    free: Free,
+    /// Free capacity, in [`free_of`]'s lanes.
+    pub(crate) free: Free,
     uncordoned: bool,
 }
 
@@ -316,7 +322,7 @@ impl PolicyPipeline {
     }
 
     /// What the whole chain needs of a node to accept `spec`.
-    fn needs(&self, spec: &PodSpec) -> Needs {
+    pub(crate) fn needs(&self, spec: &PodSpec) -> Needs {
         self.filters
             .iter()
             .fold(Needs::default(), |needs, f| needs.and(f.needs(spec)))
@@ -511,6 +517,16 @@ impl TierIndex {
             .map(|leaf| leaf.slot)
     }
 
+    /// The component-wise maximum of every run maximum, over all
+    /// classes: the most free capacity any live slot still has.
+    fn ceiling(&self) -> Free {
+        let mut ceiling = Free::default();
+        for maximum in &self.maxima[self.runs[0]..] {
+            raise(&mut ceiling, maximum);
+        }
+        ceiling
+    }
+
     /// Hands `visit` every live slot of `class` whose free capacity
     /// covers `need`, ascending, until it breaks.
     fn each_fit(
@@ -549,6 +565,9 @@ pub struct SchedulingCycle {
     /// Built over `working` by the first call that needs it, kept in
     /// step with it from then on.
     index: Option<TierIndex>,
+    /// The index's [ceiling](TierIndex::ceiling), once asked for;
+    /// forgotten by every reservation and exclusion.
+    ceiling: Option<Free>,
     /// Exact load sums per peer group, for relational scorers: summed
     /// over `working` when a stage first asks, kept in step from then on.
     peers: OnceCell<PeerSums>,
@@ -571,6 +590,7 @@ impl SchedulingCycle {
             snapshot,
             working,
             index: None,
+            ceiling: None,
             peers: OnceCell::new(),
             frontier: Vec::new(),
             candidates: Vec::new(),
@@ -590,6 +610,23 @@ impl SchedulingCycle {
     /// deterministic stand-in for placement wall time.
     pub fn nodes_scanned(&self) -> u64 {
         self.nodes_scanned
+    }
+
+    /// The most free capacity any node of the cycle still has, lane by
+    /// lane in [`free_of`]'s layout. A placement only ever picks a node
+    /// that covers its pipeline's [needs](PolicyPipeline::needs), so
+    /// `place` refuses every pod whose needs this does not cover. It
+    /// only falls within a cycle.
+    pub(crate) fn ceiling(&mut self) -> Free {
+        if let Some(ceiling) = self.ceiling {
+            return ceiling;
+        }
+        let ceiling = self
+            .index
+            .get_or_insert_with(|| TierIndex::build(&self.working))
+            .ceiling();
+        self.ceiling = Some(ceiling);
+        ceiling
     }
 
     /// The centralized selection step: places `spec` through `pipeline`
@@ -712,6 +749,7 @@ impl SchedulingCycle {
         };
         let before = self.working[slot];
         self.working[slot].reserve(spec);
+        self.ceiling = None;
         let after = &self.working[slot];
         // An index or sums not built yet read the reservation off `working`.
         if let Some(index) = &mut self.index {
@@ -730,6 +768,7 @@ impl SchedulingCycle {
         let Some(slot) = self.snapshot.slot_of(name) else {
             return;
         };
+        self.ceiling = None;
         self.index
             .get_or_insert_with(|| TierIndex::build(&self.working))
             .exclude(slot, &self.working[slot]);

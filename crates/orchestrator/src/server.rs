@@ -19,9 +19,9 @@ use tsdb::{Database, PointBatch, SeriesId, TagSet, TimeBound, WindowRollup};
 
 use crate::events::{ClusterEvent, EventKind, EventLog};
 use crate::exact::{extremes, Load};
-use crate::framework::{PolicyPipeline, SchedulingCycle};
+use crate::framework::{Free, PolicyPipeline, SchedulingCycle};
 use crate::metrics::NodeView;
-use crate::queue::PendingQueue;
+use crate::queue::{Offer, PendingPod, PendingQueue};
 use crate::registry::{PolicyRegistry, SGX_BINPACK};
 use crate::snapshot::{measured_bytes, view_of, ClusterSnapshot};
 
@@ -588,19 +588,53 @@ impl Orchestrator {
             self.events.record(now, EventKind::Unschedulable { uid });
         } else {
             self.events.record(now, EventKind::Submitted { uid });
-            self.queue.enqueue(uid, spec, now);
+            let needs = self.needs_of(&spec);
+            self.queue.enqueue(uid, spec, now, needs);
         }
         uid
+    }
+
+    /// What the pipeline `spec` resolves to needs of any node it places
+    /// the pod on: what the pending queue skips the pod by. The registry
+    /// and the default scheduler are fixed at construction, so the
+    /// answer at enqueue is the answer at every later pass.
+    fn needs_of(&self, spec: &PodSpec) -> Free {
+        self.registry
+            .resolve(spec.scheduler.as_deref(), &self.config.default_scheduler)
+            .needs(spec)
+            .free
     }
 
     /// One scheduling pass (§IV steps Ì–Î): freeze a [`ClusterSnapshot`],
     /// open a [`SchedulingCycle`] over it, walk pending pods in FCFS
     /// order, place each through its resolved pipeline and bind.
     ///
-    /// Pods no pipeline can place stay queued for the next pass. Pods
-    /// whose enclave the driver denies are recorded as [`PodOutcome::Denied`]
-    /// and leave the queue — they were launched and killed.
+    /// Pods no pipeline can place stay queued for the next pass, in
+    /// their FCFS slots. Pods whose enclave the driver denies are
+    /// recorded as [`PodOutcome::Denied`] and leave the queue — they
+    /// were launched and killed.
+    ///
+    /// The queue walks its slots in place and offers a pod to its
+    /// pipeline only when the most free capacity any node of the cycle
+    /// still has covers what the pipeline needs of a node: a pass costs
+    /// what it can place, not what waits.
     pub fn scheduler_pass(&mut self, now: SimTime) -> Vec<BindOutcome> {
+        self.pass(now, PendingQueue::walk)
+    }
+
+    /// [`scheduler_pass`](Self::scheduler_pass) with every pending pod
+    /// offered to its pipeline — the oracle the skipping walk is held to.
+    #[cfg(test)]
+    fn reference_pass(&mut self, now: SimTime) -> Vec<BindOutcome> {
+        self.pass(now, PendingQueue::offer_every)
+    }
+
+    /// One scheduling pass whose queue is walked by `walk`.
+    fn pass(
+        &mut self,
+        now: SimTime,
+        walk: fn(&mut PendingQueue, &mut SchedulingCycle, &mut Offer<'_>),
+    ) -> Vec<BindOutcome> {
         // Captured even for an empty queue: the capture trims the rollup.
         // The cycle — a copy of every view plus its tier index — is not.
         let snapshot = self.capture_snapshot(now);
@@ -610,39 +644,45 @@ impl Orchestrator {
         let view_degraded = snapshot.any_degraded();
         let mut cycle = SchedulingCycle::new(snapshot);
         let mut outcomes = Vec::new();
-        let default_pipeline = self.registry.resolve(None, &self.config.default_scheduler);
+        let Orchestrator {
+            cluster,
+            queue,
+            ledgers,
+            registry,
+            config,
+            records,
+            events,
+            degraded_decisions,
+            bound_count,
+            rng,
+            ..
+        } = self;
+        let default_pipeline = registry.resolve(None, &config.default_scheduler);
 
-        // The queue itself is walked, not a copy of it: every pod that
-        // stays pending moves back in the order it came out, which is
-        // FCFS order; bound and denied pods simply do not return.
-        for pending in self.queue.take() {
+        walk(queue, &mut cycle, &mut |cycle, pending| {
             let routed;
             let pipeline: &PolicyPipeline = match pending.spec.scheduler.as_deref() {
                 None => &default_pipeline,
                 Some(name) => {
-                    routed = self
-                        .registry
-                        .resolve(Some(name), &self.config.default_scheduler);
+                    routed = registry.resolve(Some(name), &config.default_scheduler);
                     &routed
                 }
             };
 
             let Some(node_name) = cycle.place(pipeline, &pending.spec) else {
-                self.queue.keep(pending); // FCFS retry next pass
-                continue;
+                return false; // FCFS retry next pass
             };
 
-            let key = self
-                .cluster
+            let key = cluster
                 .key_of(&node_name)
                 .expect("view only contains cluster nodes");
-            let node = self.cluster.get_mut(key).expect("a key just looked up");
-            match node.run_pod(pending.uid, pending.spec.clone(), now, &mut self.rng) {
+            let node = cluster.get_mut(key).expect("a key just looked up");
+            let started = node.run_pod(pending.uid, pending.spec.clone(), now, rng);
+            ledgers.get_mut(key).dirty.set(true);
+            match started {
                 Ok(report) => {
-                    self.mark_dirty(key);
                     let started_at = now + report.startup_delay;
-                    let record = self
-                        .records
+                    let record = records
                         .get_mut(pending.uid)
                         .expect("every queued pod has a record");
                     record.started_at = Some(started_at);
@@ -651,7 +691,7 @@ impl Orchestrator {
                         record.outcome = PodOutcome::Denied {
                             node: node_name.clone(),
                         };
-                        self.events.record(
+                        events.record(
                             now,
                             EventKind::DeniedAtInit {
                                 uid: pending.uid,
@@ -662,8 +702,8 @@ impl Orchestrator {
                         record.outcome = PodOutcome::Running {
                             node: node_name.clone(),
                         };
-                        self.bound_count += 1;
-                        self.events.record(
+                        *bound_count += 1;
+                        events.record(
                             now,
                             EventKind::Scheduled {
                                 uid: pending.uid,
@@ -672,10 +712,9 @@ impl Orchestrator {
                         );
                         cycle.reserve(&node_name, &pending.spec);
                     }
-                    let slowdown_at_start =
-                        self.cluster.get(key).map_or(1.0, Node::current_slowdown);
+                    let slowdown_at_start = cluster.get(key).map_or(1.0, Node::current_slowdown);
                     if view_degraded {
-                        self.degraded_decisions += 1;
+                        *degraded_decisions += 1;
                     }
                     outcomes.push(BindOutcome {
                         uid: pending.uid,
@@ -684,6 +723,7 @@ impl Orchestrator {
                         spec_duration: pending.spec.duration,
                         slowdown_at_start,
                     });
+                    true
                 }
                 Err(_) => {
                     // The Kubelet refused (a race between snapshot and
@@ -693,11 +733,10 @@ impl Orchestrator {
                     // of the pass and refresh its view before the next
                     // one. The pod stays queued and retries then.
                     cycle.mark_infeasible(&node_name);
-                    self.mark_dirty(key);
-                    self.queue.keep(pending);
+                    false
                 }
             }
-        }
+        });
         outcomes
     }
 
@@ -1197,10 +1236,12 @@ impl Orchestrator {
 
     /// Terminates every pod on a node and requeues each at its original
     /// submission time — what a controller recreating the pods a crash or
-    /// a removal killed does. Returns the evicted uids, ascending.
+    /// a removal killed does, in one merge into the queue. Returns the
+    /// evicted uids, ascending.
     fn evict(&mut self, key: NodeKey) -> Vec<PodUid> {
         let node = self.cluster.get_mut(key).expect("evicting a live node");
         let victims: Vec<PodUid> = node.pods().keys().copied().collect();
+        let mut requeued = Vec::with_capacity(victims.len());
         for &uid in &victims {
             let pod = node.terminate_pod(uid).expect("listed above");
             let record = self
@@ -1210,8 +1251,20 @@ impl Orchestrator {
             record.outcome = PodOutcome::Pending;
             record.started_at = None;
             record.finished_at = None;
-            self.queue.enqueue(uid, pod.spec, record.submitted_at);
+            requeued.push(PendingPod {
+                uid,
+                spec: pod.spec,
+                submitted_at: record.submitted_at,
+            });
         }
+        let requeued = requeued
+            .into_iter()
+            .map(|pod| {
+                let needs = self.needs_of(&pod.spec);
+                (pod, needs)
+            })
+            .collect();
+        self.queue.requeue(requeued);
         victims
     }
 
@@ -2806,6 +2859,242 @@ mod tests {
             now += SimDuration::from_secs(5);
             orch.probe_pass(now);
             alike(&orch, &name, &never_seen, now)?;
+        }
+    }
+
+    /// Where a submission of the skip-equivalence property is routed:
+    /// the configured default, each registry pipeline, an unknown name
+    /// (the default again), and a pipeline that declares no needs.
+    const ROUTES: [Option<&str>; 6] = [
+        None,
+        Some(SGX_BINPACK),
+        Some(SGX_SPREAD),
+        Some(DEFAULT_SCHEDULER),
+        Some("bogus"),
+        Some("bare"),
+    ];
+
+    /// One step of the skip-equivalence property below.
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        /// Submit `count` alike pods: SGX of `size` MiB or standard of
+        /// `size` GiB, routed by [`ROUTES`]`[route]`.
+        Submit {
+            count: u8,
+            sgx: bool,
+            size: u8,
+            route: u8,
+        },
+        /// Submit an under-declaring pod: the driver denies it at launch.
+        Malicious,
+        /// One scheduling pass.
+        Pass,
+        /// One probe tick.
+        Probe,
+        /// Complete the nth running pod, if any.
+        Complete(u8),
+        /// Crash the nth worker: its pods are requeued.
+        Fail(u8),
+        /// Bring the nth worker back.
+        Recover(u8),
+        /// Cordon the nth worker and migrate what it can.
+        Drain(u8),
+        /// Uncordon the nth worker.
+        Uncordon(u8),
+        /// Deregister the nth worker and register it again.
+        Readd(u8),
+        /// Squat the nth worker under the uid `k` submissions ahead:
+        /// binding that pod there is refused (see `scheduler_props.rs`).
+        Squat(u8, u8),
+    }
+
+    fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+        let submit = || {
+            (1u8..100, any::<bool>(), 1u8..96, 0u8..6).prop_map(|(count, sgx, size, route)| {
+                QueueOp::Submit {
+                    count,
+                    sgx,
+                    size,
+                    route,
+                }
+            })
+        };
+        prop::collection::vec(
+            prop_oneof![
+                submit(),
+                submit(),
+                submit(),
+                Just(QueueOp::Malicious),
+                Just(QueueOp::Pass),
+                Just(QueueOp::Pass),
+                Just(QueueOp::Pass),
+                Just(QueueOp::Probe),
+                (0u8..32).prop_map(QueueOp::Complete),
+                (0u8..4).prop_map(QueueOp::Fail),
+                (0u8..4).prop_map(QueueOp::Fail),
+                (0u8..4).prop_map(QueueOp::Recover),
+                (0u8..4).prop_map(QueueOp::Drain),
+                (0u8..4).prop_map(QueueOp::Uncordon),
+                (0u8..4).prop_map(QueueOp::Readd),
+                (0u8..4, 0u8..3).prop_map(|(node, ahead)| QueueOp::Squat(node, ahead)),
+            ],
+            1..64,
+        )
+    }
+
+    impl QueueOp {
+        /// Applies the op at `now`; `exhaustive` picks the reference
+        /// pass. Returns a pass's outcomes.
+        fn apply(
+            &self,
+            orch: &mut Orchestrator,
+            now: SimTime,
+            exhaustive: bool,
+            squat_rng: &mut StdRng,
+        ) -> Vec<BindOutcome> {
+            let worker = |nth: u8| NodeName::new(WORKERS[usize::from(nth)]);
+            // An eviction would requeue a squatter under the uid of the
+            // pod it squats: outside the orchestrator's contract, so a
+            // node hosting one is neither crashed nor removed.
+            let squatted = |orch: &Orchestrator, nth: u8| {
+                let name = worker(nth);
+                orch.cluster()
+                    .node(&name)
+                    .unwrap()
+                    .pods()
+                    .keys()
+                    .any(|&uid| {
+                        orch.record(uid)
+                            .is_none_or(|r| r.outcome != PodOutcome::Running { node: name.clone() })
+                    })
+            };
+            // A migration the target refuses rolls back onto the cordoned
+            // source, which refuses it too: only a squatter makes a target
+            // refuse, so drains and removals stop once one lives.
+            let squatters = (0..4).any(|nth| squatted(orch, nth));
+            match *self {
+                QueueOp::Submit {
+                    count,
+                    sgx,
+                    size,
+                    route,
+                } => {
+                    for i in 0..count {
+                        let name = format!("p{i}");
+                        let builder = if sgx {
+                            PodSpec::builder(name).sgx_resources(ByteSize::from_mib(size.into()))
+                        } else {
+                            PodSpec::builder(name).memory_resources(ByteSize::from_gib(size.into()))
+                        };
+                        let mut spec = builder.duration(SimDuration::from_secs(60)).build();
+                        spec.scheduler = ROUTES[usize::from(route)].map(str::to_string);
+                        orch.submit(spec, now);
+                    }
+                }
+                QueueOp::Malicious => {
+                    orch.submit(under_declaring_spec(), now);
+                }
+                QueueOp::Pass if exhaustive => return orch.reference_pass(now),
+                QueueOp::Pass => return orch.scheduler_pass(now),
+                QueueOp::Probe => orch.probe_pass(now),
+                QueueOp::Complete(nth) => {
+                    let running: Vec<PodUid> = orch
+                        .records()
+                        .values()
+                        .filter(|r| matches!(r.outcome, PodOutcome::Running { .. }))
+                        .map(|r| r.uid)
+                        .collect();
+                    if !running.is_empty() {
+                        let uid = running[usize::from(nth) % running.len()];
+                        orch.complete_pod(uid, now).unwrap();
+                    }
+                }
+                QueueOp::Fail(nth) if !squatted(orch, nth) => {
+                    orch.fail_node(&worker(nth), now).unwrap();
+                }
+                QueueOp::Recover(nth) => orch.recover_node(&worker(nth), now).unwrap(),
+                QueueOp::Drain(nth) if !squatters => {
+                    orch.drain_node(&worker(nth), now).unwrap();
+                }
+                QueueOp::Uncordon(nth) => orch.uncordon_node(&worker(nth), now).unwrap(),
+                QueueOp::Readd(nth) if !squatters => {
+                    let name = worker(nth);
+                    let spec = *orch.cluster().node(&name).unwrap().spec();
+                    orch.remove_node(&name, now).unwrap();
+                    orch.add_node(name.as_str(), spec, now).unwrap();
+                }
+                QueueOp::Fail(_) | QueueOp::Drain(_) | QueueOp::Readd(_) => {}
+                QueueOp::Squat(nth, ahead) => {
+                    let uid = PodUid::new(orch.records().len() as u64 + 1 + u64::from(ahead));
+                    let squatter = PodSpec::builder("squatter")
+                        .memory_resources(ByteSize::from_mib(1))
+                        .build();
+                    // A uid already running there, or a full node: no squat.
+                    let _ = orch
+                        .cluster_mut()
+                        .node_mut(&worker(nth))
+                        .unwrap()
+                        .run_pod(uid, squatter, now, squat_rng);
+                }
+            }
+            Vec::new()
+        }
+    }
+
+    /// The queue as a pass sees it: FCFS order and the running totals.
+    fn queue_state(orch: &Orchestrator) -> (Vec<(PodUid, SimTime)>, usize, EpcPages, ByteSize) {
+        let queue = orch.queue();
+        let order = queue.iter().map(|p| (p.uid, p.submitted_at)).collect();
+        (
+            order,
+            queue.len(),
+            queue.epc_requested(),
+            queue.memory_requested(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A pass that skips is a pass that offers every pod: the queue's
+        /// walk passes over runs and pods the cycle's ceiling cannot
+        /// hold, and the reference pass offers each pending pod to
+        /// `place` — yet after every op both orchestrators hold the same
+        /// records, events, queue order and totals, and every pass binds
+        /// the same pods to the same nodes. The ops cover bursts deep
+        /// enough to fill many runs, every route (including a pipeline
+        /// that declares no needs, which is never skipped), launch
+        /// denials, kubelet refusals, crashes, recoveries, drains,
+        /// uncordons and removals that requeue pods into the middle of
+        /// the queue.
+        #[test]
+        fn queue_skip_equivalence(ops in queue_ops(), default in 0usize..3) {
+            let build = || {
+                let scheduler = [SGX_BINPACK, SGX_SPREAD, DEFAULT_SCHEDULER][default];
+                let config = OrchestratorConfig::paper().with_default_scheduler(scheduler);
+                let mut orch = Orchestrator::new(ClusterSpec::paper_cluster(), config);
+                orch.registry.register(
+                    PolicyPipeline::builder("bare")
+                        .filter(crate::policy::SgxCapableFilter)
+                        .build(),
+                );
+                orch
+            };
+            let (mut skipping, mut reference) = (build(), build());
+            let (mut rng_s, mut rng_r) = (seeded_rng(11), seeded_rng(11));
+            let mut now = SimTime::from_secs(1);
+            for (step, op) in ops.iter().enumerate() {
+                now += SimDuration::from_secs(5);
+                let bound = op.apply(&mut skipping, now, false, &mut rng_s);
+                let expected = op.apply(&mut reference, now, true, &mut rng_r);
+                prop_assert_eq!(bound, expected, "step {}", step);
+                prop_assert_eq!(skipping.records(), reference.records(), "step {}", step);
+                prop_assert!(
+                    skipping.events().iter().eq(reference.events().iter()),
+                    "events differ at step {}", step
+                );
+                prop_assert_eq!(queue_state(&skipping), queue_state(&reference), "step {}", step);
+            }
         }
     }
 }
