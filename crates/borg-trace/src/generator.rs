@@ -26,8 +26,13 @@
 //! profile evaluated ([`TraceStream`]; "Arrival process: exact squeeze
 //! thinning" in `DESIGN.md`).
 
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::Scope;
+
 use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{Rng, RngExt};
 
 use des::rng::{derive_seed, sample_exponential, sample_log_normal, seeded_rng};
 use des::{SimDuration, SimTime};
@@ -397,13 +402,40 @@ impl GeneratorConfig {
     /// frequency reduction fused into generation so that full-scale traces
     /// never exist in memory.
     ///
-    /// Equivalent to collecting [`stream_sampled`](Self::stream_sampled).
+    /// Equivalent to collecting [`stream_sampled`](Self::stream_sampled),
+    /// bit for bit. A trace that outgrows its first block of candidates is
+    /// decoded on two threads when the machine has two cores: a scoped
+    /// helper is offered a fixed share of the blocks, and this thread
+    /// folds every block in candidate order, decoding an offered block
+    /// itself rather than wait for it ("Draws in blocks, on two cores" in
+    /// `DESIGN.md`). The helper is joined before this returns.
     ///
     /// # Panics
     ///
     /// Panics if `keep_every` is zero.
     pub fn generate_sampled(&self, keep_every: usize) -> Trace {
-        Trace::from_jobs(self.stream_sampled(keep_every).collect())
+        let mut stream = self.stream_sampled(keep_every);
+        let decoder = stream.decoder;
+        let mut jobs = Vec::new();
+        let wanted = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let mut decoded = 0usize;
+            let mut two_cores = None;
+            let mut helper = None;
+            while let Some(job) = stream.next_with(|rng, block| {
+                let index = decoded;
+                decoded += 1;
+                if index == 0 || !*two_cores.get_or_insert_with(more_than_one_core) {
+                    return decoder.fill(rng, block);
+                }
+                helper
+                    .get_or_insert_with(|| Helper::spawn(scope, decoder, rng.clone(), &wanted))
+                    .refill(index, decoder, rng, block);
+            }) {
+                jobs.push(job);
+            }
+        });
+        Trace::from_jobs(jobs)
     }
 
     /// Pull-based variant of [`generate_sampled`](Self::generate_sampled):
@@ -428,11 +460,16 @@ impl GeneratorConfig {
             arrivals_rng: seeded_rng(derive_seed(self.seed, "arrivals")),
             attrs_rng: seeded_rng(derive_seed(self.seed, "attributes")),
             base_rate,
-            lambda_max: base_rate * self.profile.max_multiplier(),
+            decoder: Decoder {
+                lambda_max: base_rate * self.profile.max_multiplier(),
+                max_multiplier: self.profile.max_multiplier(),
+            },
             keep_every,
             t: 0.0,
             arrival_index: 0,
+            countdown: keep_every,
             squeeze: Squeeze::new(&self.profile),
+            block: Block::default(),
         }
     }
 
@@ -500,22 +537,28 @@ impl GeneratorConfig {
 /// [`GeneratorConfig::stream_sampled`]: a lazy non-homogeneous Poisson
 /// process with thinning, yielding [`TraceJob`]s in submission order.
 ///
-/// Draw-for-draw identical to the materialising path — both consume the
-/// `arrivals`/`attributes` RNG streams in the same sequence — so
-/// collecting the iterator reproduces `generate_sampled` bit for bit.
+/// The `arrivals` draws are decoded 4,096 candidates at a time and
+/// folded in order; the `attributes` stream is drawn only for a kept job.
+/// Where a block comes from does not change a bit — the `arrivals` stream
+/// feeds two draws a candidate and nothing else — so collecting the
+/// iterator reproduces `generate_sampled` bit for bit.
 #[derive(Debug, Clone)]
 pub struct TraceStream {
     config: GeneratorConfig,
+    /// Positioned after the last decoded block.
     arrivals_rng: StdRng,
     attrs_rng: StdRng,
     /// [`GeneratorConfig::base_rate`] of `config` — a 20,000-sample
     /// Monte Carlo, so computed once and kept.
     base_rate: f64,
-    lambda_max: f64,
+    decoder: Decoder,
     keep_every: usize,
     t: f64,
     arrival_index: usize,
+    /// Acceptances left until the next kept one, in `1..=keep_every`.
+    countdown: usize,
     squeeze: Squeeze,
+    block: Block,
 }
 
 impl TraceStream {
@@ -523,41 +566,250 @@ impl TraceStream {
     pub(crate) fn base_rate(&self) -> f64 {
         self.base_rate
     }
+
+    /// Folds candidates in order up to the next kept job, or `None` at the
+    /// horizon. `refill` replaces a used-up block with the next one and
+    /// moves the `arrivals` stream past it.
+    ///
+    /// Only rare candidates branch: the horizon, an expired bracket, a
+    /// threshold inside the bracket (each of these pays for the squeeze's
+    /// evaluation) and a kept job. Everything else is decided by one
+    /// comparison and counted by a 0/1 add.
+    fn next_with(
+        &mut self,
+        mut refill: impl FnMut(&mut StdRng, &mut Vec<[f64; 2]>),
+    ) -> Option<TraceJob> {
+        let horizon = self.config.horizon.as_secs_f64();
+        let mut t = self.t;
+        let mut index = self.arrival_index;
+        let mut countdown = self.countdown;
+        loop {
+            if self.block.next == self.block.candidates.len() {
+                refill(&mut self.arrivals_rng, &mut self.block.candidates);
+                self.block.next = 0;
+            }
+            let (mut lo, mut hi) = (self.squeeze.lo, self.squeeze.hi);
+            let mut limit = self.squeeze.until.min(horizon);
+            let start = self.block.next;
+            let mut folded = self.block.candidates.len() - start;
+            let mut stop = None;
+            for (offset, &[step, threshold]) in self.block.candidates[start..].iter().enumerate() {
+                t += step;
+                // `|` and `&`, not `||` and `&&`: one rarely taken branch
+                // instead of one on the side of the bracket a threshold
+                // fell, which is a coin toss at a 61 % acceptance rate.
+                let accepted = if (t >= limit) | ((lo < threshold) & (threshold <= hi)) {
+                    if t >= horizon {
+                        stop = Some(false);
+                        folded = offset + 1;
+                        break;
+                    }
+                    let accepted = self.squeeze.evaluate(&self.config.profile, t, threshold);
+                    (lo, hi) = (self.squeeze.lo, self.squeeze.hi);
+                    limit = self.squeeze.until.min(horizon);
+                    accepted
+                } else {
+                    threshold <= lo
+                };
+                #[cfg(test)]
+                {
+                    self.squeeze.work.candidates += 1;
+                }
+                index += usize::from(accepted);
+                countdown -= usize::from(accepted);
+                if countdown == 0 {
+                    countdown = self.keep_every;
+                    stop = Some(true);
+                    folded = offset + 1;
+                    break;
+                }
+            }
+            self.block.next = start + folded;
+            if let Some(kept) = stop {
+                self.t = t;
+                self.arrival_index = index;
+                self.countdown = countdown;
+                return kept.then(|| self.job(index, t));
+            }
+        }
+    }
+
+    /// The kept `index`-th arrival at `t`, its attributes drawn.
+    fn job(&mut self, index: usize, t: f64) -> TraceJob {
+        let duration = self.config.duration.sample(&mut self.attrs_rng);
+        let (assigned, max_usage) = self.config.memory.sample(&mut self.attrs_rng);
+        TraceJob {
+            id: JobId::new(index as u64),
+            submit: SimTime::from_secs_f64(t),
+            duration,
+            assigned_mem_fraction: assigned,
+            max_mem_fraction: max_usage,
+        }
+    }
 }
 
 impl Iterator for TraceStream {
     type Item = TraceJob;
 
     fn next(&mut self) -> Option<TraceJob> {
-        let horizon = self.config.horizon.as_secs_f64();
-        let max_multiplier = self.config.profile.max_multiplier();
-        loop {
-            self.t += sample_exponential(&mut self.arrivals_rng, self.lambda_max);
-            if self.t >= horizon {
-                return None;
-            }
-            // Thinning for the non-homogeneous rate.
-            let threshold = self.arrivals_rng.random::<f64>() * max_multiplier;
-            if !self
-                .squeeze
-                .accepts(&self.config.profile, self.t, threshold)
-            {
-                continue;
-            }
-            self.arrival_index += 1;
-            if !self.arrival_index.is_multiple_of(self.keep_every) {
-                continue;
-            }
-            let duration = self.config.duration.sample(&mut self.attrs_rng);
-            let (assigned, max_usage) = self.config.memory.sample(&mut self.attrs_rng);
-            return Some(TraceJob {
-                id: JobId::new(self.arrival_index as u64),
-                submit: SimTime::from_secs_f64(self.t),
-                duration,
-                assigned_mem_fraction: assigned,
-                max_mem_fraction: max_usage,
-            });
+        let decoder = self.decoder;
+        self.next_with(|rng, block| decoder.fill(rng, block))
+    }
+}
+
+/// Candidates decoded at a time: 64 KiB of `[step, threshold]` pairs.
+const BLOCK: usize = 4096;
+
+/// Once a helper runs, it is offered block `k` unless `k` is a multiple
+/// of `PERIOD`: two blocks in three. The folding thread also folds every
+/// block (≈3 ns a candidate, against ≈9.5 ns to decode one) and the
+/// helper steps past the blocks it leaves (≈2 ns), so two in three keeps
+/// both threads busy where an even split would leave the helper idle.
+const PERIOD: usize = 3;
+
+/// Blocks in circulation while a helper runs, the one being folded
+/// included: 256 KiB of draws in flight at most.
+const POOL: usize = 4;
+
+/// Whether the machine offers a second core to decode on.
+fn more_than_one_core() -> bool {
+    std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+}
+
+/// Turns `arrivals` draws into thinning candidates: the step to the next
+/// candidate, `-ln(1-u)/λmax`, then its threshold `u'·max_multiplier()`.
+#[derive(Debug, Clone, Copy)]
+struct Decoder {
+    lambda_max: f64,
+    max_multiplier: f64,
+}
+
+impl Decoder {
+    /// Replaces `block` with the next [`BLOCK`] candidates of `rng`.
+    fn fill(self, rng: &mut StdRng, block: &mut Vec<[f64; 2]>) {
+        block.clear();
+        block.extend((0..BLOCK).map(|_| {
+            let step = sample_exponential(rng, self.lambda_max);
+            [step, rng.random::<f64>() * self.max_multiplier]
+        }));
+    }
+
+    /// Moves `rng` past one block without decoding it.
+    fn skip(rng: &mut StdRng) {
+        for _ in 0..2 * BLOCK {
+            rng.next_u64();
         }
+    }
+}
+
+/// Decoded candidates and the next one to fold. Its `Debug` names the
+/// position only.
+#[derive(Clone, Default)]
+struct Block {
+    candidates: Vec<[f64; 2]>,
+    next: usize,
+}
+
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Block")
+            .field("next", &self.next)
+            .field("len", &self.candidates.len())
+            .finish()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Helpers this thread started, for the one-block test.
+    static HELPERS_STARTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A decoded block: its index, its candidates, and the `arrivals` stream
+/// positioned after it.
+type Decoded = (usize, Vec<[f64; 2]>, StdRng);
+
+/// The folding thread's end of a helper that decodes the blocks `k ≥ 1`
+/// with `k % PERIOD != 0` from its own copy of the `arrivals` stream,
+/// stepping it past the other blocks. It decides nothing: it
+/// hands over draws, and the stream position after them. The folding
+/// thread never waits for it: a block the helper has not handed over yet
+/// is decoded where it is needed, and the helper told to step past it.
+struct Helper<'scope> {
+    decoded: Receiver<Decoded>,
+    spent: Sender<Vec<[f64; 2]>>,
+    /// Blocks below this one are the folding thread's, whoever they were
+    /// offered to.
+    wanted: &'scope AtomicUsize,
+}
+
+impl<'scope> Helper<'scope> {
+    /// Starts the helper at block 1; `rng` is positioned after block 0.
+    /// Dropping the returned end stops it at its next send or receive.
+    fn spawn(
+        scope: &'scope Scope<'scope, '_>,
+        decoder: Decoder,
+        mut rng: StdRng,
+        wanted: &'scope AtomicUsize,
+    ) -> Self {
+        #[cfg(test)]
+        HELPERS_STARTED.with(|started| started.set(started.get() + 1));
+        let (decoded, decoded_rx) = mpsc::channel::<Decoded>();
+        let (spent_tx, spent) = mpsc::channel::<Vec<[f64; 2]>>();
+        // The folding thread holds the pool's last block. Allocated here,
+        // the pool goes back to this thread's heap when generation ends,
+        // for the replay to reuse.
+        for _ in 1..POOL {
+            let _ = spent_tx.send(Vec::with_capacity(BLOCK));
+        }
+        scope.spawn(move || {
+            for k in 1usize.. {
+                if k.is_multiple_of(PERIOD) || k < wanted.load(Relaxed) {
+                    Decoder::skip(&mut rng);
+                    continue;
+                }
+                let Ok(mut block) = spent.recv() else {
+                    return;
+                };
+                decoder.fill(&mut rng, &mut block);
+                if decoded.send((k, block, rng.clone())).is_err() {
+                    return;
+                }
+            }
+        });
+        Helper {
+            decoded: decoded_rx,
+            spent: spent_tx,
+            wanted,
+        }
+    }
+
+    /// Puts block `index` (≥ 1) in `block` and moves `rng` past it.
+    fn refill(&self, index: usize, decoder: Decoder, rng: &mut StdRng, block: &mut Vec<[f64; 2]>) {
+        if !index.is_multiple_of(PERIOD) {
+            // Blocks arrive in order; one below `index` is the helper's
+            // copy of a block decoded here while it was still at it.
+            while let Ok((k, decoded, after)) = self.decoded.try_recv() {
+                if k < index {
+                    self.recycle(decoded);
+                    continue;
+                }
+                debug_assert_eq!(k, index, "the helper skips only what was taken");
+                *rng = after;
+                self.recycle(std::mem::replace(block, decoded));
+                return;
+            }
+            // Not there yet: decode it here, and let the helper step past.
+            self.wanted.store(index + 1, Relaxed);
+        }
+        decoder.fill(rng, block);
+    }
+
+    /// Hands a block back for the helper to decode into.
+    fn recycle(&self, block: Vec<[f64; 2]>) {
+        // The helper stops on its own only by panicking, which the scope
+        // reports.
+        let _ = self.spent.send(block);
     }
 }
 
@@ -624,20 +876,11 @@ impl Squeeze {
         }
     }
 
-    /// `threshold ≤ profile.multiplier(t)`, for non-decreasing `t`.
-    fn accepts(&mut self, profile: &ConcurrencyProfile, t: f64, threshold: f64) -> bool {
-        #[cfg(test)]
-        {
-            self.work.candidates += 1;
-        }
-        if t < self.until {
-            if threshold > self.hi {
-                return false;
-            }
-            if threshold <= self.lo {
-                return true;
-            }
-        }
+    /// `threshold ≤ profile.multiplier(t)` by evaluation, starting the
+    /// next bracket at `t`. [`TraceStream::next_with`] decides a candidate
+    /// by comparison instead while `t < until` and the threshold lies
+    /// outside `(lo, hi]`.
+    fn evaluate(&mut self, profile: &ConcurrencyProfile, t: f64, threshold: f64) -> bool {
         #[cfg(test)]
         {
             self.work.evaluations += 1;
@@ -834,6 +1077,73 @@ mod tests {
         assert!(stream.next().is_none());
     }
 
+    /// `replay_scale(42)` cut after about `blocks` blocks of candidates.
+    fn blocks_of_replay_scale(blocks: f64) -> GeneratorConfig {
+        let config = GeneratorConfig::replay_scale(42);
+        let lambda_max = config.base_rate() * config.profile.max_multiplier();
+        let secs = blocks * BLOCK as f64 / lambda_max;
+        config.with_horizon(SimDuration::from_secs_f64(secs))
+    }
+
+    #[test]
+    fn a_one_block_trace_starts_no_helper() {
+        let started = || HELPERS_STARTED.with(std::cell::Cell::get);
+        // `small` draws ≈1,100 candidates an hour.
+        let trace = GeneratorConfig::small(7).generate();
+        assert!(trace.len() > 500);
+        assert_eq!(started(), 0);
+        let _ = blocks_of_replay_scale(0.5).generate_sampled(1);
+        assert_eq!(started(), 0);
+        // Outgrowing the first block starts one, given a second core.
+        let _ = blocks_of_replay_scale(3.5).generate_sampled(1);
+        assert_eq!(started(), usize::from(more_than_one_core()));
+    }
+
+    #[test]
+    fn an_exhausted_stream_stays_exhausted() {
+        for keep_every in [1, 7] {
+            let mut stream = blocks_of_replay_scale(2.5).stream_sampled(keep_every);
+            let jobs = stream.by_ref().count();
+            assert!(jobs > 0);
+            let at_end = stream.clone();
+            // Each call folds one more candidate past the horizon, through
+            // the end of the block and into the next.
+            for _ in 0..2 * BLOCK {
+                assert!(stream.next().is_none());
+            }
+            assert!(stream.t >= at_end.t);
+            assert_eq!(stream.arrival_index, at_end.arrival_index);
+        }
+    }
+
+    #[test]
+    fn a_clone_taken_mid_block_equals_its_original() {
+        for keep_every in [1, 7, 1200] {
+            let mut stream = blocks_of_replay_scale(3.5).stream_sampled(keep_every);
+            for _ in 0..3 {
+                stream.next().expect("a job in each block");
+            }
+            let block = &stream.block;
+            assert!(
+                0 < block.next && block.next < block.candidates.len(),
+                "{block:?}"
+            );
+            let clone = stream.clone();
+            assert!(clone.eq(stream));
+        }
+    }
+
+    #[test]
+    fn a_stream_is_clone_and_send_and_its_debug_omits_the_block() {
+        fn clone_and_send<T: Clone + Send>() {}
+        clone_and_send::<TraceStream>();
+        let mut stream = GeneratorConfig::small(1).stream_sampled(1);
+        stream.next();
+        let debug = format!("{stream:?}");
+        assert!(debug.contains("Block { next: 1, len: 4096 }"), "{debug}");
+        assert!(debug.len() < 2_000, "{}", debug.len());
+    }
+
     #[test]
     fn full_scale_is_paper_scale_with_a_short_horizon() {
         let full = GeneratorConfig::full_scale(11);
@@ -948,7 +1258,7 @@ mod tests {
             for _ in 0..100 {
                 let start = rng.random_range(0.0..30.0 * 3600.0);
                 let mut squeeze = Squeeze::new(&profile);
-                squeeze.accepts(&profile, start, 0.0);
+                squeeze.evaluate(&profile, start, 0.0);
                 let (lo, hi, until) = (squeeze.lo, squeeze.hi, squeeze.until);
                 assert!(hi - lo <= 1.001e-3 * profile.max_multiplier());
 

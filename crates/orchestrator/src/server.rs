@@ -1194,12 +1194,15 @@ impl Orchestrator {
             }
             Err(refusal) => {
                 // Roll back: the source just freed this capacity, so the
-                // pod always fits back where it came from.
-                self.cluster
-                    .get_mut(from)
-                    .expect("source exists")
-                    .migrate_in(uid, spec, refusal.checkpoint, key, now)
-                    .expect("the source node must re-admit its own pod");
+                // pod always fits back where it came from. A cordon keeps
+                // new pods off a node, not its own pod returning — and a
+                // drain cordons the source before it migrates anything.
+                let source = self.cluster.get_mut(from).expect("source exists");
+                let cordoned = source.is_cordoned();
+                source.set_cordoned(false);
+                let restored = source.migrate_in(uid, spec, refusal.checkpoint, key, now);
+                source.set_cordoned(cordoned);
+                restored.expect("the source node must re-admit its own pod");
                 Err(refusal.cause)
             }
         }
@@ -2405,6 +2408,50 @@ mod tests {
     }
 
     #[test]
+    fn drain_whose_target_refuses_rolls_back_onto_the_cordoned_source() {
+        let mut orch = orchestrator();
+        let uid = orch.submit(sgx_spec("a", 20), SimTime::ZERO);
+        orch.scheduler_pass(SimTime::from_secs(5));
+        let source = NodeName::new("sgx-1");
+        let target = NodeName::new("sgx-2");
+        assert_eq!(
+            orch.record(uid).unwrap().outcome,
+            PodOutcome::Running {
+                node: source.clone()
+            }
+        );
+        // The only other SGX node runs a foreign pod under the migrating
+        // uid: its kubelet refuses the migration (`PodAlreadyRunning`).
+        let squatter = PodSpec::builder("squatter")
+            .memory_resources(ByteSize::from_mib(1))
+            .build();
+        orch.cluster_mut()
+            .node_mut(&target)
+            .unwrap()
+            .run_pod(uid, squatter, SimTime::ZERO, &mut seeded_rng(1))
+            .unwrap();
+
+        let moves = orch.drain_node(&source, SimTime::from_secs(10)).unwrap();
+        assert!(moves.is_empty());
+        let node = orch.cluster().node(&source).unwrap();
+        assert!(node.is_cordoned());
+        assert!(node.pods().contains_key(&uid));
+        assert_eq!(
+            orch.record(uid).unwrap().outcome,
+            PodOutcome::Running {
+                node: source.clone()
+            }
+        );
+        // With the squatter gone, nothing else is out of place.
+        orch.cluster_mut()
+            .node_mut(&target)
+            .unwrap()
+            .terminate_pod(uid)
+            .unwrap();
+        assert_eq!(orch.audit_invariants(), Vec::<String>::new());
+    }
+
+    #[test]
     fn node_failure_requeues_pods_and_recovery_restores_capacity() {
         let mut orch = orchestrator();
         let a = orch.submit(sgx_spec("a", 60), SimTime::ZERO);
@@ -2968,10 +3015,6 @@ mod tests {
                             .is_none_or(|r| r.outcome != PodOutcome::Running { node: name.clone() })
                     })
             };
-            // A migration the target refuses rolls back onto the cordoned
-            // source, which refuses it too: only a squatter makes a target
-            // refuse, so drains and removals stop once one lives.
-            let squatters = (0..4).any(|nth| squatted(orch, nth));
             match *self {
                 QueueOp::Submit {
                     count,
@@ -3013,11 +3056,14 @@ mod tests {
                     orch.fail_node(&worker(nth), now).unwrap();
                 }
                 QueueOp::Recover(nth) => orch.recover_node(&worker(nth), now).unwrap(),
-                QueueOp::Drain(nth) if !squatters => {
+                // Draining a squatted node would migrate the squatted uid's
+                // own pod from wherever it runs; a squatted target only
+                // refuses, and the pod rolls back onto its source.
+                QueueOp::Drain(nth) if !squatted(orch, nth) => {
                     orch.drain_node(&worker(nth), now).unwrap();
                 }
                 QueueOp::Uncordon(nth) => orch.uncordon_node(&worker(nth), now).unwrap(),
-                QueueOp::Readd(nth) if !squatters => {
+                QueueOp::Readd(nth) if !squatted(orch, nth) => {
                     let name = worker(nth);
                     let spec = *orch.cluster().node(&name).unwrap().spec();
                     orch.remove_node(&name, now).unwrap();
