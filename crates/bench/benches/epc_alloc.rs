@@ -6,7 +6,7 @@ use std::hint::black_box;
 use sgx_sim::driver::SgxDriver;
 use sgx_sim::epc::{Epc, EpcConfig};
 use sgx_sim::units::EpcPages;
-use sgx_sim::{CgroupPath, Pid};
+use sgx_sim::CgroupPath;
 
 fn bench_commit_release(c: &mut Criterion) {
     let mut group = c.benchmark_group("epc/commit_release");
@@ -48,7 +48,7 @@ fn bench_enclave_lifecycle(c: &mut Criterion) {
         let pod = CgroupPath::new("/kubepods/bench");
         driver.set_pod_limit(&pod, EpcPages::new(10_000)).unwrap();
         b.iter(|| {
-            let e = driver.create_enclave(Pid::new(1), pod.clone());
+            let e = driver.create_enclave(pod.clone());
             driver.add_pages(e, EpcPages::new(2048)).unwrap();
             driver.init_enclave(e).unwrap();
             driver.destroy_enclave(e).unwrap();
@@ -64,7 +64,7 @@ fn bench_admission_check(c: &mut Criterion) {
         let pod = CgroupPath::new("/kubepods/limited");
         driver.set_pod_limit(&pod, EpcPages::ONE).unwrap();
         b.iter(|| {
-            let e = driver.create_enclave(Pid::new(1), pod.clone());
+            let e = driver.create_enclave(pod.clone());
             driver.add_pages(e, EpcPages::new(256)).unwrap();
             let denied = driver.init_enclave(e).is_err();
             driver.destroy_enclave(e).unwrap();

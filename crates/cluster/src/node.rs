@@ -15,7 +15,7 @@ use des::{SimDuration, SimTime};
 use sgx_sim::cost::CostModel;
 use sgx_sim::driver::SgxDriver;
 use sgx_sim::units::{ByteSize, EpcPages};
-use sgx_sim::{CgroupPath, EnclaveId, Pid, SgxError};
+use sgx_sim::{CgroupPath, EnclaveId, SgxError};
 
 use crate::api::{NodeName, PodSpec, PodUid};
 use crate::error::ClusterError;
@@ -140,7 +140,6 @@ pub struct Node {
     pods: BTreeMap<PodUid, RunningPod>,
     mem_requested: ByteSize,
     epc_requested: EpcPages,
-    next_pid: u32,
     cordoned: bool,
 }
 
@@ -161,7 +160,6 @@ impl Node {
             pods: BTreeMap::new(),
             mem_requested: ByteSize::ZERO,
             epc_requested: EpcPages::ZERO,
-            next_pid: 1,
             cordoned: false,
         }
     }
@@ -430,9 +428,7 @@ impl Node {
         let mut enclave = None;
         if plan.requires_sgx {
             let driver = self.driver.as_mut().expect("checked above");
-            let pid = Pid::new(self.next_pid);
-            self.next_pid += 1;
-            let id = driver.create_enclave(pid, cgroup.clone());
+            let id = driver.create_enclave(cgroup.clone());
             let setup: Result<(), SgxError> = driver
                 .add_pages(id, plan.epc_allocation)
                 .map(drop)
@@ -560,10 +556,8 @@ impl Node {
 
         let mut enclave = None;
         if let Some(snapshot) = checkpoint {
-            let pid = Pid::new(self.next_pid);
-            self.next_pid += 1;
             let driver = self.driver.as_mut().expect("checked by can_admit");
-            match driver.restore_enclave(pid, cgroup.clone(), snapshot, key) {
+            match driver.restore_enclave(cgroup.clone(), snapshot, key) {
                 Ok(id) => enclave = Some(id),
                 Err(restore) => {
                     driver.remove_pod(&cgroup);

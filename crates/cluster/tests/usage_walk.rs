@@ -16,7 +16,7 @@ use des::rng::seeded_rng;
 use des::SimTime;
 use proptest::prelude::*;
 use sgx_sim::units::{ByteSize, EpcPages};
-use sgx_sim::{CgroupPath, Pid};
+use sgx_sim::CgroupPath;
 use tsdb::Point;
 
 #[derive(Debug, Clone)]
@@ -125,7 +125,7 @@ proptest! {
                 }
                 Op::Create { owner, pages } => {
                     let driver = node.driver_mut().unwrap();
-                    let enclave = driver.create_enclave(Pid::new(9_000), cgroup(owner));
+                    let enclave = driver.create_enclave(cgroup(owner));
                     // May exhaust the EPC; an empty enclave is a case too.
                     let _ = driver.add_pages(enclave, EpcPages::new(pages));
                 }

@@ -15,7 +15,7 @@ use cluster::ClusterError;
 use des::rng::{derive_seed, seeded_rng};
 use des::{SimDuration, SimTime};
 use sgx_sim::units::{ByteSize, EpcPages};
-use tsdb::{Database, PointBatch, SeriesId, TagSet, TimeBound, WindowRollup};
+use tsdb::{Database, PointBatch, TimeBound};
 
 use crate::events::{ClusterEvent, EventKind, EventLog};
 use crate::exact::{extremes, Load};
@@ -283,14 +283,10 @@ pub struct NodeRemoval {
 #[derive(Debug)]
 pub struct Orchestrator {
     cluster: Cluster,
+    /// The metrics store, which maintains Listing 1 as it ingests:
+    /// captures read a node's measured usage off its window, and the
+    /// nodes the window lists are the window half of the refresh set.
     db: Database,
-    /// Listing 1 as a continuous query: per node, the samples a window
-    /// query can still admit, fed every frame `db` ingests. Incremental
-    /// captures read a node's measured usage here instead of evaluating
-    /// the query; the nodes it lists are the window half of the refresh
-    /// set. Interior mutability because a capture (a `&self` read) trims
-    /// it to the window it just served.
-    rollup: RefCell<WindowRollup>,
     queue: PendingQueue,
     probes: [Probe; 2],
     /// The master's half of the node table: one ledger per cluster slot.
@@ -305,12 +301,12 @@ pub struct Orchestrator {
     /// degraded by stale metrics.
     degraded_decisions: u64,
     /// The previous pass's frozen snapshot — the base the next
-    /// incremental capture refreshes. Its measured values were derived
-    /// at the rollup's floor, so every node the rollup no longer lists
-    /// reads zero in it and keeps reading zero. Its slots are the
-    /// cluster's workers in name order: registration and removal
-    /// reshape it as they change the cluster.
-    snapshot_cache: RefCell<Option<ClusterSnapshot>>,
+    /// incremental capture refreshes — and the lower bound of the window
+    /// its measured values were read from. Every node the store's window
+    /// no longer lists reads zero in it and keeps reading zero. Its slots
+    /// are the cluster's workers in name order: registration and removal
+    /// drop it.
+    snapshot_cache: RefCell<Option<(SimTime, ClusterSnapshot)>>,
     /// Pods successfully bound (started running) over the orchestrator's
     /// lifetime — the numerator of the online-serving pods-bound/sec
     /// benchmark. Denied-at-init launches are not counted.
@@ -319,14 +315,10 @@ pub struct Orchestrator {
     /// Observability for the drain regression tests: a whole drain must
     /// cost exactly one capture, not one per evicted pod.
     snapshot_captures: Cell<u64>,
+    /// Captures evaluated through the query engine: those whose window
+    /// starts below the store window's floor.
+    store_captures: Cell<u64>,
     rng: StdRng,
-}
-
-/// `now - span`, saturating at the epoch, resolved the way the query
-/// engine resolves `time >= now() - span`: the lower bound of a metrics
-/// window, or a retention cutoff.
-fn window_lo(now: SimTime, span: SimDuration) -> SimTime {
-    TimeBound::SinceNowMinus(span).resolve(now)
 }
 
 /// What the master keeps about one node incarnation. The default is a
@@ -349,15 +341,6 @@ struct NodeLedger {
     /// pods that died with the old kubelet — and frames sampled before
     /// it are dropped at ingest for good.
     recovered_at: Option<SimTime>,
-    /// The scrape cache of [`probe_pass`](Orchestrator::probe_pass), one
-    /// list per probe: the pods that probe reported last tick,
-    /// uid-ascending like the node's own pod map, each with the series
-    /// its row went to. It memoises `Database::resolve` across ticks and
-    /// nothing else — an entry is `resolve(measurement, {nodename,
-    /// pod_name})` of its key — so a frame delivered through
-    /// [`ingest_frame`](Orchestrator::ingest_frame) in between, which
-    /// resolves on arrival, lands in the same series.
-    scrape_cache: [Vec<(PodUid, SeriesId)>; 2],
     /// Cluster-side state changed since the last frozen snapshot (a
     /// bind, completion, migration, cordon or failure) — the explicit
     /// half of the incremental refresh set. A `Cell`, so that
@@ -407,30 +390,12 @@ impl Ledgers {
     }
 }
 
-/// Overwrites `tags` with the tag set of a probe series — the pair
-/// [`Probe::sample_batch`] frames as shared tag and row tag — reusing
-/// the strings it holds.
-fn set_series_tags(tags: &mut TagSet, node: &str, pod: &str) {
-    for (key, value) in [("nodename", node), ("pod_name", pod)] {
-        match tags.get_mut(key) {
-            Some(held) => {
-                held.clear();
-                held.push_str(value);
-            }
-            None => {
-                tags.insert(key.to_string(), value.to_string());
-            }
-        }
-    }
-}
-
 impl Orchestrator {
     /// Builds the cluster from `spec` and wires up the monitoring stack.
     pub fn new(spec: ClusterSpec, config: OrchestratorConfig) -> Self {
         Orchestrator {
             cluster: Cluster::build(&spec),
             db: Database::new(),
-            rollup: RefCell::new(WindowRollup::new("nodename", "pod_name")),
             queue: PendingQueue::new(),
             probes: Probe::default_pair(),
             ledgers: Ledgers::default(),
@@ -443,6 +408,7 @@ impl Orchestrator {
             snapshot_cache: RefCell::new(None),
             bound_count: 0,
             snapshot_captures: Cell::new(0),
+            store_captures: Cell::new(0),
         }
     }
 
@@ -622,20 +588,13 @@ impl Orchestrator {
         self.pass(now, PendingQueue::walk)
     }
 
-    /// [`scheduler_pass`](Self::scheduler_pass) with every pending pod
-    /// offered to its pipeline — the oracle the skipping walk is held to.
-    #[cfg(test)]
-    fn reference_pass(&mut self, now: SimTime) -> Vec<BindOutcome> {
-        self.pass(now, PendingQueue::offer_every)
-    }
-
     /// One scheduling pass whose queue is walked by `walk`.
     fn pass(
         &mut self,
         now: SimTime,
         walk: fn(&mut PendingQueue, &mut SchedulingCycle, &mut Offer<'_>),
     ) -> Vec<BindOutcome> {
-        // Captured even for an empty queue: the capture trims the rollup.
+        // Captured even for an empty queue: the capture trims the window.
         // The cycle — a copy of every view plus its tier index — is not.
         let snapshot = self.capture_snapshot(now);
         if self.queue.is_empty() {
@@ -741,65 +700,25 @@ impl Orchestrator {
     }
 
     /// One probe pass (§V-C): every probe scrapes every node it targets
-    /// and the rows go into the database and the window rollup; retention
-    /// is enforced. Equal in effect to delivering
+    /// and the rows go into the database, window and all; retention is
+    /// enforced. Equal in effect to delivering
     /// [`scrape_frames`](Self::scrape_frames) through
     /// [`ingest_frame`](Self::ingest_frame), without the frames: a row is
-    /// never named. The scrape cache keeps, per probe and node, the
-    /// series of every pod scraped last tick, under three rules —
-    ///
-    /// 1. *resolve once*: a pod met for the first time on a node resolves
-    ///    its series through the store's index, and from then on appends
-    ///    by id;
-    /// 2. *prune what was not scraped*: a tick's list holds exactly the
-    ///    pods that tick reported, so a pod that finished, migrated or
-    ///    fell to zero usage drops out with no teardown call;
-    /// 3. *fall back on a stale id*: when the store refuses an id (the
-    ///    series aged out of retention, or was dropped) the pod resolves
-    ///    again.
+    /// never named, and a pod the store's window still holds is appended
+    /// by series id ([`Database::scrape`]).
     pub fn probe_pass(&mut self, now: SimTime) {
-        let rollup = self.rollup.get_mut();
-        let db = &mut self.db;
-        // Scratch for rule 1 and for a tick's new list; the list's
-        // allocation is swapped with last tick's, so a steady cluster
-        // allocates nothing here.
-        let mut tags = TagSet::new();
-        let mut scraped = Vec::new();
-        for (nth, probe) in self.probes.iter().enumerate() {
+        for probe in &self.probes {
             let measurement = probe.measurement();
-            for (key, node) in self
-                .cluster
-                .entries()
-                .filter(|(_, node)| probe.targets(node))
-            {
-                let name = node.name();
+            let targets = self.cluster.entries().filter(|(_, n)| probe.targets(n));
+            for (key, node) in targets {
                 let ledger = self.ledgers.get_mut(key);
                 // Delivered inline, sampled now: the scrape proves the
                 // node's probe alive, idle or not.
                 ledger.last_scrape = ledger.last_scrape.max(Some(now));
-                let known = &mut ledger.scrape_cache[nth];
-                let mut feed = rollup.group_feed(name.as_str(), measurement, now);
-                // Pods come uid-ascending, as `known` is: one cursor.
-                let mut at = 0;
+                let mut rows = self.db.scrape(node.name().as_str(), measurement, now);
                 probe.scrape(node, |pod, used| {
-                    let value = used.as_bytes() as f64;
-                    while known.get(at).is_some_and(|&(uid, _)| uid < pod.uid) {
-                        at += 1;
-                    }
-                    let id = match known.get(at) {
-                        Some(&(uid, id)) if uid == pod.uid && db.append(id, now, value) => id,
-                        _ => {
-                            set_series_tags(&mut tags, name.as_str(), pod.pod_name());
-                            let id = db.resolve(measurement, &tags);
-                            db.append(id, now, value);
-                            id
-                        }
-                    };
-                    scraped.push((pod.uid, id));
-                    feed.admit(Some(pod.pod_name()), value);
+                    rows.append(pod.pod_name(), used.as_bytes() as f64);
                 });
-                std::mem::swap(known, &mut scraped);
-                scraped.clear();
             }
         }
         self.enforce_metrics_retention(now);
@@ -816,10 +735,8 @@ impl Orchestrator {
     pub fn scrape_frames(&self, now: SimTime) -> Vec<(NodeName, PointBatch)> {
         let mut frames = Vec::new();
         for probe in &self.probes {
-            for node in self.cluster.nodes() {
-                if probe.targets(node) {
-                    frames.push((node.name().clone(), probe.sample_batch(node, now)));
-                }
+            for node in self.cluster.nodes().filter(|node| probe.targets(node)) {
+                frames.push((node.name().clone(), probe.sample_batch(node, now)));
             }
         }
         frames
@@ -847,7 +764,6 @@ impl Orchestrator {
         }
         ledger.last_scrape = ledger.last_scrape.max(Some(scraped_at));
         self.db.insert_batch(batch);
-        self.rollup.get_mut().feed(batch);
     }
 
     /// Enforces the database retention window, as the tail of a probe
@@ -855,17 +771,6 @@ impl Orchestrator {
     /// themselves.
     pub fn enforce_metrics_retention(&mut self, now: SimTime) {
         self.db.enforce_retention(now, self.config.retention);
-        // While passes run, every capture trims the rollup to its window
-        // and this bound lies far below the floor. When none has for
-        // longer than the retention, the store's cutoff bounds the
-        // rollup as well — and the cached snapshot, whose views may rest
-        // on samples just evicted, is no base to refresh from any more.
-        let cutoff = window_lo(now, self.config.retention);
-        let rollup = self.rollup.get_mut();
-        if cutoff > rollup.floor() {
-            rollup.trim(cutoff);
-            *self.snapshot_cache.get_mut() = None;
-        }
     }
 
     /// Age of a node's last delivered scrape, `None` if never scraped.
@@ -920,44 +825,51 @@ impl Orchestrator {
 
     /// Freezes the immutable per-pass [`ClusterSnapshot`] the scheduling
     /// framework consumes: every worker (cordoned ones included, flagged
-    /// for the cordon filter), effective occupancy from the Listing-1
-    /// window queries, staleness annotated against the configured
-    /// threshold.
+    /// for the cordon filter), effective occupancy from Listing 1,
+    /// staleness annotated against the configured threshold.
     ///
-    /// The snapshot is maintained across passes: only nodes in the
-    /// refresh set — marked dirty by a bind, completion, migration,
-    /// cordon or failure, or still holding in-window samples in the
-    /// rollup — have their views re-derived, their measured usage read
-    /// from the rollup; the clean remainder is structurally shared with
-    /// the previous pass's snapshot. Bit-identical to a from-scratch
-    /// [`ClusterSnapshot::capture`] (property-tested in
-    /// `tests/snapshot_incremental.rs`) for every `now`: one whose window
-    /// reaches back below the rollup's floor — a step backwards in time,
-    /// or passes resuming after the retention overtook them — evaluates
-    /// the queries against the store instead.
+    /// Measured usage is read off the store's window, where Listing 1 is
+    /// maintained as samples arrive. The snapshot is maintained across
+    /// passes: only nodes in the refresh set — marked dirty by a bind,
+    /// completion, migration, cordon or failure, or still listed by the
+    /// window — have their views re-derived; the clean remainder is
+    /// structurally shared with the previous pass's snapshot. With no
+    /// base to refresh (the first capture, one after
+    /// [`cluster_mut`](Self::cluster_mut) or a node joining or leaving,
+    /// or one after the retention overtook the passes) each worker's view
+    /// is built from the cluster, nothing measured, and the refresh set
+    /// is re-derived on it: a node the window does not list measures
+    /// zero. Only a window that starts below the window's floor — a
+    /// capture stepping back in time, or a retention shorter than the
+    /// window — is evaluated through the query engine
+    /// ([`ClusterSnapshot::capture`]). Bit-identical to that from-scratch
+    /// capture for every `now` (property-tested in
+    /// `tests/snapshot_incremental.rs`).
     pub fn capture_snapshot(&self, now: SimTime) -> ClusterSnapshot {
         self.snapshot_captures.set(self.snapshot_captures.get() + 1);
         let window = self.config.metrics_window;
-        let lo = window_lo(now, window);
-        // Retention shorter than the query window could evict in-window
-        // samples behind the rollup's back; full captures are the safe
-        // fallback in that (mis)configuration.
-        let incremental = self.config.retention >= window && lo >= self.rollup.borrow().floor();
-        let cached = self.snapshot_cache.borrow_mut().take();
-        let (mut snapshot, refresh_at) = match cached.filter(|_| incremental) {
-            Some(prev) => (prev, Some(lo)),
-            None => (
-                ClusterSnapshot::capture(&self.cluster, &self.db, now, window),
-                None,
-            ),
+        // `time >= now() - window`, resolved as the query engine does.
+        let lo = TimeBound::SinceNowMinus(window).resolve(now);
+        let floor = self.db.window().floor();
+        // A base read below the floor rests on samples the retention has
+        // evicted since.
+        let base = self.snapshot_cache.borrow_mut().take();
+        let mut snapshot = match base.filter(|&(read_from, _)| read_from >= floor) {
+            _ if lo < floor => {
+                self.store_captures.set(self.store_captures.get() + 1);
+                ClusterSnapshot::capture(&self.cluster, &self.db, now, window)
+            }
+            Some((_, base)) => base,
+            None => ClusterSnapshot::of_workers(&self.cluster, now, |_, _| ByteSize::ZERO),
         };
+        let refresh_at = (lo >= floor).then_some(lo);
         snapshot.update(now, |names, views| {
             self.refresh_views(names, views, now, refresh_at);
         });
-        if incremental {
+        if refresh_at.is_some() {
             // No later capture on this path admits a sample below `lo`.
-            self.rollup.borrow_mut().trim(lo);
-            *self.snapshot_cache.borrow_mut() = Some(snapshot.clone());
+            self.db.trim_window(lo);
+            *self.snapshot_cache.borrow_mut() = Some((lo, snapshot.clone()));
         }
         snapshot
     }
@@ -965,13 +877,14 @@ impl Orchestrator {
     /// Brings a snapshot's views up to `now` in one name-ordered walk over
     /// the cluster's nodes, which clears every dirty mark on the way.
     ///
-    /// With `refresh_at` — the window's lower bound on the incremental
-    /// path — it first re-derives the refresh set: every worker marked
-    /// dirty, and every one the rollup lists (its in-window sample set
-    /// can gain or lose samples as the window slides; a node it does not
-    /// list measured empty at the previous capture and still does),
-    /// measured usage read off the rollup. The rollup's groups are
-    /// name-ordered too, so that is a merge, and no name is cloned.
+    /// With `refresh_at` — the window's lower bound, unless the capture
+    /// was evaluated through the query engine — it first re-derives the
+    /// refresh set: every worker marked dirty, and every one the store's
+    /// window lists (its in-window sample set can gain or lose samples as
+    /// the window slides; a node it does not list measured empty at the
+    /// previous capture and still does), measured usage read off the
+    /// window. The window's nodes are name-ordered too, so that is a
+    /// merge, and no name is cloned.
     ///
     /// Then every worker is stamped with the staleness rule of
     /// [`metrics_age`](Self::metrics_age) and
@@ -992,8 +905,8 @@ impl Orchestrator {
         refresh_at: Option<SimTime>,
     ) {
         let threshold = self.config.staleness_threshold;
-        let rollup = self.rollup.borrow();
-        let mut listed = rollup.groups().peekable();
+        let listing1 = self.db.window();
+        let mut listed = listing1.groups().peekable();
         let mut slot = 0;
         for (key, node) in self.cluster.entries() {
             let ledger = self.ledgers.get(key);
@@ -1008,12 +921,9 @@ impl Orchestrator {
             if let Some(lo) = refresh_at {
                 while listed.next_if(|&group| group < name).is_some() {}
                 if listed.next_if_eq(&name).is_some() || dirty {
-                    let measured = |m| measured_bytes(rollup.sum_of_max(name, m, lo));
-                    *view = view_of(
-                        node,
-                        measured(MEASUREMENT_MEMORY),
-                        measured(MEASUREMENT_EPC),
-                    );
+                    let measured = |m| measured_bytes(listing1.sum_of_max(name, m, lo));
+                    let (memory, epc) = (measured(MEASUREMENT_MEMORY), measured(MEASUREMENT_EPC));
+                    *view = view_of(node, memory, epc);
                 }
             }
             let age = ledger
@@ -1026,11 +936,11 @@ impl Orchestrator {
         debug_assert_eq!(slot, views.len(), "snapshot slots are the workers");
     }
 
-    /// Size and work counters of the Listing-1 rollup incremental
+    /// Size and work counters of the store's Listing-1 window that
     /// captures read: nodes still holding in-window samples, samples
     /// held, and samples the captures have folded so far.
     pub fn window_rollup_stats(&self) -> tsdb::RollupStats {
-        self.rollup.borrow().stats()
+        self.db.window().stats()
     }
 
     /// Snapshot captures performed so far, full and incremental alike —
@@ -1362,10 +1272,11 @@ impl Orchestrator {
     /// The node gets a fresh key, so nothing a previous holder of the name
     /// left in the node table reaches it, and `now` is its registration
     /// instant: a frame sampled before it is void at
-    /// [`ingest_frame`](Self::ingest_frame). Whatever the tsdb and the
-    /// rollup still hold under the name is dropped (a name retired through
+    /// [`ingest_frame`](Self::ingest_frame). Whatever the tsdb still holds
+    /// under the name, window included, is dropped (a name retired through
     /// [`cluster_mut`](Self::cluster_mut) left it there). The cached
-    /// incremental snapshot gains the node's slot — no full invalidation.
+    /// snapshot base is dropped: the next capture builds every view from
+    /// the cluster and the store's window.
     ///
     /// # Errors
     ///
@@ -1380,12 +1291,9 @@ impl Orchestrator {
         let name = self.cluster.add_node(name, spec, NodeRole::Worker)?;
         let key = self.cluster.key_of(&name).expect("just registered");
         self.ledgers.get_mut(key).registered_at = now;
-        self.drop_metrics(&name);
-        if let Some(snapshot) = self.snapshot_cache.get_mut() {
-            let node = self.cluster.get(key).expect("just registered");
-            let view = view_of(node, ByteSize::ZERO, ByteSize::ZERO);
-            snapshot.reshape(&[], vec![(name.clone(), view)]);
-        }
+        self.db
+            .drop_series_with_first_tag("nodename", name.as_str());
+        *self.snapshot_cache.get_mut() = None;
         self.events
             .record(now, EventKind::NodeAdded { node: name.clone() });
         Ok(name)
@@ -1401,8 +1309,8 @@ impl Orchestrator {
     /// (the controller-recreates semantics node failure uses), so no pod
     /// is ever lost to a removal. Deregistering retires the node's key,
     /// and with it everything the node table held for it; the node's
-    /// tsdb series and rollup window are dropped, and its slot leaves the
-    /// cached snapshot.
+    /// tsdb series and window are dropped, and so is the cached snapshot
+    /// base.
     ///
     /// # Errors
     ///
@@ -1420,13 +1328,9 @@ impl Orchestrator {
         let migrations = self.drain_node(name, now)?;
         let requeued = self.evict(key);
         self.cluster.remove_node(name);
-        self.drop_metrics(name);
-        if let Some(snapshot) = self.snapshot_cache.get_mut() {
-            let slot = snapshot
-                .slot_of(name)
-                .expect("cached slots are the workers");
-            snapshot.reshape(&[slot], Vec::new());
-        }
+        self.db
+            .drop_series_with_first_tag("nodename", name.as_str());
+        *self.snapshot_cache.get_mut() = None;
         self.events.record(
             now,
             EventKind::NodeRemoved {
@@ -1438,15 +1342,6 @@ impl Orchestrator {
             migrations,
             requeued,
         })
-    }
-
-    /// Drops the node's tsdb probe series and rollup window — the one
-    /// teardown keyed by name, because the store and the rollup keep the
-    /// name as their boundary.
-    fn drop_metrics(&mut self, name: &NodeName) {
-        self.rollup.get_mut().forget(name.as_str());
-        self.db
-            .drop_series_with_first_tag("nodename", name.as_str());
     }
 
     /// Un-cordons a previously drained node.
@@ -1568,6 +1463,7 @@ mod tests {
     use proptest::prelude::*;
     use sgx_sim::units::ByteSize;
     use stress::Stressor;
+    use tsdb::TagSet;
 
     fn orchestrator() -> Orchestrator {
         Orchestrator::new(ClusterSpec::paper_cluster(), OrchestratorConfig::paper())
@@ -1627,7 +1523,7 @@ mod tests {
         let mut orch = Orchestrator::new(spec, OrchestratorConfig::paper());
         let before = orch.snapshot_captures();
         assert!(orch.scheduler_pass(SimTime::from_secs(5)).is_empty());
-        // The capture still ran: it is what trims the rollup.
+        // The capture still ran: it is what trims the store's window.
         assert_eq!(orch.snapshot_captures() - before, 1);
         // And the next pass, with a pod pending, schedules as ever.
         orch.submit(sgx_spec("a", 16), SimTime::from_secs(6));
@@ -2249,9 +2145,6 @@ mod tests {
                     orch.remove_node(&name, now).unwrap();
                     orch.add_node(WORKERS[nth], spec, now).unwrap();
                     // A fresh incarnation inherits nothing.
-                    let key = orch.cluster.key_of(&name).unwrap();
-                    let ledger = orch.ledgers.get(key);
-                    assert!(ledger.is_none_or(|l| l.scrape_cache.iter().all(Vec::is_empty)));
                     assert_eq!(orch.metrics_age(&name, now), None);
                 }
                 TickOp::Drain(nth) => {
@@ -2266,10 +2159,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The probe tick has two entry points and one effect:
-        /// `probe_pass` (rows appended by cached series id, the rollup fed
-        /// unframed) and `scrape_frames` + `ingest_frame` +
+        /// `probe_pass` (rows appended by cached series id through a
+        /// scrape handle) and `scrape_frames` + `ingest_frame` +
         /// `enforce_metrics_retention` (tagged frames resolved on
-        /// arrival) leave the same store, counters, rollup and freshness
+        /// arrival) leave the same store, counters, window and freshness
         /// ledger — across pod turnover, migrations, retention running
         /// series out from under cached ids, node crashes, and a node
         /// name changing hands.
@@ -2314,17 +2207,6 @@ mod tests {
                     framed.capture_snapshot(now),
                     "step {}", index
                 );
-                // The cache is uid-ascending and lists pods only where
-                // its probe targets the node.
-                for (key, node) in direct.cluster.entries() {
-                    let Some(ledger) = direct.ledgers.get(key) else {
-                        continue;
-                    };
-                    for (probe, known) in direct.probes.iter().zip(&ledger.scrape_cache) {
-                        prop_assert!(known.windows(2).all(|w| w[0].0 < w[1].0));
-                        prop_assert!(known.is_empty() || probe.targets(node));
-                    }
-                }
             }
         }
     }
@@ -2721,11 +2603,11 @@ mod tests {
             "the old pods' series came back"
         );
         assert!(
-            orch.rollup
-                .borrow()
+            orch.db()
+                .window()
                 .groups()
                 .all(|group| group != home.as_str()),
-            "the old pods' samples reached the rollup"
+            "the old pods' samples reached the window"
         );
         assert_eq!(orch.metrics_age(&home, SimTime::from_secs(31)), None);
         let view = orch.capture_snapshot(SimTime::from_secs(31));
@@ -2753,6 +2635,131 @@ mod tests {
         let shrunk = orch.capture_snapshot(SimTime::from_secs(5));
         assert!(shrunk.node(&NodeName::new("extra")).is_none());
         assert_eq!(shrunk.len(), 4);
+    }
+
+    /// The from-scratch oracle of `tests/snapshot_incremental.rs`: Listing 1
+    /// through the query engine, the scrape-age staleness rule and the
+    /// recovery quarantine.
+    fn oracle(orch: &Orchestrator, now: SimTime) -> ClusterSnapshot {
+        let config = orch.config();
+        let mut snapshot =
+            ClusterSnapshot::capture(orch.cluster(), orch.db(), now, config.metrics_window)
+                .with_staleness(config.staleness_threshold, |name| {
+                    orch.metrics_age(name, now)
+                });
+        snapshot.update(now, |names, views| {
+            for (name, view) in names.iter().zip(views) {
+                view.degraded |= orch.recovery_pending(name);
+            }
+        });
+        snapshot
+    }
+
+    #[test]
+    fn a_retention_shorter_than_the_window_captures_exactly() {
+        let config = OrchestratorConfig {
+            retention: SimDuration::from_secs(10),
+            ..OrchestratorConfig::paper()
+        };
+        assert!(config.retention < config.metrics_window);
+        let mut orch = Orchestrator::new(ClusterSpec::paper_cluster(), config);
+        let mut running = Vec::new();
+        let mut now = SimTime::ZERO;
+        for tick in 0..48u64 {
+            now += SimDuration::from_secs(5);
+            if tick % 3 == 0 {
+                orch.submit(sgx_spec(&format!("p{tick}"), 8 + tick % 11), now);
+            }
+            running.extend(orch.scheduler_pass(now).iter().map(|bound| bound.uid));
+            if tick % 2 == 0 {
+                orch.probe_pass(now);
+            }
+            if tick % 4 == 3 && !running.is_empty() {
+                orch.complete_pod(running.remove(0), now).unwrap();
+            }
+            assert_eq!(orch.capture_snapshot(now), oracle(&orch, now), "at {now}");
+        }
+        // A window reaching past the retention's cutoff is the store's.
+        let asked = orch.store_captures.get();
+        assert!(asked > 0);
+        // One more tick, then a capture when every sample is older than
+        // the retention — the store still holds the tick's, as no
+        // retention ran since — and the window starts above the cutoff.
+        orch.probe_pass(now);
+        let late = now + SimDuration::from_secs(17);
+        let snapshot = orch.capture_snapshot(late);
+        assert_eq!(orch.store_captures.get(), asked, "read off the window");
+        let measured = |snapshot: &ClusterSnapshot| {
+            snapshot
+                .iter()
+                .any(|(_, view)| !view.epc_measured.is_zero())
+        };
+        assert!(measured(&snapshot));
+        assert_eq!(snapshot, oracle(&orch, late));
+
+        // Frames held back in transit land after a retention passed them:
+        // the store keeps them until the next one, the window never sees
+        // them, and their pods have finished since.
+        let stash = orch.scrape_frames(late);
+        assert!(!running.is_empty());
+        for uid in running.drain(..) {
+            orch.complete_pod(uid, late).unwrap();
+        }
+        now = late + SimDuration::from_secs(15);
+        orch.probe_pass(now);
+        for (node, batch) in &stash {
+            orch.ingest_frame(node, batch, late);
+        }
+        let snapshot = orch.capture_snapshot(now);
+        assert!(measured(&snapshot));
+        assert_eq!(snapshot, oracle(&orch, now));
+    }
+
+    #[test]
+    fn a_replay_shaped_run_never_asks_the_store() {
+        let mut orch = orchestrator();
+        let mut now = SimTime::ZERO;
+        let step = |orch: &mut Orchestrator, now: &mut SimTime, secs: u64| {
+            *now += SimDuration::from_secs(secs);
+            orch.submit(sgx_spec("p", 12), *now);
+            orch.scheduler_pass(*now);
+            orch.probe_pass(*now);
+            assert_eq!(orch.capture_snapshot(*now), oracle(orch, *now), "at {now}");
+        };
+        // The first capture has no base to refresh.
+        step(&mut orch, &mut now, 5);
+        step(&mut orch, &mut now, 10);
+        // An edit behind the orchestrator's back drops the base.
+        orch.cluster_mut()
+            .node_mut(&NodeName::new("sgx-2"))
+            .unwrap()
+            .set_cordoned(true);
+        step(&mut orch, &mut now, 10);
+        // Probe ticks alone for longer than the retention: the store's
+        // cutoff overtakes the base.
+        let resume = now + orch.config().retention + SimDuration::from_secs(60);
+        while now < resume {
+            now += SimDuration::from_secs(10);
+            orch.probe_pass(now);
+        }
+        step(&mut orch, &mut now, 5);
+        // Nodes join and leave, a name changing hands on the way.
+        orch.add_node("extra", MachineSpec::sgx_node(), now)
+            .unwrap();
+        step(&mut orch, &mut now, 10);
+        orch.remove_node(&NodeName::new("extra"), now).unwrap();
+        step(&mut orch, &mut now, 10);
+        orch.add_node("extra", MachineSpec::dell_r330(), now)
+            .unwrap();
+        step(&mut orch, &mut now, 10);
+        assert_eq!(orch.store_captures.get(), 0);
+
+        // Only a capture stepping back in time reaches below the floor.
+        let back = now - SimDuration::from_secs(30);
+        assert_eq!(orch.capture_snapshot(back), oracle(&orch, back));
+        assert_eq!(orch.store_captures.get(), 1);
+        step(&mut orch, &mut now, 10);
+        assert_eq!(orch.store_captures.get(), 1);
     }
 
     /// One step of the node-table property below, all on the one name it
@@ -2817,7 +2824,7 @@ mod tests {
     }
 
     /// Holds two nodes equal on everything the master keeps per node:
-    /// scrape age, quarantine, stored series, rollup window and view.
+    /// scrape age, quarantine, stored series, window and view.
     fn alike(
         orch: &Orchestrator,
         a: &NodeName,
@@ -2828,10 +2835,10 @@ mod tests {
         prop_assert_eq!(orch.recovery_pending(a), orch.recovery_pending(b));
         prop_assert_eq!(series_of(orch, a, now), series_of(orch, b, now));
         {
-            let rollup = orch.rollup.borrow();
+            let listing1 = orch.db().window();
             let window = |name: &NodeName| {
-                let listed = rollup.groups().any(|group| group == name.as_str());
-                let sum = |m| rollup.sum_of_max(name.as_str(), m, rollup.floor());
+                let listed = listing1.groups().any(|group| group == name.as_str());
+                let sum = |m| listing1.sum_of_max(name.as_str(), m, listing1.floor());
                 (listed, sum(MEASUREMENT_MEMORY), sum(MEASUREMENT_EPC))
             };
             prop_assert_eq!(window(a), window(b));
@@ -3037,7 +3044,7 @@ mod tests {
                 QueueOp::Malicious => {
                     orch.submit(under_declaring_spec(), now);
                 }
-                QueueOp::Pass if exhaustive => return orch.reference_pass(now),
+                QueueOp::Pass if exhaustive => return orch.pass(now, PendingQueue::offer_every),
                 QueueOp::Pass => return orch.scheduler_pass(now),
                 QueueOp::Probe => orch.probe_pass(now),
                 QueueOp::Complete(nth) => {

@@ -27,9 +27,11 @@
 //!
 //! [`ClusterSnapshot::capture`] is the from-scratch evaluator: it runs
 //! Listing 1 through the query engine. `Orchestrator::capture_snapshot`
-//! reads the same values off the ingest-side rollup instead and falls
-//! back to it below the rollup's floor; the property tests hold the two
-//! equal.
+//! reads the same values off the window the store maintains
+//! (`tsdb::Database::window`), and calls it only for a window that
+//! starts below that window's floor — a capture stepping back in time,
+//! or a retention shorter than the window. It is also the oracle the
+//! property tests hold the two equal by.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -154,31 +156,38 @@ impl ClusterSnapshot {
         }
     }
 
+    /// Every worker: capacities and requests from the cluster, measured
+    /// usage `measured(node, measurement)`, staleness not stamped.
+    pub(crate) fn of_workers(
+        cluster: &Cluster,
+        now: SimTime,
+        measured: impl Fn(&str, &str) -> ByteSize,
+    ) -> Self {
+        let view = |node: &Node| {
+            let of = |measurement| measured(node.name().as_str(), measurement);
+            view_of(node, of(MEASUREMENT_MEMORY), of(MEASUREMENT_EPC))
+        };
+        let workers = cluster.workers().map(|n| (n.name().clone(), view(n)));
+        Self::from_sorted(now, workers)
+    }
+
     /// Captures all workers: capacities and requests from the cluster,
     /// measured usage from sliding-window queries against `db`.
     ///
     /// Staleness is not annotated here (capture has no access to scrape
     /// bookkeeping); compose with
-    /// [`with_staleness`](Self::with_staleness), as
-    /// `Orchestrator::capture_snapshot` does.
+    /// [`with_staleness`](Self::with_staleness).
     pub fn capture(cluster: &Cluster, db: &Database, now: SimTime, window: SimDuration) -> Self {
-        let epc_measured = measured(db, MEASUREMENT_EPC, now, window);
-        let mem_measured = measured(db, MEASUREMENT_MEMORY, now, window);
-        let of_node = |of: &BTreeMap<String, ByteSize>, name: &NodeName| {
-            of.get(name.as_str()).copied().unwrap_or(ByteSize::ZERO)
-        };
-        Self::from_sorted(
-            now,
-            cluster.workers().map(|node| {
-                let name = node.name();
-                let view = view_of(
-                    node,
-                    of_node(&mem_measured, name),
-                    of_node(&epc_measured, name),
-                );
-                (name.clone(), view)
-            }),
-        )
+        let epc = measured(db, MEASUREMENT_EPC, now, window);
+        let memory = measured(db, MEASUREMENT_MEMORY, now, window);
+        Self::of_workers(cluster, now, |node, measurement| {
+            let of = if measurement == MEASUREMENT_EPC {
+                &epc
+            } else {
+                &memory
+            };
+            of.get(node).copied().unwrap_or(ByteSize::ZERO)
+        })
     }
 
     /// Returns a snapshot with every node stamped with the age of its
@@ -223,40 +232,6 @@ impl ClusterSnapshot {
         let inner = Arc::make_mut(&mut self.inner);
         inner.captured_at = captured_at;
         apply(&inner.names, &mut inner.views);
-    }
-
-    /// Changes the node *set*: drops the slots listed in `removed`
-    /// (ascending) and merges in `added` (ascending by name, none of
-    /// them present). The one operation that rebuilds the name array —
-    /// node registration and deregistration are rare next to scheduling
-    /// passes.
-    pub(crate) fn reshape(&mut self, removed: &[usize], added: Vec<(NodeName, NodeView)>) {
-        if removed.is_empty() && added.is_empty() {
-            return;
-        }
-        let inner = Arc::make_mut(&mut self.inner);
-        let len = inner.names.len() - removed.len() + added.len();
-        let mut names = Vec::with_capacity(len);
-        let mut views = Vec::with_capacity(len);
-        let mut removed = removed.iter().copied().peekable();
-        let mut added = added.into_iter().peekable();
-        for (slot, (name, view)) in inner.names.iter().zip(&inner.views).enumerate() {
-            while let Some((new_name, new_view)) = added.next_if(|(n, _)| n < name) {
-                names.push(new_name);
-                views.push(new_view);
-            }
-            if removed.next_if_eq(&slot).is_none() {
-                names.push(name.clone());
-                views.push(*view);
-            }
-        }
-        for (new_name, new_view) in added {
-            names.push(new_name);
-            views.push(new_view);
-        }
-        debug_assert!(names.windows(2).all(|w| w[0] < w[1]), "names out of order");
-        inner.names = names.into();
-        inner.views = views;
     }
 
     /// The per-node views, in node-name order.
@@ -376,34 +351,6 @@ mod tests {
         assert!(!cordoned.any_degraded());
         // The edit copied on write: the shared original is untouched.
         assert!(snapshot.any_degraded());
-    }
-
-    #[test]
-    fn reshape_keeps_slots_name_ranked() {
-        let mut snapshot = paper_snapshot();
-        let sgx2 = snapshot.slot_of(&NodeName::new("sgx-2")).unwrap();
-        let added = NodeView {
-            epc_capacity: EpcPages::new(7),
-            ..NodeView::default()
-        };
-        snapshot.reshape(
-            &[sgx2],
-            vec![
-                (NodeName::new("a-first"), added),
-                (NodeName::new("sgx-3"), added),
-                (NodeName::new("z-last"), added),
-            ],
-        );
-        let names: Vec<&str> = snapshot.names().iter().map(NodeName::as_str).collect();
-        assert_eq!(
-            names,
-            ["a-first", "sgx-1", "sgx-3", "std-1", "std-2", "z-last"]
-        );
-        for name in ["a-first", "sgx-3", "z-last"] {
-            assert_eq!(snapshot.node(&NodeName::new(name)), Some(&added));
-        }
-        assert_eq!(snapshot.node(&NodeName::new("sgx-2")), None);
-        assert!(snapshot.node(&NodeName::new("sgx-1")).unwrap().has_sgx());
     }
 
     #[test]

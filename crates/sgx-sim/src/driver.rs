@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use crate::enclave::{Enclave, EnclaveState};
 use crate::epc::{EnclaveUsage, Epc, EpcConfig, PagingActivity};
 use crate::error::SgxError;
-use crate::ids::{CgroupPath, EnclaveId, Pid};
+use crate::ids::{CgroupPath, EnclaveId};
 use crate::migration::Measurement;
 use crate::units::EpcPages;
 use crate::SgxVersion;
@@ -37,13 +37,13 @@ use crate::SgxVersion;
 /// ```
 /// use sgx_sim::driver::SgxDriver;
 /// use sgx_sim::units::EpcPages;
-/// use sgx_sim::{CgroupPath, Pid, SgxError};
+/// use sgx_sim::{CgroupPath, SgxError};
 ///
 /// let mut driver = SgxDriver::sgx1_default();
 /// let pod = CgroupPath::new("/kubepods/malicious");
 /// driver.set_pod_limit(&pod, EpcPages::ONE)?;
 ///
-/// let enclave = driver.create_enclave(Pid::new(1), pod.clone());
+/// let enclave = driver.create_enclave(pod.clone());
 /// driver.add_pages(enclave, EpcPages::from_mib_ceil(46))?; // ~50 % of EPC
 /// let denied = driver.init_enclave(enclave);
 /// assert!(matches!(denied, Err(SgxError::PodLimitExceeded { .. })));
@@ -172,11 +172,11 @@ impl SgxDriver {
 
     // ---- enclave lifecycle --------------------------------------------
 
-    /// `ECREATE`: registers a new enclave owned by `pid` inside `pod`.
-    pub fn create_enclave(&mut self, pid: Pid, pod: CgroupPath) -> EnclaveId {
+    /// `ECREATE`: registers a new enclave inside `pod`.
+    pub fn create_enclave(&mut self, pod: CgroupPath) -> EnclaveId {
         let id = self.epc.register_enclave();
         self.enclaves
-            .insert(id, Enclave::new(id, pid, pod, self.version));
+            .insert(id, Enclave::new(id, pod, self.version));
         id
     }
 
@@ -393,7 +393,6 @@ impl SgxDriver {
     /// [`RestoreError`]: crate::migration::RestoreError
     pub fn restore_enclave(
         &mut self,
-        pid: Pid,
         pod: CgroupPath,
         checkpoint: crate::migration::EnclaveCheckpoint,
         key: crate::migration::MigrationKey,
@@ -406,7 +405,7 @@ impl SgxDriver {
                 checkpoint,
             });
         }
-        let id = self.create_enclave(pid, pod);
+        let id = self.create_enclave(pod);
         let restore = (|this: &mut Self| {
             this.add_pages(id, checkpoint.committed)?;
             this.init_enclave(id)
@@ -488,7 +487,7 @@ mod tests {
         assert_eq!(d.sgx_nr_total_epc_pages().count(), 23_936);
         assert_eq!(d.sgx_nr_free_pages().count(), 23_936);
 
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(1000)).unwrap();
         assert_eq!(d.sgx_nr_free_pages().count(), 22_936);
     }
@@ -496,7 +495,7 @@ mod tests {
     #[test]
     fn lifecycle_happy_path() {
         let mut d = driver_with_limit(1, 5000);
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(4000)).unwrap();
         d.init_enclave(e).unwrap();
         assert_eq!(d.enclave(e).unwrap().state(), EnclaveState::Initialized);
@@ -510,7 +509,7 @@ mod tests {
     #[test]
     fn init_denied_when_pod_exceeds_limit() {
         let mut d = driver_with_limit(1, 100);
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(200)).unwrap();
         let err = d.init_enclave(e).unwrap_err();
         assert!(matches!(err, SgxError::PodLimitExceeded { .. }));
@@ -520,11 +519,11 @@ mod tests {
     #[test]
     fn limit_counts_all_enclaves_of_the_pod() {
         let mut d = driver_with_limit(1, 100);
-        let first = d.create_enclave(Pid::new(1), pod(1));
+        let first = d.create_enclave(pod(1));
         d.add_pages(first, EpcPages::new(80)).unwrap();
         d.init_enclave(first).unwrap();
         // A second enclave in the same pod pushes the pod over its limit.
-        let second = d.create_enclave(Pid::new(2), pod(1));
+        let second = d.create_enclave(pod(1));
         d.add_pages(second, EpcPages::new(30)).unwrap();
         assert!(matches!(
             d.init_enclave(second),
@@ -535,7 +534,7 @@ mod tests {
     #[test]
     fn init_without_limit_denied_when_enforcing() {
         let mut d = SgxDriver::sgx1_default();
-        let e = d.create_enclave(Pid::new(1), pod(9));
+        let e = d.create_enclave(pod(9));
         d.add_pages(e, EpcPages::ONE).unwrap();
         assert!(matches!(
             d.init_enclave(e),
@@ -547,7 +546,7 @@ mod tests {
     fn enforcement_can_be_disabled() {
         let mut d = SgxDriver::sgx1_default();
         d.set_enforce_limits(false);
-        let e = d.create_enclave(Pid::new(1), pod(9));
+        let e = d.create_enclave(pod(9));
         d.add_pages(e, EpcPages::from_mib_ceil(46)).unwrap();
         d.init_enclave(e).unwrap(); // no limit, no problem: Fig. 11's broken world
     }
@@ -564,7 +563,7 @@ mod tests {
     #[test]
     fn eadd_after_einit_rejected() {
         let mut d = driver_with_limit(1, 1000);
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(10)).unwrap();
         d.init_enclave(e).unwrap();
         assert!(matches!(
@@ -576,7 +575,7 @@ mod tests {
     #[test]
     fn sgx1_rejects_dynamic_memory() {
         let mut d = driver_with_limit(1, 1000);
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(10)).unwrap();
         d.init_enclave(e).unwrap();
         assert_eq!(
@@ -593,7 +592,7 @@ mod tests {
     fn sgx2_supports_edmm_within_limits() {
         let mut d = SgxDriver::sgx2_default();
         d.set_pod_limit(&pod(1), EpcPages::new(100)).unwrap();
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(40)).unwrap();
         d.init_enclave(e).unwrap();
         d.augment_pages(e, EpcPages::new(50)).unwrap();
@@ -612,7 +611,7 @@ mod tests {
     #[test]
     fn ecall_requires_initialized_state() {
         let mut d = driver_with_limit(1, 100);
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(10)).unwrap();
         assert!(matches!(
             d.ecall(e, EpcPages::new(10)),
@@ -623,7 +622,7 @@ mod tests {
     #[test]
     fn remove_pod_destroys_enclaves_and_frees_limit() {
         let mut d = driver_with_limit(1, 1000);
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(100)).unwrap();
         d.remove_pod(&pod(1));
         assert_eq!(d.pod_limit(&pod(1)), None);
@@ -642,7 +641,7 @@ mod tests {
         source.set_pod_limit(&pod(1), EpcPages::new(1000)).unwrap();
         target.set_pod_limit(&pod(1), EpcPages::new(1000)).unwrap();
 
-        let e = source.create_enclave(Pid::new(1), pod(1));
+        let e = source.create_enclave(pod(1));
         source.add_pages(e, EpcPages::new(500)).unwrap();
         source.init_enclave(e).unwrap();
         source.ecall(e, EpcPages::new(500)).unwrap();
@@ -653,9 +652,7 @@ mod tests {
         assert!(source.enclave(e).is_none());
         assert_eq!(source.sgx_nr_free_pages().count(), 23_936);
 
-        let restored = target
-            .restore_enclave(Pid::new(9), pod(1), checkpoint, key)
-            .unwrap();
+        let restored = target.restore_enclave(pod(1), checkpoint, key).unwrap();
         let enclave = target.enclave(restored).unwrap();
         assert_eq!(enclave.state(), EnclaveState::Initialized);
         assert_eq!(enclave.committed(), EpcPages::new(500));
@@ -672,7 +669,7 @@ mod tests {
         let mut target = SgxDriver::sgx1_default().with_platform(2);
         source.set_pod_limit(&pod(1), EpcPages::new(100)).unwrap();
         target.set_pod_limit(&pod(1), EpcPages::new(100)).unwrap();
-        let e = source.create_enclave(Pid::new(1), pod(1));
+        let e = source.create_enclave(pod(1));
         source.add_pages(e, EpcPages::new(10)).unwrap();
         source.init_enclave(e).unwrap();
 
@@ -680,7 +677,7 @@ mod tests {
         let checkpoint = source.checkpoint_enclave(e, "svc", key).unwrap();
         let wrong = MigrationKey::derive(1, 2, 8);
         let err = target
-            .restore_enclave(Pid::new(1), pod(1), checkpoint, wrong)
+            .restore_enclave(pod(1), checkpoint, wrong)
             .unwrap_err();
         assert!(matches!(err.error, SgxError::AttestationFailed { .. }));
         // The checkpoint came back and still opens with the right key.
@@ -696,15 +693,13 @@ mod tests {
         source.set_pod_limit(&pod(1), EpcPages::new(1000)).unwrap();
         target.set_pod_limit(&pod(1), EpcPages::new(100)).unwrap(); // tighter
 
-        let e = source.create_enclave(Pid::new(1), pod(1));
+        let e = source.create_enclave(pod(1));
         source.add_pages(e, EpcPages::new(500)).unwrap();
         source.init_enclave(e).unwrap();
 
         let key = MigrationKey::derive(1, 2, 7);
         let checkpoint = source.checkpoint_enclave(e, "svc", key).unwrap();
-        let err = target
-            .restore_enclave(Pid::new(1), pod(1), checkpoint, key)
-            .unwrap_err();
+        let err = target.restore_enclave(pod(1), checkpoint, key).unwrap_err();
         assert!(matches!(err.error, SgxError::PodLimitExceeded { .. }));
         // The failed restore leaves no residue on the target.
         assert_eq!(target.sgx_nr_free_pages().count(), 23_936);
@@ -717,7 +712,7 @@ mod tests {
 
         let mut d = SgxDriver::sgx1_default().with_platform(1);
         d.set_pod_limit(&pod(1), EpcPages::new(100)).unwrap();
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, EpcPages::new(10)).unwrap();
         let key = MigrationKey::derive(1, 2, 7);
         assert!(matches!(
@@ -730,7 +725,7 @@ mod tests {
     fn overcommit_ratio_visible_through_driver() {
         let mut d = SgxDriver::sgx1_default();
         d.set_enforce_limits(false);
-        let e = d.create_enclave(Pid::new(1), pod(1));
+        let e = d.create_enclave(pod(1));
         d.add_pages(e, ByteSize::from_mib(100).to_epc_pages_ceil())
             .unwrap();
         assert!(d.overcommit_ratio() > 1.0);

@@ -6,7 +6,7 @@
 //! On SGX1 every page must be added before initialisation; SGX2 adds EDMM
 //! (`EAUG`/trim) for dynamic growth while running.
 
-use crate::ids::{CgroupPath, EnclaveId, Pid};
+use crate::ids::{CgroupPath, EnclaveId};
 use crate::units::EpcPages;
 use crate::SgxVersion;
 
@@ -38,7 +38,6 @@ impl std::fmt::Display for EnclaveState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Enclave {
     id: EnclaveId,
-    owner: Pid,
     pod: CgroupPath,
     version: SgxVersion,
     state: EnclaveState,
@@ -47,10 +46,9 @@ pub struct Enclave {
 }
 
 impl Enclave {
-    pub(crate) fn new(id: EnclaveId, owner: Pid, pod: CgroupPath, version: SgxVersion) -> Self {
+    pub(crate) fn new(id: EnclaveId, pod: CgroupPath, version: SgxVersion) -> Self {
         Enclave {
             id,
-            owner,
             pod,
             version,
             state: EnclaveState::Created,
@@ -111,12 +109,7 @@ mod tests {
 
     #[test]
     fn new_enclave_starts_created_and_empty() {
-        let e = Enclave::new(
-            EnclaveId::new(1),
-            Pid::new(10),
-            CgroupPath::new("/pod"),
-            SgxVersion::Sgx1,
-        );
+        let e = Enclave::new(EnclaveId::new(1), CgroupPath::new("/pod"), SgxVersion::Sgx1);
         assert_eq!(e.state(), EnclaveState::Created);
         assert_eq!(e.committed(), EpcPages::ZERO);
         assert_eq!(e.ecalls(), 0);

@@ -2,23 +2,6 @@
 
 use std::fmt;
 
-/// A process identifier, as used by the per-process EPC-usage ioctl (§V-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Pid(u32);
-
-impl Pid {
-    /// Creates a process identifier.
-    pub const fn new(pid: u32) -> Self {
-        Pid(pid)
-    }
-}
-
-impl fmt::Display for Pid {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pid:{}", self.0)
-    }
-}
-
 /// A unique identifier for an enclave registered with the driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EnclaveId(u64);
@@ -98,7 +81,6 @@ mod tests {
 
     #[test]
     fn ids_display() {
-        assert_eq!(Pid::new(7).to_string(), "pid:7");
         assert_eq!(EnclaveId::new(3).to_string(), "enclave:3");
         assert_eq!(CgroupPath::new("/a/b").to_string(), "/a/b");
     }
@@ -119,7 +101,7 @@ mod tests {
     #[test]
     fn ids_are_ordered_and_hashable() {
         use std::collections::HashSet;
-        let set: HashSet<Pid> = [Pid::new(1), Pid::new(2), Pid::new(1)]
+        let set: HashSet<EnclaveId> = [EnclaveId::new(1), EnclaveId::new(2), EnclaveId::new(1)]
             .into_iter()
             .collect();
         assert_eq!(set.len(), 2);

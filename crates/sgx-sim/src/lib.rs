@@ -29,13 +29,13 @@
 //! ```
 //! use sgx_sim::driver::SgxDriver;
 //! use sgx_sim::units::{ByteSize, EpcPages};
-//! use sgx_sim::{CgroupPath, Pid, SgxVersion};
+//! use sgx_sim::{CgroupPath, SgxVersion};
 //!
 //! let mut driver = SgxDriver::sgx1_default();
 //! let pod = CgroupPath::new("/kubepods/pod-1234");
 //! driver.set_pod_limit(&pod, EpcPages::from_mib_ceil(16))?;
 //!
-//! let enclave = driver.create_enclave(Pid::new(42), pod.clone());
+//! let enclave = driver.create_enclave(pod.clone());
 //! driver.add_pages(enclave, ByteSize::from_mib(8).to_epc_pages_ceil())?;
 //! driver.init_enclave(enclave)?; // within the pod limit: admitted
 //!
@@ -58,7 +58,7 @@ mod error;
 mod ids;
 
 pub use error::SgxError;
-pub use ids::{CgroupPath, EnclaveId, Pid};
+pub use ids::{CgroupPath, EnclaveId};
 
 /// The SGX hardware generation being simulated.
 ///

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sgx_sim::driver::SgxDriver;
 use sgx_sim::epc::{Epc, EpcConfig};
 use sgx_sim::units::{ByteSize, EpcPages};
-use sgx_sim::{CgroupPath, Pid};
+use sgx_sim::CgroupPath;
 
 /// A randomly generated EPC operation.
 #[derive(Debug, Clone)]
@@ -99,8 +99,8 @@ proptest! {
         let pod = CgroupPath::new("/kubepods/prop-pod");
         driver.set_pod_limit(&pod, EpcPages::new(limit)).unwrap();
         let mut owned = 0u64;
-        for (i, pages) in sizes.iter().enumerate() {
-            let enclave = driver.create_enclave(Pid::new(i as u32), pod.clone());
+        for pages in sizes.iter() {
+            let enclave = driver.create_enclave(pod.clone());
             driver.add_pages(enclave, EpcPages::new(*pages)).unwrap();
             let admitted = driver.init_enclave(enclave).is_ok();
             prop_assert_eq!(admitted, owned + pages <= limit);
@@ -123,8 +123,8 @@ proptest! {
         driver.set_enforce_limits(false);
         let pod = CgroupPath::new("/kubepods/p");
         let mut enclaves = Vec::new();
-        for (i, pages) in sizes.iter().enumerate() {
-            let e = driver.create_enclave(Pid::new(i as u32), pod.clone());
+        for pages in sizes.iter() {
+            let e = driver.create_enclave(pod.clone());
             driver.add_pages(e, EpcPages::new(*pages)).unwrap();
             enclaves.push(e);
         }

@@ -12,11 +12,11 @@
 //! Batches are what a probe's frame is at every boundary: what
 //! [`wire::encode_batch`](crate::wire::encode_batch) frames in the
 //! snapshot format's length-prefixed style for an on-the-wire hop, and
-//! what [`Database::insert_batch`](crate::Database::insert_batch) and
-//! [`WindowRollup::feed`](crate::WindowRollup::feed) take on arrival,
-//! resolving each row's series by its tags. (A writer inside the
-//! process that meets the same series every tick can skip the frame:
-//! [`Database::append`](crate::Database::append) by
+//! what [`Database::insert_batch`](crate::Database::insert_batch) takes
+//! on arrival, resolving each row's series by its tags and feeding the
+//! store's window the frame. (A probe inside the process that meets the
+//! same series every tick can skip the frame:
+//! [`Database::scrape`](crate::Database::scrape) appends by
 //! [`SeriesId`](crate::SeriesId).)
 //!
 //! # Examples

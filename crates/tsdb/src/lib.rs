@@ -16,11 +16,13 @@
 //!   the cost of a push. Every tagged insert is the two composed.
 //! * [`PointBatch`] — the one-frame-per-node-per-scrape transport unit
 //!   probes ship to the store across a wire.
-//! * [`WindowRollup`] — Listing 1 as a continuous query: the per-node
-//!   window state maintained from the same rows at ingest
-//!   ([`WindowRollup::feed`] for a frame, [`WindowRollup::group_feed`]
-//!   for a writer that never framed them), read by the scheduler instead
-//!   of re-evaluating the query.
+//! * [`WindowRollup`] — Listing 1 as a continuous query, the way
+//!   InfluxDB runs one: the per-node window state every [`Database`]
+//!   maintains as it ingests ([`Database::window`]) — fed by every write
+//!   path, trimmed by its retention, a node forgotten when its series
+//!   are dropped — and read by the scheduler instead of re-evaluating
+//!   the query. A probe writes through a [`Scrape`]: one node's rows,
+//!   appended by [`SeriesId`] where the window remembers the pod.
 //! * [`query`] — a structured query AST and executor supporting the
 //!   nested sliding-window aggregation of the paper's Listing 1:
 //!   [`Database::query`] seeks each series to the window, and
@@ -84,5 +86,5 @@ pub use batch::PointBatch;
 pub use error::TsdbError;
 pub use point::{Point, TagSet};
 pub use query::{Aggregate, Predicate, Row, Select, TimeBound};
-pub use rollup::{GroupFeed, RollupStats, WindowRollup};
-pub use storage::{Database, SeriesId};
+pub use rollup::{RollupStats, WindowRollup};
+pub use storage::{Database, Scrape, SeriesId};

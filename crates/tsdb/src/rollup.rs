@@ -5,10 +5,13 @@
 //! `SUM` over pods of each pod's `MAX` over the last 25 s, zeros dropped
 //! (Listing 1). Evaluating that from the store walks every series the
 //! node still has inside the retention; a [`WindowRollup`] is fed the
-//! same [`PointBatch`] frames the store ingests and keeps, per
-//! `(group, measurement)`, only the samples a window query can still
-//! admit, so reading a group's value costs O(in-window samples of that
-//! group) and touches no series.
+//! rows the store ingests and keeps, per `(group, measurement)`, only
+//! the samples a window query can still admit, so reading a group's
+//! value costs O(in-window samples of that group) and touches no series.
+//! Every [`Database`](crate::Database) maintains one (its
+//! [`window`](crate::Database::window)), fed by every write, trimmed by
+//! its retention and told when a node's series are dropped; this type
+//! is also usable on its own, fed [`PointBatch`] frames.
 //!
 //! # Exactness
 //!
@@ -46,15 +49,21 @@ use std::collections::BTreeMap;
 use des::SimTime;
 
 use crate::batch::PointBatch;
+use crate::storage::SeriesId;
 
 type Sample = (SimTime, f64);
+
+/// The tag Listing 1 groups by (one row a node) and the one its inner
+/// query adds (one member a pod): how the probes tag every series.
+pub(crate) const NODE_TAG: &str = "nodename";
+pub(crate) const POD_TAG: &str = "pod_name";
 
 /// A vector of up to `N` (≤ 255) elements stored in place, spilling to
 /// the heap beyond that. Members are many and small — one per running
 /// pod, a short name and (steady usage, see the dominance rule) one
 /// sample — so keeping both inside the member's slot of its window's
-/// flat vector saves two allocations per pod. 24 bytes for both uses
-/// below.
+/// flat vector saves two allocations per pod. 16 and 24 bytes for the
+/// two uses below.
 #[derive(Debug, Clone)]
 enum Small<T, const N: usize> {
     Inline {
@@ -128,11 +137,16 @@ impl<T: Copy + Default, const N: usize> Small<T, N> {
 /// in no particular order.
 #[derive(Debug, Clone)]
 struct MemberWindow {
-    /// The member tag's value as bytes (`pod-<uid>` fits in place; byte
-    /// order is `str` order). `None` stands for series that carry no
-    /// member tag, which the engine folds into one row sorting first.
-    member: Option<Small<u8, 22>>,
+    /// The member tag's value as bytes (`pod-<uid>` fits in place up to
+    /// ten digits; byte order is `str` order). `None` stands for series
+    /// that carry no member tag, which the engine folds into one row
+    /// sorting first.
+    member: Option<Small<u8, 14>>,
     samples: Small<Sample, 1>,
+    /// The series a [`Scrape`](crate::Scrape) last wrote this member's
+    /// rows through: a memo of the store's resolver, generation-checked
+    /// on use, so a pod scraped tick after tick is written by id.
+    series: Option<SeriesId>,
 }
 
 /// One measurement of one group: its members in name order, flat.
@@ -195,9 +209,10 @@ impl WindowRollup {
         }
     }
 
-    /// Admits the rows of one frame — call it with every frame the store
-    /// ingests. Rows that are zero, older than the floor, or without a
-    /// group tag (the outer query yields them no group row) are dropped.
+    /// Admits the rows of one frame, as a [`Database`](crate::Database)
+    /// does with every frame it ingests. Rows that are zero, older than
+    /// the floor, or without a group tag (the outer query yields them no
+    /// group row) are dropped.
     pub fn feed(&mut self, batch: &PointBatch) {
         let shared = |tag: &str| batch.shared_tags().get(tag).map(String::as_str);
         let shared_member = shared(&self.member_tag);
@@ -227,7 +242,7 @@ impl WindowRollup {
     /// opens `group`'s share of one frame of `measurement` sampled at
     /// `time`, to be [`admit`](GroupFeed::admit)ted row by row with the
     /// same outcome as feeding the frame.
-    pub fn group_feed<'a>(
+    pub(crate) fn group_feed<'a>(
         &'a mut self,
         group: &'a str,
         measurement: &'a str,
@@ -331,6 +346,14 @@ impl WindowRollup {
     }
 }
 
+impl Default for WindowRollup {
+    /// Listing 1's rollup, the one a [`Database`](crate::Database)
+    /// maintains: nodes by `nodename`, their pods by `pod_name`.
+    fn default() -> Self {
+        WindowRollup::new(NODE_TAG, POD_TAG)
+    }
+}
+
 /// Size and work counters of a [`WindowRollup`]; all are pure functions
 /// of the frames fed and the reads made, so they repeat exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -348,30 +371,34 @@ pub struct RollupStats {
 /// once, by the first row that is kept, so a frame of zeros (or none)
 /// creates nothing.
 #[derive(Debug)]
-pub struct GroupFeed<'a> {
+pub(crate) struct GroupFeed<'a> {
     /// The rollup's groups until the first kept row opens the window;
     /// `None` from the start for a frame below the floor, which is
     /// dropped whole.
     groups: Option<&'a mut Groups>,
     window: Option<&'a mut MeasurementWindow>,
-    group: &'a str,
-    measurement: &'a str,
-    time: SimTime,
+    pub(crate) group: &'a str,
+    pub(crate) measurement: &'a str,
+    pub(crate) time: SimTime,
 }
 
 impl GroupFeed<'_> {
     /// Admits one row: `member` is the row's member-tag value (`None`
-    /// for a series without the tag). Zeros are dropped.
-    pub fn admit(&mut self, member: Option<&str>, value: f64) {
+    /// for a series without the tag). Zeros are dropped. Returns the
+    /// member's series memo, unless the row was dropped.
+    pub(crate) fn admit(
+        &mut self,
+        member: Option<&str>,
+        value: f64,
+    ) -> Option<&mut Option<SeriesId>> {
         if value == 0.0 {
-            return;
+            return None;
         }
         if let Some(groups) = self.groups.take() {
             self.window = Some(window_of(groups, self.group, self.measurement));
         }
-        if let Some(window) = &mut self.window {
-            window.admit(member, (self.time, value));
-        }
+        let window = self.window.as_mut()?;
+        Some(window.admit(member, (self.time, value)))
     }
 }
 
@@ -401,8 +428,9 @@ fn window_of<'a>(
 }
 
 impl MeasurementWindow {
-    /// Admits one non-zero sample for `member` under the dominance rule.
-    fn admit(&mut self, member: Option<&str>, (time, value): Sample) {
+    /// Admits one non-zero sample for `member` under the dominance rule;
+    /// returns the member's series memo.
+    fn admit(&mut self, member: Option<&str>, (time, value): Sample) -> &mut Option<SeriesId> {
         let member = member.map(str::as_bytes);
         let at = match self
             .members
@@ -415,17 +443,19 @@ impl MeasurementWindow {
                     MemberWindow {
                         member: member.map(Small::from_slice),
                         samples: Small::from_slice(&[]),
+                        series: None,
                     },
                 );
                 at
             }
         };
-        let samples = &mut self.members[at].samples;
+        let held = &mut self.members[at];
         let dominated = |&(t, v): &Sample| t >= time && v >= value;
-        if !samples.as_slice().iter().any(dominated) {
-            samples.retain(|&(t, v)| !(t <= time && v <= value));
-            samples.push((time, value));
+        if !held.samples.as_slice().iter().any(dominated) {
+            held.samples.retain(|&(t, v)| !(t <= time && v <= value));
+            held.samples.push((time, value));
         }
+        &mut held.series
     }
 }
 

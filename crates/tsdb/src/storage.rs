@@ -15,7 +15,11 @@
 //! [`insert`](Database::insert), [`insert_at`](Database::insert_at) and
 //! [`insert_batch`](Database::insert_batch) are `append(resolve(..))`; a
 //! writer that sees the same series tick after tick (a probe scraping a
-//! pod) keeps the id and skips the resolver.
+//! pod, through a [`Scrape`]) keeps the id and skips the resolver.
+//!
+//! Every write also feeds the store's [`WindowRollup`], Listing 1 kept
+//! as a continuous query; retention trims it and a node's drop forgets
+//! it, so the window is the store's by construction.
 //!
 //! # The packed key
 //!
@@ -52,6 +56,7 @@
 //! [`drop_series_with_first_tag`]: Database::drop_series_with_first_tag
 //! [`enforce_retention`]: Database::enforce_retention
 
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -60,6 +65,7 @@ use des::{SimDuration, SimTime};
 use crate::key::{pack_tags, push_field, split_field, unescape, unpack_tags};
 use crate::point::{Point, TagSet};
 use crate::query::{Row, Select, TimeBound};
+use crate::rollup::{GroupFeed, WindowRollup, NODE_TAG, POD_TAG};
 
 /// One series' samples, sorted by time (stable for equal timestamps).
 type Series = Vec<(SimTime, f64)>;
@@ -132,6 +138,22 @@ impl Slot {
 /// [`Database::query`] against a caller-supplied evaluation instant
 /// (virtual `now()`).
 ///
+/// The store also runs the paper's Listing 1 as a continuous query, the
+/// way InfluxDB does: a [`WindowRollup`] grouped by `nodename`, members
+/// told apart by `pod_name`, that every write feeds ([`append`],
+/// [`insert`], [`insert_at`], [`insert_batch`], a [`Scrape`]), that
+/// [`enforce_retention`] trims to its cutoff and that
+/// [`drop_series_with_first_tag`] forgets a node in. A reader gets it
+/// from [`window`](Self::window); it equals the nested query, by bits,
+/// for every window that starts at or above its floor.
+///
+/// [`append`]: Self::append
+/// [`insert`]: Self::insert
+/// [`insert_at`]: Self::insert_at
+/// [`insert_batch`]: Self::insert_batch
+/// [`enforce_retention`]: Self::enforce_retention
+/// [`drop_series_with_first_tag`]: Self::drop_series_with_first_tag
+///
 /// # Examples
 ///
 /// ```
@@ -146,9 +168,20 @@ impl Slot {
 ///     .group_by(["nodename"]);
 /// let rows = db.query(&q, SimTime::from_secs(2));
 /// assert_eq!(rows[0].value, 42.0);
+/// assert_eq!(db.window().sum_of_max("n1", "memory/usage", SimTime::ZERO), 42.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Database {
+    table: Table,
+    /// Listing 1's window state. Interior mutability because a reader (a
+    /// `&self` capture) trims it to the window it just served.
+    window: RefCell<WindowRollup>,
+}
+
+/// The series half of a [`Database`], a struct of its own so that a
+/// [`Scrape`] can borrow it and the window at once.
+#[derive(Debug, Clone, Default)]
+struct Table {
     /// The ordered index: measurement → packed tag set → slot number,
     /// listing exactly the live series.
     index: BTreeMap<String, BTreeMap<Box<[u8]>, u32>>,
@@ -162,41 +195,14 @@ pub struct Database {
     points_evicted: u64,
 }
 
-impl Database {
-    /// Creates an empty database.
-    pub fn new() -> Self {
-        Database::default()
-    }
-
-    /// The series `(measurement, tags)`, registered empty on first
-    /// contact (only then is its packed key allocated; a hit allocates
-    /// nothing). A series still empty at the next
-    /// [`enforce_retention`](Self::enforce_retention) is unregistered by
-    /// it like any other.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use des::SimTime;
-    /// use tsdb::{Database, TagSet};
-    ///
-    /// let mut db = Database::new();
-    /// let tags: TagSet = [("pod_name".to_string(), "pod-1".to_string())].into();
-    /// let id = db.resolve("sgx/epc", &tags);
-    /// assert!(db.append(id, SimTime::from_secs(10), 4096.0));
-    /// assert!(db.append(id, SimTime::from_secs(20), 8192.0));
-    /// assert_eq!((db.series_count(), db.point_count()), (1, 2));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `measurement` is empty (the [`Point::new`] contract).
-    pub fn resolve(&mut self, measurement: &str, tags: &TagSet) -> SeriesId {
+impl Table {
+    /// The series `(measurement, self.packed)`, registered empty on
+    /// first contact.
+    fn resolve(&mut self, measurement: &str) -> SeriesId {
         assert!(
             !measurement.is_empty(),
             "measurement name must not be empty"
         );
-        pack_tags(&mut self.packed, tags);
         // A lookup instead of `entry`: `entry` would force cloning the
         // borrowed name on every call. The miss arm re-walks the tree,
         // but only on first contact with a measurement.
@@ -234,15 +240,8 @@ impl Database {
         }
     }
 
-    /// Appends a sample to the series behind `id` (anywhere in time: an
-    /// out-of-order sample is inserted at its place). Returns `false`,
-    /// storing and counting nothing, when that series has since been
-    /// unregistered — [`resolve`](Self::resolve) it again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` is not finite (the [`Point::new`] contract).
-    pub fn append(&mut self, id: SeriesId, time: SimTime, value: f64) -> bool {
+    /// [`Database::append`] without the window.
+    fn store(&mut self, id: SeriesId, time: SimTime, value: f64) -> bool {
         assert!(value.is_finite(), "point value must be finite, got {value}");
         let Some(slot) = self
             .slots
@@ -254,6 +253,11 @@ impl Database {
         // A delayed sample moves the stamp *back*: the next retention
         // that passes it must find it.
         slot.oldest = slot.oldest.min(time);
+        // Room for one sample first, not the four a first push reserves:
+        // a series that never gets a second (a short pod) holds 16 B.
+        if slot.samples.capacity() == 0 {
+            slot.samples.reserve_exact(1);
+        }
         insert_sorted(&mut slot.samples, time, value);
         self.points_inserted += 1;
         true
@@ -282,14 +286,100 @@ impl Database {
         std::mem::take(&mut held.samples).len()
     }
 
+    /// The series of `measurement` — packed tag set and samples — in
+    /// tag-set order.
+    fn series_of<'a>(
+        &'a self,
+        measurement: &str,
+    ) -> impl Iterator<Item = (&'a [u8], &'a Series)> + 'a {
+        self.index
+            .get(measurement)
+            .into_iter()
+            .flatten()
+            .map(|(packed, &slot)| (&packed[..], &self.slots[slot as usize].samples))
+    }
+}
+
+impl Database {
+    /// Creates an empty database.
+    pub fn new() -> Self {
+        Database::default()
+    }
+
+    /// The series `(measurement, tags)`, registered empty on first
+    /// contact (only then is its packed key allocated; a hit allocates
+    /// nothing). A series still empty at the next
+    /// [`enforce_retention`](Self::enforce_retention) is unregistered by
+    /// it like any other.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use des::SimTime;
+    /// use tsdb::{Database, TagSet};
+    ///
+    /// let mut db = Database::new();
+    /// let tags: TagSet = [("pod_name".to_string(), "pod-1".to_string())].into();
+    /// let id = db.resolve("sgx/epc", &tags);
+    /// assert!(db.append(id, SimTime::from_secs(10), 4096.0));
+    /// assert!(db.append(id, SimTime::from_secs(20), 8192.0));
+    /// assert_eq!((db.series_count(), db.point_count()), (1, 2));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `measurement` is empty (the [`Point::new`] contract).
+    pub fn resolve(&mut self, measurement: &str, tags: &TagSet) -> SeriesId {
+        pack_tags(&mut self.table.packed, tags);
+        self.table.resolve(measurement)
+    }
+
+    /// Appends a sample to the series behind `id` (anywhere in time: an
+    /// out-of-order sample is inserted at its place) and admits it to the
+    /// window. Returns `false`, storing and counting nothing, when that
+    /// series has since been unregistered — [`resolve`](Self::resolve)
+    /// it again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is not finite (the [`Point::new`] contract).
+    pub fn append(&mut self, id: SeriesId, time: SimTime, value: f64) -> bool {
+        if !self.table.store(id, time, value) {
+            return false;
+        }
+        // The row a frame of this sample would make: grouped by the
+        // series' node tag, told apart by its pod tag.
+        let key = &self.table.slots[id.slot as usize].key;
+        let (measurement, packed) = split_field(key).expect("a live slot holds its name");
+        let (measurement, mut tags) = (unescape(measurement), TagSet::new());
+        unpack_tags(packed, &mut tags);
+        if let Some(node) = tags.get(NODE_TAG) {
+            let mut feed = self.window.get_mut().group_feed(node, &measurement, time);
+            feed.admit(tags.get(POD_TAG).map(String::as_str), value);
+        }
+        true
+    }
+
+    /// Opens `node`'s share of a probe scrape of `measurement` sampled at
+    /// `time`: each [`Scrape::append`] stores one pod's sample in the
+    /// series `{nodename: node, pod_name: pod}` and admits it to the
+    /// window.
+    pub fn scrape<'a>(
+        &'a mut self,
+        node: &'a str,
+        measurement: &'a str,
+        time: SimTime,
+    ) -> Scrape<'a> {
+        Scrape {
+            table: &mut self.table,
+            feed: self.window.get_mut().group_feed(node, measurement, time),
+        }
+    }
+
     /// Inserts a point.
     pub fn insert(&mut self, point: Point) {
-        self.insert_at(
-            point.measurement(),
-            point.tags(),
-            point.time(),
-            point.value(),
-        );
+        let (measurement, tags) = (point.measurement(), point.tags());
+        self.insert_at(measurement, tags, point.time(), point.value());
     }
 
     /// Inserts a sample by borrowed identity, allocating nothing when the
@@ -307,7 +397,7 @@ impl Database {
 
     /// Inserts every row of a [`PointBatch`](crate::PointBatch), sharing
     /// one scratch tag set across rows so steady-state ingestion performs
-    /// no per-point key allocations.
+    /// no per-point key allocations, and feeds the window the frame.
     pub fn insert_batch(&mut self, batch: &crate::PointBatch) {
         let mut tags = batch.shared_tags().clone();
         for row in batch.rows() {
@@ -317,8 +407,30 @@ impl Database {
             } else {
                 tags.insert(batch.row_tag_key().to_string(), row.tag_value.clone());
             }
-            self.insert_at(batch.measurement(), &tags, batch.time(), row.value);
+            let id = self.resolve(batch.measurement(), &tags);
+            self.table.store(id, batch.time(), row.value);
         }
+        self.window.get_mut().feed(batch);
+    }
+
+    /// Listing 1 as the store maintains it: per node and measurement, the
+    /// samples a window query starting at or above its
+    /// [`floor`](WindowRollup::floor) can still admit.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a [`trim_window`](Self::trim_window) runs (it never
+    /// outlives its call).
+    pub fn window(&self) -> Ref<'_, WindowRollup> {
+        self.window.borrow()
+    }
+
+    /// A reader's promise that no later read of the [`window`](Self::window)
+    /// starts below `lo`: drops the samples only such a read could admit
+    /// and raises the floor to `lo`. A `lo` at or below the floor is a
+    /// no-op. The store's samples are untouched.
+    pub fn trim_window(&self, lo: SimTime) {
+        self.window.borrow_mut().trim(lo);
     }
 
     /// Executes a (possibly nested) select with `now` as the evaluation
@@ -338,7 +450,8 @@ impl Database {
     /// identical.
     pub fn query_full_scan(&self, select: &Select, now: SimTime) -> Vec<Row> {
         let fetch = |measurement: &str| -> Vec<(TagSet, &[(SimTime, f64)])> {
-            self.series_of(measurement)
+            self.table
+                .series_of(measurement)
                 .map(|(packed, series)| {
                     let mut tags = TagSet::new();
                     unpack_tags(packed, &mut tags);
@@ -347,19 +460,6 @@ impl Database {
                 .collect()
         };
         select.execute_full_scan(&fetch, now)
-    }
-
-    /// The series of `measurement` — packed tag set and samples — in
-    /// tag-set order.
-    fn series_of<'a>(
-        &'a self,
-        measurement: &str,
-    ) -> impl Iterator<Item = (&'a [u8], &'a Series)> + 'a {
-        self.index
-            .get(measurement)
-            .into_iter()
-            .flatten()
-            .map(|(packed, &slot)| (&packed[..], &self.slots[slot as usize].samples))
     }
 
     /// Streams every sample of `measurement` with `lo <= time` (and
@@ -375,7 +475,7 @@ impl Database {
         mut emit: impl FnMut(SimTime, f64, &TagSet),
     ) {
         let mut tags = TagSet::new();
-        for (packed, series) in self.series_of(measurement) {
+        for (packed, series) in self.table.series_of(measurement) {
             let samples = window(series, lo, hi);
             if samples.is_empty() {
                 continue;
@@ -388,9 +488,9 @@ impl Database {
     }
 
     /// Drops every sample older than `keep` relative to `now`, across all
-    /// series, and removes series that become empty. Returns the number of
-    /// samples evicted. This is the retention-policy enforcement a real
-    /// InfluxDB runs continuously.
+    /// series and the window, and removes series that become empty.
+    /// Returns the number of samples evicted. This is the
+    /// retention-policy enforcement a real InfluxDB runs continuously.
     ///
     /// Costs one comparison per series plus the samples evicted: a series
     /// whose oldest sample is inside the retention is not opened. A
@@ -399,8 +499,8 @@ impl Database {
     pub fn enforce_retention(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let cutoff = TimeBound::SinceNowMinus(keep).resolve(now);
         let mut evicted = 0;
-        for n in 0..self.slots.len() {
-            let slot = &mut self.slots[n];
+        for n in 0..self.table.slots.len() {
+            let slot = &mut self.table.slots[n];
             if !slot.due(cutoff) {
                 continue;
             }
@@ -412,11 +512,12 @@ impl Database {
             match slot.samples.first() {
                 Some(&(first, _)) => slot.oldest = first,
                 None => {
-                    self.unregister(n as u32);
+                    self.table.unregister(n as u32);
                 }
             }
         }
-        self.points_evicted += evicted as u64;
+        self.table.points_evicted += evicted as u64;
+        self.window.get_mut().trim(cutoff);
         evicted
     }
 
@@ -427,12 +528,14 @@ impl Database {
     /// This is node deregistration's storage teardown: probe series are
     /// tagged `{nodename, pod_name}` and `"nodename"` sorts first, so one
     /// call with `("nodename", node)` unregisters exactly that node's
-    /// series. A later node reusing the name starts from empty series.
+    /// series and forgets the node in the window. A later node reusing
+    /// the name starts from empty series.
     pub fn drop_series_with_first_tag(&mut self, key: &str, value: &str) -> usize {
         let mut prefix = Vec::new();
         push_field(&mut prefix, key);
         push_field(&mut prefix, value);
         let doomed: Vec<u32> = self
+            .table
             .index
             .values()
             .flat_map(|series_map| {
@@ -442,34 +545,40 @@ impl Database {
                     .map(|(_, &slot)| slot)
             })
             .collect();
-        let dropped = doomed.into_iter().map(|slot| self.unregister(slot)).sum();
-        self.points_evicted += dropped as u64;
+        let dropped = doomed
+            .into_iter()
+            .map(|slot| self.table.unregister(slot))
+            .sum();
+        self.table.points_evicted += dropped as u64;
+        if key == NODE_TAG {
+            self.window.get_mut().forget(value);
+        }
         dropped
     }
 
     /// Number of distinct series currently stored.
     pub fn series_count(&self) -> usize {
-        self.index.values().map(BTreeMap::len).sum()
+        self.table.index.values().map(BTreeMap::len).sum()
     }
 
     /// Number of samples currently stored.
     pub fn point_count(&self) -> usize {
-        self.slots.iter().map(|slot| slot.samples.len()).sum()
+        self.table.slots.iter().map(|slot| slot.samples.len()).sum()
     }
 
     /// Lifetime insert counter.
     pub fn points_inserted(&self) -> u64 {
-        self.points_inserted
+        self.table.points_inserted
     }
 
     /// Lifetime eviction counter.
     pub fn points_evicted(&self) -> u64 {
-        self.points_evicted
+        self.table.points_evicted
     }
 
     /// The measurement names currently stored, in sorted order.
     pub fn measurement_names(&self) -> Vec<&str> {
-        self.index.keys().map(String::as_str).collect()
+        self.table.index.keys().map(String::as_str).collect()
     }
 
     /// Serialises every stored sample into the binary snapshot format of
@@ -477,10 +586,10 @@ impl Database {
     pub fn snapshot(&self) -> bytes::Bytes {
         let mut points = Vec::with_capacity(self.point_count());
         let mut tags = TagSet::new();
-        for (measurement, series_map) in &self.index {
+        for (measurement, series_map) in &self.table.index {
             for (packed, &slot) in series_map {
                 unpack_tags(packed, &mut tags);
-                for &(time, value) in &self.slots[slot as usize].samples {
+                for &(time, value) in &self.table.slots[slot as usize].samples {
                     let mut point = Point::new(measurement.clone(), time, value);
                     for (k, v) in &tags {
                         point = point.with_tag(k.clone(), v.clone());
@@ -493,7 +602,7 @@ impl Database {
     }
 
     /// Rebuilds a database from a snapshot produced by
-    /// [`snapshot`](Self::snapshot).
+    /// [`snapshot`](Self::snapshot); the window is fed the samples anew.
     ///
     /// # Errors
     ///
@@ -502,6 +611,44 @@ impl Database {
         let mut db = Database::new();
         db.extend(crate::wire::decode(data)?);
         Ok(db)
+    }
+}
+
+/// One node's share of a probe scrape of one measurement, from
+/// [`Database::scrape`]. The window looks the node up once, and each
+/// row's member search finds the series the member was last written
+/// through: a pod scraped tick after tick is appended by [`SeriesId`],
+/// and resolved again only when that series has gone (aged out, or
+/// dropped with its node) or the member is new to the window.
+#[derive(Debug)]
+pub struct Scrape<'a> {
+    table: &'a mut Table,
+    feed: GroupFeed<'a>,
+}
+
+impl Scrape<'_> {
+    /// Stores `pod`'s sample in its series `{nodename, pod_name}` and
+    /// admits it to the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is not finite (the [`Point::new`] contract).
+    pub fn append(&mut self, pod: &str, value: f64) {
+        let (node, measurement, time) = (self.feed.group, self.feed.measurement, self.feed.time);
+        let memo = self.feed.admit(Some(pod), value);
+        let held = memo.as_ref().and_then(|memo| **memo);
+        if held.is_some_and(|id| self.table.store(id, time, value)) {
+            return;
+        }
+        self.table.packed.clear();
+        for field in [NODE_TAG, node, POD_TAG, pod] {
+            push_field(&mut self.table.packed, field);
+        }
+        let id = self.table.resolve(measurement);
+        self.table.store(id, time, value);
+        if let Some(memo) = memo {
+            *memo = Some(id);
+        }
     }
 }
 
@@ -689,7 +836,7 @@ mod tests {
     fn retention_opens_a_series_only_when_it_has_work_there() {
         let mut db = Database::new();
         let id = db.resolve("sgx/epc", &pod_tags("a", "n1"));
-        let due = |db: &Database, cutoff: SimTime| db.slots[id.slot as usize].due(cutoff);
+        let due = |db: &Database, cutoff: SimTime| db.table.slots[id.slot as usize].due(cutoff);
         // Resolved and empty: due at any cutoff, to be unregistered.
         assert!(due(&db, SimTime::ZERO));
         // One sample at t = 0: due only once a cutoff passes it.
@@ -762,5 +909,102 @@ mod tests {
         let rows = db.query(&q, SimTime::from_secs(2));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].value, 2.0);
+    }
+
+    /// Listing 1 for `measurement`: each pod's `MAX` over the last
+    /// `window`, zeros dropped, summed per node.
+    fn listing1(measurement: &str, window: SimDuration) -> Select {
+        let per_pod = Select::from_measurement(measurement)
+            .aggregate(Aggregate::Max)
+            .filter(Predicate::ValueNe(0.0))
+            .filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(window)))
+            .group_by(["pod_name", "nodename"]);
+        Select::from_subquery(per_pod)
+            .aggregate(Aggregate::Sum)
+            .group_by(["nodename"])
+    }
+
+    /// Holds every node's window sum equal, by bits, to the row the
+    /// nested query returns for it at `now` (`0.0` for no row), for each
+    /// window from the floor up to the last 25 s.
+    fn assert_window_is_listing1(db: &Database, now: u64, step: &str) {
+        let now = SimTime::from_secs(now);
+        for back in [25, 40, 60] {
+            let window = SimDuration::from_secs(back);
+            let lo = TimeBound::SinceNowMinus(window).resolve(now);
+            if lo < db.window().floor() {
+                continue;
+            }
+            for measurement in ["sgx/epc", "memory/usage"] {
+                let rows = db.query(&listing1(measurement, window), now);
+                for node in ["n1", "n2", "n3"] {
+                    let row = rows.iter().find(|row| row.tag("nodename") == Some(node));
+                    let expected = row.map_or(0.0, |row| row.value);
+                    let got = db.window().sum_of_max(node, measurement, lo);
+                    assert_eq!(
+                        got.to_bits(),
+                        expected.to_bits(),
+                        "after {step}: {measurement} of {node} over {back} s: {got} vs {expected}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_write_path_keeps_the_window_equal_to_listing_1() {
+        let mut db = Database::new();
+        // Sums whose bits depend on the order the pods are added in.
+        db.insert(epc_point(10, "pod-3", "n1", 0.1));
+        db.insert(epc_point(12, "pod-1", "n1", 0.2));
+        db.insert(epc_point(15, "pod-2", "n1", 0.7));
+        db.insert(epc_point(14, "pod-2", "n1", 0.9)); // delayed, and larger
+        db.insert(epc_point(15, "pod-4", "n2", 0.0)); // dropped by the query
+        assert_window_is_listing1(&db, 30, "insert");
+
+        // A probe frame, and one whose rows are told apart by node.
+        let mut frame = crate::PointBatch::new("memory/usage", "pod_name", SimTime::from_secs(20))
+            .with_shared_tag("nodename", "n2");
+        frame.push("pod-5", 1e-3);
+        frame.push("pod-6", 3.0e7);
+        db.insert_batch(&frame);
+        let mut by_node = crate::PointBatch::new("sgx/epc", "nodename", SimTime::from_secs(21))
+            .with_shared_tag("pod_name", "pod-7");
+        by_node.push("n2", 0.3);
+        by_node.push("n3", 0.6);
+        db.insert_batch(&by_node);
+        assert_window_is_listing1(&db, 30, "insert_batch");
+
+        let id = db.resolve("sgx/epc", &pod_tags("pod-1", "n1"));
+        assert!(db.append(id, SimTime::from_secs(25), 0.35));
+        let untagged = db.resolve("sgx/epc", &TagSet::new());
+        assert!(db.append(untagged, SimTime::from_secs(25), 5.0));
+        assert_window_is_listing1(&db, 30, "resolve + append");
+
+        // Two ticks of a scrape: the second appends through the series
+        // the window remembers for each pod.
+        for t in [26, 36] {
+            let mut rows = db.scrape("n3", "sgx/epc", SimTime::from_secs(t));
+            rows.append("pod-8", 0.45);
+            rows.append("pod-9", t as f64 / 100.0);
+        }
+        assert_eq!(db.series_count(), 11);
+        assert_window_is_listing1(&db, 40, "scrape");
+
+        db.enforce_retention(SimTime::from_secs(40), SimDuration::from_secs(26));
+        assert_eq!(db.window().floor(), SimTime::from_secs(14));
+        assert_window_is_listing1(&db, 40, "enforce_retention");
+
+        db.drop_series_with_first_tag("nodename", "n3");
+        assert!(db.window().groups().all(|node| node != "n3"));
+        assert_window_is_listing1(&db, 40, "drop_series_with_first_tag");
+        // The scrape memo went with the node: a new tick resolves anew.
+        db.scrape("n3", "sgx/epc", SimTime::from_secs(41))
+            .append("pod-8", 0.5);
+        assert_window_is_listing1(&db, 45, "a scrape after the drop");
+
+        let restored = Database::restore(&db.snapshot()).unwrap();
+        assert_window_is_listing1(&restored, 45, "restore(snapshot())");
+        assert_eq!(restored.window().floor(), SimTime::ZERO);
     }
 }

@@ -15,7 +15,7 @@ fn main() {
     // --- Driver level: the protocol itself. ------------------------------
     println!("protocol view:");
     use sgx_sim::driver::SgxDriver;
-    use sgx_sim::{CgroupPath, Pid};
+    use sgx_sim::CgroupPath;
 
     let mut source = SgxDriver::sgx1_default().with_platform(1);
     let mut target = SgxDriver::sgx1_default().with_platform(2);
@@ -27,7 +27,7 @@ fn main() {
         .set_pod_limit(&pod, EpcPages::from_mib_ceil(32))
         .unwrap();
 
-    let enclave = source.create_enclave(Pid::new(1), pod.clone());
+    let enclave = source.create_enclave(pod.clone());
     source
         .add_pages(enclave, EpcPages::from_mib_ceil(24))
         .unwrap();
@@ -43,9 +43,7 @@ fn main() {
         checkpoint.wire_size(),
         source.enclave(enclave).is_none(),
     );
-    let restored = target
-        .restore_enclave(Pid::new(7), pod, checkpoint, key)
-        .unwrap();
+    let restored = target.restore_enclave(pod, checkpoint, key).unwrap();
     println!(
         "  restored on platform 2 as {restored}: state {} with {} prior ecalls",
         target.enclave(restored).unwrap().state(),

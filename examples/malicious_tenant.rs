@@ -9,7 +9,7 @@
 
 use sgx_orchestrator::prelude::*;
 use sgx_sim::driver::SgxDriver;
-use sgx_sim::{CgroupPath, Pid};
+use sgx_sim::CgroupPath;
 use simulation::analysis::mean_waiting_secs;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let pod = CgroupPath::new("/kubepods/malicious-pod");
     driver.set_pod_limit(&pod, EpcPages::ONE).unwrap();
 
-    let enclave = driver.create_enclave(Pid::new(4242), pod.clone());
+    let enclave = driver.create_enclave(pod.clone());
     driver
         .add_pages(enclave, ByteSize::from_mib_f64(46.75).to_epc_pages_ceil())
         .unwrap();

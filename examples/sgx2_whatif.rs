@@ -11,7 +11,7 @@
 
 use sgx_orchestrator::prelude::*;
 use sgx_sim::driver::SgxDriver;
-use sgx_sim::{CgroupPath, Pid, SgxError};
+use sgx_sim::{CgroupPath, SgxError};
 use simulation::analysis::mean_waiting_secs;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     driver
         .set_pod_limit(&pod, EpcPages::from_mib_ceil(32))
         .unwrap();
-    let enclave = driver.create_enclave(Pid::new(1), pod.clone());
+    let enclave = driver.create_enclave(pod.clone());
     driver
         .add_pages(enclave, EpcPages::from_mib_ceil(8))
         .unwrap();
@@ -51,7 +51,7 @@ fn main() {
     let mut sgx1 = SgxDriver::sgx1_default();
     sgx1.set_pod_limit(&pod, EpcPages::from_mib_ceil(32))
         .unwrap();
-    let e1 = sgx1.create_enclave(Pid::new(2), pod.clone());
+    let e1 = sgx1.create_enclave(pod.clone());
     sgx1.add_pages(e1, EpcPages::from_mib_ceil(8)).unwrap();
     sgx1.init_enclave(e1).unwrap();
     assert!(matches!(
