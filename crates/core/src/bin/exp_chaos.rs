@@ -107,7 +107,7 @@ fn main() {
             stats.frames_retried,
             stats.frames_lost,
             analysis::frame_loss_rate(result),
-            analysis::degraded_decisions(result),
+            result.degraded_decisions(),
             analysis::mean_waiting_secs(result, None),
             result
                 .end_time()
@@ -164,11 +164,7 @@ fn main() {
             .map(|r| analysis::frame_loss_rate(r))
             .sum::<f64>()
             / n;
-        let degraded = of_rate
-            .iter()
-            .map(|r| analysis::degraded_decisions(r))
-            .sum::<u64>() as f64
-            / n;
+        let degraded = of_rate.iter().map(|r| r.degraded_decisions()).sum::<u64>() as f64 / n;
         let wait = of_rate
             .iter()
             .map(|r| analysis::mean_waiting_secs(r, None))

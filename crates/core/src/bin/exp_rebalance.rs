@@ -104,7 +104,7 @@ fn main() {
             mode.label(),
             analysis::mean_epc_imbalance(result),
             analysis::peak_epc_imbalance(result),
-            analysis::migration_count(result),
+            result.migration_count(),
             analysis::total_migration_downtime_secs(result),
             analysis::mean_waiting_secs(result, None),
             analysis::mean_turnaround_secs(result, None),
@@ -138,11 +138,7 @@ fn main() {
             .map(|r| analysis::mean_epc_imbalance(r))
             .sum::<f64>()
             / n;
-        let migrations = of_mode
-            .iter()
-            .map(|r| analysis::migration_count(r))
-            .sum::<u64>() as f64
-            / n;
+        let migrations = of_mode.iter().map(|r| r.migration_count()).sum::<u64>() as f64 / n;
         let downtime = of_mode
             .iter()
             .map(|r| analysis::total_migration_downtime_secs(r))

@@ -60,20 +60,10 @@
 //! Within one cycle the working state only ever gets *fuller*:
 //! [`reserve`](SchedulingCycle::reserve) adds requests,
 //! [`mark_infeasible`](SchedulingCycle::mark_infeasible) excludes nodes,
-//! nothing frees capacity. So once a pipeline found no feasible node for
-//! requests *r*, every later pod of the cycle placed through the same
-//! pipeline with requests ≥ *r* (component-wise) is infeasible too, and
-//! is answered `None` without a scan. The cycle keeps that
-//! **infeasibility frontier** as the Pareto-minimal failed requests per
-//! pipeline. It is only sound for filters that declare
-//! [`FilterPlugin::monotone_in_requests`]; a pipeline with any filter
-//! that does not simply never consults it. The frontier dies with the
-//! cycle, so it can never go stale.
-//!
-//! The same monotonicity bounds the whole cycle: the most free capacity
-//! any node still has, lane by lane, only falls. A pod whose declared
-//! needs exceed it is refused by every later placement of the cycle,
-//! which is what lets a pass's queue walk skip such pods unread.
+//! nothing frees capacity. So the most free capacity any node still has,
+//! lane by lane, only falls. A pod whose declared needs exceed it is
+//! refused by every later placement of the cycle, which is what lets a
+//! pass's queue walk skip such pods unread.
 
 #![deny(clippy::float_arithmetic)]
 
@@ -81,10 +71,9 @@ use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
-use cluster::api::{NodeName, PodSpec, Resources};
+use cluster::api::{NodeName, PodSpec};
 
 use crate::metrics::NodeView;
 use crate::policy::{OccupancyBasis, PeerSums};
@@ -166,17 +155,6 @@ pub trait FilterPlugin: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
     /// `true` when `node` can feasibly host `spec`.
     fn feasible(&self, spec: &PodSpec, name: &NodeName, node: &NodeView) -> bool;
-    /// Declares the filter **monotone**: it reads the pod only through
-    /// `spec.resources.requests`, and a rejection survives both larger
-    /// requests and a fuller node — if it rejects requests *r* on a node,
-    /// it rejects every *r′ ≥ r* (component-wise) on that node with any
-    /// further requests reserved on it. This is what lets a
-    /// [`SchedulingCycle`] skip scans its infeasibility frontier already
-    /// answers. The default `false` is always safe; it only costs the
-    /// pipeline that shortcut.
-    fn monotone_in_requests(&self) -> bool {
-        false
-    }
     /// Declares what the filter **necessarily needs** of a node to
     /// accept `spec`: [`feasible`](Self::feasible) must reject every
     /// node that lacks it. A cycle's tier index then never hands such a
@@ -269,14 +247,8 @@ pub fn keep_best<K>(
 /// [`PolicyRegistry`](crate::PolicyRegistry).
 #[derive(Debug, Clone)]
 pub struct PolicyPipeline {
-    /// Identity of the composition (clones share it): what a cycle's
-    /// infeasibility frontier is keyed by. Two pipelines may share a
-    /// name, never an id.
-    id: u64,
     name: String,
     filters: Vec<Arc<dyn FilterPlugin>>,
-    /// Every filter declares [`FilterPlugin::monotone_in_requests`].
-    monotone: bool,
     scorers: Vec<Arc<dyn ScorePlugin>>,
     /// How many of the first stages declare
     /// [`ScorePlugin::class_constant`].
@@ -286,15 +258,10 @@ pub struct PolicyPipeline {
 impl PolicyPipeline {
     /// Starts building a pipeline with the given registered name.
     pub fn builder(name: impl Into<String>) -> PipelineBuilder {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         PipelineBuilder {
             pipeline: PolicyPipeline {
-                // Only ever compared for equality, so the allocation
-                // order cannot leak into a decision.
-                id: NEXT_ID.fetch_add(1, AtomicOrdering::Relaxed),
                 name: name.into(),
                 filters: Vec::new(),
-                monotone: true,
                 scorers: Vec::new(),
                 leading: 0,
             },
@@ -328,14 +295,6 @@ impl PolicyPipeline {
             .fold(Needs::default(), |needs, f| needs.and(f.needs(spec)))
     }
 
-    /// `true` when every filter of the chain declares
-    /// [`FilterPlugin::monotone_in_requests`] — the condition under
-    /// which a cycle's infeasibility frontier may answer for this
-    /// pipeline.
-    pub fn monotone_in_requests(&self) -> bool {
-        self.monotone
-    }
-
     /// Picks the best feasible node of a frozen snapshot, or `None` when
     /// nothing fits: a one-placement [`SchedulingCycle`].
     pub fn place(&self, spec: &PodSpec, snapshot: &ClusterSnapshot) -> Option<NodeName> {
@@ -353,7 +312,6 @@ impl PipelineBuilder {
     /// Appends a filter to the chain.
     #[must_use]
     pub fn filter(mut self, filter: impl FilterPlugin + 'static) -> Self {
-        self.pipeline.monotone &= filter.monotone_in_requests();
         self.pipeline.filters.push(Arc::new(filter));
         self
     }
@@ -373,11 +331,6 @@ impl PipelineBuilder {
     pub fn build(self) -> PolicyPipeline {
         self.pipeline
     }
-}
-
-/// `true` when `a` requests no more than `b` of every resource.
-fn within(a: Resources, b: Resources) -> bool {
-    a.memory <= b.memory && a.epc_pages <= b.epc_pages
 }
 
 /// Classes of the tier index: `(has_sgx, degraded, cordoned)`.
@@ -571,9 +524,6 @@ pub struct SchedulingCycle {
     /// Exact load sums per peer group, for relational scorers: summed
     /// over `working` when a stage first asks, kept in step from then on.
     peers: OnceCell<PeerSums>,
-    /// The infeasibility frontier: per pipeline id, the Pareto-minimal
-    /// requests a full scan of this cycle found no feasible node for.
-    frontier: Vec<(u64, Resources)>,
     /// Scratch of [`place`](Self::place), kept to spare the allocation:
     /// the feasible slots found.
     candidates: Vec<usize>,
@@ -592,7 +542,6 @@ impl SchedulingCycle {
             index: None,
             ceiling: None,
             peers: OnceCell::new(),
-            frontier: Vec::new(),
             candidates: Vec::new(),
             nodes_scanned: 0,
         }
@@ -605,9 +554,8 @@ impl SchedulingCycle {
 
     /// Slots the filter chains of this cycle have visited so far: every
     /// node a placement ran its filters on adds one; a node the tier
-    /// index passed over, or a placement the frontier answered, adds
-    /// nothing. A pure function of the cycle's inputs — the
-    /// deterministic stand-in for placement wall time.
+    /// index passed over adds nothing. A pure function of the cycle's
+    /// inputs — the deterministic stand-in for placement wall time.
     pub fn nodes_scanned(&self) -> u64 {
         self.nodes_scanned
     }
@@ -649,17 +597,6 @@ impl SchedulingCycle {
     /// cannot fit, a class that a better one beats, or scoring a later
     /// stage on nodes an earlier one already beat.
     pub fn place(&mut self, pipeline: &PolicyPipeline, spec: &PodSpec) -> Option<NodeName> {
-        let requests = spec.resources.requests;
-        let monotone = pipeline.monotone;
-        if monotone
-            && self
-                .frontier
-                .iter()
-                .any(|&(id, failed)| id == pipeline.id && within(failed, requests))
-        {
-            return None;
-        }
-
         let needs = pipeline.needs(spec);
         let (leading, remaining) = pipeline.scorers.split_at(pipeline.leading);
         let Self {
@@ -724,11 +661,6 @@ impl SchedulingCycle {
             }
         }
         if candidates.is_empty() {
-            if monotone {
-                self.frontier
-                    .retain(|&(id, failed)| !(id == pipeline.id && within(requests, failed)));
-                self.frontier.push((pipeline.id, requests));
-            }
             return None;
         }
 
@@ -816,22 +748,6 @@ mod tests {
                 }
             };
             keep_best(candidates, rate, i32::cmp);
-        }
-    }
-
-    /// [`EpcFitFilter`] without its declaration: the tier index has to
-    /// hand it every node.
-    #[derive(Debug)]
-    struct UndeclaredEpcFit;
-    impl FilterPlugin for UndeclaredEpcFit {
-        fn name(&self) -> &'static str {
-            "epc-fit(undeclared)"
-        }
-        fn feasible(&self, spec: &PodSpec, name: &NodeName, node: &NodeView) -> bool {
-            EpcFitFilter::effective().feasible(spec, name, node)
-        }
-        fn monotone_in_requests(&self) -> bool {
-            true
         }
     }
 
@@ -1021,77 +937,32 @@ mod tests {
         assert_eq!(late.place(&pod, &snapshot()).unwrap().as_str(), "std-1");
     }
 
-    /// The work-counter gate of the frontier: a backlog of identical
-    /// unplaceable pods costs one failing walk per cycle, not one per
-    /// pod, and the frontier never swallows a smaller pod that still
-    /// fits. With the filters' needs declared the failing walk visits no
-    /// slot at all; without, it visits every node once.
+    /// The work-counter gate of a refusal: a backlog of identical
+    /// unplaceable pods through a pipeline that declares its filters'
+    /// needs ends every placement at the tier index, visiting no slot,
+    /// and the smaller pods behind them still place.
     #[test]
     fn identical_unplaceable_pods_cost_one_scan() {
         const NODES: usize = 1_000;
-        let full = sgx_cluster(NODES, |_| 23_936 - 100);
+        let pipeline = fit_pipeline();
+        let mut cycle = SchedulingCycle::new(sgx_cluster(NODES, |_| 23_936 - 100));
         let big = sgx_pod(10); // 2,560 pages; 100 are free per node
+        for _ in 0..10_000 {
+            assert_eq!(cycle.place(&pipeline, &big), None);
+        }
+        assert_eq!(cycle.nodes_scanned(), 0);
+        // A pod that fits still has a stage to be rated by, so it visits
+        // every node that can hold it.
         let small = PodSpec::builder("small")
             .sgx_resources(EpcPages::new(100).to_bytes())
             .build();
+        let chosen = cycle.place(&pipeline, &small).unwrap();
+        assert_eq!(chosen.as_str(), "node-00000");
         let std_pod = PodSpec::builder("std")
             .memory_resources(ByteSize::from_gib(1))
             .build();
-
-        let undeclared = PolicyPipeline::builder("undeclared")
-            .filter(UndeclaredEpcFit)
-            .score(ConstScore)
-            .build();
-        let mut cycle = SchedulingCycle::new(full.clone());
-        for _ in 0..10_000 {
-            assert_eq!(cycle.place(&undeclared, &big), None);
-        }
-        assert_eq!(cycle.nodes_scanned(), NODES as u64);
-        // Larger requests are covered by the same frontier entry.
-        assert_eq!(cycle.place(&undeclared, &sgx_pod(20)), None);
-        assert_eq!(cycle.nodes_scanned(), NODES as u64);
-        // A pod smaller than anything that failed is still tried, placed...
-        let chosen = cycle.place(&undeclared, &small).unwrap();
-        assert_eq!(chosen.as_str(), "node-00000");
-        assert_eq!(cycle.nodes_scanned(), 2 * NODES as u64);
-        // ...and a standard pod is incomparable with the failed SGX
-        // requests, so it is walked too.
-        assert!(cycle.place(&undeclared, &std_pod).is_some());
-        assert_eq!(cycle.nodes_scanned(), 3 * NODES as u64);
-
-        // Declared, the index answers the failures at its root; a pod
-        // that fits still has a stage to be rated by, so it visits every
-        // node that can hold it.
-        let declared = fit_pipeline();
-        let mut cycle = SchedulingCycle::new(full);
-        for _ in 0..10_000 {
-            assert_eq!(cycle.place(&declared, &big), None);
-        }
-        assert_eq!(cycle.nodes_scanned(), 0);
-        assert_eq!(cycle.frontier.len(), 1);
-        assert!(cycle.place(&declared, &small).is_some());
-        assert!(cycle.place(&declared, &std_pod).is_some());
+        assert!(cycle.place(&pipeline, &std_pod).is_some());
         assert_eq!(cycle.nodes_scanned(), NODES as u64 * 2);
-    }
-
-    #[test]
-    fn frontier_is_kept_per_pipeline() {
-        // `strict` cannot place the pod; `lenient` (no EPC fit) can. A
-        // failure under one pipeline must not answer for the other.
-        let strict = fit_pipeline();
-        let lenient = PolicyPipeline::builder("lenient")
-            .filter(SgxCapableFilter)
-            .build();
-        let mut cycle = SchedulingCycle::new(snapshot());
-        let oversized = sgx_pod(94); // sgx nodes hold 93.5 MiB
-        assert_eq!(cycle.place(&strict, &oversized), None);
-        assert_eq!(cycle.place(&lenient, &oversized).unwrap().as_str(), "sgx-1");
-        assert_eq!(cycle.place(&strict, &oversized), None);
-        // `strict` never got past the index. `lenient` declares nothing
-        // and rates nothing, so its four classes are walked together,
-        // each to its first feasible slot: sgx-1 at once, the standard
-        // class to its end without one.
-        assert_eq!(cycle.nodes_scanned(), 3);
     }
 
     /// The sub-linear gate: first fit on a large cluster whose first two

@@ -62,9 +62,6 @@ impl FilterPlugin for CordonFilter {
     fn feasible(&self, _spec: &PodSpec, _name: &NodeName, node: &NodeView) -> bool {
         !node.cordoned
     }
-    fn monotone_in_requests(&self) -> bool {
-        true
-    }
     fn needs(&self, _spec: &PodSpec) -> Needs {
         Needs::uncordoned()
     }
@@ -80,9 +77,6 @@ impl FilterPlugin for SgxCapableFilter {
     }
     fn feasible(&self, spec: &PodSpec, _name: &NodeName, node: &NodeView) -> bool {
         !spec.resources.requests.needs_sgx() || node.has_sgx()
-    }
-    fn monotone_in_requests(&self) -> bool {
-        true
     }
 }
 
@@ -123,9 +117,6 @@ impl FilterPlugin for EpcFitFilter {
                 req <= node.epc_capacity.saturating_sub(node.epc_requested)
             }
         }
-    }
-    fn monotone_in_requests(&self) -> bool {
-        true
     }
     fn needs(&self, spec: &PodSpec) -> Needs {
         Needs::free(self.basis, true, spec.resources.requests.epc_pages.count())
@@ -169,9 +160,6 @@ impl FilterPlugin for MemoryFitFilter {
                 req <= node.memory_capacity.saturating_sub(node.memory_requested)
             }
         }
-    }
-    fn monotone_in_requests(&self) -> bool {
-        true
     }
     fn needs(&self, spec: &PodSpec) -> Needs {
         Needs::free(self.basis, false, spec.resources.requests.memory.as_bytes())

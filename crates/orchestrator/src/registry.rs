@@ -82,10 +82,6 @@ fn default_pipeline() -> PolicyPipeline {
 #[derive(Debug, Clone)]
 pub struct PolicyRegistry {
     pipelines: BTreeMap<String, Arc<PolicyPipeline>>,
-    /// What unresolvable names fall back to — the stock scheduler, as in
-    /// a Kubernetes cluster where an unknown `schedulerName` would leave
-    /// the pod to the default scheduler's profile.
-    fallback: Arc<PolicyPipeline>,
 }
 
 impl PolicyRegistry {
@@ -93,7 +89,6 @@ impl PolicyRegistry {
     pub fn builtin() -> Self {
         let mut registry = PolicyRegistry {
             pipelines: BTreeMap::new(),
-            fallback: Arc::new(default_pipeline()),
         };
         registry.register(binpack_pipeline());
         registry.register(spread_pipeline());
@@ -118,7 +113,9 @@ impl PolicyRegistry {
     }
 
     /// Resolves the pipeline for a pod: the pod's own scheduler name if
-    /// registered, else the configured default, else the stock fallback.
+    /// registered, else the configured default, else the stock scheduler
+    /// — as in a Kubernetes cluster, where an unknown `schedulerName`
+    /// leaves the pod to the default scheduler's profile.
     pub(crate) fn resolve(
         &self,
         pod_scheduler: Option<&str>,
@@ -127,7 +124,8 @@ impl PolicyRegistry {
         pod_scheduler
             .and_then(|name| self.by_name(name))
             .or_else(|| self.by_name(default))
-            .unwrap_or_else(|| Arc::clone(&self.fallback))
+            .or_else(|| self.by_name(DEFAULT_SCHEDULER))
+            .expect("every registry holds the stock scheduler")
     }
 
     /// The registered names, in sorted order.

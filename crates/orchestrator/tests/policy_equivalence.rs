@@ -17,12 +17,12 @@
 //!    the same snapshot (or a cheap clone of it) placed twice yields the
 //!    same node, with no dependence on any hash-map iteration order.
 //! 4. **Shortcut soundness** — what a [`SchedulingCycle`] skips never
-//!    changes an answer: a long-lived cycle (infeasibility frontier and
-//!    tier index kept up by `reserve` / `mark_infeasible`) agrees with a
-//!    fresh cycle over the same working state at every step and with a
-//!    filter-everything, rate-everything reference kept here,
-//!    non-monotone filters bypass the frontier, and staged narrowing
-//!    equals whole-vector lexicographic selection.
+//!    changes an answer: a long-lived cycle (tier index kept up by
+//!    `reserve` / `mark_infeasible`) agrees with a fresh cycle over the
+//!    same working state at every step and with a filter-everything,
+//!    rate-everything reference kept here — on a route through a filter
+//!    that declares no needs too — and staged narrowing equals
+//!    whole-vector lexicographic selection.
 //! 5. **Exact spread** — the O(1)-a-candidate integer comparison picks
 //!    what the variance computed from its definition in rationals picks,
 //!    on tiers mixing capacities, zero-capacity, cordoned, excluded and
@@ -44,7 +44,7 @@ use orchestrator::{
 use sgx_sim::units::{ByteSize, EpcPages};
 
 /// The adaptor between the oracle's node map and the framework: freeze
-/// the map and place once through a fresh cycle (empty frontier).
+/// the map and place once through a fresh cycle.
 fn place(
     pipeline: &PolicyPipeline,
     spec: &PodSpec,
@@ -269,7 +269,8 @@ fn fine_spec_for(index: usize, sgx: bool, amount: u64) -> PodSpec {
 
 /// A filter that is *not* antitone in the requests: it accepts only
 /// even page counts, so a rejected request says nothing about a larger
-/// one. It keeps the default `monotone_in_requests() == false`.
+/// one. It keeps the default of declaring no needs, so the tier index
+/// cannot prune for it.
 #[derive(Debug)]
 struct EvenPagesFilter;
 
@@ -704,28 +705,6 @@ fn reference_place(
 }
 
 #[test]
-fn non_monotone_filters_bypass_the_frontier() {
-    let roomy = NodeView {
-        memory_capacity: ByteSize::from_gib(8),
-        epc_capacity: EpcPages::new(1_000),
-        ..NodeView::default()
-    };
-    let nodes: BTreeMap<NodeName, NodeView> = [(NodeName::new("n-0"), roomy)].into();
-    let pipeline = parity_pipeline();
-    assert!(!pipeline.monotone_in_requests());
-    let mut cycle = SchedulingCycle::new(ClusterSnapshot::from_nodes(SimTime::ZERO, nodes));
-    // 3 pages: rejected for parity. Were that recorded as a frontier
-    // entry, the larger 4-page pod would be answered `None` unseen.
-    assert_eq!(cycle.place(&pipeline, &fine_spec_for(0, true, 3)), None);
-    assert_eq!(
-        cycle.place(&pipeline, &fine_spec_for(1, true, 4)),
-        Some(NodeName::new("n-0"))
-    );
-    assert_eq!(cycle.place(&pipeline, &fine_spec_for(2, true, 5)), None);
-    assert_eq!(cycle.nodes_scanned(), 3, "every placement scanned");
-}
-
-#[test]
 fn a_candidate_without_a_peer_group_never_outranks_one_with() {
     // Cordoned nodes belong to no peer group. Behind no cordon filter
     // they are candidates all the same — last-resort ones: any member of
@@ -914,8 +893,8 @@ proptest! {
     /// Shortcut soundness: at every step of a long-lived cycle — random
     /// routing across the three built-in pipelines and a non-monotone
     /// one, reservations, kubelet-refusal marks — `place` answers what a
-    /// fresh cycle (empty frontier, index built from scratch) over the
-    /// same working state answers.
+    /// fresh cycle (index built from scratch) over the same working
+    /// state answers.
     #[test]
     fn a_long_lived_cycle_matches_a_fresh_one_at_every_step(
         nodes in nodes_strategy(),

@@ -154,24 +154,11 @@ pub fn peak_epc_imbalance(result: &ReplayResult) -> f64 {
     result.epc_imbalance_series().peak().unwrap_or(0.0)
 }
 
-/// Number of live migrations the replay performed (rebalancing passes
-/// plus drains).
-pub fn migration_count(result: &ReplayResult) -> u64 {
-    result.migration_count()
-}
-
 /// Total migration downtime accumulated by the replay's pods, in
 /// seconds. Every second of it also shows up in the migrated pods'
 /// turnaround times.
 pub fn total_migration_downtime_secs(result: &ReplayResult) -> f64 {
     result.migration_downtime().as_secs_f64()
-}
-
-/// Number of scheduling decisions bound while at least one node's
-/// metrics were stale (its view degraded to requests-only accounting).
-/// Zero on a healthy metrics pipeline.
-pub fn degraded_decisions(result: &ReplayResult) -> u64 {
-    result.degraded_decisions()
 }
 
 /// Mean scale-up latency in seconds — how long the triggering tier's
@@ -312,7 +299,7 @@ mod tests {
     #[test]
     fn migration_helpers_are_zero_without_rebalancing() {
         let r = result();
-        assert_eq!(migration_count(&r), 0);
+        assert_eq!(r.migration_count(), 0);
         assert_eq!(total_migration_downtime_secs(&r), 0.0);
         // The imbalance series is recorded even with rebalancing off (it
         // is the baseline the rebalance-on experiments compare against).
@@ -396,7 +383,7 @@ mod tests {
     #[test]
     fn fault_helpers_are_zero_on_a_healthy_pipeline() {
         let r = result();
-        assert_eq!(degraded_decisions(&r), 0);
+        assert_eq!(r.degraded_decisions(), 0);
         assert!(r.fault_stats().is_clean());
         assert_eq!(frame_loss_rate(&r), 0.0);
     }

@@ -24,7 +24,7 @@ use crate::config::ReplayConfig;
 /// lookahead event, and interleaves them with the queue by time (the
 /// frontend wins ties, which reproduces the legacy ordering where all
 /// pre-scheduled submits carried the lowest sequence numbers).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum Event {
     /// Submit the malicious squatters (Fig. 11).
     SubmitMalicious,
@@ -56,11 +56,11 @@ enum Event {
     DrainNode(usize),
     /// The maintenance window closes: un-cordon the node.
     UncordonNode(usize),
-    /// A delayed or retried probe frame reaches the database (key into
-    /// the in-flight frame table). Only exists under fault injection:
-    /// un-delayed frames deliver inline during [`Event::ProbeTick`], so
-    /// a fault-free replay schedules none of these.
-    FrameDelivery(u64),
+    /// A delayed or retried probe frame reaches the database. Only
+    /// exists under fault injection: un-delayed frames deliver inline
+    /// during [`Event::ProbeTick`], so a fault-free replay schedules none
+    /// of these. Boxed, so the event stays as small as a finish.
+    FrameDelivery(Box<InFlightFrame>),
 }
 
 /// A probe frame held by the fault injector: encoded on the wire at
@@ -373,8 +373,6 @@ pub(crate) struct Engine<'a> {
     /// the replay is structurally identical to the pre-chaos engine
     /// (bit-identity property-tested in tests/chaos_props.rs).
     injector: Option<FaultInjector>,
-    in_flight: BTreeMap<u64, InFlightFrame>,
-    next_frame_id: u64,
 }
 
 impl<'a> Engine<'a> {
@@ -484,8 +482,6 @@ impl<'a> Engine<'a> {
             migration_count: 0,
             migration_downtime: SimDuration::ZERO,
             injector: (!config.faults.is_noop()).then(|| FaultInjector::new(config.faults.clone())),
-            in_flight: BTreeMap::new(),
-            next_frame_id: 0,
         }
     }
 
@@ -625,13 +621,7 @@ impl<'a> Engine<'a> {
             Event::SubmitMalicious => self.submit_malicious(now),
             Event::SchedulerTick => self.scheduler_tick(now),
             Event::ProbeTick => self.probe_tick(now),
-            Event::FrameDelivery(id) => {
-                let frame = self
-                    .in_flight
-                    .remove(&id)
-                    .expect("frame deliveries reference in-flight frames");
-                self.deliver_frame(frame, now);
-            }
+            Event::FrameDelivery(frame) => self.deliver_frame(*frame, now),
             Event::PodFinish(uid, generation) => {
                 // Otherwise stale: the pod crashed, migrated or already
                 // completed since the event was scheduled.
@@ -754,7 +744,7 @@ impl<'a> Engine<'a> {
             // Faulted scrape: every frame is judged; surviving frames
             // deliver inline *now* (never via a same-instant event,
             // which would reorder against coinciding scheduler ticks),
-            // delayed ones go through the in-flight table.
+            // delayed ones ride their own delivery event.
             for (node, batch) in self.orch.scrape_frames(now) {
                 let delay = match self.chaos().judge_frame(node.as_str(), now) {
                     FrameFate::Silenced | FrameFate::Dropped => continue,
@@ -790,19 +780,17 @@ impl<'a> Engine<'a> {
             .expect("probe frames only exist under fault injection")
     }
 
-    /// Parks a probe frame in the in-flight table until `until`.
+    /// Holds a probe frame back until `until`.
     fn hold_frame(&mut self, frame: InFlightFrame, until: SimTime) {
-        let id = self.next_frame_id;
-        self.next_frame_id += 1;
-        self.in_flight.insert(id, frame);
-        self.events.schedule(until, Event::FrameDelivery(id));
+        self.events
+            .schedule(until, Event::FrameDelivery(Box::new(frame)));
     }
 
     /// One delivery attempt of a probe frame against the metrics store.
     ///
     /// The frame's write either succeeds (ingest under its *scrape*
     /// timestamp — late frames land out of time order) or fails per the
-    /// injector's draw; failed writes re-enter the in-flight table with
+    /// injector's draw; failed writes are held back again with
     /// exponential backoff until the transport's retry budget runs out.
     fn deliver_frame(&mut self, frame: InFlightFrame, now: SimTime) {
         let batch = tsdb::wire::decode_batch(&frame.bytes)
@@ -1015,6 +1003,13 @@ mod tests {
     fn small_workload(sgx_ratio: f64) -> Workload {
         let trace = GeneratorConfig::small(11).generate();
         Workload::materialize(&trace, &WorkloadParams::paper(sgx_ratio, 11))
+    }
+
+    #[test]
+    fn a_held_frame_does_not_grow_the_event() {
+        // The frame rides its delivery event boxed: every queued event
+        // stays the size of a finish.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 
     #[test]
