@@ -147,10 +147,15 @@ impl EventLog {
         }
     }
 
-    /// Appends an event, evicting the oldest when full.
+    /// Appends an event, evicting the oldest when full. The buffer grows
+    /// by doubling, but never past the cap: a full log holds exactly
+    /// `capacity` slots.
     pub(crate) fn record(&mut self, at: SimTime, kind: EventKind) {
-        if self.events.len() == self.capacity {
+        let held = self.events.len();
+        if held == self.capacity {
             self.events.pop_front();
+        } else if held == self.events.capacity() {
+            self.events.reserve_exact(held.min(self.capacity - held));
         }
         self.events.push_back(ClusterEvent { at, kind });
     }
@@ -184,6 +189,24 @@ mod tests {
         assert_eq!(log.iter().count(), 3);
         let first = log.iter().next().unwrap();
         assert_eq!(first.at, SimTime::from_secs(2)); // 0 and 1 evicted
+    }
+
+    #[test]
+    fn an_overfilled_log_stops_growing_at_its_cap() {
+        let cap = 5_000;
+        let mut log = EventLog::with_capacity(cap);
+        for i in 0..3 * cap as u64 + 7 {
+            log.record(
+                SimTime::from_micros(i),
+                EventKind::Submitted {
+                    uid: PodUid::new(i),
+                },
+            );
+        }
+        assert_eq!(log.events.capacity(), cap);
+        let kept: Vec<u64> = log.iter().map(|event| event.at.as_micros()).collect();
+        let newest: Vec<u64> = (2 * cap as u64 + 7..3 * cap as u64 + 7).collect();
+        assert_eq!(kept, newest);
     }
 
     #[test]
