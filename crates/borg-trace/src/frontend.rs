@@ -5,8 +5,10 @@
 //! (`GeneratorConfig::full_scale` already means ≈1.24 M jobs up front).
 //! A [`TraceFrontend`] decouples *where jobs come from* from *how they
 //! are replayed*: the engine pulls time-ordered [`WorkloadEvent`]s one
-//! at a time, so a multi-day horizon costs O(in-flight) memory instead
-//! of O(total jobs).
+//! at a time, so the frontend holds O(in-flight) memory for a multi-day
+//! horizon instead of O(total jobs). That is the frontend's bound, not
+//! the process's: the replay keeps every pod's history to its end, and
+//! that grows with total jobs.
 //!
 //! Four frontends ship behind the [`FrontendRegistry`] (mirroring the
 //! orchestrator's `PolicyRegistry`):

@@ -441,8 +441,11 @@ impl GeneratorConfig {
     /// Pull-based variant of [`generate_sampled`](Self::generate_sampled):
     /// yields the same jobs in the same (submission) order, one at a time,
     /// without ever materialising the trace. The streaming workload
-    /// frontends are built on this iterator so a multi-day horizon costs
-    /// O(in-flight) memory instead of O(total jobs).
+    /// frontends are built on this iterator, so the *trace* of a
+    /// multi-day horizon costs O(in-flight) memory instead of O(total
+    /// jobs). A replay of it still keeps every pod's history to its end
+    /// (the orchestrator's pod table, the engine's origins, the result's
+    /// runs), which grows with total jobs.
     ///
     /// # Panics
     ///

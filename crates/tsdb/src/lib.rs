@@ -11,9 +11,11 @@
 //! * [`Database`] — tagged series storage with retention enforcement:
 //!   an ordered index from `(measurement, tag set)` — the tag set packed
 //!   into one byte string that sorts as the [`TagSet`] does — to a slab
-//!   of sample vectors. [`Database::resolve`] names a series once and
-//!   returns a [`SeriesId`]; [`Database::append`] writes through it at
-//!   the cost of a push. Every tagged insert is the two composed.
+//!   of Gorilla-compressed series: delta-of-delta times and XOR-ed
+//!   values, about two bits a repeated sample. [`Database::resolve`]
+//!   names a series once and returns a [`SeriesId`]; [`Database::append`]
+//!   writes through it, encoding one sample onto the series' tail. Every
+//!   tagged insert is the two composed.
 //! * [`PointBatch`] — the one-frame-per-node-per-scrape transport unit
 //!   probes ship to the store across a wire.
 //! * [`WindowRollup`] — Listing 1 as a continuous query, the way
@@ -25,7 +27,7 @@
 //!   appended by [`SeriesId`] where the window remembers the pod.
 //! * [`query`] — a structured query AST and executor supporting the
 //!   nested sliding-window aggregation of the paper's Listing 1:
-//!   [`Database::query`] seeks each series to the window, and
+//!   [`Database::query`] folds each series' window as it decodes it, and
 //!   [`Database::query_full_scan`] is the naive reference it is tested
 //!   against. The rollup is in turn held to `query`.
 //! * [`influxql`] — a parser for the InfluxQL subset the paper uses, so

@@ -264,11 +264,12 @@ impl Select {
     }
 
     /// Evaluates against a time-bounded sample stream. Time predicates are
-    /// resolved up front into a `[lo, hi)` scan range so the store can seek
-    /// straight to the window (`partition_point` on each series); the
-    /// remaining predicates are checked per sample and each group folds
-    /// through a constant-space [`AggState`] instead of collecting a
-    /// `Vec`. Rows come back sorted by tag set for determinism.
+    /// resolved up front into a `[lo, hi)` scan range, so the store hands
+    /// over only the window's samples, decoding each series no further
+    /// than `hi`; the remaining predicates are checked per sample and each
+    /// group folds through a constant-space [`AggState`] instead of
+    /// collecting a `Vec`. Rows come back sorted by tag set for
+    /// determinism.
     pub(crate) fn execute_streaming(&self, db: &Database, now: SimTime) -> Vec<Row> {
         match &self.source {
             Source::Measurement(measurement) => {
@@ -302,9 +303,9 @@ impl Select {
     /// engine did. Kept as the oracle the streaming executor is verified
     /// against (see the `query_props` property tests) and as the
     /// baseline of the `tsdb_ops` benchmark.
-    pub(crate) fn execute_full_scan<'a, F>(&self, fetch: &F, now: SimTime) -> Vec<Row>
+    pub(crate) fn execute_full_scan<F>(&self, fetch: &F, now: SimTime) -> Vec<Row>
     where
-        F: Fn(&str) -> Vec<(TagSet, &'a [(SimTime, f64)])>,
+        F: Fn(&str) -> Vec<(TagSet, Vec<(SimTime, f64)>)>,
     {
         // Collect the input stream: either raw points or inner rows
         // (treated as observations at `now`).

@@ -1,8 +1,8 @@
 //! Series storage and retention.
 //!
 //! A series lives in two places. Its samples sit in a *slot* of a slab
-//! (`Vec<Slot>` plus a free list), addressed by a [`SeriesId`]; its name
-//! — `(measurement, tag set)` — is a key of the ordered index, whose
+//! (pages of slots plus a free list), addressed by a [`SeriesId`]; its
+//! name — `(measurement, tag set)` — is a key of the ordered index, whose
 //! value is the slot number. The split is what lets a writer pay for the
 //! name once:
 //!
@@ -10,7 +10,7 @@
 //!   lookup and a byte-keyed B-tree descent, get-or-create, returning
 //!   the id.
 //! * [`Database::append`] is its one append routine: an index into the
-//!   slab, a generation compare, a push.
+//!   slab, a generation compare, a sample encoded onto the series' tail.
 //!
 //! [`insert`](Database::insert), [`insert_at`](Database::insert_at) and
 //! [`insert_batch`](Database::insert_batch) are `append(resolve(..))`; a
@@ -24,7 +24,7 @@
 //! # The packed key
 //!
 //! A tag set is not stored as a [`TagSet`]: the index keys a series by
-//! its *packed* tag set, one `Box<[u8]>` holding every tag key and value.
+//! its *packed* tag set, one byte string holding every tag key and value.
 //! Each string has its `0x00` bytes escaped as `00 FF` and ends with the
 //! terminator `00 01` (Prometheus packs its label sets into one string
 //! the same way). The encoding orders byte-wise exactly as the tag sets
@@ -34,9 +34,9 @@
 //! set does. So every read — [`query`](Database::query), the full scan,
 //! `stream_window`, [`snapshot`](Database::snapshot) — walks series in
 //! tag-set order as it always has, decoding each series' key into one
-//! reused scratch [`TagSet`]. A series name costs two allocations: the
-//! index key and the slot's own copy, which begins with the packed
-//! measurement.
+//! reused scratch [`TagSet`]. A series name costs one allocation: the
+//! index and the slot share the packed tag set through an [`Arc`], and
+//! the slot names its measurement by a small id.
 //!
 //! The index is *eager*: it lists exactly the live series, and never
 //! meets a hole. Ids are generation-checked: a slot released by
@@ -44,9 +44,38 @@
 //! before it is reused, so an id that outlived its series appends nothing
 //! and says so.
 //!
-//! Each slot carries the time of its oldest sample inline, so
-//! [`enforce_retention`] compares one word per series and opens the
-//! sample vector only of a series the cutoff has passed. A series it
+//! # The samples
+//!
+//! A series' samples are one Gorilla-compressed chunk (Pelkonen et al.,
+//! "Gorilla", VLDB 2015; InfluxDB's TSM engine encodes its floats the
+//! same way). The oldest sample sits in the slot as is; every later one
+//! is a bit string encoded against the sample before it:
+//!
+//! * its time as the *delta of deltas* of `SimTime` microseconds —
+//!   one `0` bit when the gap repeats, else a prefix of up to four `1`s
+//!   naming a 7-, 25- or 36-bit bucket, or a full 64-bit escape for a
+//!   change that fits no bucket;
+//! * its value as the XOR of its `f64` bits with its predecessor's —
+//!   one `0` bit when it repeats, else the meaningful bits, inside the
+//!   previous XOR's window when they fit. Every finite value, `-0.0` and
+//!   the subnormals included, round-trips by [`f64::to_bits`].
+//!
+//! A probe's series repeats both its interval and its value, so a sample
+//! costs about two bits. The first 64 bits of the stream are kept in the
+//! slot, and a series spills to the heap only past them.
+//!
+//! The slot also holds the decoder state at both ends of the series: at
+//! the newest sample, so an in-order append (every probe write) encodes
+//! one sample in O(1); and at the oldest, so the retention decodes only
+//! the samples it evicts. A sample that lands before the newest (a
+//! delayed frame) re-encodes its one series, stable after equal
+//! timestamps.
+//!
+//! [`enforce_retention`] compares one word per series, the oldest
+//! sample's time, and opens only a series the cutoff has passed. It
+//! decodes the samples it evicts, and moves the stream's live words to
+//! its front once the evicted words outnumber them, so a series that
+//! loses one sample a tick is not re-encoded per tick. A series it
 //! empties is unregistered through the key its slot holds — O(log n) per
 //! series emptied, with no walk of the index.
 //! [`drop_series_with_first_tag`] removes a byte-prefix range: the packed
@@ -59,37 +88,400 @@
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use des::{SimDuration, SimTime};
 
-use crate::key::{pack_tags, push_field, split_field, unescape, unpack_tags};
+use crate::key::{pack_tags, push_field, unpack_tags};
 use crate::point::{Point, TagSet};
 use crate::query::{Row, Select, TimeBound};
 use crate::rollup::{GroupFeed, WindowRollup, NODE_TAG, POD_TAG};
 
-/// One series' samples, sorted by time (stable for equal timestamps).
-type Series = Vec<(SimTime, f64)>;
+/// The widths of the delta-of-delta buckets, in bits, two's complement:
+/// the bucket `i` is written after `i + 1` ones and a zero, the last one
+/// (the escape, which holds any change) after four ones alone.
+const DOD_BITS: [u32; 4] = [7, 25, 36, 64];
 
-fn insert_sorted(series: &mut Series, time: SimTime, value: f64) {
-    // Probes push in time order, so the common case is an append.
-    match series.last() {
-        Some(&(last, _)) if last > time => {
-            let idx = series.partition_point(|&(t, _)| t <= time);
-            series.insert(idx, (time, value));
+/// Whether `value` is representable in `bits` bits, two's complement.
+fn fits(value: i64, bits: u32) -> bool {
+    bits == 64 || (-(1i64 << (bits - 1))..1i64 << (bits - 1)).contains(&value)
+}
+
+/// The low `bits` bits set.
+fn mask(bits: u32) -> u64 {
+    u64::MAX >> (64 - bits)
+}
+
+/// Where a decoder stands in a series: one sample, and what the sample
+/// after it is encoded against.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Cursor {
+    /// The sample's time, in microseconds.
+    time: u64,
+    /// The sample's value, as [`f64::to_bits`].
+    value: u64,
+    /// The gap back to the sample before, in microseconds (0 at a
+    /// series' first sample): the next gap's prediction, saturated at
+    /// `u32::MAX` — a gap that long escapes anyway.
+    gap: u32,
+    /// The window of the last XOR written in full: its leading zero bits…
+    lead: u8,
+    /// …and its meaningful bits, 0 until one is written.
+    len: u8,
+}
+
+/// A bit stream, most significant bit first: the sample bits of a
+/// series, after its oldest sample. The first word is kept inline; the
+/// rest, behind one thin pointer, exist only once a series spills past
+/// it.
+#[derive(Debug, Clone, Default)]
+struct Words {
+    first: u64,
+    // Boxed on purpose, as `rollup.rs` boxes its spilled members: a bare
+    // `Vec` is three words and would widen every slot by 16 bytes for
+    // the sake of the series that spill.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<Vec<u64>>>,
+}
+
+impl Words {
+    fn word(&self, index: usize) -> u64 {
+        match (index, &self.rest) {
+            (0, _) => self.first,
+            (_, Some(rest)) => rest[index - 1],
+            (_, None) => 0,
         }
-        _ => series.push((time, value)),
+    }
+
+    fn word_mut(&mut self, index: usize) -> &mut u64 {
+        match index {
+            0 => &mut self.first,
+            _ => &mut self.rest.as_mut().expect("a reserved word")[index - 1],
+        }
+    }
+
+    /// Room for `bits` bits, the new words zeroed; grows by doubling.
+    fn reserve(&mut self, bits: u32) {
+        let needed = (bits as usize).div_ceil(64).saturating_sub(1);
+        if needed > self.rest.as_ref().map_or(0, |rest| rest.len()) {
+            let rest = self.rest.get_or_insert_with(Box::default);
+            let len = needed.max(2 * rest.len());
+            rest.reserve_exact(len - rest.len());
+            rest.resize(len, 0);
+        }
+    }
+
+    /// Gives back the room past the first `words` words once it is at
+    /// least as large as they are.
+    fn shrink_to(&mut self, words: usize) {
+        if let Some(rest) = &mut self.rest {
+            if words <= 1 {
+                self.rest = None;
+            } else if rest.len() >= 2 * words {
+                rest.truncate(words - 1);
+                rest.shrink_to_fit();
+            }
+        }
+    }
+
+    /// The `bits` (1 to 64) bits at `at`, as the low bits of a word.
+    fn get(&self, at: u32, bits: u32) -> u64 {
+        let (index, offset) = (at as usize / 64, at % 64);
+        let high = self.word(index) << offset;
+        if offset + bits <= 64 {
+            high >> (64 - bits)
+        } else {
+            high >> (64 - bits) | self.word(index + 1) >> (128 - offset - bits)
+        }
+    }
+
+    /// Writes the low `bits` (1 to 64) bits of `value` at `at`, into
+    /// zeroed bits the caller has reserved.
+    fn put(&mut self, at: u32, value: u64, bits: u32) {
+        let value = value & mask(bits);
+        let (index, offset) = (at as usize / 64, at % 64);
+        let room = 64 - offset;
+        if bits <= room {
+            *self.word_mut(index) |= value << (room - bits);
+        } else {
+            *self.word_mut(index) |= value >> (bits - room);
+            *self.word_mut(index + 1) |= value << (64 - (bits - room));
+        }
     }
 }
 
-/// The in-window slice `lo <= time < hi`, located with two binary
-/// searches instead of a scan.
-fn window(series: &Series, lo: SimTime, hi: Option<SimTime>) -> &[(SimTime, f64)] {
-    let start = series.partition_point(|&(t, _)| t < lo);
-    let end = match hi {
-        Some(hi) => series.partition_point(|&(t, _)| t < hi),
-        None => series.len(),
-    };
-    &series[start..end.max(start)]
+/// A writer at the end of a stream.
+struct Writer<'a> {
+    words: &'a mut Words,
+    at: u32,
+}
+
+impl Writer<'_> {
+    fn put(&mut self, value: u64, bits: u32) {
+        let end = self
+            .at
+            .checked_add(bits)
+            .filter(|&end| end < EMPTY)
+            .expect("a series holds under 512 MiB of samples");
+        self.words.reserve(end);
+        self.words.put(self.at, value, bits);
+        self.at = end;
+    }
+
+    /// Encodes the sample `(time, value)` after `prev`, returning the
+    /// cursor at it. `time` is not before `prev`'s.
+    fn sample(&mut self, prev: Cursor, time: u64, value: u64) -> Cursor {
+        let gap = time - prev.time;
+        let dod = gap.wrapping_sub(u64::from(prev.gap)) as i64;
+        if dod == 0 {
+            self.put(0, 1);
+        } else {
+            let bucket = (0..DOD_BITS.len())
+                .find(|&i| fits(dod, DOD_BITS[i]))
+                .expect("the escape holds any change");
+            let ones = bucket as u32 + 1;
+            if bucket + 1 == DOD_BITS.len() {
+                self.put(mask(ones), ones);
+            } else {
+                self.put(mask(ones) << 1, ones + 1);
+            }
+            self.put(dod as u64, DOD_BITS[bucket]);
+        }
+
+        let mut next = Cursor {
+            time,
+            value,
+            gap: u32::try_from(gap).unwrap_or(u32::MAX),
+            ..prev
+        };
+        let xor = value ^ prev.value;
+        if xor == 0 {
+            self.put(0, 1);
+            return next;
+        }
+        let (lead, trail) = (xor.leading_zeros(), xor.trailing_zeros());
+        let (window_lead, window_len) = (u32::from(prev.lead), u32::from(prev.len));
+        if window_len > 0 && lead >= window_lead && trail >= 64 - window_lead - window_len {
+            self.put(0b10, 2);
+            self.put(xor >> (64 - window_lead - window_len), window_len);
+        } else {
+            let len = 64 - lead - trail;
+            self.put(0b11, 2);
+            self.put(u64::from(lead), 6);
+            self.put(u64::from(len - 1), 6);
+            self.put(xor >> trail, len);
+            (next.lead, next.len) = (lead as u8, len as u8);
+        }
+        next
+    }
+}
+
+/// A reader somewhere in a stream.
+struct Reader<'a> {
+    words: &'a Words,
+    at: u32,
+}
+
+impl Reader<'_> {
+    fn get(&mut self, bits: u32) -> u64 {
+        let value = self.words.get(self.at, bits);
+        self.at += bits;
+        value
+    }
+
+    /// Decodes the sample after `prev`: the inverse of
+    /// [`Writer::sample`].
+    fn sample(&mut self, prev: Cursor) -> Cursor {
+        let mut ones = 0;
+        while ones < DOD_BITS.len() && self.get(1) == 1 {
+            ones += 1;
+        }
+        let dod = match ones {
+            0 => 0,
+            _ => {
+                let bits = DOD_BITS[ones - 1];
+                let raw = self.get(bits);
+                ((raw << (64 - bits)) as i64) >> (64 - bits)
+            }
+        };
+        let gap = u64::from(prev.gap).wrapping_add(dod as u64);
+        let mut next = Cursor {
+            time: prev.time + gap,
+            gap: u32::try_from(gap).unwrap_or(u32::MAX),
+            ..prev
+        };
+        if self.get(1) == 0 {
+            return next;
+        }
+        let (lead, len) = if self.get(1) == 0 {
+            (u32::from(prev.lead), u32::from(prev.len))
+        } else {
+            let lead = self.get(6) as u32;
+            let len = self.get(6) as u32 + 1;
+            (next.lead, next.len) = (lead as u8, len as u8);
+            (lead, len)
+        };
+        next.value = prev.value ^ self.get(len) << (64 - lead - len);
+        next
+    }
+}
+
+/// `Chunk::end` of a series that holds no sample.
+const EMPTY: u32 = u32::MAX;
+
+/// One series' samples, sorted by time (stable for equal timestamps):
+/// the oldest as is, the rest Gorilla-encoded after it.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// The oldest sample, and the decoder state the next is read with.
+    head: Cursor,
+    /// The newest sample, and the encoder state the next is written with.
+    tail: Cursor,
+    /// Where the sample after `head` starts in `words`.
+    head_at: u32,
+    /// The bits written, or [`EMPTY`].
+    end: u32,
+    words: Words,
+}
+
+impl Default for Chunk {
+    fn default() -> Self {
+        Chunk {
+            head: Cursor::default(),
+            tail: Cursor::default(),
+            head_at: 0,
+            end: EMPTY,
+            words: Words::default(),
+        }
+    }
+}
+
+impl Chunk {
+    fn is_empty(&self) -> bool {
+        self.end == EMPTY
+    }
+
+    /// The time of the oldest sample, unless there is none.
+    fn oldest(&self) -> Option<SimTime> {
+        (!self.is_empty()).then_some(SimTime::from_micros(self.head.time))
+    }
+
+    /// Appends a sample at or after the newest.
+    fn push(&mut self, time: u64, value: u64) {
+        if self.is_empty() {
+            let first = Cursor {
+                time,
+                value,
+                ..Cursor::default()
+            };
+            (self.head, self.tail, self.head_at, self.end) = (first, first, 0, 0);
+            return;
+        }
+        let mut writer = Writer {
+            words: &mut self.words,
+            at: self.end,
+        };
+        self.tail = writer.sample(self.tail, time, value);
+        self.end = writer.at;
+    }
+
+    /// Inserts a sample after every sample at or before its time: an
+    /// append, unless it is older than the newest — then the series is
+    /// decoded and encoded anew around it.
+    fn insert(&mut self, time: SimTime, value: f64) {
+        let (time, value) = (time.as_micros(), value.to_bits());
+        if self.is_empty() || time >= self.tail.time {
+            return self.push(time, value);
+        }
+        let mut samples: Vec<(u64, u64)> = self.cursors().map(|c| (c.time, c.value)).collect();
+        let at = samples.partition_point(|&(t, _)| t <= time);
+        samples.insert(at, (time, value));
+        *self = Chunk::default();
+        for (time, value) in samples {
+            self.push(time, value);
+        }
+    }
+
+    /// Drops every sample before `cutoff`, decoding only those, and
+    /// returns how many went.
+    fn evict_before(&mut self, cutoff: SimTime) -> usize {
+        let cutoff = cutoff.as_micros();
+        let mut evicted = 0;
+        while !self.is_empty() && self.head.time < cutoff {
+            evicted += 1;
+            if self.head_at == self.end {
+                *self = Chunk::default();
+                return evicted;
+            }
+            let mut reader = Reader {
+                words: &self.words,
+                at: self.head_at,
+            };
+            self.head = reader.sample(self.head);
+            self.head_at = reader.at;
+        }
+        self.compact();
+        evicted
+    }
+
+    /// Moves the live words to the front of the stream once the words
+    /// before the head outnumber them, and gives back the room that
+    /// frees: a cost of at most one word moved per word evicted.
+    fn compact(&mut self) {
+        let dead = self.head_at as usize / 64;
+        let used = (self.end as usize).div_ceil(64);
+        if dead == 0 || dead < used - dead {
+            return;
+        }
+        let live = used - dead;
+        for index in 0..used {
+            let word = if index < live {
+                self.words.word(index + dead)
+            } else {
+                0
+            };
+            *self.words.word_mut(index) = word;
+        }
+        let shift = 64 * dead as u32;
+        (self.head_at, self.end) = (self.head_at - shift, self.end - shift);
+        self.words.shrink_to(live);
+    }
+
+    /// Every sample's cursor, oldest first.
+    fn cursors(&self) -> impl Iterator<Item = Cursor> + '_ {
+        let mut reader = Reader {
+            words: &self.words,
+            at: self.head_at,
+        };
+        let mut next = (!self.is_empty()).then_some(self.head);
+        std::iter::from_fn(move || {
+            let cursor = next?;
+            next = (reader.at < self.end).then(|| reader.sample(cursor));
+            Some(cursor)
+        })
+    }
+
+    /// Every sample, oldest first.
+    fn samples(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        self.cursors()
+            .map(|c| (SimTime::from_micros(c.time), f64::from_bits(c.value)))
+    }
+
+    /// The samples with `lo <= time` (and `time < hi` when bounded),
+    /// decoded from the oldest up to the first at or past `hi`.
+    fn window(
+        &self,
+        lo: SimTime,
+        hi: Option<SimTime>,
+    ) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        self.samples()
+            .take_while(move |&(t, _)| hi.is_none_or(|hi| t < hi))
+            .skip_while(move |&(t, _)| t < lo)
+    }
+
+    fn len(&self) -> usize {
+        self.cursors().count()
+    }
 }
 
 /// A handle to one stored series, from [`Database::resolve`]. Opaque and
@@ -104,19 +496,16 @@ pub struct SeriesId {
 }
 
 /// Storage of one series, or a free cell of the slab.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Slot {
     /// Empty in a free slot, and in a series resolved but not yet
     /// appended to.
-    samples: Series,
-    /// `samples[0].0` — kept here so retention can tell a series with
-    /// nothing to evict without following `samples` to the heap.
-    /// [`SimTime::MAX`] while `samples` is empty.
-    oldest: SimTime,
-    /// The series' name: its packed measurement, then its packed tag set
-    /// (the index key). Empty in a free slot — a packed measurement never
-    /// is.
-    key: Box<[u8]>,
+    samples: Chunk,
+    /// The series' packed tag set, shared with its index key. `None` in
+    /// a free slot.
+    tags: Option<Arc<[u8]>>,
+    /// The series' measurement, an index into [`Table::measurements`].
+    measurement: u32,
     /// How many series this slot has held before the current one. An id
     /// is live while its generation equals the slot's.
     generation: u32,
@@ -128,9 +517,25 @@ impl Slot {
     /// appended to, which the retention unregisters. Reads only the slot
     /// itself, not the heap behind it.
     fn due(&self, cutoff: SimTime) -> bool {
-        self.oldest < cutoff || (self.samples.is_empty() && !self.key.is_empty())
+        match self.samples.oldest() {
+            Some(oldest) => oldest < cutoff,
+            None => self.tags.is_some(),
+        }
     }
 }
+
+/// One measurement of the index.
+#[derive(Debug, Clone, Default)]
+struct Measurement {
+    name: String,
+    /// Packed tag set → slot number, listing exactly the measurement's
+    /// live series.
+    series: BTreeMap<Arc<[u8]>, u32>,
+}
+
+/// Slots a slab page holds. The slab grows a page at a time: it never
+/// moves the slots it has, and holds at most one page it does not use.
+const PAGE: usize = 256;
 
 /// The in-memory time-series database.
 ///
@@ -182,10 +587,16 @@ pub struct Database {
 /// [`Scrape`] can borrow it and the window at once.
 #[derive(Debug, Clone, Default)]
 struct Table {
-    /// The ordered index: measurement → packed tag set → slot number,
-    /// listing exactly the live series.
-    index: BTreeMap<String, BTreeMap<Box<[u8]>, u32>>,
-    slots: Vec<Slot>,
+    /// The ordered index, first level: the name of each measurement that
+    /// holds a series → its id.
+    names: BTreeMap<String, u32>,
+    /// The index by measurement id. The id of a measurement whose last
+    /// series went is reused.
+    measurements: Vec<Measurement>,
+    /// Ids in `measurements` free for reuse.
+    free_measurements: Vec<u32>,
+    /// The slab, [`PAGE`] slots a page.
+    pages: Vec<Vec<Slot>>,
     /// Numbers of the free slots, reused last-released first.
     free: Vec<u32>,
     /// [`resolve`](Self::resolve)'s scratch: the tag set it looks up,
@@ -196,6 +607,24 @@ struct Table {
 }
 
 impl Table {
+    fn slot_count(&self) -> u32 {
+        let full = self.pages.len().saturating_sub(1) * PAGE;
+        let last = self.pages.last().map_or(0, Vec::len);
+        u32::try_from(full + last).expect("fewer than 2^32 series")
+    }
+
+    fn slot(&self, slot: u32) -> &Slot {
+        &self.pages[slot as usize / PAGE][slot as usize % PAGE]
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut Slot {
+        &mut self.pages[slot as usize / PAGE][slot as usize % PAGE]
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.pages.iter().flatten()
+    }
+
     /// The series `(measurement, self.packed)`, registered empty on
     /// first contact.
     fn resolve(&mut self, measurement: &str) -> SeriesId {
@@ -203,62 +632,67 @@ impl Table {
             !measurement.is_empty(),
             "measurement name must not be empty"
         );
-        // A lookup instead of `entry`: `entry` would force cloning the
-        // borrowed name on every call. The miss arm re-walks the tree,
-        // but only on first contact with a measurement.
-        let series_map = if self.index.contains_key(measurement) {
-            self.index.get_mut(measurement).expect("checked above")
-        } else {
-            self.index.entry(measurement.to_string()).or_default()
+        let id = match self.names.get(measurement) {
+            Some(&id) => id,
+            None => self.add_measurement(measurement),
         };
-        if let Some(&slot) = series_map.get(&self.packed[..]) {
-            let generation = self.slots[slot as usize].generation;
+        if let Some(&slot) = self.measurements[id as usize].series.get(&self.packed[..]) {
+            let generation = self.slot(slot).generation;
             return SeriesId { slot, generation };
         }
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 series");
-                self.slots.push(Slot {
-                    samples: Series::new(),
-                    oldest: SimTime::MAX,
-                    key: Box::default(),
-                    generation: 0,
-                });
+                let slot = self.slot_count();
+                if self.pages.last().is_none_or(|page| page.len() == PAGE) {
+                    self.pages.push(Vec::with_capacity(PAGE));
+                }
+                let page = self.pages.last_mut().expect("a page with room");
+                page.push(Slot::default());
                 slot
             }
         };
-        series_map.insert(Box::from(&self.packed[..]), slot);
-        let mut key = Vec::with_capacity(measurement.len() + 2 + self.packed.len());
-        push_field(&mut key, measurement);
-        key.extend_from_slice(&self.packed);
-        let held = &mut self.slots[slot as usize];
-        held.key = key.into_boxed_slice();
+        let tags: Arc<[u8]> = Arc::from(&self.packed[..]);
+        self.measurements[id as usize]
+            .series
+            .insert(Arc::clone(&tags), slot);
+        let held = self.slot_mut(slot);
+        (held.tags, held.measurement) = (Some(tags), id);
         SeriesId {
             slot,
             generation: held.generation,
         }
     }
 
+    /// Registers `name` in the index, with no series yet, and returns its
+    /// id.
+    fn add_measurement(&mut self, name: &str) -> u32 {
+        let id = match self.free_measurements.pop() {
+            Some(id) => id,
+            None => {
+                self.measurements.push(Measurement::default());
+                u32::try_from(self.measurements.len() - 1).expect("fewer than 2^32 measurements")
+            }
+        };
+        let held = &mut self.measurements[id as usize].name;
+        held.clear();
+        held.push_str(name);
+        self.names.insert(name.to_string(), id);
+        id
+    }
+
     /// [`Database::append`] without the window.
     fn store(&mut self, id: SeriesId, time: SimTime, value: f64) -> bool {
         assert!(value.is_finite(), "point value must be finite, got {value}");
         let Some(slot) = self
-            .slots
-            .get_mut(id.slot as usize)
+            .pages
+            .get_mut(id.slot as usize / PAGE)
+            .and_then(|page| page.get_mut(id.slot as usize % PAGE))
             .filter(|slot| slot.generation == id.generation)
         else {
             return false;
         };
-        // A delayed sample moves the stamp *back*: the next retention
-        // that passes it must find it.
-        slot.oldest = slot.oldest.min(time);
-        // Room for one sample first, not the four a first push reserves:
-        // a series that never gets a second (a short pod) holds 16 B.
-        if slot.samples.capacity() == 0 {
-            slot.samples.reserve_exact(1);
-        }
-        insert_sorted(&mut slot.samples, time, value);
+        slot.samples.insert(time, value);
         self.points_inserted += 1;
         true
     }
@@ -268,22 +702,19 @@ impl Table {
     /// its key and samples are freed, the slot joins the free list.
     /// Returns how many samples it held.
     fn unregister(&mut self, slot: u32) -> usize {
-        let held = &mut self.slots[slot as usize];
-        let key = std::mem::take(&mut held.key);
-        let (measurement, tags) = split_field(&key).expect("a live slot holds its name");
-        let measurement = unescape(measurement);
-        let series_map = self
-            .index
-            .get_mut(measurement.as_ref())
-            .expect("a live series is indexed");
-        series_map.remove(tags);
-        if series_map.is_empty() {
-            self.index.remove(measurement.as_ref());
-        }
+        let held = self.slot_mut(slot);
+        let tags = held.tags.take().expect("a live slot holds its name");
+        let id = held.measurement as usize;
         held.generation = held.generation.wrapping_add(1);
-        held.oldest = SimTime::MAX;
+        let samples = std::mem::take(&mut held.samples).len();
+        let measurement = &mut self.measurements[id];
+        measurement.series.remove(&tags);
+        if measurement.series.is_empty() {
+            self.names.remove(&measurement.name);
+            self.free_measurements.push(id as u32);
+        }
         self.free.push(slot);
-        std::mem::take(&mut held.samples).len()
+        samples
     }
 
     /// The series of `measurement` — packed tag set and samples — in
@@ -291,12 +722,12 @@ impl Table {
     fn series_of<'a>(
         &'a self,
         measurement: &str,
-    ) -> impl Iterator<Item = (&'a [u8], &'a Series)> + 'a {
-        self.index
+    ) -> impl Iterator<Item = (&'a [u8], &'a Chunk)> + 'a {
+        self.names
             .get(measurement)
             .into_iter()
-            .flatten()
-            .map(|(packed, &slot)| (&packed[..], &self.slots[slot as usize].samples))
+            .flat_map(move |&id| &self.measurements[id as usize].series)
+            .map(move |(packed, &slot)| (&packed[..], &self.slot(slot).samples))
     }
 }
 
@@ -349,12 +780,15 @@ impl Database {
         }
         // The row a frame of this sample would make: grouped by the
         // series' node tag, told apart by its pod tag.
-        let key = &self.table.slots[id.slot as usize].key;
-        let (measurement, packed) = split_field(key).expect("a live slot holds its name");
-        let (measurement, mut tags) = (unescape(measurement), TagSet::new());
-        unpack_tags(packed, &mut tags);
+        let slot = self.table.slot(id.slot);
+        let measurement = &self.table.measurements[slot.measurement as usize].name;
+        let mut tags = TagSet::new();
+        unpack_tags(
+            slot.tags.as_ref().expect("a live slot holds its name"),
+            &mut tags,
+        );
         if let Some(node) = tags.get(NODE_TAG) {
-            let mut feed = self.window.get_mut().group_feed(node, &measurement, time);
+            let mut feed = self.window.get_mut().group_feed(node, measurement, time);
             feed.admit(tags.get(POD_TAG).map(String::as_str), value);
         }
         true
@@ -437,8 +871,10 @@ impl Database {
     /// instant for relative time bounds. Rows come back sorted by tag set.
     ///
     /// Time predicates are resolved into a scan range before any sample is
-    /// touched, so a sliding-window query costs O(log history + window)
-    /// per series rather than O(history).
+    /// folded, and each series is decoded from its oldest sample up to
+    /// the range's end, no further: a sliding-window query ending at `now`
+    /// costs O(retained samples) per series, at a few bit operations a
+    /// sample.
     pub fn query(&self, select: &Select, now: SimTime) -> Vec<Row> {
         select.execute_streaming(self, now)
     }
@@ -449,13 +885,13 @@ impl Database {
     /// against and as the benchmark baseline; the result is bit-for-bit
     /// identical.
     pub fn query_full_scan(&self, select: &Select, now: SimTime) -> Vec<Row> {
-        let fetch = |measurement: &str| -> Vec<(TagSet, &[(SimTime, f64)])> {
+        let fetch = |measurement: &str| -> Vec<(TagSet, Vec<(SimTime, f64)>)> {
             self.table
                 .series_of(measurement)
                 .map(|(packed, series)| {
                     let mut tags = TagSet::new();
                     unpack_tags(packed, &mut tags);
-                    (tags, &series[..])
+                    (tags, series.samples().collect())
                 })
                 .collect()
         };
@@ -466,7 +902,8 @@ impl Database {
     /// `time < hi` when `hi` is bounded) into `emit`: series in tag-set
     /// order and, within a series, samples in timestamp order (stable for
     /// equal timestamps) — the same total order the full scan produces,
-    /// so both executors fold groups identically.
+    /// so both executors fold groups identically. Each series is decoded
+    /// from its oldest sample up to the first at or past `hi`.
     pub(crate) fn stream_window(
         &self,
         measurement: &str,
@@ -476,12 +913,12 @@ impl Database {
     ) {
         let mut tags = TagSet::new();
         for (packed, series) in self.table.series_of(measurement) {
-            let samples = window(series, lo, hi);
-            if samples.is_empty() {
+            let mut samples = series.window(lo, hi).peekable();
+            if samples.peek().is_none() {
                 continue;
             }
             unpack_tags(packed, &mut tags);
-            for &(time, value) in samples {
+            for (time, value) in samples {
                 emit(time, value, &tags);
             }
         }
@@ -493,27 +930,20 @@ impl Database {
     /// retention-policy enforcement a real InfluxDB runs continuously.
     ///
     /// Costs one comparison per series plus the samples evicted: a series
-    /// whose oldest sample is inside the retention is not opened. A
-    /// series left empty is unregistered through its slot's key, in
-    /// O(log series).
+    /// whose oldest sample is inside the retention is not opened, and one
+    /// that is decodes the samples it loses and one more. A series left
+    /// empty is unregistered through its slot's key, in O(log series).
     pub fn enforce_retention(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let cutoff = TimeBound::SinceNowMinus(keep).resolve(now);
         let mut evicted = 0;
-        for n in 0..self.table.slots.len() {
-            let slot = &mut self.table.slots[n];
+        for n in 0..self.table.slot_count() {
+            let slot = self.table.slot_mut(n);
             if !slot.due(cutoff) {
                 continue;
             }
-            // Counted from the front, not bisected: the walk ends one
-            // sample past the last one evicted.
-            let expired = slot.samples.iter().take_while(|&&(t, _)| t < cutoff);
-            let keep_from = expired.count();
-            evicted += slot.samples.drain(..keep_from).count();
-            match slot.samples.first() {
-                Some(&(first, _)) => slot.oldest = first,
-                None => {
-                    self.table.unregister(n as u32);
-                }
+            evicted += slot.samples.evict_before(cutoff);
+            if slot.samples.is_empty() {
+                self.table.unregister(n);
             }
         }
         self.table.points_evicted += evicted as u64;
@@ -536,10 +966,11 @@ impl Database {
         push_field(&mut prefix, value);
         let doomed: Vec<u32> = self
             .table
-            .index
+            .names
             .values()
-            .flat_map(|series_map| {
-                series_map
+            .flat_map(|&id| {
+                self.table.measurements[id as usize]
+                    .series
                     .range::<[u8], _>((Bound::Included(&prefix[..]), Bound::Unbounded))
                     .take_while(|(packed, _)| packed.starts_with(&prefix))
                     .map(|(_, &slot)| slot)
@@ -558,12 +989,13 @@ impl Database {
 
     /// Number of distinct series currently stored.
     pub fn series_count(&self) -> usize {
-        self.table.index.values().map(BTreeMap::len).sum()
+        let series = |&id: &u32| self.table.measurements[id as usize].series.len();
+        self.table.names.values().map(series).sum()
     }
 
     /// Number of samples currently stored.
     pub fn point_count(&self) -> usize {
-        self.table.slots.iter().map(|slot| slot.samples.len()).sum()
+        self.table.slots().map(|slot| slot.samples.len()).sum()
     }
 
     /// Lifetime insert counter.
@@ -578,7 +1010,7 @@ impl Database {
 
     /// The measurement names currently stored, in sorted order.
     pub fn measurement_names(&self) -> Vec<&str> {
-        self.table.index.keys().map(String::as_str).collect()
+        self.table.names.keys().map(String::as_str).collect()
     }
 
     /// Serialises every stored sample into the binary snapshot format of
@@ -586,10 +1018,10 @@ impl Database {
     pub fn snapshot(&self) -> bytes::Bytes {
         let mut points = Vec::with_capacity(self.point_count());
         let mut tags = TagSet::new();
-        for (measurement, series_map) in &self.table.index {
-            for (packed, &slot) in series_map {
+        for measurement in self.table.names.keys() {
+            for (packed, series) in self.table.series_of(measurement) {
                 unpack_tags(packed, &mut tags);
-                for &(time, value) in &self.table.slots[slot as usize].samples {
+                for (time, value) in series.samples() {
                     let mut point = Point::new(measurement.clone(), time, value);
                     for (k, v) in &tags {
                         point = point.with_tag(k.clone(), v.clone());
@@ -836,7 +1268,7 @@ mod tests {
     fn retention_opens_a_series_only_when_it_has_work_there() {
         let mut db = Database::new();
         let id = db.resolve("sgx/epc", &pod_tags("a", "n1"));
-        let due = |db: &Database, cutoff: SimTime| db.table.slots[id.slot as usize].due(cutoff);
+        let due = |db: &Database, cutoff: SimTime| db.table.slot(id.slot).due(cutoff);
         // Resolved and empty: due at any cutoff, to be unregistered.
         assert!(due(&db, SimTime::ZERO));
         // One sample at t = 0: due only once a cutoff passes it.
@@ -869,6 +1301,144 @@ mod tests {
         let q = Select::from_measurement("sgx/epc").aggregate(Aggregate::Sum);
         assert_eq!(db.query(&q, SimTime::from_secs(150))[0].value, 3.0);
         assert_eq!(db.points_evicted(), 1);
+    }
+
+    /// The samples `chunk` holds, times in microseconds and values by
+    /// their bits.
+    fn raw(chunk: &Chunk) -> Vec<(u64, u64)> {
+        chunk.cursors().map(|c| (c.time, c.value)).collect()
+    }
+
+    #[test]
+    fn a_probe_series_costs_two_bits_a_sample() {
+        let mut chunk = Chunk::default();
+        for tick in 0..100 {
+            chunk.insert(SimTime::from_secs(10 * tick), 4096.0);
+        }
+        // The first gap is a change from 0: a 25-bit bucket behind `110`,
+        // then one bit for the repeated value. Every later sample repeats
+        // both, in a bit each.
+        assert_eq!(chunk.end, 3 + 25 + 1 + 98 * 2);
+        // Four words, the first inline: three spilled, held in four.
+        assert!(chunk
+            .words
+            .rest
+            .as_ref()
+            .is_some_and(|rest| rest.len() == 4));
+        assert_eq!(chunk.len(), 100);
+    }
+
+    #[test]
+    fn every_bucket_and_value_shape_round_trips() {
+        let gaps = [
+            0,
+            1,
+            64,
+            65,
+            1 << 24,
+            (1 << 24) + 65,
+            1 << 35,
+            (1 << 36) + 1,
+            1 << 50,
+            3,
+            u64::from(u32::MAX) + 7,
+            u64::from(u32::MAX) + 7,
+            (1 << 62) + 5,
+            0,
+        ];
+        let values = [
+            0.0,
+            -0.0,
+            5e-324,
+            -f64::MAX,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -1.0,
+            1.0,
+            1.0,
+            0.1,
+            -0.1,
+            f64::MIN_POSITIVE / 7.0,
+            -0.0,
+            -0.0,
+        ];
+        let mut chunk = Chunk::default();
+        let mut expected = Vec::new();
+        let mut time = 1_000;
+        for (gap, value) in gaps.iter().zip(values) {
+            time += gap;
+            chunk.insert(SimTime::from_micros(time), value);
+            expected.push((time, value.to_bits()));
+            assert_eq!(raw(&chunk), expected);
+        }
+        // The evicting decoder walks the same stream.
+        while let Some(&(oldest, _)) = expected.first() {
+            assert_eq!(
+                chunk.evict_before(SimTime::from_micros(oldest + 1)),
+                1 + expected
+                    .iter()
+                    .skip(1)
+                    .take_while(|&&(t, _)| t == oldest)
+                    .count()
+            );
+            expected.retain(|&(t, _)| t > oldest);
+            assert_eq!(raw(&chunk), expected);
+        }
+        assert!(chunk.is_empty());
+    }
+
+    #[test]
+    fn delayed_and_equal_time_samples_land_after_their_equals() {
+        let mut chunk = Chunk::default();
+        for (t, v) in [
+            (10, 1.0),
+            (20, 2.0),
+            (30, 3.0),
+            (20, 4.0),
+            (5, 5.0),
+            (30, 6.0),
+        ] {
+            chunk.insert(SimTime::from_secs(t), v);
+        }
+        let got: Vec<(u64, f64)> = chunk.samples().map(|(t, v)| (t.as_secs(), v)).collect();
+        assert_eq!(
+            got,
+            [
+                (5, 5.0),
+                (10, 1.0),
+                (20, 2.0),
+                (20, 4.0),
+                (30, 3.0),
+                (30, 6.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_series_that_loses_a_sample_a_tick_stays_small() {
+        let mut chunk = Chunk::default();
+        for tick in 0..90 {
+            chunk.insert(SimTime::from_secs(10 * tick), 1.5);
+        }
+        let words = |chunk: &Chunk| 1 + chunk.words.rest.as_ref().map_or(0, |rest| rest.len());
+        let mut widest = 0;
+        for tick in 90..20_000 {
+            chunk.insert(SimTime::from_secs(10 * tick), 1.5);
+            let cutoff = SimTime::from_secs(10 * (tick - 89));
+            assert_eq!(chunk.evict_before(cutoff), 1);
+            widest = widest.max(words(&chunk));
+        }
+        assert_eq!(chunk.len(), 90);
+        // 90 samples take three words. The stream moves them to its front
+        // once as many words are dead, and its room is given back once
+        // twice what is used: it peaks at the inline word and eight.
+        assert!(widest <= 9, "{widest} words");
+        assert_eq!(chunk.oldest(), Some(SimTime::from_secs(10 * (20_000 - 90))));
+    }
+
+    #[test]
+    fn a_slot_is_96_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 96);
     }
 
     #[test]

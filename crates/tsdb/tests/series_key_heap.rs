@@ -2,10 +2,12 @@
 //!
 //! `fullscale_autoscale` holds ≈24,500 live series at its end — a pod's
 //! `memory/usage` and `sgx/epc` series, tagged with an autoscaled node's
-//! name and the pod's — and their keys used to be a third of its peak
-//! memory. This counts the heap bytes a store of that population holds,
-//! one sample per series: the index entry, the slot, the key and the
-//! sample vector, nothing of the caller's.
+//! name and the pod's — and the store was a third of its live heap. This
+//! counts the heap bytes a store of that population holds, nothing of
+//! the caller's: the index entry, the slot, the key and the samples.
+//! It counts twice: with one sample a series, and with ten at a 10 s
+//! period, the shape a probe leaves. Both stay under one budget, since a
+//! repeated sample is encoded in two bits.
 //!
 //! This file is its own test binary with one test in it, so the counting
 //! allocator below sees nothing but the calls under test.
@@ -75,21 +77,35 @@ fn population() -> Vec<(&'static str, TagSet)> {
 }
 
 #[test]
-fn a_stored_series_holds_at_most_320_heap_bytes() {
+fn a_stored_series_holds_at_most_290_heap_bytes() {
     let names = population();
     let before = LIVE.load(Ordering::Relaxed);
+    let per_series = || (LIVE.load(Ordering::Relaxed) - before) as f64 / SERIES as f64;
     let mut db = Database::new();
-    for (measurement, tags) in &names {
-        let id = db.resolve(measurement, tags);
-        assert!(db.append(id, SimTime::from_secs(10), 4096.0));
+    for tick in 1..=10 {
+        // Resolved anew each tick (a hit allocates nothing), so no id
+        // list of the caller's is counted.
+        for (measurement, tags) in &names {
+            let id = db.resolve(measurement, tags);
+            assert!(db.append(id, SimTime::from_secs(10 * tick), 4096.0));
+        }
+        if tick == 1 || tick == 10 {
+            assert_eq!(db.point_count(), SERIES * tick as usize);
+            let (held, shape) = (
+                per_series(),
+                if tick == 1 {
+                    "one sample"
+                } else {
+                    "ten samples"
+                },
+            );
+            println!("{held:.1} heap bytes per series of {shape}");
+            assert!(
+                held <= 290.0,
+                "{held:.1} heap bytes per series of {shape}, over the 290 budget"
+            );
+        }
     }
-    let held = LIVE.load(Ordering::Relaxed) - before;
-    assert_eq!((db.series_count(), db.point_count()), (SERIES, SERIES));
-    let per_series = held as f64 / SERIES as f64;
-    println!("{per_series:.1} heap bytes per series");
-    assert!(
-        per_series <= 320.0,
-        "{per_series:.1} heap bytes per series, over the 320 budget"
-    );
+    assert_eq!(db.series_count(), SERIES);
     drop(db);
 }
