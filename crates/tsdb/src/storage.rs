@@ -1,7 +1,7 @@
 //! Series storage and retention.
 //!
 //! A series lives in two places. Its samples sit in a *slot* of a slab
-//! (pages of slots plus a free list), addressed by a [`SeriesId`]; its
+//! (`Vec<Slot>` plus a free list), addressed by a [`SeriesId`]; its
 //! name — `(measurement, tag set)` — is a key of the ordered index, whose
 //! value is the slot number. The split is what lets a writer pay for the
 //! name once:
@@ -132,55 +132,47 @@ struct Cursor {
 
 /// A bit stream, most significant bit first: the sample bits of a
 /// series, after its oldest sample. The first word is kept inline; the
-/// rest, behind one thin pointer, exist only once a series spills past
-/// it.
+/// rest exist only once a series spills past it.
 #[derive(Debug, Clone, Default)]
 struct Words {
     first: u64,
-    // Boxed on purpose, as `rollup.rs` boxes its spilled members: a bare
-    // `Vec` is three words and would widen every slot by 16 bytes for
-    // the sake of the series that spill.
-    #[allow(clippy::box_collection)]
-    rest: Option<Box<Vec<u64>>>,
+    rest: Box<[u64]>,
 }
 
 impl Words {
     fn word(&self, index: usize) -> u64 {
-        match (index, &self.rest) {
-            (0, _) => self.first,
-            (_, Some(rest)) => rest[index - 1],
-            (_, None) => 0,
+        match index {
+            0 => self.first,
+            _ => self.rest.get(index - 1).copied().unwrap_or(0),
         }
     }
 
     fn word_mut(&mut self, index: usize) -> &mut u64 {
         match index {
             0 => &mut self.first,
-            _ => &mut self.rest.as_mut().expect("a reserved word")[index - 1],
+            _ => &mut self.rest[index - 1],
         }
     }
 
     /// Room for `bits` bits, the new words zeroed; grows by doubling.
     fn reserve(&mut self, bits: u32) {
         let needed = (bits as usize).div_ceil(64).saturating_sub(1);
-        if needed > self.rest.as_ref().map_or(0, |rest| rest.len()) {
-            let rest = self.rest.get_or_insert_with(Box::default);
+        if needed > self.rest.len() {
+            let mut rest = std::mem::take(&mut self.rest).into_vec();
             let len = needed.max(2 * rest.len());
             rest.reserve_exact(len - rest.len());
             rest.resize(len, 0);
+            self.rest = rest.into_boxed_slice();
         }
     }
 
-    /// Gives back the room past the first `words` words once it is at
-    /// least as large as they are.
+    /// Gives back the room past the first `words` words once the stream
+    /// holds at least twice as many.
     fn shrink_to(&mut self, words: usize) {
-        if let Some(rest) = &mut self.rest {
-            if words <= 1 {
-                self.rest = None;
-            } else if rest.len() >= 2 * words {
-                rest.truncate(words - 1);
-                rest.shrink_to_fit();
-            }
+        if 1 + self.rest.len() >= 2 * words.max(1) {
+            let mut rest = std::mem::take(&mut self.rest).into_vec();
+            rest.truncate(words.saturating_sub(1));
+            self.rest = rest.into_boxed_slice();
         }
     }
 
@@ -533,10 +525,6 @@ struct Measurement {
     series: BTreeMap<Arc<[u8]>, u32>,
 }
 
-/// Slots a slab page holds. The slab grows a page at a time: it never
-/// moves the slots it has, and holds at most one page it does not use.
-const PAGE: usize = 256;
-
 /// The in-memory time-series database.
 ///
 /// Series are keyed by `(measurement, tag set)`; queries are executed with
@@ -595,8 +583,7 @@ struct Table {
     measurements: Vec<Measurement>,
     /// Ids in `measurements` free for reuse.
     free_measurements: Vec<u32>,
-    /// The slab, [`PAGE`] slots a page.
-    pages: Vec<Vec<Slot>>,
+    slots: Vec<Slot>,
     /// Numbers of the free slots, reused last-released first.
     free: Vec<u32>,
     /// [`resolve`](Self::resolve)'s scratch: the tag set it looks up,
@@ -607,24 +594,6 @@ struct Table {
 }
 
 impl Table {
-    fn slot_count(&self) -> u32 {
-        let full = self.pages.len().saturating_sub(1) * PAGE;
-        let last = self.pages.last().map_or(0, Vec::len);
-        u32::try_from(full + last).expect("fewer than 2^32 series")
-    }
-
-    fn slot(&self, slot: u32) -> &Slot {
-        &self.pages[slot as usize / PAGE][slot as usize % PAGE]
-    }
-
-    fn slot_mut(&mut self, slot: u32) -> &mut Slot {
-        &mut self.pages[slot as usize / PAGE][slot as usize % PAGE]
-    }
-
-    fn slots(&self) -> impl Iterator<Item = &Slot> {
-        self.pages.iter().flatten()
-    }
-
     /// The series `(measurement, self.packed)`, registered empty on
     /// first contact.
     fn resolve(&mut self, measurement: &str) -> SeriesId {
@@ -637,18 +606,14 @@ impl Table {
             None => self.add_measurement(measurement),
         };
         if let Some(&slot) = self.measurements[id as usize].series.get(&self.packed[..]) {
-            let generation = self.slot(slot).generation;
+            let generation = self.slots[slot as usize].generation;
             return SeriesId { slot, generation };
         }
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
-                let slot = self.slot_count();
-                if self.pages.last().is_none_or(|page| page.len() == PAGE) {
-                    self.pages.push(Vec::with_capacity(PAGE));
-                }
-                let page = self.pages.last_mut().expect("a page with room");
-                page.push(Slot::default());
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 series");
+                self.slots.push(Slot::default());
                 slot
             }
         };
@@ -656,7 +621,7 @@ impl Table {
         self.measurements[id as usize]
             .series
             .insert(Arc::clone(&tags), slot);
-        let held = self.slot_mut(slot);
+        let held = &mut self.slots[slot as usize];
         (held.tags, held.measurement) = (Some(tags), id);
         SeriesId {
             slot,
@@ -685,9 +650,8 @@ impl Table {
     fn store(&mut self, id: SeriesId, time: SimTime, value: f64) -> bool {
         assert!(value.is_finite(), "point value must be finite, got {value}");
         let Some(slot) = self
-            .pages
-            .get_mut(id.slot as usize / PAGE)
-            .and_then(|page| page.get_mut(id.slot as usize % PAGE))
+            .slots
+            .get_mut(id.slot as usize)
             .filter(|slot| slot.generation == id.generation)
         else {
             return false;
@@ -702,7 +666,7 @@ impl Table {
     /// its key and samples are freed, the slot joins the free list.
     /// Returns how many samples it held.
     fn unregister(&mut self, slot: u32) -> usize {
-        let held = self.slot_mut(slot);
+        let held = &mut self.slots[slot as usize];
         let tags = held.tags.take().expect("a live slot holds its name");
         let id = held.measurement as usize;
         held.generation = held.generation.wrapping_add(1);
@@ -727,7 +691,7 @@ impl Table {
             .get(measurement)
             .into_iter()
             .flat_map(move |&id| &self.measurements[id as usize].series)
-            .map(move |(packed, &slot)| (&packed[..], &self.slot(slot).samples))
+            .map(move |(packed, &slot)| (&packed[..], &self.slots[slot as usize].samples))
     }
 }
 
@@ -780,7 +744,7 @@ impl Database {
         }
         // The row a frame of this sample would make: grouped by the
         // series' node tag, told apart by its pod tag.
-        let slot = self.table.slot(id.slot);
+        let slot = &self.table.slots[id.slot as usize];
         let measurement = &self.table.measurements[slot.measurement as usize].name;
         let mut tags = TagSet::new();
         unpack_tags(
@@ -936,14 +900,14 @@ impl Database {
     pub fn enforce_retention(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let cutoff = TimeBound::SinceNowMinus(keep).resolve(now);
         let mut evicted = 0;
-        for n in 0..self.table.slot_count() {
-            let slot = self.table.slot_mut(n);
+        for n in 0..self.table.slots.len() {
+            let slot = &mut self.table.slots[n];
             if !slot.due(cutoff) {
                 continue;
             }
             evicted += slot.samples.evict_before(cutoff);
             if slot.samples.is_empty() {
-                self.table.unregister(n);
+                self.table.unregister(n as u32);
             }
         }
         self.table.points_evicted += evicted as u64;
@@ -995,7 +959,7 @@ impl Database {
 
     /// Number of samples currently stored.
     pub fn point_count(&self) -> usize {
-        self.table.slots().map(|slot| slot.samples.len()).sum()
+        self.table.slots.iter().map(|slot| slot.samples.len()).sum()
     }
 
     /// Lifetime insert counter.
@@ -1268,7 +1232,7 @@ mod tests {
     fn retention_opens_a_series_only_when_it_has_work_there() {
         let mut db = Database::new();
         let id = db.resolve("sgx/epc", &pod_tags("a", "n1"));
-        let due = |db: &Database, cutoff: SimTime| db.table.slot(id.slot).due(cutoff);
+        let due = |db: &Database, cutoff: SimTime| db.table.slots[id.slot as usize].due(cutoff);
         // Resolved and empty: due at any cutoff, to be unregistered.
         assert!(due(&db, SimTime::ZERO));
         // One sample at t = 0: due only once a cutoff passes it.
@@ -1320,11 +1284,7 @@ mod tests {
         // both, in a bit each.
         assert_eq!(chunk.end, 3 + 25 + 1 + 98 * 2);
         // Four words, the first inline: three spilled, held in four.
-        assert!(chunk
-            .words
-            .rest
-            .as_ref()
-            .is_some_and(|rest| rest.len() == 4));
+        assert_eq!(chunk.words.rest.len(), 4);
         assert_eq!(chunk.len(), 100);
     }
 
@@ -1420,7 +1380,7 @@ mod tests {
         for tick in 0..90 {
             chunk.insert(SimTime::from_secs(10 * tick), 1.5);
         }
-        let words = |chunk: &Chunk| 1 + chunk.words.rest.as_ref().map_or(0, |rest| rest.len());
+        let words = |chunk: &Chunk| 1 + chunk.words.rest.len();
         let mut widest = 0;
         for tick in 90..20_000 {
             chunk.insert(SimTime::from_secs(10 * tick), 1.5);
@@ -1437,8 +1397,8 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_96_bytes() {
-        assert_eq!(std::mem::size_of::<Slot>(), 96);
+    fn a_slot_is_104_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 104);
     }
 
     #[test]
