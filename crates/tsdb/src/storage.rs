@@ -166,10 +166,12 @@ impl Words {
         }
     }
 
-    /// Gives back the room past the first `words` words once the stream
-    /// holds at least twice as many.
+    /// Gives back the room past the first `words` words once the spilled
+    /// part alone holds twice as many. A series that keeps one or two
+    /// words live keeps its spill, rather than freeing it and spilling
+    /// again at the next append.
     fn shrink_to(&mut self, words: usize) {
-        if 1 + self.rest.len() >= 2 * words.max(1) {
+        if self.rest.len() >= 2 * words {
             let mut rest = std::mem::take(&mut self.rest).into_vec();
             rest.truncate(words.saturating_sub(1));
             self.rest = rest.into_boxed_slice();
