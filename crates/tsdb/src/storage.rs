@@ -74,7 +74,7 @@
 //! [`enforce_retention`] compares one word per series, the oldest
 //! sample's time, and opens only a series the cutoff has passed. It
 //! decodes the samples it evicts, and moves the stream's live words to
-//! its front once the evicted words outnumber them, so a series that
+//! its front once the evicted words are as many, so a series that
 //! loses one sample a tick is not re-encoded per tick. A series it
 //! empties is unregistered through the key its slot holds — O(log n) per
 //! series emptied, with no walk of the index.
@@ -143,7 +143,7 @@ impl Words {
     fn word(&self, index: usize) -> u64 {
         match index {
             0 => self.first,
-            _ => self.rest.get(index - 1).copied().unwrap_or(0),
+            _ => self.rest[index - 1],
         }
     }
 
@@ -419,8 +419,8 @@ impl Chunk {
     }
 
     /// Moves the live words to the front of the stream once the words
-    /// before the head outnumber them, and gives back the room that
-    /// frees: a cost of at most one word moved per word evicted.
+    /// before the head are at least as many, and gives back the room
+    /// that frees: a cost of at most one word moved per word evicted.
     fn compact(&mut self) {
         let dead = self.head_at as usize / 64;
         let used = (self.end as usize).div_ceil(64);
