@@ -1,8 +1,8 @@
 //! Series storage and retention.
 //!
 //! A series lives in two places. Its samples sit in a *slot* of a slab
-//! (`Vec<Slot>` plus a free list), addressed by a [`SeriesId`]; its
-//! name — `(measurement, tag set)` — is a key of the ordered index, whose
+//! (`Vec<Slot>` plus a free list), addressed by a [`SeriesId`]; its name
+//! — `(measurement, tag set)` — is a key of the ordered index, whose
 //! value is the slot number. The split is what lets a writer pay for the
 //! name once:
 //!
@@ -114,7 +114,7 @@ fn mask(bits: u32) -> u64 {
 
 /// Where a decoder stands in a series: one sample, and what the sample
 /// after it is encoded against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Cursor {
     /// The sample's time, in microseconds.
     time: u64,
