@@ -1,25 +1,28 @@
 //! Scheduler-pass throughput sweep: snapshot captures/sec and pods/sec
 //! through one scheduler pass across cluster sizes (5 → 12,500 nodes).
 //!
-//! Four axes are measured per size; cluster construction, cache priming
-//! and submission stay outside the clock, only the `capture_snapshot` /
-//! `scheduler_pass` calls themselves are timed:
+//! Four axes are measured per size; cluster construction, a first
+//! capture and submission stay outside the clock, only the
+//! `capture_snapshot` / `scheduler_pass` calls themselves are timed:
 //!
 //! * `capture` — snapshot captures/sec with ~8 nodes receiving probe
-//!   frames between captures: the public from-scratch evaluator
+//!   frames between captures: the public query-engine evaluator
 //!   (`ClusterSnapshot::capture` over the orchestrator's store, plus the
-//!   staleness stamp) vs the incrementally maintained
-//!   `capture_snapshot`, each in its own loop over the same frames (a
-//!   12,500-node from-scratch capture between two incremental ones
-//!   evicts what the next one reads and halves its rate). The
-//!   incremental path refreshes only the dirty/in-window nodes and
-//!   leaves the rest as captured, so it should scale with the number of
-//!   *active* nodes, not the cluster size. The frames carry pod
-//!   turnover — half of each node's pods finish and are replaced every
-//!   pass, their series staying inside the 15-minute retention —
-//!   because that is what a replay's store looks like: without it a
-//!   per-node fold over the node's series reads ≈20× cheaper here than
-//!   end to end.
+//!   staleness stamp) vs `Orchestrator::capture_snapshot` (reported as
+//!   `incremental_captures_per_sec`, the key kept from when it advanced
+//!   the previous snapshot), each in its own loop over the same frames
+//!   (a 12,500-node query-engine capture between two of the other
+//!   evicts what the next one reads and halves its rate).
+//!   `capture_snapshot` is one walk over every worker that reads the
+//!   measured usage of the nodes the store's window lists off that
+//!   window, so it costs O(workers) plus the *active* nodes' in-window
+//!   samples, and no fold over retained series; the 12,500-node cell is
+//!   the only one where the few field reads a worker show. The frames
+//!   carry pod turnover — half of each node's pods finish and are
+//!   replaced every pass, their series staying inside the 15-minute
+//!   retention — because that is what a replay's store looks like:
+//!   without it a per-node fold over the node's series reads ≈20×
+//!   cheaper here than end to end.
 //! * `bind` — pods bound/sec for one scheduler pass over 64 small SGX
 //!   pods that all fit, under `sgx-binpack` (first fit: the tier index
 //!   hands each placement the one slot it lands on) and, as
@@ -41,8 +44,8 @@
 //! ```
 //!
 //! `--smoke` runs a reduced sweep (5/100/1,000 nodes, 1 rep) and asserts the
-//! invariants CI cares about: the incremental snapshot equals the full
-//! rebuild bit for bit after pod turnover and reordered frames, the
+//! invariants CI cares about: `capture_snapshot` equals the query-engine
+//! capture bit for bit after pod turnover and reordered frames, the
 //! backlog pass binds exactly the pods that fit and leaves the rest
 //! queued, both bind passes bind every pod, a first-fit bind visits at
 //! most [`MAX_SLOTS_PER_FIRST_FIT`] slots and a spread bind no more than
@@ -73,7 +76,7 @@ const BACKLOG_PODS: usize = 2_048;
 /// …and placeable ones queued behind them.
 const BACKLOG_FITTING_PODS: usize = 8;
 /// Nodes that receive probe frames between captures — the "active" set
-/// whose size, not the cluster's, should bound incremental refresh cost.
+/// whose in-window samples a capture folds.
 const ACTIVE_NODES: usize = 8;
 const PODS_PER_FRAME: usize = 8;
 /// Pods of each active node that finish, and are replaced, per pass.
@@ -143,8 +146,7 @@ fn run_captures(
     let mut best = f64::MIN;
     for _ in 0..reps {
         let mut orch = build_orchestrator(nodes, SGX_BINPACK);
-        // Prime the cache so the timed captures measure steady-state
-        // refreshes, not the first (necessarily full) build.
+        // One capture outside the clock, as a replay's first pass.
         let _ = orch.capture_snapshot(SimTime::from_secs(1));
         let active = ACTIVE_NODES.min(nodes);
         let mut timed = std::time::Duration::ZERO;
@@ -249,9 +251,10 @@ fn run_backlog(nodes: usize, reps: usize) -> f64 {
     best
 }
 
-/// Smoke-only: the incremental snapshot must equal a full rebuild after
-/// a bind, a pod completion, and frames with pod turnover that arrive
-/// out of order (each pass's frame is delivered after the next one's).
+/// Smoke-only: `capture_snapshot` must equal the query-engine capture
+/// after a bind, a pod completion, and frames with pod turnover that
+/// arrive out of order (each pass's frame is delivered after the next
+/// one's).
 fn assert_snapshot_equivalence(nodes: usize) {
     let mut orch = build_orchestrator(nodes, SGX_BINPACK);
     let sampled_at = |pass: usize| SimTime::from_secs(10 * (pass as u64 + 2));
@@ -278,7 +281,7 @@ fn assert_snapshot_equivalence(nodes: usize) {
         assert_eq!(
             orch.capture_snapshot(now),
             full_capture(&orch, now),
-            "incremental snapshot must equal a full rebuild at {nodes} nodes, pass {pass}"
+            "capture must equal the query-engine capture at {nodes} nodes, pass {pass}"
         );
     }
 }
@@ -294,7 +297,7 @@ fn main() {
     let mut rows = Vec::new();
     for &nodes in sizes {
         let full_captures = run_captures(nodes, passes, reps, full_capture);
-        let incr_captures = run_captures(nodes, passes, reps, Orchestrator::capture_snapshot);
+        let walk_captures = run_captures(nodes, passes, reps, Orchestrator::capture_snapshot);
         let bind = run_bind(nodes, reps, SGX_BINPACK);
         let bind_spread = run_bind(nodes, reps, SGX_SPREAD);
         let slots = slots_per_bind(nodes, SGX_BINPACK);
@@ -302,7 +305,7 @@ fn main() {
         let backlog = run_backlog(nodes, reps);
         if smoke {
             assert_snapshot_equivalence(nodes);
-            assert!(full_captures > 0.0 && incr_captures > 0.0 && backlog > 0.0);
+            assert!(full_captures > 0.0 && walk_captures > 0.0 && backlog > 0.0);
             assert!(bind > 0.0 && bind_spread > 0.0);
             assert!(
                 slots <= MAX_SLOTS_PER_FIRST_FIT,
@@ -315,10 +318,10 @@ fn main() {
             eprintln!("smoke nodes={nodes}: snapshot equivalence and slots-per-bind bounds OK");
         }
         eprintln!(
-            "nodes={nodes}: captures full {full_captures:.0}/s, incr {incr_captures:.0}/s \
+            "nodes={nodes}: captures query {full_captures:.0}/s, walk {walk_captures:.0}/s \
              ({:.2}x); bind {bind:.0} pods/s ({slots:.1} slots/bind), spread \
              {bind_spread:.0} pods/s ({slots_spread:.1} slots/bind); backlog {backlog:.0} pods/s",
-            incr_captures / full_captures,
+            walk_captures / full_captures,
         );
         rows.push(format!(
             concat!(
@@ -335,8 +338,8 @@ fn main() {
             nodes,
             cores,
             full_captures,
-            incr_captures,
-            incr_captures / full_captures,
+            walk_captures,
+            walk_captures / full_captures,
             bind,
             bind_spread,
             slots,

@@ -13,6 +13,9 @@
 //! cargo run --release -p sgx-orchestrator --bin exp_autoscale -- --list-policies
 //! ```
 
+#[path = "common/sweep_args.rs"]
+mod sweep_args;
+
 use des::{SimDuration, SimTime};
 use orchestrator::autoscale::AutoscalerPolicy;
 use orchestrator::PolicyRegistry;
@@ -52,11 +55,12 @@ impl Mode {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list-policies") {
+    let args = sweep_args::parse("--list-policies");
+    if args.list {
         print!("{}", PolicyRegistry::builtin().markdown_table());
         return;
     }
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = args.smoke;
     let (seeds, waits): (Vec<u64>, Vec<u64>) = if smoke {
         (vec![51], vec![30])
     } else {

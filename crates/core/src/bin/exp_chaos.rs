@@ -12,6 +12,9 @@
 //! cargo run --release -p sgx-orchestrator --bin exp_chaos -- --list-policies
 //! ```
 
+#[path = "common/sweep_args.rs"]
+mod sweep_args;
+
 use des::{SimDuration, SimTime};
 use orchestrator::PolicyRegistry;
 use sgx_orchestrator::Experiment;
@@ -37,11 +40,12 @@ fn plan_at(rate: f64, seed: u64) -> FaultPlan {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list-policies") {
+    let args = sweep_args::parse("--list-policies");
+    if args.list {
         print!("{}", PolicyRegistry::builtin().markdown_table());
         return;
     }
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = args.smoke;
     let (seeds, rates): (Vec<u64>, Vec<f64>) = if smoke {
         (vec![41], vec![0.0, 0.2])
     } else {

@@ -15,6 +15,9 @@
 //! cargo run --release -p sgx-orchestrator --bin exp_frontends -- --list-frontends
 //! ```
 
+#[path = "common/sweep_args.rs"]
+mod sweep_args;
+
 use borg_trace::FrontendRegistry;
 use des::SimTime;
 use sgx_orchestrator::Experiment;
@@ -25,11 +28,12 @@ use simulation::{analysis, ReplayResult};
 const LOOKAHEAD_EVENTS: usize = 1;
 
 fn main() {
-    if std::env::args().any(|a| a == "--list-frontends") {
+    let args = sweep_args::parse("--list-frontends");
+    if args.list {
         print!("{}", FrontendRegistry::builtin().markdown_table());
         return;
     }
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = args.smoke;
     let seeds: Vec<u64> = if smoke { vec![71] } else { vec![71, 72] };
     let registry = FrontendRegistry::builtin();
     let names = registry.names();

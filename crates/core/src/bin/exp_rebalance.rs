@@ -12,6 +12,9 @@
 //! cargo run --release -p sgx-orchestrator --bin exp_rebalance -- --list-policies
 //! ```
 
+#[path = "common/sweep_args.rs"]
+mod sweep_args;
+
 use des::{SimDuration, SimTime};
 use orchestrator::PolicyRegistry;
 use sgx_orchestrator::Experiment;
@@ -44,11 +47,12 @@ impl Mode {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--list-policies") {
+    let args = sweep_args::parse("--list-policies");
+    if args.list {
         print!("{}", PolicyRegistry::builtin().markdown_table());
         return;
     }
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = args.smoke;
     let (seeds, thresholds): (Vec<u64>, Vec<f64>) = if smoke {
         (vec![41], vec![0.2])
     } else {

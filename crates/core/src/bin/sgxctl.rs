@@ -284,7 +284,6 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
             } else {
                 FrontendParams::new(seed, ratio)
             };
-            config = config.with_frontend(name);
             let frontend = FrontendRegistry::builtin()
                 .build(name, &params)
                 .expect("name validated against the registry above");

@@ -248,9 +248,6 @@ impl Experiment {
         if !self.faults.is_noop() {
             config = config.with_faults(self.faults.clone());
         }
-        if let Some(name) = &self.frontend {
-            config = config.with_frontend(name);
-        }
         config
     }
 
@@ -261,7 +258,7 @@ impl Experiment {
     pub fn run(&self) -> ReplayResult {
         let config = self.replay_config();
         let workload;
-        let mut frontend: Box<dyn TraceFrontend + '_> = match &config.frontend {
+        let mut frontend: Box<dyn TraceFrontend + '_> = match &self.frontend {
             Some(name) => FrontendRegistry::builtin()
                 .build(name, &self.frontend_params())
                 .expect("frontend names are validated by the builder"),
@@ -467,18 +464,12 @@ mod tests {
         let exp = Experiment::quick(12)
             .sgx_ratio(0.75)
             .frontend(borg_trace::frontend::ALIBABA_2017);
-        assert_eq!(
-            exp.replay_config().frontend.as_deref(),
-            Some("alibaba-2017")
-        );
         let a = exp.run();
         let b = exp.run();
         assert!(!a.timed_out());
         assert!(a.completed_count() > 0);
         assert_eq!(a.runs(), b.runs());
         assert_eq!(a.end_time(), b.end_time());
-        // Off by default.
-        assert!(Experiment::quick(12).replay_config().frontend.is_none());
     }
 
     #[test]

@@ -46,6 +46,29 @@ fn bad_flags_and_flag_values_are_one_line_usage_errors() {
     }
 }
 
+/// The `exp_*` sweeps take `--smoke` and their own `--list-*` flag and
+/// nothing else: a mistyped flag used to run the full paper-scale sweep.
+#[test]
+fn the_sweeps_reject_unknown_arguments() {
+    let sweeps = [
+        env!("CARGO_BIN_EXE_exp_rebalance"),
+        env!("CARGO_BIN_EXE_exp_chaos"),
+        env!("CARGO_BIN_EXE_exp_autoscale"),
+        env!("CARGO_BIN_EXE_exp_frontends"),
+    ];
+    for sweep in sweeps {
+        let output = Command::new(sweep)
+            .args(["--smoke", "--no-such-flag"])
+            .output()
+            .expect("the sweep runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{sweep}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{sweep}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{sweep}: {stderr}");
+        assert!(output.stdout.is_empty(), "{sweep} still swept");
+    }
+}
+
 #[test]
 fn a_quick_replay_succeeds() {
     let output = sgxctl(&["replay", "--quick"]);

@@ -60,6 +60,15 @@ impl Tier {
         }
     }
 
+    /// The machine provisioned on scale-up: a Dell R330 for the standard
+    /// tier, the paper's i7-6700 SGX machine for the SGX tier.
+    fn template(self) -> MachineSpec {
+        match self {
+            Tier::Standard => MachineSpec::dell_r330(),
+            Tier::Sgx => MachineSpec::sgx_node(),
+        }
+    }
+
     /// The tier's scarce resource out of a memory and an EPC amount, in
     /// bytes: the one place that tells the tiers' resources apart.
     fn scarce(self, memory: ByteSize, epc: ByteSize) -> u64 {
@@ -87,33 +96,9 @@ impl Tier {
 
 const TIERS: [Tier; 2] = [Tier::Standard, Tier::Sgx];
 
-/// Per-tier knobs of the [`ClusterAutoscaler`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TierPolicy {
-    /// Machine provisioned on scale-up.
-    pub template: MachineSpec,
-    /// Managed nodes the tier never shrinks below.
-    pub min_nodes: usize,
-    /// Managed nodes the tier never grows beyond.
-    pub max_nodes: usize,
-    /// Most nodes added in one tick (the provisioning rate limit).
-    pub max_step: usize,
-}
-
-impl TierPolicy {
-    /// A tier provisioning `template` machines, up to `max_nodes` of
-    /// them, `max_step` per tick, shrinking to zero when idle.
-    pub(crate) fn new(template: MachineSpec, max_nodes: usize, max_step: usize) -> Self {
-        TierPolicy {
-            template,
-            min_nodes: 0,
-            max_nodes,
-            max_step,
-        }
-    }
-}
-
-/// Thresholds and cooldowns of the [`ClusterAutoscaler`].
+/// Thresholds, cooldowns and caps of the [`ClusterAutoscaler`]. Both
+/// tiers share them; each tier provisions its own machine and shrinks to
+/// zero managed nodes when idle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscalerPolicy {
     /// Scale a tier up once its oldest pending pod has waited this long.
@@ -124,24 +109,23 @@ pub struct AutoscalerPolicy {
     /// Occupancy fraction (requested / capacity of the tier's scarce
     /// resource, in `(0, 1]`) under which the scale-down cooldown arms.
     pub low_water: f64,
-    /// The non-SGX tier.
-    pub standard: TierPolicy,
-    /// The SGX tier.
-    pub sgx: TierPolicy,
+    /// Managed nodes a tier never grows beyond.
+    pub max_nodes: usize,
+    /// Most nodes a tier adds in one tick (the provisioning rate limit).
+    pub max_step: usize,
 }
 
 impl AutoscalerPolicy {
     /// Defaults sized for full-trace replays: 30 s pressure threshold,
-    /// 300 s scale-down cooldown under 30 % occupancy, Dell R330s for
-    /// the standard tier and the paper's i7-6700 SGX machines for the
-    /// SGX tier, up to 10,000 nodes each, 8 per tick.
+    /// 300 s scale-down cooldown under 30 % occupancy, up to 10,000 nodes
+    /// a tier, 8 per tick.
     pub fn paper_defaults() -> Self {
         AutoscalerPolicy {
             scale_up_wait: SimDuration::from_secs(30),
             scale_down_after: SimDuration::from_secs(300),
             low_water: 0.3,
-            standard: TierPolicy::new(MachineSpec::dell_r330(), 10_000, 8),
-            sgx: TierPolicy::new(MachineSpec::sgx_node(), 10_000, 8),
+            max_nodes: 10_000,
+            max_step: 8,
         }
     }
 
@@ -165,23 +149,14 @@ impl AutoscalerPolicy {
 
     /// Caps both tiers at `max_nodes` managed nodes (builder-style).
     pub fn with_max_nodes(mut self, max_nodes: usize) -> Self {
-        self.standard.max_nodes = max_nodes;
-        self.sgx.max_nodes = max_nodes;
+        self.max_nodes = max_nodes;
         self
     }
 
     /// Sets both tiers' per-tick provisioning step (builder-style).
     pub fn with_max_step(mut self, max_step: usize) -> Self {
-        self.standard.max_step = max_step;
-        self.sgx.max_step = max_step;
+        self.max_step = max_step;
         self
-    }
-
-    fn tier(&self, tier: Tier) -> &TierPolicy {
-        match tier {
-            Tier::Standard => &self.standard,
-            Tier::Sgx => &self.sgx,
-        }
     }
 
     /// Panics unless every knob is in range — the same eager validation
@@ -190,9 +165,8 @@ impl AutoscalerPolicy {
     ///
     /// # Panics
     ///
-    /// Panics when `low_water` leaves `(0, 1]`, `scale_up_wait` is zero,
-    /// a tier's `max_step` is zero, `min_nodes > max_nodes`, or the SGX
-    /// tier's template has no SGX.
+    /// Panics when `low_water` leaves `(0, 1]`, `scale_up_wait` is zero
+    /// or `max_step` is zero.
     pub fn validate(&self) {
         assert!(
             self.low_water > 0.0 && self.low_water <= 1.0,
@@ -203,23 +177,7 @@ impl AutoscalerPolicy {
             !self.scale_up_wait.is_zero(),
             "autoscaler scale_up_wait must be non-zero"
         );
-        for tier in TIERS {
-            let policy = self.tier(tier);
-            assert!(
-                policy.max_step > 0,
-                "autoscaler {:?} tier max_step must be positive",
-                tier
-            );
-            assert!(
-                policy.min_nodes <= policy.max_nodes,
-                "autoscaler {:?} tier min_nodes exceeds max_nodes",
-                tier
-            );
-        }
-        assert!(
-            self.sgx.template.has_sgx(),
-            "autoscaler SGX tier template has no SGX"
-        );
+        assert!(self.max_step > 0, "autoscaler max_step must be positive");
     }
 }
 
@@ -399,24 +357,22 @@ impl ClusterAutoscaler {
         now: SimTime,
         outcome: &mut AutoscaleOutcome,
     ) {
-        let policy = self.policy.tier(tier).clone();
+        let (max_nodes, template) = (self.policy.max_nodes, tier.template());
         let managed = self.managed[tier.index()].len();
-        if managed >= policy.max_nodes {
+        if managed >= max_nodes {
             return;
         }
         // Enough nodes to absorb the pending backlog, at least one, at
         // most the per-tick step and the tier cap.
-        let per_node = tier
-            .scarce(policy.template.memory, policy.template.usable_epc())
-            .max(1);
+        let per_node = tier.scarce(template.memory, template.usable_epc()).max(1);
         let wanted = (pressure.pending_bytes.div_ceil(per_node) as usize)
-            .clamp(1, policy.max_step)
-            .min(policy.max_nodes - managed);
+            .clamp(1, self.policy.max_step)
+            .min(max_nodes - managed);
         let mut added = 0usize;
         while added < wanted {
             let name = format!("as-{}-{:05}", tier.prefix(), self.next_index[tier.index()]);
             self.next_index[tier.index()] += 1;
-            match orch.add_node(name, policy.template, now) {
+            match orch.add_node(name, template, now) {
                 Ok(name) => {
                     self.managed[tier.index()].insert(name.clone());
                     outcome.added.push(name);
@@ -452,8 +408,7 @@ impl ClusterAutoscaler {
         now: SimTime,
         outcome: &mut AutoscaleOutcome,
     ) {
-        let policy = self.policy.tier(tier);
-        if self.managed[tier.index()].len() <= policy.min_nodes {
+        if self.managed[tier.index()].is_empty() {
             self.below_since[tier.index()] = None;
             return;
         }

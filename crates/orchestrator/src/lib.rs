@@ -60,7 +60,7 @@ mod server;
 
 pub use autoscale::{
     AutoscaleOutcome, AutoscalerPolicy, ClusterAutoscaler, ElasticityMetrics, PodGroupAutoscaler,
-    PodGroupSpec, TierPolicy,
+    PodGroupSpec,
 };
 pub use framework::{
     keep_best, FilterPlugin, Needs, PipelineBuilder, PolicyPipeline, SchedulingCycle, ScoreContext,

@@ -1,7 +1,7 @@
 //! The master-side control loop: submission, scheduling passes, probe
 //! collection and pod completion.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
@@ -284,8 +284,7 @@ pub struct NodeRemoval {
 pub struct Orchestrator {
     cluster: Cluster,
     /// The metrics store, which maintains Listing 1 as it ingests:
-    /// captures read a node's measured usage off its window, and the
-    /// nodes the window lists are the window half of the refresh set.
+    /// captures read a node's measured usage off its window.
     db: Database,
     queue: PendingQueue,
     probes: [Probe; 2],
@@ -300,18 +299,11 @@ pub struct Orchestrator {
     /// Placement decisions taken while at least one node's view was
     /// degraded by stale metrics.
     degraded_decisions: u64,
-    /// The previous pass's frozen snapshot — the base the next
-    /// incremental capture refreshes — and the lower bound of the window
-    /// its measured values were read from. Every node the store's window
-    /// no longer lists reads zero in it and keeps reading zero. Its slots
-    /// are the cluster's workers in name order: registration and removal
-    /// drop it.
-    snapshot_cache: RefCell<Option<(SimTime, ClusterSnapshot)>>,
     /// Pods successfully bound (started running) over the orchestrator's
     /// lifetime — the numerator of the online-serving pods-bound/sec
     /// benchmark. Denied-at-init launches are not counted.
     bound_count: u64,
-    /// Snapshot captures performed so far (full or incremental).
+    /// Snapshot captures performed so far.
     /// Observability for the drain regression tests: a whole drain must
     /// cost exactly one capture, not one per evicted pod.
     snapshot_captures: Cell<u64>,
@@ -341,12 +333,6 @@ struct NodeLedger {
     /// pods that died with the old kubelet — and frames sampled before
     /// it are dropped at ingest for good.
     recovered_at: Option<SimTime>,
-    /// Cluster-side state changed since the last frozen snapshot (a
-    /// bind, completion, migration, cordon or failure) — the explicit
-    /// half of the incremental refresh set. A `Cell`, so that
-    /// [`capture_snapshot`](Orchestrator::capture_snapshot) stays a
-    /// `&self` read while it clears the mark.
-    dirty: Cell<bool>,
 }
 
 impl NodeLedger {
@@ -405,7 +391,6 @@ impl Orchestrator {
             records: PodTable::default(),
             events: EventLog::with_capacity(100_000),
             degraded_decisions: 0,
-            snapshot_cache: RefCell::new(None),
             bound_count: 0,
             snapshot_captures: Cell::new(0),
             store_captures: Cell::new(0),
@@ -429,10 +414,9 @@ impl Orchestrator {
 
     /// Mutable access to the cluster (e.g. to toggle driver enforcement).
     ///
-    /// Edits made here bypass every per-node mark, so this drops the
-    /// incremental snapshot base: the next capture re-derives every node.
+    /// Edits made here need no bookkeeping: every capture derives every
+    /// worker's view from the cluster afresh.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
-        *self.snapshot_cache.get_mut() = None;
         &mut self.cluster
     }
 
@@ -455,22 +439,6 @@ impl Orchestrator {
     /// The ledger of the node registered under `name`, if it has one.
     fn ledger_of(&self, name: &NodeName) -> Option<&NodeLedger> {
         self.ledgers.get(self.cluster.key_of(name)?)
-    }
-
-    /// Marks a node's frozen view stale: the next snapshot capture
-    /// re-derives it instead of reusing the cached one.
-    fn mark_dirty(&mut self, key: NodeKey) {
-        self.ledgers.get_mut(key).dirty.set(true);
-    }
-
-    /// Nodes currently marked for refresh at the next snapshot capture
-    /// (observability for the incremental-maintenance tests).
-    pub fn dirty_nodes(&self) -> BTreeSet<NodeName> {
-        self.cluster
-            .entries()
-            .filter(|&(key, _)| self.ledgers.get(key).is_some_and(|l| l.dirty.get()))
-            .map(|(_, node)| node.name().clone())
-            .collect()
     }
 
     /// Read access to the time-series database.
@@ -606,7 +574,6 @@ impl Orchestrator {
         let Orchestrator {
             cluster,
             queue,
-            ledgers,
             registry,
             config,
             records,
@@ -637,7 +604,6 @@ impl Orchestrator {
                 .expect("view only contains cluster nodes");
             let node = cluster.get_mut(key).expect("a key just looked up");
             let started = node.run_pod(pending.uid, pending.spec.clone(), now, rng);
-            ledgers.get_mut(key).dirty.set(true);
             match started {
                 Ok(report) => {
                     let started_at = now + report.startup_delay;
@@ -689,8 +655,8 @@ impl Orchestrator {
                     // node state). The pod never landed, so charging the
                     // node a reservation would fabricate occupancy that
                     // outlives the refusal; exclude the node for the rest
-                    // of the pass and refresh its view before the next
-                    // one. The pod stays queued and retries then.
+                    // of the pass; the next pass captures it afresh. The
+                    // pod stays queued and retries then.
                     cycle.mark_infeasible(&node_name);
                     false
                 }
@@ -818,7 +784,6 @@ impl Orchestrator {
             .terminate_pod(uid)?;
         record.finished_at = Some(now);
         record.outcome = PodOutcome::Completed { node: node.clone() };
-        self.mark_dirty(key);
         self.events.record(now, EventKind::Completed { uid, node });
         Ok(())
     }
@@ -828,65 +793,64 @@ impl Orchestrator {
     /// for the cordon filter), effective occupancy from Listing 1,
     /// staleness annotated against the configured threshold.
     ///
-    /// Measured usage is read off the store's window, where Listing 1 is
-    /// maintained as samples arrive. The snapshot is maintained across
-    /// passes: only nodes in the refresh set — marked dirty by a bind,
-    /// completion, migration, cordon or failure, or still listed by the
-    /// window — have their views re-derived; the clean remainder is
-    /// structurally shared with the previous pass's snapshot. With no
-    /// base to refresh (the first capture, one after
-    /// [`cluster_mut`](Self::cluster_mut) or a node joining or leaving,
-    /// or one after the retention overtook the passes) each worker's view
-    /// is built from the cluster, nothing measured, and the refresh set
-    /// is re-derived on it: a node the window does not list measures
-    /// zero. Only a window that starts below the window's floor — a
-    /// capture stepping back in time, or a retention shorter than the
-    /// window — is evaluated through the query engine
-    /// ([`ClusterSnapshot::capture`]). Bit-identical to that from-scratch
-    /// capture for every `now` (property-tested in
-    /// `tests/snapshot_incremental.rs`).
+    /// A capture is one name-ordered walk over the workers, merged with
+    /// the nodes the store's window lists (name-ordered too, so no name
+    /// is looked up): capacities, requests and cordon flag come from the
+    /// cluster, measured usage is read off the window, where Listing 1 is
+    /// maintained as samples arrive (a node the window does not list
+    /// measures zero), and staleness from the ledger. Nothing is kept
+    /// between captures, so no mutator has anything to invalidate. Only a
+    /// window that starts below the window's floor — a capture stepping
+    /// back in time, or a retention shorter than the window — is
+    /// evaluated through the query engine ([`ClusterSnapshot::capture`]).
+    /// Bit-identical to that from-scratch capture for every `now`
+    /// (property-tested in `tests/snapshot_incremental.rs`).
     pub fn capture_snapshot(&self, now: SimTime) -> ClusterSnapshot {
         self.snapshot_captures.set(self.snapshot_captures.get() + 1);
         let window = self.config.metrics_window;
         // `time >= now() - window`, resolved as the query engine does.
         let lo = TimeBound::SinceNowMinus(window).resolve(now);
-        let floor = self.db.window().floor();
-        // A base read below the floor rests on samples the retention has
-        // evicted since.
-        let base = self.snapshot_cache.borrow_mut().take();
-        let mut snapshot = match base.filter(|&(read_from, _)| read_from >= floor) {
-            _ if lo < floor => {
-                self.store_captures.set(self.store_captures.get() + 1);
-                ClusterSnapshot::capture(&self.cluster, &self.db, now, window)
-            }
-            Some((_, base)) => base,
-            None => ClusterSnapshot::of_workers(&self.cluster, now, |_, _| ByteSize::ZERO),
-        };
-        let refresh_at = (lo >= floor).then_some(lo);
-        snapshot.update(now, |names, views| {
-            self.refresh_views(names, views, now, refresh_at);
-        });
-        if refresh_at.is_some() {
-            // No later capture on this path admits a sample below `lo`.
-            self.db.trim_window(lo);
-            *self.snapshot_cache.borrow_mut() = Some((lo, snapshot.clone()));
+        if lo < self.db.window().floor() {
+            self.store_captures.set(self.store_captures.get() + 1);
+            let mut snapshot = ClusterSnapshot::capture(&self.cluster, &self.db, now, window);
+            snapshot.update(now, |_, views| {
+                for ((key, _), view) in self.workers().zip(views) {
+                    self.stamp_staleness(key, view, now);
+                }
+            });
+            return snapshot;
         }
+        let snapshot = {
+            let listing1 = self.db.window();
+            let mut listed = listing1.groups().peekable();
+            let workers = self.workers().map(|(key, node)| {
+                let name = node.name().as_str();
+                while listed.next_if(|&group| group < name).is_some() {}
+                let (memory, epc) = if listed.next_if_eq(&name).is_some() {
+                    let measured = |m| measured_bytes(listing1.sum_of_max(name, m, lo));
+                    (measured(MEASUREMENT_MEMORY), measured(MEASUREMENT_EPC))
+                } else {
+                    (ByteSize::ZERO, ByteSize::ZERO)
+                };
+                let mut view = view_of(node, memory, epc);
+                self.stamp_staleness(key, &mut view, now);
+                (node.name().clone(), view)
+            });
+            ClusterSnapshot::from_sorted(now, workers)
+        };
+        // No later capture on this path admits a sample below `lo`.
+        self.db.trim_window(lo);
         snapshot
     }
 
-    /// Brings a snapshot's views up to `now` in one name-ordered walk over
-    /// the cluster's nodes, which clears every dirty mark on the way.
-    ///
-    /// With `refresh_at` — the window's lower bound, unless the capture
-    /// was evaluated through the query engine — it first re-derives the
-    /// refresh set: every worker marked dirty, and every one the store's
-    /// window lists (its in-window sample set can gain or lose samples as
-    /// the window slides; a node it does not list measured empty at the
-    /// previous capture and still does), measured usage read off the
-    /// window. The window's nodes are name-ordered too, so that is a
-    /// merge, and no name is cloned.
-    ///
-    /// Then every worker is stamped with the staleness rule of
+    /// The workers and their keys, in name order: a snapshot's slots.
+    fn workers(&self) -> impl Iterator<Item = (NodeKey, &Node)> {
+        self.cluster
+            .entries()
+            .filter(|(_, node)| node.role() == NodeRole::Worker)
+    }
+
+    /// Stamps a worker's view with the staleness rule of
     /// [`metrics_age`](Self::metrics_age) and
     /// [`recovery_pending`](Self::recovery_pending): degraded once its
     /// last delivered scrape is strictly older than the threshold (a
@@ -897,43 +861,14 @@ impl Orchestrator {
     /// lifting scrape on purpose: clearing it would make frame delivery
     /// order-sensitive (a post-recovery frame clearing it would re-admit
     /// a later-arriving pre-crash frame).
-    fn refresh_views(
-        &self,
-        names: &[NodeName],
-        views: &mut [NodeView],
-        now: SimTime,
-        refresh_at: Option<SimTime>,
-    ) {
-        let threshold = self.config.staleness_threshold;
-        let listing1 = self.db.window();
-        let mut listed = listing1.groups().peekable();
-        let mut slot = 0;
-        for (key, node) in self.cluster.entries() {
-            let ledger = self.ledgers.get(key);
-            let dirty = ledger.is_some_and(|l| l.dirty.take());
-            if node.role() != NodeRole::Worker {
-                continue;
-            }
-            let name = node.name().as_str();
-            debug_assert_eq!(names[slot].as_str(), name, "snapshot slots are the workers");
-            let view = &mut views[slot];
-            slot += 1;
-            if let Some(lo) = refresh_at {
-                while listed.next_if(|&group| group < name).is_some() {}
-                if listed.next_if_eq(&name).is_some() || dirty {
-                    let measured = |m| measured_bytes(listing1.sum_of_max(name, m, lo));
-                    let (memory, epc) = (measured(MEASUREMENT_MEMORY), measured(MEASUREMENT_EPC));
-                    *view = view_of(node, memory, epc);
-                }
-            }
-            let age = ledger
-                .and_then(|l| l.last_scrape)
-                .map(|scraped| now.saturating_since(scraped));
-            view.metrics_age = age;
-            view.degraded = age.is_some_and(|age| age > threshold)
-                || ledger.is_some_and(NodeLedger::recovery_pending);
-        }
-        debug_assert_eq!(slot, views.len(), "snapshot slots are the workers");
+    fn stamp_staleness(&self, key: NodeKey, view: &mut NodeView, now: SimTime) {
+        let ledger = self.ledgers.get(key);
+        let age = ledger
+            .and_then(|l| l.last_scrape)
+            .map(|scraped| now.saturating_since(scraped));
+        view.metrics_age = age;
+        view.degraded = age.is_some_and(|age| age > self.config.staleness_threshold)
+            || ledger.is_some_and(NodeLedger::recovery_pending);
     }
 
     /// Size and work counters of the store's Listing-1 window that
@@ -943,7 +878,7 @@ impl Orchestrator {
         self.db.window().stats()
     }
 
-    /// Snapshot captures performed so far, full and incremental alike —
+    /// Snapshot captures performed so far, whichever way evaluated —
     /// observability for the capture-cost regressions (a whole drain
     /// must cost exactly one).
     pub fn snapshot_captures(&self) -> u64 {
@@ -1082,11 +1017,6 @@ impl Orchestrator {
             .get_mut(to)
             .expect("looked up above")
             .migrate_in(uid, spec.clone(), checkpoint, key, now);
-        // Either way the source's occupancy churned (migrate-out, and on
-        // refusal the restore); the target only changes on success, but
-        // a spurious refresh is cheap and a missed one is a stale view.
-        self.mark_dirty(from);
-        self.mark_dirty(to);
         match attempt {
             Ok(delay) => {
                 self.records.get_mut(uid).expect("record exists").outcome = PodOutcome::Running {
@@ -1135,7 +1065,6 @@ impl Orchestrator {
     ) -> Result<Vec<PodUid>, ClusterError> {
         let (key, node) = self.node_mut(name)?;
         node.set_cordoned(true);
-        self.mark_dirty(key);
         let victims = self.evict(key);
         self.events.record(
             now,
@@ -1216,14 +1145,13 @@ impl Orchestrator {
         name: &NodeName,
         now: SimTime,
     ) -> Result<Vec<Migration>, ClusterError> {
-        let (key, node) = self.node_mut(name)?;
+        let (_, node) = self.node_mut(name)?;
         node.set_cordoned(true);
         let pods: Vec<(PodUid, PodSpec)> = node
             .pods()
             .values()
             .map(|p| (p.uid, p.spec.clone()))
             .collect();
-        self.mark_dirty(key);
         self.events
             .record(now, EventKind::NodeCordoned { node: name.clone() });
 
@@ -1274,9 +1202,7 @@ impl Orchestrator {
     /// instant: a frame sampled before it is void at
     /// [`ingest_frame`](Self::ingest_frame). Whatever the tsdb still holds
     /// under the name, window included, is dropped (a name retired through
-    /// [`cluster_mut`](Self::cluster_mut) left it there). The cached
-    /// snapshot base is dropped: the next capture builds every view from
-    /// the cluster and the store's window.
+    /// [`cluster_mut`](Self::cluster_mut) left it there).
     ///
     /// # Errors
     ///
@@ -1293,7 +1219,6 @@ impl Orchestrator {
         self.ledgers.get_mut(key).registered_at = now;
         self.db
             .drop_series_with_first_tag("nodename", name.as_str());
-        *self.snapshot_cache.get_mut() = None;
         self.events
             .record(now, EventKind::NodeAdded { node: name.clone() });
         Ok(name)
@@ -1309,8 +1234,7 @@ impl Orchestrator {
     /// (the controller-recreates semantics node failure uses), so no pod
     /// is ever lost to a removal. Deregistering retires the node's key,
     /// and with it everything the node table held for it; the node's
-    /// tsdb series and window are dropped, and so is the cached snapshot
-    /// base.
+    /// tsdb series and window are dropped.
     ///
     /// # Errors
     ///
@@ -1330,7 +1254,6 @@ impl Orchestrator {
         self.cluster.remove_node(name);
         self.db
             .drop_series_with_first_tag("nodename", name.as_str());
-        *self.snapshot_cache.get_mut() = None;
         self.events.record(
             now,
             EventKind::NodeRemoved {
@@ -1350,9 +1273,8 @@ impl Orchestrator {
     ///
     /// Returns [`ClusterError::UnknownNode`] for unknown nodes.
     pub fn uncordon_node(&mut self, name: &NodeName, now: SimTime) -> Result<(), ClusterError> {
-        let (key, node) = self.node_mut(name)?;
+        let (_, node) = self.node_mut(name)?;
         node.set_cordoned(false);
-        self.mark_dirty(key);
         self.events
             .record(now, EventKind::NodeUncordoned { node: name.clone() });
         Ok(())
@@ -1658,7 +1580,7 @@ mod tests {
             if tick % 2 == 0 {
                 orch.probe_pass(now);
             }
-            let cached = orch.capture_snapshot(now);
+            let captured = orch.capture_snapshot(now);
             let direct = ClusterSnapshot::capture(
                 orch.cluster(),
                 orch.db(),
@@ -1668,7 +1590,7 @@ mod tests {
             .with_staleness(orch.config().staleness_threshold, |name| {
                 orch.metrics_age(name, now)
             });
-            assert_eq!(cached, direct, "diverged at {now}");
+            assert_eq!(captured, direct, "diverged at {now}");
         }
         assert!(orch.window_rollup_stats().samples_folded > 0);
     }
@@ -2542,8 +2464,8 @@ mod tests {
 
         // Deregister, then register a brand-new machine under the same
         // name. Regression: the reused name used to inherit the old
-        // scrape stamp, the recovery epoch and the cached snapshot
-        // entry, scheduling the new machine as a degraded ghost.
+        // scrape stamp and the recovery epoch, scheduling the new
+        // machine as a degraded ghost.
         orch.remove_node(&name, SimTime::from_secs(40)).unwrap();
         orch.add_node("sgx-1", MachineSpec::sgx_node(), SimTime::from_secs(50))
             .unwrap();
@@ -2618,13 +2540,12 @@ mod tests {
     #[test]
     fn incremental_snapshot_tracks_node_add_and_remove() {
         let mut orch = orchestrator();
-        // Prime the cached snapshot with the stock topology.
         let first = orch.capture_snapshot(SimTime::from_secs(1));
         assert_eq!(first.len(), 4);
         // A node added after the first capture must appear in the next
-        // *incremental* refresh, and a removed one must vanish — the
-        // refresh used to skip names with no cached entry (or no cluster
-        // entry), freezing the first capture's topology forever.
+        // one, and a removed one must vanish — an incremental refresh
+        // once skipped names with no cached entry (or no cluster entry),
+        // freezing the first capture's topology forever.
         orch.add_node("extra", MachineSpec::dell_r330(), SimTime::from_secs(2))
             .unwrap();
         let grown = orch.capture_snapshot(SimTime::from_secs(3));
@@ -2726,17 +2647,16 @@ mod tests {
             orch.probe_pass(*now);
             assert_eq!(orch.capture_snapshot(*now), oracle(orch, *now), "at {now}");
         };
-        // The first capture has no base to refresh.
         step(&mut orch, &mut now, 5);
         step(&mut orch, &mut now, 10);
-        // An edit behind the orchestrator's back drops the base.
+        // An edit behind the orchestrator's back.
         orch.cluster_mut()
             .node_mut(&NodeName::new("sgx-2"))
             .unwrap()
             .set_cordoned(true);
         step(&mut orch, &mut now, 10);
         // Probe ticks alone for longer than the retention: the store's
-        // cutoff overtakes the base.
+        // cutoff overtakes the last capture's window.
         let resume = now + orch.config().retention + SimDuration::from_secs(60);
         while now < resume {
             now += SimDuration::from_secs(10);

@@ -11,8 +11,8 @@
 //! Three properties are load-bearing:
 //!
 //! * **Dense, name-ranked layout** — the snapshot is two parallel arrays:
-//!   a name-sorted `Arc<[NodeName]>` (rebuilt only when a node joins or
-//!   leaves) and a flat `Vec<NodeView>` (`NodeView` is `Copy`). A node's
+//!   a name-sorted `Arc<[NodeName]>` (each name an `Arc` bump off the
+//!   cluster's) and a flat `Vec<NodeView>` (`NodeView` is `Copy`). A node's
 //!   **slot** is the rank of its name, so "lowest name wins ties" is
 //!   "lowest slot wins", every float fold over the nodes runs in name
 //!   order, a [`SchedulingCycle`](crate::SchedulingCycle)'s working copy
@@ -25,13 +25,15 @@
 //!   excluded from placement by the cordon **filter plugin**, not by
 //!   omission, so the exclusion is visible, testable and reusable.
 //!
-//! [`ClusterSnapshot::capture`] is the from-scratch evaluator: it runs
-//! Listing 1 through the query engine. `Orchestrator::capture_snapshot`
-//! reads the same values off the window the store maintains
-//! (`tsdb::Database::window`), and calls it only for a window that
-//! starts below that window's floor — a capture stepping back in time,
-//! or a retention shorter than the window. It is also the oracle the
-//! property tests hold the two equal by.
+//! Every capture builds the snapshot anew; nothing is carried from one
+//! to the next. [`ClusterSnapshot::capture`] evaluates Listing 1 through
+//! the query engine. `Orchestrator::capture_snapshot` walks the workers
+//! once and reads the same values off the window the store maintains
+//! (`tsdb::Database::window`); it calls [`ClusterSnapshot::capture`]
+//! only for a window that starts below that window's floor — a capture
+//! stepping back in time, or a retention shorter than the window. The
+//! query-engine capture is also the oracle the property tests hold the
+//! two equal by.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -126,8 +128,8 @@ fn measured(
 }
 
 /// A Listing-1 sum as the byte count the views carry: clamped at zero,
-/// truncated. Shared by the query path above and the rollup read of
-/// incremental captures so the two convert identically.
+/// truncated. Shared by the query path above and the window read of
+/// `Orchestrator::capture_snapshot` so the two convert identically.
 pub(crate) fn measured_bytes(sum: f64) -> ByteSize {
     ByteSize::from_bytes(sum.max(0.0) as u64)
 }
@@ -141,11 +143,17 @@ impl ClusterSnapshot {
 
     /// Freezes `(name, view)` pairs that already arrive in strictly
     /// ascending name order (a `BTreeMap` walk, the cluster's workers).
-    fn from_sorted(
+    pub(crate) fn from_sorted(
         captured_at: SimTime,
         nodes: impl IntoIterator<Item = (NodeName, NodeView)>,
     ) -> Self {
-        let (names, views): (Vec<NodeName>, Vec<NodeView>) = nodes.into_iter().unzip();
+        let nodes = nodes.into_iter();
+        // Sized once: a walk over the cluster filtered to its workers
+        // knows its upper bound, not its length.
+        let capacity = nodes.size_hint().1.unwrap_or(0);
+        let mut slots = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        slots.extend(nodes);
+        let (names, views): (Vec<NodeName>, Vec<NodeView>) = slots;
         debug_assert!(names.windows(2).all(|w| w[0] < w[1]), "names out of order");
         ClusterSnapshot {
             inner: Arc::new(SnapshotInner {
@@ -154,21 +162,6 @@ impl ClusterSnapshot {
                 views,
             }),
         }
-    }
-
-    /// Every worker: capacities and requests from the cluster, measured
-    /// usage `measured(node, measurement)`, staleness not stamped.
-    pub(crate) fn of_workers(
-        cluster: &Cluster,
-        now: SimTime,
-        measured: impl Fn(&str, &str) -> ByteSize,
-    ) -> Self {
-        let view = |node: &Node| {
-            let of = |measurement| measured(node.name().as_str(), measurement);
-            view_of(node, of(MEASUREMENT_MEMORY), of(MEASUREMENT_EPC))
-        };
-        let workers = cluster.workers().map(|n| (n.name().clone(), view(n)));
-        Self::from_sorted(now, workers)
     }
 
     /// Captures all workers: capacities and requests from the cluster,
@@ -180,14 +173,15 @@ impl ClusterSnapshot {
     pub fn capture(cluster: &Cluster, db: &Database, now: SimTime, window: SimDuration) -> Self {
         let epc = measured(db, MEASUREMENT_EPC, now, window);
         let memory = measured(db, MEASUREMENT_MEMORY, now, window);
-        Self::of_workers(cluster, now, |node, measurement| {
-            let of = if measurement == MEASUREMENT_EPC {
-                &epc
-            } else {
-                &memory
+        let workers = cluster.workers().map(|node| {
+            let of = |sums: &BTreeMap<String, ByteSize>| {
+                sums.get(node.name().as_str())
+                    .copied()
+                    .unwrap_or(ByteSize::ZERO)
             };
-            of.get(node).copied().unwrap_or(ByteSize::ZERO)
-        })
+            (node.name().clone(), view_of(node, of(&memory), of(&epc)))
+        });
+        Self::from_sorted(now, workers)
     }
 
     /// Returns a snapshot with every node stamped with the age of its
@@ -214,16 +208,14 @@ impl ClusterSnapshot {
     }
 
     /// Advances the snapshot to a new capture instant, handing the slots
-    /// to `apply` for in-place edits of the views — the
-    /// incremental-maintenance entry point: the orchestrator refreshes
-    /// only the dirty nodes' views and re-stamps staleness, leaving
-    /// everything else as captured.
+    /// to `apply` for in-place edits of the views: the orchestrator stamps
+    /// staleness on a snapshot evaluated through the query engine this
+    /// way, and oracles compose their staleness rules with it.
     ///
-    /// When this snapshot is the only live handle (the steady state
-    /// between scheduling passes), the update happens in place with no
-    /// copy at all; while clones are still alive, the views are copied
-    /// first (one `memcpy`; the names stay shared) so frozen snapshots
-    /// stay immutable.
+    /// When this snapshot is the only live handle, the update happens in
+    /// place with no copy at all; while clones are still alive, the views
+    /// are copied first (one `memcpy`; the names stay shared) so frozen
+    /// snapshots stay immutable.
     pub fn update(
         &mut self,
         captured_at: SimTime,

@@ -1,10 +1,10 @@
-//! Incremental snapshot maintenance: the refresh-set bookkeeping must be
-//! exact (each mutation dirties the node it touched and nothing else, a
-//! delivered frame enters the rollup window of the node it scraped and
-//! nothing else), and the incrementally maintained snapshot — measured
-//! usage read from the ingest-side Listing-1 rollup — must stay
-//! bit-identical to a from-scratch capture through the query engine
-//! under arbitrary event interleavings.
+//! Snapshot captures against the from-scratch oracle: a capture — one
+//! walk over the workers, measured usage read from the ingest-side
+//! Listing-1 window — must stay bit-identical to a from-scratch capture
+//! through the query engine under arbitrary event interleavings and
+//! whatever number of mutations lies between two captures, and a
+//! delivered frame enters the window of the node it scraped and nothing
+//! else.
 
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ fn node_of(orch: &Orchestrator, uid: PodUid) -> NodeName {
     }
 }
 
-/// The from-scratch oracle every incremental capture is checked against:
+/// The from-scratch oracle every capture is checked against:
 /// a full re-derivation of all workers plus the same staleness rule
 /// (scrape age, and the recovery quarantine that forces a rejoined node
 /// degraded until its first post-recovery scrape is delivered).
@@ -56,11 +56,11 @@ fn oracle(orch: &Orchestrator, now: SimTime) -> ClusterSnapshot {
 }
 
 fn assert_matches_oracle(orch: &Orchestrator, now: SimTime) {
-    let incremental = orch.capture_snapshot(now);
+    let captured = orch.capture_snapshot(now);
     let full = oracle(orch, now);
     assert_eq!(
-        incremental, full,
-        "incremental snapshot diverged from a from-scratch capture at {now}"
+        captured, full,
+        "snapshot diverged from a from-scratch capture at {now}"
     );
 }
 
@@ -71,19 +71,11 @@ fn node_failure_mid_pass_dirties_exactly_the_failed_node() {
     orch.scheduler_pass(SimTime::from_secs(5));
     let node = node_of(&orch, uid);
 
-    // Freeze a snapshot: the capture drains the dirty set.
     orch.capture_snapshot(SimTime::from_secs(6));
-    assert!(orch.dirty_nodes().is_empty(), "capture must drain the set");
 
     orch.fail_node(&node, SimTime::from_secs(7)).unwrap();
-    let dirty = orch.dirty_nodes();
-    assert_eq!(
-        dirty.iter().collect::<Vec<_>>(),
-        vec![&node],
-        "a crash dirties the crashed node and nothing else"
-    );
     assert_matches_oracle(&orch, SimTime::from_secs(8));
-    // The refreshed view reflects the crash: cordoned, nothing requested.
+    // The next view reflects the crash: cordoned, nothing requested.
     let snap = orch.capture_snapshot(SimTime::from_secs(8));
     let view = snap.node(&node).unwrap();
     assert!(view.cordoned);
@@ -97,17 +89,10 @@ fn pod_finish_between_passes_dirties_exactly_its_node() {
     orch.scheduler_pass(SimTime::from_secs(5));
     let node = node_of(&orch, uid);
     orch.capture_snapshot(SimTime::from_secs(6));
-    assert!(orch.dirty_nodes().is_empty());
 
     // The pod finishes with no probe frame delivered in between: only
-    // the completion itself can tell the snapshot the node changed.
+    // the cluster itself can tell the snapshot the node changed.
     orch.complete_pod(uid, SimTime::from_secs(9)).unwrap();
-    let dirty = orch.dirty_nodes();
-    assert_eq!(
-        dirty.iter().collect::<Vec<_>>(),
-        vec![&node],
-        "a completion dirties the node the pod ran on and nothing else"
-    );
     assert_matches_oracle(&orch, SimTime::from_secs(10));
     let snap = orch.capture_snapshot(SimTime::from_secs(10));
     assert!(snap.node(&node).unwrap().epc_requested.is_zero());
@@ -121,13 +106,10 @@ fn degraded_to_fresh_transition_dirties_exactly_the_revived_node() {
     let node = node_of(&orch, uid);
     orch.probe_pass(SimTime::from_secs(10));
 
-    // Every probe goes silent for 90 s: all nodes degrade (the staleness
-    // re-stamp needs no dirty marks for that — it runs on every node,
-    // every capture).
+    // Every probe goes silent for 90 s: all nodes degrade.
     assert_matches_oracle(&orch, SimTime::from_secs(100));
     let snap = orch.capture_snapshot(SimTime::from_secs(100));
     assert!(snap.iter().all(|(_, v)| v.degraded));
-    assert!(orch.dirty_nodes().is_empty());
 
     // One late frame revives just the pod's node.
     let frames = orch.scrape_frames(SimTime::from_secs(101));
@@ -137,11 +119,10 @@ fn degraded_to_fresh_transition_dirties_exactly_the_revived_node() {
         .expect("the running pod's node produces a non-empty frame")
         .clone();
     orch.ingest_frame(&name, &batch, SimTime::from_secs(101));
-    assert!(orch.dirty_nodes().is_empty(), "frames mark nothing dirty");
     assert_eq!(
         orch.window_rollup_stats().groups,
         1,
-        "a delivered frame puts the scraped node in the refresh set and nothing else"
+        "a delivered frame puts the scraped node in the window and nothing else"
     );
     assert_matches_oracle(&orch, SimTime::from_secs(102));
     let snap = orch.capture_snapshot(SimTime::from_secs(102));
@@ -163,10 +144,8 @@ fn samples_aging_out_of_the_window_refresh_without_explicit_dirt() {
     let snap = orch.capture_snapshot(SimTime::from_secs(12));
     assert!(snap.iter().any(|(_, v)| !v.epc_measured.is_zero()));
 
-    // No further frames; the samples age out of the 25 s window. The
-    // window-aging half of the refresh set must catch this without any
-    // mutation having marked the node dirty.
-    assert!(orch.dirty_nodes().is_empty());
+    // No further frames and no mutation; the samples age out of the
+    // 25 s window.
     assert_matches_oracle(&orch, SimTime::from_secs(40));
     let snap = orch.capture_snapshot(SimTime::from_secs(45));
     assert!(
@@ -188,9 +167,9 @@ fn a_capture_stepping_backwards_in_time_is_evaluated_from_scratch() {
     assert_matches_oracle(&orch, SimTime::from_secs(12));
     // The window moves past the only samples…
     assert_matches_oracle(&orch, SimTime::from_secs(100));
-    // …and then *back* over them. Regression: the refresh set only ever
-    // looked forwards, so the views emptied at t=100 were reused and the
-    // node measured idle.
+    // …and then *back* over them. Regression: a capture that only ever
+    // looked forwards reused the views emptied at t=100 and the node
+    // measured idle.
     let snap = orch.capture_snapshot(SimTime::from_secs(20));
     assert!(
         snap.iter().any(|(_, v)| !v.epc_measured.is_zero()),
@@ -212,7 +191,7 @@ fn retention_overtaking_the_last_capture_drops_the_cached_base() {
     orch.probe_pass(SimTime::from_secs(10));
     // One capture, then only probe ticks for longer than the retention,
     // the last frames arriving long before the passes resume: every
-    // sample the cached views rest on is evicted meanwhile.
+    // sample the last capture read is evicted meanwhile.
     assert_matches_oracle(&orch, SimTime::from_secs(12));
     let retention = orch.config().retention;
     let resume = SimTime::from_secs(12) + retention + retention;
@@ -226,7 +205,7 @@ fn retention_overtaking_the_last_capture_drops_the_cached_base() {
         .all(|(_, v)| v.epc_measured.is_zero()));
 }
 
-/// The deterministic work gate: what one incremental capture folds is
+/// The deterministic work gate: what one capture folds is
 /// bounded by the pods running now, however many finished pods' series
 /// the 15-minute retention still holds.
 #[test]
@@ -291,13 +270,12 @@ fn cluster_mut_invalidates_the_cached_snapshot() {
     orch.scheduler_pass(SimTime::from_secs(5));
     orch.capture_snapshot(SimTime::from_secs(6));
 
-    // A direct cluster edit bypasses every per-node dirty mark; taking
-    // `cluster_mut` must drop the cached base so nothing stale survives.
+    // A direct cluster edit goes round every orchestrator entry point;
+    // the next capture must still see it.
     orch.cluster_mut()
         .node_mut(&NodeName::new("sgx-2"))
         .unwrap()
         .set_cordoned(true);
-    assert!(orch.dirty_nodes().is_empty(), "no per-node mark was taken");
     assert_matches_oracle(&orch, SimTime::from_secs(7));
     let snap = orch.capture_snapshot(SimTime::from_secs(7));
     assert!(snap.node(&NodeName::new("sgx-2")).unwrap().cordoned);
@@ -364,14 +342,16 @@ fn running_pods(orch: &Orchestrator) -> Vec<PodUid> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole property: after every event of an arbitrary
+    /// The tentpole property: every `stride`-th event of an arbitrary
     /// interleaving of probe frames (lossless, lossy, delayed and
-    /// reordered), binds, finishes, cordons,
-    /// node failures and runtime node add/remove, the incrementally
-    /// maintained snapshot equals a from-scratch capture, bit for bit.
+    /// reordered), binds, finishes, cordons, node failures and runtime
+    /// node add/remove, and once more after the last, the captured
+    /// snapshot equals a from-scratch capture, bit for bit — whether one
+    /// event or several lie between two captures.
     #[test]
     fn incremental_captures_match_full_captures_under_arbitrary_events(
         events in prop::collection::vec(ev_strategy(), 1..48),
+        stride in 1usize..=4,
     ) {
         let mut orch = orchestrator();
         // The node set is dynamic now (add/remove events), so re-derive
@@ -382,6 +362,7 @@ proptest! {
         let mut next_node = 0u32;
         let mut stash: Vec<(NodeName, PointBatch, SimTime)> = Vec::new();
         let mut now = SimTime::ZERO;
+        let last = events.len() - 1;
         for (index, event) in events.into_iter().enumerate() {
             now += SimDuration::from_secs(5);
             match event {
@@ -463,12 +444,15 @@ proptest! {
                 }
                 Ev::Idle => now += SimDuration::from_secs(30),
             }
-            let incremental = orch.capture_snapshot(now);
+            if (index + 1) % stride != 0 && index != last {
+                continue;
+            }
+            let captured = orch.capture_snapshot(now);
             let full = oracle(&orch, now);
             prop_assert_eq!(
-                incremental,
+                captured,
                 full,
-                "incremental snapshot diverged after event {} at {}",
+                "snapshot diverged after event {} at {}",
                 index,
                 now
             );

@@ -195,10 +195,6 @@ pub struct ReplayConfig {
     /// Hard cap on simulated time; replays that exceed it are marked
     /// timed out (guards against pathological configurations).
     pub max_sim_time: SimDuration,
-    /// Name of the workload frontend to stream from (validated against
-    /// `borg_trace::FrontendRegistry` by the consumer); `None` keeps
-    /// whatever workload the caller materialised or streamed explicitly.
-    pub frontend: Option<String>,
 }
 
 impl ReplayConfig {
@@ -217,15 +213,7 @@ impl ReplayConfig {
             autoscale: None,
             faults: FaultPlan::none(),
             max_sim_time: SimDuration::from_hours(48),
-            frontend: None,
         }
-    }
-
-    /// Streams the workload from the named registry frontend instead of
-    /// a materialised trace.
-    pub fn with_frontend(mut self, name: &str) -> Self {
-        self.frontend = Some(name.to_string());
-        self
     }
 
     /// Enables cluster + pod-group autoscaling.
@@ -332,13 +320,6 @@ mod tests {
     #[should_panic(expected = "threshold")]
     fn rebalance_threshold_validated() {
         let _ = RebalanceConfig::every(SimDuration::from_secs(60), 0.0);
-    }
-
-    #[test]
-    fn frontend_builder_composes_and_defaults_to_none() {
-        assert!(ReplayConfig::paper(2).frontend.is_none());
-        let config = ReplayConfig::paper(2).with_frontend(borg_trace::frontend::ALIBABA_2017);
-        assert_eq!(config.frontend.as_deref(), Some("alibaba-2017"));
     }
 
     #[test]
