@@ -21,21 +21,6 @@ impl PodUid {
     pub const fn as_u64(self) -> u64 {
         self.0
     }
-
-    /// The inverse of `Display`: the uid that prints as exactly `name`
-    /// (`pod-7`), so `PodUid::parse(s) == Some(uid)` implies
-    /// `uid.to_string() == s`. Anything else — `pod-07`, `pod-+7`, a
-    /// number beyond `u64` — is `None`.
-    pub(crate) fn parse(name: &str) -> Option<Self> {
-        let digits = name.strip_prefix("pod-")?;
-        // `u64::from_str` alone would take a sign and leading zeros.
-        let canonical = digits.bytes().all(|b| b.is_ascii_digit())
-            && (digits.len() == 1 || !digits.starts_with('0'));
-        if !canonical {
-            return None;
-        }
-        digits.parse().ok().map(PodUid)
-    }
 }
 
 impl fmt::Display for PodUid {
@@ -304,24 +289,6 @@ mod tests {
     #[test]
     fn uids_and_names_display() {
         assert_eq!(PodUid::new(3).to_string(), "pod-3");
-        for uid in [0, 7, 10, 4_142, u64::MAX] {
-            let uid = PodUid::new(uid);
-            assert_eq!(PodUid::parse(&uid.to_string()), Some(uid));
-        }
-        for alias in [
-            "pod-",
-            "pod-07",
-            "pod-00",
-            "pod-+7",
-            "pod--7",
-            "pod-7 ",
-            "pod-7a",
-            "Pod-7",
-            "7",
-            "pod-18446744073709551616",
-        ] {
-            assert_eq!(PodUid::parse(alias), None, "{alias}");
-        }
         assert_eq!(NodeName::new("sgx-1").to_string(), "sgx-1");
         assert_eq!(NodeName::from("n").as_str(), "n");
     }

@@ -38,11 +38,6 @@ fn cgroup_of(uid: PodUid) -> CgroupPath {
     CgroupPath::new(format!("{CGROUP_ROOT}{uid}"))
 }
 
-/// The uid whose cgroup is exactly `path` — the inverse of [`cgroup_of`].
-fn uid_of(path: &CgroupPath) -> Option<PodUid> {
-    PodUid::parse(path.as_str().strip_prefix(CGROUP_ROOT)?)
-}
-
 /// A pod currently running on a node.
 #[derive(Debug, Clone)]
 pub struct RunningPod {
@@ -279,30 +274,16 @@ impl Node {
     /// Per-pod EPC usage in bytes, uid-ascending, pods without any left
     /// out — the quantity the SGX probe scrapes.
     ///
-    /// One pass over the driver's enclaves, whatever the number of pods:
-    /// each enclave is credited to the pod whose cgroup it names (the
-    /// sums are integers, so the driver's enclave order cannot matter),
-    /// then pods and sums are walked side by side. Equal, pod for pod, to
-    /// asking the driver `pages_for_pod`.
+    /// One walk over the node's pods, asking the driver `pages_for_pod`
+    /// for each: one account lookup a pod, so enclaves under a cgroup that
+    /// is no running pod's are never visited, and several under one pod's
+    /// are already added up.
     pub fn epc_usage(&self) -> impl Iterator<Item = (&RunningPod, ByteSize)> + '_ {
-        let mut pages: Vec<(PodUid, EpcPages)> = self
-            .driver
-            .iter()
-            .flat_map(SgxDriver::enclaves)
-            .filter_map(|enclave| Some((uid_of(enclave.pod())?, enclave.committed())))
-            .collect();
-        pages.sort_unstable_by_key(|&(uid, _)| uid);
-        let mut pages = pages.into_iter().peekable();
-        self.pods.values().filter_map(move |pod| {
-            // Enclaves under a cgroup that is no running pod's are
-            // passed over; several under one pod's add up.
-            let mut total = EpcPages::ZERO;
-            while let Some((uid, committed)) = pages.next_if(|&(uid, _)| uid <= pod.uid) {
-                if uid == pod.uid {
-                    total += committed;
-                }
-            }
-            (!total.is_zero()).then(|| (pod, total.to_bytes()))
+        self.driver.iter().flat_map(move |driver| {
+            self.pods.values().filter_map(move |pod| {
+                let pages = driver.pages_for_pod(&pod.cgroup);
+                (!pages.is_zero()).then(|| (pod, pages.to_bytes()))
+            })
         })
     }
 
@@ -851,10 +832,6 @@ mod tests {
         for uid in [0, 7, 10, u64::MAX].map(PodUid::new) {
             let cgroup = cgroup_of(uid);
             assert_eq!(cgroup.as_str(), format!("/kubepods/{uid}"));
-            assert_eq!(uid_of(&cgroup), Some(uid));
-        }
-        for foreign in ["/kubepods/pod-07", "/kubepods/malicious", "/pod-7", "pod-7"] {
-            assert_eq!(uid_of(&CgroupPath::new(foreign)), None, "{foreign}");
         }
     }
 

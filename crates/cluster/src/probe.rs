@@ -15,8 +15,8 @@
 //!
 //! A scrape is one walk, [`Probe::scrape`]: the pods of a node that use
 //! the probe's resource, uid-ascending, with their usage — no map, no
-//! string, and for the SGX probe one pass over the driver's enclaves
-//! however many pods there are. What the rows become is the caller's
+//! string, and for the SGX probe one lookup of each pod's account in the
+//! driver, whatever other enclaves the node runs. What the rows become is the caller's
 //! business: [`Probe::sample_batch`] names them into a tagged
 //! [`PointBatch`], the frame that crosses a wire (and a fault injector);
 //! the orchestrator's in-process probe pass appends them to series it
@@ -130,8 +130,8 @@ impl Probe {
 
     /// The scrape itself: calls `row` with every pod of `node` that has
     /// non-zero usage of this probe's resource, uid-ascending, and that
-    /// usage. Allocation-free for Heapster; the SGX probe makes one pass
-    /// over the driver's enclaves ([`Node::epc_usage`]). Both
+    /// usage. Allocation-free; the SGX probe reads each pod's account in
+    /// the driver ([`Node::epc_usage`]). Both
     /// [`sample_batch`](Self::sample_batch) and the orchestrator's
     /// in-process probe pass are this walk with a different sink.
     pub fn scrape<'a>(&self, node: &'a Node, mut row: impl FnMut(&'a RunningPod, ByteSize)) {

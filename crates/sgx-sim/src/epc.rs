@@ -102,6 +102,8 @@ pub struct PagingActivity {
 pub struct Epc {
     config: EpcConfig,
     free: EpcPages,
+    /// Σ `committed` over `enclaves`, kept by every call that changes one.
+    committed: EpcPages,
     enclaves: BTreeMap<EnclaveId, EnclaveUsage>,
     next_id: u64,
 }
@@ -111,6 +113,7 @@ impl Epc {
     pub fn new(config: EpcConfig) -> Self {
         Epc {
             free: config.usable_pages(),
+            committed: EpcPages::ZERO,
             config,
             enclaves: BTreeMap::new(),
             next_id: 0,
@@ -131,7 +134,7 @@ impl Epc {
     /// Total pages committed across all enclaves (may exceed
     /// [`total_pages`](Self::total_pages) when paging is active).
     pub fn committed_pages(&self) -> EpcPages {
-        self.enclaves.values().map(|u| u.committed).sum()
+        self.committed
     }
 
     /// Ratio of committed pages to usable pages; values above 1.0 mean the
@@ -166,6 +169,7 @@ impl Epc {
             .remove(&id)
             .ok_or(SgxError::UnknownEnclave(id))?;
         self.free += usage.resident;
+        self.committed -= usage.committed;
         Ok(usage)
     }
 
@@ -212,6 +216,7 @@ impl Epc {
         }
         let grabbed = pages.min(self.free);
         self.free -= grabbed;
+        self.committed += pages;
         let usage = self.enclaves.get_mut(&id).expect("checked above");
         usage.committed += pages;
         usage.resident += grabbed;
@@ -244,6 +249,7 @@ impl Epc {
         usage.resident -= from_resident;
         usage.committed -= pages;
         self.free += from_resident;
+        self.committed -= pages;
         Ok(())
     }
 

@@ -1,20 +1,38 @@
 //! Identifiers shared across the SGX substrate.
 
 use std::fmt;
+use std::num::NonZeroU64;
+use std::sync::Arc;
 
 /// A unique identifier for an enclave registered with the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EnclaveId(u64);
+///
+/// Held one up from the number it shows, so that an `Option<EnclaveId>`
+/// is one word: the driver keeps one inline in every pod's account.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EnclaveId(NonZeroU64);
 
 impl EnclaveId {
     pub(crate) const fn new(id: u64) -> Self {
-        EnclaveId(id)
+        match NonZeroU64::new(id.wrapping_add(1)) {
+            Some(raw) => EnclaveId(raw),
+            None => panic!("enclave ids are exhausted"),
+        }
+    }
+
+    const fn get(self) -> u64 {
+        self.0.get() - 1
+    }
+}
+
+impl fmt::Debug for EnclaveId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("EnclaveId").field(&self.get()).finish()
     }
 }
 
 impl fmt::Display for EnclaveId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "enclave:{}", self.0)
+        write!(f, "enclave:{}", self.get())
     }
 }
 
@@ -27,6 +45,11 @@ impl fmt::Display for EnclaveId {
 /// the containers start, so limits are in place by enclave-initialisation
 /// time.
 ///
+/// Shared, not copied: the pod the node agent runs, its enclave and the
+/// driver's account of the pod all hold the one allocation `new` made, so
+/// a clone costs a reference-count increment. `Debug`, ordering and
+/// hashing are those of the string.
+///
 /// # Examples
 ///
 /// ```
@@ -36,7 +59,7 @@ impl fmt::Display for EnclaveId {
 /// assert_eq!(pod.as_str(), "/kubepods/besteffort/pod-42");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CgroupPath(String);
+pub struct CgroupPath(Arc<str>);
 
 impl CgroupPath {
     /// Creates a cgroup path.
@@ -45,7 +68,7 @@ impl CgroupPath {
     ///
     /// Panics if `path` is empty: an empty pod identifier would let two
     /// unrelated pods share one limit.
-    pub fn new(path: impl Into<String>) -> Self {
+    pub fn new(path: impl Into<Arc<str>>) -> Self {
         let path = path.into();
         assert!(!path.is_empty(), "cgroup path must not be empty");
         CgroupPath(path)
@@ -82,6 +105,8 @@ mod tests {
     #[test]
     fn ids_display() {
         assert_eq!(EnclaveId::new(3).to_string(), "enclave:3");
+        assert_eq!(format!("{:?}", EnclaveId::new(0)), "EnclaveId(0)");
+        assert_eq!(std::mem::size_of::<Option<EnclaveId>>(), 8);
         assert_eq!(CgroupPath::new("/a/b").to_string(), "/a/b");
     }
 

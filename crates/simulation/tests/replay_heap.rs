@@ -6,10 +6,12 @@
 //! This replays a fixed Borg stream the way the benchmark's
 //! `fullscale_autoscale` does at `--smoke` size (3,657 jobs onto an
 //! autoscaled cluster) and bounds the peak live heap, result included,
-//! per submitted job: ≈1,510 bytes. It was 1,824 when the records sat in
+//! per submitted job: ≈1,490 bytes. It was 1,824 when the records sat in
 //! a uid-keyed `BTreeMap`, every record and event held its own copy of a
-//! node name, and the result cloned both; and 1,557 while the tsdb kept
-//! 16 bytes a sample and each series' key twice. It also pins the reason a
+//! node name, and the result cloned both; 1,557 while the tsdb kept
+//! 16 bytes a sample and each series' key twice; and 1,510 while each SGX
+//! pod's cgroup path was three `String`s (the pod's, its enclave's and
+//! the driver's limit table's). It also pins the reason a
 //! node name costs nothing to repeat: a `NodeName` clone shares the one
 //! allocation.
 //!
