@@ -21,9 +21,12 @@
 //! pod's limit, the pages its enclaves commit and their ids, and every
 //! call that changes those keeps the account current. Usage queries, the
 //! admission checks and pod removal read one account and never visit
-//! another pod's enclave.
+//! another pod's enclave. The accounts are keyed by cgroup path and
+//! hashed with a few multiplies a path (`PathHasher`), not SipHash: the
+//! SGX probe looks up every running pod's account on every tick.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::enclave::{Enclave, EnclaveState};
 use crate::epc::{EnclaveUsage, Epc, EpcConfig, PagingActivity};
@@ -60,7 +63,7 @@ pub struct SgxDriver {
     version: SgxVersion,
     epc: Epc,
     enclaves: HashMap<EnclaveId, Enclave>,
-    accounts: HashMap<CgroupPath, PodAccount>,
+    accounts: PathMap<PodAccount>,
     further: FurtherEnclaves,
     enforce_limits: bool,
     denied_inits: u64,
@@ -75,7 +78,7 @@ impl SgxDriver {
             version,
             epc: Epc::new(config),
             enclaves: HashMap::new(),
-            accounts: HashMap::new(),
+            accounts: PathMap::default(),
             further: FurtherEnclaves::default(),
             enforce_limits: true,
             denied_inits: 0,
@@ -503,6 +506,8 @@ impl SgxDriver {
 
     /// Pages owned by all enclaves of a pod (zero when the pod has none):
     /// one lookup of the pod's account, whatever else the machine runs.
+    /// The path is hashed a word at a time (three words and the
+    /// terminator for a `/kubepods/pod-<uid>` path) and compared whole.
     pub fn pages_for_pod(&self, pod: &CgroupPath) -> EpcPages {
         self.accounts
             .get(pod)
@@ -536,12 +541,63 @@ impl PodAccount {
     }
 }
 
+/// A map keyed by cgroup path, hashed by [`PathHasher`].
+type PathMap<V> = HashMap<CgroupPath, V, BuildHasherDefault<PathHasher>>;
+
+/// The hash of the driver's path-keyed maps: the path's bytes folded a
+/// little-endian word at a time (rotate, xor, multiply), then one
+/// avalanche. A node agent's paths differ in a few digits near their end;
+/// the avalanche spreads those over every bit, the low ones `HashMap`
+/// picks a bucket with and the top seven it tags the bucket with. A
+/// `/kubepods/pod-<uid>` path is three words and the terminator `str`
+/// hashing adds: four folds and the finaliser, six multiplies in all.
+/// Not keyed: the paths are the ones the node agent builds from pod
+/// uids, not input from outside. A crafted set could still collide;
+/// that costs probes, never a wrong account, since keys compare whole.
+#[derive(Debug, Clone, Copy, Default)]
+struct PathHasher(u64);
+
+impl PathHasher {
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(23) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+impl Hasher for PathHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.fold(u64::from(byte));
+    }
+
+    /// MurmurHash3's 64-bit finaliser.
+    fn finish(&self) -> u64 {
+        let mut hash = self.0;
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        hash ^= hash >> 33;
+        hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        hash ^ hash >> 33
+    }
+}
+
 /// Each pod's enclaves beyond its first, for the pods that hold several;
 /// empty, and unallocated, while every pod holds at most one. `pop` and
 /// `take` return early while it is empty, so a driver whose pods hold
 /// one enclave each never hashes a path here.
 #[derive(Debug, Clone, Default)]
-struct FurtherEnclaves(HashMap<CgroupPath, Vec<EnclaveId>>);
+struct FurtherEnclaves(PathMap<Vec<EnclaveId>>);
 
 impl FurtherEnclaves {
     fn push(&mut self, pod: &CgroupPath, id: EnclaveId) {
@@ -838,6 +894,34 @@ mod tests {
             d.checkpoint_enclave(e, "svc", key),
             Err(SgxError::InvalidState { .. })
         ));
+    }
+
+    #[test]
+    fn the_path_hash_spreads_node_agent_paths() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+
+        // 4,096 paths the node agent makes, from three uid ranges, across
+        // the 9,999 → 10,000 and 99,999 → 100,000 digit boundaries.
+        let uids = (1..=1_366).chain(9_400..10_766).chain(99_300..100_664);
+        let hashes: Vec<u64> = uids
+            .map(|uid| BuildHasherDefault::<PathHasher>::default().hash_one(pod(uid)))
+            .collect();
+        assert_eq!(hashes.len(), 4_096);
+        let distinct = |bits: fn(u64) -> u64| {
+            hashes
+                .iter()
+                .map(|&h| bits(h))
+                .collect::<HashSet<_>>()
+                .len()
+        };
+        assert_eq!(distinct(|h| h), 4_096);
+        // The bucket of a 4,096-bucket table: ≈ 2,589 distinct values if
+        // the hash were uniform.
+        let buckets = distinct(|h| h & 0xfff);
+        assert!(buckets >= 2_400, "{buckets} of 4,096 low-12-bit values");
+        // The tag a bucket is probed with.
+        assert_eq!(distinct(|h| h >> 57), 128);
     }
 
     #[test]

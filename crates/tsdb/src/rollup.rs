@@ -42,8 +42,20 @@
 //!   admits the older one admits the newer one too, so it can never
 //!   decide a `MAX`. A member with steady usage therefore holds one
 //!   sample, not one per scrape in the window.
+//!
+//! # Cost of a row
+//!
+//! A group's members sit in one vector sorted by name. A frame's rows
+//! are admitted one by one, and each row's member search starts at the
+//! slot after the previous row's member: it probes that slot, gallops
+//! forward (1, 3, 7, … slots on) and binary-searches the bracket it
+//! finds, or binary-searches the prefix when the member lies behind.
+//! A probe ships a node's pods in uid order, which agrees with name
+//! order within one digit count (`pod-9` sorts after `pod-10`), so the
+//! next member is usually found in one or two compares.
 
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use des::SimTime;
@@ -251,6 +263,7 @@ impl WindowRollup {
         GroupFeed {
             groups: (time >= self.floor).then_some(&mut self.groups),
             window: None,
+            hint: 0,
             group,
             measurement,
             time,
@@ -369,7 +382,10 @@ pub struct RollupStats {
 /// One group's rows of one frame on their way into a [`WindowRollup`];
 /// see [`WindowRollup::group_feed`]. The group's window is looked up
 /// once, by the first row that is kept, so a frame of zeros (or none)
-/// creates nothing.
+/// creates nothing. The feed remembers where its previous row's member
+/// sits, and each row's member search starts there: a node's rows come
+/// in uid order and its members in name order, which agree within one
+/// digit count, so the next member is usually the next slot.
 #[derive(Debug)]
 pub(crate) struct GroupFeed<'a> {
     /// The rollup's groups until the first kept row opens the window;
@@ -377,6 +393,8 @@ pub(crate) struct GroupFeed<'a> {
     /// dropped whole.
     groups: Option<&'a mut Groups>,
     window: Option<&'a mut MeasurementWindow>,
+    /// The slot after the previous kept row's member.
+    hint: usize,
     pub(crate) group: &'a str,
     pub(crate) measurement: &'a str,
     pub(crate) time: SimTime,
@@ -398,7 +416,7 @@ impl GroupFeed<'_> {
             self.window = Some(window_of(groups, self.group, self.measurement));
         }
         let window = self.window.as_mut()?;
-        Some(window.admit(member, (self.time, value)))
+        Some(window.admit(member, (self.time, value), &mut self.hint))
     }
 }
 
@@ -427,15 +445,60 @@ fn window_of<'a>(
     &mut windows[at]
 }
 
+/// Where `member` is in `members` (sorted by name, each name once),
+/// exactly as [`binary_search_by`](slice::binary_search_by) reports it,
+/// searched from the slot `hint`. A name at the hint costs one compare.
+/// One past it is galloped to: probes at `hint + 1`, `hint + 3`,
+/// `hint + 7`, … up to a member at or past the name (or the end), then
+/// a binary search of that bracket. One before it costs a compare with
+/// the slot before the hint, then a binary search of the prefix.
+fn gallop(members: &[MemberWindow], member: Option<&[u8]>, hint: usize) -> Result<usize, usize> {
+    let cmp = |held: &MemberWindow| held.member.as_ref().map(Small::as_slice).cmp(&member);
+    let search = |lo: usize, hi: usize| {
+        members[lo..hi]
+            .binary_search_by(cmp)
+            .map(|at| lo + at)
+            .map_err(|at| lo + at)
+    };
+    let hint = hint.min(members.len());
+    match members.get(hint).map(cmp) {
+        Some(Ordering::Equal) => Ok(hint),
+        Some(Ordering::Less) => {
+            let (mut lo, mut step) = (hint + 1, 1);
+            loop {
+                let probe = hint + 2 * step - 1;
+                match members.get(probe).map(cmp) {
+                    None => return search(lo, members.len()),
+                    Some(Ordering::Less) => (lo, step) = (probe + 1, 2 * step),
+                    Some(Ordering::Equal) => return Ok(probe),
+                    Some(Ordering::Greater) => return search(lo, probe),
+                }
+            }
+        }
+        Some(Ordering::Greater) | None => match hint.checked_sub(1) {
+            None => Err(0),
+            Some(before) => match cmp(&members[before]) {
+                Ordering::Less => Err(hint),
+                Ordering::Equal => Ok(before),
+                Ordering::Greater => search(0, before),
+            },
+        },
+    }
+}
+
 impl MeasurementWindow {
     /// Admits one non-zero sample for `member` under the dominance rule;
-    /// returns the member's series memo.
-    fn admit(&mut self, member: Option<&str>, (time, value): Sample) -> &mut Option<SeriesId> {
+    /// returns the member's series memo. The member is searched for from
+    /// the slot `hint` (see [`gallop`]), which is left at the slot after
+    /// it.
+    fn admit(
+        &mut self,
+        member: Option<&str>,
+        (time, value): Sample,
+        hint: &mut usize,
+    ) -> &mut Option<SeriesId> {
         let member = member.map(str::as_bytes);
-        let at = match self
-            .members
-            .binary_search_by(|held| held.member.as_ref().map(Small::as_slice).cmp(&member))
-        {
+        let at = match gallop(&self.members, member, *hint) {
             Ok(at) => at,
             Err(at) => {
                 self.members.insert(
@@ -449,6 +512,7 @@ impl MeasurementWindow {
                 at
             }
         };
+        *hint = at + 1;
         let held = &mut self.members[at];
         let dominated = |&(t, v): &Sample| t >= time && v >= value;
         if !held.samples.as_slice().iter().any(dominated) {
@@ -556,6 +620,55 @@ mod tests {
         r.forget("n2");
         assert_eq!(r.stats().samples_held, 0);
         assert_eq!(r.groups().count(), 0);
+    }
+
+    #[test]
+    fn the_gallop_finds_what_a_binary_search_finds_from_any_hint() {
+        // Names in byte order, so digit counts interleave: pod-1, pod-10,
+        // pod-100, …, pod-11, …, pod-9, pod-90, ….
+        let mut names: Vec<String> = (1..=150).map(|n| format!("pod-{n}")).collect();
+        names.sort();
+        let member = |name: Option<&str>| MemberWindow {
+            member: name.map(|name| Small::from_slice(name.as_bytes())),
+            samples: Small::from_slice(&[]),
+            series: None,
+        };
+        let mut queries: Vec<Option<&str>> = vec![None, Some(""), Some("pod-"), Some("zz")];
+        queries.extend(names.iter().map(|name| Some(name.as_str())));
+        for len in 0..=70 {
+            for start in [0, 1, 37] {
+                for bare in [false, true] {
+                    // Every other name, so each held name has absent
+                    // neighbours; `bare` puts the member-less row first.
+                    let held = names
+                        .iter()
+                        .skip(start)
+                        .step_by(2)
+                        .map(|n| Some(n.as_str()));
+                    let members: Vec<MemberWindow> = bare
+                        .then_some(None)
+                        .into_iter()
+                        .chain(held)
+                        .take(len)
+                        .map(member)
+                        .collect();
+                    for &query in &queries {
+                        let bytes = query.map(str::as_bytes);
+                        let expected = members.binary_search_by(|held| {
+                            held.member.as_ref().map(Small::as_slice).cmp(&bytes)
+                        });
+                        for hint in 0..=members.len() + 2 {
+                            assert_eq!(
+                                gallop(&members, bytes, hint),
+                                expected,
+                                "{query:?} among {} members from {hint}",
+                                members.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

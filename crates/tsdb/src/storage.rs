@@ -71,13 +71,18 @@
 //! delayed frame) re-encodes its one series, stable after equal
 //! timestamps.
 //!
-//! [`enforce_retention`] compares one word per series, the oldest
+//! [`enforce_retention`] visits no series while its cutoff is at or
+//! below every series' oldest sample. The store keeps a low-water mark,
+//! a lower bound on those oldest samples: every write lowers it, every
+//! walk sets it exactly, and it is unset while a series may be
+//! registered without samples (such a series is due at any cutoff).
+//! Past the mark, the retention compares one word per series, the oldest
 //! sample's time, and opens only a series the cutoff has passed. It
 //! decodes the samples it evicts, and moves the stream's live words to
-//! its front once the evicted words are as many, so a series that
-//! loses one sample a tick is not re-encoded per tick. A series it
-//! empties is unregistered through the key its slot holds — O(log n) per
-//! series emptied, with no walk of the index.
+//! its front once the evicted words are as many, so a series that loses
+//! one sample a tick is not re-encoded per tick. A series it empties is
+//! unregistered through the key its slot holds — O(log n) per series
+//! emptied, with no walk of the index.
 //! [`drop_series_with_first_tag`] removes a byte-prefix range: the packed
 //! `(key, value)` pair is a prefix of exactly the keys whose first tag it
 //! is.
@@ -591,6 +596,12 @@ struct Table {
     /// [`resolve`](Self::resolve)'s scratch: the tag set it looks up,
     /// packed.
     packed: Vec<u8>,
+    /// A lower bound on every live series' oldest sample, so that a
+    /// retention whose cutoff is at or below it has no series to open.
+    /// `None` while a series may be registered without samples (and
+    /// before the first retention): each store lowers it, each retention
+    /// walk sets it to the exact minimum.
+    low_water: Option<SimTime>,
     points_inserted: u64,
     points_evicted: u64,
 }
@@ -660,6 +671,9 @@ impl Table {
         };
         slot.samples.insert(time, value);
         self.points_inserted += 1;
+        if let Some(mark) = &mut self.low_water {
+            *mark = (*mark).min(time);
+        }
         true
     }
 
@@ -728,7 +742,12 @@ impl Database {
     /// Panics if `measurement` is empty (the [`Point::new`] contract).
     pub fn resolve(&mut self, measurement: &str, tags: &TagSet) -> SeriesId {
         pack_tags(&mut self.table.packed, tags);
-        self.table.resolve(measurement)
+        let id = self.table.resolve(measurement);
+        if self.table.slots[id.slot as usize].samples.is_empty() {
+            // An empty series is due at any cutoff.
+            self.table.low_water = None;
+        }
+        id
     }
 
     /// Appends a sample to the series behind `id` (anywhere in time: an
@@ -790,7 +809,8 @@ impl Database {
     /// Panics if `measurement` is empty or `value` is not finite (the
     /// same contract [`Point::new`] enforces).
     pub fn insert_at(&mut self, measurement: &str, tags: &TagSet, time: SimTime, value: f64) {
-        let id = self.resolve(measurement, tags);
+        pack_tags(&mut self.table.packed, tags);
+        let id = self.table.resolve(measurement);
         let stored = self.append(id, time, value);
         debug_assert!(stored, "a series just resolved is live");
     }
@@ -807,7 +827,8 @@ impl Database {
             } else {
                 tags.insert(batch.row_tag_key().to_string(), row.tag_value.clone());
             }
-            let id = self.resolve(batch.measurement(), &tags);
+            pack_tags(&mut self.table.packed, &tags);
+            let id = self.table.resolve(batch.measurement());
             self.table.store(id, batch.time(), row.value);
         }
         self.window.get_mut().feed(batch);
@@ -895,22 +916,33 @@ impl Database {
     /// Returns the number of samples evicted. This is the
     /// retention-policy enforcement a real InfluxDB runs continuously.
     ///
-    /// Costs one comparison per series plus the samples evicted: a series
+    /// Costs nothing per series while the cutoff is at or below the
+    /// store's low-water mark (a lower bound on every series' oldest
+    /// sample, kept by each write and set by each walk), and otherwise
+    /// one comparison per series plus the samples evicted: a series
     /// whose oldest sample is inside the retention is not opened, and one
     /// that is decodes the samples it loses and one more. A series left
     /// empty is unregistered through its slot's key, in O(log series).
+    /// The window is trimmed either way.
     pub fn enforce_retention(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let cutoff = TimeBound::SinceNowMinus(keep).resolve(now);
         let mut evicted = 0;
-        for n in 0..self.table.slots.len() {
-            let slot = &mut self.table.slots[n];
-            if !slot.due(cutoff) {
-                continue;
+        if self.table.low_water.is_none_or(|mark| cutoff > mark) {
+            let mut low_water = SimTime::MAX;
+            for n in 0..self.table.slots.len() {
+                let slot = &mut self.table.slots[n];
+                if slot.due(cutoff) {
+                    evicted += slot.samples.evict_before(cutoff);
+                    if slot.samples.is_empty() {
+                        self.table.unregister(n as u32);
+                        continue;
+                    }
+                }
+                if let Some(oldest) = slot.samples.oldest() {
+                    low_water = low_water.min(oldest);
+                }
             }
-            evicted += slot.samples.evict_before(cutoff);
-            if slot.samples.is_empty() {
-                self.table.unregister(n as u32);
-            }
+            self.table.low_water = Some(low_water);
         }
         self.table.points_evicted += evicted as u64;
         self.window.get_mut().trim(cutoff);
@@ -1269,6 +1301,47 @@ mod tests {
         assert_eq!(db.points_evicted(), 1);
     }
 
+    #[test]
+    fn a_series_resolved_after_a_walk_goes_with_the_next_retention() {
+        let mut db = Database::new();
+        db.insert(epc_point(100, "a", "n1", 1.0));
+        // The walk leaves the mark at the oldest sample, 100 s.
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(110), SimDuration::from_secs(60)),
+            0
+        );
+        db.resolve("sgx/epc", &pod_tags("idle", "n1"));
+        assert_eq!(db.series_count(), 2);
+        // A cutoff of 60 s is below every sample, and the empty series
+        // is due all the same.
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(120), SimDuration::from_secs(60)),
+            0
+        );
+        assert_eq!(db.series_count(), 1);
+    }
+
+    #[test]
+    fn a_delayed_sample_below_the_mark_is_evicted_when_retention_passes_it() {
+        let mut db = Database::new();
+        db.insert(epc_point(100, "a", "n1", 1.0));
+        db.insert(epc_point(110, "a", "n1", 2.0));
+        // The walk leaves the mark at the oldest sample, 100 s…
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(110), SimDuration::from_secs(60)),
+            0
+        );
+        // …a delayed frame lands below it…
+        db.insert(epc_point(70, "a", "n1", 3.0));
+        // …and a cutoff of 80 s, below the old mark, evicts exactly it.
+        assert_eq!(
+            db.enforce_retention(SimTime::from_secs(140), SimDuration::from_secs(60)),
+            1
+        );
+        assert_eq!(db.point_count(), 2);
+        assert_eq!(db.points_evicted(), 1);
+    }
+
     /// The samples `chunk` holds, times in microseconds and values by
     /// their bits.
     fn raw(chunk: &Chunk) -> Vec<(u64, u64)> {
@@ -1538,5 +1611,29 @@ mod tests {
         let restored = Database::restore(&db.snapshot()).unwrap();
         assert_window_is_listing1(&restored, 45, "restore(snapshot())");
         assert_eq!(restored.window().floor(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn a_scrape_in_any_row_order_keeps_the_window_equal_to_listing_1() {
+        // 40 pods on one node, so names cross a digit count (pod-9,
+        // pod-10) and name order is not uid order.
+        let in_order: Vec<u32> = (1..=40).collect();
+        let reversed = in_order.iter().rev().copied().collect();
+        let shuffled = (1..=40).map(|uid| uid * 17 % 41).collect();
+        let orders = [in_order, reversed, shuffled];
+        let mut db = Database::new();
+        for (tick, order) in orders.iter().cycle().take(9).enumerate() {
+            let t = 10 * (tick as u64 + 1);
+            let mut rows = db.scrape("n1", "sgx/epc", SimTime::from_secs(t));
+            for &uid in order {
+                // Four pods finish a tick; their samples stay in the
+                // window until it slides past them.
+                if uid > 4 * tick as u32 {
+                    let value = f64::from(uid) * 0.1 + (tick % 4) as f64 * 0.01;
+                    rows.append(&format!("pod-{uid}"), value);
+                }
+            }
+            assert_window_is_listing1(&db, t + 5, &format!("tick {tick}"));
+        }
     }
 }
