@@ -361,29 +361,9 @@ impl Node {
         now: SimTime,
         rng: &mut StdRng,
     ) -> Result<PodStartReport, ClusterError> {
-        if self.pods.contains_key(&uid) {
-            return Err(ClusterError::PodAlreadyRunning(uid));
-        }
-        self.can_admit(&spec)?;
-
-        let cgroup = cgroup_of(uid);
-        let requests = spec.resources.requests;
-        let device_mounted = requests.needs_sgx();
-
-        // §V-D: Kubelet communicates the pod's EPC limit to the driver at
-        // pod-creation time, before any container starts.
-        if device_mounted {
-            let driver = self.driver.as_mut().expect("checked by can_admit");
-            driver
-                .set_pod_limit(&cgroup, spec.resources.limits.epc_pages)
-                .map_err(ClusterError::Sgx)?;
-        }
-
-        let plan = self
-            .spec
-            .sgx
-            .map(|s| spec.stressor.plan_on(s.epc.usable))
-            .unwrap_or_else(|| spec.stressor.plan_on(ByteSize::ZERO));
+        let cgroup = self.admit(uid, &spec)?;
+        let device_mounted = spec.resources.requests.needs_sgx();
+        let plan = spec.stressor.plan_on(self.spec.usable_epc());
 
         // Containers can only reach the isgx module through the device
         // file, which is mounted only for pods that requested EPC.
@@ -427,20 +407,14 @@ impl Node {
                 }
             }
         }
-        self.mem_requested += requests.memory;
-        self.epc_requested += requests.epc_pages;
-
-        self.pods.insert(
+        self.bind(RunningPod {
             uid,
-            RunningPod {
-                uid,
-                spec,
-                cgroup,
-                enclave,
-                mem_allocated: plan.standard_allocation,
-                started_at: now + startup_delay,
-            },
-        );
+            spec,
+            cgroup,
+            enclave,
+            mem_allocated: plan.standard_allocation,
+            started_at: now + startup_delay,
+        });
         Ok(PodStartReport {
             startup_delay,
             denied: None,
@@ -476,17 +450,7 @@ impl Node {
             None => None,
         };
         // The enclave is gone (self-destroyed); release everything else.
-        let mut pod = self.pods.remove(&uid).expect("looked up above");
-        pod.enclave = None;
-        self.mem_requested = self
-            .mem_requested
-            .saturating_sub(pod.spec.resources.requests.memory);
-        self.epc_requested = self
-            .epc_requested
-            .saturating_sub(pod.spec.resources.requests.epc_pages);
-        if let Some(driver) = self.driver.as_mut() {
-            driver.remove_pod(&pod.cgroup);
-        }
+        let pod = self.release(uid)?;
         Ok((pod.spec, checkpoint))
     }
 
@@ -508,26 +472,10 @@ impl Node {
         key: sgx_sim::migration::MigrationKey,
         now: SimTime,
     ) -> Result<SimDuration, MigrateInError> {
-        if self.pods.contains_key(&uid) {
-            return Err(MigrateInError {
-                cause: ClusterError::PodAlreadyRunning(uid),
-                checkpoint,
-            });
-        }
-        if let Err(cause) = self.can_admit(&spec) {
-            return Err(MigrateInError { cause, checkpoint });
-        }
-        let cgroup = cgroup_of(uid);
-        let requests = spec.resources.requests;
-        if requests.needs_sgx() {
-            let driver = self.driver.as_mut().expect("checked by can_admit");
-            if let Err(cause) = driver.set_pod_limit(&cgroup, spec.resources.limits.epc_pages) {
-                return Err(MigrateInError {
-                    cause: ClusterError::Sgx(cause),
-                    checkpoint,
-                });
-            }
-        }
+        let cgroup = match self.admit(uid, &spec) {
+            Ok(cgroup) => cgroup,
+            Err(cause) => return Err(MigrateInError { cause, checkpoint }),
+        };
 
         // Transfer latency: handshake + snapshot bytes over the network.
         let wire = checkpoint
@@ -552,19 +500,14 @@ impl Node {
 
         // Re-establish the standard-memory side of the stressor.
         let plan = spec.stressor.plan_on(self.spec.usable_epc());
-        self.mem_requested += requests.memory;
-        self.epc_requested += requests.epc_pages;
-        self.pods.insert(
+        self.bind(RunningPod {
             uid,
-            RunningPod {
-                uid,
-                spec,
-                cgroup,
-                enclave,
-                mem_allocated: plan.standard_allocation,
-                started_at: now + delay,
-            },
-        );
+            spec,
+            cgroup,
+            enclave,
+            mem_allocated: plan.standard_allocation,
+            started_at: now + delay,
+        });
         Ok(delay)
     }
 
@@ -575,16 +518,47 @@ impl Node {
     ///
     /// Returns [`ClusterError::UnknownPod`] if no such pod runs here.
     pub fn terminate_pod(&mut self, uid: PodUid) -> Result<RunningPod, ClusterError> {
+        self.release(uid)
+    }
+
+    /// The admission a pod passes however it arrives: its uid must be
+    /// free and its requests must fit ([`can_admit`](Self::can_admit)),
+    /// and — §V-D — Kubelet hands an SGX pod's EPC limit to the driver at
+    /// pod-creation time, before any container starts. Returns the pod's
+    /// cgroup.
+    fn admit(&mut self, uid: PodUid, spec: &PodSpec) -> Result<CgroupPath, ClusterError> {
+        if self.pods.contains_key(&uid) {
+            return Err(ClusterError::PodAlreadyRunning(uid));
+        }
+        self.can_admit(spec)?;
+        let cgroup = cgroup_of(uid);
+        if spec.resources.requests.needs_sgx() {
+            let driver = self.driver.as_mut().expect("checked by can_admit");
+            driver
+                .set_pod_limit(&cgroup, spec.resources.limits.epc_pages)
+                .map_err(ClusterError::Sgx)?;
+        }
+        Ok(cgroup)
+    }
+
+    /// Records a started pod and accounts its requests.
+    fn bind(&mut self, pod: RunningPod) {
+        let requests = pod.spec.resources.requests;
+        self.mem_requested += requests.memory;
+        self.epc_requested += requests.epc_pages;
+        self.pods.insert(pod.uid, pod);
+    }
+
+    /// Removes a pod, returns its requests and drops its cgroup's
+    /// account in the driver (limit entry and any enclaves left).
+    fn release(&mut self, uid: PodUid) -> Result<RunningPod, ClusterError> {
         let pod = self
             .pods
             .remove(&uid)
             .ok_or(ClusterError::UnknownPod(uid))?;
-        self.mem_requested = self
-            .mem_requested
-            .saturating_sub(pod.spec.resources.requests.memory);
-        self.epc_requested = self
-            .epc_requested
-            .saturating_sub(pod.spec.resources.requests.epc_pages);
+        let requests = pod.spec.resources.requests;
+        self.mem_requested = self.mem_requested.saturating_sub(requests.memory);
+        self.epc_requested = self.epc_requested.saturating_sub(requests.epc_pages);
         if let Some(driver) = self.driver.as_mut() {
             driver.remove_pod(&pod.cgroup);
         }

@@ -8,7 +8,7 @@
 //! sgxctl help                            this text
 //! ```
 //!
-//! Run `sgxctl <command> --help` for the options of each command.
+//! Run `sgxctl help` for the options of each command.
 
 use std::process::ExitCode;
 
@@ -34,7 +34,8 @@ COMMANDS:
     help               Show this message
 
 COMMON OPTIONS:
-    --seed <N>         Base seed (default 42); every run is a pure function of it
+    --seed <N>         Base seed (default 42) of `trace generate`, `trace stats`
+                       and `replay`; every run is a pure function of it
 
 `sgxctl replay` OPTIONS:
     --trace <FILE>     Replay a CSV trace instead of generating one
@@ -68,17 +69,23 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut args = Args::new(&args);
     match args.next_positional().as_deref() {
-        Some("cluster") => cmd_cluster(),
+        Some("cluster") => match args.finish() {
+            Ok(()) => cmd_cluster(),
+            Err(e) => usage_error(&e),
+        },
         Some("trace") => match args.next_positional().as_deref() {
             Some("generate") => cmd_trace_generate(&mut args),
             Some("stats") => cmd_trace_stats(&mut args),
             other => usage_error(&format!("unknown trace subcommand {other:?}")),
         },
         Some("replay") => cmd_replay(&mut args),
-        Some("help") | None => {
-            print!("{HELP}");
-            ExitCode::SUCCESS
-        }
+        Some("help") | None => match args.finish() {
+            Ok(()) => {
+                print!("{HELP}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => usage_error(&e),
+        },
         Some(other) => usage_error(&format!("unknown command `{other}`")),
     }
 }
@@ -178,7 +185,7 @@ fn cmd_trace_stats(args: &mut Args) -> ExitCode {
 }
 
 fn load_or_generate_trace(args: &mut Args) -> Result<borg_trace::Trace, String> {
-    if let Some(path) = args.flag_value("--trace") {
+    if let Some(path) = args.flag_value("--trace")? {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
         borg_trace::csv::from_csv(&text).map_err(|e| format!("bad trace file: {e}"))
@@ -189,6 +196,9 @@ fn load_or_generate_trace(args: &mut Args) -> Result<borg_trace::Trace, String> 
 
 fn cmd_replay(args: &mut Args) -> ExitCode {
     if args.has_flag("--list-frontends") {
+        if let Err(e) = args.finish() {
+            return usage_error(&e);
+        }
         for name in FrontendRegistry::builtin().names() {
             println!("{name}");
         }
@@ -198,7 +208,10 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
         Ok(v) => v.unwrap_or(42),
         Err(e) => return usage_error(&e),
     };
-    let frontend_name = args.flag_value("--frontend");
+    let frontend_name = match args.flag_value("--frontend") {
+        Ok(name) => name,
+        Err(e) => return usage_error(&e),
+    };
     if let Some(name) = &frontend_name {
         if !FrontendRegistry::builtin().contains(name) {
             return usage_error(&format!(
@@ -222,9 +235,10 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
     if !(0.0..=1.0).contains(&ratio) {
         return usage_error("--sgx-ratio must lie in [0, 1]");
     }
-    let scheduler = args
-        .flag_value("--scheduler")
-        .unwrap_or_else(|| SGX_BINPACK.to_string());
+    let scheduler = match args.flag_value("--scheduler") {
+        Ok(name) => name.unwrap_or_else(|| SGX_BINPACK.to_string()),
+        Err(e) => return usage_error(&e),
+    };
     let registry = PolicyRegistry::builtin();
     if !registry.contains(&scheduler) {
         return usage_error(&format!(
@@ -438,14 +452,17 @@ impl Args {
         }
     }
 
-    /// Removes `--name value`, returning the value.
-    fn flag_value(&mut self, name: &str) -> Option<String> {
-        let idx = self.tokens.iter().position(|t| t == name)?;
+    /// Removes `--name value`, returning the value; `--name` with
+    /// nothing after it is an error.
+    fn flag_value(&mut self, name: &str) -> Result<Option<String>, String> {
+        let Some(idx) = self.tokens.iter().position(|t| t == name) else {
+            return Ok(None);
+        };
         if idx + 1 >= self.tokens.len() {
-            return None;
+            return Err(format!("{name} expects a value"));
         }
         self.tokens.remove(idx);
-        Some(self.tokens.remove(idx))
+        Ok(Some(self.tokens.remove(idx)))
     }
 
     /// Every recognised flag has been removed by now: whatever is left
@@ -458,7 +475,7 @@ impl Args {
     }
 
     fn flag_u64(&mut self, name: &str) -> Result<Option<u64>, String> {
-        self.flag_value(name)
+        self.flag_value(name)?
             .map(|v| {
                 v.parse::<u64>()
                     .map_err(|_| format!("{name} expects an integer, got `{v}`"))
@@ -480,7 +497,7 @@ impl Args {
     }
 
     fn flag_f64(&mut self, name: &str) -> Result<Option<f64>, String> {
-        self.flag_value(name)
+        self.flag_value(name)?
             .map(|v| {
                 v.parse::<f64>()
                     .map_err(|_| format!("{name} expects a number, got `{v}`"))

@@ -46,6 +46,33 @@ fn bad_flags_and_flag_values_are_one_line_usage_errors() {
     }
 }
 
+/// Every path through `sgxctl` checks what is left of the command line:
+/// a stray flag after `help`, `cluster` or `--list-frontends` used to be
+/// ignored with exit code 0, and a value-taking flag in last position
+/// was reported as an unrecognised argument.
+#[test]
+fn no_argument_is_silently_ignored() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--bogus"], "unrecognised argument `--bogus`"),
+        (&["help", "--bogus"], "unrecognised argument `--bogus`"),
+        (&["cluster", "--bogus"], "unrecognised argument `--bogus`"),
+        (
+            &["replay", "--list-frontends", "--bogus"],
+            "unrecognised argument `--bogus`",
+        ),
+        (&["replay", "--quick", "--seed"], "--seed expects a value"),
+    ];
+    for (args, message) in cases {
+        let output = sgxctl(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} still ran");
+    }
+}
+
 /// The `exp_*` sweeps take `--smoke` and their own `--list-*` flag and
 /// nothing else: a mistyped flag used to run the full paper-scale sweep.
 #[test]

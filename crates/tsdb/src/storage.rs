@@ -1342,6 +1342,138 @@ mod tests {
         assert_eq!(db.points_evicted(), 1);
     }
 
+    fn probe_value(uid: u64) -> f64 {
+        ((uid % 97 + 1) * 4096) as f64
+    }
+
+    /// A probe series' tags, named the way `fullscale_autoscale` names
+    /// them: fifty pods a node over 490 nodes.
+    fn autoscale_tags(pod: u64) -> TagSet {
+        pod_tags(
+            &format!("pod-{pod}"),
+            &format!("as-sgx-{:05}", pod / 50 % 490),
+        )
+    }
+
+    /// `steady_static`'s population under turnover: 60 nodes × 140 pods,
+    /// each node's oldest pod replaced by a fresh one every 10 s tick,
+    /// every pod scraped (a third of the nodes point by point, a third as
+    /// one frame, a third by resolved id), then a 15-minute retention. A
+    /// pod's series goes once its last sample ages out, so the store
+    /// holds exactly the pods sampled in the last 91 ticks.
+    #[test]
+    fn a_store_under_turnover_keeps_exactly_the_series_inside_the_retention() {
+        const NODES: u64 = 60;
+        const PODS: u64 = 140;
+        const PER_TICK: u64 = NODES * PODS;
+        let (period, keep) = (SimDuration::from_secs(10), SimDuration::from_mins(15));
+        let kept_ticks = keep.as_secs() / period.as_secs() + 1;
+        let mut nodes: Vec<Vec<(u64, Option<SeriesId>)>> = (0..NODES)
+            .map(|n| (0..PODS).map(|p| (n * PODS + p, None)).collect())
+            .collect();
+        let mut next_uid = PER_TICK;
+        let mut db = Database::new();
+        for tick in 1..=kept_ticks + 10 {
+            let now = SimTime::from_secs(tick * period.as_secs());
+            for (n, pods) in nodes.iter_mut().enumerate() {
+                pods.remove(0);
+                pods.push((next_uid, None));
+                next_uid += 1;
+                let node = format!("node-{n}");
+                match n % 3 {
+                    0 => {
+                        for &(uid, _) in pods.iter() {
+                            let pod = format!("pod-{uid}");
+                            db.insert(epc_point(now.as_secs(), &pod, &node, probe_value(uid)));
+                        }
+                    }
+                    1 => {
+                        let mut batch = crate::PointBatch::new("sgx/epc", "pod_name", now)
+                            .with_shared_tag("nodename", node);
+                        for &(uid, _) in pods.iter() {
+                            batch.push(format!("pod-{uid}"), probe_value(uid));
+                        }
+                        db.insert_batch(&batch);
+                    }
+                    _ => {
+                        for (uid, series) in pods.iter_mut() {
+                            let value = probe_value(*uid);
+                            if series.is_none_or(|id| !db.append(id, now, value)) {
+                                let id =
+                                    db.resolve("sgx/epc", &pod_tags(&format!("pod-{uid}"), &node));
+                                assert!(db.append(id, now, value));
+                                *series = Some(id);
+                            }
+                        }
+                    }
+                }
+            }
+            db.enforce_retention(now, keep);
+            // The ticks still inside the retention, each 8,400 samples;
+            // 60 pods of each but the oldest joined that tick.
+            let held = tick.min(kept_ticks);
+            assert_eq!(
+                db.series_count() as u64,
+                PER_TICK + NODES * (held - 1),
+                "tick {tick}"
+            );
+            assert_eq!(db.points_evicted(), PER_TICK * (tick - held), "tick {tick}");
+        }
+        assert_eq!(db.point_count() as u64, PER_TICK * kept_ticks);
+    }
+
+    /// Series born and dying at `fullscale_autoscale`'s population: pod
+    /// `p` is sampled once, at `p` s, on its first scrape, and a
+    /// retention keeping 24,000 s runs before every 1,000th pod past the
+    /// first 24,000. The store holds exactly the pods since the last
+    /// cutoff — never more than 25,000.
+    #[test]
+    fn series_created_among_24_000_live_ones_go_with_the_next_retention() {
+        const LIVE: u64 = 24_000;
+        let mut db = Database::new();
+        let mut cutoff = 0;
+        for pod in 0..LIVE + 3_500 {
+            if pod > LIVE && pod.is_multiple_of(1_000) {
+                let evicted =
+                    db.enforce_retention(SimTime::from_secs(pod), SimDuration::from_secs(LIVE));
+                assert_eq!(evicted, 1_000);
+                cutoff = pod - LIVE;
+            }
+            let id = db.resolve("sgx/epc", &autoscale_tags(pod));
+            assert!(db.append(id, SimTime::from_secs(pod), probe_value(pod)));
+            assert_eq!(db.series_count() as u64, pod + 1 - cutoff, "pod {pod}");
+        }
+    }
+
+    /// A retention that empties 1 % of 20,000 series, round after round:
+    /// each round names 200 new series, which move into the slots the
+    /// last round freed, and its retention removes exactly those 200 and
+    /// leaves the 19,800 long-lived ones (sampled past every cutoff).
+    #[test]
+    fn a_retention_emptying_200_of_20_000_series_removes_exactly_those_200() {
+        const LIVE: u64 = 20_000;
+        const EMPTIED: u64 = LIVE / 100;
+        let far = SimTime::from_secs(1 << 40);
+        let mut db = Database::new();
+        for pod in 0..LIVE - EMPTIED {
+            let id = db.resolve("sgx/epc", &autoscale_tags(pod));
+            assert!(db.append(id, far, probe_value(pod)));
+        }
+        for round in 1..=3 {
+            for pod in LIVE * round..LIVE * round + EMPTIED {
+                let id = db.resolve("sgx/epc", &autoscale_tags(pod));
+                assert!(db.append(id, SimTime::from_secs(round), probe_value(pod)));
+            }
+            assert_eq!(db.series_count() as u64, LIVE);
+            assert_eq!(db.table.slots.len() as u64, LIVE, "round {round}");
+            let evicted =
+                db.enforce_retention(SimTime::from_secs(round + 2), SimDuration::from_secs(1));
+            assert_eq!(evicted as u64, EMPTIED, "round {round}");
+            assert_eq!(db.series_count() as u64, LIVE - EMPTIED, "round {round}");
+            assert_eq!(db.point_count() as u64, LIVE - EMPTIED, "round {round}");
+        }
+    }
+
     /// The samples `chunk` holds, times in microseconds and values by
     /// their bits.
     fn raw(chunk: &Chunk) -> Vec<(u64, u64)> {
