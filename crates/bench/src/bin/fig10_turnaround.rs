@@ -5,7 +5,7 @@
 //! spread 129 (standard) / 275 (SGX). Binpack wins; SGX jobs need a bit
 //! less than twice the time of standard ones.
 
-use bench::{run_jobs, section, table};
+use bench::{run_experiments, section, table};
 use orchestrator::{SGX_BINPACK, SGX_SPREAD};
 use sgx_orchestrator::Experiment;
 use simulation::analysis::total_turnaround;
@@ -13,10 +13,11 @@ use simulation::analysis::total_turnaround;
 fn main() {
     let seed = 42;
 
-    // One prepared trace: the "Trace" bar sums its useful durations and
-    // all four cells materialise from it.
-    let trace = Experiment::paper_replay(seed).prepared_trace();
-    let trace_hours = trace.total_duration().as_hours_f64();
+    // The "Trace" bar: the useful durations of the trace the cells replay.
+    let trace_hours = Experiment::paper_replay(seed)
+        .prepared_trace()
+        .total_duration()
+        .as_hours_f64();
 
     section("Fig. 10: total turnaround time [h]");
     let variants = [
@@ -27,16 +28,15 @@ fn main() {
     ];
     // The Fig. 10 runs contain a single job type each (all standard or
     // all SGX).
-    let jobs: Vec<_> = variants
+    let experiments: Vec<_> = variants
         .iter()
         .map(|&(scheduler, ratio, _, _)| {
-            let cell = Experiment::paper_replay(seed)
+            Experiment::paper_replay(seed)
                 .sgx_ratio(ratio)
-                .scheduler(scheduler);
-            (cell.workload_from(&trace), cell.replay_config())
+                .scheduler(scheduler)
         })
         .collect();
-    let results = run_jobs(&jobs);
+    let results = run_experiments(&experiments);
 
     let mut rows = vec![vec![
         "trace (useful duration)".to_string(),

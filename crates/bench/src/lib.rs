@@ -25,8 +25,7 @@ pub fn run_experiments(experiments: &[Experiment]) -> Vec<ReplayResult> {
 }
 
 /// [`run_experiments`] for pre-materialised `(workload, config)` pairs —
-/// the ablations that mutate workloads or cost models directly, and
-/// `fig10_turnaround`, which also reports on the prepared trace itself.
+/// the ablations that mutate workloads or cost models directly.
 pub fn run_jobs(jobs: &[sweep::SweepJob]) -> Vec<ReplayResult> {
     announce(jobs.len());
     sweep::run_all_with(jobs, sweep::default_threads(jobs.len()), progress_line)

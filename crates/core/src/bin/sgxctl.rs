@@ -131,18 +131,28 @@ fn cmd_cluster() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn prepared_trace(args: &mut Args) -> Result<borg_trace::Trace, String> {
-    let seed = args.flag_u64("--seed")?.unwrap_or(42);
-    let experiment = if args.has_flag("--quick") {
+fn seed_flag(args: &mut Args) -> Result<u64, String> {
+    Ok(args.flag_u64("--seed")?.unwrap_or(42))
+}
+
+/// The experiment whose prepared trace a command uses: `--quick` picks
+/// the one-hour trace, paper scale otherwise.
+fn trace_experiment(seed: u64, quick: bool) -> Experiment {
+    if quick {
         Experiment::quick(seed)
     } else {
         Experiment::paper_replay(seed)
-    };
-    Ok(experiment.prepared_trace())
+    }
+}
+
+/// The prepared trace `--seed` and `--quick` select, once no argument is left.
+fn prepared_trace(args: &mut Args) -> Result<borg_trace::Trace, String> {
+    let experiment = trace_experiment(seed_flag(args)?, args.has_flag("--quick"));
+    args.finish().map(|()| experiment.prepared_trace())
 }
 
 fn cmd_trace_generate(args: &mut Args) -> ExitCode {
-    match prepared_trace(args).and_then(|trace| args.finish().map(|()| trace)) {
+    match prepared_trace(args) {
         Ok(trace) => {
             print!("{}", borg_trace::csv::to_csv(&trace));
             eprintln!("generated {} jobs", trace.len());
@@ -153,7 +163,7 @@ fn cmd_trace_generate(args: &mut Args) -> ExitCode {
 }
 
 fn cmd_trace_stats(args: &mut Args) -> ExitCode {
-    let trace = match load_or_generate_trace(args).and_then(|t| args.finish().map(|()| t)) {
+    let trace = match load_or_generate_trace(args) {
         Ok(t) => t,
         Err(e) => return usage_error(&e),
     };
@@ -185,13 +195,16 @@ fn cmd_trace_stats(args: &mut Args) -> ExitCode {
 }
 
 fn load_or_generate_trace(args: &mut Args) -> Result<borg_trace::Trace, String> {
-    if let Some(path) = args.flag_value("--trace")? {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
-        borg_trace::csv::from_csv(&text).map_err(|e| format!("bad trace file: {e}"))
-    } else {
-        prepared_trace(args)
+    match args.flag_value("--trace")? {
+        Some(path) => args.finish().and_then(|()| read_trace(&path)),
+        None => prepared_trace(args),
     }
+}
+
+fn read_trace(path: &str) -> Result<borg_trace::Trace, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read trace file `{path}`: {e}"))?;
+    borg_trace::csv::from_csv(&text).map_err(|e| format!("bad trace file: {e}"))
 }
 
 fn cmd_replay(args: &mut Args) -> ExitCode {
@@ -204,91 +217,70 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let seed = match args.flag_u64("--seed") {
-        Ok(v) => v.unwrap_or(42),
-        Err(e) => return usage_error(&e),
-    };
-    let frontend_name = match args.flag_value("--frontend") {
-        Ok(name) => name,
-        Err(e) => return usage_error(&e),
-    };
-    if let Some(name) = &frontend_name {
-        if !FrontendRegistry::builtin().contains(name) {
-            return usage_error(&format!(
-                "unknown frontend `{name}` (registered: {})",
-                FrontendRegistry::builtin().names().join(", ")
-            ));
-        }
+    replay(args).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// `sgxctl replay`: every flag is parsed and validated before the trace
+/// is read or generated; an `Err` is a usage error.
+fn replay(args: &mut Args) -> Result<ExitCode, String> {
+    let seed = seed_flag(args)?;
+    let frontend_name = args.flag_value("--frontend")?;
+    let frontends = FrontendRegistry::builtin();
+    if let Some(name) = frontend_name.iter().find(|name| !frontends.contains(name)) {
+        return Err(format!(
+            "unknown frontend `{name}` (registered: {})",
+            frontends.names().join(", ")
+        ));
     }
-    let trace = if frontend_name.is_some() {
-        None
-    } else {
-        match load_or_generate_trace(args) {
-            Ok(t) => Some(t),
-            Err(e) => return usage_error(&e),
-        }
+    // Streaming from a frontend takes no trace file.
+    let trace_file = match frontend_name {
+        Some(_) => None,
+        None => args.flag_value("--trace")?,
     };
-    let ratio = match args.flag_f64("--sgx-ratio") {
-        Ok(v) => v.unwrap_or(0.5),
-        Err(e) => return usage_error(&e),
-    };
+    let ratio = args.flag_f64("--sgx-ratio")?.unwrap_or(0.5);
     if !(0.0..=1.0).contains(&ratio) {
-        return usage_error("--sgx-ratio must lie in [0, 1]");
+        return Err("--sgx-ratio must lie in [0, 1]".to_string());
     }
-    let scheduler = match args.flag_value("--scheduler") {
-        Ok(name) => name.unwrap_or_else(|| SGX_BINPACK.to_string()),
-        Err(e) => return usage_error(&e),
-    };
+    let scheduler = args
+        .flag_value("--scheduler")?
+        .unwrap_or_else(|| SGX_BINPACK.to_string());
     let registry = PolicyRegistry::builtin();
     if !registry.contains(&scheduler) {
-        return usage_error(&format!(
+        return Err(format!(
             "unknown scheduler `{scheduler}` (registered: {})",
             registry.names().join(", ")
         ));
     }
 
     let mut config = ReplayConfig::paper(seed).with_scheduler(&scheduler);
-    match args.flag_u64("--epc-total") {
-        Ok(Some(mib)) => {
-            // `ByteSize::from_mib` multiplies unchecked: an unrepresentable
-            // size would wrap to an EPC-less cluster in a release build.
-            let Some(bytes) = mib.checked_mul(1 << 20).filter(|&b| b > 0) else {
-                return usage_error(&format!(
-                    "--epc-total must be a non-zero MiB count below 2^44, got `{mib}`"
-                ));
-            };
-            config = config.with_cluster(ClusterSpec::sim_cluster_with_total_epc(
-                ByteSize::from_bytes(bytes),
+    if let Some(mib) = args.flag_u64("--epc-total")? {
+        // `ByteSize::from_mib` multiplies unchecked: an unrepresentable
+        // size would wrap to an EPC-less cluster in a release build.
+        let Some(bytes) = mib.checked_mul(1 << 20).filter(|&b| b > 0) else {
+            return Err(format!(
+                "--epc-total must be a non-zero MiB count below 2^44, got `{mib}`"
             ));
-        }
-        Ok(None) => {}
-        Err(e) => return usage_error(&e),
+        };
+        config = config.with_cluster(ClusterSpec::sim_cluster_with_total_epc(
+            ByteSize::from_bytes(bytes),
+        ));
     }
     if args.has_flag("--no-limits") {
         config = config.without_limits();
     }
-    match args.flag_f64("--malicious") {
-        Ok(Some(fraction)) => {
-            if !(fraction > 0.0 && fraction <= 1.0) {
-                return usage_error("--malicious must lie in (0, 1]");
-            }
-            config = config.with_malicious(MaliciousConfig::squatting(fraction));
+    if let Some(fraction) = args.flag_f64("--malicious")? {
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return Err("--malicious must lie in (0, 1]".to_string());
         }
-        Ok(None) => {}
-        Err(e) => return usage_error(&e),
+        config = config.with_malicious(MaliciousConfig::squatting(fraction));
     }
-    match autoscale_flags(args) {
-        Ok(Some(autoscale)) => config = config.with_autoscale(autoscale),
-        Ok(None) => {}
-        Err(e) => return usage_error(&e),
+    if let Some(autoscale) = autoscale_flags(args)? {
+        config = config.with_autoscale(autoscale);
     }
 
-    // `--quick` was consumed with the trace on the materialised path.
     let quick = args.has_flag("--quick");
     let bill = args.has_flag("--bill");
-    if let Err(e) = args.finish() {
-        return usage_error(&e);
-    }
+    args.finish()?;
 
     let workload;
     let mut frontend: Box<dyn TraceFrontend + '_> = match &frontend_name {
@@ -308,7 +300,10 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
             frontend
         }
         None => {
-            let trace = trace.expect("materialised path always loads a trace");
+            let trace = match trace_file {
+                Some(path) => read_trace(&path)?,
+                None => trace_experiment(seed, quick).prepared_trace(),
+            };
             workload = Workload::materialize(&trace, &WorkloadParams::paper(ratio, seed));
             eprintln!(
                 "replaying {} jobs ({} SGX) under {scheduler}…",
@@ -373,9 +368,9 @@ fn cmd_replay(args: &mut Args) -> ExitCode {
             config.max_sim_time,
             result.runs().len() - terminal
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses the `--autoscale*` flags into an [`AutoscaleConfig`].

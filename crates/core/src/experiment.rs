@@ -1,5 +1,7 @@
 //! The high-level experiment builder used by examples and benchmarks.
 
+use std::cell::RefCell;
+
 use borg_trace::frontend::{MaterializedFrontend, TraceFrontend};
 use borg_trace::{
     FrontendParams, FrontendRegistry, GeneratorConfig, Trace, TracePipeline, Workload,
@@ -23,6 +25,17 @@ pub(crate) enum TracePreset {
     /// (4,142 at seed 42). §VI-F's 663 cannot be reconciled with
     /// Figs. 4/5/10; see the calibration-conflict note in EXPERIMENTS.md.
     PaperReplay,
+}
+
+thread_local! {
+    /// The last trace this thread prepared, under its key. Batches are
+    /// key-major (a figure's cells share one seed, the sweeps go seed by
+    /// seed), so one entry serves every cell of a `(preset, seed)`.
+    static LAST_PREPARED: RefCell<Option<((TracePreset, u64), Trace)>> =
+        const { RefCell::new(None) };
+    /// Traces this thread generated, for the memo tests.
+    #[cfg(test)]
+    static GENERATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// End-to-end experiment: generate → prepare → materialise → replay.
@@ -182,27 +195,14 @@ impl Experiment {
 
     /// The prepared (sliced/sampled/rebased) trace this experiment replays.
     pub fn prepared_trace(&self) -> Trace {
-        match self.preset {
-            TracePreset::Quick => GeneratorConfig::small(self.seed).generate(),
-            TracePreset::PaperReplay => {
-                let raw = GeneratorConfig::replay_scale(self.seed).generate_sampled(1200);
-                TracePipeline::paper().sample_every(1).prepare(&raw)
-            }
-        }
+        self.with_prepared_trace(Trace::clone)
     }
 
     /// The materialised workload (trace × SGX designation × multipliers).
     pub fn workload(&self) -> Workload {
-        self.workload_from(&self.prepared_trace())
-    }
-
-    /// [`workload`](Self::workload) from an already prepared trace, so
-    /// experiments that differ only past the trace — ratio, scheduler,
-    /// cluster — share one [`prepared_trace`](Self::prepared_trace).
-    /// `trace` must be the prepared trace of an experiment with this
-    /// one's preset and seed.
-    pub fn workload_from(&self, trace: &Trace) -> Workload {
-        Workload::materialize(trace, &WorkloadParams::paper(self.sgx_ratio, self.seed))
+        self.with_prepared_trace(|trace| {
+            Workload::materialize(trace, &WorkloadParams::paper(self.sgx_ratio, self.seed))
+        })
     }
 
     /// Everything [`prepared_trace`](Self::prepared_trace) depends on.
@@ -210,17 +210,27 @@ impl Experiment {
         (self.preset, self.seed)
     }
 
-    /// One prepared trace per distinct [`trace_key`](Self::trace_key)
-    /// among `experiments`, in first-seen order.
-    fn prepared_traces(experiments: &[Experiment]) -> Vec<((TracePreset, u64), Trace)> {
-        let mut traces: Vec<((TracePreset, u64), Trace)> = Vec::new();
-        for exp in experiments {
-            let key = exp.trace_key();
-            if traces.iter().all(|(k, _)| *k != key) {
-                traces.push((key, exp.prepared_trace()));
+    /// Calls `f` on this experiment's prepared trace, generating it only
+    /// when the thread's last prepared trace has another
+    /// [`trace_key`](Self::trace_key).
+    fn with_prepared_trace<R>(&self, f: impl FnOnce(&Trace) -> R) -> R {
+        LAST_PREPARED.with_borrow_mut(|last| match last {
+            Some((key, trace)) if *key == self.trace_key() => f(trace),
+            _ => {
+                // Free the old trace before generating the next one.
+                *last = None;
+                #[cfg(test)]
+                GENERATIONS.with(|generations| generations.set(generations.get() + 1));
+                let trace = match self.preset {
+                    TracePreset::Quick => GeneratorConfig::small(self.seed).generate(),
+                    TracePreset::PaperReplay => {
+                        let raw = GeneratorConfig::replay_scale(self.seed).generate_sampled(1200);
+                        TracePipeline::paper().sample_every(1).prepare(&raw)
+                    }
+                };
+                f(&last.insert((self.trace_key(), trace)).1)
             }
-        }
-        traces
+        })
     }
 
     /// The replay configuration this experiment uses.
@@ -272,8 +282,9 @@ impl Experiment {
 
     /// Runs a batch of experiments on the parallel sweep, returning results
     /// in input order. Bit-identical to calling [`run`](Self::run) on each
-    /// experiment sequentially, but the batch prepares each distinct
-    /// `(preset, seed)` trace once and materialises every cell from it.
+    /// experiment sequentially; every workload is materialised on the
+    /// calling thread, so a key-major batch generates each distinct
+    /// `(preset, seed)` trace once.
     pub fn run_all(experiments: &[Experiment]) -> Vec<ReplayResult> {
         Experiment::run_all_with_progress(experiments, |_| {})
     }
@@ -294,16 +305,9 @@ impl Experiment {
             experiments.iter().all(|e| e.frontend.is_none()),
             "run_all sweeps materialised workloads; run streaming-frontend experiments via run()"
         );
-        let traces = Experiment::prepared_traces(experiments);
         let jobs: Vec<sweep::SweepJob> = experiments
             .iter()
-            .map(|exp| {
-                let (_, trace) = traces
-                    .iter()
-                    .find(|(key, _)| *key == exp.trace_key())
-                    .expect("one trace per key in the batch");
-                (exp.workload_from(trace), exp.replay_config())
-            })
+            .map(|exp| (exp.workload(), exp.replay_config()))
             .collect();
         sweep::run_all_with(&jobs, sweep::default_threads(jobs.len()), progress)
     }
@@ -377,34 +381,73 @@ mod tests {
         }
     }
 
+    /// Runs `f` on a fresh thread, whose last prepared trace is none, and
+    /// returns the number of traces that thread generated.
+    fn generations(f: impl FnOnce() + Send + 'static) -> usize {
+        std::thread::spawn(move || {
+            f();
+            GENERATIONS.with(std::cell::Cell::get)
+        })
+        .join()
+        .expect("the cells run")
+    }
+
     #[test]
     fn a_batch_prepares_one_trace_per_preset_and_seed() {
-        let experiments = [
-            Experiment::quick(6).sgx_ratio(1.0),
-            Experiment::quick(7).epc_size(ByteSize::from_mib(64)),
-            Experiment::quick(6).scheduler(orchestrator::SGX_SPREAD),
-            Experiment::quick(7).sgx_ratio(0.0).limits(false),
-            Experiment::quick(6).malicious(0.25),
-        ];
-        let traces = Experiment::prepared_traces(&experiments);
-        let keys: Vec<_> = traces.iter().map(|(key, _)| *key).collect();
-        assert_eq!(keys, [(TracePreset::Quick, 6), (TracePreset::Quick, 7)]);
-        for ((_, seed), trace) in &traces {
-            assert_eq!(*trace, Experiment::quick(*seed).prepared_trace());
-        }
+        let batch = generations(|| {
+            let results = Experiment::run_all(&[
+                Experiment::quick(6).sgx_ratio(1.0),
+                Experiment::quick(6).scheduler(orchestrator::SGX_SPREAD),
+                Experiment::quick(6).malicious(0.25),
+                Experiment::quick(7).epc_size(ByteSize::from_mib(64)),
+                Experiment::quick(7).sgx_ratio(0.0).limits(false),
+            ]);
+            assert_eq!(results.len(), 5);
+        });
+        assert_eq!(batch, 2);
         // The preset is part of the key, not only the seed.
-        let mixed = [
-            Experiment::paper_replay(6),
-            Experiment::quick(6),
-            Experiment::paper_replay(6).sgx_ratio(1.0),
-        ];
-        let traces = Experiment::prepared_traces(&mixed);
-        let keys: Vec<_> = traces.iter().map(|(key, _)| *key).collect();
-        assert_eq!(
-            keys,
-            [(TracePreset::PaperReplay, 6), (TracePreset::Quick, 6)]
-        );
-        assert!(traces[0].1.len() > traces[1].1.len());
+        let mixed = generations(|| {
+            let paper = Experiment::paper_replay(6).prepared_trace();
+            assert!(paper.len() > Experiment::quick(6).prepared_trace().len());
+        });
+        assert_eq!(mixed, 2);
+    }
+
+    #[test]
+    fn paper_cells_differing_past_the_trace_generate_it_once() {
+        let cells = generations(|| {
+            let ratio = Experiment::paper_replay(11).sgx_ratio(1.0).workload();
+            let spread = Experiment::paper_replay(11)
+                .scheduler(orchestrator::SGX_SPREAD)
+                .workload();
+            let epc = Experiment::paper_replay(11)
+                .epc_total(ByteSize::from_mib(32))
+                .workload();
+            assert_eq!(ratio.len(), spread.len());
+            assert_eq!(spread, epc);
+        });
+        assert_eq!(cells, 1);
+    }
+
+    #[test]
+    fn an_interleaved_key_is_generated_again() {
+        let interleaved = generations(|| {
+            let a = Experiment::quick(6).prepared_trace();
+            let _ = Experiment::quick(7).workload();
+            assert_eq!(Experiment::quick(6).prepared_trace(), a);
+        });
+        assert_eq!(interleaved, 3);
+    }
+
+    #[test]
+    fn a_frontend_experiment_generates_no_trace() {
+        let streamed = generations(|| {
+            let result = Experiment::quick(12)
+                .frontend(borg_trace::frontend::ALIBABA_2017)
+                .run();
+            assert!(result.completed_count() > 0);
+        });
+        assert_eq!(streamed, 0);
     }
 
     #[test]

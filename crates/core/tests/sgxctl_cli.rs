@@ -152,3 +152,24 @@ fn a_zero_page_sgx_request_still_lands_on_an_sgx_node() {
     );
     assert!(!stdout.contains("48h"), "{stdout}");
 }
+
+/// `replay --seed N` replays seed N's trace. The seed used to reach the
+/// SGX designation and the replay configuration only: the trace was
+/// prepared for the default seed, 42, whatever `--seed` said.
+#[test]
+fn a_replay_replays_the_trace_of_its_seed() {
+    let stats = sgxctl(&["trace", "stats", "--quick", "--seed", "7"]);
+    let stdout = String::from_utf8_lossy(&stats.stdout);
+    let jobs = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("jobs:"))
+        .unwrap_or_else(|| panic!("no job count in {stdout}"))
+        .trim();
+    let replay = sgxctl(&["replay", "--quick", "--seed", "7"]);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains(&format!("replaying {jobs} jobs")),
+        "trace stats counts {jobs} jobs, but: {stderr}"
+    );
+}

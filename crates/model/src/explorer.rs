@@ -17,6 +17,10 @@ pub struct Bounds {
     /// Stop discovering once this many distinct states exist. The run
     /// is marked truncated when the cap fires.
     pub max_states: usize,
+    /// Stop as soon as this invariant has its first violation; that
+    /// counterexample is the one an unbounded search reports for it. The
+    /// run is marked truncated when it stops early.
+    pub stop_at: Option<&'static str>,
 }
 
 impl Bounds {
@@ -24,12 +28,25 @@ impl Bounds {
     pub fn exhaustive() -> Self {
         Bounds {
             max_states: usize::MAX,
+            stop_at: None,
         }
     }
 
     /// A smoke bound: explore at most `max_states` distinct states.
     pub fn smoke(max_states: usize) -> Self {
-        Bounds { max_states }
+        Bounds {
+            max_states,
+            stop_at: None,
+        }
+    }
+
+    /// No cap, but stop at the first violation of `invariant`: the
+    /// search that finds a known bug's shortest counterexample.
+    pub fn until_violated(invariant: &'static str) -> Self {
+        Bounds {
+            stop_at: Some(invariant),
+            ..Bounds::exhaustive()
+        }
     }
 }
 
@@ -40,7 +57,8 @@ pub struct Report {
     pub states: usize,
     /// Transitions explored (including ones into already-known states).
     pub transitions: usize,
-    /// Whether the state cap fired before the space was exhausted.
+    /// Whether the search stopped before the space was exhausted: the
+    /// state cap fired, or the invariant it stops at failed.
     pub truncated: bool,
     /// Longest action path from the initial state to any visited state.
     pub max_depth: usize,
@@ -69,7 +87,11 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
     // First violation per invariant; BTreeMap for deterministic order.
     let mut violations: BTreeMap<&'static str, Violation> = BTreeMap::new();
     let mut transitions = 0;
-    let mut truncated = false;
+    let stop = |violations: &BTreeMap<&'static str, Violation>| {
+        bounds
+            .stop_at
+            .is_some_and(|name| violations.contains_key(name))
+    };
 
     let initial = model.initial();
     index.insert(initial.clone(), 0);
@@ -87,7 +109,11 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
         });
     }
 
-    'search: while let Some(current) = frontier.pop_front() {
+    let mut truncated = stop(&violations);
+    'search: while !truncated {
+        let Some(current) = frontier.pop_front() else {
+            break;
+        };
         let state = arena[current].clone();
         for action in model.enabled_actions(&state) {
             let (next, effects) = model.step(&state, action);
@@ -101,6 +127,10 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
                     continuation,
                     alternative,
                 });
+            }
+            if stop(&violations) {
+                truncated = true;
+                break 'search;
             }
             if index.contains_key(&next) {
                 continue;
@@ -120,7 +150,7 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
             }
             arena.push(next);
             frontier.push_back(id);
-            if arena.len() >= bounds.max_states {
+            if arena.len() >= bounds.max_states || stop(&violations) {
                 truncated = true;
                 break 'search;
             }

@@ -149,7 +149,10 @@ fn smoke_bound_truncates_within_budget() {
 #[test]
 fn stale_recovery_bug_found_and_refuted_on_implementation() {
     let config = ModelConfig::small().with_semantics(Semantics::bug_stale_recovery());
-    let report = explore(&Model::new(config.clone()), &Bounds::exhaustive());
+    let report = explore(
+        &Model::new(config.clone()),
+        &Bounds::until_violated("reorder-insensitive"),
+    );
     let violation = report
         .violation("reorder-insensitive")
         .expect("the stale-recovery semantics must break reorder insensitivity");
@@ -183,7 +186,10 @@ fn stale_recovery_bug_found_and_refuted_on_implementation() {
 #[test]
 fn cordon_blind_imbalance_bug_found_and_refuted_on_implementation() {
     let config = ModelConfig::small().with_semantics(Semantics::bug_cordon_blind_imbalance());
-    let report = explore(&Model::new(config.clone()), &Bounds::exhaustive());
+    let report = explore(
+        &Model::new(config.clone()),
+        &Bounds::until_violated("migration-terminal"),
+    );
     let violation = report
         .violation("migration-terminal")
         .expect("the cordon-blind metric must arm an impotent rebalance");
@@ -217,7 +223,10 @@ fn cordon_blind_imbalance_bug_found_and_refuted_on_implementation() {
 #[test]
 fn per_pod_drain_capture_bug_found_and_refuted_on_implementation() {
     let config = ModelConfig::small().with_semantics(Semantics::bug_per_pod_drain_capture());
-    let report = explore(&Model::new(config.clone()), &Bounds::exhaustive());
+    let report = explore(
+        &Model::new(config.clone()),
+        &Bounds::until_violated("drain-capture-bound"),
+    );
     let violation = report
         .violation("drain-capture-bound")
         .expect("per-pod capture must blow the one-snapshot drain bound");
