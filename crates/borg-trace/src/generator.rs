@@ -24,17 +24,20 @@
 //! full rate — ≈1 950 candidates per job the §VI-B pipeline keeps — so
 //! the accept/reject test is squeezed between bounds that rarely need the
 //! profile evaluated ([`TraceStream`]; "Arrival process: exact squeeze
-//! thinning" in `DESIGN.md`).
+//! thinning" in `DESIGN.md`), and each step is decoded with an inline
+//! `ln` whose sum the fold proves equal to the libm step's ("The step
+//! squeeze").
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::LazyLock;
 use std::thread::Scope;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt};
 
-use des::rng::{derive_seed, sample_exponential, sample_log_normal, seeded_rng};
+use des::rng::{derive_seed, sample_log_normal, seeded_rng};
 use des::{SimDuration, SimTime};
 
 use crate::job::{JobId, Trace, TraceJob};
@@ -456,6 +459,11 @@ impl GeneratorConfig {
         assert!(keep_every > 0, "keep_every must be at least 1");
         self.profile.assert_well_formed();
         let base_rate = self.base_rate();
+        let lambda_max = base_rate * self.profile.max_multiplier();
+        assert!(
+            lambda_max.is_finite() && lambda_max > 0.0,
+            "the candidate rate must be positive and finite, got {lambda_max}"
+        );
         TraceStream {
             config: *self,
             // Independent streams: skipping a job's attributes must not
@@ -464,7 +472,8 @@ impl GeneratorConfig {
             attrs_rng: seeded_rng(derive_seed(self.seed, "attributes")),
             base_rate,
             decoder: Decoder {
-                lambda_max: base_rate * self.profile.max_multiplier(),
+                lambda_max,
+                neg_inv_rate: -1.0 / lambda_max,
                 max_multiplier: self.profile.max_multiplier(),
             },
             keep_every,
@@ -473,6 +482,8 @@ impl GeneratorConfig {
             countdown: keep_every,
             squeeze: Squeeze::new(&self.profile),
             block: Block::default(),
+            #[cfg(test)]
+            exact_fold: None,
         }
     }
 
@@ -562,6 +573,9 @@ pub struct TraceStream {
     countdown: usize,
     squeeze: Squeeze,
     block: Block,
+    /// The reference fold, checked at every candidate when set.
+    #[cfg(test)]
+    exact_fold: Option<ExactFold>,
 }
 
 impl TraceStream {
@@ -574,15 +588,18 @@ impl TraceStream {
     /// horizon. `refill` replaces a used-up block with the next one and
     /// moves the `arrivals` stream past it.
     ///
-    /// Only rare candidates branch: the horizon, an expired bracket, a
-    /// threshold inside the bracket (each of these pays for the squeeze's
-    /// evaluation) and a kept job. Everything else is decided by one
-    /// comparison and counted by a 0/1 add.
+    /// Only rare candidates branch: a step the rounding test cannot prove
+    /// (it is computed exactly instead), the horizon, an expired bracket,
+    /// a threshold inside the bracket (each of these pays for the
+    /// squeeze's evaluation) and a kept job. Everything else is decided by
+    /// one comparison and counted by a 0/1 add.
     fn next_with(
         &mut self,
-        mut refill: impl FnMut(&mut StdRng, &mut Vec<[f64; 2]>),
+        mut refill: impl FnMut(&mut StdRng, &mut Vec<Candidate>),
     ) -> Option<TraceJob> {
         let horizon = self.config.horizon.as_secs_f64();
+        let lambda_max = self.decoder.lambda_max;
+        let slack = self.decoder.absolute_slack();
         let mut t = self.t;
         let mut index = self.arrival_index;
         let mut countdown = self.countdown;
@@ -593,11 +610,28 @@ impl TraceStream {
             }
             let (mut lo, mut hi) = (self.squeeze.lo, self.squeeze.hi);
             let mut limit = self.squeeze.until.min(horizon);
+            let half_ulp = self.decoder.half_ulp_floor(t);
             let start = self.block.next;
             let mut folded = self.block.candidates.len() - start;
             let mut stop = None;
-            for (offset, &[step, threshold]) in self.block.candidates[start..].iter().enumerate() {
-                t += step;
+            for (offset, &[step, threshold, u]) in self.block.candidates[start..].iter().enumerate()
+            {
+                // The decoded step is within `step·STEP_RELATIVE + slack`
+                // of `-u.ln() / λmax` ("The step squeeze" in DESIGN.md).
+                let bound = step * STEP_RELATIVE + slack;
+                t = if let Some(sum) = proven_sum(t, step, bound, half_ulp) {
+                    sum
+                } else {
+                    #[cfg(test)]
+                    {
+                        self.squeeze.work.exact_steps += 1;
+                    }
+                    exact_step(t, u, lambda_max)
+                };
+                #[cfg(test)]
+                if let Some(exact) = &mut self.exact_fold {
+                    exact.check(t);
+                }
                 // `|` and `&`, not `||` and `&&`: one rarely taken branch
                 // instead of one on the side of the bracket a threshold
                 // fell, which is a coin toss at a 61 % acceptance rate.
@@ -660,18 +694,25 @@ impl Iterator for TraceStream {
     }
 }
 
-/// Candidates decoded at a time: 64 KiB of `[step, threshold]` pairs.
+/// A decoded candidate, `[step, threshold, u]`: the step to it from
+/// [`ln_approx`], its threshold `u'·max_multiplier()`, and the draw
+/// `u = 1 - random()` the fold computes the exact step from when the
+/// rounding test cannot prove the decoded one.
+type Candidate = [f64; 3];
+
+/// Candidates decoded at a time: 96 KiB of them.
 const BLOCK: usize = 4096;
 
 /// Once a helper runs, it is offered block `k` unless `k` is a multiple
 /// of `PERIOD`: two blocks in three. The folding thread also folds every
-/// block (≈3 ns a candidate, against ≈9.5 ns to decode one) and the
-/// helper steps past the blocks it leaves (≈2 ns), so two in three keeps
-/// both threads busy where an even split would leave the helper idle.
+/// block (≈7 ns a candidate, against ≈13 ns to decode one, timed in one
+/// spell) and the helper steps past the blocks it leaves (≈2.3 ns); two
+/// in three beat one in two and three in four when alternated ("The
+/// split is a constant" in `DESIGN.md`).
 const PERIOD: usize = 3;
 
 /// Blocks in circulation while a helper runs, the one being folded
-/// included: 256 KiB of draws in flight at most.
+/// included: 384 KiB of draws in flight at most.
 const POOL: usize = 4;
 
 /// Whether the machine offers a second core to decode on.
@@ -679,21 +720,41 @@ fn more_than_one_core() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
 
-/// Turns `arrivals` draws into thinning candidates: the step to the next
-/// candidate, `-ln(1-u)/λmax`, then its threshold `u'·max_multiplier()`.
+/// Bound on `|decoded step − exact step|` in the fold's rounding test,
+/// `step·STEP_RELATIVE + LN_ABSOLUTE/λmax`. Against `ln u`:
+/// [`ln_approx`] is within `2^-52·|ln u| + 2^-52` (see there) and libm's
+/// `ln` within 1 ulp, `2^-52·|ln u|`, so the two `ln`s differ by at most
+/// `2^-51·|ln u| + 2^-52`. The exact step's divide, the decoded step's
+/// multiply and the rounding of `-1/λmax` add `3·2^-53` relative, which
+/// makes `|decoded − exact| ≤ 2^-49·step + 2^-51/λmax` (`step` stands
+/// for `|ln u|/λmax` within `2^-50` relative). The constants are 2^9 and
+/// 2^7 times that, so the roundings of the test's own sum (`2^-52`
+/// relative) cannot eat the margin either.
+const STEP_RELATIVE: f64 = 1.0 / (1u64 << 40) as f64;
+/// See [`STEP_RELATIVE`].
+const LN_ABSOLUTE: f64 = 1.0 / (1u64 << 44) as f64;
+
+/// Turns `arrivals` draws into thinning candidates: the draws of
+/// `des::rng::sample_exponential` (`u = 1 - random()`, exact step
+/// `-u.ln()/λmax`), then the threshold's. The step is decoded with no
+/// call and no divide, `ln_approx(u)·(-1/λmax)`.
 #[derive(Debug, Clone, Copy)]
 struct Decoder {
     lambda_max: f64,
+    /// `-1/λmax`.
+    neg_inv_rate: f64,
     max_multiplier: f64,
 }
 
 impl Decoder {
     /// Replaces `block` with the next [`BLOCK`] candidates of `rng`.
-    fn fill(self, rng: &mut StdRng, block: &mut Vec<[f64; 2]>) {
+    fn fill(self, rng: &mut StdRng, block: &mut Vec<Candidate>) {
+        let table = ln_table();
         block.clear();
         block.extend((0..BLOCK).map(|_| {
-            let step = sample_exponential(rng, self.lambda_max);
-            [step, rng.random::<f64>() * self.max_multiplier]
+            let u = 1.0 - rng.random::<f64>();
+            let step = ln_approx(u, table) * self.neg_inv_rate;
+            [step, rng.random::<f64>() * self.max_multiplier, u]
         }));
     }
 
@@ -703,13 +764,107 @@ impl Decoder {
             rng.next_u64();
         }
     }
+
+    /// The part of the step bound that does not scale with the step.
+    fn absolute_slack(self) -> f64 {
+        LN_ABSOLUTE / self.lambda_max
+    }
+
+    /// Half an ulp of the binade `t` lies in: `t` only grows, so no
+    /// later sum has a smaller gap on the side `t + step` can fall (a
+    /// sum at the binade's own power of two is at most `t`, and its
+    /// narrower gap lies below it). Or 0 — every step exact — below 1 s
+    /// and below the longest step a draw can make (`u ≥ 2^-53`: under
+    /// `37/λmax`), so that `t ≥ step` as Fast2Sum requires.
+    fn half_ulp_floor(self, t: f64) -> f64 {
+        if t >= (64.0 / self.lambda_max).max(1.0) {
+            f64::from_bits(t.to_bits() & EXPONENT) * (f64::EPSILON / 2.0)
+        } else {
+            0.0
+        }
+    }
+}
+
+/// `t + step`, when every step within `bound` of `step` is proved to
+/// round `t` to that same value; `None` when one may not. Fast2Sum
+/// (`|t| ≥ |step|`, which [`Decoder::half_ulp_floor`] guards) makes the
+/// residual exact, `t + step = sum + residual`, so a step `s` within
+/// `bound` puts `t + s` within `|residual| + bound` of `sum`; strictly
+/// under `half_ulp`, half the gap to `sum`'s neighbour on that side,
+/// it rounds to `sum`, and no tie is possible. The test's own
+/// roundings only err towards `None` (rounding is monotone and
+/// `half_ulp` is a float).
+#[inline(always)]
+fn proven_sum(t: f64, step: f64, bound: f64, half_ulp: f64) -> Option<f64> {
+    let sum = t + step;
+    let residual = step - (sum - t);
+    (residual.abs() + bound < half_ulp).then_some(sum)
+}
+
+/// `t` plus the step of draw `u` as `des::rng::sample_exponential`
+/// computes it. Out of line and cold, so that the fold keeps `t` in a
+/// register rather than spilling it around a call it rarely makes.
+#[cold]
+#[inline(never)]
+fn exact_step(t: f64, u: f64, lambda_max: f64) -> f64 {
+    t + (-u.ln() / lambda_max)
+}
+
+/// Buckets of [`ln_approx`]'s table, one per value of the top 7 mantissa
+/// bits.
+const LN_BUCKETS: usize = 128;
+const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+const MANTISSA: u64 = 0x000F_FFFF_FFFF_FFFF;
+const BUCKET: u64 = 0x000F_E000_0000_0000;
+/// Half a bucket: `BUCKET`'s bits plus this one are the bucket's centre.
+const HALF_BUCKET: u64 = 0x0000_1000_0000_0000;
+/// `ln 2` split as fdlibm does: `LN_2_HI` has 32 significant bits, so
+/// `k·LN_2_HI` is exact for every binary exponent `k`.
+const LN_2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+const LN_2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+
+/// `[1/c, ln c]` at the centre `c` of each bucket of `[1, 2)`.
+type LnTable = [[f64; 2]; LN_BUCKETS];
+
+fn ln_table() -> &'static LnTable {
+    static TABLE: LazyLock<LnTable> = LazyLock::new(|| {
+        std::array::from_fn(|i| {
+            let c = 1.0 + (i as f64 + 0.5) / LN_BUCKETS as f64;
+            [1.0 / c, c.ln()]
+        })
+    });
+    &TABLE
+}
+
+/// `ln u` for a normal `u` in `(0, 1]`, with no call: `u = 2^k·m` with
+/// `m` in `[1, 2)`, `c` the centre of `m`'s bucket and `r = (m − c)/c`,
+/// so `ln u = k·ln 2 + ln c + log1p(r)` with `|r| < 2^-8`.
+///
+/// Error: `m − c` is exact (both on the `2^-52` grid, under `2^-8`
+/// apart), so `r` carries the two roundings of `1/c` and the product,
+/// under `2^-60`; the degree-6 Taylor series of `log1p` leaves
+/// `|r|^7/7 < 2^-58`; libm's `ln c` is within 1 ulp, `2^-53`;
+/// `k·LN_2_HI` is exact and `k·LN_2_LO` off by `2^-80`; the two final
+/// additions round to within `2^-53` of `|hi| < |ln u| + 2^-8` and of
+/// `|ln u|`. In all, under `2^-52·|ln u| + 2^-52`.
+#[inline]
+fn ln_approx(u: f64, table: &LnTable) -> f64 {
+    let bits = u.to_bits();
+    let k = ((bits >> 52) as i64 - 1023) as f64;
+    let one = 1.0f64.to_bits();
+    let m = f64::from_bits((bits & MANTISSA) | one);
+    let c = f64::from_bits((bits & BUCKET) | HALF_BUCKET | one);
+    let [inv_c, ln_c] = table[(bits >> 45) as usize & (LN_BUCKETS - 1)];
+    let r = (m - c) * inv_c;
+    let log1p = r + r * r * (-0.5 + r * (1.0 / 3.0 + r * (-0.25 + r * (0.2 + r * (-1.0 / 6.0)))));
+    (k * LN_2_HI + ln_c) + (k * LN_2_LO + log1p)
 }
 
 /// Decoded candidates and the next one to fold. Its `Debug` names the
 /// position only.
 #[derive(Clone, Default)]
 struct Block {
-    candidates: Vec<[f64; 2]>,
+    candidates: Vec<Candidate>,
     next: usize,
 }
 
@@ -730,7 +885,7 @@ thread_local! {
 
 /// A decoded block: its index, its candidates, and the `arrivals` stream
 /// positioned after it.
-type Decoded = (usize, Vec<[f64; 2]>, StdRng);
+type Decoded = (usize, Vec<Candidate>, StdRng);
 
 /// The folding thread's end of a helper that decodes the blocks `k ≥ 1`
 /// with `k % PERIOD != 0` from its own copy of the `arrivals` stream,
@@ -740,7 +895,7 @@ type Decoded = (usize, Vec<[f64; 2]>, StdRng);
 /// is decoded where it is needed, and the helper told to step past it.
 struct Helper<'scope> {
     decoded: Receiver<Decoded>,
-    spent: Sender<Vec<[f64; 2]>>,
+    spent: Sender<Vec<Candidate>>,
     /// Blocks below this one are the folding thread's, whoever they were
     /// offered to.
     wanted: &'scope AtomicUsize,
@@ -758,7 +913,7 @@ impl<'scope> Helper<'scope> {
         #[cfg(test)]
         HELPERS_STARTED.with(|started| started.set(started.get() + 1));
         let (decoded, decoded_rx) = mpsc::channel::<Decoded>();
-        let (spent_tx, spent) = mpsc::channel::<Vec<[f64; 2]>>();
+        let (spent_tx, spent) = mpsc::channel::<Vec<Candidate>>();
         // The folding thread holds the pool's last block. Allocated here,
         // the pool goes back to this thread's heap when generation ends,
         // for the replay to reuse.
@@ -788,7 +943,7 @@ impl<'scope> Helper<'scope> {
     }
 
     /// Puts block `index` (≥ 1) in `block` and moves `rng` past it.
-    fn refill(&self, index: usize, decoder: Decoder, rng: &mut StdRng, block: &mut Vec<[f64; 2]>) {
+    fn refill(&self, index: usize, decoder: Decoder, rng: &mut StdRng, block: &mut Vec<Candidate>) {
         if !index.is_multiple_of(PERIOD) {
             // Blocks arrive in order; one below `index` is the helper's
             // copy of a block decoded here while it was still at it.
@@ -809,7 +964,7 @@ impl<'scope> Helper<'scope> {
     }
 
     /// Hands a block back for the helper to decode into.
-    fn recycle(&self, block: Vec<[f64; 2]>) {
+    fn recycle(&self, block: Vec<Candidate>) {
         // The helper stops on its own only by panicking, which the scope
         // reports.
         let _ = self.spent.send(block);
@@ -841,12 +996,42 @@ struct Squeeze {
     work: SqueezeWork,
 }
 
-/// Candidates decided and exact evaluations paid, for the work gate.
+/// Candidates decided, exact evaluations paid and steps the rounding
+/// test left to `ln`, for the work gates.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
 struct SqueezeWork {
     candidates: u64,
     evaluations: u64,
+    exact_steps: u64,
+}
+
+/// The fold as it was before the step squeeze, `t += sample_exponential`
+/// on its own copy of the `arrivals` stream: the reference every
+/// candidate's `t` is held to, bit for bit.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+struct ExactFold {
+    rng: StdRng,
+    lambda_max: f64,
+    t: f64,
+    candidates: u64,
+}
+
+#[cfg(test)]
+impl ExactFold {
+    fn check(&mut self, t: f64) {
+        self.t += des::rng::sample_exponential(&mut self.rng, self.lambda_max);
+        let _: f64 = self.rng.random();
+        self.candidates += 1;
+        assert_eq!(
+            t.to_bits(),
+            self.t.to_bits(),
+            "candidate {}: {t} folded, {} exactly",
+            self.candidates,
+            self.t
+        );
+    }
 }
 
 impl Squeeze {
@@ -1296,8 +1481,187 @@ mod tests {
         assert_eq!(stream.by_ref().count(), 11_918);
         let work = stream.squeeze.work;
         assert!(work.candidates > 20_000_000, "{work:?}");
-        // Under 0.5 % of candidates pay for a profile evaluation.
+        // Under 0.5 % of candidates pay for a profile evaluation, and
+        // under 1 % for their step's `ln`.
         assert!(work.evaluations * 200 < work.candidates, "{work:?}");
+        assert!(work.exact_steps * 100 < work.candidates, "{work:?}");
+    }
+
+    /// `config`'s stream with every candidate's `t` held to the exact fold.
+    fn checked_stream(config: &GeneratorConfig, keep_every: usize) -> TraceStream {
+        let mut stream = config.stream_sampled(keep_every);
+        stream.exact_fold = Some(ExactFold {
+            rng: seeded_rng(derive_seed(config.seed, "arrivals")),
+            lambda_max: stream.decoder.lambda_max,
+            t: 0.0,
+            candidates: 0,
+        });
+        stream
+    }
+
+    /// Runs `stream` to its end, its decoded steps skewed to the edge of
+    /// the fold's bound if `skew`; returns the candidates checked and the
+    /// steps left to `ln`.
+    fn fold_checked(mut stream: TraceStream, skew: bool) -> (u64, u64) {
+        let decoder = stream.decoder;
+        let mut sides = seeded_rng(derive_seed(stream.config.seed, "skew"));
+        while stream
+            .next_with(|rng, block| {
+                decoder.fill(rng, block);
+                if skew {
+                    skew_to_the_bound(decoder, &mut sides, block);
+                }
+            })
+            .is_some()
+        {}
+        let checked = stream
+            .exact_fold
+            .as_ref()
+            .map_or(0, |exact| exact.candidates);
+        assert_eq!(
+            checked,
+            stream.squeeze.work.candidates + 1,
+            "the one past the horizon"
+        );
+        (checked, stream.squeeze.work.exact_steps)
+    }
+
+    /// Moves every decoded step to `exact ± bound` or `exact ± bound/2`,
+    /// just inside the bound the fold allows it: a decoder as wrong as
+    /// the proof admits, for which the fold must still land on the exact
+    /// fold's bits.
+    fn skew_to_the_bound(decoder: Decoder, sides: &mut StdRng, block: &mut [Candidate]) {
+        let slack = decoder.absolute_slack();
+        // A 2^-8 share of the bound, 2^-48 of the step, is room for the
+        // rounding of the sum below (2^-53 of the step).
+        let inside = 1.0 - 1.0 / 256.0;
+        for candidate in block {
+            let [step, _, u] = *candidate;
+            let exact = -u.ln() / decoder.lambda_max;
+            let side = [-1.0, -0.5, 0.5, 1.0][sides.random_range(0..4u64) as usize];
+            candidate[0] = exact + side * (step * STEP_RELATIVE + slack) * inside;
+        }
+    }
+
+    #[test]
+    fn every_candidate_steps_like_the_exact_fold() {
+        // 138 k candidates up to 60 s, through the binades where the test
+        // often cannot prove a step, as decoded and skewed to the bound;
+        // `small` steps ≈3 s, so its bound almost never fits in half an
+        // ulp.
+        let short = GeneratorConfig::replay_scale(42).with_horizon(SimDuration::from_secs(60));
+        for skew in [false, true] {
+            let (candidates, exact) = fold_checked(checked_stream(&short, 1), skew);
+            assert!(candidates > 100_000, "{candidates}");
+            assert!(exact < candidates / 2, "{exact} of {candidates}");
+        }
+        for seed in [3, 7] {
+            let (candidates, exact) =
+                fold_checked(checked_stream(&GeneratorConfig::small(seed), 7), false);
+            assert!(candidates > 500, "{candidates}");
+            assert!(exact * 100 > candidates * 99, "{exact} of {candidates}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "93 M candidates: run in release")]
+    fn every_candidate_of_three_paper_traces_steps_like_the_exact_fold() {
+        for (seed, skew) in [(42, false), (7, false), (2018, false), (42, true)] {
+            let config = GeneratorConfig::replay_scale(seed);
+            let (candidates, exact) = fold_checked(checked_stream(&config, 1200), skew);
+            assert!(candidates > 20_000_000, "{candidates}");
+            assert!(exact * 100 < candidates, "{exact} of {candidates}");
+            eprintln!("replay_scale({seed}), skewed {skew}: {exact} of {candidates} steps exact");
+        }
+    }
+
+    #[test]
+    fn a_proven_sum_rounds_like_every_step_within_its_bound() {
+        // A tie: `t` odd, `|residual| + bound` exactly half an ulp, and a
+        // step at the bound's edge puts `t + s` on the midpoint, which
+        // rounds to the even neighbour, not to `t + step`.
+        let half_ulp = 2f64.powi(-43);
+        let t = 1024.0 + 2.0 * half_ulp;
+        let (step, bound) = (half_ulp / 2.0, half_ulp / 2.0);
+        assert_ne!(t + (step + bound), t + step);
+        assert_eq!(proven_sum(t, step, bound, half_ulp), None);
+
+        // `t` grown from the `t0` the half ulp was taken at, across binade
+        // edges and from `t0` a power of two; steps at and inside the
+        // bound's edges.
+        let decoder = GeneratorConfig::replay_scale(0).stream_sampled(1).decoder;
+        let mut rng = seeded_rng(derive_seed(0x2F, "proven-sum"));
+        let mut proven = 0;
+        for _ in 0..400_000 {
+            let binade = 2f64.powi(rng.random_range(0..14u64) as i32);
+            let (t0, t) = if rng.random_bool(0.2) {
+                (binade, binade)
+            } else {
+                let t0 = binade * rng.random_range(1.0..2.0);
+                (t0, t0 + rng.random_range(0.0..t0))
+            };
+            let half_ulp = decoder.half_ulp_floor(t0);
+            let step = rng.random_range(0.0..1e-3);
+            let bound = half_ulp * rng.random_range(0.0..1.0);
+            let Some(sum) = proven_sum(t, step, bound, half_ulp) else {
+                continue;
+            };
+            proven += 1;
+            for side in [-1.0, -0.5, 0.5, 1.0] {
+                let s = step + side * bound;
+                if (s - step).abs() <= bound {
+                    assert_eq!(
+                        (t + s).to_bits(),
+                        sum.to_bits(),
+                        "{t} + {s} ({step} ± {bound})"
+                    );
+                }
+            }
+        }
+        assert!(proven > 100_000, "{proven}");
+    }
+
+    /// Worst `|ln_approx(u) − u.ln()|` over `us`, as a share of the bound
+    /// the fold allows for it, and the worst absolute error.
+    fn worst_ln_error(us: impl IntoIterator<Item = f64>) -> (f64, f64) {
+        let table = ln_table();
+        us.into_iter().fold((0.0f64, 0.0f64), |(share, abs), u| {
+            assert!(u > 0.0 && u <= 1.0, "{u}");
+            let approx = ln_approx(u, table);
+            let error = (approx - u.ln()).abs();
+            let bound = approx.abs() * STEP_RELATIVE + LN_ABSOLUTE;
+            (share.max(error / bound), abs.max(error))
+        })
+    }
+
+    #[test]
+    fn ln_approx_stays_within_a_sixteenth_of_the_fold_bound() {
+        assert_eq!(LN_2_HI + LN_2_LO, std::f64::consts::LN_2);
+        let mut rng = seeded_rng(derive_seed(0x1A, "ln-approx"));
+        let draws = worst_ln_error((0..10_000_000).map(|_| 1.0 - rng.random::<f64>()));
+        // Every bucket edge of the binades next to 1, in the middle and at
+        // the smallest draw, ± 2,000 ulps.
+        let edges = [-1i32, -2, -27, -53].into_iter().flat_map(|k| {
+            (0..LN_BUCKETS as u64).flat_map(move |bucket| {
+                let edge = (1.0 + bucket as f64 / LN_BUCKETS as f64) * 2f64.powi(k);
+                (-2_000i64..=2_000)
+                    .map(move |ulps| f64::from_bits(edge.to_bits().wrapping_add_signed(ulps)))
+                    .filter(|&u| u <= 1.0)
+            })
+        });
+        let edges = worst_ln_error(edges);
+        // The extremes of `1 - random()`, and the draws next to them.
+        let step = f64::EPSILON / 2.0;
+        let extremes = worst_ln_error(
+            (0..2_000u32).flat_map(|k| [1.0 - f64::from(k) * step, f64::from(k + 1) * step]),
+        );
+        for (name, (share, abs)) in [("draws", draws), ("edges", edges), ("extremes", extremes)] {
+            eprintln!("{name}: worst error {abs:.3e}, {share:.3e} of the bound");
+            assert!(
+                share <= 1.0 / 16.0,
+                "{name}: {share} of the bound ({abs:e})"
+            );
+        }
     }
 
     #[test]
