@@ -5,23 +5,18 @@
 //! capture and submission stay outside the clock, only the
 //! `capture_snapshot` / `scheduler_pass` calls themselves are timed:
 //!
-//! * `capture` — snapshot captures/sec with ~8 nodes receiving probe
-//!   frames between captures: the public query-engine evaluator
-//!   (`ClusterSnapshot::capture` over the orchestrator's store, plus the
-//!   staleness stamp) vs `Orchestrator::capture_snapshot` (reported as
+//! * `capture` — `Orchestrator::capture_snapshot` captures/sec with ~8
+//!   nodes receiving probe frames between captures (reported as
 //!   `incremental_captures_per_sec`, the key kept from when it advanced
-//!   the previous snapshot), each in its own loop over the same frames
-//!   (a 12,500-node query-engine capture between two of the other
-//!   evicts what the next one reads and halves its rate).
-//!   `capture_snapshot` is one walk over every worker that reads the
-//!   measured usage of the nodes the store's window lists off that
-//!   window, so it costs O(workers) plus the *active* nodes' in-window
-//!   samples, and no fold over retained series; the 12,500-node cell is
-//!   the only one where the few field reads a worker show. The frames
-//!   carry pod turnover — half of each node's pods finish and are
-//!   replaced every pass, their series staying inside the 15-minute
-//!   retention — because that is what a replay's store looks like:
-//!   without it a per-node fold over the node's series reads ≈20×
+//!   the previous snapshot). A capture is one walk over every worker
+//!   that reads the measured usage of the nodes the store's window lists
+//!   off that window, so it costs O(workers) plus the *active* nodes'
+//!   in-window samples, and no fold over retained series; the
+//!   12,500-node cell is the only one where the few field reads a worker
+//!   show. The frames carry pod turnover — half of each node's pods
+//!   finish and are replaced every pass, their series staying inside the
+//!   15-minute retention — because that is what a replay's store looks
+//!   like: without it a per-node fold over the node's series reads ≈20×
 //!   cheaper here than end to end.
 //! * `bind` — pods bound/sec for one scheduler pass over 64 small SGX
 //!   pods that all fit, under `sgx-binpack` (first fit: the tier index
@@ -43,13 +38,16 @@
 //! cargo run --release -p bench --bin bench_sched > BENCH_sched.json
 //! ```
 //!
-//! `--smoke` runs a reduced sweep (5/100/1,000 nodes, 1 rep) and asserts the
-//! invariants CI cares about: `capture_snapshot` equals the query-engine
-//! capture bit for bit after pod turnover and reordered frames, the
-//! backlog pass binds exactly the pods that fit and leaves the rest
-//! queued, both bind passes bind every pod, a first-fit bind visits at
-//! most [`MAX_SLOTS_PER_FIRST_FIT`] slots and a spread bind no more than
-//! the cluster has, and every rate is positive.
+//! `--smoke` runs a reduced sweep (5/100/1,000 nodes, 1 rep) and asserts
+//! the invariants CI cares about: `capture_snapshot` equals the
+//! query-engine capture (`ClusterSnapshot::capture` over the
+//! orchestrator's store, plus the staleness stamp) bit for bit after pod
+//! turnover and reordered frames, the backlog pass binds exactly the pods
+//! that fit and leaves the rest queued, both bind passes bind every pod,
+//! a first-fit bind visits at most [`MAX_SLOTS_PER_FIRST_FIT`] slots and
+//! a spread bind no more than the cluster has, and every rate is
+//! positive. The query-engine capture is not timed: a replay only takes
+//! it for a step back in time or a retention shorter than the window.
 
 use std::time::Instant;
 
@@ -135,14 +133,9 @@ fn frame_for(node: usize, pass: usize, now: SimTime) -> PointBatch {
     batch
 }
 
-/// Captures/sec through `capture` with `ACTIVE_NODES` nodes ingesting
+/// `capture_snapshot` captures/sec with `ACTIVE_NODES` nodes ingesting
 /// one frame between consecutive captures.
-fn run_captures(
-    nodes: usize,
-    passes: usize,
-    reps: usize,
-    capture: impl Fn(&Orchestrator, SimTime) -> ClusterSnapshot,
-) -> f64 {
+fn run_captures(nodes: usize, passes: usize, reps: usize) -> f64 {
     let mut best = f64::MIN;
     for _ in 0..reps {
         let mut orch = build_orchestrator(nodes, SGX_BINPACK);
@@ -157,7 +150,7 @@ fn run_captures(
                 orch.ingest_frame(&name, &frame_for(node, pass, now), now);
             }
             let start = Instant::now();
-            let snapshot = capture(&orch, now);
+            let snapshot = orch.capture_snapshot(now);
             timed += start.elapsed();
             assert_eq!(snapshot.len(), nodes);
         }
@@ -296,8 +289,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut rows = Vec::new();
     for &nodes in sizes {
-        let full_captures = run_captures(nodes, passes, reps, full_capture);
-        let walk_captures = run_captures(nodes, passes, reps, Orchestrator::capture_snapshot);
+        let captures = run_captures(nodes, passes, reps);
         let bind = run_bind(nodes, reps, SGX_BINPACK);
         let bind_spread = run_bind(nodes, reps, SGX_SPREAD);
         let slots = slots_per_bind(nodes, SGX_BINPACK);
@@ -305,7 +297,7 @@ fn main() {
         let backlog = run_backlog(nodes, reps);
         if smoke {
             assert_snapshot_equivalence(nodes);
-            assert!(full_captures > 0.0 && walk_captures > 0.0 && backlog > 0.0);
+            assert!(captures > 0.0 && backlog > 0.0);
             assert!(bind > 0.0 && bind_spread > 0.0);
             assert!(
                 slots <= MAX_SLOTS_PER_FIRST_FIT,
@@ -318,33 +310,21 @@ fn main() {
             eprintln!("smoke nodes={nodes}: snapshot equivalence and slots-per-bind bounds OK");
         }
         eprintln!(
-            "nodes={nodes}: captures query {full_captures:.0}/s, walk {walk_captures:.0}/s \
-             ({:.2}x); bind {bind:.0} pods/s ({slots:.1} slots/bind), spread \
-             {bind_spread:.0} pods/s ({slots_spread:.1} slots/bind); backlog {backlog:.0} pods/s",
-            walk_captures / full_captures,
+            "nodes={nodes}: captures {captures:.0}/s; bind {bind:.0} pods/s \
+             ({slots:.1} slots/bind), spread {bind_spread:.0} pods/s \
+             ({slots_spread:.1} slots/bind); backlog {backlog:.0} pods/s",
         );
         rows.push(format!(
             concat!(
                 "    {{\"nodes\": {}, \"cores\": {}, ",
-                "\"full_captures_per_sec\": {:.1}, ",
                 "\"incremental_captures_per_sec\": {:.1}, ",
-                "\"capture_speedup\": {:.2}, ",
                 "\"bind_pods_per_sec\": {:.0}, ",
                 "\"bind_spread_pods_per_sec\": {:.0}, ",
                 "\"slots_per_bind\": {:.1}, ",
                 "\"slots_per_bind_spread\": {:.1}, ",
                 "\"backlog_pods_per_sec\": {:.0}}}"
             ),
-            nodes,
-            cores,
-            full_captures,
-            walk_captures,
-            walk_captures / full_captures,
-            bind,
-            bind_spread,
-            slots,
-            slots_spread,
-            backlog
+            nodes, cores, captures, bind, bind_spread, slots, slots_spread, backlog
         ));
     }
     println!("{{");

@@ -18,7 +18,7 @@
 //! string, and for the SGX probe one lookup of each pod's account in the
 //! driver, whatever other enclaves the node runs. What the rows become is the caller's
 //! business: [`Probe::sample_batch`] names them into a tagged
-//! [`PointBatch`], the frame that crosses a wire (and a fault injector);
+//! [`PointBatch`], the frame a fault injector drops, delays or retries;
 //! the orchestrator's in-process probe pass appends them to series it
 //! resolved on an earlier tick and never builds the frame.
 
@@ -151,7 +151,7 @@ impl Probe {
         self.sample_batch(node, now).to_points()
     }
 
-    /// Scrapes the node into one [`PointBatch`] — the wire frame the
+    /// Scrapes the node into one [`PointBatch`] — the frame the
     /// ingestion pipeline ships per node per scrape. The `nodename` tag
     /// and measurement are stored once for the whole frame instead of
     /// being cloned into every point; each row carries only the pod name

@@ -1,7 +1,7 @@
 //! Chaos experiment — fault-injected probe pipeline at sweep scale.
 //!
 //! Replays the same workloads under increasing metrics-pipeline fault
-//! rates (scrape drops, delayed frames, shard write failures, plus a
+//! rates (scrape drops, delayed frames, store write failures, plus a
 //! long probe silence on one SGX node at nonzero rates) and compares
 //! frame loss, staleness-degraded scheduling decisions, waiting times
 //! and makespans against the fault-free baseline.

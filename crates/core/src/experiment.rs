@@ -159,7 +159,7 @@ impl Experiment {
     }
 
     /// Injects metrics-pipeline faults (scrape drops, probe silences,
-    /// delayed frames, shard write failures) into the replay.
+    /// delayed frames, store write failures) into the replay.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self

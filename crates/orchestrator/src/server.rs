@@ -690,7 +690,7 @@ impl Orchestrator {
         self.enforce_metrics_retention(now);
     }
 
-    /// Scrapes every node into per-node wire frames *without* delivering
+    /// Scrapes every node into per-node frames *without* delivering
     /// them — probe-major, in exactly the order [`probe_pass`] inserts, so
     /// delivering every frame inline via [`ingest_frame`] reproduces a
     /// lossless pass bit for bit. Empty frames are included: a scrape of

@@ -9,9 +9,12 @@
 //!   for a scheduled interval (the headline staleness scenario),
 //! * **delayed frames** — a frame is held in flight and delivered later,
 //!   arriving out of time order at the store,
-//! * **shard write failures** — the database write of a frame fails and
-//!   the transport retries it with bounded exponential backoff
+//! * **write failures** — the database write of a frame fails and the
+//!   transport retries it with bounded exponential backoff
 //!   ([`RetryPolicy`]), dropping the frame once the budget is exhausted.
+//!   There is one store, so [`FaultStats::write_failures_by_shard`]
+//!   only ever holds key `0`; the map stays because a replay result's
+//!   `Debug` form, which the policy goldens digest, includes it.
 //!
 //! A `FaultInjector` consumes the plan: it owns a seeded RNG (derived
 //! from the plan seed, independent of every other stream in the replay)
@@ -202,7 +205,9 @@ pub struct FaultStats {
     pub frames_lost: u64,
     /// Frames that reached the database.
     pub frames_delivered: u64,
-    /// Write failures attributed to the shards the frame would have hit.
+    /// Write failures by the store the frame was written to. A replay
+    /// has one store, so the only key is `0` (a failed empty frame is
+    /// counted under no key); the name predates the single store.
     pub write_failures_by_shard: BTreeMap<usize, u64>,
 }
 
@@ -286,8 +291,8 @@ impl FaultInjector {
     }
 
     /// Draws whether one delivery attempt's database write fails; on
-    /// failure the blame is recorded against `shards` (the shards the
-    /// frame's rows route to).
+    /// failure the blame is recorded against `shards` (the replay passes
+    /// its one store, `0`, for a non-empty frame).
     pub(crate) fn draw_write_failure(&mut self, shards: &[usize]) -> bool {
         if self.rng.random::<f64>() < self.plan.write_fail_rate {
             self.stats.write_failures += 1;

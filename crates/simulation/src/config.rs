@@ -188,7 +188,7 @@ pub struct ReplayConfig {
     /// paper's fixed-cluster world) replays against a static node set.
     pub autoscale: Option<AutoscaleConfig>,
     /// Fault injection on the probe→tsdb metrics pipeline (scrape drops,
-    /// probe silences, delayed frames, shard write failures). A
+    /// probe silences, delayed frames, store write failures). A
     /// [`FaultPlan::is_noop`] plan makes the replay take the exact
     /// lossless code path.
     pub faults: FaultPlan,

@@ -15,6 +15,7 @@ use orchestrator::events::ClusterEvent;
 use orchestrator::{Migration, Orchestrator, PodOutcome, PodRecord};
 use sgx_sim::units::{ByteSize, EpcPages};
 use stress::Stressor;
+use tsdb::PointBatch;
 
 use crate::chaos::{FaultInjector, FaultStats, FrameFate};
 use crate::config::ReplayConfig;
@@ -63,14 +64,14 @@ enum Event {
     FrameDelivery(Box<InFlightFrame>),
 }
 
-/// A probe frame held by the fault injector: encoded on the wire at
-/// scrape time, delivered (and decoded) later.
+/// A probe frame held by the fault injector: scraped at `scraped_at`,
+/// delivered later.
 #[derive(Debug, Clone)]
 struct InFlightFrame {
     /// Node the frame was scraped from.
     node: NodeName,
-    /// The wire-encoded [`tsdb::PointBatch`].
-    bytes: bytes::Bytes,
+    /// The scraped rows.
+    batch: PointBatch,
     /// When the samples were taken — freshness and insert timestamps
     /// follow this, not the delivery instant.
     scraped_at: SimTime,
@@ -753,7 +754,7 @@ impl<'a> Engine<'a> {
                 };
                 let frame = InFlightFrame {
                     node,
-                    bytes: tsdb::wire::encode_batch(&batch),
+                    batch,
                     scraped_at: now,
                     attempts: 0,
                 };
@@ -793,11 +794,9 @@ impl<'a> Engine<'a> {
     /// injector's draw; failed writes are held back again with
     /// exponential backoff until the transport's retry budget runs out.
     fn deliver_frame(&mut self, frame: InFlightFrame, now: SimTime) {
-        let batch = tsdb::wire::decode_batch(&frame.bytes)
-            .expect("probe frames round-trip through the wire format");
         // One store: a non-empty frame's failed write is blamed on store 0,
         // an empty frame's on nothing.
-        let blamed: &[usize] = if batch.is_empty() { &[] } else { &[0] };
+        let blamed: &[usize] = if frame.batch.is_empty() { &[] } else { &[0] };
         let chaos = self.chaos();
         if chaos.draw_write_failure(blamed) {
             match chaos.plan().retry.backoff_before(frame.attempts) {
@@ -814,7 +813,7 @@ impl<'a> Engine<'a> {
         } else {
             chaos.note_delivered();
             self.orch
-                .ingest_frame(&frame.node, &batch, frame.scraped_at);
+                .ingest_frame(&frame.node, &frame.batch, frame.scraped_at);
         }
     }
 

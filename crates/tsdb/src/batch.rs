@@ -9,11 +9,10 @@
 //! * `measurement`, scrape `time`, and the shared tags are stored once;
 //! * each row carries only the distinguishing tag value and the sample.
 //!
-//! Batches are what a probe's frame is at every boundary: what
-//! [`wire::encode_batch`](crate::wire::encode_batch) frames in the
-//! snapshot format's length-prefixed style for an on-the-wire hop, and
-//! what [`Database::insert_batch`](crate::Database::insert_batch) takes
-//! on arrival, resolving each row's series by its tags and feeding the
+//! A batch is what a probe's frame is at every boundary, a delayed or
+//! retried frame in flight included, and what
+//! [`Database::insert_batch`](crate::Database::insert_batch) takes on
+//! arrival, resolving each row's series by its tags and feeding the
 //! store's window the frame. (A probe inside the process that meets the
 //! same series every tick can skip the frame:
 //! [`Database::scrape`](crate::Database::scrape) appends by

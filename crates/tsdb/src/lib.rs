@@ -16,8 +16,8 @@
 //!   names a series once and returns a [`SeriesId`]; [`Database::append`]
 //!   writes through it, encoding one sample onto the series' tail. Every
 //!   tagged insert is the two composed.
-//! * [`PointBatch`] — the one-frame-per-node-per-scrape transport unit
-//!   probes ship to the store across a wire.
+//! * [`PointBatch`] — the one-frame-per-node-per-scrape unit a probe
+//!   hands the store ([`Database::insert_batch`]).
 //! * [`WindowRollup`] — Listing 1 as a continuous query, the way
 //!   InfluxDB runs one: the per-node window state every [`Database`]
 //!   maintains as it ingests ([`Database::window`]) — fed by every write
@@ -27,9 +27,8 @@
 //!   appended by [`SeriesId`] where the window remembers the pod.
 //! * [`query`] — a structured query AST and executor supporting the
 //!   nested sliding-window aggregation of the paper's Listing 1:
-//!   [`Database::query`] folds each series' window as it decodes it, and
-//!   [`Database::query_full_scan`] is the naive reference it is tested
-//!   against. The rollup is in turn held to `query`.
+//!   [`Database::query`] scans every sample of the measurement and
+//!   filters it. It is the reference the rollup is held to, by bits.
 //! * [`influxql`] — a parser for the InfluxQL subset the paper uses, so
 //!   the exact query text from Listing 1 runs against [`Database`].
 //!

@@ -44,74 +44,23 @@ impl Aggregate {
         }
     }
 
-    /// Reduces a non-empty slice of `(time, value)` samples.
+    /// Reduces a non-empty slice of `(time, value)` samples, folding in
+    /// slice order.
     fn apply(self, samples: &[(SimTime, f64)]) -> f64 {
         debug_assert!(!samples.is_empty());
-        let mut state = AggState::new(self);
-        for &(time, value) in samples {
-            state.push(time, value);
-        }
-        state.finish()
-    }
-}
-
-/// Streaming accumulator for one group: folds `(time, value)` samples one
-/// at a time in O(1) space, replacing the per-group `Vec` the executor
-/// used to build. The fold order and operations are identical to
-/// [`Aggregate::apply`] over the collected samples, so results are
-/// bit-for-bit the same.
-#[derive(Debug, Clone, Copy)]
-struct AggState {
-    aggregate: Aggregate,
-    /// Running max / min / sum depending on the aggregate.
-    acc: f64,
-    count: u64,
-    /// For [`Aggregate::Last`]: the latest timestamp seen so far. Samples
-    /// at an equal timestamp replace the held value, matching the
-    /// "ties: last in stream order" semantics of the slice fold.
-    last_time: SimTime,
-    last_value: f64,
-}
-
-impl AggState {
-    fn new(aggregate: Aggregate) -> Self {
-        let acc = match aggregate {
-            Aggregate::Max => f64::MIN,
-            Aggregate::Min => f64::MAX,
-            _ => 0.0,
-        };
-        AggState {
-            aggregate,
-            acc,
-            count: 0,
-            last_time: SimTime::ZERO,
-            last_value: 0.0,
-        }
-    }
-
-    fn push(&mut self, time: SimTime, value: f64) {
-        match self.aggregate {
-            Aggregate::Max => self.acc = self.acc.max(value),
-            Aggregate::Min => self.acc = self.acc.min(value),
-            Aggregate::Mean | Aggregate::Sum => self.acc += value,
-            Aggregate::Count => {}
-            Aggregate::Last => {
-                if time >= self.last_time {
-                    self.last_time = time;
-                    self.last_value = value;
-                }
-            }
-        }
-        self.count += 1;
-    }
-
-    fn finish(&self) -> f64 {
-        debug_assert!(self.count > 0);
-        match self.aggregate {
-            Aggregate::Max | Aggregate::Min | Aggregate::Sum => self.acc,
-            Aggregate::Mean => self.acc / self.count as f64,
-            Aggregate::Count => self.count as f64,
-            Aggregate::Last => self.last_value,
+        let values = samples.iter().map(|&(_, value)| value);
+        match self {
+            Aggregate::Max => values.fold(f64::MIN, f64::max),
+            Aggregate::Min => values.fold(f64::MAX, f64::min),
+            Aggregate::Sum => values.fold(0.0, |acc, value| acc + value),
+            Aggregate::Mean => values.fold(0.0, |acc, value| acc + value) / samples.len() as f64,
+            Aggregate::Count => samples.len() as f64,
+            // `max_by_key` keeps the last of equal maxima: ties go to the
+            // sample inserted last.
+            Aggregate::Last => samples
+                .iter()
+                .max_by_key(|&&(time, _)| time)
+                .map_or(0.0, |s| s.1),
         }
     }
 }
@@ -156,13 +105,6 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// `true` for predicates that constrain the timestamp alone. These are
-    /// absorbed into the scan bounds by [`scan_bounds`] instead of being
-    /// re-evaluated per sample.
-    fn is_time_bound(&self) -> bool {
-        matches!(self, Predicate::TimeAtLeast(_) | Predicate::TimeBefore(_))
-    }
-
     fn matches(&self, time: SimTime, value: f64, tags: &TagSet, now: SimTime) -> bool {
         match self {
             Predicate::ValueNe(x) => value != *x,
@@ -263,64 +205,25 @@ impl Select {
         self
     }
 
-    /// Evaluates against a time-bounded sample stream. Time predicates are
-    /// resolved up front into a `[lo, hi)` scan range, so the store hands
-    /// over only the window's samples, decoding each series no further
-    /// than `hi`; the remaining predicates are checked per sample and each
-    /// group folds through a constant-space [`AggState`] instead of
-    /// collecting a `Vec`. Rows come back sorted by tag set for
-    /// determinism.
-    pub(crate) fn execute_streaming(&self, db: &Database, now: SimTime) -> Vec<Row> {
-        match &self.source {
-            Source::Measurement(measurement) => {
-                let (lo, hi) = scan_bounds(&self.predicates, now);
-                let residual: Vec<&Predicate> = self
-                    .predicates
-                    .iter()
-                    .filter(|p| !p.is_time_bound())
-                    .collect();
-                let mut groups: BTreeMap<TagSet, AggState> = BTreeMap::new();
-                db.stream_window(measurement, lo, hi, |time, value, tags| {
-                    if !residual.iter().all(|p| p.matches(time, value, tags, now)) {
-                        return;
-                    }
-                    groups
-                        .entry(project_tags(tags, &self.group_by))
-                        .or_insert_with(|| AggState::new(self.aggregate))
-                        .push(time, value);
-                });
-                finish_groups(groups)
-            }
-            Source::Subquery(inner) => {
-                let rows = inner.execute_streaming(db, now);
-                aggregate_rows(self, &rows, now)
-            }
-        }
-    }
-
-    /// Reference executor: materialises every sample of the source
-    /// measurement and filters after the fact, exactly as the original
-    /// engine did. Kept as the oracle the streaming executor is verified
-    /// against (see the `query_props` property tests) and as the
-    /// baseline of the `tsdb_ops` benchmark.
-    pub(crate) fn execute_full_scan<F>(&self, fetch: &F, now: SimTime) -> Vec<Row>
-    where
-        F: Fn(&str) -> Vec<(TagSet, Vec<(SimTime, f64)>)>,
-    {
+    /// Evaluates against `db` with `now` as the evaluation instant:
+    /// materialises every sample of the source measurement, filters it,
+    /// groups it by the projected tags and reduces each group. Rows come
+    /// back sorted by tag set for determinism.
+    pub(crate) fn execute(&self, db: &Database, now: SimTime) -> Vec<Row> {
         // Collect the input stream: either raw points or inner rows
         // (treated as observations at `now`).
         let series;
         let owned_rows;
         let inputs: Vec<(SimTime, f64, &TagSet)> = match &self.source {
             Source::Measurement(m) => {
-                series = fetch(m);
+                series = db.scan(m);
                 series
                     .iter()
                     .flat_map(|(tags, samples)| samples.iter().map(move |&(t, v)| (t, v, tags)))
                     .collect()
             }
             Source::Subquery(inner) => {
-                owned_rows = inner.execute_full_scan(fetch, now);
+                owned_rows = inner.execute(db, now);
                 owned_rows
                     .iter()
                     .map(|row| (now, row.value, &row.tags))
@@ -353,65 +256,10 @@ impl Select {
     }
 }
 
-/// Resolves the conjunction of time predicates into a half-open scan
-/// range `[lo, hi)`; `hi` is `None` when unbounded above.
-fn scan_bounds(predicates: &[Predicate], now: SimTime) -> (SimTime, Option<SimTime>) {
-    let mut lo = SimTime::ZERO;
-    let mut hi: Option<SimTime> = None;
-    for predicate in predicates {
-        match predicate {
-            Predicate::TimeAtLeast(bound) => lo = lo.max(bound.resolve(now)),
-            Predicate::TimeBefore(bound) => {
-                let resolved = bound.resolve(now);
-                hi = Some(hi.map_or(resolved, |h| h.min(resolved)));
-            }
-            _ => {}
-        }
-    }
-    (lo, hi)
-}
-
 /// Projects a full tag set onto the `GROUP BY` keys.
 fn project_tags(tags: &TagSet, keys: &[String]) -> TagSet {
     keys.iter()
         .filter_map(|k| tags.get(k).map(|v| (k.clone(), v.clone())))
-        .collect()
-}
-
-/// Applies a select to already-aggregated rows treated as observations at
-/// `now` — the outer half of a nested query.
-fn aggregate_rows(select: &Select, inputs: &[Row], now: SimTime) -> Vec<Row> {
-    let (lo, hi) = scan_bounds(&select.predicates, now);
-    let mut groups: BTreeMap<TagSet, AggState> = BTreeMap::new();
-    if now >= lo && hi.is_none_or(|h| now < h) {
-        let residual: Vec<&Predicate> = select
-            .predicates
-            .iter()
-            .filter(|p| !p.is_time_bound())
-            .collect();
-        for row in inputs {
-            if !residual
-                .iter()
-                .all(|p| p.matches(now, row.value, &row.tags, now))
-            {
-                continue;
-            }
-            groups
-                .entry(project_tags(&row.tags, &select.group_by))
-                .or_insert_with(|| AggState::new(select.aggregate))
-                .push(now, row.value);
-        }
-    }
-    finish_groups(groups)
-}
-
-fn finish_groups(groups: BTreeMap<TagSet, AggState>) -> Vec<Row> {
-    groups
-        .into_iter()
-        .map(|(tags, state)| Row {
-            value: state.finish(),
-            tags,
-        })
         .collect()
 }
 

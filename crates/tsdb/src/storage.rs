@@ -31,12 +31,12 @@
 //! do: where two keys first differ, an escaped `0x00` still sorts below
 //! any other byte, and a string that ends (`00 01`) sorts below any
 //! continuation (a byte ≥ `01`, or `00 FF`), as a shorter string or tag
-//! set does. So every read — [`query`](Database::query), the full scan,
-//! `stream_window`, [`snapshot`](Database::snapshot) — walks series in
-//! tag-set order as it always has, decoding each series' key into one
-//! reused scratch [`TagSet`]. A series name costs one allocation: the
-//! index and the slot share the packed tag set through an [`Arc`], and
-//! the slot names its measurement by a small id.
+//! set does. So every read — [`query`](Database::query) and
+//! [`snapshot`](Database::snapshot) — walks series in tag-set order as it
+//! always has, decoding each series' key into a [`TagSet`]. A series
+//! name costs one allocation: the index and the slot share the packed
+//! tag set through an [`Arc`], and the slot names its measurement by a
+//! small id.
 //!
 //! The index is *eager*: it lists exactly the live series, and never
 //! meets a hole. Ids are generation-checked: a slot released by
@@ -466,18 +466,6 @@ impl Chunk {
             .map(|c| (SimTime::from_micros(c.time), f64::from_bits(c.value)))
     }
 
-    /// The samples with `lo <= time` (and `time < hi` when bounded),
-    /// decoded from the oldest up to the first at or past `hi`.
-    fn window(
-        &self,
-        lo: SimTime,
-        hi: Option<SimTime>,
-    ) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.samples()
-            .take_while(move |&(t, _)| hi.is_none_or(|hi| t < hi))
-            .skip_while(move |&(t, _)| t < lo)
-    }
-
     fn len(&self) -> usize {
         self.cursors().count()
     }
@@ -857,58 +845,25 @@ impl Database {
     /// Executes a (possibly nested) select with `now` as the evaluation
     /// instant for relative time bounds. Rows come back sorted by tag set.
     ///
-    /// Time predicates are resolved into a scan range before any sample is
-    /// folded, and each series is decoded from its oldest sample up to
-    /// the range's end, no further: a sliding-window query ending at `now`
-    /// costs O(retained samples) per series, at a few bit operations a
-    /// sample.
+    /// A full scan: every sample of the measurement is decoded and then
+    /// filtered. The scheduler reads Listing 1 off the
+    /// [`window`](Self::window) instead, which is held to this, by bits.
     pub fn query(&self, select: &Select, now: SimTime) -> Vec<Row> {
-        select.execute_streaming(self, now)
+        select.execute(self, now)
     }
 
-    /// Executes `select` by materialising every sample of the measurement
-    /// and filtering afterwards — the engine's original code path. Kept as
-    /// the naive reference [`query`](Self::query) is property-tested
-    /// against and as the benchmark baseline; the result is bit-for-bit
-    /// identical.
-    pub fn query_full_scan(&self, select: &Select, now: SimTime) -> Vec<Row> {
-        let fetch = |measurement: &str| -> Vec<(TagSet, Vec<(SimTime, f64)>)> {
-            self.table
-                .series_of(measurement)
-                .map(|(packed, series)| {
-                    let mut tags = TagSet::new();
-                    unpack_tags(packed, &mut tags);
-                    (tags, series.samples().collect())
-                })
-                .collect()
-        };
-        select.execute_full_scan(&fetch, now)
-    }
-
-    /// Streams every sample of `measurement` with `lo <= time` (and
-    /// `time < hi` when `hi` is bounded) into `emit`: series in tag-set
-    /// order and, within a series, samples in timestamp order (stable for
-    /// equal timestamps) — the same total order the full scan produces,
-    /// so both executors fold groups identically. Each series is decoded
-    /// from its oldest sample up to the first at or past `hi`.
-    pub(crate) fn stream_window(
-        &self,
-        measurement: &str,
-        lo: SimTime,
-        hi: Option<SimTime>,
-        mut emit: impl FnMut(SimTime, f64, &TagSet),
-    ) {
-        let mut tags = TagSet::new();
-        for (packed, series) in self.table.series_of(measurement) {
-            let mut samples = series.window(lo, hi).peekable();
-            if samples.peek().is_none() {
-                continue;
-            }
-            unpack_tags(packed, &mut tags);
-            for (time, value) in samples {
-                emit(time, value, &tags);
-            }
-        }
+    /// Every series of `measurement` with all its samples, in tag-set
+    /// order and, within a series, in timestamp order (stable for equal
+    /// timestamps).
+    pub(crate) fn scan(&self, measurement: &str) -> Vec<(TagSet, Vec<(SimTime, f64)>)> {
+        self.table
+            .series_of(measurement)
+            .map(|(packed, series)| {
+                let mut tags = TagSet::new();
+                unpack_tags(packed, &mut tags);
+                (tags, series.samples().collect())
+            })
+            .collect()
     }
 
     /// Drops every sample older than `keep` relative to `now`, across all

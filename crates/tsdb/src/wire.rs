@@ -13,29 +13,16 @@
 //!             time_us:u64 value:f64
 //! ```
 //!
-//! The probe transport ships one frame per node per scrape instead of a
-//! point stream; its [`PointBatch`] frame factors the shared measurement,
-//! timestamp and tags out of the rows (same string and integer encoding):
-//!
-//! ```text
-//! batch := bmagic:u32 version:u8
-//!          mlen:u16 measurement[mlen] klen:u16 row_key[klen] time_us:u64
-//!          tags:u8 (klen:u16 key[klen] vlen:u16 value[vlen])*
-//!          rows:u32 (vlen:u16 tag_value[vlen] value:f64)*
-//! ```
-//!
 //! All integers are little-endian.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use des::SimTime;
 
-use crate::batch::PointBatch;
 use crate::error::TsdbError;
 use crate::point::Point;
 
 const MAGIC: u32 = 0x5453_4442; // "TSDB"
-const BATCH_MAGIC: u32 = 0x5453_4250; // "TSBP" (tsdb batch of points)
 const VERSION: u8 = 1;
 /// The shortest point record: a one-byte measurement, no tags.
 const MIN_POINT_LEN: usize = 2 + 1 + 1 + 16;
@@ -142,113 +129,6 @@ pub fn decode(mut data: &[u8]) -> Result<Vec<Point>, TsdbError> {
     Ok(points)
 }
 
-/// Encodes a [`PointBatch`] into one wire frame (see the module docs for
-/// the layout). The shared measurement, row tag key, timestamp and tags
-/// are written once, followed by the rows.
-///
-/// # Examples
-///
-/// ```
-/// use des::SimTime;
-/// use tsdb::{wire, PointBatch};
-///
-/// let mut batch = PointBatch::new("sgx/epc", "pod_name", SimTime::from_secs(1))
-///     .with_shared_tag("nodename", "n1");
-/// batch.push("pod-1", 4096.0);
-/// let frame = wire::encode_batch(&batch);
-/// assert_eq!(wire::decode_batch(&frame)?, batch);
-/// # Ok::<(), tsdb::TsdbError>(())
-/// ```
-pub fn encode_batch(batch: &PointBatch) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + batch.len() * 24);
-    buf.put_u32_le(BATCH_MAGIC);
-    buf.put_u8(VERSION);
-    put_str(&mut buf, batch.measurement());
-    put_str(&mut buf, batch.row_tag_key());
-    buf.put_u64_le(batch.time().as_micros());
-    let tags = batch.shared_tags();
-    assert!(tags.len() <= u8::MAX as usize, "too many tags on one batch");
-    buf.put_u8(tags.len() as u8);
-    for (k, v) in tags {
-        put_str(&mut buf, k);
-        put_str(&mut buf, v);
-    }
-    assert!(
-        batch.len() <= u32::MAX as usize,
-        "too many rows in one batch"
-    );
-    buf.put_u32_le(batch.len() as u32);
-    for row in batch.rows() {
-        put_str(&mut buf, &row.tag_value);
-        buf.put_f64_le(row.value);
-    }
-    buf.freeze()
-}
-
-/// Decodes a frame produced by [`encode_batch`].
-///
-/// # Errors
-///
-/// Returns [`TsdbError::Parse`] on truncated input, a bad magic/version,
-/// invalid UTF-8, an empty measurement or row tag key, a shared tag
-/// under the row tag key, or non-finite row values — nothing a buffer
-/// can hold makes it panic.
-pub fn decode_batch(mut data: &[u8]) -> Result<PointBatch, TsdbError> {
-    let err = |message: &str| TsdbError::Parse {
-        message: message.to_string(),
-    };
-    if data.remaining() < 5 {
-        return Err(err("batch frame too short for header"));
-    }
-    if data.get_u32_le() != BATCH_MAGIC {
-        return Err(err("bad magic: not a tsdb point batch"));
-    }
-    let version = data.get_u8();
-    if version != VERSION {
-        return Err(TsdbError::Parse {
-            message: format!("unsupported batch version {version}"),
-        });
-    }
-    let measurement = get_str(&mut data)?;
-    let row_tag_key = get_str(&mut data)?;
-    if measurement.is_empty() || row_tag_key.is_empty() {
-        return Err(err("empty measurement or row tag key"));
-    }
-    if data.remaining() < 9 {
-        return Err(err("truncated batch time/tag count"));
-    }
-    let time = SimTime::from_micros(data.get_u64_le());
-    let tag_count = data.get_u8();
-    let mut batch = PointBatch::new(measurement, row_tag_key, time);
-    for _ in 0..tag_count {
-        let k = get_str(&mut data)?;
-        let v = get_str(&mut data)?;
-        if k == batch.row_tag_key() {
-            return Err(err("shared tag collides with the row tag key"));
-        }
-        batch = batch.with_shared_tag(k, v);
-    }
-    if data.remaining() < 4 {
-        return Err(err("truncated row count"));
-    }
-    let rows = data.get_u32_le();
-    for _ in 0..rows {
-        let tag_value = get_str(&mut data)?;
-        if data.remaining() < 8 {
-            return Err(err("truncated row value"));
-        }
-        let value = data.get_f64_le();
-        if !value.is_finite() {
-            return Err(err("non-finite row value"));
-        }
-        batch.push(tag_value, value);
-    }
-    if data.has_remaining() {
-        return Err(err("trailing bytes after last row"));
-    }
-    Ok(batch)
-}
-
 fn get_str(data: &mut &[u8]) -> Result<String, TsdbError> {
     if data.remaining() < 2 {
         return Err(TsdbError::Parse {
@@ -336,58 +216,5 @@ mod tests {
         bytes[4] = 99;
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("version 99"));
-    }
-
-    fn sample_batch() -> PointBatch {
-        let mut batch = PointBatch::new("sgx/epc", "pod_name", SimTime::from_secs(7))
-            .with_shared_tag("nodename", "sgx-1")
-            .with_shared_tag("rack", "r2");
-        for i in 0..10 {
-            batch.push(format!("pod-{i}"), i as f64 * 4096.0);
-        }
-        batch
-    }
-
-    #[test]
-    fn batch_round_trip() {
-        let batch = sample_batch();
-        assert_eq!(decode_batch(&encode_batch(&batch)).unwrap(), batch);
-    }
-
-    #[test]
-    fn empty_batch_round_trips() {
-        let batch = PointBatch::new("m", "k", SimTime::ZERO);
-        assert_eq!(decode_batch(&encode_batch(&batch)).unwrap(), batch);
-    }
-
-    #[test]
-    fn batch_frame_is_smaller_than_point_stream() {
-        let batch = sample_batch();
-        assert!(encode_batch(&batch).len() < encode(&batch.to_points()).len());
-    }
-
-    #[test]
-    fn batch_magic_differs_from_snapshot_magic() {
-        let batch_frame = encode_batch(&sample_batch());
-        assert!(decode(&batch_frame).is_err());
-        assert!(decode_batch(&encode(&sample_points())).is_err());
-    }
-
-    #[test]
-    fn batch_truncation_is_detected_everywhere() {
-        let bytes = encode_batch(&sample_batch());
-        for cut in [0, 4, 9, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode_batch(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_trailing_garbage_is_rejected() {
-        let mut bytes = encode_batch(&sample_batch()).to_vec();
-        bytes.push(0);
-        assert!(decode_batch(&bytes).is_err());
     }
 }

@@ -1,16 +1,9 @@
 //! Property-based tests for the time-series store and query engine.
-//!
-//! The second block holds the streaming executor ([`Database::query`])
-//! **bit-for-bit** to the naive full-scan reference on every query, across
-//! random insert patterns (including out-of-order arrivals), random
-//! sliding-window sizes, every aggregate, several group-bys, and
-//! interleaved retention evictions — including evictions that cut into
-//! the query window.
 
 use proptest::prelude::*;
 
 use des::{SimDuration, SimTime};
-use tsdb::{wire, Aggregate, Database, Point, PointBatch, Predicate, Select, TimeBound};
+use tsdb::{Aggregate, Database, Point, PointBatch, Predicate, Select, TimeBound};
 
 fn arbitrary_points() -> impl Strategy<Value = Vec<(u64, u8, u8, f64)>> {
     // (time secs, pod id, node id, value)
@@ -171,9 +164,9 @@ proptest! {
         }
     }
 
-    /// A probe frame round-trips through the wire format exactly, a
-    /// corrupted magic is always detected, and ingesting the frame equals
-    /// ingesting its points one by one.
+    /// Ingesting a probe frame whole equals ingesting its points one by
+    /// one, and the store it leaves round-trips through the snapshot
+    /// wire format.
     #[test]
     fn point_batch_wire_round_trip(
         time_secs in 0u64..1000,
@@ -190,152 +183,12 @@ proptest! {
             batch.push(format!("pod-{pod}"), *value);
         }
 
-        let frame = wire::encode_batch(&batch);
-        let decoded = wire::decode_batch(&frame).expect("round trip");
-        prop_assert_eq!(&decoded, &batch);
-
-        let mut corrupt = frame.to_vec();
-        corrupt[0] ^= 0xFF;
-        prop_assert!(wire::decode_batch(&corrupt).is_err());
-
         let mut unbatched = Database::new();
         unbatched.extend(batch.to_points());
         let mut batched = Database::new();
-        batched.insert_batch(&decoded);
-        prop_assert_eq!(batched.snapshot(), unbatched.snapshot());
-    }
-}
-
-const AGGREGATES: [Aggregate; 6] = [
-    Aggregate::Max,
-    Aggregate::Min,
-    Aggregate::Mean,
-    Aggregate::Sum,
-    Aggregate::Count,
-    Aggregate::Last,
-];
-
-#[derive(Debug, Clone)]
-enum Op {
-    /// Advance time by `dt` seconds, then insert into series `series` a
-    /// sample timestamped `back` seconds in the past (out of order when
-    /// another sample landed in between).
-    Insert {
-        dt: u64,
-        series: u8,
-        back: u64,
-        value: f64,
-    },
-    /// Enforce a retention of `keep` seconds — sometimes shorter than the
-    /// query window, so the eviction cuts into it.
-    Evict { keep: u64 },
-}
-
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0u64..4, 0u8..6, 0u64..3, 0.0f64..100.0).prop_map(|(dt, series, back, value)| {
-                Op::Insert {
-                    dt,
-                    series,
-                    back,
-                    value,
-                }
-            }),
-            (1u64..40).prop_map(|keep| Op::Evict { keep }),
-        ],
-        1..100,
-    )
-}
-
-/// Applies one op to the store, advancing `now` as the op says.
-fn apply(db: &mut Database, now: &mut SimTime, op: &Op) {
-    match *op {
-        Op::Insert {
-            dt,
-            series,
-            back,
-            value,
-        } => {
-            *now += SimDuration::from_secs(dt);
-            let at = TimeBound::SinceNowMinus(SimDuration::from_secs(back)).resolve(*now);
-            db.insert(
-                Point::new("sgx/epc", at, value)
-                    .with_tag("pod_name", format!("p{}", series % 3))
-                    .with_tag("nodename", format!("n{}", series % 2)),
-            );
-        }
-        Op::Evict { keep } => {
-            db.enforce_retention(*now, SimDuration::from_secs(keep));
-        }
-    }
-}
-
-fn windowed_select(
-    aggregate: Aggregate,
-    window: SimDuration,
-    group_by: &[&str],
-    filter_zero: bool,
-) -> Select {
-    let mut select = Select::from_measurement("sgx/epc")
-        .aggregate(aggregate)
-        .filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(window)))
-        .group_by(group_by.iter().copied());
-    if filter_zero {
-        select = select.filter(Predicate::ValueNe(0.0));
-    }
-    select
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn incremental_engine_matches_full_scan(
-        ops in ops(),
-        window_secs in 1u64..30,
-        agg_idx in 0usize..6,
-        group_idx in 0usize..3,
-        filter_zero in any::<bool>(),
-    ) {
-        let window = SimDuration::from_secs(window_secs);
-        let groups: [&[&str]; 3] = [&["pod_name", "nodename"], &["nodename"], &[]];
-        let select = windowed_select(
-            AGGREGATES[agg_idx],
-            window,
-            groups[group_idx],
-            filter_zero,
-        );
-
-        let mut db = Database::new();
-        let mut now = SimTime::from_secs(5);
-        for op in &ops {
-            apply(&mut db, &mut now, op);
-            prop_assert_eq!(&db.query(&select, now), &db.query_full_scan(&select, now),
-                "streaming scan diverged at now={}", now);
-        }
-    }
-
-    #[test]
-    fn nested_listing1_shape_matches_full_scan(
-        ops in ops(),
-        window_secs in 1u64..30,
-    ) {
-        let per_pod = windowed_select(
-            Aggregate::Max,
-            SimDuration::from_secs(window_secs),
-            &["pod_name", "nodename"],
-            true,
-        );
-        let per_node = Select::from_subquery(per_pod)
-            .aggregate(Aggregate::Sum)
-            .group_by(["nodename"]);
-
-        let mut db = Database::new();
-        let mut now = SimTime::from_secs(5);
-        for op in &ops {
-            apply(&mut db, &mut now, op);
-            prop_assert_eq!(&db.query(&per_node, now), &db.query_full_scan(&per_node, now));
-        }
+        batched.insert_batch(&batch);
+        let snapshot = batched.snapshot();
+        prop_assert_eq!(&snapshot, &unbatched.snapshot());
+        prop_assert_eq!(Database::restore(&snapshot).unwrap().snapshot(), snapshot);
     }
 }

@@ -1,19 +1,17 @@
-//! Never-panic properties of both `tsdb::wire` decoders: whatever bytes
-//! arrive — a valid buffer cut at any offset, noise behind a valid
-//! header, a well-framed record with a forged field — the answer is
-//! `Ok` or `TsdbError::Parse`, and a forgery is never `Ok`.
+//! Never-panic properties of the `tsdb::wire` snapshot decoder: whatever
+//! bytes arrive — a valid buffer cut at any offset, noise behind a valid
+//! header, a well-framed record with a forged field — the answer is `Ok`
+//! or `TsdbError::Parse`, and a forgery is never `Ok`.
 //!
-//! The forgeries are the inputs the typed constructors behind the
-//! decoders `assert!` on (`Point::new`, `PointBatch::new`,
-//! `with_shared_tag`, `push`): each must be turned away before it gets
+//! The forgeries are the inputs the typed constructor behind the decoder
+//! `assert!`s on (`Point::new`): each must be turned away before it gets
 //! there.
 
 use des::SimTime;
 use proptest::prelude::*;
-use tsdb::{wire, Database, Point, PointBatch, TsdbError};
+use tsdb::{wire, Database, Point, TsdbError};
 
 const MAGIC: u32 = 0x5453_4442;
-const BATCH_MAGIC: u32 = 0x5453_4250;
 
 type Tags<'a> = &'a [(&'a str, &'a str)];
 /// Measurement, tags, time in µs, value.
@@ -48,29 +46,6 @@ fn raw_snapshot(count: u64, points: &[RawPoint]) -> Vec<u8> {
     buf
 }
 
-/// A batch frame written field by field, as [`raw_snapshot`].
-fn raw_batch(
-    measurement: &str,
-    row_key: &str,
-    shared: Tags,
-    row_count: u32,
-    rows: &[(&str, f64)],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend(BATCH_MAGIC.to_le_bytes());
-    buf.push(1);
-    put_str(&mut buf, measurement);
-    put_str(&mut buf, row_key);
-    buf.extend(7_000_000u64.to_le_bytes());
-    put_tags(&mut buf, shared);
-    buf.extend(row_count.to_le_bytes());
-    for &(tag_value, value) in rows {
-        put_str(&mut buf, tag_value);
-        buf.extend(value.to_le_bytes());
-    }
-    buf
-}
-
 fn is_parse_error<T>(result: Result<T, TsdbError>) -> bool {
     matches!(result, Err(TsdbError::Parse { .. }))
 }
@@ -85,31 +60,14 @@ fn sample_points(n: u64) -> Vec<Point> {
         .collect()
 }
 
-fn sample_batch(n: u64) -> PointBatch {
-    let mut batch = PointBatch::new("sgx/epc", "pod_name", SimTime::from_secs(7))
-        .with_shared_tag("nodename", "sgx-1")
-        .with_shared_tag("rack", "r2");
-    for i in 0..n {
-        batch.push(format!("pod-{i}"), i as f64 * 4096.0);
-    }
-    batch
-}
-
 #[test]
 fn the_hand_written_frames_are_the_encoders_frames() {
-    // The forgeries below differ from valid frames in the forged field
-    // only.
+    // The forgeries below differ from valid snapshots in the forged
+    // field only.
     let point = Point::new("m", SimTime::from_micros(9), 2.5).with_tag("k", "v");
     assert_eq!(
         raw_snapshot(1, &[("m", &[("k", "v")], 9, 2.5)]),
         wire::encode(&[point]).to_vec()
-    );
-    let mut batch =
-        PointBatch::new("m", "pod_name", SimTime::from_secs(7)).with_shared_tag("nodename", "n1");
-    batch.push("p", 1.5);
-    assert_eq!(
-        raw_batch("m", "pod_name", &[("nodename", "n1")], 1, &[("p", 1.5)]),
-        wire::encode_batch(&batch).to_vec()
     );
 }
 
@@ -147,64 +105,13 @@ fn forged_snapshot_fields_are_parse_errors() {
 }
 
 #[test]
-fn forged_batch_fields_are_parse_errors() {
-    let rows: &[(&str, f64)] = &[("p", 1.0)];
-    let shared: Tags = &[("nodename", "n1")];
-    assert!(wire::decode_batch(&raw_batch("m", "pod_name", shared, 1, rows)).is_ok());
-    for forged in [
-        raw_batch("", "pod_name", shared, 1, rows),
-        raw_batch("m", "", shared, 1, rows),
-        raw_batch("", "", &[], 0, &[]),
-        // A shared tag under the row key, alone and behind a valid one.
-        raw_batch("m", "pod_name", &[("pod_name", "x")], 1, rows),
-        raw_batch(
-            "m",
-            "pod_name",
-            &[("nodename", "n1"), ("pod_name", "x")],
-            1,
-            rows,
-        ),
-        raw_batch("m", "pod_name", shared, 1, &[("p", f64::NAN)]),
-        raw_batch("m", "pod_name", shared, 1, &[("p", f64::INFINITY)]),
-        raw_batch(
-            "m",
-            "pod_name",
-            shared,
-            2,
-            &[("p", 1.0), ("q", f64::NEG_INFINITY)],
-        ),
-        // Row counts beyond, and below, the payload.
-        raw_batch("m", "pod_name", shared, 2, rows),
-        raw_batch("m", "pod_name", shared, u32::MAX, rows),
-        raw_batch("m", "pod_name", shared, u32::MAX, &[]),
-        raw_batch("m", "pod_name", shared, 0, rows),
-    ] {
-        assert!(is_parse_error(wire::decode_batch(&forged)), "{forged:?}");
-    }
-    // A tag count beyond the payload.
-    let mut short_tags = raw_batch("m", "pod_name", shared, 1, rows);
-    let tag_count_at = 5 + (2 + 1) + (2 + 8) + 8;
-    assert_eq!(short_tags[tag_count_at], 1);
-    short_tags[tag_count_at] = 255;
-    assert!(is_parse_error(wire::decode_batch(&short_tags)));
-}
-
-#[test]
 fn every_truncation_of_a_valid_buffer_is_a_parse_error() {
     for n in [0, 1, 5] {
         let snapshot = wire::encode(&sample_points(n));
-        let frame = wire::encode_batch(&sample_batch(n));
         for cut in 0..snapshot.len() {
             assert!(is_parse_error(wire::decode(&snapshot[..cut])), "cut {cut}");
         }
-        for cut in 0..frame.len() {
-            assert!(
-                is_parse_error(wire::decode_batch(&frame[..cut])),
-                "cut {cut}"
-            );
-        }
         assert!(wire::decode(&snapshot).is_ok());
-        assert!(wire::decode_batch(&frame).is_ok());
     }
 }
 
@@ -230,21 +137,11 @@ proptest! {
                 let mut db = Database::new();
                 db.extend(points);
             }
-            let mut frame = BATCH_MAGIC.to_le_bytes().to_vec();
-            frame.push(1);
-            frame.extend(tail);
-            if let Ok(batch) = wire::decode_batch(&frame) {
-                Database::new().insert_batch(&batch);
-            }
 
             let mut snapshot = wire::encode(&sample_points(4)).to_vec();
             let at = 13 + splice_at % (snapshot.len() - 13);
             snapshot.splice(at..at, tail.iter().copied());
             let _ = Database::restore(&snapshot);
-            let mut frame = wire::encode_batch(&sample_batch(4)).to_vec();
-            let at = 5 + splice_at % (frame.len() - 5);
-            frame.splice(at..at, tail.iter().copied());
-            let _ = wire::decode_batch(&frame);
         }
     }
 }
