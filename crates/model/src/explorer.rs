@@ -1,11 +1,12 @@
 //! Breadth-first exhaustive exploration with state-hash deduplication.
 //!
 //! Plain stateright-style search, written in-repo since the build is
-//! offline: an arena of canonicalized states, a hash index for
-//! deduplication, parent links for counterexample traces, and a bound
-//! that turns the same search into a smoke test.
+//! offline: a hash set of canonicalized states for deduplication (the
+//! one place a state is kept once expanded), a frontier that owns the
+//! states still to expand, parent links for counterexample traces, and
+//! a bound that turns the same search into a smoke test.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use crate::invariants::{check_state, check_transition, Violation};
 use crate::machine::Model;
@@ -79,8 +80,7 @@ impl Report {
 /// catalogue on each new state and each transition. BFS order makes
 /// every reported trace a shortest counterexample.
 pub fn explore(model: &Model, bounds: &Bounds) -> Report {
-    let mut arena = Vec::new();
-    let mut index = HashMap::new();
+    let mut seen = HashSet::new();
     let mut parent: Vec<Option<(usize, Action)>> = Vec::new();
     let mut depth: Vec<usize> = Vec::new();
     let mut frontier = VecDeque::new();
@@ -94,12 +94,10 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
     };
 
     let initial = model.initial();
-    index.insert(initial.clone(), 0);
-    arena.push(initial);
+    seen.insert(initial.clone());
     parent.push(None);
     depth.push(0);
-    frontier.push_back(0);
-    for (invariant, detail, continuation, alternative) in check_state(model, &arena[0]) {
+    for (invariant, detail, continuation, alternative) in check_state(model, &initial) {
         violations.entry(invariant).or_insert(Violation {
             invariant,
             detail,
@@ -108,13 +106,13 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
             alternative,
         });
     }
+    frontier.push_back((0, initial));
 
     let mut truncated = stop(&violations);
     'search: while !truncated {
-        let Some(current) = frontier.pop_front() else {
+        let Some((current, state)) = frontier.pop_front() else {
             break;
         };
-        let state = arena[current].clone();
         for action in model.enabled_actions(&state) {
             let (next, effects) = model.step(&state, action);
             transitions += 1;
@@ -132,11 +130,11 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
                 truncated = true;
                 break 'search;
             }
-            if index.contains_key(&next) {
+            if seen.contains(&next) {
                 continue;
             }
-            let id = arena.len();
-            index.insert(next.clone(), id);
+            let id = parent.len();
+            seen.insert(next.clone());
             parent.push(Some((current, action)));
             depth.push(depth[current] + 1);
             for (invariant, detail, continuation, alternative) in check_state(model, &next) {
@@ -148,9 +146,8 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
                     alternative,
                 });
             }
-            arena.push(next);
-            frontier.push_back(id);
-            if arena.len() >= bounds.max_states || stop(&violations) {
+            frontier.push_back((id, next));
+            if seen.len() >= bounds.max_states || stop(&violations) {
                 truncated = true;
                 break 'search;
             }
@@ -158,7 +155,7 @@ pub fn explore(model: &Model, bounds: &Bounds) -> Report {
     }
 
     Report {
-        states: arena.len(),
+        states: seen.len(),
         transitions,
         truncated,
         max_depth: depth.iter().copied().max().unwrap_or(0),

@@ -2097,7 +2097,7 @@ mod tests {
                 now += op.elapses();
                 op.apply(&mut direct, now, false);
                 op.apply(&mut framed, now, true);
-                prop_assert_eq!(direct.db().snapshot(), framed.db().snapshot(), "step {}", index);
+                prop_assert_eq!(direct.db().points(), framed.db().points(), "step {}", index);
                 for (d, f) in [
                     (direct.db().points_inserted(), framed.db().points_inserted()),
                     (direct.db().points_evicted(), framed.db().points_evicted()),

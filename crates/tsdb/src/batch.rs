@@ -212,7 +212,7 @@ mod tests {
         batched.insert_batch(&batch);
         let mut unbatched = Database::new();
         unbatched.extend(batch.to_points());
-        assert_eq!(batched.snapshot(), unbatched.snapshot());
+        assert_eq!(batched.points(), unbatched.points());
         assert_eq!(batched.points_inserted(), unbatched.points_inserted());
     }
 

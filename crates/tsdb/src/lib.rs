@@ -74,7 +74,6 @@
 
 pub mod influxql;
 pub mod query;
-pub mod wire;
 
 mod batch;
 mod error;

@@ -22,7 +22,7 @@ pub type TagSet = BTreeMap<String, String>;
 ///     .with_tag("nodename", "sgx-node-1");
 /// assert_eq!(p.tag("pod_name"), Some("redis-0"));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Point {
     measurement: String,
     tags: TagSet,
@@ -80,6 +80,18 @@ impl Point {
     /// The observed value.
     pub fn value(&self) -> f64 {
         self.value
+    }
+}
+
+/// Values compare by their bits, so `-0.0` and `0.0` differ: a point
+/// read back from a store equals the one written only if the store kept
+/// its value exactly.
+impl PartialEq for Point {
+    fn eq(&self, other: &Self) -> bool {
+        self.measurement == other.measurement
+            && self.tags == other.tags
+            && self.time == other.time
+            && self.value.to_bits() == other.value.to_bits()
     }
 }
 

@@ -32,7 +32,7 @@
 //! any other byte, and a string that ends (`00 01`) sorts below any
 //! continuation (a byte ≥ `01`, or `00 FF`), as a shorter string or tag
 //! set does. So every read — [`query`](Database::query) and
-//! [`snapshot`](Database::snapshot) — walks series in tag-set order as it
+//! [`points`](Database::points) — walks series in tag-set order as it
 //! always has, decoding each series' key into a [`TagSet`]. A series
 //! name costs one allocation: the index and the slot share the packed
 //! tag set through an [`Arc`], and the slot names its measurement by a
@@ -966,9 +966,11 @@ impl Database {
         self.table.names.keys().map(String::as_str).collect()
     }
 
-    /// Serialises every stored sample into the binary snapshot format of
-    /// [`crate::wire`] (what a real InfluxDB would flush to disk).
-    pub fn snapshot(&self) -> bytes::Bytes {
+    /// Every stored sample as a [`Point`]: measurements in name order,
+    /// the series of each in [`TagSet`] order, a series' samples in time
+    /// order. A store rebuilt from them through [`Extend`] answers every
+    /// query as this one does.
+    pub fn points(&self) -> Vec<Point> {
         let mut points = Vec::with_capacity(self.point_count());
         let mut tags = TagSet::new();
         for measurement in self.table.names.keys() {
@@ -983,19 +985,7 @@ impl Database {
                 }
             }
         }
-        crate::wire::encode(&points)
-    }
-
-    /// Rebuilds a database from a snapshot produced by
-    /// [`snapshot`](Self::snapshot); the window is fed the samples anew.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::TsdbError::Parse`] for corrupted snapshots.
-    pub fn restore(data: &[u8]) -> Result<Self, crate::TsdbError> {
-        let mut db = Database::new();
-        db.extend(crate::wire::decode(data)?);
-        Ok(db)
+        points
     }
 }
 
@@ -1167,11 +1157,11 @@ mod tests {
             1
         );
         assert_eq!(db.drop_series_with_first_tag("nodename", "n2"), 1);
-        let before = (db.snapshot(), db.points_inserted());
+        let before = (db.points(), db.points_inserted());
         for stale in [aged, dropped] {
             assert!(!db.append(stale, SimTime::from_secs(100), 9.0));
         }
-        assert_eq!((db.snapshot(), db.points_inserted()), before);
+        assert_eq!((db.points(), db.points_inserted()), before);
         assert!(db.append(kept, SimTime::from_secs(100), 4.0));
         assert_eq!((db.series_count(), db.point_count()), (1, 2));
     }
@@ -1571,23 +1561,31 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips() {
+    fn points_lists_every_sample_by_measurement_series_and_time_bit_for_bit() {
+        let subnormal = f64::from_bits(1);
+        let usage =
+            |t, v| Point::new("memory/usage", SimTime::from_secs(t), v).with_tag("pod_name", "a");
+        // Written out of the order the listing must put them in.
+        let written = [
+            epc_point(7, "b", "n2", subnormal),
+            usage(3, -0.0),
+            epc_point(5, "b", "n2", 0.0),
+            epc_point(6, "a", "n1", -0.0),
+            epc_point(2, "a", "n1", subnormal),
+            usage(1, 0.0),
+        ];
         let mut db = Database::new();
-        for t in 0..20 {
-            db.insert(epc_point(t, &format!("p{}", t % 3), "n1", t as f64));
-        }
-        let snapshot = db.snapshot();
-        let restored = Database::restore(&snapshot).unwrap();
-        assert_eq!(restored.point_count(), db.point_count());
-        assert_eq!(restored.series_count(), db.series_count());
-        // Queries over the restored database agree exactly.
-        let q = Select::from_measurement("sgx/epc")
-            .aggregate(Aggregate::Sum)
-            .group_by(["pod_name"]);
-        let now = SimTime::from_secs(100);
-        assert_eq!(db.query(&q, now), restored.query(&q, now));
-        // Corruption is surfaced.
-        assert!(Database::restore(&snapshot[..snapshot.len() - 2]).is_err());
+        db.extend(written.iter().cloned());
+
+        // Measurement, then series (`nodename` is the first tag), then time.
+        let expected = [5, 1, 4, 3, 2, 0].map(|i| written[i].clone());
+        let listed = db.points();
+        assert_eq!(listed, expected);
+        let bits =
+            |points: &[Point]| -> Vec<u64> { points.iter().map(|p| p.value().to_bits()).collect() };
+        assert_eq!(bits(&listed), bits(&expected));
+        // A sign flip is a different point.
+        assert_ne!(usage(3, -0.0), usage(3, 0.0));
     }
 
     #[test]
@@ -1695,9 +1693,10 @@ mod tests {
             .append("pod-8", 0.5);
         assert_window_is_listing1(&db, 45, "a scrape after the drop");
 
-        let restored = Database::restore(&db.snapshot()).unwrap();
-        assert_window_is_listing1(&restored, 45, "restore(snapshot())");
-        assert_eq!(restored.window().floor(), SimTime::ZERO);
+        let mut rebuilt = Database::new();
+        rebuilt.extend(db.points());
+        assert_window_is_listing1(&rebuilt, 45, "a store rebuilt from points()");
+        assert_eq!(rebuilt.window().floor(), SimTime::ZERO);
     }
 
     #[test]

@@ -110,34 +110,23 @@ proptest! {
         prop_assert_eq!(db.point_count(), expected_kept);
     }
 
-    /// The binary snapshot format round-trips arbitrary point streams
-    /// exactly, and the restored database answers queries identically.
+    /// A store rebuilt from another's points through `extend` holds the
+    /// same points, bit for bit and in order, and answers queries
+    /// identically.
     #[test]
-    fn wire_round_trip(points in arbitrary_points()) {
+    fn a_store_rebuilt_from_points_answers_the_same(points in arbitrary_points()) {
         let mut db = Database::new();
         insert_all(&mut db, &points);
-        let snapshot = db.snapshot();
-        let restored = Database::restore(&snapshot).unwrap();
-        prop_assert_eq!(restored.point_count(), db.point_count());
-        prop_assert_eq!(restored.series_count(), db.series_count());
+        let mut rebuilt = Database::new();
+        rebuilt.extend(db.points());
+        prop_assert_eq!(rebuilt.points(), db.points());
+        prop_assert_eq!(rebuilt.point_count(), db.point_count());
+        prop_assert_eq!(rebuilt.series_count(), db.series_count());
         let q = Select::from_measurement("sgx/epc")
             .aggregate(Aggregate::Max)
             .group_by(["pod_name", "nodename"]);
         let now = SimTime::from_secs(500);
-        prop_assert_eq!(db.query(&q, now), restored.query(&q, now));
-    }
-
-    /// Corrupting any single byte of a snapshot either still decodes to
-    /// the same number of points (a value/tag byte changed) or fails
-    /// cleanly — it never panics.
-    #[test]
-    fn wire_corruption_never_panics(points in arbitrary_points(), idx in 0usize..10_000, flip in 1u8..255) {
-        let mut db = Database::new();
-        insert_all(&mut db, &points);
-        let mut bytes = db.snapshot().to_vec();
-        let i = idx % bytes.len();
-        bytes[i] ^= flip;
-        let _ = tsdb::wire::decode(&bytes); // must not panic
+        prop_assert_eq!(db.query(&q, now), rebuilt.query(&q, now));
     }
 
     /// Insert order never changes query results (series are canonical).
@@ -165,10 +154,10 @@ proptest! {
     }
 
     /// Ingesting a probe frame whole equals ingesting its points one by
-    /// one, and the store it leaves round-trips through the snapshot
-    /// wire format.
+    /// one, and a store rebuilt from the points it leaves holds them
+    /// again.
     #[test]
-    fn point_batch_wire_round_trip(
+    fn a_point_batch_equals_its_points_and_rebuilds_from_them(
         time_secs in 0u64..1000,
         node in 0u8..5,
         rows in prop::collection::vec((0u16..500, 0.0f64..1e9), 0..40),
@@ -187,8 +176,10 @@ proptest! {
         unbatched.extend(batch.to_points());
         let mut batched = Database::new();
         batched.insert_batch(&batch);
-        let snapshot = batched.snapshot();
-        prop_assert_eq!(&snapshot, &unbatched.snapshot());
-        prop_assert_eq!(Database::restore(&snapshot).unwrap().snapshot(), snapshot);
+        let points = batched.points();
+        prop_assert_eq!(&points, &unbatched.points());
+        let mut rebuilt = Database::new();
+        rebuilt.extend(points.clone());
+        prop_assert_eq!(rebuilt.points(), points);
     }
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use des::{SimDuration, SimTime};
 use proptest::prelude::*;
-use tsdb::{wire, Database, Point, SeriesId, TagSet};
+use tsdb::{Database, Point, SeriesId, TagSet};
 
 const MEASUREMENTS: [&str; 2] = ["memory/usage", "sgx/epc"];
 const NODES: u8 = 2;
@@ -159,11 +159,10 @@ fn key(series: Series) -> (String, TagSet) {
     (MEASUREMENTS[usize::from(measurement)].to_string(), tags)
 }
 
-/// The model's samples in the snapshot's order — series by
-/// `(measurement, tags)`, samples by time — as the snapshot encodes
-/// them: times in microseconds and values by their bits, so equal bytes
-/// are equal samples.
-fn snapshot(model: &BTreeMap<(String, TagSet), Vec<(SimTime, f64)>>) -> Vec<u8> {
+/// The model's samples in `Database::points` order — series by
+/// `(measurement, tags)`, samples by time. `Point` compares values by
+/// their bits, so equal points are equal samples.
+fn model_points(model: &BTreeMap<(String, TagSet), Vec<(SimTime, f64)>>) -> Vec<Point> {
     let mut points = Vec::new();
     for ((measurement, tags), samples) in model {
         for &(time, value) in samples {
@@ -174,7 +173,7 @@ fn snapshot(model: &BTreeMap<(String, TagSet), Vec<(SimTime, f64)>>) -> Vec<u8> 
             );
         }
     }
-    wire::encode(&points).to_vec()
+    points
 }
 
 proptest! {
@@ -263,15 +262,15 @@ proptest! {
                 }
             }
 
-            let held = db.snapshot();
-            let expected = snapshot(&model);
+            let held = db.points();
+            let expected = model_points(&model);
             prop_assert!(
-                held[..] == expected[..],
+                held == expected,
                 "step {}: {:?}\nstore: {:?}\nmodel: {:?}",
                 step,
                 op,
-                wire::decode(&held),
-                wire::decode(&expected)
+                held,
+                expected
             );
             let points: usize = model.values().map(Vec::len).sum();
             prop_assert_eq!(db.point_count(), points, "step {}", step);

@@ -3,15 +3,15 @@
 //! time-sorted sample vector. Random interleavings of `resolve`,
 //! `append` by id (ids of long-gone series included), tagged inserts in
 //! all three forms, delayed samples, retention and per-node drops are
-//! applied to both; after every step the store's snapshot, gauges and
-//! counters equal the model's, and every `append` and
+//! applied to both; after every step the store's points (values by
+//! bits), gauges and counters equal the model's, and every `append` and
 //! `enforce_retention` returns what the model says it must.
 
 use std::collections::BTreeMap;
 
 use des::{SimDuration, SimTime};
 use proptest::prelude::*;
-use tsdb::{wire, Database, Point, PointBatch, SeriesId, TagSet, TimeBound};
+use tsdb::{Database, Point, PointBatch, SeriesId, TagSet, TimeBound};
 
 const MEASUREMENTS: [&str; 2] = ["memory/usage", "sgx/epc"];
 const NODES: u8 = 3;
@@ -169,7 +169,7 @@ impl Model {
         dropped
     }
 
-    fn snapshot(&self) -> Vec<Point> {
+    fn points(&self) -> Vec<Point> {
         let mut points = Vec::new();
         for ((measurement, tags), samples) in &self.series {
             for &(time, value) in samples {
@@ -273,8 +273,8 @@ proptest! {
                     );
                 }
             }
-            let points = model.snapshot();
-            prop_assert_eq!(db.snapshot(), wire::encode(&points), "step {}", index);
+            let points = model.points();
+            prop_assert_eq!(db.points(), points, "step {}", index);
             prop_assert_eq!(db.series_count(), model.series.len(), "step {}", index);
             let mut measurements: Vec<&str> =
                 model.series.keys().map(|(m, _)| m.as_str()).collect();
