@@ -6,14 +6,21 @@
 //! limit to the SGX driver (the 16-lines-of-Go / 22-lines-of-C cgo bridge
 //! of §V-D), mounting `/dev/isgx` for pods that requested EPC, starting
 //! the containers (paying the Fig. 6 startup costs) and tearing pods down.
-
-use std::collections::BTreeMap;
+//!
+//! A node keeps its running pods in one uid-sorted table
+//! ([`sgx_sim::rows::Rows`], as the driver keeps its enclaves), which
+//! reads like the `BTreeMap<PodUid, RunningPod>` it replaced. Pods mostly
+//! bind in uid order, so a bind appends; a lower uid that binds late, a
+//! termination and a migration out find their row by binary search.
+//! Every walk (the two probes' scrapes, eviction, drains) goes in uid
+//! order.
 
 use rand::rngs::StdRng;
 
 use des::{SimDuration, SimTime};
 use sgx_sim::cost::CostModel;
 use sgx_sim::driver::SgxDriver;
+use sgx_sim::rows::{Row, Rows};
 use sgx_sim::units::{ByteSize, EpcPages};
 use sgx_sim::{CgroupPath, EnclaveId, SgxError};
 
@@ -61,6 +68,14 @@ impl RunningPod {
     /// cgroup path Kubelet built from it, so a scrape formats nothing.
     pub fn pod_name(&self) -> &str {
         &self.cgroup.as_str()[CGROUP_ROOT.len()..]
+    }
+}
+
+impl Row for RunningPod {
+    type Key = PodUid;
+
+    fn key(&self) -> &PodUid {
+        &self.uid
     }
 }
 
@@ -132,7 +147,7 @@ pub struct Node {
     role: NodeRole,
     driver: Option<SgxDriver>,
     cost_model: CostModel,
-    pods: BTreeMap<PodUid, RunningPod>,
+    pods: Rows<RunningPod>,
     mem_requested: ByteSize,
     epc_requested: EpcPages,
     cordoned: bool,
@@ -152,7 +167,7 @@ impl Node {
             role,
             driver,
             cost_model: CostModel::paper_defaults(),
-            pods: BTreeMap::new(),
+            pods: Rows::default(),
             mem_requested: ByteSize::ZERO,
             epc_requested: EpcPages::ZERO,
             cordoned: false,
@@ -296,8 +311,8 @@ impl Node {
             .map(|pod| (pod, pod.mem_allocated))
     }
 
-    /// The running pods, keyed by uid.
-    pub fn pods(&self) -> &BTreeMap<PodUid, RunningPod> {
+    /// The running pods, uid-ascending.
+    pub fn pods(&self) -> &Rows<RunningPod> {
         &self.pods
     }
 
@@ -546,7 +561,7 @@ impl Node {
         let requests = pod.spec.resources.requests;
         self.mem_requested += requests.memory;
         self.epc_requested += requests.epc_pages;
-        self.pods.insert(pod.uid, pod);
+        self.pods.insert(pod);
     }
 
     /// Removes a pod, returns its requests and drops its cgroup's

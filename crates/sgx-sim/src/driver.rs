@@ -24,6 +24,11 @@
 //! another pod's enclave. The accounts are keyed by cgroup path and
 //! hashed with a few multiplies a path (`PathHasher`), not SipHash: the
 //! SGX probe looks up every running pod's account on every tick.
+//!
+//! The enclave records are one id-sorted row an enclave ([`Rows`], as
+//! the EPC's usage is): a machine mints ids in ascending order, so
+//! `ECREATE` appends, every other call finds its enclave by binary
+//! search, and [`SgxDriver::enclaves`] walks them in id order.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -33,6 +38,7 @@ use crate::epc::{EnclaveUsage, Epc, EpcConfig, PagingActivity};
 use crate::error::SgxError;
 use crate::ids::{CgroupPath, EnclaveId};
 use crate::migration::Measurement;
+use crate::rows::Rows;
 use crate::units::EpcPages;
 use crate::SgxVersion;
 
@@ -62,7 +68,7 @@ use crate::SgxVersion;
 pub struct SgxDriver {
     version: SgxVersion,
     epc: Epc,
-    enclaves: HashMap<EnclaveId, Enclave>,
+    enclaves: Rows<Enclave>,
     accounts: PathMap<PodAccount>,
     further: FurtherEnclaves,
     enforce_limits: bool,
@@ -77,7 +83,7 @@ impl SgxDriver {
         SgxDriver {
             version,
             epc: Epc::new(config),
-            enclaves: HashMap::new(),
+            enclaves: Rows::default(),
             accounts: PathMap::default(),
             further: FurtherEnclaves::default(),
             enforce_limits: true,
@@ -193,8 +199,7 @@ impl SgxDriver {
             None => account.first = Some(id),
             Some(_) => self.further.push(&pod, id),
         }
-        self.enclaves
-            .insert(id, Enclave::new(id, pod, self.version));
+        self.enclaves.insert(Enclave::new(id, pod, self.version));
         id
     }
 
@@ -497,7 +502,7 @@ impl SgxDriver {
         self.enclaves.get(&id)
     }
 
-    /// Every registered enclave, in no particular order. A pod's usage is
+    /// Every registered enclave, id-ascending. A pod's usage is
     /// [`pages_for_pod`](Self::pages_for_pod), which reads the pod's
     /// account; this walk is for callers that want every enclave.
     pub fn enclaves(&self) -> impl Iterator<Item = &Enclave> {

@@ -7,6 +7,7 @@
 //! (`EAUG`/trim) for dynamic growth while running.
 
 use crate::ids::{CgroupPath, EnclaveId};
+use crate::rows::Row;
 use crate::units::EpcPages;
 use crate::SgxVersion;
 
@@ -100,6 +101,14 @@ impl Enclave {
 
     pub(crate) fn set_ecalls(&mut self, ecalls: u64) {
         self.ecalls = ecalls;
+    }
+}
+
+impl Row for Enclave {
+    type Key = EnclaveId;
+
+    fn key(&self) -> &EnclaveId {
+        &self.id
     }
 }
 

@@ -6,11 +6,14 @@
 //! EPC versus paged out to (encrypted) system memory, and how much paging
 //! traffic an allocation caused. The orchestrator layers read these numbers
 //! through the driver to make placement decisions.
-
-use std::collections::BTreeMap;
+//!
+//! The per-enclave usage is one id-sorted row an enclave ([`Rows`]): ids
+//! are minted in ascending order, so registering appends, and the
+//! eviction scan walks the rows in id order.
 
 use crate::error::SgxError;
 use crate::ids::EnclaveId;
+use crate::rows::{Row, Rows};
 use crate::units::{ByteSize, EpcPages, PRM_SIZE, USABLE_EPC};
 
 /// Static configuration of a machine's EPC.
@@ -72,6 +75,21 @@ pub struct EnclaveUsage {
     pub faults: u64,
 }
 
+/// One enclave's row in [`Epc`]'s table.
+#[derive(Debug, Clone, Copy)]
+struct UsageRow {
+    id: EnclaveId,
+    usage: EnclaveUsage,
+}
+
+impl Row for UsageRow {
+    type Key = EnclaveId;
+
+    fn key(&self) -> &EnclaveId {
+        &self.id
+    }
+}
+
 /// Outcome of a commit or touch operation, reporting paging activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PagingActivity {
@@ -104,7 +122,7 @@ pub struct Epc {
     free: EpcPages,
     /// Σ `committed` over `enclaves`, kept by every call that changes one.
     committed: EpcPages,
-    enclaves: BTreeMap<EnclaveId, EnclaveUsage>,
+    enclaves: Rows<UsageRow>,
     next_id: u64,
 }
 
@@ -115,7 +133,7 @@ impl Epc {
             free: config.usable_pages(),
             committed: EpcPages::ZERO,
             config,
-            enclaves: BTreeMap::new(),
+            enclaves: Rows::default(),
             next_id: 0,
         }
     }
@@ -152,7 +170,10 @@ impl Epc {
     pub fn register_enclave(&mut self) -> EnclaveId {
         let id = EnclaveId::new(self.next_id);
         self.next_id += 1;
-        self.enclaves.insert(id, EnclaveUsage::default());
+        self.enclaves.insert(UsageRow {
+            id,
+            usage: EnclaveUsage::default(),
+        });
         id
     }
 
@@ -164,7 +185,7 @@ impl Epc {
     /// Returns [`SgxError::UnknownEnclave`] if the enclave is not
     /// registered.
     pub fn deregister_enclave(&mut self, id: EnclaveId) -> Result<EnclaveUsage, SgxError> {
-        let usage = self
+        let UsageRow { usage, .. } = self
             .enclaves
             .remove(&id)
             .ok_or(SgxError::UnknownEnclave(id))?;
@@ -175,7 +196,14 @@ impl Epc {
 
     /// Per-enclave usage, or `None` when the enclave is not registered.
     pub fn usage(&self, id: EnclaveId) -> Option<EnclaveUsage> {
-        self.enclaves.get(&id).copied()
+        self.enclaves.get(&id).map(|row| row.usage)
+    }
+
+    fn usage_mut(&mut self, id: EnclaveId) -> Result<&mut EnclaveUsage, SgxError> {
+        self.enclaves
+            .get_mut(&id)
+            .map(|row| &mut row.usage)
+            .ok_or(SgxError::UnknownEnclave(id))
     }
 
     /// Commits `pages` additional pages to `id` (`EADD` before `EINIT`, or
@@ -190,11 +218,11 @@ impl Epc {
     /// * [`SgxError::EpcExhausted`] — not enough free pages and paging is
     ///   disabled.
     pub fn commit(&mut self, id: EnclaveId, pages: EpcPages) -> Result<PagingActivity, SgxError> {
-        if !self.enclaves.contains_key(&id) {
-            return Err(SgxError::UnknownEnclave(id));
-        }
+        let committed = self
+            .usage(id)
+            .ok_or(SgxError::UnknownEnclave(id))?
+            .committed;
         if !self.config.paging_enabled {
-            let committed = self.enclaves[&id].committed;
             if committed + pages > self.total_pages() {
                 return Err(SgxError::EpcOverCapacity {
                     requested: committed + pages,
@@ -217,7 +245,7 @@ impl Epc {
         let grabbed = pages.min(self.free);
         self.free -= grabbed;
         self.committed += pages;
-        let usage = self.enclaves.get_mut(&id).expect("checked above");
+        let usage = self.usage_mut(id).expect("checked above");
         usage.committed += pages;
         usage.resident += grabbed;
         usage.paged_out += pages - grabbed;
@@ -233,10 +261,7 @@ impl Epc {
     /// * [`SgxError::UnknownEnclave`] — `id` is not registered.
     /// * [`SgxError::InvalidState`] — the enclave owns fewer than `pages`.
     pub fn release(&mut self, id: EnclaveId, pages: EpcPages) -> Result<(), SgxError> {
-        let usage = self
-            .enclaves
-            .get_mut(&id)
-            .ok_or(SgxError::UnknownEnclave(id))?;
+        let usage = self.usage_mut(id)?;
         if usage.committed < pages {
             return Err(SgxError::InvalidState {
                 enclave: id,
@@ -261,11 +286,7 @@ impl Epc {
     /// * [`SgxError::UnknownEnclave`] — `id` is not registered.
     /// * [`SgxError::InvalidState`] — touching more pages than committed.
     pub fn touch(&mut self, id: EnclaveId, pages: EpcPages) -> Result<PagingActivity, SgxError> {
-        let usage = self
-            .enclaves
-            .get(&id)
-            .copied()
-            .ok_or(SgxError::UnknownEnclave(id))?;
+        let usage = self.usage(id).ok_or(SgxError::UnknownEnclave(id))?;
         if pages > usage.committed {
             return Err(SgxError::InvalidState {
                 enclave: id,
@@ -283,7 +304,7 @@ impl Epc {
         }
         let faulted = missing.min(self.free);
         self.free -= faulted;
-        let usage = self.enclaves.get_mut(&id).expect("checked above");
+        let usage = self.usage_mut(id).expect("checked above");
         usage.resident += faulted;
         usage.paged_out -= faulted;
         usage.faults += faulted.count();
@@ -300,12 +321,12 @@ impl Epc {
         while evicted < target {
             let victim = self
                 .enclaves
-                .iter()
-                .filter(|(id, u)| Some(**id) != protect && !u.resident.is_zero())
-                .max_by_key(|(id, u)| (u.resident, std::cmp::Reverse(**id)))
-                .map(|(id, _)| *id);
+                .values()
+                .filter(|row| Some(row.id) != protect && !row.usage.resident.is_zero())
+                .max_by_key(|row| (row.usage.resident, std::cmp::Reverse(row.id)))
+                .map(|row| row.id);
             let Some(victim) = victim else { break };
-            let usage = self.enclaves.get_mut(&victim).expect("victim exists");
+            let usage = self.usage_mut(victim).expect("victim exists");
             let take = (target - evicted).min(usage.resident);
             usage.resident -= take;
             usage.paged_out += take;
@@ -318,11 +339,11 @@ impl Epc {
     /// Checks the internal accounting invariant; used by tests and
     /// debug assertions.
     pub fn check_invariants(&self) -> bool {
-        let resident: EpcPages = self.enclaves.values().map(|u| u.resident).sum();
+        let resident: EpcPages = self.enclaves.values().map(|row| row.usage.resident).sum();
         let per_enclave_ok = self
             .enclaves
             .values()
-            .all(|u| u.resident + u.paged_out == u.committed);
+            .all(|row| row.usage.resident + row.usage.paged_out == row.usage.committed);
         self.free + resident == self.total_pages() && per_enclave_ok
     }
 }

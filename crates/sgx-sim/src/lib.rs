@@ -23,6 +23,8 @@
 //!   per-process page-count ioctl, the set-once per-pod (cgroup-path) limit
 //!   ioctl, and the admission check in `__sgx_encl_init` that denies
 //!   enclaves exceeding their pod's advertised share.
+//! * [`rows`] — the key-sorted table a machine keeps its enclave records,
+//!   their page usage and (in `cluster`) its running pods in.
 //!
 //! # Examples
 //!
@@ -52,6 +54,7 @@ pub mod driver;
 pub mod enclave;
 pub mod epc;
 pub mod migration;
+pub mod rows;
 pub mod units;
 
 mod error;
