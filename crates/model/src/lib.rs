@@ -30,12 +30,11 @@
 //! # Conformance
 //!
 //! Counterexample traces are abstract action sequences. The
-//! [`bridge`] module maps them onto
-//! [`simulation::TraceOp`] sequences that replay event-for-event against
-//! the real [`orchestrator::Orchestrator`], so a checker finding is
-//! either confirmed on the implementation or refuted as a model
-//! artefact. The [`Semantics`] flags reintroduce previously-fixed bugs
-//! *in the model only*; replaying their counterexamples against the
+//! [`bridge`] module's [`bridge::Harness`] applies them, action for
+//! action, to the real [`orchestrator::Orchestrator`], so a checker
+//! finding is either confirmed on the implementation or refuted as a
+//! model artefact. The [`Semantics`] flags reintroduce previously-fixed
+//! bugs *in the model only*; replaying their counterexamples against the
 //! fixed implementation demonstrates the fixes hold.
 //!
 //! # Examples

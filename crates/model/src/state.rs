@@ -93,9 +93,8 @@ pub struct ModelState {
     pub scrapes_used: u8,
 }
 
-/// One transition of the model — the abstract counterpart of a
-/// [`simulation::TraceOp`] (see [`bridge`](crate::bridge) for the exact
-/// mapping).
+/// One transition of the model, which [`Harness::apply`](crate::bridge::Harness::apply)
+/// applies to the real orchestrator (see [`bridge`](crate::bridge)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Advance time by one tick; samples outside the window age out.

@@ -4,82 +4,69 @@
 //! counterexample the checker emits.
 
 use cluster::api::NodeName;
-use model::bridge;
-use model::{explore, Action, Bounds, Model, ModelConfig, ModelState, NodeId, Semantics};
-use simulation::TraceHarness;
+use model::bridge::{self, Harness};
+use model::{explore, Action, Bounds, Model, ModelConfig, ModelState, NodeId, PodId, Semantics};
 
-/// Replays `actions` on a fresh harness (after the submission prefix)
-/// and returns it.
-fn replay(config: &ModelConfig, actions: &[Action]) -> TraceHarness {
-    let mut harness = bridge::harness(config);
-    for op in bridge::trace_ops(config, actions) {
-        harness.apply(&op);
-    }
-    harness
-}
-
-/// The pods each node holds, by name, nodes in index order: what the
-/// implementation's cluster says.
-fn residency(config: &ModelConfig, harness: &TraceHarness) -> Vec<Vec<String>> {
+/// The pods each node holds, nodes in index order, pods ascending: what
+/// the implementation's cluster says.
+fn residency(config: &ModelConfig, harness: &Harness) -> Vec<Vec<PodId>> {
     (0..config.nodes())
         .map(|node| {
             let name = NodeName::new(bridge::node_name(node as NodeId));
             let node = harness.orchestrator().cluster().node(&name);
             let pods = node.expect("every model node exists").pods().values();
-            let mut names: Vec<String> = pods.map(|pod| pod.spec.name.clone()).collect();
-            names.sort();
-            names
+            let mut ids: Vec<PodId> = pods.map(|pod| bridge::pod_id(pod.uid)).collect();
+            ids.sort();
+            ids
         })
         .collect()
 }
 
 /// The same, as the model says.
-fn model_residency(state: &ModelState) -> Vec<Vec<String>> {
+fn model_residency(state: &ModelState) -> Vec<Vec<PodId>> {
     state
         .nodes
         .iter()
-        .map(|node| {
-            let mut names: Vec<String> = node
-                .residents
-                .iter()
-                .map(|&p| bridge::pod_name(p))
-                .collect();
-            names.sort();
-            names
-        })
+        .map(|node| node.residents.clone())
         .collect()
+}
+
+/// The pending queue in FCFS order, as the implementation says.
+fn queue(harness: &Harness) -> Vec<PodId> {
+    let queue = harness.orchestrator().queue().iter();
+    queue.map(|pod| bridge::pod_id(pod.uid)).collect()
 }
 
 /// Steps the fixed-semantics model and the real orchestrator through the
 /// same trace in lockstep, comparing the decisions of every scheduler
-/// pass and the pod residency after every rebalance pass, and auditing
-/// the implementation after every op.
+/// pass, and pod residency and the pending queue after every action, and
+/// auditing the implementation after every action.
 fn assert_conforms(config: &ModelConfig, actions: &[Action]) {
     let model = Model::new(config.clone().with_semantics(Semantics::fixed()));
     let mut state = model.initial();
-    let mut harness = bridge::harness(config);
-    for op in bridge::submit_ops(config) {
-        harness.apply(&op);
-    }
+    let mut harness = Harness::new(config);
     for &action in actions {
         let predicted = match action {
-            Action::Schedule => Some(bridge::named_decisions(&model.schedule_decisions(&state))),
+            Action::Schedule => Some(model.schedule_decisions(&state)),
             _ => None,
         };
         let before = harness.decisions().len();
-        harness.apply(&bridge::trace_op(config, action));
+        harness.apply(action);
         if let Some(predicted) = predicted {
             let got = harness.decisions()[before..].to_vec();
             assert_eq!(got, predicted, "decision divergence at {action:?}");
         }
         state = model.step(&state, action).0;
-        if action == Action::Rebalance {
-            assert_eq!(
-                residency(config, &harness),
-                model_residency(&state),
-                "residency divergence at {action:?} along {actions:?}"
-            );
-        }
+        assert_eq!(
+            residency(config, &harness),
+            model_residency(&state),
+            "residency divergence at {action:?} along {actions:?}"
+        );
+        assert_eq!(
+            queue(&harness),
+            state.queue,
+            "queue divergence at {action:?} along {actions:?}"
+        );
     }
     assert!(
         harness.audit_failures().is_empty(),
@@ -167,8 +154,8 @@ fn stale_recovery_bug_found_and_refuted_on_implementation() {
     primary.extend_from_slice(&violation.continuation);
     let mut alternative = violation.trace.clone();
     alternative.extend_from_slice(&violation.alternative);
-    let a = replay(&config, &primary);
-    let b = replay(&config, &alternative);
+    let a = Harness::of(&config, &primary);
+    let b = Harness::of(&config, &alternative);
     assert!(a.audit_failures().is_empty(), "{:?}", a.audit_failures());
     assert!(b.audit_failures().is_empty(), "{:?}", b.audit_failures());
     assert_eq!(
@@ -202,7 +189,7 @@ fn cordon_blind_imbalance_bug_found_and_refuted_on_implementation() {
     // model flagged. The implementation's metric is computed over the
     // movable set, so it must not be armed — and the pass must be a
     // no-op rather than the start of a forever-arming loop.
-    let harness = replay(&config, &violation.trace);
+    let harness = Harness::of(&config, &violation.trace);
     let threshold = config.rebalance_threshold_milli as f64 / 1000.0;
     assert!(
         harness.orchestrator().epc_imbalance() <= threshold,
@@ -211,7 +198,7 @@ fn cordon_blind_imbalance_bug_found_and_refuted_on_implementation() {
     let before = harness.decisions().len();
     let mut with_rebalance = violation.trace.clone();
     with_rebalance.extend_from_slice(&violation.continuation);
-    let harness = replay(&config, &with_rebalance);
+    let harness = Harness::of(&config, &with_rebalance);
     assert_eq!(
         harness.decisions().len(),
         before,
@@ -238,11 +225,11 @@ fn per_pod_drain_capture_bug_found_and_refuted_on_implementation() {
     // Replay to just before the drain, then measure what the drain
     // costs the implementation: exactly one snapshot capture, however
     // many pods it evicts.
-    let harness = replay(&config, &violation.trace);
+    let harness = Harness::of(&config, &violation.trace);
     let captures_before = harness.orchestrator().snapshot_captures();
     let mut with_drain = violation.trace.clone();
     with_drain.extend_from_slice(&violation.continuation);
-    let harness = replay(&config, &with_drain);
+    let harness = Harness::of(&config, &with_drain);
     let moved = harness.decisions().len();
     assert!(
         moved >= 2,

@@ -7,17 +7,8 @@
 //! longer looks like that.
 
 use cluster::api::NodeName;
-use model::bridge;
+use model::bridge::{self, Harness};
 use model::{Action, ModelConfig};
-use simulation::TraceHarness;
-
-fn replay(config: &ModelConfig, actions: &[Action]) -> TraceHarness {
-    let mut harness = bridge::harness(config);
-    for op in bridge::trace_ops(config, actions) {
-        harness.apply(&op);
-    }
-    harness
-}
 
 /// A drain threads one `SchedulingCycle` across every eviction: the
 /// counterexample under `bug_per_pod_drain_capture` is `[Schedule,
@@ -26,11 +17,11 @@ fn replay(config: &ModelConfig, actions: &[Action]) -> TraceHarness {
 #[test]
 fn drain_captures_one_snapshot_across_all_evictions() {
     let config = ModelConfig::small();
-    let before = replay(&config, &[Action::Schedule]);
+    let before = Harness::of(&config, &[Action::Schedule]);
     let captures_before = before.orchestrator().snapshot_captures();
     let bound_decisions = before.decisions().len();
 
-    let after = replay(&config, &[Action::Schedule, Action::Drain(0)]);
+    let after = Harness::of(&config, &[Action::Schedule, Action::Drain(0)]);
     assert!(
         after.audit_failures().is_empty(),
         "{:?}",
@@ -68,8 +59,8 @@ fn recovered_node_quarantined_until_fresh_scrape() {
     let mut dropped = prefix.to_vec();
     dropped.extend([Action::Drop(0), Action::Schedule]);
 
-    let a = replay(&config, &delivered);
-    let b = replay(&config, &dropped);
+    let a = Harness::of(&config, &delivered);
+    let b = Harness::of(&config, &dropped);
     assert!(a.audit_failures().is_empty(), "{:?}", a.audit_failures());
     assert!(b.audit_failures().is_empty(), "{:?}", b.audit_failures());
     assert_eq!(
@@ -88,7 +79,7 @@ fn recovered_node_quarantined_until_fresh_scrape() {
     // frame of the recovered node lands at position 2.
     let mut lifted = delivered;
     lifted.extend([Action::Scrape, Action::Deliver(2)]);
-    let c = replay(&config, &lifted);
+    let c = Harness::of(&config, &lifted);
     assert!(c.audit_failures().is_empty(), "{:?}", c.audit_failures());
     assert!(
         !c.orchestrator().recovery_pending(&node),
@@ -105,7 +96,7 @@ fn recovered_node_quarantined_until_fresh_scrape() {
 #[test]
 fn epc_imbalance_ignores_cordoned_nodes() {
     let config = ModelConfig::small();
-    let harness = replay(&config, &[Action::Schedule, Action::Drain(0)]);
+    let harness = Harness::of(&config, &[Action::Schedule, Action::Drain(0)]);
     assert!(
         harness.audit_failures().is_empty(),
         "{:?}",
@@ -118,7 +109,7 @@ fn epc_imbalance_ignores_cordoned_nodes() {
     );
 
     let decisions_before = harness.decisions().len();
-    let with_rebalance = replay(
+    let with_rebalance = Harness::of(
         &config,
         &[Action::Schedule, Action::Drain(0), Action::Rebalance],
     );

@@ -886,8 +886,8 @@ impl Orchestrator {
     }
 
     /// Cross-checks the orchestrator's bookkeeping against the cluster:
-    /// the implementation-side invariant hooks the model-checker's
-    /// conformance harness audits after every replayed trace event.
+    /// the implementation-side invariant hooks the model checker's bridge
+    /// (`model::bridge::Harness`) audits after every action it applies.
     /// Returns human-readable violations; empty means consistent.
     ///
     /// * **No EPC/memory oversubscription by requests** — admission's

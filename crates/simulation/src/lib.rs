@@ -11,7 +11,9 @@
 //! and the pending-queue series (Fig. 7). A materialised
 //! [`borg_trace::Workload`] enters through
 //! [`borg_trace::MaterializedFrontend`]; [`online`] feeds the same loop
-//! from a wall-clock submission channel.
+//! from a wall-clock submission channel. That loop is the only driver of
+//! the orchestrator here: the model checker's counterexample replays
+//! apply the model's own actions to it directly (`model::bridge`).
 //!
 //! # Examples
 //!
@@ -32,7 +34,6 @@
 
 pub mod analysis;
 pub mod chaos;
-pub mod conformance;
 pub mod online;
 pub mod sweep;
 
@@ -43,7 +44,6 @@ pub use chaos::{FaultPlan, FaultStats, ProbeSilence};
 pub use config::{
     AutoscaleConfig, MaliciousConfig, NodeDrain, NodeFailure, RebalanceConfig, ReplayConfig,
 };
-pub use conformance::{TraceHarness, TraceOp};
 pub use online::{online_channel, OnlineFrontend, OnlineHandle, OnlineReport, OnlineServer};
 pub use replay::{replay_stream, JobRun, ReplayResult};
 pub use sweep::{SweepJob, SweepProgress};
